@@ -1,59 +1,55 @@
-//! Multi-process sweep driver CLI — `wl_harness::driver` behind flags.
+//! Multi-process sweep driver CLI — `wl_harness::transport` behind flags.
 //!
-//! One invocation partitions the demonstration grid into `--workers N`
-//! shards, spawns **this same binary** once per shard in `--worker`
-//! mode, babysits the subprocesses (heartbeat via store/log activity,
-//! restart-on-crash with bounded retries, optional stall kill), and
-//! merges the shard stores into one canonical output store:
+//! One invocation cuts the demonstration grid into `--chunk`-point
+//! chunks on a **work-stealing frontier**, spawns **this same binary**
+//! `--workers N` times in `--frontier-worker` mode, babysits the
+//! subprocesses (heartbeat via store/log activity, restart-on-crash with
+//! bounded retries, optional stall kill, orphan-claim requeue after
+//! `--steal-ms`), and merges the worker stores into one canonical output
+//! store:
 //!
 //! ```text
 //! sweep_drive --workers 3 --dir target/drive --out target/drive/merged.wls
-//! sweep_drive --workers 1 --dir target/ref   --out target/ref/merged.wls
-//! cmp target/drive/merged.wls target/ref/merged.wls     # byte-identical
+//! sweep_shard --shard 0/1 --store target/ref.wls      # plain in-process sweep
+//! cmp target/drive/merged.wls target/ref.wls          # byte-identical
 //! ```
 //!
 //! `--crash-worker K` makes worker `K`'s *first* launch abort right
-//! after its first checkpoint (a deterministic stand-in for `kill -9`
-//! mid-sweep); the driver restarts it, the restart resumes from the
-//! checkpointed shard store, and the merged output is still
-//! byte-identical — CI pins exactly that. The run fails if the injected
-//! crash did not actually cause a restart, so the smoke cannot silently
-//! stop covering the restart path.
+//! after checkpointing its first chunk, claim left orphaned (a
+//! deterministic stand-in for `kill -9` mid-sweep); the driver restarts
+//! it, the restart resumes from the checkpointed store, the orphan is
+//! requeued and stolen, and the merged output is still byte-identical —
+//! CI pins exactly that. The run fails if the injected crash did not
+//! actually cause a restart, so the smoke cannot silently stop covering
+//! the restart path.
 //!
-//! `--transport subprocess|dropbox|service` switches the drive from the
-//! static `k/N` sharding above to the **work-stealing frontier**
-//! (`wl_harness::transport`): the grid is cut into chunks, workers pull
-//! chunks from a shared frontier directory (atomic rename claims, orphan
-//! requeue after `--steal-ms`), and the chosen transport decides where
-//! the shared state lives — drive-local (`subprocess`), under a shared
-//! drop-box directory any machine can mount (`dropbox`), or subprocess
-//! plus the `WL_SWEEP_SERVICE` results service (`service`, requiring
-//! that env var). Workers re-enter this binary in `--frontier-worker`
-//! mode. A frontier directory left over from a *different* grid, chunk
-//! size, or engine version is refused with a clear error naming the
-//! mismatched field — never silently merged, never a hang.
+//! `--transport subprocess|dropbox|service` (default `subprocess`)
+//! decides where the shared state lives — drive-local, under a shared
+//! drop-box directory any machine can mount, or drive-local plus the
+//! `WL_SWEEP_SERVICE` results service (requiring that env var). A
+//! frontier directory left over from a *different* grid, chunk size, or
+//! engine version is refused with a clear error naming the mismatched
+//! field — never silently merged, never a hang.
 
 use bench::{cli, demo_grid_t, DEMO_GRID};
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 use wl_harness::{
-    drive, drive_frontier, run_worker, run_worker_frontier, Capture, DriverConfig,
-    DropBoxTransport, FrontierDriveReport, FrontierDriverConfig, FrontierWorkerConfig, Maintenance,
-    ServiceTransport, Shard, StoreFormat, SubprocessTransport, SweepRequest, SweepRunner,
-    SweepStore, WorkerConfig, WorkerLaunch,
+    drive_frontier, run_worker_frontier, Capture, DropBoxTransport, FrontierDriveReport,
+    FrontierDriverConfig, FrontierWorkerConfig, Maintenance, ScenarioSpec, ServiceTransport,
+    StoreFormat, SubprocessTransport, SweepRequest, SweepRunner, SweepStore, WorkerLaunch,
+    WorkerTransport,
 };
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  sweep_drive --workers N [--grid SIZE] [--t-end SECS] [--dir DIR] [--out FILE] \
-         [--checkpoint C] [--retries R] [--stall-ms T] [--crash-worker K] \
-         [--steal-ms T] {common}\n  \
-         sweep_drive --worker K/N --store FILE [--grid SIZE] [--t-end SECS] [--checkpoint C] \
-         [--crash-after M] {common}\n  \
+         [--retries R] [--stall-ms T] [--crash-worker K] [--steal-ms T] {common}\n  \
          sweep_drive --frontier-worker --frontier DIR --worker-id ID --store FILE \
          [--grid SIZE] [--t-end SECS] [--steal-ms T] [--poll-ms T] \
-         [--crash-after-chunks M] {common}",
+         [--crash-after-chunks M] {common}\n\
+         --transport defaults to subprocess; --chunk is the checkpoint granule",
         common = cli::COMMON_USAGE
     );
     std::process::exit(2);
@@ -67,7 +63,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--workers") => driver_main(&args),
-        Some("--worker") => worker_main(&args[1..]),
         Some("--frontier-worker") => frontier_worker_main(&args[1..]),
         _ => usage(),
     }
@@ -137,61 +132,8 @@ fn frontier_worker_main(args: &[String]) {
     );
 }
 
-/// The worker protocol: run one shard of the demo grid, checkpointing
-/// the shard store; print one progress line per checkpoint (the driver
-/// appends them to `worker-<k>.log` and watches the file grow).
-fn worker_main(args: &[String]) {
-    let mut it = args.iter();
-    let shard: Shard = parse(it.next());
-    let mut store: Option<String> = None;
-    let mut grid_size = DEMO_GRID;
-    let mut t_end = 2.0f64;
-    let mut checkpoint = 4usize;
-    let mut crash_after = None;
-    let mut common = cli::CommonArgs::default();
-    while let Some(flag) = it.next() {
-        if common.take(flag, &mut it) {
-            continue;
-        }
-        match flag.as_str() {
-            "--store" => store = it.next().cloned(),
-            "--grid" => grid_size = parse(it.next()),
-            "--t-end" => t_end = parse(it.next()),
-            "--checkpoint" => checkpoint = parse(it.next()),
-            "--crash-after" => crash_after = Some(parse(it.next())),
-            _ => usage(),
-        }
-    }
-    let format = common.format_or(StoreFormat::Text);
-    let cfg = WorkerConfig {
-        shard,
-        store: PathBuf::from(store.unwrap_or_else(|| usage())),
-        checkpoint,
-        crash_after,
-        format,
-        capture: common.capture(),
-    };
-    let progress = run_worker::<Maintenance>(
-        &SweepRunner::new(),
-        demo_grid_t(grid_size, t_end),
-        &cfg,
-        |p| {
-            println!(
-                "progress shard={shard} done={}/{} hits={} misses={} records={}",
-                p.done, p.total, p.hits, p.misses, p.records
-            );
-        },
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("worker {shard}: store I/O failed: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "worker {shard} complete: {} points ({} hits, {} misses)",
-        progress.total, progress.hits, progress.misses
-    );
-}
-
+/// The driver: cut the grid into chunks, run the fleet over the chosen
+/// transport, merge, and self-check the result.
 fn driver_main(args: &[String]) {
     let mut it = args.iter();
     it.next(); // the "--workers" flag itself
@@ -200,7 +142,6 @@ fn driver_main(args: &[String]) {
     let mut t_end = 2.0f64;
     let mut dir = PathBuf::from("target/sweep-drive");
     let mut out: Option<PathBuf> = None;
-    let mut checkpoint = 4usize;
     let mut retries = 2u32;
     let mut stall_ms: Option<u64> = None;
     let mut crash_worker: Option<u32> = None;
@@ -215,7 +156,6 @@ fn driver_main(args: &[String]) {
             "--t-end" => t_end = parse(it.next()),
             "--dir" => dir = PathBuf::from(parse::<String>(it.next())),
             "--out" => out = Some(PathBuf::from(parse::<String>(it.next()))),
-            "--checkpoint" => checkpoint = parse(it.next()),
             "--retries" => retries = parse(it.next()),
             "--stall-ms" => stall_ms = Some(parse(it.next())),
             "--crash-worker" => crash_worker = Some(parse(it.next())),
@@ -224,9 +164,7 @@ fn driver_main(args: &[String]) {
         }
     }
     let format = common.format_or(StoreFormat::Text);
-    let compact = common.compact;
-    let transport = common.transport.clone();
-    let chunk = common.chunk_or(4);
+    let transport = common.transport.as_deref().unwrap_or("subprocess");
     let capture = common.capture();
     if workers == 0 {
         usage();
@@ -240,157 +178,13 @@ fn driver_main(args: &[String]) {
     let out = out.unwrap_or_else(|| dir.join("merged.wls"));
     let exe = std::env::current_exe().expect("own executable path");
 
-    if let Some(transport) = transport {
-        frontier_drive(FrontierDrive {
-            transport,
-            workers,
-            grid_size,
-            t_end,
-            dir,
-            out,
-            chunk,
-            retries,
-            stall_ms,
-            steal_ms,
-            crash_worker,
-            format,
-            capture,
-            exe,
-        });
-        return;
-    }
-
-    let mut cfg = DriverConfig::new(workers, dir, out.clone());
+    let mut cfg = FrontierDriverConfig::new(workers, dir, out);
+    cfg.chunk = common.chunk_or(cfg.chunk);
     cfg.max_restarts = retries;
     cfg.stall_timeout = stall_ms.map(Duration::from_millis);
+    cfg.steal_timeout = Duration::from_millis(steal_ms);
     cfg.format = format;
 
-    let report = drive(&cfg, |shard, store, attempt| {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("--worker")
-            .arg(shard.to_string())
-            .arg("--store")
-            .arg(store)
-            .arg("--grid")
-            .arg(grid_size.to_string())
-            .arg("--t-end")
-            .arg(t_end.to_string())
-            .arg("--checkpoint")
-            .arg(checkpoint.to_string())
-            .arg("--format")
-            .arg(format.to_string())
-            .arg("--capture")
-            .arg(capture.to_string());
-        // Fault injection only poisons the first launch: the restart the
-        // driver issues must run clean and converge.
-        if attempt == 0 && crash_worker == Some(shard.index()) {
-            cmd.arg("--crash-after").arg("1");
-        }
-        cmd
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("sweep_drive failed: {e}");
-        std::process::exit(1);
-    });
-
-    println!(
-        "driver: {workers} worker(s) over {grid_size} grid points; {} restart(s) \
-         ({} stall kill(s)), {} torn line(s) tolerated; merged {} record(s) -> {}",
-        report.restarts,
-        report.stall_kills,
-        report.skipped_lines,
-        report.merged_records,
-        out.display()
-    );
-    // The one-line summary scripts grep: where the merge landed, how
-    // big it is, and how many dead shard records a --compact would
-    // reclaim.
-    let merged_bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-    println!(
-        "merge summary: {} | {} record(s) | {merged_bytes} bytes | {} superseded shard record(s)",
-        out.display(),
-        report.merged_records,
-        report.superseded_records
-    );
-
-    // Post-drive GC: rewrite every shard store (whose binary checkpoints
-    // are appended segments, possibly with superseded versions) in
-    // canonical form. The merged store needs no pass — drive() just
-    // wrote it canonically, with no stale or superseded baggage.
-    if compact {
-        for k in 0..workers {
-            let path = cfg.shard_store(k);
-            let mut store = SweepStore::open(&path).unwrap_or_else(|e| {
-                eprintln!("cannot reopen shard store {}: {e}", path.display());
-                std::process::exit(1);
-            });
-            let stats = store.compact().unwrap_or_else(|e| {
-                eprintln!("compacting {} failed: {e}", path.display());
-                std::process::exit(1);
-            });
-            println!(
-                "compacted shard {k}: {} live record(s), {} stale + {} superseded dropped, \
-                 {} -> {} bytes",
-                stats.live,
-                stats.dropped_stale,
-                stats.dropped_superseded,
-                stats.bytes_before,
-                stats.bytes_after
-            );
-        }
-    }
-
-    if crash_worker.is_some() && report.restarts == 0 {
-        eprintln!("crash injection requested but no worker was ever restarted");
-        std::process::exit(1);
-    }
-
-    verify_merged(
-        &out,
-        grid_size,
-        t_end,
-        report.merged_records,
-        &cfg.dir,
-        capture,
-    );
-}
-
-/// Everything a `--transport` frontier drive needs, parsed off the CLI.
-struct FrontierDrive {
-    transport: String,
-    workers: u32,
-    grid_size: usize,
-    t_end: f64,
-    dir: PathBuf,
-    out: PathBuf,
-    chunk: usize,
-    retries: u32,
-    stall_ms: Option<u64>,
-    steal_ms: u64,
-    crash_worker: Option<u32>,
-    format: StoreFormat,
-    capture: Capture,
-    exe: PathBuf,
-}
-
-/// The work-stealing drive: cut the grid into chunks, run the fleet over
-/// the chosen transport, and apply the same post-drive self-checks as
-/// the static-shard path.
-fn frontier_drive(args: FrontierDrive) {
-    let mut cfg = FrontierDriverConfig::new(args.workers, args.dir.clone(), args.out.clone());
-    cfg.chunk = args.chunk;
-    cfg.max_restarts = args.retries;
-    cfg.stall_timeout = args.stall_ms.map(Duration::from_millis);
-    cfg.steal_timeout = Duration::from_millis(args.steal_ms);
-    cfg.format = args.format;
-
-    let grid_size = args.grid_size;
-    let t_end = args.t_end;
-    let steal_ms = args.steal_ms;
-    let crash_worker = args.crash_worker;
-    let format = args.format;
-    let capture = args.capture;
-    let exe = args.exe.clone();
     let command_for = move |launch: &WorkerLaunch| {
         let mut cmd = Command::new(&exe);
         cmd.arg("--frontier-worker")
@@ -418,18 +212,15 @@ fn frontier_drive(args: FrontierDrive) {
         cmd
     };
 
-    let grid = demo_grid_t(args.grid_size, args.t_end);
-    let result = match args.transport.as_str() {
-        "subprocess" => {
-            drive_frontier::<Maintenance>(&cfg, &grid, &mut SubprocessTransport::new(command_for))
-        }
-        "dropbox" => {
-            drive_frontier::<Maintenance>(&cfg, &grid, &mut DropBoxTransport::new(command_for))
-        }
-        "service" => {
-            // The service transport points workers at a *running*
-            // sweep_serve; this CLI takes its address from the same env
-            // knob the workers will see.
+    let grid = demo_grid_t(grid_size, t_end);
+    let (report, stores) = match transport {
+        "subprocess" => drive_over(&cfg, &grid, SubprocessTransport::new(command_for)),
+        "dropbox" => drive_over(&cfg, &grid, DropBoxTransport::new(command_for)),
+        _ => {
+            // `CommonArgs::take` admits only the three names, so this is
+            // "service": it points workers at a *running* sweep_serve,
+            // whose address this CLI takes from the same env knob the
+            // workers will see.
             let Ok(addr) = std::env::var("WL_SWEEP_SERVICE") else {
                 eprintln!(
                     "--transport service needs WL_SWEEP_SERVICE set to a running \
@@ -437,78 +228,96 @@ fn frontier_drive(args: FrontierDrive) {
                 );
                 std::process::exit(2);
             };
-            drive_frontier::<Maintenance>(
-                &cfg,
-                &grid,
-                &mut ServiceTransport::new(addr, command_for),
-            )
-        }
-        other => {
-            eprintln!("unknown transport {other:?}: use subprocess, dropbox, or service");
-            std::process::exit(2);
+            drive_over(&cfg, &grid, ServiceTransport::new(addr, command_for))
         }
     };
-    // A foreign frontier (different grid, chunking, or engine) is a
-    // clear refusal, not a hang or a silent merge.
-    let report: FrontierDriveReport = result.unwrap_or_else(|e| {
-        eprintln!("sweep_drive failed: {e}");
-        std::process::exit(1);
-    });
 
     println!(
-        "driver[{}]: {} worker(s) stealing {}-point chunks over {} grid points; \
-         {} restart(s) ({} stall kill(s), {} slot(s) retired), {} claim(s) requeued; \
+        "driver[{transport}]: {workers} worker(s) stealing {}-point chunks over {grid_size} grid \
+         points; {} restart(s) ({} stall kill(s), {} slot(s) retired), {} claim(s) requeued; \
          merged {} store(s) = {} record(s) -> {}",
-        args.transport,
-        args.workers,
         cfg.chunk,
-        args.grid_size,
         report.restarts,
         report.stall_kills,
         report.retired,
         report.requeued,
         report.stores_merged,
         report.merged_records,
-        args.out.display()
+        cfg.out.display()
     );
 
-    if args.crash_worker.is_some() && report.restarts == 0 {
+    // Post-drive GC: rewrite every worker store (whose binary checkpoints
+    // are appended segments, possibly with superseded versions) in
+    // canonical form. The merged store needs no pass — the drive just
+    // wrote it canonically.
+    if common.compact {
+        for path in &stores {
+            let stats = SweepStore::open(path)
+                .and_then(|mut store| store.compact())
+                .unwrap_or_else(|e| {
+                    eprintln!("compacting {} failed: {e}", path.display());
+                    std::process::exit(1);
+                });
+            println!(
+                "compacted {}: {} live record(s), {} stale + {} superseded dropped, \
+                 {} -> {} bytes",
+                path.display(),
+                stats.live,
+                stats.dropped_stale,
+                stats.dropped_superseded,
+                stats.bytes_before,
+                stats.bytes_after
+            );
+        }
+    }
+
+    if crash_worker.is_some() && report.restarts == 0 {
         eprintln!("crash injection requested but no worker was ever restarted");
         std::process::exit(1);
     }
 
-    verify_merged(
-        &args.out,
-        args.grid_size,
-        args.t_end,
-        report.merged_records,
-        &args.dir,
-        args.capture,
-    );
+    verify_merged(&cfg, &grid, report.merged_records, capture);
 }
 
-/// The post-drive self-checks every drive must pass, frontier or static:
-/// exactly one record per grid point (a surplus means the work dir held
-/// stores from another grid), and the merged store serves the whole grid
-/// — at the drive's capture richness — without a single simulation.
+/// Runs the drive over `transport`; returns the report and the stores
+/// the transport harvested. A foreign frontier (different grid,
+/// chunking, or engine) is a clear refusal, not a hang or a silent merge.
+fn drive_over(
+    cfg: &FrontierDriverConfig,
+    grid: &[ScenarioSpec],
+    mut transport: impl WorkerTransport,
+) -> (FrontierDriveReport, Vec<PathBuf>) {
+    let fail = |e: &dyn std::fmt::Display| -> ! {
+        eprintln!("sweep_drive failed: {e}");
+        std::process::exit(1);
+    };
+    let report =
+        drive_frontier::<Maintenance>(cfg, grid, &mut transport).unwrap_or_else(|e| fail(&e));
+    let stores = transport.stores(cfg).unwrap_or_else(|e| fail(&e));
+    (report, stores)
+}
+
+/// The post-drive self-checks: exactly one record per grid point (a
+/// surplus means the work dir held stores from another grid), and the
+/// merged store serves the whole grid — at the drive's capture richness
+/// — without a single simulation.
 fn verify_merged(
-    out: &PathBuf,
-    grid_size: usize,
-    t_end: f64,
+    cfg: &FrontierDriverConfig,
+    grid: &[ScenarioSpec],
     merged_records: usize,
-    dir: &std::path::Path,
     capture: Capture,
 ) {
-    if merged_records != grid_size {
+    if merged_records != grid.len() {
         eprintln!(
-            "merged store holds {merged_records} record(s) for a {grid_size}-point grid; \
+            "merged store holds {merged_records} record(s) for a {}-point grid; \
              is {} reused from another grid? use a fresh --dir",
-            dir.display()
+            grid.len(),
+            cfg.dir.display()
         );
         std::process::exit(1);
     }
 
-    let merged = SweepStore::open(out).unwrap_or_else(|e| {
+    let merged = SweepStore::open(&cfg.out).unwrap_or_else(|e| {
         eprintln!("cannot reopen merged store: {e}");
         std::process::exit(1);
     });
@@ -516,7 +325,7 @@ fn verify_merged(
     let _ = SweepRequest::new()
         .cached(&cache)
         .capture(capture)
-        .run::<Maintenance>(demo_grid_t(grid_size, t_end));
+        .run::<Maintenance>(grid.to_vec());
     if cache.misses() != 0 {
         eprintln!(
             "merged store does not cover the grid: {} hit(s), {} miss(es)",

@@ -1485,8 +1485,8 @@ impl SweepStore {
     /// loader recovers every record before the tear, so the cost is
     /// exactly the records of the interrupted checkpoint, which a
     /// restarted worker re-runs. This is the call
-    /// [`run_worker`](crate::driver::run_worker) makes per checkpoint
-    /// batch. An appended-to file is no longer *canonical* (records are
+    /// [`run_worker_frontier`](crate::frontier::run_worker_frontier)
+    /// makes per chunk. An appended-to file is no longer *canonical* (records are
     /// no longer globally sorted); the next full save or
     /// [`compact`](SweepStore::compact) restores canonical form.
     ///
@@ -2983,7 +2983,7 @@ mod tests {
     #[test]
     fn binary_truncation_costs_exactly_the_damaged_tail() {
         // Mirror of the v2 text pins (`truncated_store_loads_as_empty`,
-        // driver_process's mid-record/boundary cuts), at the segment
+        // transport_conformance's mid-record/boundary cuts), at the segment
         // level: one record per segment via a tiny capacity.
         let path = tmp_path("bin-truncate");
         let _ = std::fs::remove_file(&path);

@@ -2,13 +2,12 @@
 //! any number of workers — local subprocesses, remote machines on a
 //! shared mount, service-backed fleets — drain cooperatively.
 //!
-//! PR 4's driver slices a grid statically (`k/N` shards), which makes a
-//! heterogeneous fleet finish at the pace of its slowest member and
-//! makes a dead worker's slice wait for a restart. The frontier replaces
-//! the static slice with a directory of chunk files whose *names* encode
-//! their state, moved between states with `rename(2)` — the one
-//! filesystem operation that is atomic on every platform this workspace
-//! targets, including NFS-style shared mounts:
+//! A static `k/N` slice makes a heterogeneous fleet finish at the pace
+//! of its slowest member and makes a dead worker's slice wait for a
+//! restart. The frontier is instead a directory of chunk files whose
+//! *names* encode their state, moved between states with `rename(2)` —
+//! the one filesystem operation that is atomic on every platform this
+//! workspace targets, including NFS-style shared mounts:
 //!
 //! ```text
 //! frontier/
@@ -42,7 +41,7 @@
 //! any chunk size, claim interleaving, or worker death schedule** —
 //! pinned by `tests/frontier_determinism.rs` (proptest) and the
 //! transport conformance suite. Byte layout and protocol:
-//! `docs/sweeps.md` § "The frontier".
+//! `docs/sweeps.md` § "The driver".
 //!
 //! The frontier refuses to operate on a directory initialized for a
 //! *different* grid (other specs, other chunk size, other
@@ -54,10 +53,7 @@ use crate::cache::{
     canon_string, fnv64_seeded, StoreFormat, SweepStore, ENGINE_VERSION, FNV_OFFSET,
 };
 use crate::spec::ScenarioSpec;
-use crate::sweep::{
-    run_point_cached, run_point_cached_series, run_point_cached_sketch, Capture, SweepAlgorithm,
-    SweepRunner,
-};
+use crate::sweep::{run_point_as, Capture, SweepAlgorithm, SweepRunner};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
@@ -351,12 +347,6 @@ impl Frontier {
         Ok(())
     }
 
-    /// The identity this frontier was opened with.
-    #[must_use]
-    pub fn spec(&self) -> &FrontierSpec {
-        &self.spec
-    }
-
     /// The frontier directory.
     #[must_use]
     pub fn dir(&self) -> &Path {
@@ -469,7 +459,6 @@ impl Frontier {
                         range: self.chunk_range(chunk),
                         path: claim,
                         done: self.done_path(chunk),
-                        todo: self.todo_path(chunk),
                     }));
                 }
                 // Someone else won the rename; try the next chunk.
@@ -521,7 +510,6 @@ pub struct Claim {
     range: std::ops::Range<usize>,
     path: PathBuf,
     done: PathBuf,
-    todo: PathBuf,
 }
 
 impl Claim {
@@ -562,18 +550,6 @@ impl Claim {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e),
-        }
-    }
-
-    /// Returns the chunk to `.todo` unexecuted (a worker shutting down
-    /// gracefully mid-queue).
-    ///
-    /// # Errors
-    ///
-    /// Rename failures other than the claim being gone.
-    pub fn release(self) -> io::Result<()> {
-        match std::fs::rename(&self.path, &self.todo) {
-            Ok(()) | Err(_) => Ok(()),
         }
     }
 }
@@ -688,11 +664,7 @@ pub fn run_worker_frontier<A: SweepAlgorithm>(
             service.prefetch::<A>(&specs, cfg.capture, &cache);
         }
         let _ = runner.run(points, |_, (index, spec)| {
-            let outcome = match cfg.capture {
-                Capture::Scalar => run_point_cached::<A>(*index, spec, &cache),
-                Capture::Sketch => run_point_cached_sketch::<A>(*index, spec, &cache),
-                Capture::Series => run_point_cached_series::<A>(*index, spec, &cache),
-            };
+            let outcome = run_point_as::<A>(cfg.capture, *index, spec, Some(&cache));
             claim.beat();
             outcome
         });
@@ -789,12 +761,14 @@ mod tests {
         assert!(!frontier.is_complete().unwrap());
 
         assert!(a.complete().unwrap());
-        c.release().unwrap();
-        let status = frontier.status().unwrap();
-        assert_eq!((status.todo, status.claimed, status.done), (1, 1, 1));
-        let c2 = frontier.claim("d").unwrap().unwrap();
-        assert_eq!(c2.chunk(), 2, "released chunk re-claimable");
         assert!(b.complete().unwrap());
+        // `c` is abandoned unexecuted: a zero-timeout requeue returns it
+        // to `.todo`.
+        assert_eq!(frontier.requeue_stale(Duration::ZERO).unwrap(), 1);
+        let status = frontier.status().unwrap();
+        assert_eq!((status.todo, status.claimed, status.done), (1, 0, 2));
+        let c2 = frontier.claim("d").unwrap().unwrap();
+        assert_eq!(c2.chunk(), 2, "requeued chunk re-claimable");
         assert!(c2.complete().unwrap());
         assert!(frontier.is_complete().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
@@ -946,6 +920,13 @@ mod tests {
                     .unwrap();
             assert_eq!(progress.chunks, 0, "no chunks left to claim");
             assert_eq!(progress.points, 0);
+            // A worker that wins no claim still leaves a loadable
+            // header-only store for enumerating transports to merge.
+            let idle = worker_cfg(&dir, "idle", format);
+            run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(5), &idle, |_| {})
+                .unwrap();
+            assert!(idle.store.exists(), "{format} header-only store written");
+            assert!(SweepStore::open(&idle.store).unwrap().is_empty());
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -47,11 +47,13 @@
 //!   workers); [`ServiceSweepCache`] + the `WL_SWEEP_SERVICE` env knob
 //!   make every cached sweep resolve *local store → service →
 //!   simulate* (`sweep_serve` is the CLI). See `docs/service.md`.
-//! * [`driver`] — the multi-process layer: [`run_worker`] executes one
-//!   shard with checkpointed, resumable stores; [`drive`] spawns one
-//!   worker subprocess per shard, monitors heartbeats, restarts crashed
-//!   or stalled workers under a bounded budget, and auto-merges the
-//!   shard stores into a store byte-identical to a 1-process run
+//! * [`frontier`] + [`transport`] — the multi-process layer:
+//!   [`run_worker_frontier`] drains a rename-based work-stealing
+//!   [`Frontier`] of grid chunks into a checkpointed, resumable store;
+//!   [`drive_frontier`] spawns the workers over a [`WorkerTransport`]
+//!   (subprocess, drop box, or service), monitors heartbeats, restarts
+//!   crashed or stalled workers under a bounded budget, and auto-merges
+//!   their stores into a store byte-identical to a 1-process run
 //!   (`sweep_drive` is the CLI).
 //!
 //! # Quickstart
@@ -91,7 +93,6 @@ pub mod adversary;
 pub mod algo;
 pub mod assemble;
 pub mod cache;
-pub mod driver;
 pub mod fleet;
 pub mod frontier;
 pub mod run;
@@ -114,9 +115,6 @@ pub use assemble::{
 pub use cache::{
     CompactStats, DiskSweepCache, MergeConflict, MergeConflictKind, MergeStats, MigrationReport,
     StoreFormat, SweepStore, ENGINE_VERSION,
-};
-pub use driver::{
-    drive, run_worker, DriveError, DriveReport, DriverConfig, WorkerConfig, WorkerProgress,
 };
 pub use fleet::{CnvAlgoFleet, MsAlgoFleet, StAlgoFleet, WlAlgoFleet};
 pub use frontier::{

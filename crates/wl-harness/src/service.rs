@@ -22,11 +22,11 @@
 //! * [`ServiceClient`] — the blocking wire client (TCP or unix socket).
 //! * [`ServiceSweepCache`] — the cache tier
 //!   [`SweepRunner::sweep_cached`]/[`sweep_cached_series`] and
-//!   [`run_worker`] consult when `WL_SWEEP_SERVICE` is set: before a
-//!   sweep it batch-resolves every point its local cache lacks, and after
-//!   the sweep it offers back (put-record) any point the service could
-//!   not supply. The tier is strictly additive — losing the server mid
-//!   run degrades to local simulation, never to an error.
+//!   [`run_worker_frontier`] consult when `WL_SWEEP_SERVICE` is set:
+//!   before a sweep it batch-resolves every point its local cache lacks,
+//!   and after the sweep it offers back (put-record) any point the
+//!   service could not supply. The tier is strictly additive — losing
+//!   the server mid run degrades to local simulation, never to an error.
 //!
 //! # Wire protocol
 //!
@@ -44,7 +44,7 @@
 //! result.
 //!
 //! [`sweep_cached_series`]: SweepRunner::sweep_cached_series
-//! [`run_worker`]: crate::driver::run_worker
+//! [`run_worker_frontier`]: crate::frontier::run_worker_frontier
 //! [`ScenarioSpec::content_hash`]: ScenarioSpec::content_hash
 
 use crate::cache::segment::{
@@ -52,9 +52,7 @@ use crate::cache::segment::{
 };
 use crate::cache::{canon_string, parse_outcome, StoreFormat, SweepStore, ENGINE_VERSION};
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
-use crate::sweep::{
-    run_point, run_point_series, run_point_sketch, Capture, SweepAlgorithm, SweepCache, SweepRunner,
-};
+use crate::sweep::{run_point_as, Capture, SweepAlgorithm, SweepCache, SweepRunner};
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -1833,10 +1831,8 @@ fn simulate(
         points: &[(usize, ScenarioSpec)],
         need: Capture,
     ) -> Vec<crate::sweep::SweepOutcome> {
-        runner.run(points.to_vec(), |_, (index, spec)| match need {
-            Capture::Scalar => run_point::<A>(*index, spec),
-            Capture::Sketch => run_point_sketch::<A>(*index, spec),
-            Capture::Series => run_point_series::<A>(*index, spec),
+        runner.run(points.to_vec(), |_, (index, spec)| {
+            run_point_as::<A>(need, *index, spec, None)
         })
     }
     if algo == crate::Maintenance::NAME {
@@ -2396,7 +2392,7 @@ mod tests {
         assert_eq!(cache.misses(), 0);
         assert_eq!(cache.hits(), 4);
         // Outcomes match a direct simulation (index restored per grid).
-        let direct = run_point::<Maintenance>(2, &specs[2]);
+        let direct = crate::sweep::run_point::<Maintenance>(2, &specs[2]);
         assert_eq!(canon_string(&out[2]), canon_string(&direct));
         // A second prefetch has nothing left to ask for.
         assert_eq!(

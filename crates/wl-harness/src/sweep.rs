@@ -722,16 +722,9 @@ impl<'a> SweepRequest<'a> {
             let owned_specs: Vec<ScenarioSpec> = owned.iter().map(|(_, s)| s.clone()).collect();
             service.prefetch::<A>(&owned_specs, self.capture, cache);
         }
-        let out = self
-            .runner
-            .run(owned, |_, (index, spec)| match (self.cache, self.capture) {
-                (None, Capture::Scalar) => run_point::<A>(*index, spec),
-                (None, Capture::Sketch) => run_point_sketch::<A>(*index, spec),
-                (None, Capture::Series) => run_point_series::<A>(*index, spec),
-                (Some(cache), Capture::Scalar) => run_point_cached::<A>(*index, spec, cache),
-                (Some(cache), Capture::Sketch) => run_point_cached_sketch::<A>(*index, spec, cache),
-                (Some(cache), Capture::Series) => run_point_cached_series::<A>(*index, spec, cache),
-            });
+        let out = self.runner.run(owned, |_, (index, spec)| {
+            run_point_as::<A>(self.capture, *index, spec, self.cache)
+        });
         if let (Some(service), Some(cache)) = (&service, self.cache) {
             service.push_back::<A>(cache);
         }
@@ -743,6 +736,25 @@ impl<'a> SweepRequest<'a> {
             );
         }
         out
+    }
+}
+
+/// One grid point at `capture` richness, memoized through `cache` when
+/// there is one — the single capture dispatch under [`SweepRequest::run`],
+/// the frontier worker loop, and the service's miss pool.
+pub(crate) fn run_point_as<A: SweepAlgorithm>(
+    capture: Capture,
+    index: usize,
+    spec: &ScenarioSpec,
+    cache: Option<&SweepCache>,
+) -> SweepOutcome {
+    match (cache, capture) {
+        (None, Capture::Scalar) => run_point::<A>(index, spec),
+        (None, Capture::Sketch) => run_point_sketch::<A>(index, spec),
+        (None, Capture::Series) => run_point_series::<A>(index, spec),
+        (Some(cache), Capture::Scalar) => run_point_cached::<A>(index, spec, cache),
+        (Some(cache), Capture::Sketch) => run_point_cached_sketch::<A>(index, spec, cache),
+        (Some(cache), Capture::Series) => run_point_cached_series::<A>(index, spec, cache),
     }
 }
 
@@ -808,8 +820,7 @@ pub(crate) fn run_point_sketch<A: SweepAlgorithm>(
 }
 
 /// The cached per-point body: canonicalize, look up, fall back to
-/// [`run_point`], insert. `pub(crate)` so [`crate::driver`]'s
-/// checkpointed worker loop runs the exact same body.
+/// [`run_point`], insert.
 pub(crate) fn run_point_cached<A: SweepAlgorithm>(
     index: usize,
     spec: &ScenarioSpec,

@@ -1,18 +1,15 @@
-//! Pluggable worker transports: *how* a fleet of frontier workers is
-//! launched, watched, and harvested — factored out of the driver so the
-//! same monitor loop drives local subprocesses, a shared "drop box"
-//! directory, or a service-backed fleet.
-//!
-//! PR 4's [`drive`](crate::drive) hard-wires one topology: local
-//! subprocesses, one static `k/N` shard each. This module splits that
-//! into two halves:
+//! The multi-process sweep driver: [`drive_frontier`]'s monitor loop
+//! plus the pluggable *transports* that decide how a fleet of frontier
+//! workers is launched, watched, and harvested — so one loop drives
+//! local subprocesses, a shared "drop box" directory, or a
+//! service-backed fleet.
 //!
 //! * [`WorkerTransport`] — the topology: where the frontier directory
 //!   lives, where a worker's store lands, how a worker process is
 //!   invoked, and which stores exist at harvest time. Three backends
 //!   ship:
-//!   * [`SubprocessTransport`] — PR 4's topology over the frontier:
-//!     local subprocesses, stores in the drive directory.
+//!   * [`SubprocessTransport`] — the default: local subprocesses,
+//!     frontier and stores in the drive directory.
 //!   * [`DropBoxTransport`] — everything shared lives under one *drop
 //!     box* directory (`frontier/` + `stores/`) that remote machines can
 //!     mount or rsync; harvest scans `stores/*.wls`, so deposits from
@@ -29,26 +26,25 @@
 //!   `.done` — merge whatever [`WorkerTransport::stores`] reports into
 //!   one canonical output store.
 //!
-//! Work stealing changes the failure calculus from [`drive`](crate::drive): a worker
-//! that exhausts its restart budget *retires its slot* but does not fail
-//! the drive — its chunks are requeued and the survivors absorb them.
-//! The drive fails only when every slot is retired and the frontier is
-//! still incomplete.
+//! A worker that exhausts its restart budget *retires its slot* but
+//! does not fail the drive — its chunks are requeued and the survivors
+//! absorb them. The drive fails only when every slot is retired and the
+//! frontier is still incomplete.
 //!
-//! The contract is the driver's, re-proven per transport by
+//! The contract, proven per transport by
 //! `tests/transport_conformance.rs`: the merged store is byte-identical
 //! to a 1-process run over the same grid, for any transport, worker
-//! count, chunk interleaving, or mid-sweep kill schedule.
+//! count, chunk interleaving, or mid-sweep kill schedule. See
+//! `docs/sweeps.md` § "The driver".
 
 use crate::cache::{MergeConflict, StoreFormat, SweepStore};
-use crate::driver::{beat_sig, spawn_worker, BeatSig};
 use crate::frontier::{Frontier, FrontierError, FrontierSpec};
 use crate::spec::ScenarioSpec;
 use crate::sweep::SweepAlgorithm;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
-use std::time::{Duration, Instant};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant, SystemTime};
 
 // ---------------------------------------------------------------------------
 // Configuration.
@@ -144,9 +140,6 @@ pub struct WorkerLaunch {
 /// the merge is equality-confirmed, so over-reporting is safe and
 /// under-reporting loses work.
 pub trait WorkerTransport {
-    /// Transport name, for logs and reports.
-    fn name(&self) -> &'static str;
-
     /// The directory the frontier lives in (created by
     /// [`drive_frontier`]; workers open it). Must be shared with every
     /// worker the transport reaches.
@@ -188,10 +181,6 @@ impl<F: FnMut(&WorkerLaunch) -> Command> SubprocessTransport<F> {
 }
 
 impl<F: FnMut(&WorkerLaunch) -> Command> WorkerTransport for SubprocessTransport<F> {
-    fn name(&self) -> &'static str {
-        "subprocess"
-    }
-
     fn frontier_dir(&self, cfg: &FrontierDriverConfig) -> PathBuf {
         cfg.dir.join("frontier")
     }
@@ -239,10 +228,6 @@ impl<F: FnMut(&WorkerLaunch) -> Command> DropBoxTransport<F> {
 }
 
 impl<F: FnMut(&WorkerLaunch) -> Command> WorkerTransport for DropBoxTransport<F> {
-    fn name(&self) -> &'static str {
-        "dropbox"
-    }
-
     fn frontier_dir(&self, cfg: &FrontierDriverConfig) -> PathBuf {
         self.root(cfg).join("frontier")
     }
@@ -294,10 +279,6 @@ impl<F: FnMut(&WorkerLaunch) -> Command> ServiceTransport<F> {
 }
 
 impl<F: FnMut(&WorkerLaunch) -> Command> WorkerTransport for ServiceTransport<F> {
-    fn name(&self) -> &'static str {
-        "service"
-    }
-
     fn frontier_dir(&self, cfg: &FrontierDriverConfig) -> PathBuf {
         cfg.dir.join("frontier")
     }
@@ -395,6 +376,31 @@ impl From<FrontierError> for FrontierDriveError {
             e => Self::Frontier(e),
         }
     }
+}
+
+/// The heartbeat signature of one worker: (store mtime + size, log size).
+/// Any change counts as life; checkpoint saves touch the store, progress
+/// lines grow the log.
+type BeatSig = (Option<(SystemTime, u64)>, u64);
+
+fn beat_sig(store: &Path, log: &Path) -> BeatSig {
+    let store_sig = std::fs::metadata(store)
+        .ok()
+        .and_then(|m| Some((m.modified().ok()?, m.len())));
+    let log_len = std::fs::metadata(log).map_or(0, |m| m.len());
+    (store_sig, log_len)
+}
+
+fn spawn_worker(mut cmd: Command, log: &Path) -> io::Result<Child> {
+    let log_file = std::fs::File::options()
+        .create(true)
+        .append(true)
+        .open(log)?;
+    let err_file = log_file.try_clone()?;
+    cmd.stdin(Stdio::null())
+        .stdout(Stdio::from(log_file))
+        .stderr(Stdio::from(err_file))
+        .spawn()
 }
 
 struct Slot {
@@ -629,13 +635,11 @@ mod tests {
         let noop = |_: &WorkerLaunch| Command::new("true");
 
         let sub = SubprocessTransport::new(noop);
-        assert_eq!(sub.name(), "subprocess");
         assert_eq!(sub.frontier_dir(&cfg), dir.join("frontier"));
         assert_eq!(sub.worker_store(&cfg, 1), dir.join("worker-1.wls"));
         assert_eq!(sub.stores(&cfg).unwrap().len(), 2);
 
         let boxed = DropBoxTransport::new(noop);
-        assert_eq!(boxed.name(), "dropbox");
         assert_eq!(boxed.frontier_dir(&cfg), dir.join("dropbox/frontier"));
         assert_eq!(
             boxed.worker_store(&cfg, 0),
@@ -645,7 +649,6 @@ mod tests {
         assert_eq!(rooted.frontier_dir(&cfg), Path::new("/mnt/shared/frontier"));
 
         let mut svc = ServiceTransport::new("unix:/tmp/x.sock", noop);
-        assert_eq!(svc.name(), "service");
         let launch = launch_for(0, 0, &dir.join("frontier"), &dir.join("worker-0.wls"));
         assert_eq!(launch.worker, "w0-a0");
         let cmd = svc.command(&cfg, &launch);

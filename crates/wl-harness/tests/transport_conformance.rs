@@ -1,9 +1,8 @@
-//! The transport conformance suite: every contract the static-shard
-//! driver proved in `driver_process.rs`, re-proven **per transport**
-//! against the work-stealing frontier — with real subprocesses (this
-//! test binary re-enters itself as the worker, `argv[1] ==
-//! "--frontier-worker"`, and as the sweep service, `argv[1] ==
-//! "--serve"`; hence `harness = false` in the manifest).
+//! The transport conformance suite: the driver's contracts, proven
+//! **per transport** against the work-stealing frontier — with real
+//! subprocesses (this test binary re-enters itself as the worker,
+//! `argv[1] == "--frontier-worker"`, and as the sweep service,
+//! `argv[1] == "--serve"`; hence `harness = false` in the manifest).
 //!
 //! The suite is one set of scenario functions and one macro
 //! ([`conformance!`]) that stamps them out for every
@@ -22,6 +21,16 @@
 //! 4. **exhaust** — a worker that crashes on every launch retires its
 //!    slot; with no surviving slots the drive fails with
 //!    `WorkersExhausted`, never hangs.
+//!
+//! Three more legs run on the subprocess transport only (they pin the
+//! worker's store handling, which no transport touches):
+//!
+//! 5. **resume, not redo** — a lone worker crashed after its first chunk
+//!    restarts with exactly that chunk as cache hits;
+//! 6. **damaged store** — a worker store truncated mid-record, then at a
+//!    record boundary, costs exactly the lost record on a re-drive;
+//! 7. **binary format** — the crash scenario with binary worker stores
+//!    and a binary merged store, smaller than the text one.
 //!
 //! Chunk-interleaving determinism beyond these fixed schedules is pinned
 //! by `tests/frontier_determinism.rs` (proptest, no subprocesses).
@@ -65,7 +74,7 @@ macro_rules! conformance {
     ($($kind:expr),+ $(,)?) => {
         $(
             scenario_bytes_match($kind);
-            scenario_crash_mid_sweep($kind);
+            scenario_crash_mid_sweep($kind, StoreFormat::Text);
             scenario_stall_kill($kind);
             scenario_retry_exhaustion($kind);
         )+
@@ -88,6 +97,13 @@ fn main() {
 
     // The whole suite, per transport. A fourth backend = one more line.
     conformance!(Kind::Subprocess, Kind::DropBox, Kind::Service);
+    scenario_crash_resumes_not_redoes();
+    scenario_damaged_store_costs_only_the_tail();
+    scenario_crash_mid_sweep(Kind::Subprocess, StoreFormat::Binary);
+    assert!(
+        reference_bytes(StoreFormat::Binary).len() < reference_bytes(StoreFormat::Text).len(),
+        "binary merged store not smaller than text"
+    );
     println!("transport_conformance: all scenarios passed on all transports");
 }
 
@@ -96,12 +112,14 @@ fn main() {
 // ---------------------------------------------------------------------------
 
 /// `--frontier-worker --frontier DIR --worker-id ID --store FILE
-/// [--steal-ms T] [--crash-after-chunks M] [--hang-after-chunks M]`
+/// [--format F] [--steal-ms T] [--crash-after-chunks M]
+/// [--hang-after-chunks M]`
 fn worker_main(args: &[String]) {
     let mut it = args.iter();
     let mut frontier = None;
     let mut worker = None;
     let mut store = None;
+    let mut format = StoreFormat::Text;
     let mut steal_ms = 2000u64;
     let mut crash_after_chunks = None;
     let mut hang_after_chunks: Option<usize> = None;
@@ -110,6 +128,7 @@ fn worker_main(args: &[String]) {
             "--frontier" => frontier = it.next().cloned(),
             "--worker-id" => worker = it.next().cloned(),
             "--store" => store = it.next().cloned(),
+            "--format" => format = it.next().unwrap().parse().unwrap(),
             "--steal-ms" => steal_ms = it.next().unwrap().parse().unwrap(),
             "--crash-after-chunks" => {
                 crash_after_chunks = Some(it.next().unwrap().parse().unwrap())
@@ -123,7 +142,7 @@ fn worker_main(args: &[String]) {
         frontier: PathBuf::from(frontier.expect("--frontier")),
         worker: worker.clone(),
         store: PathBuf::from(store.expect("--store")),
-        format: StoreFormat::Text,
+        format,
         steal_timeout: Duration::from_millis(steal_ms),
         poll: Duration::from_millis(20),
         crash_after_chunks,
@@ -246,14 +265,15 @@ impl Server {
     }
 }
 
-/// One frontier drive over transport `kind` with fault `fault`. The
-/// service legs spawn (and shut down) a real server subprocess around
-/// the drive.
+/// One frontier drive over transport `kind` with fault `fault`; worker
+/// stores take `cfg.format`. The service legs spawn (and shut down) a
+/// real server subprocess around the drive.
 fn run_drive(
     kind: Kind,
     cfg: &FrontierDriverConfig,
     fault: Fault,
 ) -> Result<FrontierDriveReport, FrontierDriveError> {
+    let format = cfg.format;
     let command_for = move |launch: &WorkerLaunch| {
         let mut cmd = Command::new(std::env::current_exe().expect("own path"));
         cmd.arg("--frontier-worker")
@@ -263,6 +283,8 @@ fn run_drive(
             .arg(&launch.worker)
             .arg("--store")
             .arg(&launch.store)
+            .arg("--format")
+            .arg(format.to_string())
             .arg("--steal-ms")
             .arg("400");
         if launch.slot == fault.slot && (launch.attempt == 0 || fault.every_launch) {
@@ -313,21 +335,42 @@ fn config(kind: Kind, name: &str, workers: u32, chunk: usize) -> FrontierDriverC
 }
 
 /// The 1-process reference bytes every scenario compares against,
-/// computed in-process once for the whole suite.
-fn reference_bytes() -> &'static [u8] {
-    static REFERENCE: OnceLock<Vec<u8>> = OnceLock::new();
-    REFERENCE.get_or_init(|| {
+/// computed in-process once per format for the whole suite.
+fn reference_bytes(format: StoreFormat) -> &'static [u8] {
+    static REFERENCE: [OnceLock<Vec<u8>>; 2] = [OnceLock::new(), OnceLock::new()];
+    REFERENCE[usize::from(format == StoreFormat::Binary)].get_or_init(|| {
         let cache = SweepCache::new();
         let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(), &cache);
-        let path = std::env::temp_dir().join(format!("wl-conform-{}-ref.wls", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "wl-conform-{}-ref-{format}.wls",
+            std::process::id()
+        ));
         let mut store = SweepStore::open(&path).unwrap();
-        store.set_format(StoreFormat::Text);
+        store.set_format(format);
         store.absorb(&cache);
         store.save().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         bytes
     })
+}
+
+/// Reads `(hits, misses)` off the last completion line in a worker log —
+/// `worker ID complete: C chunk(s), P point(s) (H hits, M misses)`.
+fn final_hits_misses(log: &Path) -> (u64, u64) {
+    let text = std::fs::read_to_string(log).expect("worker log");
+    let line = text
+        .lines()
+        .rev()
+        .find(|l| l.contains("complete:"))
+        .expect("completion line");
+    let (_, counts) = line.rsplit_once('(').expect("counts in parentheses");
+    let nums: Vec<u64> = counts
+        .split([' ', ')'])
+        .filter_map(|t| t.parse().ok())
+        .collect();
+    assert_eq!(nums.len(), 2, "hits, misses in {line:?}");
+    (nums[0], nums[1])
 }
 
 // ---------------------------------------------------------------------------
@@ -351,7 +394,7 @@ fn scenario_bytes_match(kind: Kind) {
     );
     assert_eq!(
         std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(),
+        reference_bytes(StoreFormat::Text),
         "[{}] 3-worker merged store != 1-process reference",
         kind.label()
     );
@@ -366,8 +409,9 @@ fn scenario_bytes_match(kind: Kind) {
 /// left orphaned, the `kill -9` shape — is restarted; the orphan is
 /// requeued after the steal timeout and re-claimed (by the restart or a
 /// peer); the merge is byte-identical anyway.
-fn scenario_crash_mid_sweep(kind: Kind) {
-    let cfg = config(kind, "crash", 2, 2);
+fn scenario_crash_mid_sweep(kind: Kind, format: StoreFormat) {
+    let mut cfg = config(kind, &format!("crash-{format}"), 2, 2);
+    cfg.format = format;
     let fault = Fault {
         slot: 0,
         crash: true,
@@ -380,17 +424,102 @@ fn scenario_crash_mid_sweep(kind: Kind) {
         kind.label()
     );
     assert_eq!(report.merged_records, GRID);
+    assert_eq!(report.skipped_lines, 0, "checkpoints load clean");
+    let merged = std::fs::read(&cfg.out).unwrap();
     assert_eq!(
-        std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(),
-        "[{}] post-crash merged store != 1-process reference",
+        merged.starts_with(b"WLSB"),
+        format == StoreFormat::Binary,
+        "merged output is a {format} store"
+    );
+    assert_eq!(
+        merged,
+        reference_bytes(format),
+        "[{}] post-crash {format} merged store != 1-process reference",
         kind.label()
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
     println!(
-        "ok [{}]: kill-mid-sweep restart converges byte-identically",
+        "ok [{}]: kill-mid-sweep restart converges byte-identically ({format})",
         kind.label()
     );
+}
+
+/// A lone worker hard-aborted after checkpointing its first chunk is
+/// restarted and *resumes*: the restart re-claims the orphaned chunk once
+/// it is requeued and serves it from its hydrated store, so its
+/// completion line reads one chunk of hits and the rest of the grid as
+/// misses. (Subprocess only: a service tier would turn misses into hits.)
+fn scenario_crash_resumes_not_redoes() {
+    let kind = Kind::Subprocess;
+    let cfg = config(kind, "resume", 1, 2);
+    let fault = Fault {
+        slot: 0,
+        crash: true,
+        ..Fault::default()
+    };
+    let report = run_drive(kind, &cfg, fault).expect("resume drive");
+    assert_eq!(report.restarts, 1, "exactly the injected crash restarted");
+    assert_eq!(
+        final_hits_misses(&cfg.worker_log(0)),
+        (cfg.chunk as u64, (GRID - cfg.chunk) as u64),
+        "restart must resume, not redo"
+    );
+    assert_eq!(
+        std::fs::read(&cfg.out).unwrap(),
+        reference_bytes(StoreFormat::Text)
+    );
+    let _ = std::fs::remove_dir_all(&cfg.dir);
+    println!("ok [subprocess]: crashed worker resumed from its checkpoint");
+}
+
+/// A worker store damaged *between* drives — truncated mid-record, then
+/// at a record boundary — costs exactly the lost record on a re-drive
+/// into the same directory (the loader skips the tear, the worker
+/// re-simulates only that point), and the merge is byte-identical.
+fn scenario_damaged_store_costs_only_the_tail() {
+    let kind = Kind::Subprocess;
+    let cfg = config(kind, "truncate", 1, 3);
+    let store = cfg.dir.join("worker-0.wls");
+    run_drive(kind, &cfg, Fault::default()).expect("initial drive");
+    assert_eq!(
+        std::fs::read(&cfg.out).unwrap(),
+        reference_bytes(StoreFormat::Text)
+    );
+
+    for name in ["mid-record", "boundary"] {
+        // Mid-record: 10 bytes off the tail, so the last line fails its
+        // checksum. Boundary: the final line dropped whole.
+        let mid_record = name == "mid-record";
+        let full = std::fs::read_to_string(&store).unwrap();
+        let cut = if mid_record {
+            full.len() - 10
+        } else {
+            full[..full.len() - 1].rfind('\n').unwrap() + 1
+        };
+        std::fs::write(&store, &full[..cut]).unwrap();
+        let damaged = SweepStore::open(&store).unwrap();
+        assert_eq!(damaged.len(), GRID - 1, "{name}: one record lost");
+        assert_eq!(damaged.skipped_lines(), usize::from(mid_record), "{name}");
+
+        // A fresh frontier and log, so every chunk is re-claimed and the
+        // completion line below belongs to this drive.
+        std::fs::remove_dir_all(cfg.dir.join("frontier")).unwrap();
+        std::fs::remove_file(cfg.worker_log(0)).unwrap();
+        std::fs::remove_file(&cfg.out).unwrap();
+        run_drive(kind, &cfg, Fault::default()).expect("resume drive");
+        assert_eq!(
+            final_hits_misses(&cfg.worker_log(0)),
+            (GRID as u64 - 1, 1),
+            "{name}: the worker re-runs exactly the damaged record"
+        );
+        assert_eq!(
+            std::fs::read(&cfg.out).unwrap(),
+            reference_bytes(StoreFormat::Text),
+            "{name}: resume over a damaged store != clean store"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&cfg.dir);
+    println!("ok [subprocess]: mid-record and boundary truncations cost exactly the damaged tail");
 }
 
 /// A single wedged worker — alive, no progress, and *no peers* to steal
@@ -420,7 +549,7 @@ fn scenario_stall_kill(kind: Kind) {
     assert_eq!(report.merged_records, GRID);
     assert_eq!(
         std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(),
+        reference_bytes(StoreFormat::Text),
         "[{}] post-stall merged store != 1-process reference",
         kind.label()
     );
