@@ -1,4 +1,4 @@
-//! SweepRunner throughput: a 64-scenario maintenance grid — serial vs
+//! Sweep throughput: a 64-scenario maintenance grid — serial vs
 //! parallel, cold vs warm cache, instrumented vs unobserved.
 //!
 //! Expected shapes:
@@ -26,8 +26,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use wl_core::Params;
 use wl_harness::{
-    assemble, assemble_enum, derive_seed, run, DelayKind, FaultKind, Maintenance, ScenarioSpec,
-    StoreFormat, SweepCache, SweepRunner, SweepStore,
+    assemble, assemble_enum, derive_seed, run, Capture, DelayKind, FaultKind, Maintenance,
+    ScenarioSpec, StoreFormat, SweepCache, SweepRequest, SweepRunner, SweepStore,
 };
 use wl_sim::ProcessId;
 use wl_time::RealTime;
@@ -95,22 +95,26 @@ fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_64_scenarios");
     group.throughput(Throughput::Elements(GRID));
     group.bench_with_input(BenchmarkId::new("serial", GRID), &(), |b, ()| {
-        b.iter(|| black_box(SweepRunner::serial().sweep::<Maintenance>(grid())));
+        b.iter(|| black_box(SweepRequest::new().threads(1).run::<Maintenance>(grid())));
     });
     group.bench_with_input(BenchmarkId::new("parallel", GRID), &(), |b, ()| {
-        b.iter(|| black_box(SweepRunner::new().sweep::<Maintenance>(grid())));
+        b.iter(|| black_box(SweepRequest::new().run::<Maintenance>(grid())));
     });
     group.bench_with_input(BenchmarkId::new("cold_cache", GRID), &(), |b, ()| {
         // Fresh cache every iteration: sweep + memoization overhead.
         b.iter(|| {
             let cache = SweepCache::new();
-            black_box(SweepRunner::new().sweep_cached::<Maintenance>(grid(), &cache))
+            black_box(
+                SweepRequest::new()
+                    .cached(&cache)
+                    .run::<Maintenance>(grid()),
+            )
         });
     });
     let warm = SweepCache::new();
-    let _ = SweepRunner::new().sweep_cached::<Maintenance>(grid(), &warm);
+    let _ = SweepRequest::new().cached(&warm).run::<Maintenance>(grid());
     group.bench_with_input(BenchmarkId::new("warm_cache", GRID), &(), |b, ()| {
-        b.iter(|| black_box(SweepRunner::new().sweep_cached::<Maintenance>(grid(), &warm)));
+        b.iter(|| black_box(SweepRequest::new().cached(&warm).run::<Maintenance>(grid())));
     });
     group.bench_with_input(BenchmarkId::new("unobserved_floor", GRID), &(), |b, ()| {
         // NullObserver + monomorphized Vec<Maintenance>: the engine with
@@ -134,10 +138,10 @@ fn bench_sweep(c: &mut Criterion) {
 
     // Print the headline numbers the PERF.md trajectory tracks.
     let t0 = std::time::Instant::now();
-    black_box(SweepRunner::serial().sweep::<Maintenance>(grid()));
+    black_box(SweepRequest::new().threads(1).run::<Maintenance>(grid()));
     let serial = t0.elapsed();
     let t1 = std::time::Instant::now();
-    black_box(SweepRunner::new().sweep::<Maintenance>(grid()));
+    black_box(SweepRequest::new().run::<Maintenance>(grid()));
     let parallel = t1.elapsed();
     println!(
         "sweep speedup: serial {serial:?} / parallel {parallel:?} = {:.2}x on {} workers",
@@ -146,7 +150,7 @@ fn bench_sweep(c: &mut Criterion) {
     );
 
     let t2 = std::time::Instant::now();
-    black_box(SweepRunner::new().sweep_cached::<Maintenance>(grid(), &warm));
+    black_box(SweepRequest::new().cached(&warm).run::<Maintenance>(grid()));
     let warm_dt = t2.elapsed();
     println!(
         "cache: cold {serial:?} -> warm {warm_dt:?} = {:.0}x ({} hits, 0 sims)",
@@ -163,7 +167,11 @@ fn bench_sweep(c: &mut Criterion) {
     store.save().expect("save store");
     let reopened = SweepStore::open(&path).expect("reopen store");
     let hydrated = reopened.hydrate();
-    black_box(SweepRunner::new().sweep_cached::<Maintenance>(grid(), &hydrated));
+    black_box(
+        SweepRequest::new()
+            .cached(&hydrated)
+            .run::<Maintenance>(grid()),
+    );
     let disk_dt = t3.elapsed();
     println!(
         "disk round trip (save + load + serve {GRID}): {disk_dt:?}, {} records, {} bytes",
@@ -213,8 +221,10 @@ fn bench_sweep(c: &mut Criterion) {
     // serve) time per format.
     let series_cache = SweepCache::new();
     let series_grid: Vec<ScenarioSpec> = grid().into_iter().take(8).collect();
-    let _ =
-        SweepRunner::new().sweep_cached_series::<Maintenance>(series_grid.clone(), &series_cache);
+    let _ = SweepRequest::new()
+        .cached(&series_cache)
+        .capture(Capture::Series)
+        .run::<Maintenance>(series_grid.clone());
     for format in [StoreFormat::Text, StoreFormat::Binary] {
         let path = std::env::temp_dir().join(format!(
             "wl-bench-series-{}-{format}.wls",
@@ -232,7 +242,10 @@ fn bench_sweep(c: &mut Criterion) {
         let reopened = SweepStore::open(&path).expect("reopen store");
         let hydrated = reopened.hydrate();
         black_box(
-            SweepRunner::new().sweep_cached_series::<Maintenance>(series_grid.clone(), &hydrated),
+            SweepRequest::new()
+                .cached(&hydrated)
+                .capture(Capture::Series)
+                .run::<Maintenance>(series_grid.clone()),
         );
         let load_dt = t_load.elapsed();
         assert_eq!(hydrated.misses(), 0, "{format} store must serve warm");

@@ -7,7 +7,7 @@
 //! `n = 3f` (where it does not): the skew stays bounded in the first case
 //! and is dragged wide in the second. The four cases run concurrently
 //! through `SweepRunner` — and through the shared disk cache with the
-//! **series** payload (`sweep_cached_series`), so a warm re-run reads
+//! **series** payload (`Capture::Series`), so a warm re-run reads
 //! its skew windows straight from cached records and executes zero
 //! simulations.
 //!
@@ -16,7 +16,7 @@
 use bench::{enforce_expected_misses, fs};
 use wl_analysis::report::Table;
 use wl_core::{theory, Params};
-use wl_harness::{DiskSweepCache, FaultKind, Maintenance, ScenarioSpec, SweepRequest};
+use wl_harness::{Capture, DiskSweepCache, FaultKind, Maintenance, ScenarioSpec, SweepRequest};
 use wl_sim::ProcessId;
 use wl_time::RealTime;
 
@@ -79,7 +79,7 @@ fn main() {
     let mut disk = DiskSweepCache::open_shared();
     let outcomes = SweepRequest::new()
         .cached(disk.cache())
-        .capture_series(true)
+        .capture(Capture::Series)
         .run::<Maintenance>(specs);
     enforce_expected_misses(&disk);
 

@@ -6,7 +6,7 @@
 //! * **F2**: startup algorithm from seconds of disagreement (the Lemma 20
 //!   geometric descent), log-scale flavour shown via the raw CSV.
 //!
-//! All three curves come out of `sweep_cached_series` records: the skew
+//! All three curves come out of `Capture::Series` records: the skew
 //! series is part of the cached payload, so regenerating the figures
 //! against a warm disk cache executes **zero** simulations.
 //!
@@ -17,7 +17,7 @@ use wl_analysis::plot::ascii_chart;
 use wl_analysis::report::Table;
 use wl_core::{Params, StartupParams};
 use wl_harness::{
-    DelayKind, DiskSweepCache, FaultKind, Maintenance, ScenarioSpec, Startup, SweepRequest,
+    Capture, DelayKind, DiskSweepCache, FaultKind, Maintenance, ScenarioSpec, Startup, SweepRequest,
 };
 use wl_sim::ProcessId;
 use wl_time::RealTime;
@@ -69,13 +69,13 @@ fn main() {
     let (byz_spec, byz_from, byz_to) = maintenance_spec(true);
     let maintenance = SweepRequest::new()
         .cached(disk.cache())
-        .capture_series(true)
+        .capture(Capture::Series)
         .run::<Maintenance>(vec![free_spec, byz_spec]);
 
     let (su_spec, su_from, su_to) = startup_spec();
     let startup = SweepRequest::new()
         .cached(disk.cache())
-        .capture_series(true)
+        .capture(Capture::Series)
         .run::<Startup>(vec![su_spec]);
     enforce_expected_misses(&disk);
 

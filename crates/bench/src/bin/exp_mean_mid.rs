@@ -5,8 +5,8 @@
 //! faster as `n` grows with `f` fixed, with steady error approaching `2ε`.
 //! This experiment starts from a wide spread and measures the per-round
 //! contraction factor and the steady skew for both variants across `n` —
-//! a 10-point grid fanned out by `SweepRunner` through the shared disk
-//! cache with the **series** payload (`sweep_cached_series`): the
+//! a 10-point grid fanned out by `SweepRequest` through the shared disk
+//! cache with the **series** payload (`Capture::Series`): the
 //! per-round skew series it needs is read from cached records, so a warm
 //! re-run executes zero simulations.
 //!
@@ -15,7 +15,9 @@
 use bench::{enforce_expected_misses, fs};
 use wl_analysis::report::Table;
 use wl_core::{AveragingFn, Params};
-use wl_harness::{DelayKind, DiskSweepCache, FaultKind, Maintenance, ScenarioSpec, SweepRequest};
+use wl_harness::{
+    Capture, DelayKind, DiskSweepCache, FaultKind, Maintenance, ScenarioSpec, SweepRequest,
+};
 use wl_time::RealTime;
 
 fn main() {
@@ -63,7 +65,7 @@ fn main() {
     let mut disk = DiskSweepCache::open_shared();
     let outcomes = SweepRequest::new()
         .cached(disk.cache())
-        .capture_series(true)
+        .capture(Capture::Series)
         .run::<Maintenance>(specs);
     enforce_expected_misses(&disk);
     // The cached series carries the same per-round skew series

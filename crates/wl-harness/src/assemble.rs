@@ -16,8 +16,8 @@ use wl_core::Params;
 use wl_sim::delay::{AdversarialSplitDelay, ConstantDelay, DelayModel, UniformDelay};
 use wl_sim::faults::FaultPlan;
 use wl_sim::{
-    Automaton, CalendarQueue, CorrectionSink, Counters, EventQueue, HeapQueue, NullObserver,
-    Observer, ProcessId, SimBuilder, SimConfig, Simulation,
+    Automaton, CorrectionSink, Counters, EventQueue, HeapQueue, NullObserver, Observer, ProcessId,
+    SimBuilder, SimConfig, Simulation,
 };
 use wl_time::{ClockTime, RealTime};
 
@@ -73,20 +73,8 @@ pub fn assemble<A: SyncAlgorithm>(spec: &ScenarioSpec) -> BuiltScenario<A::Msg> 
     assemble_with_queue::<A, _>(spec, HeapQueue::new())
 }
 
-/// [`assemble`], but with the engine's [`CalendarQueue`] tuned to the
-/// spec's delay band. Executions are byte-identical to [`assemble`]'s
-/// (pinned by the `queue_parity` tests); only the queue's cost model
-/// changes.
-#[must_use]
-pub fn assemble_calendar<A: SyncAlgorithm>(
-    spec: &ScenarioSpec,
-) -> BuiltScenario<A::Msg, CalendarQueue<A::Msg>> {
-    let queue = CalendarQueue::for_bounds(&spec.params.delay_bounds());
-    assemble_with_queue::<A, _>(spec, queue)
-}
-
-/// [`assemble`] with a caller-supplied event queue — the fully general
-/// entry point behind both convenience wrappers.
+/// [`assemble`] with a caller-supplied event queue — the seam test
+/// fakes substitute through (`ShuffledTieQueue` in `tests/common`).
 ///
 /// # Panics
 ///
@@ -264,9 +252,7 @@ fn delay_model(spec: &ScenarioSpec) -> Box<dyn DelayModel> {
 }
 
 /// The simulation type of the monomorphized fast path: algorithm `A`'s
-/// message type, the inline heap queue (fastest measured storage at this
-/// workspace's payload sizes — see the `arena_*` axes in
-/// `bench/benches/queue.rs`), observer `O`, and a `Vec<A>` fleet.
+/// message type, the heap queue, observer `O`, and a `Vec<A>` fleet.
 pub type MonoSimulation<A, O> =
     Simulation<<A as SyncAlgorithm>::Msg, HeapQueue<<A as SyncAlgorithm>::Msg>, O, Vec<A>>;
 
@@ -392,7 +378,7 @@ where
 }
 
 /// The simulation type of the enum-dispatched fast path: algorithm `A`'s
-/// message type, the inline heap queue, observer `O`, and a
+/// message type, the heap queue, observer `O`, and a
 /// `Vec<A::FleetAuto>` fleet (enum-match dispatch, no boxing).
 pub type EnumSimulation<A, O> = Simulation<
     <A as SyncAlgorithm>::Msg,
@@ -405,7 +391,7 @@ pub type EnumSimulation<A, O> = Simulation<
 /// (correct + faulty + rejoining processes) stored as a
 /// `Vec<A::FleetAuto>` instead of `Vec<Box<dyn Automaton>>`, under a
 /// `(Counters, CorrectionSink)` observer pair. Produced by
-/// [`assemble_enum`] (inline heap queue) or
+/// [`assemble_enum`] (heap queue) or
 /// [`assemble_enum_with_queue`] (any queue); executions are
 /// byte-identical to the boxed [`assemble`] path.
 pub struct EnumScenario<A: SyncAlgorithm, Q = HeapQueue<<A as SyncAlgorithm>::Msg>> {

@@ -783,7 +783,8 @@ pub(crate) fn parse_outcome(s: &str) -> Option<SweepOutcome> {
 // ---------------------------------------------------------------------------
 
 /// The FNV-1a offset basis and prime — one definition for every FNV use
-/// in the crate (line checksums here, cache slot keys in `sweep.rs`).
+/// in the crate (line, segment and frame checksums, cache slot keys in
+/// `sweep.rs`).
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -797,8 +798,9 @@ pub(crate) fn fnv64_seeded(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over raw bytes — the per-line checksum.
-fn fnv64(bytes: &[u8]) -> u64 {
+/// FNV-1a over raw bytes — the checksum of every store line, segment
+/// and block, and of every service frame.
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_seeded(FNV_OFFSET, bytes)
 }
 
@@ -918,11 +920,11 @@ pub struct MergeStats {
 ///   and a cache; experiment binaries use it via
 ///   [`DiskSweepCache::open_shared`].
 /// * **N shards, one grid** — each shard opens its own store path, runs
-///   [`SweepRunner::sweep_sharded_cached`], saves; a merge step folds
+///   a [`SweepRequest`] with `.shard(k/N).cached(..)`, saves; a merge step folds
 ///   the shard stores together with [`SweepStore::merge_from`] and saves
 ///   the canonical union (`cargo run -p bench --bin sweep_shard`).
 ///
-/// [`SweepRunner::sweep_sharded_cached`]: crate::SweepRunner::sweep_sharded_cached
+/// [`SweepRequest`]: crate::SweepRequest
 #[derive(Debug)]
 pub struct SweepStore {
     path: Option<PathBuf>,
@@ -1831,10 +1833,10 @@ fn parse_line(line: &str) -> ParsedLine {
 /// lines every experiment binary actually wants:
 ///
 /// ```no_run
-/// use wl_harness::{DiskSweepCache, Maintenance, SweepRunner};
+/// use wl_harness::{DiskSweepCache, Maintenance, SweepRequest};
 /// # let grid = Vec::new();
 /// let mut disk = DiskSweepCache::open_shared();
-/// let outcomes = SweepRunner::new().sweep_cached::<Maintenance>(grid, disk.cache());
+/// let outcomes = SweepRequest::new().cached(disk.cache()).run::<Maintenance>(grid);
 /// disk.persist().expect("save sweep cache");
 /// ```
 ///
@@ -1915,9 +1917,9 @@ impl DiskSweepCache {
         }
     }
 
-    /// The cache to hand to [`SweepRunner::sweep_cached`].
+    /// The cache to hand to [`SweepRequest::cached`].
     ///
-    /// [`SweepRunner::sweep_cached`]: crate::SweepRunner::sweep_cached
+    /// [`SweepRequest::cached`]: crate::SweepRequest::cached
     #[must_use]
     pub fn cache(&self) -> &SweepCache {
         &self.cache
@@ -1994,7 +1996,7 @@ impl DiskSweepCache {
 mod tests {
     use super::*;
     use crate::spec::ScenarioSpec;
-    use crate::sweep::{derive_seed, SweepRunner};
+    use crate::sweep::{derive_seed, Capture, SweepRequest};
     use crate::Maintenance;
     use wl_core::Params;
     use wl_time::RealTime;
@@ -2008,6 +2010,11 @@ mod tests {
                     .t_end(RealTime::from_secs(2.0))
             })
             .collect()
+    }
+
+    /// A single-threaded request memoized through `cache`.
+    fn serial(cache: &SweepCache) -> SweepRequest<'_> {
+        SweepRequest::new().threads(1).cached(cache)
     }
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -2236,9 +2243,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let cache = SweepCache::new();
         let g = grid(2);
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(vec![g[0].clone()], &cache);
-        let _ =
-            SweepRunner::serial().sweep_cached_series::<Maintenance>(vec![g[1].clone()], &cache);
+        let _ = serial(&cache).run::<Maintenance>(vec![g[0].clone()]);
+        let _ = serial(&cache)
+            .capture(Capture::Series)
+            .run::<Maintenance>(vec![g[1].clone()]);
         let mut store = SweepStore::open(&path).unwrap();
         store.absorb(&cache);
         store.save().unwrap();
@@ -2256,8 +2264,9 @@ mod tests {
         let reopened = SweepStore::open(&path).unwrap();
         assert_eq!(reopened.len(), 2);
         let hydrated = reopened.hydrate();
-        let warm =
-            SweepRunner::serial().sweep_cached_series::<Maintenance>(vec![g[1].clone()], &hydrated);
+        let warm = serial(&hydrated)
+            .capture(Capture::Series)
+            .run::<Maintenance>(vec![g[1].clone()]);
         assert_eq!(hydrated.hits(), 1, "series record serves a series request");
         assert!(warm[0].series.is_some());
 
@@ -2302,9 +2311,10 @@ mod tests {
         };
         let cache = SweepCache::new();
         let g = grid(2);
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(vec![adv(g[0].clone())], &cache);
-        let _ = SweepRunner::serial()
-            .sweep_cached_series::<Maintenance>(vec![adv(g[1].clone())], &cache);
+        let _ = serial(&cache).run::<Maintenance>(vec![adv(g[0].clone())]);
+        let _ = serial(&cache)
+            .capture(Capture::Series)
+            .run::<Maintenance>(vec![adv(g[1].clone())]);
         let mut store = SweepStore::open(&path).unwrap();
         store.absorb(&cache);
         store.save().unwrap();
@@ -2321,8 +2331,9 @@ mod tests {
 
         let reopened = SweepStore::open(&path).unwrap();
         let hydrated = reopened.hydrate();
-        let warm = SweepRunner::serial()
-            .sweep_cached_series::<Maintenance>(vec![adv(g[1].clone())], &hydrated);
+        let warm = serial(&hydrated)
+            .capture(Capture::Series)
+            .run::<Maintenance>(vec![adv(g[1].clone())]);
         assert_eq!(hydrated.hits(), 1, "B record serves a series request");
         assert!(warm[0].series.is_some());
 
@@ -2361,7 +2372,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let cache = SweepCache::new();
-        let outcomes = SweepRunner::serial().sweep_cached::<Maintenance>(grid(3), &cache);
+        let outcomes = serial(&cache).run::<Maintenance>(grid(3));
         let mut store = SweepStore::open(&path).unwrap();
         assert!(store.is_empty());
         assert_eq!(store.absorb(&cache), 3);
@@ -2377,7 +2388,7 @@ mod tests {
 
         // The hydrated cache serves the whole grid without a single miss.
         let warm = reopened.hydrate();
-        let served = SweepRunner::serial().sweep_cached::<Maintenance>(grid(3), &warm);
+        let served = serial(&warm).run::<Maintenance>(grid(3));
         assert_eq!(warm.hits(), 3);
         assert_eq!(warm.misses(), 0);
         for (a, b) in served.iter().zip(&outcomes) {
@@ -2390,7 +2401,7 @@ mod tests {
     fn truncated_store_loads_as_empty() {
         let path = tmp_path("truncated");
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(1), &cache);
+        let _ = serial(&cache).run::<Maintenance>(grid(1));
         let mut store = SweepStore::open(&path).unwrap();
         store.absorb(&cache);
         store.save().unwrap();
@@ -2417,7 +2428,7 @@ mod tests {
     fn corrupt_lines_are_skipped_not_fatal() {
         let path = tmp_path("corrupt");
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(2), &cache);
+        let _ = serial(&cache).run::<Maintenance>(grid(2));
         let mut store = SweepStore::open(&path).unwrap();
         store.absorb(&cache);
         store.save().unwrap();
@@ -2439,7 +2450,7 @@ mod tests {
     fn stale_engine_records_are_ignored() {
         let path = tmp_path("stale");
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(2), &cache);
+        let _ = serial(&cache).run::<Maintenance>(grid(2));
         let mut store = SweepStore::open(&path).unwrap();
         store.absorb(&cache);
         store.save().unwrap();
@@ -2470,8 +2481,8 @@ mod tests {
     fn merge_confirms_equality_and_detects_conflicts() {
         let a_cache = SweepCache::new();
         let b_cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(3), &a_cache);
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(2), &b_cache);
+        let _ = serial(&a_cache).run::<Maintenance>(grid(3));
+        let _ = serial(&b_cache).run::<Maintenance>(grid(2));
 
         let mut a = SweepStore::new();
         a.absorb(&a_cache);
@@ -2636,19 +2647,19 @@ mod tests {
     #[test]
     fn save_is_canonical_regardless_of_insertion_order() {
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(4), &cache);
+        let _ = serial(&cache).run::<Maintenance>(grid(4));
         let shard_a = SweepCache::new();
         let shard_b = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_sharded_cached::<Maintenance>(
-            grid(4),
-            crate::Shard::new(0, 2),
-            &shard_a,
-        );
-        let _ = SweepRunner::serial().sweep_sharded_cached::<Maintenance>(
-            grid(4),
-            crate::Shard::new(1, 2),
-            &shard_b,
-        );
+        let _ = SweepRequest::new()
+            .threads(1)
+            .shard(crate::Shard::new(0, 2))
+            .cached(&shard_a)
+            .run::<Maintenance>(grid(4));
+        let _ = SweepRequest::new()
+            .threads(1)
+            .shard(crate::Shard::new(1, 2))
+            .cached(&shard_b)
+            .run::<Maintenance>(grid(4));
 
         let p_full = tmp_path("canon-full");
         let p_merged = tmp_path("canon-merged");
@@ -2683,13 +2694,13 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut a = DiskSweepCache::open(&path).unwrap();
         let mut b = DiskSweepCache::open(&path).unwrap();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(2), a.cache());
+        let _ = serial(a.cache()).run::<Maintenance>(grid(2));
         let grid_b: Vec<ScenarioSpec> = grid(2)
             .into_iter()
             .enumerate()
             .map(|(i, s)| s.seed(derive_seed(0xB0B, i as u64)))
             .collect();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid_b, b.cache());
+        let _ = serial(b.cache()).run::<Maintenance>(grid_b);
         a.persist().unwrap();
         b.persist().unwrap();
         let merged = SweepStore::open(&path).unwrap();
@@ -2706,7 +2717,9 @@ mod tests {
         let path = tmp_path("bin-roundtrip");
         let _ = std::fs::remove_file(&path);
         let cache = SweepCache::new();
-        let outcomes = SweepRunner::serial().sweep_cached_series::<Maintenance>(grid(3), &cache);
+        let outcomes = serial(&cache)
+            .capture(Capture::Series)
+            .run::<Maintenance>(grid(3));
         let mut store = SweepStore::open(&path).unwrap();
         store.set_format(StoreFormat::Binary);
         store.absorb(&cache);
@@ -2721,7 +2734,9 @@ mod tests {
         assert_eq!(reopened.len(), 3);
         assert_eq!(reopened.skipped_lines(), 0);
         let warm = reopened.hydrate();
-        let served = SweepRunner::serial().sweep_cached_series::<Maintenance>(grid(3), &warm);
+        let served = serial(&warm)
+            .capture(Capture::Series)
+            .run::<Maintenance>(grid(3));
         assert_eq!((warm.hits(), warm.misses()), (3, 0));
         for (a, b) in served.iter().zip(&outcomes) {
             assert!(a.bit_identical(b), "binary round trip must be lossless");
@@ -2748,8 +2763,10 @@ mod tests {
         let _ = std::fs::remove_file(&text1);
         let cache = SweepCache::new();
         let g = grid(4);
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(g[..2].to_vec(), &cache);
-        let _ = SweepRunner::serial().sweep_cached_series::<Maintenance>(g[2..].to_vec(), &cache);
+        let _ = serial(&cache).run::<Maintenance>(g[..2].to_vec());
+        let _ = serial(&cache)
+            .capture(Capture::Series)
+            .run::<Maintenance>(g[2..].to_vec());
         let mut store = SweepStore::open(&text1).unwrap();
         store.absorb(&cache);
         store.save().unwrap();
@@ -2875,7 +2892,7 @@ mod tests {
         let path = tmp_path("compact");
         let _ = std::fs::remove_file(&path);
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(3), &cache);
+        let _ = serial(&cache).run::<Maintenance>(grid(3));
         let mut store = SweepStore::open(&path).unwrap();
         store.absorb(&cache);
         store.save().unwrap();
@@ -2921,7 +2938,7 @@ mod tests {
 
         // Live records still serve their grid points.
         let warm = compacted.hydrate();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(3), &warm);
+        let _ = serial(&warm).run::<Maintenance>(grid(3));
         assert_eq!(
             (warm.hits(), warm.misses()),
             (2, 1),
@@ -2938,7 +2955,7 @@ mod tests {
 
         // Scalar records first, full save.
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(g.clone(), &cache);
+        let _ = serial(&cache).run::<Maintenance>(g.clone());
         let mut store = SweepStore::open(&path).unwrap();
         store.set_format(StoreFormat::Binary);
         store.absorb(&cache);
@@ -2947,7 +2964,9 @@ mod tests {
 
         // Upgrade both records to series-bearing; checkpoint() must
         // *append* (the old file is a byte prefix of the new one).
-        let _ = SweepRunner::serial().sweep_cached_series::<Maintenance>(g.clone(), &cache);
+        let _ = serial(&cache)
+            .capture(Capture::Series)
+            .run::<Maintenance>(g.clone());
         assert_eq!(store.absorb(&cache), 2, "series upgrade rewrites both");
         let flushed = store.checkpoint().unwrap();
         assert_eq!(flushed, 2);
@@ -2961,7 +2980,7 @@ mod tests {
         assert_eq!(reopened.len(), 2);
         assert_eq!(reopened.superseded_records(), 2);
         let warm = reopened.hydrate();
-        let served = SweepRunner::serial().sweep_cached_series::<Maintenance>(g, &warm);
+        let served = serial(&warm).capture(Capture::Series).run::<Maintenance>(g);
         assert_eq!((warm.hits(), warm.misses()), (2, 0));
         assert!(served.iter().all(|o| o.series.is_some()));
 
@@ -2988,7 +3007,7 @@ mod tests {
         let path = tmp_path("bin-truncate");
         let _ = std::fs::remove_file(&path);
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(3), &cache);
+        let _ = serial(&cache).run::<Maintenance>(grid(3));
         let mut store = SweepStore::open(&path).unwrap();
         store.set_format(StoreFormat::Binary);
         store.set_segment_capacity(1); // every record overflows: 1 segment each
@@ -3141,12 +3160,12 @@ mod tests {
         let path = tmp_path("disk-bundle");
         let _ = std::fs::remove_file(&path);
         let mut disk = DiskSweepCache::open(&path).unwrap();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(2), disk.cache());
+        let _ = serial(disk.cache()).run::<Maintenance>(grid(2));
         assert_eq!(disk.persist().unwrap(), 2);
         assert!(disk.status().contains("2 misses"));
 
         let disk2 = DiskSweepCache::open(&path).unwrap();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(2), disk2.cache());
+        let _ = serial(disk2.cache()).run::<Maintenance>(grid(2));
         assert_eq!(disk2.cache().hits(), 2);
         assert_eq!(disk2.cache().misses(), 0);
         let _ = std::fs::remove_file(&path);

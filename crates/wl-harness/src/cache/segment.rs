@@ -49,7 +49,7 @@
 //!
 //! [`SweepStore`]: crate::cache::SweepStore
 
-use crate::cache::{fnv64_seeded, FNV_OFFSET};
+use crate::cache::fnv64;
 
 /// First four bytes of every binary store file.
 pub const FILE_MAGIC: [u8; 4] = *b"WLSB";
@@ -177,10 +177,6 @@ pub fn record_tag(kind: PayloadKind, adversarial: bool) -> u8 {
     }
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_seeded(FNV_OFFSET, bytes)
-}
-
 /// One store record at the *format* level: the six fields shared by the
 /// text line formats (v1 `R`, v2 `S`) and the v3 binary record, with
 /// the spec and outcome as opaque canonical strings.
@@ -246,11 +242,14 @@ fn push_payload(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(encoded);
 }
 
-/// Cursor helpers over a record body.
-struct Take<'a>(&'a [u8]);
+/// The crate's one little-endian byte cursor: every binary decoder (the
+/// record and segment codecs here, the wire codecs in `service.rs`) reads
+/// through it, with its codec-specific readers as functions over it.
+/// Every read is bounds-checked; `None` = truncated.
+pub(crate) struct Take<'a>(pub(crate) &'a [u8]);
 
 impl<'a> Take<'a> {
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.0.len() < n {
             return None;
         }
@@ -258,44 +257,55 @@ impl<'a> Take<'a> {
         self.0 = tail;
         Some(head)
     }
-    fn u16(&mut self) -> Option<u16> {
+    pub(crate) fn u8(&mut self) -> Option<u8> {
+        self.bytes(1).map(|b| b[0])
+    }
+    pub(crate) fn u16(&mut self) -> Option<u16> {
         Some(u16::from_le_bytes(self.bytes(2)?.try_into().ok()?))
     }
-    fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
     }
-    fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
     }
-    fn payload(&mut self) -> Option<String> {
-        let enc = *self.bytes(1)?.first()?;
-        let raw_len = self.u32()? as usize;
-        let raw = match enc {
-            ENC_RAW => {
-                let enc_len = self.u32()? as usize;
-                if enc_len != raw_len {
-                    return None;
-                }
-                self.bytes(enc_len)?.to_vec()
-            }
-            ENC_LZ => {
-                let enc_len = self.u32()? as usize;
-                wlz::decompress(self.bytes(enc_len)?, raw_len)?
-            }
-            ENC_HEX_LZ => {
-                let mid_len = self.u32()? as usize;
-                let enc_len = self.u32()? as usize;
-                let packed = wlz::decompress(self.bytes(enc_len)?, mid_len)?;
-                let raw = wlz::hex_unpack(&packed)?;
-                if raw.len() != raw_len {
-                    return None;
-                }
-                raw
-            }
-            _ => return None,
-        };
-        String::from_utf8(raw).ok()
+    pub(crate) fn f64(&mut self) -> Option<f64> {
+        self.u64().map(f64::from_bits)
     }
+    pub(crate) fn done(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Reads one encoded payload (see `push_payload`) off the cursor.
+fn payload(c: &mut Take<'_>) -> Option<String> {
+    let enc = c.u8()?;
+    let raw_len = c.u32()? as usize;
+    let raw = match enc {
+        ENC_RAW => {
+            let enc_len = c.u32()? as usize;
+            if enc_len != raw_len {
+                return None;
+            }
+            c.bytes(enc_len)?.to_vec()
+        }
+        ENC_LZ => {
+            let enc_len = c.u32()? as usize;
+            wlz::decompress(c.bytes(enc_len)?, raw_len)?
+        }
+        ENC_HEX_LZ => {
+            let mid_len = c.u32()? as usize;
+            let enc_len = c.u32()? as usize;
+            let packed = wlz::decompress(c.bytes(enc_len)?, mid_len)?;
+            let raw = wlz::hex_unpack(&packed)?;
+            if raw.len() != raw_len {
+                return None;
+            }
+            raw
+        }
+        _ => return None,
+    };
+    String::from_utf8(raw).ok()
 }
 
 impl EncodedRecord {
@@ -366,8 +376,8 @@ impl EncodedRecord {
         let engine_version = c.u32()?;
         let algo_len = c.u16()? as usize;
         let algo = String::from_utf8(c.bytes(algo_len)?.to_vec()).ok()?;
-        let spec_canon = c.payload()?;
-        let outcome_canon = c.payload()?;
+        let spec_canon = payload(&mut c)?;
+        let outcome_canon = payload(&mut c)?;
         if !c.0.is_empty() {
             return None;
         }

@@ -706,7 +706,7 @@ pub fn run_worker_frontier<A: SweepAlgorithm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{derive_seed, SweepCache};
+    use crate::sweep::{derive_seed, SweepCache, SweepRequest};
     use crate::Maintenance;
     use wl_core::Params;
     use wl_time::RealTime;
@@ -858,7 +858,10 @@ mod tests {
     /// The 1-process reference store bytes for `grid(n)`.
     fn reference_bytes(n: usize, format: StoreFormat) -> Vec<u8> {
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(n), &cache);
+        let _ = SweepRequest::new()
+            .threads(1)
+            .cached(&cache)
+            .run::<Maintenance>(grid(n));
         let mut store = SweepStore::new();
         store.set_format(format);
         store.absorb(&cache);

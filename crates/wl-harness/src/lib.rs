@@ -18,15 +18,14 @@
 //!   (correct, faulty, rejoining), and its start discipline; the harness
 //!   contributes everything else.
 //! * [`assemble()`](assemble()) — the single assembly function:
-//!   `assemble::<A>(&spec)` → a ready-to-run [`BuiltScenario`]. The
-//!   engine's queue is pluggable per `wl-sim`'s `EventQueue`:
-//!   [`assemble_calendar`] swaps the binary heap for a calendar queue
-//!   tuned to the spec's delay band, and [`assemble_with_queue`] accepts
-//!   any queue — all byte-identical in behaviour (`queue_parity` tests).
+//!   `assemble::<A>(&spec)` → a ready-to-run [`BuiltScenario`] on the
+//!   engine's binary-heap queue; [`assemble_with_queue`] accepts any
+//!   `wl-sim` `EventQueue` (the seam test fakes substitute through).
 //! * [`run`] — shared measurement helpers (`run_summary`,
 //!   `baseline_metrics`, `skew_series`) generic over the message type, so
 //!   Welch–Lynch runs and baseline runs are summarized by the same code.
-//! * [`SweepRunner`] — fans a grid of specs across threads with
+//! * [`SweepRequest`] — the one sweep entry point: fans a grid of specs
+//!   across threads ([`SweepRunner`]) with
 //!   deterministic per-scenario seed derivation ([`derive_seed`]). Results
 //!   are identical at any thread count, including one. Grids also split
 //!   across *processes and machines*: [`Shard`] + [`merge_sharded`]
@@ -38,7 +37,7 @@
 //!   A sweep re-run against a warm store executes **zero** simulations —
 //!   including series-hungry figure experiments, via the optional
 //!   [`SweepSeries`] record payload
-//!   ([`SweepRunner::sweep_cached_series`]). See `docs/sweeps.md` for
+//!   ([`Capture::Series`]). See `docs/sweeps.md` for
 //!   the format and the determinism contract.
 //! * [`service`] — the results-service layer: [`serve`] runs a
 //!   long-lived server that owns one hot [`SweepStore`], answers warm
@@ -108,9 +107,8 @@ pub use adversary::{
 };
 pub use algo::{AssemblyCtx, FleetRole, StartDiscipline, SyncAlgorithm};
 pub use assemble::{
-    assemble, assemble_calendar, assemble_enum, assemble_enum_with_queue, assemble_mono,
-    assemble_mono_null, assemble_mono_observed, assemble_with_queue, BuiltScenario, EnumScenario,
-    MonoScenario,
+    assemble, assemble_enum, assemble_enum_with_queue, assemble_mono, assemble_mono_null,
+    assemble_mono_observed, assemble_with_queue, BuiltScenario, EnumScenario, MonoScenario,
 };
 pub use cache::{
     CompactStats, DiskSweepCache, MergeConflict, MergeConflictKind, MergeStats, MigrationReport,

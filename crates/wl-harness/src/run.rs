@@ -6,9 +6,11 @@
 //! re-implemented ad hoc inside experiment binaries for the baselines.
 
 use crate::algo::SyncAlgorithm;
-use crate::assemble::{BuiltScenario, EnumScenario, MonoScenario};
+use crate::assemble::{
+    assemble, assemble_enum, assemble_mono, BuiltScenario, EnumScenario, MonoScenario,
+};
 use crate::spec::ScenarioSpec;
-use crate::sweep::SweepSeries;
+use crate::sweep::{SweepAlgorithm, SweepSeries};
 use wl_analysis::adjustment::{check_adjustments, AdjustmentReport};
 use wl_analysis::agreement::{check_agreement, AgreementReport};
 use wl_analysis::convergence::{round_series, RoundSeries};
@@ -17,7 +19,10 @@ use wl_analysis::ExecutionView;
 use wl_clock::drift::FleetClock;
 use wl_core::Params;
 use wl_sim::faults::FaultPlan;
-use wl_sim::{Automaton, CorrectionHistory, EventQueue, SimStats};
+use wl_sim::{
+    Automaton, CorrectionSink, Counters, EventQueue, Fleet, Observer, SimStats, Simulation,
+    StdObservers,
+};
 use wl_time::{RealDur, RealTime};
 
 /// Everything the experiments usually need from one run.
@@ -40,7 +45,7 @@ pub fn run_summary<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>
     built: BuiltScenario<M, Q>,
     t_end: f64,
 ) -> RunSummary {
-    run_capture_impl(built, t_end, false).0
+    run_boxed(built, t_end, false).0
 }
 
 /// [`run_summary`] over a [`MonoScenario`] (the monomorphized fast path):
@@ -52,7 +57,7 @@ pub fn run_summary_mono<A>(built: MonoScenario<A>, t_end: f64) -> RunSummary
 where
     A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
 {
-    run_capture_mono_impl(built, t_end, false).0
+    run_mono(built, t_end, false).0
 }
 
 /// [`run_summary`] plus a [`SweepSeries`] captured from the same
@@ -73,8 +78,7 @@ pub fn run_capture<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>
     built: BuiltScenario<M, Q>,
     t_end: f64,
 ) -> (RunSummary, SweepSeries) {
-    let (summary, series) = run_capture_impl(built, t_end, true);
-    (summary, series.expect("capture requested"))
+    captured(run_boxed(built, t_end, true))
 }
 
 /// [`run_capture`] over a [`MonoScenario`] — same series, same
@@ -84,8 +88,7 @@ pub fn run_capture_mono<A>(built: MonoScenario<A>, t_end: f64) -> (RunSummary, S
 where
     A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
 {
-    let (summary, series) = run_capture_mono_impl(built, t_end, true);
-    (summary, series.expect("capture requested"))
+    captured(run_mono(built, t_end, true))
 }
 
 /// [`run_summary`] over an [`EnumScenario`] (the enum-dispatched faulted
@@ -97,7 +100,7 @@ pub fn run_summary_enum<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
     built: EnumScenario<A, Q>,
     t_end: f64,
 ) -> RunSummary {
-    run_capture_enum_impl(built, t_end, false).0
+    run_enum(built, t_end, false).0
 }
 
 /// [`run_capture`] over an [`EnumScenario`] — same series, same
@@ -107,103 +110,74 @@ pub fn run_capture_enum<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
     built: EnumScenario<A, Q>,
     t_end: f64,
 ) -> (RunSummary, SweepSeries) {
-    let (summary, series) = run_capture_enum_impl(built, t_end, true);
-    (summary, series.expect("capture requested"))
+    captured(run_enum(built, t_end, true))
 }
 
-fn run_capture_impl<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>>(
-    built: BuiltScenario<M, Q>,
+/// The dispatch ladder every sweep grid point takes: fault-free specs run
+/// on the monomorphized `Vec<A>` fleet; faulted/rejoiner specs on the
+/// enum-dispatched `Vec<A::FleetAuto>` fleet; only traced specs and
+/// behaviour adversaries fall back to `Box<dyn Automaton>`. All three
+/// rungs share [`drive_and_summarize`] and are pinned bit-identical by
+/// `mono_path_bit_identical_to_boxed` and `enum_path_bit_identical_to_boxed`.
+pub(crate) fn run_dispatched<A: SweepAlgorithm>(
+    spec: &ScenarioSpec,
+    capture: bool,
+) -> (RunSummary, Option<SweepSeries>) {
+    let t_end = spec.t_end.as_secs();
+    if let Some(built) = assemble_mono::<A>(spec) {
+        run_mono(built, t_end, capture)
+    } else if let Some(built) = assemble_enum::<A>(spec) {
+        run_enum(built, t_end, capture)
+    } else {
+        run_boxed(assemble::<A>(spec), t_end, capture)
+    }
+}
+
+fn run_boxed<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>>(
+    b: BuiltScenario<M, Q>,
     t_end: f64,
     capture: bool,
 ) -> (RunSummary, Option<SweepSeries>) {
-    let params = built.params.clone();
-    let plan = built.plan.clone();
-    let mut sim = built.sim;
-    let outcome = sim.run();
-    summarize(
-        sim.clocks(),
-        &outcome.corr,
-        outcome.stats,
-        &params,
-        &plan,
-        t_end,
-        capture,
-    )
+    drive_and_summarize(b.sim, std_sinks, &b.params, &b.plan, t_end, capture)
 }
 
-fn run_capture_mono_impl<A>(
-    built: MonoScenario<A>,
-    t_end: f64,
-    capture: bool,
-) -> (RunSummary, Option<SweepSeries>)
+fn run_mono<A>(b: MonoScenario<A>, t_end: f64, capture: bool) -> (RunSummary, Option<SweepSeries>)
 where
     A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
 {
-    let mut sim = built.sim;
-    sim.drive();
-    let (counters, corr) = sim.observer();
-    let stats = counters.stats();
-    summarize(
-        sim.clocks(),
-        corr.histories(),
-        stats,
-        &built.params,
-        &built.plan,
-        t_end,
-        capture,
-    )
+    drive_and_summarize(b.sim, pair_sinks, &b.params, &b.plan, t_end, capture)
 }
 
-fn run_capture_enum_impl<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
-    built: EnumScenario<A, Q>,
+fn run_enum<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
+    b: EnumScenario<A, Q>,
     t_end: f64,
     capture: bool,
 ) -> (RunSummary, Option<SweepSeries>) {
-    let mut sim = built.sim;
-    sim.drive();
-    let (counters, corr) = sim.observer();
-    let stats = counters.stats();
-    summarize(
-        sim.clocks(),
-        corr.histories(),
-        stats,
-        &built.params,
-        &built.plan,
-        t_end,
-        capture,
-    )
+    drive_and_summarize(b.sim, pair_sinks, &b.params, &b.plan, t_end, capture)
 }
 
-/// Runs `spec` with a monomorphized fleet and **no observer at all**
-/// ([`wl_sim::NullObserver`]) and returns the engine's own delivered-event
-/// count — the raw Monte Carlo throughput floor, with every measurement
-/// cost removed. `None` if the spec does not qualify for the fast path
-/// (see [`crate::assemble_mono`]).
-#[must_use]
-pub fn drive_unobserved<A>(spec: &ScenarioSpec) -> Option<u64>
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-{
-    let mut sim = crate::assemble::assemble_mono_null::<A>(spec)?;
-    sim.drive();
-    Some(sim.events_delivered())
-}
-
-/// The one analysis body behind [`run_summary`], [`run_summary_mono`],
-/// and the capture variants: given whatever ran (clocks + correction
-/// histories + counters), apply the theorem suite — and optionally
-/// sample the series payload from the same view. Keeping this single
-/// keeps the run paths from diverging.
-fn summarize(
-    clocks: &[FleetClock],
-    corr: &[CorrectionHistory],
-    stats: SimStats,
+/// The one drive-and-summarize body behind every `run_*` entry point:
+/// run the simulation to completion, then apply the theorem suite to the
+/// clocks and whatever `sinks` finds in the observer stack (counters +
+/// correction histories) — and optionally sample the series payload from
+/// the same view. Keeping this single keeps the run paths from diverging.
+fn drive_and_summarize<M, Q, O, F>(
+    mut sim: Simulation<M, Q, O, F>,
+    sinks: fn(&O) -> (&Counters, &CorrectionSink),
     params: &Params,
     plan: &FaultPlan,
     t_end: f64,
     capture: bool,
-) -> (RunSummary, Option<SweepSeries>) {
-    let view = ExecutionView::with_plan(clocks, corr, plan);
+) -> (RunSummary, Option<SweepSeries>)
+where
+    M: Clone + std::fmt::Debug + Send + 'static,
+    Q: EventQueue<M>,
+    O: Observer<M>,
+    F: Fleet<M>,
+{
+    sim.drive();
+    let (counters, corr) = sinks(sim.observer());
+    let view = ExecutionView::with_plan(sim.clocks(), corr.histories(), plan);
     let from = RealTime::from_secs(params.t0 + 2.0 * params.p_round);
     let agreement = check_agreement(
         &view,
@@ -220,10 +194,39 @@ fn summarize(
             agreement,
             adjustments,
             rounds,
-            stats,
+            stats: counters.stats(),
         },
         series,
     )
+}
+
+/// Where the boxed path's standard observer bundle keeps its sinks.
+fn std_sinks(o: &StdObservers) -> (&Counters, &CorrectionSink) {
+    (&o.counters, &o.corr)
+}
+
+/// Where the mono/enum fast paths' observer pair keeps its sinks.
+fn pair_sinks(o: &(Counters, CorrectionSink)) -> (&Counters, &CorrectionSink) {
+    (&o.0, &o.1)
+}
+
+fn captured((summary, series): (RunSummary, Option<SweepSeries>)) -> (RunSummary, SweepSeries) {
+    (summary, series.expect("capture requested"))
+}
+
+/// Runs `spec` with a monomorphized fleet and **no observer at all**
+/// ([`wl_sim::NullObserver`]) and returns the engine's own delivered-event
+/// count — the raw Monte Carlo throughput floor, with every measurement
+/// cost removed. `None` if the spec does not qualify for the fast path
+/// (see [`crate::assemble_mono`]).
+#[must_use]
+pub fn drive_unobserved<A>(spec: &ScenarioSpec) -> Option<u64>
+where
+    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
+{
+    let mut sim = crate::assemble::assemble_mono_null::<A>(spec)?;
+    sim.drive();
+    Some(sim.events_delivered())
 }
 
 /// Builds the [`SweepSeries`] payload from a completed execution. The

@@ -29,7 +29,7 @@
 //! paper's Theorem 16 bound γ ([`wl_core::theory::gamma`]).
 
 use crate::spec::{AdversarySpec, AdversaryStrategy, FaultKind, ScenarioSpec};
-use crate::sweep::{SweepAlgorithm, SweepCache, SweepRunner};
+use crate::sweep::{SweepAlgorithm, SweepCache, SweepRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wl_sim::ProcessId;
@@ -52,7 +52,7 @@ pub struct SearchConfig {
     /// the ≥-gallery guarantee, just not refined).
     pub refine_top: usize,
     /// Worker threads for batched evaluations (`0` = machine-sized, as
-    /// [`SweepRunner`]).
+    /// [`crate::SweepRunner`]).
     pub threads: usize,
 }
 
@@ -291,8 +291,10 @@ fn evaluate<A: SweepAlgorithm>(
 ) -> Vec<f64> {
     *evaluations += candidates.len();
     let specs: Vec<ScenarioSpec> = candidates.iter().map(|c| c.spec(base)).collect();
-    SweepRunner::with_threads(threads)
-        .sweep_cached::<A>(specs, cache)
+    SweepRequest::new()
+        .threads(threads)
+        .cached(cache)
+        .run::<A>(specs)
         .into_iter()
         .map(|o| o.max_skew)
         .collect()
@@ -330,8 +332,10 @@ pub fn search_worst_case<A: SweepAlgorithm>(
     let gallery = static_gallery(&base);
     let gallery_specs: Vec<ScenarioSpec> = gallery.iter().map(|(_, s)| s.clone()).collect();
     evaluations += gallery_specs.len();
-    let gallery_skews: Vec<f64> = SweepRunner::with_threads(cfg.threads)
-        .sweep_cached::<A>(gallery_specs, cache)
+    let gallery_skews: Vec<f64> = SweepRequest::new()
+        .threads(cfg.threads)
+        .cached(cache)
+        .run::<A>(gallery_specs)
         .into_iter()
         .map(|o| o.max_skew)
         .collect();
@@ -470,6 +474,7 @@ fn argmax(xs: &[f64]) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_point_as, Capture};
     use crate::Maintenance;
     use wl_core::Params;
     use wl_time::RealTime;
@@ -540,8 +545,8 @@ mod tests {
                 (0..base.params.f).map(ProcessId).collect(),
                 strategy,
             ));
-            let s = crate::sweep::run_point::<Maintenance>(0, &static_spec);
-            let a = crate::sweep::run_point::<Maintenance>(0, &adv_spec);
+            let s = run_point_as::<Maintenance>(Capture::Scalar, 0, &static_spec, None);
+            let a = run_point_as::<Maintenance>(Capture::Scalar, 0, &adv_spec, None);
             assert!(
                 s.bit_identical(&a),
                 "{label}: adversarial equivalent diverged from the static gallery"

@@ -20,8 +20,8 @@
 //!   rewrites the store canonically, so it compares byte-identical to a
 //!   1-process local-store run over the same grid.
 //! * [`ServiceClient`] — the blocking wire client (TCP or unix socket).
-//! * [`ServiceSweepCache`] — the cache tier
-//!   [`SweepRunner::sweep_cached`]/[`sweep_cached_series`] and
+//! * [`ServiceSweepCache`] — the cache tier cached
+//!   [`SweepRequest`](crate::SweepRequest) runs and
 //!   [`run_worker_frontier`] consult when `WL_SWEEP_SERVICE` is set:
 //!   before a sweep it batch-resolves every point its local cache lacks,
 //!   and after the sweep it offers back (put-record) any point the
@@ -43,14 +43,13 @@
 //! so a codec drift degrades to a local simulation, never a wrong
 //! result.
 //!
-//! [`sweep_cached_series`]: SweepRunner::sweep_cached_series
 //! [`run_worker_frontier`]: crate::frontier::run_worker_frontier
 //! [`ScenarioSpec::content_hash`]: ScenarioSpec::content_hash
 
 use crate::cache::segment::{
-    record_tag, tag_has_series, tag_has_sketch, EncodedRecord, PayloadKind,
+    record_tag, tag_has_series, tag_has_sketch, EncodedRecord, PayloadKind, Take,
 };
-use crate::cache::{canon_string, parse_outcome, StoreFormat, SweepStore, ENGINE_VERSION};
+use crate::cache::{canon_string, fnv64, parse_outcome, StoreFormat, SweepStore, ENGINE_VERSION};
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 use crate::sweep::{run_point_as, Capture, SweepAlgorithm, SweepCache, SweepRunner};
 use std::collections::HashSet;
@@ -136,10 +135,6 @@ const MAX_FRAME: u32 = 256 * 1024 * 1024;
 /// A frame body is at least an opcode byte plus the 8-byte checksum.
 const MIN_FRAME: u32 = 9;
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    crate::cache::fnv64_seeded(crate::cache::FNV_OFFSET, bytes)
-}
-
 fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -169,79 +164,98 @@ fn check_frame(buf: &[u8]) -> Option<&[u8]> {
     Some(body)
 }
 
-/// Reads one frame, blocking. `Ok(None)` is a clean EOF *between*
-/// frames; EOF or a checksum failure inside a frame is an error.
-fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read(&mut len) {
-        Ok(0) => return Ok(None),
-        Ok(mut got) => {
-            while got < 4 {
-                match r.read(&mut len[got..])? {
-                    0 => return Err(io::ErrorKind::UnexpectedEof.into()),
-                    n => got += n,
-                }
-            }
+/// Body-buffer reservation made before any body byte has arrived. The
+/// length prefix is the peer's claim, not a fact: the buffer grows with
+/// the bytes actually received, so four hostile bytes cost at most this
+/// much memory, never [`MAX_FRAME`].
+const FRAME_RESERVE: usize = 64 * 1024;
+
+/// What [`read_frame`] found on the stream.
+enum Inbound {
+    Frame(Vec<u8>),
+    /// Clean EOF *between* frames.
+    Eof,
+    /// The stream's read timeout expired between frames.
+    Idle,
+}
+
+impl Inbound {
+    /// The frame body, if one arrived.
+    fn frame(self) -> Option<Vec<u8>> {
+        match self {
+            Self::Frame(body) => Some(body),
+            Self::Eof | Self::Idle => None,
         }
-        Err(e) => return Err(e),
+    }
+}
+
+/// Reads one frame — the one reader under both the client and the
+/// server. EOF or a checksum failure inside a frame is an error. When
+/// the stream has a read timeout set (the server's connections do), a
+/// timeout **between** frames reports [`Inbound::Idle`] so the handler
+/// can re-check the shutdown flag; a timeout *inside* a frame keeps
+/// waiting — bytes of a frame, once started, arrive promptly or the
+/// peer is gone.
+fn read_frame(r: &mut impl Read) -> io::Result<Inbound> {
+    let timed_out = |e: &io::Error| {
+        matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        )
+    };
+    let mut len = [0u8; 4];
+    let mut got = 0usize;
+    while got < 4 {
+        match r.read(&mut len[got..]) {
+            Ok(0) if got == 0 => return Ok(Inbound::Eof),
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if timed_out(&e) && got == 0 => return Ok(Inbound::Idle),
+            Err(e) if timed_out(&e) => {}
+            Err(e) => return Err(e),
+        }
     }
     let total = u32::from_le_bytes(len);
     if !(MIN_FRAME..=MAX_FRAME).contains(&total) {
         return Err(bad_data("frame length out of range"));
     }
-    let mut buf = vec![0u8; total as usize];
-    r.read_exact(&mut buf)?;
+    let total = total as usize;
+    let mut buf = Vec::with_capacity(total.min(FRAME_RESERVE));
+    while buf.len() < total {
+        // `read_to_end` retries `Interrupted` itself, keeps what arrived
+        // before any other error, and grows `buf` only as bytes land.
+        let rest = (total - buf.len()) as u64;
+        match r.by_ref().take(rest).read_to_end(&mut buf) {
+            Ok(_) if buf.len() < total => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(_) => {}
+            Err(e) if timed_out(&e) => {}
+            Err(e) => return Err(e),
+        }
+    }
     check_frame(&buf)
-        .map(|body| Some(body.to_vec()))
+        .map(|body| Inbound::Frame(body.to_vec()))
         .ok_or_else(|| bad_data("frame checksum mismatch"))
 }
 
 // ---------------------------------------------------------------------------
-// A little byte cursor for payload decoding.
+// Wire-codec readers over the crate's byte cursor.
 // ---------------------------------------------------------------------------
 
-struct Take<'a>(&'a [u8]);
+fn str16(t: &mut Take<'_>) -> Option<String> {
+    let n = t.u16()? as usize;
+    String::from_utf8(t.bytes(n)?.to_vec()).ok()
+}
 
-impl<'a> Take<'a> {
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.0.len() < n {
-            return None;
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Some(head)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        self.bytes(1).map(|b| b[0])
-    }
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.bytes(2)?.try_into().ok()?))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
-    }
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-    fn str16(&mut self) -> Option<String> {
-        let n = self.u16()? as usize;
-        String::from_utf8(self.bytes(n)?.to_vec()).ok()
-    }
-    fn blob32(&mut self) -> Option<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Some(self.bytes(n)?.to_vec())
-    }
-    fn record(&mut self) -> Option<EncodedRecord> {
-        let (record, used) = EncodedRecord::decode(self.0)?;
-        self.0 = &self.0[used..];
-        Some(record)
-    }
-    fn done(&self) -> bool {
-        self.0.is_empty()
-    }
+fn blob32(t: &mut Take<'_>) -> Option<Vec<u8>> {
+    let n = t.u32()? as usize;
+    Some(t.bytes(n)?.to_vec())
+}
+
+fn record(t: &mut Take<'_>) -> Option<EncodedRecord> {
+    let (record, used) = EncodedRecord::decode(t.0)?;
+    t.bytes(used)?;
+    Some(record)
 }
 
 fn push_str16(out: &mut Vec<u8>, s: &str) {
@@ -751,21 +765,21 @@ pub fn decode_request(body: &[u8]) -> Option<Request> {
             content_hash: t.u64()?,
             engine_version: t.u32()?,
             need: capture_from_byte(t.u8()?)?,
-            algo: t.str16()?,
+            algo: str16(&mut t)?,
         },
         OP_PUT => Request::Put {
-            record: t.record()?,
+            record: record(&mut t)?,
         },
         OP_BATCH_GET => {
             let engine_version = t.u32()?;
             let need = capture_from_byte(t.u8()?)?;
-            let algo = t.str16()?;
+            let algo = str16(&mut t)?;
             let count = t.u32()? as usize;
             let mut items = Vec::with_capacity(count.min(4096));
             for _ in 0..count {
                 items.push(BatchItem {
                     content_hash: t.u64()?,
-                    spec: t.blob32()?,
+                    spec: blob32(&mut t)?,
                 });
             }
             Request::BatchGet {
@@ -779,7 +793,7 @@ pub fn decode_request(body: &[u8]) -> Option<Request> {
             let count = t.u32()? as usize;
             let mut records = Vec::with_capacity(count.min(4096));
             for _ in 0..count {
-                records.push(t.record()?);
+                records.push(record(&mut t)?);
             }
             Request::PutBatch { records }
         }
@@ -841,7 +855,7 @@ pub fn decode_response(body: &[u8]) -> Option<Response> {
     let mut t = Take(body);
     let resp = match t.u8()? {
         RE_FOUND => Response::Found {
-            record: t.record()?,
+            record: record(&mut t)?,
         },
         RE_MISS => Response::Miss,
         RE_OK => Response::Ok,
@@ -851,7 +865,7 @@ pub fn decode_response(body: &[u8]) -> Option<Response> {
             for _ in 0..count {
                 items.push(match t.u8()? {
                     0 => None,
-                    1 => Some(t.record()?),
+                    1 => Some(record(&mut t)?),
                     _ => return None,
                 });
             }
@@ -867,7 +881,7 @@ pub fn decode_response(body: &[u8]) -> Option<Response> {
             },
         },
         RE_ERR => Response::Err {
-            message: t.str16()?,
+            message: str16(&mut t)?,
         },
         _ => return None,
     };
@@ -991,7 +1005,11 @@ impl ServiceClient {
         let stream = self.stream.as_mut().expect("just connected");
         let result = write_frame(stream, body)
             .and_then(|()| read_frame(stream))
-            .and_then(|frame| frame.ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof)))
+            .and_then(|inbound| {
+                inbound
+                    .frame()
+                    .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))
+            })
             .and_then(|frame| {
                 decode_response(&frame).ok_or_else(|| bad_data("malformed response"))
             });
@@ -1529,60 +1547,6 @@ pub fn serve(cfg: &ServeConfig, on_ready: impl FnOnce(&ServiceAddr)) -> io::Resu
 /// flag.
 const IDLE_POLL: Duration = Duration::from_millis(200);
 
-enum Inbound {
-    Frame(Vec<u8>),
-    Eof,
-    Idle,
-}
-
-/// Reads one frame with an idle timeout: a timeout **between** frames
-/// reports [`Inbound::Idle`] (so the handler can re-check the shutdown
-/// flag); a timeout *inside* a frame keeps waiting — bytes of a frame,
-/// once started, arrive promptly or the peer is gone.
-fn read_frame_idle(stream: &mut Stream) -> io::Result<Inbound> {
-    let timed_out = |e: &io::Error| {
-        matches!(
-            e.kind(),
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-        )
-    };
-    let mut len = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match stream.read(&mut len[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(Inbound::Eof)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                }
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if timed_out(&e) && got == 0 => return Ok(Inbound::Idle),
-            Err(e) if timed_out(&e) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let total = u32::from_le_bytes(len);
-    if !(MIN_FRAME..=MAX_FRAME).contains(&total) {
-        return Err(bad_data("frame length out of range"));
-    }
-    let mut buf = vec![0u8; total as usize];
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted || timed_out(&e) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    check_frame(&buf)
-        .map(|body| Inbound::Frame(body.to_vec()))
-        .ok_or_else(|| bad_data("frame checksum mismatch"))
-}
-
 fn handle(
     mut stream: Stream,
     core: &Mutex<Core>,
@@ -1593,7 +1557,7 @@ fn handle(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(IDLE_POLL))?;
     loop {
-        let body = match read_frame_idle(&mut stream)? {
+        let body = match read_frame(&mut stream)? {
             Inbound::Frame(body) => body,
             Inbound::Eof => return Ok(()),
             Inbound::Idle => {
@@ -2110,14 +2074,14 @@ mod tests {
             }
             let mut reader: &[u8] = &wire;
             for req in &requests {
-                let body = read_frame(&mut reader).unwrap().expect("frame");
+                let body = read_frame(&mut reader).unwrap().frame().expect("frame");
                 proptest::prop_assert_eq!(decode_request(&body).as_ref(), Some(req));
             }
             for resp in &responses {
-                let body = read_frame(&mut reader).unwrap().expect("frame");
+                let body = read_frame(&mut reader).unwrap().frame().expect("frame");
                 proptest::prop_assert_eq!(decode_response(&body).as_ref(), Some(resp));
             }
-            proptest::prop_assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
+            proptest::prop_assert!(matches!(read_frame(&mut reader), Ok(Inbound::Eof)), "clean EOF");
         }
     }
 
@@ -2137,7 +2101,7 @@ mod tests {
             let mut bad = wire.clone();
             bad[i] ^= 0x40;
             let mut reader: &[u8] = &bad;
-            match read_frame(&mut reader) {
+            match read_frame(&mut reader).map(Inbound::frame) {
                 Err(_) => {}
                 Ok(None) => {}
                 Ok(Some(read_body)) => {
@@ -2166,6 +2130,39 @@ mod tests {
         wire.extend_from_slice(&(MIN_FRAME - 1).to_le_bytes());
         wire.extend_from_slice(&[0u8; 16]);
         assert!(read_frame(&mut &wire[..]).is_err());
+    }
+
+    /// A hostile peer: the largest legal length prefix, then nothing.
+    /// The reader must report the truncation having never offered the
+    /// stream more than the bounded reservation to fill.
+    #[test]
+    fn hostile_length_prefix_allocates_only_what_arrives() {
+        struct PrefixThenEof {
+            prefix: Vec<u8>,
+            largest_offer: usize,
+        }
+        impl Read for PrefixThenEof {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = self.prefix.len().min(buf.len());
+                if n == 0 {
+                    self.largest_offer = self.largest_offer.max(buf.len());
+                }
+                buf[..n].copy_from_slice(&self.prefix[..n]);
+                self.prefix.drain(..n);
+                Ok(n)
+            }
+        }
+        let mut peer = PrefixThenEof {
+            prefix: MAX_FRAME.to_le_bytes().to_vec(),
+            largest_offer: 0,
+        };
+        let err = read_frame(&mut peer).map(Inbound::frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            (1..=FRAME_RESERVE).contains(&peer.largest_offer),
+            "body buffer offered {} bytes on a 4-byte stream",
+            peer.largest_offer
+        );
     }
 
     /// End-to-end over TCP on an ephemeral port: cold batch-get
@@ -2297,7 +2294,7 @@ mod tests {
         let cache = SweepCache::new();
         let runner = crate::sweep::SweepRunner::serial();
         let _ = runner.run(specs.clone(), |i, s| {
-            crate::sweep::run_point_cached::<Maintenance>(i, s, &cache)
+            run_point_as::<Maintenance>(Capture::Scalar, i, s, Some(&cache))
         });
         let records: Vec<EncodedRecord> = specs
             .iter()
@@ -2338,7 +2335,7 @@ mod tests {
         let fresh = {
             let spec = grid(5).pop().unwrap();
             let canon = canon_string(&spec.canonical());
-            let outcome = crate::sweep::run_point::<Maintenance>(0, &spec);
+            let outcome = run_point_as::<Maintenance>(Capture::Scalar, 0, &spec, None);
             canonical_record(Maintenance::NAME, spec.content_hash(), &canon, &outcome)
         };
         let mut conflicting = records[2].clone();
@@ -2386,13 +2383,13 @@ mod tests {
         // The sweep loop now sees pure hits — zero local simulations.
         let runner = crate::sweep::SweepRunner::serial();
         let out = runner.run(specs.clone(), |i, s| {
-            crate::sweep::run_point_cached::<Maintenance>(i, s, &cache)
+            run_point_as::<Maintenance>(Capture::Scalar, i, s, Some(&cache))
         });
         assert_eq!(out.len(), 4);
         assert_eq!(cache.misses(), 0);
         assert_eq!(cache.hits(), 4);
         // Outcomes match a direct simulation (index restored per grid).
-        let direct = crate::sweep::run_point::<Maintenance>(2, &specs[2]);
+        let direct = run_point_as::<Maintenance>(Capture::Scalar, 2, &specs[2], None);
         assert_eq!(canon_string(&out[2]), canon_string(&direct));
         // A second prefetch has nothing left to ask for.
         assert_eq!(
@@ -2412,7 +2409,7 @@ mod tests {
             0
         );
         let out = runner.run(specs, |i, s| {
-            crate::sweep::run_point_cached::<Maintenance>(i, s, &cold)
+            run_point_as::<Maintenance>(Capture::Scalar, i, s, Some(&cold))
         });
         assert_eq!(out.len(), 4);
         assert_eq!(cold.misses(), 4, "degraded tier leaves the sweep local");

@@ -1,7 +1,8 @@
-//! [`SweepRunner`]: fan a grid of scenarios across threads — and shards.
+//! [`SweepRequest`] over [`SweepRunner`]: fan a grid of scenarios across
+//! threads — and shards.
 //!
-//! Experiment binaries used to iterate their parameter grids serially;
-//! on a multi-core box most of the machine idled. The runner executes any
+//! [`SweepRequest::run`] is the one sweep entry point and
+//! `run_point_as` the one per-point body under it. The runner executes any
 //! per-item job over a work-stealing thread pool (`std::thread::scope` —
 //! no external dependency) while guaranteeing that **results are a pure
 //! function of the input grid**: output order matches input order, and
@@ -13,18 +14,14 @@
 //! a base seed — decorrelated streams per scenario without coordination.
 //! Because the seed of grid point `i` depends only on `(base, i)`, a grid
 //! can also be split across *processes and machines*: [`Shard`] names a
-//! `k/N` slice, [`SweepRunner::sweep_sharded`] runs it, and
+//! `k/N` slice, [`SweepRequest::shard`] runs it, and
 //! [`merge_sharded`] reassembles the full grid with equality-confirmed
 //! conflict detection. Persist results across runs with
 //! [`crate::cache::SweepStore`] (see `docs/sweeps.md`).
 
 use crate::algo::SyncAlgorithm;
-use crate::assemble::{assemble, assemble_enum, assemble_mono};
 use crate::cache::canon_string;
-use crate::run::{
-    run_capture, run_capture_enum, run_capture_mono, run_summary, run_summary_enum,
-    run_summary_mono, RunSummary,
-};
+use crate::run::{run_dispatched, RunSummary};
 use crate::service::ServiceSweepCache;
 use crate::sketch::SkewSketch;
 use crate::spec::ScenarioSpec;
@@ -56,7 +53,7 @@ pub fn derive_seed(base: u64, idx: u64) -> u64 {
 /// [`Automaton`] over its own message type — the pattern every algorithm
 /// in this workspace follows (blanket-implemented; nothing to do).
 ///
-/// [`SweepRunner`]'s sweep methods require it so they can take the
+/// [`SweepRequest::run`] requires it so it can take the
 /// monomorphized `Vec<A>` fleet fast path on qualifying grid points; see
 /// [`crate::assemble_mono`].
 pub trait SweepAlgorithm: SyncAlgorithm + Automaton<Msg = <Self as SyncAlgorithm>::Msg> {}
@@ -69,7 +66,7 @@ impl<T> SweepAlgorithm for T where T: SyncAlgorithm + Automaton<Msg = <T as Sync
 /// Sharding is machine-independent: ownership depends only on the grid
 /// index, and grid-point seeds depend only on `(base, index)` (see
 /// [`derive_seed`]), so N processes — on N different machines — each
-/// running [`SweepRunner::sweep_sharded`] over the *same* grid cover it
+/// running a [`SweepRequest::shard`] request over the *same* grid cover it
 /// exactly once, and [`merge_sharded`] reassembles the unsharded result
 /// bit-for-bit.
 ///
@@ -245,30 +242,14 @@ pub fn merge_sharded(
 
 /// Runs per-scenario jobs over a scoped thread pool, deterministically.
 ///
-/// # Examples
-///
-/// A cached sweep: the second run serves every grid point from the cache
-/// without executing a single simulation.
+/// The thread policy under [`SweepRequest`], and a deterministic parallel
+/// map in its own right:
 ///
 /// ```
-/// use wl_core::Params;
-/// use wl_harness::{derive_seed, Maintenance, ScenarioSpec, SweepCache, SweepRunner};
-/// use wl_time::RealTime;
+/// use wl_harness::SweepRunner;
 ///
-/// let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
-/// let grid: Vec<ScenarioSpec> = (0..3)
-///     .map(|i| {
-///         ScenarioSpec::new(params.clone())
-///             .seed(derive_seed(9, i))
-///             .t_end(RealTime::from_secs(2.0))
-///     })
-///     .collect();
-///
-/// let cache = SweepCache::new();
-/// let cold = SweepRunner::new().sweep_cached::<Maintenance>(grid.clone(), &cache);
-/// let warm = SweepRunner::new().sweep_cached::<Maintenance>(grid, &cache);
-/// assert_eq!((cache.hits(), cache.misses()), (3, 3));
-/// assert!(cold.iter().zip(&warm).all(|(a, b)| a.bit_identical(b)));
+/// let doubled = SweepRunner::with_threads(4).run(vec![1, 2, 3], |_, x| x * 2);
+/// assert_eq!(doubled, vec![2, 4, 6]);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
@@ -288,7 +269,7 @@ impl SweepRunner {
         Self { threads: 0 }
     }
 
-    /// A single-threaded runner (the legacy serial loop).
+    /// A single-threaded runner (the plain serial loop).
     #[must_use]
     pub fn serial() -> Self {
         Self { threads: 1 }
@@ -375,107 +356,6 @@ impl SweepRunner {
             .into_iter()
             .map(|r| r.expect("every grid index ran exactly once"))
             .collect()
-    }
-
-    /// Assembles and runs every spec under algorithm `A`, summarizing each
-    /// with [`run_summary`] into a [`SweepOutcome`].
-    #[must_use]
-    pub fn sweep<A: SweepAlgorithm>(&self, specs: Vec<ScenarioSpec>) -> Vec<SweepOutcome> {
-        SweepRequest::new().runner(*self).run::<A>(specs)
-    }
-
-    /// [`sweep_cached`](SweepRunner::sweep_cached), but every returned
-    /// outcome carries a [`SweepSeries`] payload (`outcome.series` is
-    /// always `Some`).
-    ///
-    /// Cache hits must carry a series to count: a scalar-only record for
-    /// the same spec (written by a summary-level sweep) is treated as a
-    /// miss, re-simulated once, and the richer record replaces it in the
-    /// cache — so series-hungry experiments (`exp_boundary`,
-    /// `exp_mean_mid`, `exp_figures`) regenerate their figures from a
-    /// warm cache with **zero** simulator executions. The scalar half of
-    /// a series-bearing outcome is bit-identical to what
-    /// [`sweep_cached`](SweepRunner::sweep_cached) produces for the same
-    /// spec, so scalar consumers hit series-bearing records freely.
-    ///
-    /// Shim over [`SweepRequest`] (`.cached(cache).capture_series(true)`)
-    /// — prefer the builder in new code.
-    #[must_use]
-    pub fn sweep_cached_series<A: SweepAlgorithm>(
-        &self,
-        specs: Vec<ScenarioSpec>,
-        cache: &SweepCache,
-    ) -> Vec<SweepOutcome> {
-        SweepRequest::new()
-            .runner(*self)
-            .cached(cache)
-            .capture_series(true)
-            .run::<A>(specs)
-    }
-
-    /// [`sweep`](SweepRunner::sweep) with memoization: grid points whose
-    /// spec is already in `cache` under algorithm `A` are served from it
-    /// without assembling or simulating anything.
-    ///
-    /// Executions are pure functions of the spec, so a hit is exact, not
-    /// approximate — lookups go through the 64-bit
-    /// [`ScenarioSpec::content_hash`], and every hit is confirmed by
-    /// comparing the stored canonical spec serialization byte-for-byte,
-    /// so a hash collision degrades to a miss rather than a wrong
-    /// result. Repeated experiment grids (tweak one axis, re-run) only
-    /// pay for the points that changed; results still arrive in grid
-    /// order with grid-relative indices. Caches hydrated from a
-    /// [`crate::cache::SweepStore`] extend this across processes and
-    /// machines.
-    ///
-    /// Shim over [`SweepRequest`] (`.cached(cache)`) — prefer the
-    /// builder in new code.
-    #[must_use]
-    pub fn sweep_cached<A: SweepAlgorithm>(
-        &self,
-        specs: Vec<ScenarioSpec>,
-        cache: &SweepCache,
-    ) -> Vec<SweepOutcome> {
-        SweepRequest::new()
-            .runner(*self)
-            .cached(cache)
-            .run::<A>(specs)
-    }
-
-    /// Runs only the grid points owned by `shard`, with **grid-global**
-    /// indices preserved in the outcomes — [`merge_sharded`] (or
-    /// [`crate::cache::SweepStore::merge_from`], for the on-disk route)
-    /// reassembles the full grid from the per-shard outputs.
-    #[must_use]
-    pub fn sweep_sharded<A: SweepAlgorithm>(
-        &self,
-        specs: Vec<ScenarioSpec>,
-        shard: Shard,
-    ) -> Vec<SweepOutcome> {
-        SweepRequest::new()
-            .runner(*self)
-            .shard(shard)
-            .run::<A>(specs)
-    }
-
-    /// [`sweep_sharded`](SweepRunner::sweep_sharded) through a cache —
-    /// the per-shard half of a distributed incremental sweep.
-    ///
-    /// Shim over [`SweepRequest`] (`.shard(shard).cached(cache)`, which
-    /// defaults sharded runs to [`TierPolicy::LocalOnly`]) — prefer the
-    /// builder in new code.
-    #[must_use]
-    pub fn sweep_sharded_cached<A: SweepAlgorithm>(
-        &self,
-        specs: Vec<ScenarioSpec>,
-        shard: Shard,
-        cache: &SweepCache,
-    ) -> Vec<SweepOutcome> {
-        SweepRequest::new()
-            .runner(*self)
-            .shard(shard)
-            .cached(cache)
-            .run::<A>(specs)
     }
 }
 
@@ -568,14 +448,13 @@ impl FromStr for Capture {
     }
 }
 
-/// The one sweep entry point: a builder covering every combination the
-/// legacy `sweep`/`sweep_cached`/`sweep_cached_series`/`sweep_sharded*`
-/// methods hard-coded — series capture on/off, cache tiers, sharding,
-/// thread count, and the CI expect-misses assertion — behind a single
-/// per-point body, so the combinations cannot drift apart.
+/// The one sweep entry point: a builder over every combination of
+/// capture mode, cache tiers, sharding, thread count, and the CI
+/// expect-misses assertion — behind a single per-point body, so the
+/// combinations cannot drift apart.
 ///
-/// The legacy methods survive as thin shims over this builder; new code
-/// should come here directly:
+/// A cached sweep: the second run serves every grid point from the cache
+/// without executing a single simulation.
 ///
 /// ```
 /// use wl_core::Params;
@@ -597,6 +476,7 @@ impl FromStr for Capture {
 ///     .cached(&cache)
 ///     .expect_misses(0) // CI-style assertion: this run simulates nothing
 ///     .run::<Maintenance>(grid);
+/// assert_eq!((cache.hits(), cache.misses()), (3, 3));
 /// assert!(cold.iter().zip(&warm).all(|(a, b)| a.bit_identical(b)));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -629,36 +509,20 @@ impl<'a> SweepRequest<'a> {
         self.runner(SweepRunner::with_threads(threads))
     }
 
-    /// Capture a [`SweepSeries`] per outcome (`outcome.series` always
-    /// `Some`). With a cache, scalar-only records for the same spec are
-    /// treated as misses and upgraded in place, exactly as
-    /// [`SweepRunner::sweep_cached_series`] always did.
-    #[must_use]
-    pub fn capture_series(mut self, capture: bool) -> Self {
-        self.capture = if capture {
-            Capture::Series
-        } else {
-            Capture::Scalar
-        };
-        self
-    }
-
-    /// Capture a mergeable [`SkewSketch`] per outcome (`outcome.sketch`
-    /// always `Some`, `outcome.series` always `None`) — the streaming
-    /// aggregation mode: each grid point runs with series capture, the
-    /// exact skew sample stream folds through a
-    /// [`crate::sketch::SketchObserver`], and only the ~100-byte sketch
-    /// is kept. With a cache, series-bearing records satisfy the need
-    /// (their sketch is derived on the fly, the record untouched);
-    /// scalar-only records are misses and upgrade in place.
-    #[must_use]
-    pub fn capture_sketch(mut self) -> Self {
-        self.capture = Capture::Sketch;
-        self
-    }
-
-    /// Sets the capture mode directly — the enum-typed form CLI
-    /// plumbing prefers over the per-mode builder methods.
+    /// What each outcome keeps beyond its scalar summary (default
+    /// [`Capture::Scalar`]). Under [`Capture::Series`] every
+    /// `outcome.series` is `Some`; under [`Capture::Sketch`] every
+    /// `outcome.sketch` is `Some` and `outcome.series` is `None` — each
+    /// grid point runs with series capture, folds the exact skew sample
+    /// stream into a ~100-byte [`SkewSketch`], and drops the series.
+    ///
+    /// With a cache, a record poorer than the need is a miss: the point
+    /// re-simulates once and the richer record replaces it in place, so
+    /// series-hungry experiments (`exp_boundary`, `exp_mean_mid`,
+    /// `exp_figures`) regenerate their figures from a warm cache with
+    /// **zero** simulator executions. A richer record satisfies a poorer
+    /// need — scalar consumers hit series-bearing records freely, and a
+    /// sketch need derives its sketch from a stored series.
     #[must_use]
     pub fn capture(mut self, capture: Capture) -> Self {
         self.capture = capture;
@@ -677,7 +541,20 @@ impl<'a> SweepRequest<'a> {
     }
 
     /// Memoize through `cache` (and the service tier, per
-    /// [`TierPolicy`]).
+    /// [`TierPolicy`]): grid points whose spec is already cached under
+    /// algorithm `A` are served without assembling or simulating
+    /// anything.
+    ///
+    /// Executions are pure functions of the spec, so a hit is exact, not
+    /// approximate — lookups go through the 64-bit
+    /// [`ScenarioSpec::content_hash`], and every hit is confirmed by
+    /// comparing the stored canonical spec serialization byte-for-byte,
+    /// so a hash collision degrades to a miss rather than a wrong
+    /// result. Repeated experiment grids (tweak one axis, re-run) only
+    /// pay for the points that changed; results still arrive in grid
+    /// order with grid-relative indices. Caches hydrated from a
+    /// [`crate::cache::SweepStore`] extend this across processes and
+    /// machines.
     #[must_use]
     pub fn cached(mut self, cache: &'a SweepCache) -> Self {
         self.cache = Some(cache);
@@ -709,9 +586,14 @@ impl<'a> SweepRequest<'a> {
     /// # Panics
     ///
     /// Panics when an [`expect_misses`](SweepRequest::expect_misses)
-    /// assertion fails, or if a worker thread panics.
+    /// assertion fails or was set without
+    /// [`cached`](SweepRequest::cached), or if a worker thread panics.
     #[must_use]
     pub fn run<A: SweepAlgorithm>(&self, specs: Vec<ScenarioSpec>) -> Vec<SweepOutcome> {
+        assert!(
+            self.expect_misses.is_none() || self.cache.is_some(),
+            "expect_misses requires cached()"
+        );
         let misses_before = self.cache.map(|c| c.misses());
         let service = match (self.cache, self.tier) {
             (Some(_), TierPolicy::Full) => ServiceSweepCache::from_env(),
@@ -739,150 +621,56 @@ impl<'a> SweepRequest<'a> {
     }
 }
 
-/// One grid point at `capture` richness, memoized through `cache` when
-/// there is one — the single capture dispatch under [`SweepRequest::run`],
-/// the frontier worker loop, and the service's miss pool.
+/// Executes one grid point at `capture` richness, memoized through
+/// `cache` when there is one — the single per-point body under
+/// [`SweepRequest::run`], the frontier worker loop, and the service's
+/// miss pool, so the cached, sharded, and plain paths cannot diverge.
+///
+/// A hit must be at least as rich as `capture`
+/// ([`Capture::satisfied_by`]) and is returned as stored — except that a
+/// sketch need served by a series-bearing record derives the sketch on
+/// the fly and drops the series from the *returned* outcome (never from
+/// the cache: the richer record stays). A miss — including a poorer
+/// near-hit — runs the spec through [`run_dispatched`] with series
+/// capture when `capture` needs one, keeps the series, folds it into a
+/// [`SkewSketch`], or neither, and replaces the cache entry in place.
+/// The scalar half is bit-identical at every `capture` (the capture is a
+/// read-only pass over the same run).
 pub(crate) fn run_point_as<A: SweepAlgorithm>(
     capture: Capture,
     index: usize,
     spec: &ScenarioSpec,
     cache: Option<&SweepCache>,
 ) -> SweepOutcome {
-    match (cache, capture) {
-        (None, Capture::Scalar) => run_point::<A>(index, spec),
-        (None, Capture::Sketch) => run_point_sketch::<A>(index, spec),
-        (None, Capture::Series) => run_point_series::<A>(index, spec),
-        (Some(cache), Capture::Scalar) => run_point_cached::<A>(index, spec, cache),
-        (Some(cache), Capture::Sketch) => run_point_cached_sketch::<A>(index, spec, cache),
-        (Some(cache), Capture::Series) => run_point_cached_series::<A>(index, spec, cache),
-    }
-}
-
-/// Executes one grid point — the single per-point body shared by every
-/// sweep entry point, so the cached, sharded, and plain paths cannot
-/// diverge. The dispatch ladder: fault-free points take the
-/// monomorphized `Vec<A>` fast path; faulted/rejoiner points take the
-/// enum-dispatched `Vec<A::FleetAuto>` fast path; only traced specs
-/// fall back to `Box<dyn Automaton>`. All three paths are pinned
-/// bit-identical by `mono_path_bit_identical_to_boxed` and
-/// `enum_path_bit_identical_to_boxed`. `pub(crate)` so
-/// [`crate::service`]'s server pool simulates misses through the exact
-/// same body.
-pub(crate) fn run_point<A: SweepAlgorithm>(index: usize, spec: &ScenarioSpec) -> SweepOutcome {
-    let t_end = spec.t_end.as_secs();
-    let summary = match assemble_mono::<A>(spec) {
-        Some(built) => run_summary_mono(built, t_end),
-        None => match assemble_enum::<A>(spec) {
-            Some(built) => run_summary_enum(built, t_end),
-            None => run_summary(assemble::<A>(spec), t_end),
-        },
-    };
-    SweepOutcome::new(index, spec.seed, &summary)
-}
-
-/// [`run_point`] with series capture: the same execution (same dispatch
-/// ladder), but the correction histories are additionally sampled into a
-/// [`SweepSeries`] before they are dropped. The scalar fields are
-/// bit-identical to [`run_point`]'s (the capture is a read-only pass
-/// over the same run).
-pub(crate) fn run_point_series<A: SweepAlgorithm>(
-    index: usize,
-    spec: &ScenarioSpec,
-) -> SweepOutcome {
-    let t_end = spec.t_end.as_secs();
-    let (summary, series) = match assemble_mono::<A>(spec) {
-        Some(built) => run_capture_mono(built, t_end),
-        None => match assemble_enum::<A>(spec) {
-            Some(built) => run_capture_enum(built, t_end),
-            None => run_capture(assemble::<A>(spec), t_end),
-        },
-    };
-    SweepOutcome::new(index, spec.seed, &summary).with_series(series)
-}
-
-/// [`run_point`] with sketch capture: the same series-capturing
-/// execution as [`run_point_series`], but the series is folded into a
-/// [`SkewSketch`] and dropped before the outcome is returned — so the
-/// scalar half is bit-identical to both other bodies, the sketch is by
-/// construction [`SkewSketch::of_series`] of the series the series
-/// body would have kept, and the grid point costs ~100 bytes.
-pub(crate) fn run_point_sketch<A: SweepAlgorithm>(
-    index: usize,
-    spec: &ScenarioSpec,
-) -> SweepOutcome {
-    let mut outcome = run_point_series::<A>(index, spec);
-    let series = outcome
-        .series
-        .take()
-        .expect("series capture always fills the series payload");
-    outcome.sketch = Some(SkewSketch::of_series(&series));
-    outcome
-}
-
-/// The cached per-point body: canonicalize, look up, fall back to
-/// [`run_point`], insert.
-pub(crate) fn run_point_cached<A: SweepAlgorithm>(
-    index: usize,
-    spec: &ScenarioSpec,
-    cache: &SweepCache,
-) -> SweepOutcome {
     // Canonical form on both sides: `drift: None` and its explicit
     // default are the same execution, and must hit each other.
-    let spec_canon = canon_string(&spec.canonical());
-    let hash = spec.content_hash();
-    if let Some(mut hit) = cache.lookup(hash, A::NAME, &spec_canon, Capture::Scalar) {
-        hit.index = index;
-        return hit;
-    }
-    let outcome = run_point::<A>(index, spec);
-    cache.store(hash, A::NAME.to_string(), spec_canon, outcome.clone());
-    outcome
-}
-
-/// The series-requiring cached body: a hit must carry a series, a miss
-/// (including a scalar-only or sketch-only near-hit) re-runs with
-/// capture and upgrades the cached record.
-pub(crate) fn run_point_cached_series<A: SweepAlgorithm>(
-    index: usize,
-    spec: &ScenarioSpec,
-    cache: &SweepCache,
-) -> SweepOutcome {
-    let spec_canon = canon_string(&spec.canonical());
-    let hash = spec.content_hash();
-    if let Some(mut hit) = cache.lookup(hash, A::NAME, &spec_canon, Capture::Series) {
-        hit.index = index;
-        return hit;
-    }
-    let outcome = run_point_series::<A>(index, spec);
-    cache.store(hash, A::NAME.to_string(), spec_canon, outcome.clone());
-    outcome
-}
-
-/// The sketch-requiring cached body: sketch-bearing hits return as-is;
-/// series-bearing hits satisfy the need by deriving the sketch on the
-/// fly (dropping the series from the *returned* outcome, never from
-/// the cache — the richer record stays); scalar-only near-hits re-run
-/// with sketch capture and upgrade the entry in place.
-pub(crate) fn run_point_cached_sketch<A: SweepAlgorithm>(
-    index: usize,
-    spec: &ScenarioSpec,
-    cache: &SweepCache,
-) -> SweepOutcome {
-    let spec_canon = canon_string(&spec.canonical());
-    let hash = spec.content_hash();
-    if let Some(mut hit) = cache.lookup(hash, A::NAME, &spec_canon, Capture::Sketch) {
-        hit.index = index;
-        if hit.sketch.is_none() {
-            let series = hit
-                .series
-                .take()
-                .expect("a sketch-satisfying hit without a sketch carries a series");
-            hit.sketch = Some(SkewSketch::of_series(&series));
+    let keyed = cache.map(|c| (c, spec.content_hash(), canon_string(&spec.canonical())));
+    if let Some((cache, hash, spec_canon)) = &keyed {
+        if let Some(mut hit) = cache.lookup(*hash, A::NAME, spec_canon, capture) {
+            hit.index = index;
+            if capture == Capture::Sketch && hit.sketch.is_none() {
+                let series = hit
+                    .series
+                    .take()
+                    .expect("a sketch-satisfying hit without a sketch carries a series");
+                hit.sketch = Some(SkewSketch::of_series(&series));
+            }
+            return hit;
         }
-        return hit;
     }
-    let outcome = run_point_sketch::<A>(index, spec);
-    cache.store(hash, A::NAME.to_string(), spec_canon, outcome.clone());
+    let (summary, series) = run_dispatched::<A>(spec, capture != Capture::Scalar);
+    let mut outcome = SweepOutcome::new(index, spec.seed, &summary);
+    match capture {
+        Capture::Scalar => {}
+        Capture::Sketch => {
+            let series = series.expect("capture requested");
+            outcome.sketch = Some(SkewSketch::of_series(&series));
+        }
+        Capture::Series => outcome.series = series,
+    }
+    if let Some((cache, hash, spec_canon)) = keyed {
+        cache.store(hash, A::NAME.to_string(), spec_canon, outcome.clone());
+    }
     outcome
 }
 
@@ -891,7 +679,7 @@ pub(crate) fn run_point_cached_sketch<A: SweepAlgorithm>(
 /// the canonical spec serialization on every hit.
 ///
 /// Shareable across sweeps and threads (`&SweepCache` is all
-/// [`SweepRunner::sweep_cached`] needs), and across *processes and
+/// [`SweepRequest::cached`] needs), and across *processes and
 /// machines* through [`crate::cache::SweepStore`], which persists the
 /// same entries to disk.
 ///
@@ -899,18 +687,18 @@ pub(crate) fn run_point_cached_sketch<A: SweepAlgorithm>(
 ///
 /// ```
 /// use wl_core::Params;
-/// use wl_harness::{Maintenance, ScenarioSpec, SweepCache, SweepRunner};
+/// use wl_harness::{Maintenance, ScenarioSpec, SweepCache, SweepRequest};
 /// use wl_time::RealTime;
 ///
 /// let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
 /// let spec = ScenarioSpec::new(params).seed(3).t_end(RealTime::from_secs(2.0));
 ///
 /// let cache = SweepCache::new();
-/// let _ = SweepRunner::serial().sweep_cached::<Maintenance>(vec![spec.clone()], &cache);
+/// let _ = SweepRequest::new().cached(&cache).run::<Maintenance>(vec![spec.clone()]);
 /// assert_eq!((cache.len(), cache.misses()), (1, 1));
 ///
 /// // Same spec again: a hit, no simulation.
-/// let _ = SweepRunner::serial().sweep_cached::<Maintenance>(vec![spec], &cache);
+/// let _ = SweepRequest::new().cached(&cache).run::<Maintenance>(vec![spec]);
 /// assert_eq!((cache.len(), cache.hits()), (1, 1));
 /// ```
 #[derive(Debug, Default)]
@@ -1104,8 +892,8 @@ pub struct SweepOutcome {
     /// other, never both.
     pub sketch: Option<SkewSketch>,
     /// Optional per-run series payload (see [`SweepSeries`]) — present
-    /// only when the outcome was produced by
-    /// [`SweepRunner::sweep_cached_series`] (or hydrated from a
+    /// only when the outcome was produced by a
+    /// [`Capture::Series`] request (or hydrated from a
     /// series-bearing store record). Keep `sketch` and `series` **last,
     /// in this order**: the canonical record parser in `cache.rs`
     /// mirrors the field order.
@@ -1132,11 +920,6 @@ impl SweepOutcome {
             sketch: None,
             series: None,
         }
-    }
-
-    fn with_series(mut self, series: SweepSeries) -> Self {
-        self.series = Some(series);
-        self
     }
 
     /// Bit-level equality: floats compared by their IEEE bit patterns
@@ -1316,9 +1099,16 @@ impl SweepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assemble::{assemble, assemble_enum, assemble_mono};
+    use crate::run::run_summary;
     use crate::Maintenance;
     use wl_core::Params;
     use wl_time::RealTime;
+
+    /// The scalar-capture, uncached per-point body.
+    fn run_point<A: SweepAlgorithm>(index: usize, spec: &ScenarioSpec) -> SweepOutcome {
+        run_point_as::<A>(Capture::Scalar, index, spec, None)
+    }
 
     fn grid(count: usize) -> Vec<ScenarioSpec> {
         let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
@@ -1329,6 +1119,11 @@ mod tests {
                     .t_end(RealTime::from_secs(4.0))
             })
             .collect()
+    }
+
+    /// A single-threaded request memoized through `cache`.
+    fn serial(cache: &SweepCache) -> SweepRequest<'_> {
+        SweepRequest::new().threads(1).cached(cache)
     }
 
     #[test]
@@ -1346,8 +1141,8 @@ mod tests {
 
     #[test]
     fn sweep_outcomes_independent_of_thread_count() {
-        let serial = SweepRunner::serial().sweep::<Maintenance>(grid(6));
-        let wide = SweepRunner::with_threads(4).sweep::<Maintenance>(grid(6));
+        let serial = SweepRequest::new().threads(1).run::<Maintenance>(grid(6));
+        let wide = SweepRequest::new().threads(4).run::<Maintenance>(grid(6));
         assert_eq!(serial.len(), wide.len());
         for (a, b) in serial.iter().zip(&wide) {
             assert!(a.bit_identical(b));
@@ -1382,7 +1177,6 @@ mod tests {
         // Faulted specs take the Vec<A::FleetAuto> fast path inside
         // run_point; forcing the boxed path through assemble + run_summary
         // must give byte-identical outcomes.
-        use crate::run::run_summary;
         for (i, base) in grid(3).iter().enumerate() {
             let spec = base
                 .clone()
@@ -1417,7 +1211,7 @@ mod tests {
 
     #[test]
     fn summary_aggregates() {
-        let outcomes = SweepRunner::new().sweep::<Maintenance>(grid(4));
+        let outcomes = SweepRequest::new().run::<Maintenance>(grid(4));
         let summary = SweepSummary::collect(&outcomes);
         assert_eq!(summary.count, 4);
         assert!(summary.all_hold());
@@ -1434,8 +1228,8 @@ mod tests {
     #[test]
     fn cached_sweep_matches_uncached() {
         let cache = SweepCache::new();
-        let cold = SweepRunner::serial().sweep_cached::<Maintenance>(grid(4), &cache);
-        let plain = SweepRunner::serial().sweep::<Maintenance>(grid(4));
+        let cold = serial(&cache).run::<Maintenance>(grid(4));
+        let plain = SweepRequest::new().threads(1).run::<Maintenance>(grid(4));
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 4);
@@ -1443,7 +1237,10 @@ mod tests {
             assert!(a.bit_identical(b));
         }
         // Second run: all hits, same results, grid indices remapped.
-        let warm = SweepRunner::with_threads(3).sweep_cached::<Maintenance>(grid(4), &cache);
+        let warm = SweepRequest::new()
+            .threads(3)
+            .cached(&cache)
+            .run::<Maintenance>(grid(4));
         assert_eq!(cache.hits(), 4);
         for (a, b) in warm.iter().zip(&plain) {
             assert!(a.bit_identical(b));
@@ -1452,9 +1249,11 @@ mod tests {
 
     #[test]
     fn series_path_scalars_match_plain_sweep() {
-        let plain = SweepRunner::serial().sweep::<Maintenance>(grid(3));
+        let plain = SweepRequest::new().threads(1).run::<Maintenance>(grid(3));
         let cache = SweepCache::new();
-        let with_series = SweepRunner::serial().sweep_cached_series::<Maintenance>(grid(3), &cache);
+        let with_series = serial(&cache)
+            .capture(Capture::Series)
+            .run::<Maintenance>(grid(3));
         for (a, b) in with_series.iter().zip(&plain) {
             let series = a.series.as_ref().expect("series always captured");
             assert!(!series.skew_times.is_empty());
@@ -1471,25 +1270,84 @@ mod tests {
     }
 
     #[test]
-    fn series_requirement_upgrades_scalar_entries() {
-        let cache = SweepCache::new();
-        // Scalar sweep first: entries lack series.
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(2), &cache);
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // A series sweep over the same grid must NOT trust the scalar
-        // entries: every point re-runs once with capture.
-        let upgraded = SweepRunner::serial().sweep_cached_series::<Maintenance>(grid(2), &cache);
-        assert_eq!((cache.hits(), cache.misses()), (0, 4));
-        assert!(upgraded.iter().all(|o| o.series.is_some()));
-        // Now both kinds of consumer hit the upgraded entries.
-        let warm_series = SweepRunner::serial().sweep_cached_series::<Maintenance>(grid(2), &cache);
-        let warm_scalar = SweepRunner::serial().sweep_cached::<Maintenance>(grid(2), &cache);
-        assert_eq!((cache.hits(), cache.misses()), (4, 4));
-        for (a, b) in warm_series.iter().zip(&upgraded) {
-            assert!(a.bit_identical(b));
+    fn capture_lattice_over_cache_states() {
+        use Capture::{Scalar, Series, Sketch};
+        let spec = &grid(1)[0];
+        let canon = canon_string(&spec.canonical());
+        let hash = spec.content_hash();
+        let plain = run_point::<Maintenance>(5, spec);
+        let series_ref = run_point_as::<Maintenance>(Series, 5, spec, None)
+            .series
+            .expect("series captured");
+        let sketch_ref = SkewSketch::of_series(&series_ref);
+        let rank = |c: Capture| [Scalar, Sketch, Series].iter().position(|&x| x == c);
+
+        // (need, what the cache holds beforehand, misses the call counts).
+        // `None` = no cache at all; `Some(None)` = cold cache.
+        let cells: [(Capture, Option<Option<Capture>>, u64); 12] = [
+            (Scalar, None, 0),
+            (Sketch, None, 0),
+            (Series, None, 0),
+            (Scalar, Some(None), 1),
+            (Sketch, Some(None), 1),
+            (Series, Some(None), 1),
+            // Warm, record no richer than one step below the need: only a
+            // scalar need is satisfied (nothing is poorer than scalar).
+            (Scalar, Some(Some(Scalar)), 0),
+            (Sketch, Some(Some(Scalar)), 1),
+            (Series, Some(Some(Sketch)), 1),
+            // Warm, record one step richer (series is the top).
+            (Scalar, Some(Some(Sketch)), 0),
+            (Sketch, Some(Some(Series)), 0),
+            (Series, Some(Some(Series)), 0),
+        ];
+        for (need, state, want_misses) in cells {
+            let cell = format!("need {need}, cache {state:?}");
+            let cache = state.map(|seeded| {
+                let cache = SweepCache::new();
+                if let Some(seeded) = seeded {
+                    let _ = run_point_as::<Maintenance>(seeded, 0, spec, Some(&cache));
+                }
+                cache
+            });
+            let before = cache.as_ref().map_or(0, SweepCache::misses);
+            let got = run_point_as::<Maintenance>(need, 5, spec, cache.as_ref());
+            let misses = cache.as_ref().map_or(0, SweepCache::misses) - before;
+            assert_eq!(misses, want_misses, "{cell}: miss count");
+
+            // Scalar half: identical in all twelve cells, index remapped.
+            let mut scalar = got.clone();
+            (scalar.sketch, scalar.series) = (None, None);
+            assert!(scalar.bit_identical(&plain), "{cell}: scalar half");
+
+            // Payload: what the need asks for — or, for a scalar need, the
+            // stored record as-is.
+            let stored = state.flatten();
+            let (want_sketch, want_series) = match need {
+                Scalar => (stored == Some(Sketch), stored == Some(Series)),
+                Sketch => (true, false),
+                Series => (false, true),
+            };
+            assert_eq!(got.sketch.is_some(), want_sketch, "{cell}: sketch");
+            assert_eq!(got.series.is_some(), want_series, "{cell}: series");
+            // Produced, stored, or derived from a series hit: one sketch.
+            assert!(got.sketch.iter().all(|s| s.bit_identical(&sketch_ref)));
+            assert!(got.series.iter().all(|s| s.bit_identical(&series_ref)));
+
+            // The cache ends up holding exactly one record, the richer of
+            // what it had and what was needed — upgraded in place on a
+            // miss, left untouched (series kept) on a richer hit.
+            if let Some(cache) = &cache {
+                let richest = [Some(need), stored]
+                    .into_iter()
+                    .flatten()
+                    .max_by_key(|&c| rank(c))
+                    .expect("need is always there");
+                assert_eq!(cache.len(), 1, "{cell}: one record");
+                let held = cache.peek(hash, Maintenance::NAME, &canon, richest);
+                assert!(held.is_some(), "{cell}: cache holds a {richest} record");
+            }
         }
-        // Scalar consumers receive the series-bearing outcome as-is.
-        assert!(warm_scalar.iter().all(|o| o.series.is_some()));
     }
 
     #[test]
@@ -1502,8 +1360,8 @@ mod tests {
             .iter()
             .map(|s| s.clone().drift(s.effective_drift()))
             .collect();
-        let a = SweepRunner::serial().sweep_cached::<Maintenance>(implicit, &cache);
-        let b = SweepRunner::serial().sweep_cached::<Maintenance>(explicit, &cache);
+        let a = serial(&cache).run::<Maintenance>(implicit);
+        let b = serial(&cache).run::<Maintenance>(explicit);
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.len(), 2);
         for (x, y) in a.iter().zip(&b) {
@@ -1515,62 +1373,23 @@ mod tests {
     fn cache_distinguishes_algorithms_and_specs() {
         use crate::LmCnv;
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(2), &cache);
+        let _ = serial(&cache).run::<Maintenance>(grid(2));
         // Same specs, different algorithm: no hits.
-        let _ = SweepRunner::serial().sweep_cached::<LmCnv>(grid(2), &cache);
+        let _ = serial(&cache).run::<LmCnv>(grid(2));
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 4);
         // A changed grid point misses; unchanged ones hit.
         let mut shifted = grid(2);
         shifted[1] = shifted[1].clone().seed(0xDEAD);
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(shifted, &cache);
+        let _ = serial(&cache).run::<Maintenance>(shifted);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 5);
     }
 
     #[test]
-    fn request_builder_matches_every_legacy_entry_point() {
-        let cache = SweepCache::new();
-        let legacy_cache = SweepCache::new();
-        // Plain.
-        let a = SweepRequest::new().run::<Maintenance>(grid(4));
-        let b = SweepRunner::new().sweep::<Maintenance>(grid(4));
-        assert!(a.iter().zip(&b).all(|(x, y)| x.bit_identical(y)));
-        // Cached.
-        let a = SweepRequest::new()
-            .cached(&cache)
-            .run::<Maintenance>(grid(4));
-        let b = SweepRunner::new().sweep_cached::<Maintenance>(grid(4), &legacy_cache);
-        assert!(a.iter().zip(&b).all(|(x, y)| x.bit_identical(y)));
-        // Cached + series.
-        let a = SweepRequest::new()
-            .cached(&cache)
-            .capture_series(true)
-            .run::<Maintenance>(grid(4));
-        let b = SweepRunner::new().sweep_cached_series::<Maintenance>(grid(4), &legacy_cache);
-        assert!(a.iter().zip(&b).all(|(x, y)| x.bit_identical(y)));
-        assert_eq!(cache.misses(), legacy_cache.misses());
-        // Sharded + cached, grid-global indices preserved.
-        let shard = Shard::new(1, 2);
-        let a = SweepRequest::new()
-            .shard(shard)
-            .cached(&cache)
-            .run::<Maintenance>(grid(5));
-        let b =
-            SweepRunner::new().sweep_sharded_cached::<Maintenance>(grid(5), shard, &legacy_cache);
-        assert_eq!(a.len(), 2);
-        assert!(a.iter().zip(&b).all(|(x, y)| x.bit_identical(y)));
-        assert!(a.iter().all(|o| shard.owns(o.index)));
-    }
-
-    #[test]
     fn request_expect_misses_passes_and_fails() {
         let cache = SweepCache::new();
-        let _ = SweepRequest::new()
-            .threads(1)
-            .cached(&cache)
-            .expect_misses(3)
-            .run::<Maintenance>(grid(3));
+        let _ = serial(&cache).expect_misses(3).run::<Maintenance>(grid(3));
         // Warm: zero misses is enforceable.
         let _ = SweepRequest::new()
             .cached(&cache)
@@ -1584,6 +1403,14 @@ mod tests {
                 .run::<Maintenance>(grid(3));
         });
         assert!(err.is_err(), "miss-count mismatch must fail the sweep");
+    }
+
+    #[test]
+    #[should_panic(expected = "expect_misses requires cached()")]
+    fn request_expect_misses_without_cache_is_refused() {
+        let _ = SweepRequest::new()
+            .expect_misses(1)
+            .run::<Maintenance>(grid(1));
     }
 
     #[test]
@@ -1604,6 +1431,9 @@ mod tests {
             .cached(&cache)
             .run::<Maintenance>(grid(4));
         assert!(local.iter().zip(&full).all(|(x, y)| x.bit_identical(y)));
+        // Grid-global indices survive the shard + cache combination.
+        assert_eq!(local.len(), 2);
+        assert!(local.iter().all(|o| shard.owns(o.index)));
     }
 
     #[test]
@@ -1620,9 +1450,14 @@ mod tests {
 
     #[test]
     fn sharded_sweep_merges_to_unsharded() {
-        let full = SweepRunner::serial().sweep::<Maintenance>(grid(5));
+        let full = SweepRequest::new().threads(1).run::<Maintenance>(grid(5));
         let parts: Vec<Vec<SweepOutcome>> = (0..2)
-            .map(|k| SweepRunner::serial().sweep_sharded::<Maintenance>(grid(5), Shard::new(k, 2)))
+            .map(|k| {
+                SweepRequest::new()
+                    .threads(1)
+                    .shard(Shard::new(k, 2))
+                    .run::<Maintenance>(grid(5))
+            })
             .collect();
         assert_eq!(parts[0].len(), 3);
         assert_eq!(parts[1].len(), 2);
@@ -1635,7 +1470,7 @@ mod tests {
 
     #[test]
     fn shard_merge_detects_gaps_and_conflicts() {
-        let full = SweepRunner::serial().sweep::<Maintenance>(grid(3));
+        let full = SweepRequest::new().threads(1).run::<Maintenance>(grid(3));
         // A missing shard leaves a gap.
         let only_first: Vec<Vec<SweepOutcome>> = vec![vec![full[0].clone()], vec![full[2].clone()]];
         assert_eq!(

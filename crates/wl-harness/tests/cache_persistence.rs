@@ -9,7 +9,7 @@
 //!    same bytes as the 1-process store).
 //!
 //! And the ISSUE-4 extension: series-bearing sweeps
-//! (`sweep_cached_series`, the payload behind `exp_boundary` /
+//! (`Capture::Series`, the payload behind `exp_boundary` /
 //! `exp_mean_mid` / `exp_figures`) round-trip through the disk store
 //! with every series element intact, so their warm re-runs also execute
 //! zero simulations.
@@ -22,11 +22,16 @@
 use std::path::PathBuf;
 use wl_core::Params;
 use wl_harness::{
-    derive_seed, merge_sharded, DelayKind, DiskSweepCache, FaultKind, Maintenance, ScenarioSpec,
-    Shard, StoreFormat, SweepCache, SweepRunner, SweepStore,
+    derive_seed, merge_sharded, Capture, DelayKind, DiskSweepCache, FaultKind, Maintenance,
+    ScenarioSpec, Shard, StoreFormat, SweepCache, SweepRequest, SweepStore,
 };
 use wl_sim::ProcessId;
 use wl_time::RealTime;
+
+/// A machine-sized request memoized through `cache`.
+fn cached(cache: &SweepCache) -> SweepRequest<'_> {
+    SweepRequest::new().cached(cache)
+}
 
 fn grid(count: usize) -> Vec<ScenarioSpec> {
     let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
@@ -72,14 +77,14 @@ fn second_disk_cached_run_executes_zero_simulations() {
 
     // Cold run: everything misses, everything persists.
     let mut disk = DiskSweepCache::open(&path).unwrap();
-    let cold = SweepRunner::new().sweep_cached::<Maintenance>(grid(6), disk.cache());
+    let cold = cached(disk.cache()).run::<Maintenance>(grid(6));
     assert_eq!(disk.cache().misses(), 6);
     assert_eq!(disk.persist().unwrap(), 6);
 
     // Fresh process simulated by a fresh handle: zero misses means zero
     // simulator executions — a simulation only ever runs on a miss.
     let disk2 = DiskSweepCache::open(&path).unwrap();
-    let warm = SweepRunner::new().sweep_cached::<Maintenance>(grid(6), disk2.cache());
+    let warm = cached(disk2.cache()).run::<Maintenance>(grid(6));
     assert_eq!(disk2.cache().hits(), 6, "every grid point served from disk");
     assert_eq!(disk2.cache().misses(), 0, "zero simulator executions");
     for (a, b) in warm.iter().zip(&cold) {
@@ -111,12 +116,12 @@ fn faulted_warm_run_executes_zero_simulations_on_enum_path() {
     let _ = std::fs::remove_file(&path);
 
     let mut disk = DiskSweepCache::open(&path).unwrap();
-    let cold = SweepRunner::new().sweep_cached::<Maintenance>(specs.clone(), disk.cache());
+    let cold = cached(disk.cache()).run::<Maintenance>(specs.clone());
     assert_eq!(disk.cache().misses(), 6);
     assert_eq!(disk.persist().unwrap(), 6);
 
     let disk2 = DiskSweepCache::open(&path).unwrap();
-    let warm = SweepRunner::new().sweep_cached::<Maintenance>(specs, disk2.cache());
+    let warm = cached(disk2.cache()).run::<Maintenance>(specs);
     assert_eq!(disk2.cache().hits(), 6, "every faulted point served warm");
     assert_eq!(disk2.cache().misses(), 0, "zero simulator executions");
     for (a, b) in warm.iter().zip(&cold) {
@@ -132,7 +137,9 @@ fn warm_series_run_executes_zero_simulations() {
 
     // Cold: capture series for every grid point, persist.
     let mut disk = DiskSweepCache::open(&path).unwrap();
-    let cold = SweepRunner::new().sweep_cached_series::<Maintenance>(grid(5), disk.cache());
+    let cold = cached(disk.cache())
+        .capture(Capture::Series)
+        .run::<Maintenance>(grid(5));
     assert_eq!(disk.cache().misses(), 5);
     assert!(cold.iter().all(|o| o.series.is_some()));
     disk.persist().unwrap();
@@ -141,7 +148,9 @@ fn warm_series_run_executes_zero_simulations() {
     // alone — zero misses means zero simulator executions, with every
     // series element surviving the round trip bit-for-bit.
     let disk2 = DiskSweepCache::open(&path).unwrap();
-    let warm = SweepRunner::new().sweep_cached_series::<Maintenance>(grid(5), disk2.cache());
+    let warm = cached(disk2.cache())
+        .capture(Capture::Series)
+        .run::<Maintenance>(grid(5));
     assert_eq!(disk2.cache().hits(), 5, "series served from disk");
     assert_eq!(disk2.cache().misses(), 0, "zero simulator executions");
     for (a, b) in warm.iter().zip(&cold) {
@@ -162,7 +171,9 @@ fn migrated_binary_store_serves_warm_series_run_with_zero_simulations() {
     let _ = std::fs::remove_file(&text);
 
     let mut disk = DiskSweepCache::open(&text).unwrap();
-    let cold = SweepRunner::new().sweep_cached_series::<Maintenance>(grid(4), disk.cache());
+    let cold = cached(disk.cache())
+        .capture(Capture::Series)
+        .run::<Maintenance>(grid(4));
     disk.persist().unwrap();
 
     let report = SweepStore::migrate(&text, &binary, StoreFormat::Binary).unwrap();
@@ -177,7 +188,9 @@ fn migrated_binary_store_serves_warm_series_run_with_zero_simulations() {
     // Warm run off the binary store: zero misses = zero simulations.
     let warm_disk = DiskSweepCache::open(&binary).unwrap();
     assert_eq!(warm_disk.store().format(), StoreFormat::Binary);
-    let warm = SweepRunner::new().sweep_cached_series::<Maintenance>(grid(4), warm_disk.cache());
+    let warm = cached(warm_disk.cache())
+        .capture(Capture::Series)
+        .run::<Maintenance>(grid(4));
     assert_eq!(
         (warm_disk.cache().hits(), warm_disk.cache().misses()),
         (4, 0),
@@ -208,7 +221,7 @@ fn binary_disk_cache_persists_and_serves_like_text() {
     let _ = std::fs::remove_file(&path);
     let mut disk = DiskSweepCache::open(&path).unwrap();
     disk.set_format(StoreFormat::Binary);
-    let cold = SweepRunner::new().sweep_cached::<Maintenance>(grid(6), disk.cache());
+    let cold = cached(disk.cache()).run::<Maintenance>(grid(6));
     assert_eq!(disk.persist().unwrap(), 6);
     assert!(disk.status().contains("binary store"), "{}", disk.status());
 
@@ -216,7 +229,7 @@ fn binary_disk_cache_persists_and_serves_like_text() {
     assert_eq!(&bytes[..4], b"WLSB");
 
     let disk2 = DiskSweepCache::open(&path).unwrap();
-    let warm = SweepRunner::new().sweep_cached::<Maintenance>(grid(6), disk2.cache());
+    let warm = cached(disk2.cache()).run::<Maintenance>(grid(6));
     assert_eq!((disk2.cache().hits(), disk2.cache().misses()), (6, 0));
     for (a, b) in warm.iter().zip(&cold) {
         assert!(a.bit_identical(b));
@@ -226,13 +239,18 @@ fn binary_disk_cache_persists_and_serves_like_text() {
 
 #[test]
 fn two_shard_merge_equals_unsharded_byte_for_byte() {
-    let full = SweepRunner::new().sweep::<Maintenance>(grid(7));
+    let full = SweepRequest::new().run::<Maintenance>(grid(7));
 
     // Outcome level: run the two shards (different thread widths on
     // purpose — determinism is thread-count independent) and merge.
-    let shard0 = SweepRunner::serial().sweep_sharded::<Maintenance>(grid(7), Shard::new(0, 2));
-    let shard1 =
-        SweepRunner::with_threads(3).sweep_sharded::<Maintenance>(grid(7), Shard::new(1, 2));
+    let shard0 = SweepRequest::new()
+        .threads(1)
+        .shard(Shard::new(0, 2))
+        .run::<Maintenance>(grid(7));
+    let shard1 = SweepRequest::new()
+        .threads(3)
+        .shard(Shard::new(1, 2))
+        .run::<Maintenance>(grid(7));
     let merged = merge_sharded(&[shard0, shard1], 7).unwrap();
     assert_eq!(merged.len(), full.len());
     for (a, b) in merged.iter().zip(&full) {
@@ -251,7 +269,10 @@ fn two_shard_merge_equals_unsharded_byte_for_byte() {
     for (path, shard) in [(&p_a, Shard::new(0, 2)), (&p_b, Shard::new(1, 2))] {
         let _ = std::fs::remove_file(path);
         let cache = SweepCache::new();
-        let _ = SweepRunner::new().sweep_sharded_cached::<Maintenance>(grid(7), shard, &cache);
+        let _ = SweepRequest::new()
+            .shard(shard)
+            .cached(&cache)
+            .run::<Maintenance>(grid(7));
         let mut store = SweepStore::open(path).unwrap();
         store.absorb(&cache);
         store.save().unwrap();
@@ -267,7 +288,7 @@ fn two_shard_merge_equals_unsharded_byte_for_byte() {
 
     let _ = std::fs::remove_file(&p_full);
     let full_cache = SweepCache::new();
-    let _ = SweepRunner::new().sweep_cached::<Maintenance>(grid(7), &full_cache);
+    let _ = cached(&full_cache).run::<Maintenance>(grid(7));
     let mut full_store = SweepStore::open(&p_full).unwrap();
     full_store.absorb(&full_cache);
     full_store.save().unwrap();
@@ -292,15 +313,14 @@ fn shard_stores_hydrate_other_shards() {
     let _ = std::fs::remove_file(&p);
     for k in 0..2 {
         let mut disk = DiskSweepCache::open(&p).unwrap();
-        let _ = SweepRunner::new().sweep_sharded_cached::<Maintenance>(
-            grid(5),
-            Shard::new(k, 2),
-            disk.cache(),
-        );
+        let _ = SweepRequest::new()
+            .shard(Shard::new(k, 2))
+            .cached(disk.cache())
+            .run::<Maintenance>(grid(5));
         disk.persist().unwrap();
     }
     let disk = DiskSweepCache::open(&p).unwrap();
-    let _ = SweepRunner::new().sweep_cached::<Maintenance>(grid(5), disk.cache());
+    let _ = cached(disk.cache()).run::<Maintenance>(grid(5));
     assert_eq!(disk.cache().hits(), 5);
     assert_eq!(disk.cache().misses(), 0);
     let _ = std::fs::remove_file(&p);

@@ -24,7 +24,7 @@ use std::time::Duration;
 use wl_core::Params;
 use wl_harness::{
     derive_seed, DelayKind, Frontier, FrontierSpec, Maintenance, ScenarioSpec, StoreFormat,
-    SweepCache, SweepRunner, SweepStore,
+    SweepCache, SweepRequest, SweepRunner, SweepStore,
 };
 use wl_time::RealTime;
 
@@ -57,7 +57,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// The serial 1-process bytes every schedule must reproduce.
 fn reference_bytes(dir: &std::path::Path, format: StoreFormat) -> Vec<u8> {
     let cache = SweepCache::new();
-    let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(), &cache);
+    let _ = SweepRequest::new()
+        .threads(1)
+        .cached(&cache)
+        .run::<Maintenance>(grid());
     let path = dir.join("reference.wls");
     let mut store = SweepStore::open(&path).unwrap();
     store.set_format(format);
@@ -192,7 +195,7 @@ proptest! {
 
             let specs: Vec<ScenarioSpec> = grid[claim.range()].to_vec();
             let w = &mut workers[wi];
-            let _ = runner.sweep_cached::<Maintenance>(specs, &w.cache);
+            let _ = SweepRequest::new().runner(runner).cached(&w.cache).run::<Maintenance>(specs);
             w.store.absorb(&w.cache);
             w.store.checkpoint().unwrap();
             w.chunks_done += 1;

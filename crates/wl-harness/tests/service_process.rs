@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use wl_core::Params;
 use wl_harness::{
     derive_seed, Capture, DelayKind, Maintenance, ScenarioSpec, ServiceAddr, ServiceClient,
-    ServiceStats, StoreFormat, SweepCache, SweepOutcome, SweepRunner, SweepStore,
+    ServiceStats, StoreFormat, SweepCache, SweepOutcome, SweepRequest, SweepStore,
 };
 use wl_time::RealTime;
 
@@ -173,7 +173,10 @@ impl Server {
 fn served_sweep(addr: &ServiceAddr, specs: Vec<ScenarioSpec>) -> (Vec<SweepOutcome>, u64, u64) {
     std::env::set_var("WL_SWEEP_SERVICE", addr.to_string());
     let cache = SweepCache::new();
-    let out = SweepRunner::serial().sweep_cached::<Maintenance>(specs, &cache);
+    let out = SweepRequest::new()
+        .threads(1)
+        .cached(&cache)
+        .run::<Maintenance>(specs);
     std::env::remove_var("WL_SWEEP_SERVICE");
     (out, cache.hits(), cache.misses())
 }
@@ -183,7 +186,10 @@ fn served_sweep(addr: &ServiceAddr, specs: Vec<ScenarioSpec>) -> (Vec<SweepOutco
 fn reference_bytes(dir: &Path) -> Vec<u8> {
     std::env::remove_var("WL_SWEEP_SERVICE");
     let cache = SweepCache::new();
-    let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(), &cache);
+    let _ = SweepRequest::new()
+        .threads(1)
+        .cached(&cache)
+        .run::<Maintenance>(grid());
     let path = dir.join("reference.wls");
     let mut store = SweepStore::open(&path).unwrap();
     store.set_format(StoreFormat::Binary);
@@ -220,7 +226,7 @@ fn test_served_sweep_runs_zero_local_simulations() {
 
     // Served outcomes are exactly what local simulation produces.
     std::env::remove_var("WL_SWEEP_SERVICE");
-    let local = SweepRunner::serial().sweep::<Maintenance>(grid());
+    let local = SweepRequest::new().threads(1).run::<Maintenance>(grid());
     let canon = |o: &SweepOutcome| format!("{o:?}");
     assert_eq!(
         out.iter().map(canon).collect::<Vec<_>>(),
@@ -344,7 +350,10 @@ fn test_warm_server_under_load_simulates_nothing() {
             let specs = grid();
             scope.spawn(move || {
                 let cache = SweepCache::new();
-                let out = SweepRunner::serial().sweep_cached::<Maintenance>(specs, &cache);
+                let out = SweepRequest::new()
+                    .threads(1)
+                    .cached(&cache)
+                    .run::<Maintenance>(specs);
                 assert_eq!(out.len(), GRID);
                 assert_eq!(
                     (cache.hits(), cache.misses()),
@@ -382,7 +391,7 @@ fn test_dead_service_degrades_to_local_sweep() {
     assert_eq!(out.len(), GRID);
     assert_eq!((hits, misses), (0, GRID as u64), "pure local fallback");
     std::env::remove_var("WL_SWEEP_SERVICE");
-    let local = SweepRunner::serial().sweep::<Maintenance>(grid());
+    let local = SweepRequest::new().threads(1).run::<Maintenance>(grid());
     assert_eq!(format!("{out:?}"), format!("{local:?}"));
     let _ = std::fs::remove_dir_all(&dir);
     println!("ok: dead service degrades to a plain local sweep");

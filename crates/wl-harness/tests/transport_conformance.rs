@@ -44,7 +44,7 @@ use wl_harness::{
     derive_seed, drive_frontier, run_worker_frontier, Capture, DelayKind, DropBoxTransport,
     FrontierDriveError, FrontierDriveReport, FrontierDriverConfig, FrontierWorkerConfig,
     Maintenance, ScenarioSpec, ServiceAddr, ServiceClient, ServiceTransport, StoreFormat,
-    SubprocessTransport, SweepCache, SweepRunner, SweepStore, WorkerLaunch,
+    SubprocessTransport, SweepCache, SweepRequest, SweepRunner, SweepStore, WorkerLaunch,
 };
 use wl_time::RealTime;
 
@@ -340,7 +340,10 @@ fn reference_bytes(format: StoreFormat) -> &'static [u8] {
     static REFERENCE: [OnceLock<Vec<u8>>; 2] = [OnceLock::new(), OnceLock::new()];
     REFERENCE[usize::from(format == StoreFormat::Binary)].get_or_init(|| {
         let cache = SweepCache::new();
-        let _ = SweepRunner::serial().sweep_cached::<Maintenance>(grid(), &cache);
+        let _ = SweepRequest::new()
+            .threads(1)
+            .cached(&cache)
+            .run::<Maintenance>(grid());
         let path = std::env::temp_dir().join(format!(
             "wl-conform-{}-ref-{format}.wls",
             std::process::id()

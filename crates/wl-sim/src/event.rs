@@ -79,117 +79,6 @@ impl<M> QueuedEvent<M> {
     }
 }
 
-/// Where a queue parks message payloads between `push` and `pop_next`.
-///
-/// The queues order events by the slim key `(t', class, seq)` alone; the
-/// payload ([`Input`]) is handed to the store at push time and redeemed
-/// by handle at pop time. [`InlineStore`] keeps the payload inside the
-/// ordering structure (the historical layout); [`ArenaStore`] parks it
-/// in a per-run slab so heap sift-ups and calendar rebucketings move
-/// only the slim key, never the payload.
-///
-/// # Contract
-///
-/// `put` transfers ownership of exactly one payload to the store and
-/// returns its handle; `take` redeems a handle exactly once, returning
-/// the identical payload and releasing the slot. Handles are private to
-/// the queue that minted them — they must not be duplicated, reordered
-/// across stores, or redeemed twice (no payload aliasing). A store lives
-/// and dies with its queue, i.e. with one simulation run.
-pub trait EventStore<M>: Default {
-    /// The handle type `put` mints and `take` redeems.
-    type Slot;
-
-    /// Parks one payload, transferring ownership to the store.
-    fn put(&mut self, input: Input<M>) -> Self::Slot;
-
-    /// Redeems a handle, releasing its slot. Each handle is taken once.
-    fn take(&mut self, slot: Self::Slot) -> Input<M>;
-}
-
-/// The identity store: the "handle" *is* the payload, which therefore
-/// travels through the ordering structure exactly as it always has.
-/// This is the default storage, preserving the historical queue layout.
-pub struct InlineStore<M>(std::marker::PhantomData<fn(M)>);
-
-impl<M> Default for InlineStore<M> {
-    fn default() -> Self {
-        Self(std::marker::PhantomData)
-    }
-}
-
-impl<M> std::fmt::Debug for InlineStore<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("InlineStore")
-    }
-}
-
-impl<M> EventStore<M> for InlineStore<M> {
-    type Slot = Input<M>;
-
-    fn put(&mut self, input: Input<M>) -> Input<M> {
-        input
-    }
-
-    fn take(&mut self, slot: Input<M>) -> Input<M> {
-        slot
-    }
-}
-
-/// A per-run slab arena: payloads live in a `Vec` indexed by `u32`
-/// handle, and freed slots are recycled through a free list, so a run's
-/// allocation footprint is the *peak* number of pending events, not the
-/// event count. Only the 4-byte handle moves through the queue's
-/// ordering structure.
-pub struct ArenaStore<M> {
-    slots: Vec<Option<Input<M>>>,
-    free: Vec<u32>,
-}
-
-impl<M> Default for ArenaStore<M> {
-    fn default() -> Self {
-        Self {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-}
-
-impl<M> std::fmt::Debug for ArenaStore<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArenaStore")
-            .field("slots", &self.slots.len())
-            .field("free", &self.free.len())
-            .finish()
-    }
-}
-
-impl<M> EventStore<M> for ArenaStore<M> {
-    type Slot = u32;
-
-    fn put(&mut self, input: Input<M>) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(input);
-                i
-            }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("arena capacity exceeded");
-                self.slots.push(Some(input));
-                i
-            }
-        }
-    }
-
-    fn take(&mut self, slot: u32) -> Input<M> {
-        let input = self.slots[slot as usize]
-            .take()
-            .expect("arena handle redeemed twice");
-        self.free.push(slot);
-        input
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,55 +114,5 @@ mod tests {
     #[test]
     fn class_enum_order() {
         assert!(EventClass::Normal < EventClass::Timer);
-    }
-
-    #[test]
-    fn arena_round_trips_payloads() {
-        let mut arena: ArenaStore<u32> = ArenaStore::default();
-        let a = arena.put(Input::Message {
-            from: ProcessId(1),
-            msg: 10,
-        });
-        let b = arena.put(Input::Timer);
-        assert_ne!(a, b);
-        assert_eq!(
-            arena.take(a),
-            Input::Message {
-                from: ProcessId(1),
-                msg: 10
-            }
-        );
-        assert_eq!(arena.take(b), Input::Timer);
-    }
-
-    #[test]
-    fn arena_recycles_slots() {
-        // The footprint is the peak pending count: freed slots are reused,
-        // so a long run with a small pending window stays small.
-        let mut arena: ArenaStore<u32> = ArenaStore::default();
-        for round in 0..100u32 {
-            let s = arena.put(Input::Message {
-                from: ProcessId(0),
-                msg: round,
-            });
-            assert!(s < 1, "slot {s} minted despite a free slot");
-            assert_eq!(
-                arena.take(s),
-                Input::Message {
-                    from: ProcessId(0),
-                    msg: round
-                }
-            );
-        }
-        assert_eq!(arena.slots.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "redeemed twice")]
-    fn arena_rejects_double_take() {
-        let mut arena: ArenaStore<u32> = ArenaStore::default();
-        let s = arena.put(Input::Timer);
-        let _ = arena.take(s);
-        let _ = arena.take(s);
     }
 }

@@ -9,8 +9,8 @@
 //! The engine is generic over its three pluggable axes (see
 //! `docs/engine.md`):
 //!
-//! * `Q:` [`EventQueue`] — the pending-event store ([`HeapQueue`] default,
-//!   [`crate::CalendarQueue`] for bounded-delay workloads);
+//! * `Q:` [`EventQueue`] — the pending-event store ([`HeapQueue`], the
+//!   one engine queue; test fakes substitute through the trait);
 //! * `O:` [`Observer`] — the measurement sink ([`StdObservers`] default,
 //!   [`crate::NullObserver`] for measurement-free runs);
 //! * `F:` [`Fleet`] — the process collection ([`DynFleet`] default; a
@@ -361,7 +361,6 @@ mod tests {
     use crate::builder::SimBuilder;
     use crate::delay::{ConstantDelay, PerPairDelay};
     use crate::observer::NullObserver;
-    use crate::queue::CalendarQueue;
     use crate::trace::TraceEvent;
     use wl_clock::drift::DriftModel;
     use wl_time::{ClockDur, ClockTime, RealDur};
@@ -441,15 +440,15 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_engine_matches_heap_engine() {
+    fn boxed_queue_engine_matches_heap_engine() {
         let heap = simple_sim(10, 1.0, 1.0).run();
-        let mut cal_sim =
-            simple_builder(10, 1.0, 1.0).build_with_queue(CalendarQueue::new(0.0005, 16));
-        let cal = cal_sim.run();
-        assert_eq!(heap.stats, cal.stats);
+        let queue: Box<HeapQueue<u32>> = Box::default();
+        let mut boxed_sim = simple_builder(10, 1.0, 1.0).build_with_queue(queue);
+        let boxed = boxed_sim.run();
+        assert_eq!(heap.stats, boxed.stats);
         assert_eq!(
             format!("{:?}", heap.trace.events()),
-            format!("{:?}", cal.trace.events())
+            format!("{:?}", boxed.trace.events())
         );
     }
 

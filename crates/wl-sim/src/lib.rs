@@ -28,10 +28,9 @@
 //! The executor is generic over three axes, all chosen through
 //! [`SimBuilder`] (see `docs/engine.md` for the contracts):
 //!
-//! * **Event queue** — anything implementing [`EventQueue`]:
-//!   [`HeapQueue`] (the default binary heap) or [`CalendarQueue`] (time
-//!   buckets tuned to the A3 bounded-delay band). All queues produce
-//!   byte-identical executions; they differ only in speed.
+//! * **Event queue** — anything implementing [`EventQueue`]. The engine
+//!   ships one, [`HeapQueue`] (a binary heap); the trait is the seam test
+//!   fakes substitute through.
 //! * **Observer** — anything implementing [`Observer`]: the default
 //!   [`StdObservers`] bundle (counters + correction histories + bounded
 //!   trace), a [`NullObserver`] for measurement-free runs, a streaming
@@ -90,13 +89,13 @@ pub mod queue;
 pub mod trace;
 
 pub use builder::SimBuilder;
-pub use event::{ArenaStore, EventClass, EventStore, InlineStore, Input, QueuedEvent};
+pub use event::{EventClass, Input, QueuedEvent};
 pub use executor::{DynFleet, Fleet, SimConfig, SimOutcome, Simulation};
 pub use history::CorrectionHistory;
 pub use observer::{
     CorrectionSink, Counters, NullObserver, Observer, SimStats, SkewProbe, StdObservers, TraceSink,
 };
-pub use queue::{ArenaCalendarQueue, ArenaHeapQueue, CalendarQueue, EventQueue, HeapQueue};
+pub use queue::{EventQueue, HeapQueue};
 
 use std::fmt;
 use wl_time::ClockTime;

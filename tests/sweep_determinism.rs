@@ -1,8 +1,8 @@
-//! The SweepRunner contract: a 64-scenario grid produces identical
+//! The sweep contract: a 64-scenario grid produces identical
 //! results at any thread count, and grid seeds are stable.
 
 use welch_lynch::core::Params;
-use welch_lynch::harness::{derive_seed, DelayKind, ScenarioSpec, SweepRunner};
+use welch_lynch::harness::{derive_seed, DelayKind, ScenarioSpec, SweepRequest};
 use welch_lynch::harness::{FaultKind, Maintenance};
 use welch_lynch::sim::ProcessId;
 use welch_lynch::time::RealTime;
@@ -32,10 +32,12 @@ fn grid64() -> Vec<ScenarioSpec> {
 
 #[test]
 fn sweep_64_grid_identical_at_every_thread_count() {
-    let baseline = SweepRunner::serial().sweep::<Maintenance>(grid64());
+    let baseline = SweepRequest::new().threads(1).run::<Maintenance>(grid64());
     assert_eq!(baseline.len(), 64);
     for threads in [2usize, 4, 8] {
-        let wide = SweepRunner::with_threads(threads).sweep::<Maintenance>(grid64());
+        let wide = SweepRequest::new()
+            .threads(threads)
+            .run::<Maintenance>(grid64());
         assert_eq!(wide.len(), baseline.len());
         for (a, b) in baseline.iter().zip(&wide) {
             assert_eq!(a.index, b.index, "order must match the input grid");
