@@ -35,7 +35,7 @@ pub fn fs(x: f64) -> String {
 pub const DEMO_GRID: usize = 24;
 
 /// The fixed demonstration grid shared by `sweep_shard` and
-/// `sweep_drive`: the same shape the sweep bench uses — three delay
+/// `sweep_drive`: three delay
 /// models round-robined over machine-independent seeds. Both binaries
 /// must build byte-identical grids or the CI `cmp`s would compare
 /// different sweeps.

@@ -312,7 +312,8 @@ where
 
 /// [`assemble_mono`] under a caller-chosen observer — the fully
 /// measurement-free variant with [`NullObserver`] is what the raw
-/// Monte Carlo throughput benchmarks use (`bench/benches/sweep.rs`).
+/// Monte Carlo throughput benchmarks use (`sim.null_mev_per_s` in the
+/// repo benchmark).
 ///
 /// Returns `None` under exactly the same conditions as
 /// [`assemble_mono`].

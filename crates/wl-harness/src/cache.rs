@@ -44,6 +44,19 @@
 //! [`SweepStore::compact`] is the explicit GC that drops them, along
 //! with records superseded by appended checkpoint segments.
 //!
+//! **Record model.** In memory a record has one shape, the
+//! crate-private `Record`: a validated [`EncodedRecord`] (the six fields
+//! both formats and the wire carry) beside its parsed [`SweepOutcome`],
+//! shared as `Arc<Record>`. It has two constructors — `Record::of_outcome`
+//! for a result this process computed, `Record::admit` for bytes that
+//! arrived from a file or a socket (live / stale / corrupt) — and after
+//! either one the grid index is 0, the canonical outcome bytes are those
+//! of the parsed outcome, and the tag is the one the payload and the spec
+//! imply. [`SweepCache`]'s map, [`SweepStore`]'s map, the results server
+//! and its client tier all hold the same pointer: hydrating, absorbing
+//! and merging copy pointers, never strings, and two records are equal
+//! iff their canonical bytes are.
+//!
 //! Serialization uses the workspace's vendored `serde` (`Serialize`
 //! half) through [`canon_string`]; the vendored shim's `Deserialize` is
 //! compile-only by design, so loading goes through a small hand-rolled
@@ -55,18 +68,24 @@
 pub mod segment;
 
 use crate::sketch::SkewSketch;
+use crate::sweep::Capture;
 use crate::sweep::{SweepCache, SweepOutcome, SweepSeries};
-use segment::{EncodedRecord, SegmentReader, SegmentWriter, DEFAULT_SEGMENT_CAPACITY};
+use segment::{
+    record_tag, tag_payload_kind, EncodedRecord, PayloadKind, SegmentReader, SegmentWriter,
+    DEFAULT_SEGMENT_CAPACITY,
+};
 use serde::ser::{
     SerializeMap, SerializeSeq, SerializeStruct, SerializeStructVariant, SerializeTuple,
     SerializeTupleStruct, SerializeTupleVariant,
 };
 use serde::{Serialize, Serializer};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::Arc;
 use wl_sim::SimStats;
 
 /// The engine-semantics version stamped into every persisted record.
@@ -711,10 +730,9 @@ fn parse_sketch(c: &mut Cursor<'_>) -> Option<SkewSketch> {
 
 /// Parses the canonical encoding of a [`SweepOutcome`] — the exact
 /// mirror of what `canon_string(&outcome)` emits (pinned by the
-/// `outcome_roundtrip` test). Returns `None` on any mismatch.
-/// `pub(crate)` so the service tier can validate wire records through
-/// the same grammar the store loaders use.
-pub(crate) fn parse_outcome(s: &str) -> Option<SweepOutcome> {
+/// `outcome_roundtrip` test). Returns `None` on any mismatch. Its one
+/// caller is `Record::admit`.
+fn parse_outcome(s: &str) -> Option<SweepOutcome> {
     let mut c = Cursor { s };
     c.eat("SweepOutcome{index:")?;
     let index = c.u64_dec()?;
@@ -806,54 +824,166 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 
 type StoreKey = (u64, String);
 
-#[derive(Debug, Clone)]
-struct StoreRecord {
-    spec_canon: String,
-    outcome_canon: String,
+/// The one in-memory record (see the module docs' record model): the
+/// format-level [`EncodedRecord`] and the [`SweepOutcome`] it parses to.
+/// Fields are private so the two constructors are the only way in.
+#[derive(Debug)]
+pub(crate) struct Record {
+    encoded: EncodedRecord,
     outcome: SweepOutcome,
 }
 
-/// Records are equal iff their canonical bytes are — `outcome` is just
-/// the parsed view of `outcome_canon`.
-impl PartialEq for StoreRecord {
-    fn eq(&self, other: &Self) -> bool {
-        self.spec_canon == other.spec_canon && self.outcome_canon == other.outcome_canon
+/// What [`Record::admit`] made of an arriving [`EncodedRecord`].
+pub(crate) enum Admitted {
+    /// Current engine, parses, tag agrees with payload and spec.
+    Live(Arc<Record>),
+    /// Another engine's record, handed back untouched: its outcome
+    /// grammar may be unknown to this build, so it is never parsed —
+    /// stores retain it verbatim, everything else refuses it.
+    Stale(EncodedRecord),
+    /// Unparseable outcome, or a tag the payload or spec contradicts.
+    Corrupt,
+}
+
+impl Record {
+    /// The record of a result this process computed: grid index
+    /// normalized to zero (*what* was computed persists, not where in
+    /// some grid it sat — this is what makes shard-store merges
+    /// canonical), canonical bytes derived once, tag chosen from the
+    /// payload and the spec's adversary block.
+    pub(crate) fn of_outcome(
+        algo: &str,
+        content_hash: u64,
+        spec_canon: String,
+        outcome: &SweepOutcome,
+    ) -> Arc<Self> {
+        let mut outcome = outcome.clone();
+        outcome.index = 0;
+        let encoded = EncodedRecord {
+            tag: record_tag(outcome.kind(), spec_is_adversarial(&spec_canon)),
+            content_hash,
+            engine_version: ENGINE_VERSION,
+            algo: algo.to_string(),
+            outcome_canon: canon_string(&outcome),
+            spec_canon,
+        };
+        Arc::new(Self { encoded, outcome })
+    }
+
+    /// Validates a record that arrived as bytes — a text line, a binary
+    /// segment record, a wire frame — taking ownership and cloning
+    /// nothing. The canonical bytes are kept as they arrived unless a
+    /// non-zero grid index has to be normalized away (no store this
+    /// crate wrote holds one).
+    pub(crate) fn admit(mut encoded: EncodedRecord) -> Admitted {
+        if encoded.engine_version != ENGINE_VERSION {
+            return Admitted::Stale(encoded);
+        }
+        let Some(mut outcome) = parse_outcome(&encoded.outcome_canon) else {
+            return Admitted::Corrupt;
+        };
+        if encoded.tag != record_tag(outcome.kind(), spec_is_adversarial(&encoded.spec_canon)) {
+            return Admitted::Corrupt;
+        }
+        if outcome.index != 0 {
+            outcome.index = 0;
+            encoded.outcome_canon = canon_string(&outcome);
+        }
+        Admitted::Live(Arc::new(Self { encoded, outcome }))
+    }
+
+    /// The six format-level fields store saves and wire frames carry.
+    pub(crate) fn encoded(&self) -> &EncodedRecord {
+        &self.encoded
+    }
+
+    /// The parsed view of `encoded().outcome_canon` (grid index 0).
+    pub(crate) fn outcome(&self) -> &SweepOutcome {
+        &self.outcome
+    }
+
+    /// Which rung of scalar ⊑ sketch ⊑ series the payload sits on —
+    /// the one richness answer: a record serves `need` iff
+    /// `need.kind() <= record.kind()`.
+    pub(crate) fn kind(&self) -> PayloadKind {
+        tag_payload_kind(self.encoded.tag)
+    }
+
+    /// Whether this is the record of `(content_hash, algo)` for exactly
+    /// the spec `spec_canon` (a hash collision answers `false`), rich
+    /// enough for `need` — the hit test of every tier.
+    pub(crate) fn answers(
+        &self,
+        content_hash: u64,
+        algo: &str,
+        spec_canon: &str,
+        need: Capture,
+    ) -> bool {
+        self.encoded.content_hash == content_hash
+            && self.encoded.algo == algo
+            && self.encoded.spec_canon == spec_canon
+            && need.kind() <= self.kind()
+    }
+
+    fn key(&self) -> StoreKey {
+        (self.encoded.content_hash, self.encoded.algo.clone())
     }
 }
 
-/// The payload richness level of an outcome — which rung of the
-/// scalar ⊑ sketch ⊑ series upgrade lattice it sits on (and which
-/// record tag family it persists under).
-fn payload_kind(outcome: &SweepOutcome) -> segment::PayloadKind {
-    if outcome.series.is_some() {
-        segment::PayloadKind::Series
-    } else if outcome.sketch.is_some() {
-        segment::PayloadKind::Sketch
-    } else {
-        segment::PayloadKind::Scalar
+/// Whether two records are one: the same pointer, or the same bytes.
+fn same_record(a: &Arc<Record>, b: &Arc<Record>) -> bool {
+    Arc::ptr_eq(a, b) || a.encoded == b.encoded
+}
+
+/// The record's canonical outcome bytes up to its optional payloads
+/// (`sketch` and `series` are the grammar's last two fields) — the
+/// "scalar half" both sides of any lattice transition must agree on
+/// byte-for-byte.
+fn scalar_half(record: &Record) -> &str {
+    let canon = record.encoded.outcome_canon.as_str();
+    canon
+        .split_once(",sketch:")
+        .map_or(canon, |(scalar, _)| scalar)
+}
+
+/// The scalar ⊑ sketch ⊑ series join of a held record with an arriving
+/// one under the same key: `Ok(true)` = `theirs` is a strict upgrade
+/// (richer payload over a byte-identical scalar half) and should replace
+/// `ours`, `Ok(false)` = it teaches nothing (identical, or poorer over
+/// the same scalar half), `Err` = the two contradict each other. A
+/// sketch beside a series must also be that series' derivation — it is
+/// not new information, so a disagreeing one is a contradiction.
+fn lattice_join(ours: &Record, theirs: &Record) -> Result<bool, MergeConflictKind> {
+    if ours.encoded.spec_canon != theirs.encoded.spec_canon {
+        return Err(MergeConflictKind::SpecMismatch);
     }
+    if ours.encoded.outcome_canon == theirs.encoded.outcome_canon {
+        return Ok(false);
+    }
+    let (poorer, richer) = match ours.kind().cmp(&theirs.kind()) {
+        std::cmp::Ordering::Less => (ours, theirs),
+        std::cmp::Ordering::Greater => (theirs, ours),
+        // Same kind but different bytes: a genuine contradiction.
+        std::cmp::Ordering::Equal => return Err(MergeConflictKind::OutcomeMismatch),
+    };
+    let derived = match (&poorer.outcome.sketch, &richer.outcome.series) {
+        (Some(sketch), Some(series)) => SkewSketch::of_series(series).bit_identical(sketch),
+        _ => true,
+    };
+    if scalar_half(ours) != scalar_half(theirs) || !derived {
+        return Err(MergeConflictKind::OutcomeMismatch);
+    }
+    Ok(ours.kind() < theirs.kind())
 }
 
-/// The outcome's canonical bytes with every optional payload nulled —
-/// the "scalar half" both sides of any lattice transition must agree
-/// on byte-for-byte.
-fn scalar_canon(outcome: &SweepOutcome) -> String {
-    let mut scalar = outcome.clone();
-    scalar.sketch = None;
-    scalar.series = None;
-    canon_string(&scalar)
-}
-
-/// Whether two same-key outcomes qualify for the [`SweepStore::merge_from`]
-/// sketch ⊔ sketch arm: both are sketch-kind records (sketch present,
-/// no series) whose scalar halves are byte-identical — only the
-/// mergeable histogram payloads differ.
-fn sketches_mergeable(a: &SweepOutcome, b: &SweepOutcome) -> bool {
-    a.sketch.is_some()
-        && b.sketch.is_some()
-        && a.series.is_none()
-        && b.series.is_none()
-        && scalar_canon(a) == scalar_canon(b)
+/// Whether two same-key records qualify for the [`SweepStore::merge_from`]
+/// sketch ⊔ sketch arm: both are sketch-kind records whose scalar
+/// halves are byte-identical — only the mergeable histogram payloads
+/// differ.
+fn sketches_mergeable(a: &Record, b: &Record) -> bool {
+    a.kind() == PayloadKind::Sketch
+        && b.kind() == PayloadKind::Sketch
+        && scalar_half(a) == scalar_half(b)
 }
 
 /// Why two stores refused to merge.
@@ -880,6 +1010,17 @@ pub enum MergeConflictKind {
     /// engine builds or hardware-dependent math. This is the error the
     /// determinism contract exists to catch; do not pick a winner.
     OutcomeMismatch,
+}
+
+impl MergeConflict {
+    fn under((content_hash, algo): &StoreKey, kind: MergeConflictKind) -> Self {
+        let (content_hash, algo) = (*content_hash, algo.clone());
+        Self {
+            content_hash,
+            algo,
+            kind,
+        }
+    }
 }
 
 impl std::fmt::Display for MergeConflict {
@@ -928,7 +1069,7 @@ pub struct MergeStats {
 #[derive(Debug)]
 pub struct SweepStore {
     path: Option<PathBuf>,
-    records: BTreeMap<StoreKey, StoreRecord>,
+    records: BTreeMap<StoreKey, Arc<Record>>,
     format: StoreFormat,
     segment_capacity: u32,
     /// Stale-engine records carried verbatim (structurally) across
@@ -1017,30 +1158,17 @@ impl SweepStore {
         Ok(store)
     }
 
-    /// The v3 load path: drain a [`SegmentReader`], sorting each record
-    /// into live / stale / skipped. Later records for a key a previous
-    /// segment already supplied **supersede** it (last writer wins) —
-    /// that is how an appended checkpoint upgrades a scalar record to a
-    /// series-bearing one without rewriting the file.
+    /// The v3 load path: drain a [`SegmentReader`]. Later records for a
+    /// key a previous segment already supplied **supersede** it (last
+    /// writer wins) — that is how an appended checkpoint upgrades a
+    /// scalar record to a series-bearing one without rewriting the file.
     fn load_binary(&mut self, mut reader: SegmentReader<'_>) {
         self.format = StoreFormat::Binary;
         if reader.capacity() > 0 {
             self.segment_capacity = reader.capacity();
         }
         for encoded in reader.by_ref() {
-            if encoded.engine_version != ENGINE_VERSION {
-                self.stale += 1;
-                self.retained.push(encoded);
-                continue;
-            }
-            match live_record(&encoded) {
-                Some((key, record)) => {
-                    if self.records.insert(key, record).is_some() {
-                        self.superseded += 1;
-                    }
-                }
-                None => self.skipped += 1,
-            }
+            self.load_record(encoded, true);
         }
         self.skipped += reader.damaged();
         self.next_ordinal = reader.next_ordinal();
@@ -1061,18 +1189,33 @@ impl SweepStore {
         }
         for line in lines {
             match parse_line(line) {
-                ParsedLine::Record { key, record } => match self.records.entry(key) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(*record);
-                    }
-                    std::collections::btree_map::Entry::Occupied(_) => self.skipped += 1,
-                },
-                ParsedLine::Stale(encoded) => {
-                    self.stale += 1;
-                    self.retained.push(*encoded);
-                }
-                ParsedLine::Corrupt => self.skipped += 1,
+                Some(encoded) => self.load_record(encoded, false),
+                None => self.skipped += 1,
             }
+        }
+    }
+
+    /// Sorts one loaded record into live / stale / skipped — the one
+    /// admission both formats go through. A live record for a key
+    /// already loaded replaces it (counted superseded) when `last_wins`,
+    /// and is skipped otherwise.
+    fn load_record(&mut self, encoded: EncodedRecord, last_wins: bool) {
+        match Record::admit(encoded) {
+            Admitted::Live(record) => match self.records.entry(record.key()) {
+                Entry::Vacant(v) => {
+                    v.insert(record);
+                }
+                Entry::Occupied(mut o) if last_wins => {
+                    o.insert(record);
+                    self.superseded += 1;
+                }
+                Entry::Occupied(_) => self.skipped += 1,
+            },
+            Admitted::Stale(encoded) => {
+                self.stale += 1;
+                self.retained.push(encoded);
+            }
+            Admitted::Corrupt => self.skipped += 1,
         }
     }
 
@@ -1094,7 +1237,7 @@ impl SweepStore {
     pub fn adversarial_len(&self) -> usize {
         self.records
             .values()
-            .filter(|r| spec_is_adversarial(&r.spec_canon))
+            .filter(|r| spec_is_adversarial(&r.encoded.spec_canon))
             .count()
     }
 
@@ -1149,18 +1292,6 @@ impl SweepStore {
         self.segment_capacity
     }
 
-    /// Overrides the segment capacity for subsequent binary saves.
-    /// Capacity is part of a binary file's canonical identity (it moves
-    /// segment boundaries), so two stores compare byte-identical only
-    /// when saved at the same capacity. Values below 1 are clamped to 1.
-    pub fn set_segment_capacity(&mut self, capacity: u32) {
-        let capacity = capacity.max(1);
-        if self.segment_capacity != capacity {
-            self.segment_capacity = capacity;
-            self.append_base = false;
-        }
-    }
-
     /// The path this store loads from and saves to, if it has one.
     #[must_use]
     pub fn path(&self) -> Option<&Path> {
@@ -1168,141 +1299,86 @@ impl SweepStore {
     }
 
     /// Hydrates an in-memory [`SweepCache`] with every record — the
-    /// read half of cross-process sharing.
+    /// read half of cross-process sharing. The cache shares the store's
+    /// records; nothing is copied.
     #[must_use]
     pub fn hydrate(&self) -> SweepCache {
         let cache = SweepCache::new();
-        for ((hash, algo), record) in &self.records {
-            cache.seed(
-                *hash,
-                algo.clone(),
-                record.spec_canon.clone(),
-                record.outcome.clone(),
-            );
-        }
+        self.hydrate_into(&cache);
         cache
     }
 
-    /// Folds a cache's entries into the store (the write half), keyed by
-    /// recomputing nothing: the cache already holds the canonical spec
-    /// bytes. Outcome grid indices are normalized to zero so that *what*
-    /// was computed, not *where in some grid* it sat, is what persists —
-    /// this is what makes shard-store merges canonical.
+    fn hydrate_into(&self, cache: &SweepCache) {
+        for record in self.records.values() {
+            cache.store(Arc::clone(record));
+        }
+    }
+
+    /// Folds a cache's entries into the store (the write half): a record
+    /// the store lacks, or holds with different canonical bytes, is
+    /// taken over by pointer; one hydrated from this store and untouched
+    /// since is recognised by its pointer alone.
     ///
     /// Returns how many records were added or replaced.
     pub fn absorb(&mut self, cache: &SweepCache) -> usize {
         let mut changed = 0;
-        for (content_hash, algo, spec_canon, outcome) in cache.snapshot() {
-            let mut normalized = outcome;
-            normalized.index = 0;
-            let outcome_canon = canon_string(&normalized);
-            let key = (content_hash, algo);
-            let record = StoreRecord {
-                spec_canon,
-                outcome_canon,
-                outcome: normalized,
-            };
-            let slot = self.records.entry(key.clone());
-            match slot {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(record);
-                    self.unsaved.insert(key);
-                    changed += 1;
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    if *o.get() != record {
-                        o.insert(record);
-                        self.unsaved.insert(key);
-                        changed += 1;
-                    }
-                }
+        for record in cache.snapshot() {
+            let key = record.key();
+            let held = self.records.get(&key);
+            if !held.is_some_and(|ours| same_record(ours, &record)) {
+                self.put(key, record);
+                changed += 1;
             }
         }
         changed
     }
 
-    /// The canonical [`EncodedRecord`] for one live key, if present —
-    /// the byte payload [`crate::service`] puts on the wire, so served
-    /// records are *exactly* what a store save would write.
-    pub(crate) fn record_encoded(&self, content_hash: u64, algo: &str) -> Option<EncodedRecord> {
-        let key = (content_hash, algo.to_string());
-        self.records
-            .get(&key)
-            .map(|record| encoded_record(&key, record))
+    /// Holds `record` under `key`, marked unsaved so the next
+    /// [`checkpoint`](SweepStore::checkpoint) persists it.
+    fn put(&mut self, key: StoreKey, record: Arc<Record>) {
+        self.records.insert(key.clone(), record);
+        self.unsaved.insert(key);
     }
 
-    /// Inserts one wire/store record, equality-confirmed like
-    /// [`merge_from`](SweepStore::merge_from), with the same
-    /// scalar/series upgrade lattice the in-memory cache applies: a
-    /// series-bearing record replaces a scalar one for the same key iff
-    /// their scalar halves are byte-identical, and a scalar arrival
-    /// against a held series record is an agreeing no-op under the same
-    /// condition. Grid indices are normalized to zero on the way in
-    /// (the [`absorb`](SweepStore::absorb) rule). Returns whether the
-    /// store changed; changed records are marked unsaved, so the next
+    /// The live record under one key, if present — what
+    /// [`crate::service`] puts on the wire, so served records are
+    /// *exactly* what a store save would write.
+    pub(crate) fn record(&self, content_hash: u64, algo: &str) -> Option<&Arc<Record>> {
+        self.records.get(&(content_hash, algo.to_string()))
+    }
+
+    /// Inserts one record under the scalar ⊑ sketch ⊑ series lattice
+    /// (`lattice_join`): a vacant key takes it, a richer record replaces
+    /// a poorer one over a byte-identical scalar half, and an identical
+    /// or poorer arrival is an agreeing no-op; one that contradicts the
+    /// held record is a [`MergeConflict`]. Returns whether the store
+    /// changed; changed records are marked unsaved, so the next
     /// [`checkpoint`](SweepStore::checkpoint) persists them.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeConflict`] if the record is corrupt (unparseable outcome,
-    /// tag/payload disagreement) or contradicts a held record.
-    pub(crate) fn insert_encoded(
-        &mut self,
-        encoded: &EncodedRecord,
-    ) -> Result<bool, MergeConflict> {
-        let conflict = |kind| MergeConflict {
-            content_hash: encoded.content_hash,
-            algo: encoded.algo.clone(),
-            kind,
-        };
-        let Some((key, mut record)) = live_record(encoded) else {
-            return Err(conflict(MergeConflictKind::OutcomeMismatch));
-        };
-        if record.outcome.index != 0 {
-            record.outcome.index = 0;
-            record.outcome_canon = canon_string(&record.outcome);
-        }
-        let Some(ours) = self.records.get(&key) else {
-            self.records.insert(key.clone(), record);
-            self.unsaved.insert(key);
-            return Ok(true);
-        };
-        if ours.spec_canon != record.spec_canon {
-            return Err(conflict(MergeConflictKind::SpecMismatch));
-        }
-        if ours.outcome_canon == record.outcome_canon {
-            return Ok(false);
-        }
-        // The halves must agree scalar-for-scalar for any direction of
-        // the scalar ⊑ sketch ⊑ series lattice to apply.
-        if scalar_canon(&ours.outcome) != scalar_canon(&record.outcome) {
-            return Err(conflict(MergeConflictKind::OutcomeMismatch));
-        }
-        // Across the sketch/series boundary the sketch must also be the
-        // derivation of the series — a sketch is not new information,
-        // so a disagreeing one is a contradiction, not an upgrade.
-        let derivation_consistent =
-            |richer: &SweepOutcome, poorer: &SweepOutcome| match (&poorer.sketch, &richer.series) {
-                (Some(sketch), Some(series)) => SkewSketch::of_series(series).bit_identical(sketch),
-                _ => true,
-            };
-        match payload_kind(&ours.outcome).cmp(&payload_kind(&record.outcome)) {
-            // A poorer record arriving against a richer held one:
-            // agreed, nothing to learn.
-            std::cmp::Ordering::Greater
-                if derivation_consistent(&ours.outcome, &record.outcome) =>
-            {
-                Ok(false)
+    pub(crate) fn insert(&mut self, record: Arc<Record>) -> Result<bool, MergeConflict> {
+        let key = record.key();
+        let upgrade = match self.records.get(&key) {
+            None => true,
+            Some(ours) => {
+                lattice_join(ours, &record).map_err(|kind| MergeConflict::under(&key, kind))?
             }
-            // A richer record upgrading a poorer held one.
-            std::cmp::Ordering::Less if derivation_consistent(&record.outcome, &ours.outcome) => {
-                self.records.insert(key.clone(), record);
-                self.unsaved.insert(key);
-                Ok(true)
-            }
-            // Same kind but different bytes (or an inconsistent
-            // sketch/series pair): a genuine contradiction.
-            _ => Err(conflict(MergeConflictKind::OutcomeMismatch)),
+        };
+        if upgrade {
+            self.put(key, record);
+        }
+        Ok(upgrade)
+    }
+
+    /// [`insert`](SweepStore::insert) for a record that arrived as
+    /// bytes: admitted first (`Record::admit`; anything but a live
+    /// record is refused as a [`MergeConflict`]), then joined.
+    pub(crate) fn insert_encoded(&mut self, encoded: EncodedRecord) -> Result<bool, MergeConflict> {
+        let key = (encoded.content_hash, encoded.algo.clone());
+        match Record::admit(encoded) {
+            Admitted::Live(record) => self.insert(record),
+            _ => Err(MergeConflict::under(
+                &key,
+                MergeConflictKind::OutcomeMismatch,
+            )),
         }
     }
 
@@ -1317,71 +1393,67 @@ impl SweepStore {
     pub fn merge_from(&mut self, other: &Self) -> Result<MergeStats, MergeConflict> {
         // Validate everything before mutating anything.
         for (key, theirs) in &other.records {
-            if let Some(ours) = self.records.get(key) {
-                if ours.spec_canon != theirs.spec_canon {
-                    return Err(MergeConflict {
-                        content_hash: key.0,
-                        algo: key.1.clone(),
-                        kind: MergeConflictKind::SpecMismatch,
-                    });
-                }
-                if ours.outcome_canon != theirs.outcome_canon
-                    && !sketches_mergeable(&ours.outcome, &theirs.outcome)
-                {
-                    return Err(MergeConflict {
-                        content_hash: key.0,
-                        algo: key.1.clone(),
-                        kind: MergeConflictKind::OutcomeMismatch,
-                    });
-                }
-            }
+            let Some(ours) = self.records.get(key) else {
+                continue;
+            };
+            let kind = if ours.encoded.spec_canon != theirs.encoded.spec_canon {
+                MergeConflictKind::SpecMismatch
+            } else if same_record(ours, theirs) || sketches_mergeable(ours, theirs) {
+                continue;
+            } else {
+                MergeConflictKind::OutcomeMismatch
+            };
+            return Err(MergeConflict::under(key, kind));
         }
         let mut stats = MergeStats::default();
         for (key, theirs) in &other.records {
-            match self.records.get_mut(key) {
+            let joined = match self.records.get(key) {
                 None => {
-                    self.records.insert(key.clone(), theirs.clone());
-                    self.unsaved.insert(key.clone());
                     stats.added += 1;
+                    Arc::clone(theirs)
                 }
-                Some(ours) if ours.outcome_canon == theirs.outcome_canon => stats.agreed += 1,
+                Some(ours) if same_record(ours, theirs) => {
+                    stats.agreed += 1;
+                    continue;
+                }
                 // The sketch ⊔ sketch arm (validated above): two partial
                 // folds of one point's sample population combine by
                 // histogram add — associative, commutative, and
                 // order-independent, so merge order across shard stores
                 // cannot change the result.
                 Some(ours) => {
-                    let theirs_sketch = theirs
-                        .outcome
-                        .sketch
-                        .as_ref()
-                        .expect("validated as mergeable sketches");
-                    ours.outcome
-                        .sketch
-                        .as_mut()
-                        .expect("validated as mergeable sketches")
-                        .merge(theirs_sketch);
-                    ours.outcome_canon = canon_string(&ours.outcome);
-                    self.unsaved.insert(key.clone());
+                    let mut outcome = ours.outcome.clone();
+                    let both = outcome.sketch.as_mut().zip(theirs.outcome.sketch.as_ref());
+                    let (sketch, theirs_sketch) = both.expect("validated as mergeable sketches");
+                    sketch.merge(theirs_sketch);
                     stats.merged += 1;
+                    Record::of_outcome(&key.1, key.0, ours.encoded.spec_canon.clone(), &outcome)
                 }
-            }
+            };
+            self.put(key.clone(), joined);
         }
         Ok(stats)
     }
 
-    /// Adopts every record of `other` that this store lacks, never
-    /// touching records it already has — the conflict-silent sibling of
-    /// [`SweepStore::merge_from`], for when "ours is fresher" is the
-    /// right policy (e.g. folding in what another process wrote to the
-    /// shared file while we were running). Returns how many records
-    /// were adopted.
+    /// Adopts from `other` what this store is missing, never raising a
+    /// conflict — the silent sibling of [`SweepStore::merge_from`], for
+    /// when "ours is fresher" is the right policy (e.g. folding in what
+    /// another process wrote to the shared file while we were running).
+    /// Missing means: a key this store lacks, **or** a record strictly
+    /// richer than ours over a byte-identical scalar half (the upgrade
+    /// arm of `insert`, sketch-is-the-derivation-of-the-series check
+    /// included) — so a scalar copy never shadows the series record
+    /// another process paid for. Anything that contradicts ours leaves
+    /// ours untouched. Returns how many records were adopted.
     pub fn adopt_missing_from(&mut self, other: &Self) -> usize {
         let mut adopted = 0;
         for (key, theirs) in &other.records {
-            if !self.records.contains_key(key) {
-                self.records.insert(key.clone(), theirs.clone());
-                self.unsaved.insert(key.clone());
+            let adopt = match self.records.get(key) {
+                None => true,
+                Some(ours) => lattice_join(ours, theirs) == Ok(true),
+            };
+            if adopt {
+                self.put(key.clone(), Arc::clone(theirs));
                 adopted += 1;
             }
         }
@@ -1399,7 +1471,7 @@ impl SweepStore {
             (
                 *hash,
                 algo.as_str(),
-                record.spec_canon.as_str(),
+                record.encoded.spec_canon.as_str(),
                 &record.outcome,
             )
         })
@@ -1449,26 +1521,20 @@ impl SweepStore {
     /// the file bytes and the ordinal an appended segment would carry
     /// (meaningful for binary only).
     fn render(&self) -> (Vec<u8>, u32) {
-        let live = self
-            .records
-            .iter()
-            .map(|(key, record)| encoded_record(key, record));
+        let live = self.records.values().map(|record| &record.encoded);
+        let all = live.chain(&self.retained);
         match self.format {
             StoreFormat::Text => {
                 let mut content = String::with_capacity(64 + self.records.len() * 256);
                 content.push_str(HEADER);
                 content.push('\n');
-                for encoded in live.chain(self.retained.iter().cloned()) {
-                    content.push_str(&text_line(&encoded));
+                for encoded in all {
+                    content.push_str(&text_line(encoded));
                     content.push('\n');
                 }
                 (content.into_bytes(), 0)
             }
-            StoreFormat::Binary => {
-                let records: Vec<EncodedRecord> =
-                    live.chain(self.retained.iter().cloned()).collect();
-                segment::write_file_with_ordinal(&records, self.segment_capacity)
-            }
+            StoreFormat::Binary => segment::write_file_with_ordinal(all, self.segment_capacity),
         }
     }
 
@@ -1509,10 +1575,8 @@ impl SweepStore {
             io::Error::new(io::ErrorKind::InvalidInput, "sweep store has no path")
         })?;
         let mut writer = SegmentWriter::new(self.segment_capacity, self.next_ordinal);
-        for key in &self.unsaved {
-            if let Some(record) = self.records.get(key) {
-                writer.push(&encoded_record(key, record));
-            }
+        for record in self.unsaved.iter().filter_map(|key| self.records.get(key)) {
+            writer.push(&record.encoded);
         }
         let (bytes, next_ordinal) = writer.into_parts();
         let result = (|| {
@@ -1693,47 +1757,6 @@ pub fn spec_is_adversarial(spec_canon: &str) -> bool {
     spec_canon.contains("adversary:+")
 }
 
-/// The format-level view of one live record — what both the text and
-/// the binary writer serialize. The tag duplicates what the payloads
-/// say (`R`/`A` scalar, `K`/`L` sketch-bearing, `S`/`B` series-bearing;
-/// `A`/`B`/`L` adversarial spec) so a reader can filter record kinds
-/// without parsing payloads; both parsers cross-check tag against
-/// payload on both dimensions.
-fn encoded_record((hash, algo): &StoreKey, record: &StoreRecord) -> EncodedRecord {
-    EncodedRecord {
-        tag: segment::record_tag(
-            payload_kind(&record.outcome),
-            spec_is_adversarial(&record.spec_canon),
-        ),
-        content_hash: *hash,
-        engine_version: ENGINE_VERSION,
-        algo: algo.clone(),
-        spec_canon: record.spec_canon.clone(),
-        outcome_canon: record.outcome_canon.clone(),
-    }
-}
-
-/// The inverse of [`encoded_record`]: validates a current-engine record
-/// semantically (outcome parses, tag agrees with both payloads) and
-/// produces the store's in-memory form. `None` = corrupt, skip it.
-fn live_record(encoded: &EncodedRecord) -> Option<(StoreKey, StoreRecord)> {
-    let outcome = parse_outcome(&encoded.outcome_canon)?;
-    if segment::tag_payload_kind(encoded.tag) != payload_kind(&outcome) {
-        return None;
-    }
-    if segment::tag_is_adversarial(encoded.tag) != spec_is_adversarial(&encoded.spec_canon) {
-        return None;
-    }
-    Some((
-        (encoded.content_hash, encoded.algo.clone()),
-        StoreRecord {
-            spec_canon: encoded.spec_canon.clone(),
-            outcome_canon: encoded.outcome_canon.clone(),
-            outcome,
-        },
-    ))
-}
-
 /// Renders one text record line (any engine version — retained stale
 /// records re-emit through the same path as live ones).
 fn text_line(encoded: &EncodedRecord) -> String {
@@ -1750,79 +1773,36 @@ fn text_line(encoded: &EncodedRecord) -> String {
     format!("{prefix} {crc:016x}")
 }
 
-enum ParsedLine {
-    // Boxed: a parsed record (outcome + canon strings, possibly a whole
-    // series payload) dwarfs the data-free variant.
-    Record {
-        key: StoreKey,
-        record: Box<StoreRecord>,
-    },
-    /// Checksum-valid, structurally sound, but from another engine:
-    /// carried as an [`EncodedRecord`] so saves can re-emit it verbatim
-    /// (its outcome grammar may be unknown to this build, so it is
-    /// never parsed).
-    Stale(Box<EncodedRecord>),
-    Corrupt,
-}
-
-fn parse_line(line: &str) -> ParsedLine {
-    let Some((prefix, crc_tok)) = line.rsplit_once(' ') else {
-        return ParsedLine::Corrupt;
-    };
+/// The inverse of [`text_line`]: checksum, then the six fields, as an
+/// [`EncodedRecord`] of any engine version. `None` = a corrupt line.
+/// What the record *means* is `Record::admit`'s business.
+fn parse_line(line: &str) -> Option<EncodedRecord> {
+    let (prefix, crc_tok) = line.rsplit_once(' ')?;
     if u64::from_str_radix(crc_tok, 16) != Ok(fnv64(prefix.as_bytes())) {
-        return ParsedLine::Corrupt;
+        return None;
     }
     let fields: Vec<&str> = prefix.split(' ').collect();
     let [tag, hash_tok, engine_tok, algo_tok, spec_tok, outcome_tok] = fields.as_slice() else {
-        return ParsedLine::Corrupt;
+        return None;
     };
-    if !matches!(*tag, "R" | "S" | "A" | "B" | "K" | "L") {
-        return ParsedLine::Corrupt;
-    }
-    let Ok(hash) = u64::from_str_radix(hash_tok, 16) else {
-        return ParsedLine::Corrupt;
+    let [tag] = *tag.as_bytes() else {
+        return None;
     };
-    let Some(algo) = unescape(algo_tok) else {
-        return ParsedLine::Corrupt;
-    };
+    let algo = unescape(algo_tok)?;
     // The binary record frames the algorithm with a u16 length; a text
     // line whose algo cannot survive that framing is treated as corrupt
     // here rather than panicking in a later cross-format save.
-    if algo.len() > usize::from(u16::MAX) {
-        return ParsedLine::Corrupt;
+    if !EncodedRecord::known_tag(tag) || algo.len() > usize::from(u16::MAX) {
+        return None;
     }
-    match engine_tok.parse::<u32>() {
-        Ok(engine) if engine == ENGINE_VERSION => {}
-        Ok(engine) => {
-            return ParsedLine::Stale(Box::new(EncodedRecord {
-                tag: tag.as_bytes()[0],
-                content_hash: hash,
-                engine_version: engine,
-                algo,
-                spec_canon: (*spec_tok).to_string(),
-                outcome_canon: (*outcome_tok).to_string(),
-            }))
-        }
-        Err(_) => return ParsedLine::Corrupt,
-    }
-    let Some(outcome) = parse_outcome(outcome_tok) else {
-        return ParsedLine::Corrupt;
-    };
-    let tag_byte = tag.as_bytes()[0];
-    if segment::tag_payload_kind(tag_byte) != payload_kind(&outcome) {
-        return ParsedLine::Corrupt;
-    }
-    if segment::tag_is_adversarial(tag_byte) != spec_is_adversarial(spec_tok) {
-        return ParsedLine::Corrupt;
-    }
-    ParsedLine::Record {
-        key: (hash, algo),
-        record: Box::new(StoreRecord {
-            spec_canon: (*spec_tok).to_string(),
-            outcome_canon: (*outcome_tok).to_string(),
-            outcome,
-        }),
-    }
+    Some(EncodedRecord {
+        tag,
+        content_hash: u64::from_str_radix(hash_tok, 16).ok()?,
+        engine_version: engine_tok.parse().ok()?,
+        algo,
+        spec_canon: (*spec_tok).to_string(),
+        outcome_canon: (*outcome_tok).to_string(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1943,12 +1923,16 @@ impl DiskSweepCache {
     /// persistence is disabled). Returns how many records were newly
     /// written.
     ///
-    /// Before saving, the shared file is re-read and any records other
-    /// processes wrote since we opened it are adopted — concurrent
+    /// Before saving, the shared file is re-read and what other
+    /// processes wrote since we opened it is adopted
+    /// ([`SweepStore::adopt_missing_from`]: records we lack, and records
+    /// strictly richer than our copy of the same point) — concurrent
     /// experiment binaries sharing `WL_SWEEP_CACHE_DIR` extend each
-    /// other's stores instead of overwriting them (the save itself is
-    /// atomic-by-rename, so the residual race is a benign
-    /// lose-the-interleaved-write, not a torn file).
+    /// other's stores instead of overwriting or downgrading them (the
+    /// save itself is atomic-by-rename, so the residual race is a benign
+    /// lose-the-interleaved-write, not a torn file). Adopted records are
+    /// handed to the cache too, so a later persist cannot absorb the
+    /// poorer copies back.
     ///
     /// # Errors
     ///
@@ -1958,10 +1942,10 @@ impl DiskSweepCache {
             return Ok(0);
         }
         let added = self.store.absorb(&self.cache);
-        if let Some(path) = self.store.path().map(std::path::Path::to_path_buf) {
-            if let Ok(on_disk) = SweepStore::open(path) {
-                self.store.adopt_missing_from(&on_disk);
-            }
+        let path = self.store.path();
+        let on_disk = path.and_then(|path| SweepStore::open(path).ok());
+        if on_disk.is_some_and(|on_disk| self.store.adopt_missing_from(&on_disk) > 0) {
+            self.store.hydrate_into(&self.cache);
         }
         self.store.save()?;
         Ok(added)
@@ -2058,16 +2042,11 @@ mod tests {
     fn insert_encoded_upgrade_lattice() {
         let mut store = SweepStore::new();
         let make = |outcome: &SweepOutcome| {
-            let mut normalized = outcome.clone();
-            normalized.index = 0;
-            EncodedRecord {
-                tag: segment::record_tag(payload_kind(&normalized), false),
-                content_hash: 42,
-                engine_version: ENGINE_VERSION,
-                algo: "A".into(),
-                spec_canon: "Spec{n:4}".into(),
-                outcome_canon: canon_string(&normalized),
-            }
+            let record = Record::of_outcome("A", 42, "Spec{n:4}".into(), outcome);
+            record.encoded().clone()
+        };
+        let held = |store: &SweepStore, hash: u64, algo: &str| {
+            store.record(hash, algo).map(|r| r.encoded().clone())
         };
         let scalar = outcome_fixture();
         let mut series = outcome_fixture();
@@ -2081,14 +2060,13 @@ mod tests {
 
         // Vacant insert normalizes the grid index and round-trips.
         let rec_scalar = make(&scalar);
-        assert!(store.insert_encoded(&rec_scalar).unwrap());
-        let held = store.record_encoded(42, "A").expect("held");
-        assert_eq!(held, rec_scalar);
-        assert!(store.record_encoded(42, "B").is_none());
-        assert!(store.record_encoded(43, "A").is_none());
+        assert!(store.insert_encoded(rec_scalar.clone()).unwrap());
+        assert_eq!(held(&store, 42, "A"), Some(rec_scalar.clone()));
+        assert!(held(&store, 42, "B").is_none());
+        assert!(held(&store, 43, "A").is_none());
 
         // Same record again: agreed, unchanged.
-        assert!(!store.insert_encoded(&rec_scalar).unwrap());
+        assert!(!store.insert_encoded(rec_scalar.clone()).unwrap());
         // An index-denormalized copy is the same record after
         // normalization.
         let mut denorm = scalar.clone();
@@ -2097,52 +2075,46 @@ mod tests {
             outcome_canon: canon_string(&denorm),
             ..rec_scalar.clone()
         };
-        assert!(!store.insert_encoded(&rec_denorm).unwrap());
+        assert!(!store.insert_encoded(rec_denorm.clone()).unwrap());
 
         // Sketch upgrade over the matching scalar half: accepted, and
         // the held record now carries the K tag.
         let rec_sketch = make(&sketch);
-        assert!(store.insert_encoded(&rec_sketch).unwrap());
-        assert_eq!(
-            store.record_encoded(42, "A").unwrap().tag,
-            segment::TAG_SKETCH
-        );
+        assert!(store.insert_encoded(rec_sketch.clone()).unwrap());
+        assert_eq!(held(&store, 42, "A").unwrap().tag, segment::TAG_SKETCH);
         // Scalar re-arrival against the held sketch record: agreed no-op.
-        assert!(!store.insert_encoded(&rec_scalar).unwrap());
+        assert!(!store.insert_encoded(rec_scalar.clone()).unwrap());
         // A *different* sketch under the same scalar half is a same-kind
         // contradiction here — insert_encoded is equality-confirmed per
         // rung; only merge_from knows the sketch ⊔ sketch join.
         let mut other_sketch = sketch.clone();
         other_sketch.sketch.as_mut().unwrap().observe(1.25e-4);
         assert_eq!(
-            store.insert_encoded(&make(&other_sketch)).unwrap_err().kind,
+            store.insert_encoded(make(&other_sketch)).unwrap_err().kind,
             MergeConflictKind::OutcomeMismatch
         );
 
         // Series upgrade over the matching sketch: accepted *because*
         // the held sketch is the derivation of the arriving series.
         let rec_series = make(&series);
-        assert!(store.insert_encoded(&rec_series).unwrap());
-        assert_eq!(
-            store.record_encoded(42, "A").unwrap().tag,
-            segment::TAG_SERIES
-        );
+        assert!(store.insert_encoded(rec_series.clone()).unwrap());
+        assert_eq!(held(&store, 42, "A").unwrap().tag, segment::TAG_SERIES);
         // Scalar and derived-sketch re-arrivals against the held series
         // record: agreed no-ops.
-        assert!(!store.insert_encoded(&rec_scalar).unwrap());
-        assert!(!store.insert_encoded(&rec_sketch).unwrap());
-        assert_eq!(store.record_encoded(42, "A").unwrap(), rec_series);
+        assert!(!store.insert_encoded(rec_scalar.clone()).unwrap());
+        assert!(!store.insert_encoded(rec_sketch.clone()).unwrap());
+        assert_eq!(held(&store, 42, "A").unwrap(), rec_series);
         // A sketch that is NOT the derivation of the held series is a
         // contradiction, not an agreed downgrade.
         assert_eq!(
-            store.insert_encoded(&make(&other_sketch)).unwrap_err().kind,
+            store.insert_encoded(make(&other_sketch)).unwrap_err().kind,
             MergeConflictKind::OutcomeMismatch
         );
 
         // A contradicting scalar half is refused.
         let mut wrong = outcome_fixture();
         wrong.seed ^= 1;
-        let conflict = store.insert_encoded(&make(&wrong)).unwrap_err();
+        let conflict = store.insert_encoded(make(&wrong)).unwrap_err();
         assert_eq!(conflict.kind, MergeConflictKind::OutcomeMismatch);
         // A different spec behind the same key is refused.
         let rec_badspec = EncodedRecord {
@@ -2150,7 +2122,7 @@ mod tests {
             ..rec_scalar.clone()
         };
         assert_eq!(
-            store.insert_encoded(&rec_badspec).unwrap_err().kind,
+            store.insert_encoded(rec_badspec.clone()).unwrap_err().kind,
             MergeConflictKind::SpecMismatch
         );
         // A corrupt outcome payload is refused, not inserted.
@@ -2159,7 +2131,7 @@ mod tests {
             outcome_canon: "not an outcome".into(),
             ..rec_scalar.clone()
         };
-        assert!(store.insert_encoded(&rec_corrupt).is_err());
+        assert!(store.insert_encoded(rec_corrupt.clone()).is_err());
         assert_eq!(store.len(), 1);
     }
 
@@ -2231,131 +2203,6 @@ mod tests {
         let encoded = canon_string(&outcome);
         let decoded = parse_outcome(&encoded).expect("empty series parses back");
         assert!(decoded.bit_identical(&outcome));
-    }
-
-    #[test]
-    fn series_records_tagged_and_cross_checked() {
-        // A store holding one scalar and one series record writes `R` and
-        // `S` tags respectively; forging the tag of either line fails the
-        // cross-check (after re-checksumming, so only the tag is at
-        // fault).
-        let path = tmp_path("series-tags");
-        let _ = std::fs::remove_file(&path);
-        let cache = SweepCache::new();
-        let g = grid(2);
-        let _ = serial(&cache).run::<Maintenance>(vec![g[0].clone()]);
-        let _ = serial(&cache)
-            .capture(Capture::Series)
-            .run::<Maintenance>(vec![g[1].clone()]);
-        let mut store = SweepStore::open(&path).unwrap();
-        store.absorb(&cache);
-        store.save().unwrap();
-
-        let text = std::fs::read_to_string(&path).unwrap();
-        let tags: Vec<char> = text
-            .lines()
-            .skip(1)
-            .map(|l| l.chars().next().unwrap())
-            .collect();
-        let mut sorted = tags.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec!['R', 'S'], "one scalar + one series record");
-
-        let reopened = SweepStore::open(&path).unwrap();
-        assert_eq!(reopened.len(), 2);
-        let hydrated = reopened.hydrate();
-        let warm = serial(&hydrated)
-            .capture(Capture::Series)
-            .run::<Maintenance>(vec![g[1].clone()]);
-        assert_eq!(hydrated.hits(), 1, "series record serves a series request");
-        assert!(warm[0].series.is_some());
-
-        // Forge each tag: the line re-checksums fine but the payload
-        // disagrees with the tag, so the loader must skip it.
-        let forged: String = std::iter::once(text.lines().next().unwrap().to_string())
-            .chain(text.lines().skip(1).map(|line| {
-                let (prefix, _) = line.rsplit_once(' ').unwrap();
-                let flipped = if let Some(rest) = prefix.strip_prefix("R ") {
-                    format!("S {rest}")
-                } else {
-                    format!("R {}", prefix.strip_prefix("S ").unwrap())
-                };
-                let crc = fnv64(flipped.as_bytes());
-                format!("{flipped} {crc:016x}")
-            }))
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        std::fs::write(&path, forged).unwrap();
-        let reopened = SweepStore::open(&path).unwrap();
-        assert_eq!(reopened.len(), 0);
-        assert_eq!(reopened.skipped_lines(), 2, "both forged tags rejected");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn adversarial_records_tagged_and_cross_checked() {
-        // An adversarial scalar writes `A`, an adversarial series record
-        // `B`; forging either tag back to its non-adversarial twin
-        // re-checksums fine but disagrees with the spec's `adversary:+`
-        // block, so the loader must skip it.
-        use crate::spec::{AdversarySpec, AdversaryStrategy};
-        use wl_sim::ProcessId;
-        let path = tmp_path("adv-tags");
-        let _ = std::fs::remove_file(&path);
-        let adv = |spec: ScenarioSpec| {
-            spec.adversary(AdversarySpec::new(
-                vec![ProcessId(0)],
-                AdversaryStrategy::Mute,
-            ))
-        };
-        let cache = SweepCache::new();
-        let g = grid(2);
-        let _ = serial(&cache).run::<Maintenance>(vec![adv(g[0].clone())]);
-        let _ = serial(&cache)
-            .capture(Capture::Series)
-            .run::<Maintenance>(vec![adv(g[1].clone())]);
-        let mut store = SweepStore::open(&path).unwrap();
-        store.absorb(&cache);
-        store.save().unwrap();
-
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut tags: Vec<char> = text
-            .lines()
-            .skip(1)
-            .map(|l| l.chars().next().unwrap())
-            .collect();
-        tags.sort_unstable();
-        assert_eq!(tags, vec!['A', 'B'], "adversarial scalar + series tags");
-        assert_eq!(store.adversarial_len(), 2);
-
-        let reopened = SweepStore::open(&path).unwrap();
-        let hydrated = reopened.hydrate();
-        let warm = serial(&hydrated)
-            .capture(Capture::Series)
-            .run::<Maintenance>(vec![adv(g[1].clone())]);
-        assert_eq!(hydrated.hits(), 1, "B record serves a series request");
-        assert!(warm[0].series.is_some());
-
-        let forged: String = std::iter::once(text.lines().next().unwrap().to_string())
-            .chain(text.lines().skip(1).map(|line| {
-                let (prefix, _) = line.rsplit_once(' ').unwrap();
-                let flipped = if let Some(rest) = prefix.strip_prefix("A ") {
-                    format!("R {rest}")
-                } else {
-                    format!("S {}", prefix.strip_prefix("B ").unwrap())
-                };
-                let crc = fnv64(flipped.as_bytes());
-                format!("{flipped} {crc:016x}")
-            }))
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        std::fs::write(&path, forged).unwrap();
-        let reopened = SweepStore::open(&path).unwrap();
-        assert_eq!(reopened.len(), 0);
-        assert_eq!(reopened.skipped_lines(), 2, "both forged tags rejected");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -2502,8 +2349,16 @@ mod tests {
 
         // Tamper with one of b's outcomes: the merge must refuse.
         let key = b.records.keys().next().unwrap().clone();
-        let record = b.records.get_mut(&key).unwrap();
-        record.outcome_canon = record.outcome_canon.replacen("seed:", "seed:1", 1);
+        let mut encoded = b.records[&key].encoded.clone();
+        let flipped = "agreement_holds:F";
+        assert!(encoded.outcome_canon.contains("agreement_holds:T"));
+        encoded.outcome_canon = encoded
+            .outcome_canon
+            .replacen("agreement_holds:T", flipped, 1);
+        let Admitted::Live(tampered) = Record::admit(encoded) else {
+            panic!("a flipped verdict is still a well-formed record");
+        };
+        b.records.insert(key, tampered);
         let err = a.merge_from(&b).unwrap_err();
         assert_eq!(err.kind, MergeConflictKind::OutcomeMismatch);
         assert_eq!(a.len(), 3, "failed merge left the target untouched");
@@ -2513,15 +2368,10 @@ mod tests {
     /// for exercising the merge arms without running simulations.
     fn store_with(hash: u64, outcome: &SweepOutcome) -> SweepStore {
         let mut store = SweepStore::new();
-        store.records.insert(
+        store.put(
             (hash, "A".to_string()),
-            StoreRecord {
-                spec_canon: "Spec{n:4}".to_string(),
-                outcome_canon: canon_string(outcome),
-                outcome: outcome.clone(),
-            },
+            Record::of_outcome("A", hash, "Spec{n:4}".to_string(), outcome),
         );
-        store.unsaved.insert((hash, "A".to_string()));
         store
     }
 
@@ -2560,7 +2410,8 @@ mod tests {
                 merged: 1
             }
         );
-        let joined = sketch_over(&[1.0e-4, 3.0e-4, f64::NAN, 2.0e-4, -0.0]);
+        let mut joined = sketch_over(&[1.0e-4, 3.0e-4, f64::NAN, 2.0e-4, -0.0]);
+        joined.index = 0; // stored outcomes are index-normalized
         let held = &target.records[&(1, "A".to_string())];
         assert!(
             held.outcome
@@ -2571,7 +2422,7 @@ mod tests {
             "merged sketch must equal the 1-process fold of both shards"
         );
         assert_eq!(
-            held.outcome_canon,
+            held.encoded.outcome_canon,
             canon_string(&joined),
             "the canonical bytes were re-derived after the join"
         );
@@ -2605,11 +2456,14 @@ mod tests {
             (&sk_a, &drifted),
         ] {
             let mut target = store_with(1, ours);
-            let before = target.records[&(1, "A".to_string())].outcome_canon.clone();
+            let before = target.records[&(1, "A".to_string())]
+                .encoded
+                .outcome_canon
+                .clone();
             let err = target.merge_from(&store_with(1, theirs)).unwrap_err();
             assert_eq!(err.kind, MergeConflictKind::OutcomeMismatch);
             assert_eq!(
-                target.records[&(1, "A".to_string())].outcome_canon,
+                target.records[&(1, "A".to_string())].encoded.outcome_canon,
                 before,
                 "refused merge must not touch the target"
             );
@@ -2618,27 +2472,16 @@ mod tests {
         // Validation precedes mutation: a conflict on one key leaves a
         // mergeable sibling key untouched too.
         let mut target = store_with(1, &sk_a);
-        target.records.insert(
-            (2, "A".to_string()),
-            StoreRecord {
-                spec_canon: "Spec{n:4}".to_string(),
-                outcome_canon: canon_string(&scalar),
-                outcome: scalar.clone(),
-            },
-        );
+        target.merge_from(&store_with(2, &scalar)).unwrap();
         let mut incoming = store_with(1, &sk_b);
-        incoming.records.insert(
-            (2, "A".to_string()),
-            StoreRecord {
-                spec_canon: "Spec{n:4}".to_string(),
-                outcome_canon: canon_string(&series),
-                outcome: series.clone(),
-            },
-        );
-        let before = target.records[&(1, "A".to_string())].outcome_canon.clone();
+        incoming.merge_from(&store_with(2, &series)).unwrap();
+        let before = target.records[&(1, "A".to_string())]
+            .encoded
+            .outcome_canon
+            .clone();
         assert!(target.merge_from(&incoming).is_err());
         assert_eq!(
-            target.records[&(1, "A".to_string())].outcome_canon,
+            target.records[&(1, "A".to_string())].encoded.outcome_canon,
             before,
             "the mergeable key must not merge when a sibling conflicts"
         );
@@ -2705,6 +2548,91 @@ mod tests {
         b.persist().unwrap();
         let merged = SweepStore::open(&path).unwrap();
         assert_eq!(merged.len(), 4, "both processes' records survive");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn persist_adopts_richer_records_instead_of_downgrading() {
+        // Two processes open one store of scalar records. B re-sweeps at
+        // series richness and persists; A — all scalar hits, nothing new
+        // — persists after it. A's persist must adopt B's series records
+        // over its own scalar copies, not write the scalar copies back.
+        let path = tmp_path("persist-upgrade");
+        let _ = std::fs::remove_file(&path);
+        let mut seed = DiskSweepCache::open(&path).unwrap();
+        let _ = serial(seed.cache()).run::<Maintenance>(grid(2));
+        seed.persist().unwrap();
+
+        let mut a = DiskSweepCache::open(&path).unwrap();
+        let mut b = DiskSweepCache::open(&path).unwrap();
+        let _ = serial(b.cache())
+            .capture(Capture::Series)
+            .run::<Maintenance>(grid(2));
+        b.persist().unwrap();
+        let rich_len = std::fs::metadata(&path).unwrap().len();
+        let _ = serial(a.cache())
+            .expect_misses(0)
+            .run::<Maintenance>(grid(2));
+        assert_eq!(a.persist().unwrap(), 0, "A swept nothing new");
+        // A second persist has nothing poorer left to absorb back.
+        a.persist().unwrap();
+        assert!(
+            std::fs::metadata(&path).unwrap().len() >= rich_len,
+            "A's persist shrank the shared store"
+        );
+
+        let c = DiskSweepCache::open(&path).unwrap();
+        let served = serial(c.cache())
+            .capture(Capture::Series)
+            .expect_misses(0)
+            .run::<Maintenance>(grid(2));
+        assert!(served.iter().all(|o| o.series.is_some()));
+
+        // A contradiction is not an upgrade: ours stays, silently.
+        let scalar = outcome_fixture();
+        let mut wrong = outcome_fixture();
+        wrong.seed ^= 1;
+        wrong.series = Some(series_fixture());
+        let mut ours = store_with(7, &scalar);
+        assert_eq!(ours.adopt_missing_from(&store_with(7, &wrong)), 0);
+        assert_eq!(
+            ours.records[&(7, "A".to_string())].kind(),
+            PayloadKind::Scalar
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn hydrated_records_are_shared_not_copied() {
+        let path = tmp_path("shared-records");
+        let _ = std::fs::remove_file(&path);
+        let g = grid(3);
+        let cold = SweepCache::new();
+        let _ = serial(&cold).run::<Maintenance>(g.clone());
+        let mut store = SweepStore::open(&path).unwrap();
+        store.set_format(StoreFormat::Binary);
+        store.absorb(&cold);
+        store.save().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+
+        // An untouched hydrated cache holds the store's own records:
+        // nothing to absorb, nothing to flush, not a byte written.
+        let mut store = SweepStore::open(&path).unwrap();
+        let cache = store.hydrate();
+        let shared = cache.snapshot();
+        assert!(shared
+            .iter()
+            .all(|r| store.records.values().any(|ours| Arc::ptr_eq(ours, r))));
+        assert_eq!(store.absorb(&cache), 0);
+        assert_eq!(store.checkpoint().unwrap(), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+
+        // Upgrading one scalar record to a sketch changes exactly it.
+        let _ = serial(&cache)
+            .capture(Capture::Sketch)
+            .run::<Maintenance>(vec![g[1].clone()]);
+        assert_eq!(store.absorb(&cache), 1);
+        assert_eq!(store.checkpoint().unwrap(), 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2868,7 +2796,7 @@ mod tests {
                 // The spec canon is opaque to the store; use an escaped
                 // arbitrary string (space-free, like real canon output).
                 let spec_canon = canon_string(&format!("spec {i} of seed {seed}"));
-                cache.seed(rng.gen(), algo, spec_canon, outcome);
+                cache.store(Record::of_outcome(&algo, rng.gen(), spec_canon, &outcome));
             }
             let text1 = tmp_path(&format!("prop-mig-t1-{seed}"));
             let binary = tmp_path(&format!("prop-mig-b-{seed}"));
@@ -3008,12 +2936,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let cache = SweepCache::new();
         let _ = serial(&cache).run::<Maintenance>(grid(3));
-        let mut store = SweepStore::open(&path).unwrap();
-        store.set_format(StoreFormat::Binary);
-        store.set_segment_capacity(1); // every record overflows: 1 segment each
+        let mut store = SweepStore::new();
         store.absorb(&cache);
-        store.save().unwrap();
-        let full = std::fs::read(&path).unwrap();
+        // Capacity 1: every record overflows, so 1 segment each (a
+        // store adopts the capacity its file's header states).
+        let records = store.records.values().map(|r| &r.encoded);
+        let full = segment::write_file(records, 1);
 
         // Mid-record cut: the torn record is lost, everything before it
         // survives.

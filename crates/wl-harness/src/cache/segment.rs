@@ -131,35 +131,14 @@ pub enum PayloadKind {
     Series,
 }
 
-/// Whether records under `tag` carry a series payload.
-#[must_use]
-pub fn tag_has_series(tag: u8) -> bool {
-    tag == TAG_SERIES || tag == TAG_ADV_SERIES
-}
-
-/// Whether records under `tag` carry a sketch payload (exactly the
-/// `K`/`L` tags — series tags answer `false` here even though a sketch
-/// is derivable from their payload).
-#[must_use]
-pub fn tag_has_sketch(tag: u8) -> bool {
-    tag == TAG_SKETCH || tag == TAG_ADV_SKETCH
-}
-
-/// Whether records under `tag` describe an adversarial spec.
-#[must_use]
-pub fn tag_is_adversarial(tag: u8) -> bool {
-    tag == TAG_ADV_SCALAR || tag == TAG_ADV_SERIES || tag == TAG_ADV_SKETCH
-}
-
-/// The payload richness level encoded by `tag`.
+/// The payload richness level encoded by `tag` (an unknown tag reads
+/// as scalar; decoders reject those before this is asked).
 #[must_use]
 pub fn tag_payload_kind(tag: u8) -> PayloadKind {
-    if tag_has_series(tag) {
-        PayloadKind::Series
-    } else if tag_has_sketch(tag) {
-        PayloadKind::Sketch
-    } else {
-        PayloadKind::Scalar
+    match tag {
+        TAG_SERIES | TAG_ADV_SERIES => PayloadKind::Series,
+        TAG_SKETCH | TAG_ADV_SKETCH => PayloadKind::Sketch,
+        _ => PayloadKind::Scalar,
     }
 }
 
@@ -312,12 +291,10 @@ impl EncodedRecord {
     /// Whether `tag` is one of the known record tags.
     #[must_use]
     pub fn known_tag(tag: u8) -> bool {
-        tag == TAG_SCALAR
-            || tag == TAG_SERIES
-            || tag == TAG_ADV_SCALAR
-            || tag == TAG_ADV_SERIES
-            || tag == TAG_SKETCH
-            || tag == TAG_ADV_SKETCH
+        matches!(
+            tag,
+            TAG_SCALAR | TAG_SERIES | TAG_ADV_SCALAR | TAG_ADV_SERIES | TAG_SKETCH | TAG_ADV_SKETCH
+        )
     }
 
     /// Serializes this record: `u32` LE body length, then the
@@ -409,37 +386,44 @@ impl EncodedRecord {
 /// well inside the LZ window.
 #[must_use]
 pub fn encode_packed_block(records: &[EncodedRecord]) -> Vec<u8> {
+    packed_block(records)
+}
+
+/// [`encode_packed_block`] over owned or borrowed records alike — the
+/// writer packs the records it was lent without copying them first.
+fn packed_block<R: std::borrow::Borrow<EncodedRecord>>(records: &[R]) -> Vec<u8> {
     let len32 = |n: usize| u32::try_from(n).expect("payload < 4 GiB").to_le_bytes();
+    let records = || records.iter().map(std::borrow::Borrow::borrow);
     let mut out = Vec::new();
-    for r in records {
+    for r in records() {
         out.push(r.tag);
     }
-    for r in records {
+    for r in records() {
         out.extend_from_slice(&r.content_hash.to_le_bytes());
     }
-    for r in records {
+    for r in records() {
         out.extend_from_slice(&r.engine_version.to_le_bytes());
     }
-    for r in records {
+    for r in records() {
         out.extend_from_slice(
             &u16::try_from(r.algo.len())
                 .expect("algorithm names are short")
                 .to_le_bytes(),
         );
     }
-    for r in records {
+    for r in records() {
         out.extend_from_slice(r.algo.as_bytes());
     }
-    for r in records {
+    for r in records() {
         out.extend_from_slice(&len32(r.spec_canon.len()));
     }
-    for r in records {
+    for r in records() {
         out.extend_from_slice(r.spec_canon.as_bytes());
     }
-    for r in records {
+    for r in records() {
         out.extend_from_slice(&len32(r.outcome_canon.len()));
     }
-    for r in records {
+    for r in records() {
         out.extend_from_slice(r.outcome_canon.as_bytes());
     }
     out
@@ -455,67 +439,47 @@ pub fn encode_packed_block(records: &[EncodedRecord]) -> Vec<u8> {
 #[must_use]
 pub fn decode_packed_block(data: &[u8], count: usize) -> Option<Vec<EncodedRecord>> {
     let mut c = Take(data);
-    let tags = c.bytes(count)?.to_vec();
+    let tags = c.bytes(count)?;
     if !tags.iter().all(|&t| EncodedRecord::known_tag(t)) {
         return None;
     }
-    let hashes: Vec<u64> = (0..count).map(|_| c.u64()).collect::<Option<_>>()?;
-    let versions: Vec<u32> = (0..count).map(|_| c.u32()).collect::<Option<_>>()?;
-    let algo_lens: Vec<usize> = (0..count)
-        .map(|_| c.u16().map(usize::from))
-        .collect::<Option<_>>()?;
-    let take_strings = |c: &mut Take<'_>, lens: &[usize]| -> Option<Vec<String>> {
-        lens.iter()
-            .map(|&n| String::from_utf8(c.bytes(n)?.to_vec()).ok())
-            .collect()
-    };
-    let algos = take_strings(&mut c, &algo_lens)?;
-    let spec_lens: Vec<usize> = (0..count)
-        .map(|_| c.u32().map(|n| n as usize))
-        .collect::<Option<_>>()?;
-    let specs = take_strings(&mut c, &spec_lens)?;
-    let outcome_lens: Vec<usize> = (0..count)
-        .map(|_| c.u32().map(|n| n as usize))
-        .collect::<Option<_>>()?;
-    let outcomes = take_strings(&mut c, &outcome_lens)?;
-    if !c.0.is_empty() {
-        return None;
+    let mut records: Vec<EncodedRecord> = tags
+        .iter()
+        .map(|&tag| EncodedRecord {
+            tag,
+            content_hash: 0,
+            engine_version: 0,
+            algo: String::new(),
+            spec_canon: String::new(),
+            outcome_canon: String::new(),
+        })
+        .collect();
+    for r in &mut records {
+        r.content_hash = c.u64()?;
     }
-    Some(
-        zip6(tags, hashes, versions, algos, specs, outcomes)
-            .map(
-                |(tag, content_hash, engine_version, algo, spec_canon, outcome_canon)| {
-                    EncodedRecord {
-                        tag,
-                        content_hash,
-                        engine_version,
-                        algo,
-                        spec_canon,
-                        outcome_canon,
-                    }
-                },
-            )
-            .collect(),
-    )
-}
-
-/// Six-way zip (the standard library stops at two).
-#[allow(clippy::type_complexity)]
-fn zip6(
-    tags: Vec<u8>,
-    hashes: Vec<u64>,
-    versions: Vec<u32>,
-    algos: Vec<String>,
-    specs: Vec<String>,
-    outcomes: Vec<String>,
-) -> impl Iterator<Item = (u8, u64, u32, String, String, String)> {
-    tags.into_iter()
-        .zip(hashes)
-        .zip(versions)
-        .zip(algos)
-        .zip(specs)
-        .zip(outcomes)
-        .map(|(((((t, h), v), a), s), o)| (t, h, v, a, s, o))
+    for r in &mut records {
+        r.engine_version = c.u32()?;
+    }
+    // Each string column: every length (u16 for names, u32 for canons),
+    // then every string.
+    let mut column = |wide: bool, field: fn(&mut EncodedRecord) -> &mut String| {
+        let len = |c: &mut Take<'_>| {
+            if wide {
+                c.u32().map(|n| n as usize)
+            } else {
+                c.u16().map(usize::from)
+            }
+        };
+        let lens: Vec<usize> = (0..count).map(|_| len(&mut c)).collect::<Option<_>>()?;
+        for (r, n) in records.iter_mut().zip(lens) {
+            *field(r) = String::from_utf8(c.bytes(n)?.to_vec()).ok()?;
+        }
+        Some(())
+    };
+    column(false, |r| &mut r.algo)?;
+    column(true, |r| &mut r.spec_canon)?;
+    column(true, |r| &mut r.outcome_canon)?;
+    c.done().then_some(records)
 }
 
 // ---------------------------------------------------------------------------
@@ -552,16 +516,16 @@ fn zip6(
 /// assert_eq!((reader.segments(), reader.damaged()), (2, 0));
 /// ```
 #[derive(Debug)]
-pub struct SegmentWriter {
+pub struct SegmentWriter<'a> {
     capacity: u32,
     next_ordinal: u32,
     out: Vec<u8>,
     block: Vec<u8>,
-    pending: Vec<EncodedRecord>,
-    block_records: u32,
+    /// The open segment's records, borrowed until it seals.
+    pending: Vec<&'a EncodedRecord>,
 }
 
-impl SegmentWriter {
+impl<'a> SegmentWriter<'a> {
     /// A writer producing segments `first_ordinal, first_ordinal+1, …`
     /// with the given record-block capacity.
     #[must_use]
@@ -572,7 +536,6 @@ impl SegmentWriter {
             out: Vec::new(),
             block: Vec::new(),
             pending: Vec::new(),
-            block_records: 0,
         }
     }
 
@@ -581,14 +544,13 @@ impl SegmentWriter {
     /// fall) is accounted in the *plain* encoding, whether or not the
     /// sealed segment ends up packed — so boundary placement never
     /// depends on compression ratios.
-    pub fn push(&mut self, record: &EncodedRecord) {
+    pub fn push(&mut self, record: &'a EncodedRecord) {
         let encoded = record.encode();
         if !self.block.is_empty() && self.block.len() + encoded.len() > self.capacity as usize {
             self.seal();
         }
         self.block.extend_from_slice(&encoded);
-        self.pending.push(record.clone());
-        self.block_records += 1;
+        self.pending.push(record);
     }
 
     fn seal(&mut self) {
@@ -600,15 +562,15 @@ impl SegmentWriter {
         // block hex-packed + LZ'd, 32-byte header). Keep the smaller;
         // ties go to plain. Both sides are pure functions of the record
         // sequence, so the choice — and the file — stays deterministic.
-        let raw_block = encode_packed_block(&self.pending);
+        let raw_block = packed_block(&self.pending);
         let mid = wlz::hex_pack(&raw_block);
         let stored = wlz::compress(&mid);
+        let len32 = |n: usize| u32::try_from(n).expect("segment < 4 GiB").to_le_bytes();
+        let count = len32(self.pending.len());
         if PACKED_SEGMENT_HEADER_LEN + stored.len() < SEGMENT_HEADER_LEN + self.block.len() {
-            let len32 = |n: usize| u32::try_from(n).expect("segment < 4 GiB").to_le_bytes();
             self.out.extend_from_slice(&SEGMENT_MAGIC_PACKED);
             self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
-            self.out
-                .extend_from_slice(&self.block_records.to_le_bytes());
+            self.out.extend_from_slice(&count);
             self.out.extend_from_slice(&len32(stored.len()));
             self.out.extend_from_slice(&len32(mid.len()));
             self.out.extend_from_slice(&len32(raw_block.len()));
@@ -618,19 +580,13 @@ impl SegmentWriter {
         } else {
             self.out.extend_from_slice(&SEGMENT_MAGIC);
             self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
-            self.out
-                .extend_from_slice(&self.block_records.to_le_bytes());
-            self.out.extend_from_slice(
-                &u32::try_from(self.block.len())
-                    .expect("segment < 4 GiB")
-                    .to_le_bytes(),
-            );
+            self.out.extend_from_slice(&count);
+            self.out.extend_from_slice(&len32(self.block.len()));
             self.out
                 .extend_from_slice(&fnv64(&self.block).to_le_bytes());
             self.out.append(&mut self.block);
         }
         self.pending.clear();
-        self.block_records = 0;
         self.next_ordinal += 1;
     }
 

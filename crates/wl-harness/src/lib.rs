@@ -28,8 +28,9 @@
 //!   across threads ([`SweepRunner`]) with
 //!   deterministic per-scenario seed derivation ([`derive_seed`]). Results
 //!   are identical at any thread count, including one. Grids also split
-//!   across *processes and machines*: [`Shard`] + [`merge_sharded`]
-//!   cover a grid k/N-wise with equality-confirmed reassembly.
+//!   across *processes and machines*: [`Shard`] covers a grid k/N-wise
+//!   and [`SweepStore::merge_from`] reassembles the shards' stores,
+//!   equality-confirmed.
 //! * [`cache`] — the persistence layer: [`SweepCache`] memoizes per-spec
 //!   results in memory; [`SweepStore`] persists them to a
 //!   content-addressed, corruption-tolerant record file shared across
@@ -127,8 +128,8 @@ pub use service::{
 pub use sketch::{store_report, SketchObserver, SkewSketch};
 pub use spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 pub use sweep::{
-    derive_seed, merge_sharded, Capture, Shard, ShardMergeError, SweepAlgorithm, SweepCache,
-    SweepOutcome, SweepRequest, SweepRunner, SweepSeries, SweepSummary, TierPolicy,
+    derive_seed, Capture, Shard, SweepAlgorithm, SweepCache, SweepOutcome, SweepRequest,
+    SweepRunner, SweepSeries, SweepSummary, TierPolicy,
 };
 pub use transport::{
     drive_frontier, DropBoxTransport, FrontierDriveError, FrontierDriveReport,

@@ -24,7 +24,7 @@
 //!   [`SweepRequest`](crate::SweepRequest) runs and
 //!   [`run_worker_frontier`] consult when `WL_SWEEP_SERVICE` is set:
 //!   before a sweep it batch-resolves every point its local cache lacks,
-//!   and after the sweep it offers back (put-record) any point the
+//!   and after the sweep it offers back (one put-batch) every point the
 //!   service could not supply. The tier is strictly additive — losing
 //!   the server mid run degrades to local simulation, never to an error.
 //!
@@ -46,10 +46,10 @@
 //! [`run_worker_frontier`]: crate::frontier::run_worker_frontier
 //! [`ScenarioSpec::content_hash`]: ScenarioSpec::content_hash
 
-use crate::cache::segment::{
-    record_tag, tag_has_series, tag_has_sketch, EncodedRecord, PayloadKind, Take,
+use crate::cache::segment::{EncodedRecord, Take};
+use crate::cache::{
+    canon_string, fnv64, Admitted, Record, StoreFormat, SweepStore, ENGINE_VERSION,
 };
-use crate::cache::{canon_string, fnv64, parse_outcome, StoreFormat, SweepStore, ENGINE_VERSION};
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 use crate::sweep::{run_point_as, Capture, SweepAlgorithm, SweepCache, SweepRunner};
 use std::collections::HashSet;
@@ -59,7 +59,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use wl_clock::drift::DriftModel;
 use wl_core::{AveragingFn, Params};
@@ -552,7 +552,8 @@ pub fn decode_spec(bytes: &[u8]) -> Option<ScenarioSpec> {
 // ---------------------------------------------------------------------------
 
 const OP_GET: u8 = 0x01;
-const OP_PUT: u8 = 0x02;
+// 0x02 was the single-record put; retired, never reused — a one-element
+// put-batch is the single put.
 const OP_BATCH_GET: u8 = 0x03;
 const OP_STATS: u8 = 0x04;
 const OP_SHUTDOWN: u8 = 0x05;
@@ -591,11 +592,6 @@ pub enum Request {
         /// The algorithm name ([`crate::SyncAlgorithm::NAME`]).
         algo: String,
     },
-    /// Contribute one canonical record (equality-confirmed insert).
-    Put {
-        /// The record, exactly as a store would hold it.
-        record: EncodedRecord,
-    },
     /// Resolve a batch of grid points: warm ones from the index, the
     /// rest simulated on the server's pool, inserted, checkpointed,
     /// and returned.
@@ -609,10 +605,10 @@ pub enum Request {
         /// The grid points, in client order.
         items: Vec<BatchItem>,
     },
-    /// Contribute many canonical records in one frame: one lock
-    /// acquisition and one checkpoint for the whole batch, where the
-    /// per-record [`Request::Put`] pays both per record. This is how
-    /// frontier workers return a whole chunk's simulated points.
+    /// Contribute canonical records (equality-confirmed inserts) in one
+    /// frame: one lock acquisition and one checkpoint for the whole
+    /// batch. This is how a sweep, or a frontier worker per chunk,
+    /// returns the points it simulated.
     PutBatch {
         /// The records, exactly as a store would hold them.
         records: Vec<EncodedRecord>,
@@ -633,7 +629,7 @@ pub struct ServiceStats {
     pub warm_hits: u64,
     /// Grid points simulated on the server's pool.
     pub simulated: u64,
-    /// Records accepted via [`Request::Put`] / [`Request::PutBatch`].
+    /// Records accepted via [`Request::PutBatch`].
     pub puts: u64,
     /// Requests handled (all opcodes).
     pub requests: u64,
@@ -649,7 +645,7 @@ pub enum Response {
     },
     /// A [`Request::Get`] miss.
     Miss,
-    /// Acknowledges a [`Request::Put`] or [`Request::Shutdown`].
+    /// Acknowledges a [`Request::PutBatch`] or [`Request::Shutdown`].
     Ok,
     /// Per-point results of a [`Request::BatchGet`], in request order.
     /// `None` = the server could not resolve the point (undecodable
@@ -692,17 +688,6 @@ fn capture_from_byte(byte: u8) -> Option<Capture> {
     }
 }
 
-/// Whether a record under `tag` can satisfy `need` without parsing its
-/// payload — the tag-level prefilter; the outcome-level
-/// [`Capture::satisfied_by`] confirms after parsing.
-fn tag_satisfies(need: Capture, tag: u8) -> bool {
-    match need {
-        Capture::Scalar => true,
-        Capture::Sketch => tag_has_sketch(tag) || tag_has_series(tag),
-        Capture::Series => tag_has_series(tag),
-    }
-}
-
 /// Encodes a request into a frame body (opcode + payload, no checksum —
 /// the framing layer adds it).
 #[must_use]
@@ -721,10 +706,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             out.push(capture_byte(*need));
             push_str16(&mut out, algo);
         }
-        Request::Put { record } => {
-            out.push(OP_PUT);
-            out.extend_from_slice(&record.encode());
-        }
         Request::BatchGet {
             engine_version,
             need,
@@ -742,16 +723,21 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 push_blob32(&mut out, &item.spec);
             }
         }
-        Request::PutBatch { records } => {
-            out.push(OP_PUT_BATCH);
-            let count = u32::try_from(records.len()).expect("batch < 4G records");
-            out.extend_from_slice(&count.to_le_bytes());
-            for record in records {
-                out.extend_from_slice(&record.encode());
-            }
-        }
+        Request::PutBatch { records } => out = put_batch_body(records.iter()),
         Request::Stats => out.push(OP_STATS),
         Request::Shutdown => out.push(OP_SHUTDOWN),
+    }
+    out
+}
+
+/// The frame body of a [`Request::PutBatch`], over records the caller
+/// keeps — the client tier sends the cache's own records, uncopied.
+fn put_batch_body<'a>(records: impl ExactSizeIterator<Item = &'a EncodedRecord>) -> Vec<u8> {
+    let mut out = vec![OP_PUT_BATCH];
+    let count = u32::try_from(records.len()).expect("batch < 4G records");
+    out.extend_from_slice(&count.to_le_bytes());
+    for record in records {
+        out.extend_from_slice(&record.encode());
     }
     out
 }
@@ -766,9 +752,6 @@ pub fn decode_request(body: &[u8]) -> Option<Request> {
             engine_version: t.u32()?,
             need: capture_from_byte(t.u8()?)?,
             algo: str16(&mut t)?,
-        },
-        OP_PUT => Request::Put {
-            record: record(&mut t)?,
         },
         OP_BATCH_GET => {
             let engine_version = t.u32()?;
@@ -980,16 +963,20 @@ impl ServiceClient {
     /// Connect/write/read failures, and [`io::ErrorKind::InvalidData`]
     /// for frames that fail their checksum or decode.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
-        let body = encode_request(req);
+        self.send(&encode_request(req))
+    }
+
+    /// [`request`](ServiceClient::request) for an already-encoded body.
+    fn send(&mut self, body: &[u8]) -> io::Result<Response> {
         let reused = self.stream.is_some();
-        match self.roundtrip(&body) {
+        match self.roundtrip(body) {
             Ok(resp) => Ok(resp),
             Err(e) if reused => {
                 // The pooled connection may have died with the previous
                 // server process; one fresh connection decides it.
                 let _ = e;
                 self.stream = None;
-                self.roundtrip(&body)
+                self.roundtrip(body)
             }
             Err(e) => {
                 self.stream = None;
@@ -1045,22 +1032,6 @@ impl ServiceClient {
         }
     }
 
-    /// Contributes one canonical record.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures; [`io::ErrorKind::InvalidData`] if the server
-    /// refuses the record (engine mismatch, corrupt payload, conflict).
-    pub fn put(&mut self, record: &EncodedRecord) -> io::Result<()> {
-        match self.request(&Request::Put {
-            record: record.clone(),
-        })? {
-            Response::Ok => Ok(()),
-            Response::Err { message } => Err(bad_data(&message)),
-            _ => Err(bad_data("unexpected response to put")),
-        }
-    }
-
     /// Contributes many canonical records in one frame (one server-side
     /// lock acquisition and one checkpoint for all of them).
     ///
@@ -1070,12 +1041,17 @@ impl ServiceClient {
     /// refuses any record (engine mismatch, corrupt payload, conflict) —
     /// records ahead of the refused one are still accepted and durable.
     pub fn put_batch(&mut self, records: &[EncodedRecord]) -> io::Result<()> {
-        if records.is_empty() {
+        self.put_records(records.iter())
+    }
+
+    fn put_records<'a>(
+        &mut self,
+        records: impl ExactSizeIterator<Item = &'a EncodedRecord>,
+    ) -> io::Result<()> {
+        if records.len() == 0 {
             return Ok(());
         }
-        match self.request(&Request::PutBatch {
-            records: records.to_vec(),
-        })? {
+        match self.send(&put_batch_body(records))? {
             Response::Ok => Ok(()),
             Response::Err { message } => Err(bad_data(&message)),
             _ => Err(bad_data("unexpected response to put-batch")),
@@ -1247,23 +1223,14 @@ impl ServiceSweepCache {
         let mut served = 0usize;
         let mut pending = self.pending.lock().expect("service pending poisoned");
         for ((hash, canon, _spec), record) in wanted.into_iter().zip(records) {
-            let outcome = record
-                .as_ref()
-                .filter(|r| {
-                    r.engine_version == ENGINE_VERSION
-                        && r.algo == A::NAME
-                        && r.content_hash == hash
-                        && r.spec_canon == canon
-                        && tag_satisfies(need, r.tag)
-                })
-                .and_then(|r| parse_outcome(&r.outcome_canon))
-                .filter(|o| need.satisfied_by(o));
-            match outcome {
-                Some(outcome) => {
-                    cache.seed(hash, A::NAME.to_string(), canon, outcome);
+            // Admitted like any stored record, and it must be the answer
+            // to the question asked; anything else stays unresolved.
+            match record.map(Record::admit) {
+                Some(Admitted::Live(record)) if record.answers(hash, A::NAME, &canon, need) => {
+                    cache.store(record);
                     served += 1;
                 }
-                None => pending.push((hash, canon)),
+                _ => pending.push((hash, canon)),
             }
         }
         self.served.fetch_add(served as u64, Ordering::Relaxed);
@@ -1279,18 +1246,15 @@ impl ServiceSweepCache {
             return;
         }
         let pending = std::mem::take(&mut *self.pending.lock().expect("service pending poisoned"));
-        let records: Vec<EncodedRecord> = pending
+        let records: Vec<Arc<Record>> = pending
             .into_iter()
-            .filter_map(|(hash, canon)| {
-                let outcome = cache.peek(hash, A::NAME, &canon, Capture::Scalar)?;
-                Some(canonical_record(A::NAME, hash, &canon, &outcome))
-            })
+            .filter_map(|(hash, canon)| cache.peek(hash, A::NAME, &canon, Capture::Scalar))
             .collect();
         if records.is_empty() {
             return;
         }
         let mut client = self.client.lock().expect("service client poisoned");
-        match client.put_batch(&records) {
+        match client.put_records(records.iter().map(|record| record.encoded())) {
             Ok(()) => {
                 self.pushed
                     .fetch_add(records.len() as u64, Ordering::Relaxed);
@@ -1312,34 +1276,6 @@ impl ServiceSweepCache {
                 self.addr
             );
         }
-    }
-}
-
-/// Builds the canonical store/wire record for an outcome: grid index
-/// normalized to zero (*what* was computed, not where it sat in some
-/// grid — the same normalization [`SweepStore::absorb`] applies).
-fn canonical_record(
-    algo: &str,
-    content_hash: u64,
-    spec_canon: &str,
-    outcome: &crate::sweep::SweepOutcome,
-) -> EncodedRecord {
-    let mut normalized = outcome.clone();
-    normalized.index = 0;
-    let kind = if normalized.series.is_some() {
-        PayloadKind::Series
-    } else if normalized.sketch.is_some() {
-        PayloadKind::Sketch
-    } else {
-        PayloadKind::Scalar
-    };
-    EncodedRecord {
-        tag: record_tag(kind, crate::cache::spec_is_adversarial(spec_canon)),
-        content_hash,
-        engine_version: ENGINE_VERSION,
-        algo: algo.to_string(),
-        spec_canon: spec_canon.to_string(),
-        outcome_canon: canon_string(&normalized),
     }
 }
 
@@ -1607,40 +1543,14 @@ fn dispatch(
                 return Ok(Response::Miss);
             }
             let mut c = lock_core(core);
-            match c
-                .store
-                .record_encoded(content_hash, &algo)
-                .filter(|r| tag_satisfies(need, r.tag))
-            {
+            match warm(&c.store, content_hash, &algo, need) {
                 Some(record) => {
                     c.warm_hits += 1;
-                    Response::Found { record }
+                    Response::Found {
+                        record: record.encoded().clone(),
+                    }
                 }
                 None => Response::Miss,
-            }
-        }
-        Request::Put { record } => {
-            if record.engine_version != ENGINE_VERSION {
-                Response::Err {
-                    message: format!(
-                        "record engine v{} != server engine v{ENGINE_VERSION}",
-                        record.engine_version
-                    ),
-                }
-            } else {
-                let mut c = lock_core(core);
-                match c.store.insert_encoded(&record) {
-                    Ok(changed) => {
-                        if changed {
-                            c.puts += 1;
-                            c.store.checkpoint()?;
-                        }
-                        Response::Ok
-                    }
-                    Err(conflict) => Response::Err {
-                        message: format!("record refused: {conflict}"),
-                    },
-                }
             }
         }
         Request::BatchGet {
@@ -1671,7 +1581,7 @@ fn dispatch(
                 let mut c = lock_core(core);
                 let mut changed = 0u64;
                 let mut refused = None;
-                for record in &records {
+                for record in records {
                     match c.store.insert_encoded(record) {
                         Ok(true) => changed += 1,
                         Ok(false) => {}
@@ -1703,6 +1613,13 @@ fn dispatch(
     })
 }
 
+/// The store's record for a key, if it is rich enough for `need` — the
+/// warm path of both get arms, handing out the store's own pointer.
+fn warm(store: &SweepStore, content_hash: u64, algo: &str, need: Capture) -> Option<Arc<Record>> {
+    let held = store.record(content_hash, algo);
+    held.filter(|record| need.kind() <= record.kind()).cloned()
+}
+
 fn batch_get(
     algo: &str,
     need: Capture,
@@ -1711,7 +1628,7 @@ fn batch_get(
     runner: &SweepRunner,
     cfg: &ServeConfig,
 ) -> io::Result<Response> {
-    let mut out: Vec<Option<EncodedRecord>> = vec![None; items.len()];
+    let mut out: Vec<Option<Arc<Record>>> = vec![None; items.len()];
     let mut cold: Vec<(usize, ScenarioSpec)> = Vec::new();
     {
         let mut c = lock_core(core);
@@ -1724,11 +1641,7 @@ fn batch_get(
             else {
                 continue;
             };
-            match c
-                .store
-                .record_encoded(item.content_hash, algo)
-                .filter(|r| tag_satisfies(need, r.tag))
-            {
+            match warm(&c.store, item.content_hash, algo, need) {
                 Some(record) => {
                     c.warm_hits += 1;
                     out[i] = Some(record);
@@ -1744,26 +1657,22 @@ fn batch_get(
             let mut c = lock_core(core);
             for ((i, spec), outcome) in cold.iter().zip(outcomes) {
                 let canon = canon_string(&spec.canonical());
-                let record = canonical_record(algo, spec.content_hash(), &canon, &outcome);
-                match c.store.insert_encoded(&record) {
-                    Ok(inserted) => {
-                        if inserted {
-                            c.simulated += 1;
-                        } else {
-                            // A concurrent client raced this point into
-                            // the store first; determinism guarantees the
-                            // records agree, and the stat stays "records
-                            // resolved by simulation", not "sim calls".
-                            c.warm_hits += 1;
-                        }
-                        out[*i] = Some(record);
-                    }
+                let record = Record::of_outcome(algo, spec.content_hash(), canon, &outcome);
+                match c.store.insert(Arc::clone(&record)) {
+                    Ok(true) => c.simulated += 1,
+                    // A concurrent client raced this point into the store
+                    // first; determinism guarantees the records agree,
+                    // and the stat stays "records resolved by
+                    // simulation", not "sim calls".
+                    Ok(false) => c.warm_hits += 1,
                     Err(conflict) => {
                         // Determinism makes this unreachable short of a
                         // corrupted store; refuse the point, keep going.
                         eprintln!("sweep service: refusing simulated record: {conflict}");
+                        continue;
                     }
                 }
+                out[*i] = Some(record);
             }
             // Checkpoint before responding: answered means durable.
             c.store.checkpoint()?;
@@ -1776,7 +1685,11 @@ fn batch_get(
             }
         }
     }
-    Ok(Response::Batch { items: out })
+    let items = out
+        .iter()
+        .map(|slot| slot.as_ref().map(|record| record.encoded().clone()))
+        .collect();
+    Ok(Response::Batch { items })
 }
 
 /// Runs a batch of grid points under the algorithm named `algo`, through
@@ -2032,7 +1945,7 @@ mod tests {
                     need: arb_need(&mut rng),
                     algo: record.algo.clone(),
                 },
-                Request::Put { record: record.clone() },
+                Request::PutBatch { records: vec![record.clone()] },
                 Request::PutBatch {
                     records: vec![record.clone(), arb_record(&mut rng)],
                 },
@@ -2091,8 +2004,8 @@ mod tests {
     #[test]
     fn frame_tamper_rejection() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let original = Request::Put {
-            record: arb_record(&mut rng),
+        let original = Request::PutBatch {
+            records: vec![arb_record(&mut rng)],
         };
         let body = encode_request(&original);
         let mut wire = Vec::new();
@@ -2118,6 +2031,14 @@ mod tests {
         // Truncation inside a frame is an error, not a short read.
         let mut truncated: &[u8] = &wire[..wire.len() - 1];
         assert!(read_frame(&mut truncated).is_err());
+        // Opcode 0x02 (the retired single-record put) is not a request:
+        // the server answers such a frame "malformed request".
+        let Request::PutBatch { records } = &original else {
+            unreachable!()
+        };
+        let mut retired = vec![0x02];
+        retired.extend_from_slice(&records[0].encode());
+        assert_eq!(decode_request(&retired), None);
     }
 
     #[test]
@@ -2197,8 +2118,14 @@ mod tests {
             let record = record.as_ref().unwrap();
             assert_eq!(record.content_hash, *hash);
             assert_eq!(record.spec_canon, canon_string(&spec.canonical()));
-            let outcome = parse_outcome(&record.outcome_canon).expect("parses");
-            assert_eq!(outcome.index, 0, "stored outcomes are index-normalized");
+            let Admitted::Live(admitted) = Record::admit(record.clone()) else {
+                panic!("served records are live records");
+            };
+            assert_eq!(
+                admitted.outcome().index,
+                0,
+                "stored outcomes are index-normalized"
+            );
         }
         // Warm: a single get hits the same record.
         let warm = client
@@ -2241,7 +2168,7 @@ mod tests {
             };
             canon_string(&outcome)
         };
-        client.put(&foreign).unwrap();
+        client.put_batch(std::slice::from_ref(&foreign)).unwrap();
         let back = client
             .get(foreign.content_hash, &foreign.algo, Capture::Scalar)
             .unwrap()
@@ -2250,7 +2177,7 @@ mod tests {
         // A conflicting put (same key, different outcome) is refused.
         let mut conflicting = foreign.clone();
         conflicting.outcome_canon = conflicting.outcome_canon.replace("seed:1", "seed:9");
-        assert!(client.put(&conflicting).is_err());
+        assert!(client.put_batch(&[conflicting]).is_err());
 
         let stats = client.stats().unwrap();
         assert_eq!(stats.records, 4);
@@ -2300,15 +2227,9 @@ mod tests {
             .iter()
             .map(|spec| {
                 let canon = canon_string(&spec.canonical());
-                let outcome = cache
-                    .peek(
-                        spec.content_hash(),
-                        Maintenance::NAME,
-                        &canon,
-                        Capture::Scalar,
-                    )
-                    .unwrap();
-                canonical_record(Maintenance::NAME, spec.content_hash(), &canon, &outcome)
+                let hash = spec.content_hash();
+                let record = cache.peek(hash, Maintenance::NAME, &canon, Capture::Scalar);
+                record.unwrap().encoded().clone()
             })
             .collect();
         client.put_batch(&records).unwrap();
@@ -2336,7 +2257,9 @@ mod tests {
             let spec = grid(5).pop().unwrap();
             let canon = canon_string(&spec.canonical());
             let outcome = run_point_as::<Maintenance>(Capture::Scalar, 0, &spec, None);
-            canonical_record(Maintenance::NAME, spec.content_hash(), &canon, &outcome)
+            let record =
+                Record::of_outcome(Maintenance::NAME, spec.content_hash(), canon, &outcome);
+            record.encoded().clone()
         };
         let mut conflicting = records[2].clone();
         conflicting.outcome_canon = conflicting.outcome_canon.replace(':', ";");
@@ -2348,6 +2271,188 @@ mod tests {
         let report = server.join().unwrap().unwrap();
         assert_eq!(report.stats.records, 4);
         let _ = std::fs::remove_file(&store_path);
+    }
+
+    /// One admission table: every way an arriving record can be wrong,
+    /// through every carrier a record can arrive on. `Record::admit` is
+    /// the one judge, so each carrier must classify each case the same
+    /// way — a store load skips the corrupt and retains the stale, the
+    /// wire insert refuses both, the client tier leaves both unresolved.
+    #[test]
+    fn admission_table_across_carriers() {
+        use crate::cache::segment::{
+            write_file, DEFAULT_SEGMENT_CAPACITY, TAG_ADV_SCALAR, TAG_ADV_SERIES, TAG_ADV_SKETCH,
+        };
+        use crate::sweep::{SweepOutcome, SweepSeries};
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Class {
+            Live,
+            Stale,
+            Corrupt,
+        }
+        use Class::{Corrupt, Live, Stale};
+
+        let plain = grid(1).remove(0);
+        let adversarial = plain.clone().adversary(AdversarySpec::new(
+            vec![ProcessId(0)],
+            AdversaryStrategy::Mute,
+        ));
+        let scalar = SweepOutcome {
+            index: 4,
+            seed: 1,
+            steady_skew: 2.0,
+            max_skew: 3.0,
+            agreement_holds: true,
+            max_abs_adjustment: 0.5,
+            mean_abs_adjustment: 0.25,
+            adjustment_holds: true,
+            stats: wl_sim::SimStats::default(),
+            sketch: None,
+            series: None,
+        };
+        let mut series = scalar.clone();
+        series.series = Some(SweepSeries {
+            round_times: vec![1.0],
+            round_skews: vec![0.5],
+            skew_times: vec![0.0, 1.0],
+            skew_values: vec![0.25, f64::NAN],
+            corr_procs: vec![2],
+            corr_times: vec![1.0],
+            corr_values: vec![-0.125],
+        });
+        let mut sketch = scalar.clone();
+        sketch.sketch = series.series.as_ref().map(crate::SkewSketch::of_series);
+        let record = |spec: &ScenarioSpec, outcome: &SweepOutcome| {
+            let canon = canon_string(&spec.canonical());
+            let record = Record::of_outcome(Maintenance::NAME, spec.content_hash(), canon, outcome);
+            record.encoded().clone()
+        };
+        // What `of_outcome` stamps: one tag per (payload, adversary) pair.
+        let tags = [
+            (&plain, [TAG_SCALAR, TAG_SKETCH, TAG_SERIES]),
+            (
+                &adversarial,
+                [TAG_ADV_SCALAR, TAG_ADV_SKETCH, TAG_ADV_SERIES],
+            ),
+        ];
+        for (spec, want) in tags {
+            let got = [&scalar, &sketch, &series].map(|outcome| record(spec, outcome).tag);
+            assert_eq!(got, want);
+        }
+
+        let retag = |mut encoded: EncodedRecord, tag: u8| {
+            encoded.tag = tag;
+            encoded
+        };
+        let cases: Vec<(&str, &ScenarioSpec, EncodedRecord, Class)> = vec![
+            ("plain scalar", &plain, record(&plain, &scalar), Live),
+            (
+                "adversarial series",
+                &adversarial,
+                record(&adversarial, &series),
+                Live,
+            ),
+            (
+                "tag says richer than payload",
+                &plain,
+                retag(record(&plain, &scalar), TAG_SERIES),
+                Corrupt,
+            ),
+            (
+                "tag says poorer than payload",
+                &plain,
+                retag(record(&plain, &series), TAG_SCALAR),
+                Corrupt,
+            ),
+            (
+                "adversarial tag on a plain spec",
+                &plain,
+                retag(record(&plain, &scalar), TAG_ADV_SCALAR),
+                Corrupt,
+            ),
+            (
+                "plain tag on an adversarial spec",
+                &adversarial,
+                retag(record(&adversarial, &scalar), TAG_SCALAR),
+                Corrupt,
+            ),
+            (
+                "unparseable outcome",
+                &plain,
+                EncodedRecord {
+                    outcome_canon: "SweepOutcome{index:zero}".into(),
+                    ..record(&plain, &scalar)
+                },
+                Corrupt,
+            ),
+            (
+                "other engine version",
+                &plain,
+                EncodedRecord {
+                    engine_version: ENGINE_VERSION - 1,
+                    ..record(&plain, &scalar)
+                },
+                Stale,
+            ),
+        ];
+        let path = tmp_store("admission");
+        for (name, spec, encoded, want) in cases {
+            // Text line and binary record, via `SweepStore::open`: the
+            // corrupt are skipped, the stale retained, the live loaded.
+            let prefix = format!(
+                "{} {:016x} {} {} {} {}",
+                encoded.tag as char,
+                encoded.content_hash,
+                encoded.engine_version,
+                canon_string(&encoded.algo),
+                encoded.spec_canon,
+                encoded.outcome_canon,
+            );
+            let line = format!("wlsweep 1\n{prefix} {:016x}\n", fnv64(prefix.as_bytes()));
+            let binary = write_file([&encoded], DEFAULT_SEGMENT_CAPACITY);
+            for (carrier, bytes) in [("text", line.into_bytes()), ("binary", binary)] {
+                std::fs::write(&path, bytes).unwrap();
+                let store = SweepStore::open(&path).unwrap();
+                let got = (store.len(), store.stale_records(), store.skipped_lines());
+                let expect = match want {
+                    Live => (1, 0, 0),
+                    Stale => (0, 1, 0),
+                    Corrupt => (0, 0, 1),
+                };
+                assert_eq!(got, expect, "{name} via a {carrier} store");
+                let adversarial_len = usize::from(want == Live && spec.adversary.is_some());
+                assert_eq!(store.adversarial_len(), adversarial_len, "{name}");
+            }
+            // Wire record, via `insert_encoded`: all but the live refused.
+            let mut store = SweepStore::new();
+            let accepted = store.insert_encoded(encoded.clone()).is_ok();
+            assert_eq!(accepted, want == Live, "{name} via the wire");
+            assert_eq!(store.len(), usize::from(want == Live), "{name}");
+            // Client tier, via a `Response::Batch` item from a server
+            // that answers anything: all but the live stay unresolved.
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = ServiceAddr::Tcp(listener.local_addr().unwrap().to_string());
+            let items = vec![Some(encoded)];
+            let server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let _request = read_frame(&mut stream).unwrap();
+                write_frame(&mut stream, &encode_response(&Response::Batch { items })).unwrap();
+            });
+            let cache = SweepCache::new();
+            let served = ServiceSweepCache::new(addr).prefetch::<Maintenance>(
+                std::slice::from_ref(spec),
+                Capture::Scalar,
+                &cache,
+            );
+            server.join().unwrap();
+            let resolved = usize::from(want == Live);
+            assert_eq!(
+                (served, cache.len()),
+                (resolved, resolved),
+                "{name} via the client tier"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     /// The cache tier end-to-end over a unix socket: prefetch seeds the
@@ -2455,7 +2560,7 @@ mod tests {
                     Capture::Series,
                 )
                 .expect("series-bearing hit");
-            assert!(hit.series.is_some());
+            assert!(hit.outcome().series.is_some());
         }
         // The scalar-side view of those records also hits.
         assert_eq!(

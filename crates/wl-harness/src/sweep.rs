@@ -14,13 +14,14 @@
 //! a base seed — decorrelated streams per scenario without coordination.
 //! Because the seed of grid point `i` depends only on `(base, i)`, a grid
 //! can also be split across *processes and machines*: [`Shard`] names a
-//! `k/N` slice, [`SweepRequest::shard`] runs it, and
-//! [`merge_sharded`] reassembles the full grid with equality-confirmed
-//! conflict detection. Persist results across runs with
-//! [`crate::cache::SweepStore`] (see `docs/sweeps.md`).
+//! `k/N` slice, [`SweepRequest::shard`] runs it, and the shards' stores
+//! reassemble the full grid through
+//! [`SweepStore::merge_from`](crate::cache::SweepStore::merge_from), with
+//! equality-confirmed conflict detection (see `docs/sweeps.md`).
 
 use crate::algo::SyncAlgorithm;
-use crate::cache::canon_string;
+use crate::cache::segment::PayloadKind;
+use crate::cache::{canon_string, Record};
 use crate::run::{run_dispatched, RunSummary};
 use crate::service::ServiceSweepCache;
 use crate::sketch::SkewSketch;
@@ -28,7 +29,7 @@ use crate::spec::ScenarioSpec;
 use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use wl_analysis::stats::Online;
 use wl_sim::{Automaton, SimStats};
 
@@ -67,8 +68,9 @@ impl<T> SweepAlgorithm for T where T: SyncAlgorithm + Automaton<Msg = <T as Sync
 /// index, and grid-point seeds depend only on `(base, index)` (see
 /// [`derive_seed`]), so N processes — on N different machines — each
 /// running a [`SweepRequest::shard`] request over the *same* grid cover it
-/// exactly once, and [`merge_sharded`] reassembles the unsharded result
-/// bit-for-bit.
+/// exactly once, and merging their stores
+/// ([`SweepStore::merge_from`](crate::cache::SweepStore::merge_from))
+/// reassembles the unsharded store byte-for-byte.
 ///
 /// Parses from the conventional CLI form `"k/N"`:
 ///
@@ -147,97 +149,6 @@ impl FromStr for Shard {
         }
         Ok(Self { index, count })
     }
-}
-
-/// Why [`merge_sharded`] refused to combine shard outputs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardMergeError {
-    /// No shard produced grid index `index` — the shard set does not
-    /// cover the grid (wrong `N`, or a missing shard).
-    Missing {
-        /// The uncovered grid index.
-        index: usize,
-    },
-    /// Two shards produced grid index `index` with different results —
-    /// the executions were not deterministic across the shards
-    /// (mismatched engine versions, or a corrupted input).
-    Conflict {
-        /// The doubly-covered, disagreeing grid index.
-        index: usize,
-    },
-    /// A shard produced an outcome for an index beyond the grid — its
-    /// output belongs to a *different* (larger) grid than the one being
-    /// merged; check the `grid_len`/`--grid` arguments line up.
-    OutOfRange {
-        /// The offending outcome's grid index.
-        index: usize,
-        /// The length of the grid being merged.
-        grid_len: usize,
-    },
-}
-
-impl std::fmt::Display for ShardMergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Missing { index } => {
-                write!(
-                    f,
-                    "shard merge: grid index {index} missing from every shard"
-                )
-            }
-            Self::Conflict { index } => write!(
-                f,
-                "shard merge: grid index {index} has conflicting results across shards"
-            ),
-            Self::OutOfRange { index, grid_len } => write!(
-                f,
-                "shard merge: outcome index {index} exceeds the {grid_len}-point grid — \
-                 shard outputs come from a different grid"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardMergeError {}
-
-/// Combines per-shard outcome slices back into the full grid, in grid
-/// order.
-///
-/// Duplicated grid points are tolerated **only** when the duplicates are
-/// bit-identical ([`SweepOutcome::bit_identical`]) — equality-confirmed
-/// conflict detection, the same discipline the cache applies. Any
-/// disagreement or gap is an error, never a silent pick-one.
-///
-/// # Errors
-///
-/// [`ShardMergeError::Missing`] if some grid index has no outcome;
-/// [`ShardMergeError::Conflict`] if two shards disagree on one.
-pub fn merge_sharded(
-    parts: &[Vec<SweepOutcome>],
-    grid_len: usize,
-) -> Result<Vec<SweepOutcome>, ShardMergeError> {
-    let mut slots: Vec<Option<&SweepOutcome>> = vec![None; grid_len];
-    for outcome in parts.iter().flatten() {
-        let slot = slots
-            .get_mut(outcome.index)
-            .ok_or(ShardMergeError::OutOfRange {
-                index: outcome.index,
-                grid_len,
-            })?;
-        match slot {
-            Some(existing) if !existing.bit_identical(outcome) => {
-                return Err(ShardMergeError::Conflict {
-                    index: outcome.index,
-                })
-            }
-            _ => *slot = Some(outcome),
-        }
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| slot.cloned().ok_or(ShardMergeError::Missing { index }))
-        .collect()
 }
 
 /// Runs per-scenario jobs over a scoped thread pool, deterministically.
@@ -415,10 +326,15 @@ impl Capture {
     /// — the sketch is a pure derivation of it).
     #[must_use]
     pub fn satisfied_by(self, outcome: &SweepOutcome) -> bool {
+        self.kind() <= outcome.kind()
+    }
+
+    /// The payload rung a record must reach to serve this need.
+    pub(crate) fn kind(self) -> PayloadKind {
         match self {
-            Self::Scalar => true,
-            Self::Sketch => outcome.sketch.is_some() || outcome.series.is_some(),
-            Self::Series => outcome.series.is_some(),
+            Self::Scalar => PayloadKind::Scalar,
+            Self::Sketch => PayloadKind::Sketch,
+            Self::Series => PayloadKind::Series,
         }
     }
 }
@@ -626,8 +542,8 @@ impl<'a> SweepRequest<'a> {
 /// [`SweepRequest::run`], the frontier worker loop, and the service's
 /// miss pool, so the cached, sharded, and plain paths cannot diverge.
 ///
-/// A hit must be at least as rich as `capture`
-/// ([`Capture::satisfied_by`]) and is returned as stored — except that a
+/// A hit must be at least as rich as `capture` and is returned as
+/// stored (grid index restored) — except that a
 /// sketch need served by a series-bearing record derives the sketch on
 /// the fly and drops the series from the *returned* outcome (never from
 /// the cache: the richer record stays). A miss — including a poorer
@@ -646,7 +562,8 @@ pub(crate) fn run_point_as<A: SweepAlgorithm>(
     // default are the same execution, and must hit each other.
     let keyed = cache.map(|c| (c, spec.content_hash(), canon_string(&spec.canonical())));
     if let Some((cache, hash, spec_canon)) = &keyed {
-        if let Some(mut hit) = cache.lookup(*hash, A::NAME, spec_canon, capture) {
+        if let Some(record) = cache.lookup(*hash, A::NAME, spec_canon, capture) {
+            let mut hit = record.outcome().clone();
             hit.index = index;
             if capture == Capture::Sketch && hit.sketch.is_none() {
                 let series = hit
@@ -669,7 +586,7 @@ pub(crate) fn run_point_as<A: SweepAlgorithm>(
         Capture::Series => outcome.series = series,
     }
     if let Some((cache, hash, spec_canon)) = keyed {
-        cache.store(hash, A::NAME.to_string(), spec_canon, outcome.clone());
+        cache.store(Record::of_outcome(A::NAME, hash, spec_canon, &outcome));
     }
     outcome
 }
@@ -704,21 +621,11 @@ pub(crate) fn run_point_as<A: SweepAlgorithm>(
 #[derive(Debug, Default)]
 pub struct SweepCache {
     /// Keyed by a mix of the spec content hash and the algorithm name;
-    /// the entry holds both back, plus the canonical spec bytes, so any
+    /// the record holds both back, plus the canonical spec bytes, so any
     /// collision is detected instead of served.
-    map: Mutex<HashMap<u64, CacheEntry>>,
+    map: Mutex<HashMap<u64, Arc<Record>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    /// The spec's [`ScenarioSpec::content_hash`] — carried through to
-    /// the disk store, which persists it as the record key.
-    content_hash: u64,
-    algo: String,
-    spec_canon: String,
-    outcome: SweepOutcome,
 }
 
 /// Folds the algorithm name into the spec content hash (FNV-1a
@@ -734,103 +641,69 @@ impl SweepCache {
         Self::default()
     }
 
-    /// Looks up `(content_hash, algo)`, confirming the hit against the
-    /// canonical spec bytes. An entry counts only when its payload
-    /// satisfies `need` ([`Capture::satisfied_by`]) — a scalar-only
-    /// entry does not satisfy a sketch or series need, so the lookup
-    /// degrades to a miss (and the re-run will upgrade the entry).
-    /// Counts a hit or a miss either way.
+    /// [`peek`](SweepCache::peek), counting a hit or a miss — the
+    /// sweep loop's lookup. A record poorer than `need` is a miss (and
+    /// the re-run will upgrade the entry).
     pub(crate) fn lookup(
         &self,
         content_hash: u64,
         algo: &str,
         spec_canon: &str,
         need: Capture,
-    ) -> Option<SweepOutcome> {
-        let found = self
-            .map
-            .lock()
-            .expect("sweep cache poisoned")
-            .get(&entry_key(content_hash, algo))
-            .filter(|e| e.algo == algo && e.spec_canon == spec_canon)
-            .filter(|e| need.satisfied_by(&e.outcome))
-            .map(|e| e.outcome.clone());
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+    ) -> Option<Arc<Record>> {
+        let found = self.peek(content_hash, algo, spec_canon, need);
+        let counter = if found.is_some() {
+            &self.hits
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Inserts an entry (replacing any previous occupant of the slot).
-    pub(crate) fn store(
-        &self,
-        content_hash: u64,
-        algo: String,
-        spec_canon: String,
-        outcome: SweepOutcome,
-    ) {
-        self.map.lock().expect("sweep cache poisoned").insert(
-            entry_key(content_hash, &algo),
-            CacheEntry {
-                content_hash,
-                algo,
-                spec_canon,
-                outcome,
-            },
-        );
+    /// Inserts a record (replacing any previous occupant of its slot)
+    /// without touching the hit/miss counters — the sweep body's store,
+    /// and how [`crate::cache::SweepStore::hydrate`] and the service
+    /// tier's prefetch fill a cache.
+    pub(crate) fn store(&self, record: Arc<Record>) {
+        let encoded = record.encoded();
+        let key = entry_key(encoded.content_hash, &encoded.algo);
+        self.map
+            .lock()
+            .expect("sweep cache poisoned")
+            .insert(key, record);
     }
 
-    /// [`lookup`](SweepCache::lookup) without touching the hit/miss
-    /// counters — how [`crate::service`]'s client tier decides which
-    /// grid points still need resolving without disturbing the
-    /// statistics contracts (`WL_SWEEP_EXPECT_MISSES` counts only what
-    /// the sweep loop itself observes).
+    /// The record of `(content_hash, algo)`, confirmed against the
+    /// canonical spec bytes and rich enough for `need`
+    /// (`Record::answers`), without touching the hit/miss counters —
+    /// how [`crate::service`]'s client tier decides which grid points
+    /// still need resolving without disturbing the statistics contracts
+    /// (`WL_SWEEP_EXPECT_MISSES` counts only what the sweep loop itself
+    /// observes).
     pub(crate) fn peek(
         &self,
         content_hash: u64,
         algo: &str,
         spec_canon: &str,
         need: Capture,
-    ) -> Option<SweepOutcome> {
+    ) -> Option<Arc<Record>> {
         self.map
             .lock()
             .expect("sweep cache poisoned")
             .get(&entry_key(content_hash, algo))
-            .filter(|e| e.algo == algo && e.spec_canon == spec_canon)
-            .filter(|e| need.satisfied_by(&e.outcome))
-            .map(|e| e.outcome.clone())
+            .filter(|record| record.answers(content_hash, algo, spec_canon, need))
+            .cloned()
     }
 
-    /// Seeds an entry without touching the hit/miss counters — how
-    /// [`crate::cache::SweepStore`] hydrates a cache from disk.
-    pub(crate) fn seed(
-        &self,
-        content_hash: u64,
-        algo: String,
-        spec_canon: String,
-        outcome: SweepOutcome,
-    ) {
-        self.store(content_hash, algo, spec_canon, outcome);
-    }
-
-    /// Snapshots every entry as `(content_hash, algo, spec_canon,
-    /// outcome)` — the persistence export used by
+    /// Every record, shared — the persistence export used by
     /// [`crate::cache::SweepStore::absorb`].
-    pub(crate) fn snapshot(&self) -> Vec<(u64, String, String, SweepOutcome)> {
+    pub(crate) fn snapshot(&self) -> Vec<Arc<Record>> {
         self.map
             .lock()
             .expect("sweep cache poisoned")
             .values()
-            .map(|e| {
-                (
-                    e.content_hash,
-                    e.algo.clone(),
-                    e.spec_canon.clone(),
-                    e.outcome.clone(),
-                )
-            })
+            .cloned()
             .collect()
     }
 
@@ -919,6 +792,19 @@ impl SweepOutcome {
             stats: summary.stats,
             sketch: None,
             series: None,
+        }
+    }
+
+    /// Which rung of scalar ⊑ sketch ⊑ series this outcome's payload
+    /// sits on (and which record tag family it persists under) — the
+    /// one spelling of the order.
+    pub(crate) fn kind(&self) -> PayloadKind {
+        if self.series.is_some() {
+            PayloadKind::Series
+        } else if self.sketch.is_some() {
+            PayloadKind::Sketch
+        } else {
+            PayloadKind::Scalar
         }
     }
 
@@ -1461,41 +1347,9 @@ mod tests {
             .collect();
         assert_eq!(parts[0].len(), 3);
         assert_eq!(parts[1].len(), 2);
-        let merged = merge_sharded(&parts, 5).unwrap();
-        assert_eq!(merged.len(), full.len());
-        for (a, b) in merged.iter().zip(&full) {
-            assert!(a.bit_identical(b));
+        // Grid-global indices: the shards tile the unsharded run.
+        for part in parts.iter().flatten() {
+            assert!(part.bit_identical(&full[part.index]));
         }
-    }
-
-    #[test]
-    fn shard_merge_detects_gaps_and_conflicts() {
-        let full = SweepRequest::new().threads(1).run::<Maintenance>(grid(3));
-        // A missing shard leaves a gap.
-        let only_first: Vec<Vec<SweepOutcome>> = vec![vec![full[0].clone()], vec![full[2].clone()]];
-        assert_eq!(
-            merge_sharded(&only_first, 3).unwrap_err(),
-            ShardMergeError::Missing { index: 1 }
-        );
-        // Overlap is fine when identical…
-        let overlap = vec![full.clone(), vec![full[1].clone()]];
-        assert!(merge_sharded(&overlap, 3).is_ok());
-        // …and an error when it disagrees.
-        let mut tampered = full[1].clone();
-        tampered.steady_skew += 1.0;
-        let conflict = vec![full.clone(), vec![tampered]];
-        assert_eq!(
-            merge_sharded(&conflict, 3).unwrap_err(),
-            ShardMergeError::Conflict { index: 1 }
-        );
-        // An index beyond the grid is a mismatched-grid error, not a
-        // phantom determinism violation.
-        assert_eq!(
-            merge_sharded(&[full], 2).unwrap_err(),
-            ShardMergeError::OutOfRange {
-                index: 2,
-                grid_len: 2
-            }
-        );
     }
 }

@@ -4,7 +4,7 @@
 //!    executions on the second run (every lookup is a confirmed hit —
 //!    a miss is the only thing that triggers a simulation);
 //! 2. a 2-shard merged sweep is **byte-identical** to the unsharded
-//!    sweep — at the outcome level (`merge_sharded` + `bit_identical`)
+//!    sweep — at the outcome level (`index` + `bit_identical`)
 //!    and at the store-file level (merged shard stores serialize to the
 //!    same bytes as the 1-process store).
 //!
@@ -22,8 +22,8 @@
 use std::path::PathBuf;
 use wl_core::Params;
 use wl_harness::{
-    derive_seed, merge_sharded, Capture, DelayKind, DiskSweepCache, FaultKind, Maintenance,
-    ScenarioSpec, Shard, StoreFormat, SweepCache, SweepRequest, SweepStore,
+    derive_seed, Capture, DelayKind, DiskSweepCache, FaultKind, Maintenance, ScenarioSpec, Shard,
+    StoreFormat, SweepCache, SweepRequest, SweepStore,
 };
 use wl_sim::ProcessId;
 use wl_time::RealTime;
@@ -251,13 +251,14 @@ fn two_shard_merge_equals_unsharded_byte_for_byte() {
         .threads(3)
         .shard(Shard::new(1, 2))
         .run::<Maintenance>(grid(7));
-    let merged = merge_sharded(&[shard0, shard1], 7).unwrap();
-    assert_eq!(merged.len(), full.len());
-    for (a, b) in merged.iter().zip(&full) {
+    // Each shard outcome carries its grid-global index: together the
+    // two shards are the unsharded run, point for point.
+    assert_eq!(shard0.len() + shard1.len(), full.len());
+    for part in shard0.iter().chain(&shard1) {
         assert!(
-            a.bit_identical(b),
+            part.bit_identical(&full[part.index]),
             "sharded != unsharded at index {}",
-            b.index
+            part.index
         );
     }
 
