@@ -54,7 +54,10 @@ impl CommonArgs {
                 }
                 self.transport = Some(t);
             }
-            "--chunk" => self.chunk = Some(require("--chunk", it.next())),
+            "--chunk" => {
+                let chunk: std::num::NonZeroUsize = require("--chunk", it.next());
+                self.chunk = Some(chunk.get());
+            }
             "--capture" => self.capture = Some(require("--capture", it.next())),
             _ => return false,
         }

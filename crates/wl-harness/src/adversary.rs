@@ -36,7 +36,7 @@
 //! wire codec, and frontier driver unchanged. The search subsystem on
 //! top is [`crate::search`].
 
-use crate::algo::{AssemblyCtx, SyncAlgorithm};
+use crate::algo::{AssemblyCtx, FleetRole, SyncAlgorithm};
 use crate::spec::{AdversarySpec, AdversaryStrategy, FaultKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -367,15 +367,15 @@ pub(crate) fn wrap_delay_model(
 /// the canonical construction behind
 /// [`SyncAlgorithm::adversary_member`].
 ///
-/// The legacy-equivalent strategies delegate to [`SyncAlgorithm::faulty`]
-/// with the corresponding [`FaultKind`], building **exactly** the
-/// automata the static gallery builds (pinned by the
-/// `adversary_determinism` tests) — so each algorithm's supported set,
-/// and its panic on unsupported kinds, carries over unchanged.
-/// [`AdversaryStrategy::Churn`] is realized generically by wrapping the
-/// algorithm's correct automaton in an [`AdversaryActor`] running
-/// [`ChurnStrategy`]. Delay-only strategies build the member's *correct*
-/// automaton (the attack lives in [`AdversaryDelay`]).
+/// The legacy-equivalent strategies box
+/// [`SyncAlgorithm::fleet_automaton`]'s realization of the corresponding
+/// [`FaultKind`], building **exactly** the automata the static gallery
+/// builds (pinned by the `adversary_determinism` tests) — so each
+/// algorithm's supported set, and its panic on unsupported kinds, carries
+/// over unchanged. [`AdversaryStrategy::Churn`] is realized generically
+/// by wrapping the algorithm's correct automaton in an [`AdversaryActor`]
+/// running [`ChurnStrategy`]. Delay-only strategies build the member's
+/// *correct* automaton (the attack lives in [`AdversaryDelay`]).
 ///
 /// # Panics
 ///
@@ -386,35 +386,35 @@ pub fn canonical_member<A: SyncAlgorithm>(
     adv: &AdversarySpec,
     ctx: &AssemblyCtx<'_>,
 ) -> Box<dyn Automaton<Msg = A::Msg>> {
+    let boxed = |role| -> Box<dyn Automaton<Msg = A::Msg>> {
+        Box::new(
+            A::fleet_automaton(spec, id, role, ctx)
+                .expect("fleet_automaton realizes correct and designated-faulty roles"),
+        )
+    };
+    let faulty = |kind| boxed(FleetRole::Faulty(kind));
     match adv.strategy {
-        AdversaryStrategy::Crash { at } => A::faulty(spec, id, FaultKind::CrashAt(at), ctx),
-        AdversaryStrategy::Mute => A::faulty(spec, id, FaultKind::Silent, ctx),
-        AdversaryStrategy::Spam => A::faulty(spec, id, FaultKind::RoundSpam, ctx),
-        AdversaryStrategy::PullApart { amplitude, high } => {
-            let kind = if high {
-                FaultKind::PullApartHigh(amplitude)
-            } else {
-                FaultKind::PullApart(amplitude)
-            };
-            A::faulty(spec, id, kind, ctx)
-        }
-        AdversaryStrategy::TwoFacedValue { amplitude } => {
-            A::faulty(spec, id, FaultKind::TwoFaced(amplitude), ctx)
-        }
+        AdversaryStrategy::Crash { at } => faulty(FaultKind::CrashAt(at)),
+        AdversaryStrategy::Mute => faulty(FaultKind::Silent),
+        AdversaryStrategy::Spam => faulty(FaultKind::RoundSpam),
+        AdversaryStrategy::PullApart { amplitude, high } => faulty(if high {
+            FaultKind::PullApartHigh(amplitude)
+        } else {
+            FaultKind::PullApart(amplitude)
+        }),
+        AdversaryStrategy::TwoFacedValue { amplitude } => faulty(FaultKind::TwoFaced(amplitude)),
         // Without an algorithm-specific override, a collusion group is a
         // set of two-faced attackers sharing one amplitude and split —
         // already in phase, since the mask depends only on the spec.
-        AdversaryStrategy::Collude { amplitude } => {
-            A::faulty(spec, id, FaultKind::TwoFaced(amplitude), ctx)
-        }
+        AdversaryStrategy::Collude { amplitude } => faulty(FaultKind::TwoFaced(amplitude)),
         AdversaryStrategy::Churn { up, down } => Box::new(AdversaryActor::new(
             id,
-            A::correct(spec, id, ctx),
+            boxed(FleetRole::Correct),
             Box::new(ChurnStrategy::new(up, down)),
             adv.seed,
         )),
         AdversaryStrategy::TargetedDelay { .. } | AdversaryStrategy::Partition => {
-            A::correct(spec, id, ctx)
+            boxed(FleetRole::Correct)
         }
     }
 }

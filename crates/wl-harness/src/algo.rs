@@ -100,14 +100,10 @@ pub trait SyncAlgorithm {
     /// The **single** automaton-construction body: builds the automaton
     /// filling fleet slot `id` in role `role`.
     ///
-    /// Both fleet representations go through here — the enum fast path
-    /// stores the result directly in a `Vec<Self::FleetAuto>`
-    /// ([`crate::assemble_enum`]), and the boxed path boxes it (the
-    /// default [`SyncAlgorithm::correct`] / [`SyncAlgorithm::faulty`] /
-    /// [`SyncAlgorithm::rejoiner_automaton`] all delegate). One body
-    /// means the two paths cannot diverge; byte-identity is pinned by
-    /// `enum_path_bit_identical_to_boxed` and the `fleet_parity`
-    /// proptests.
+    /// Both mixed-fleet rungs go through here — the enum rung stores the
+    /// result directly in a `Vec<Self::FleetAuto>`
+    /// ([`crate::assemble_enum`]), the boxed rung boxes it
+    /// ([`crate::assemble()`]) — so the two cannot diverge.
     ///
     /// Returns `None` only for an unsupported *role* (today: a rejoiner
     /// under an algorithm without one).
@@ -123,31 +119,17 @@ pub trait SyncAlgorithm {
         ctx: &AssemblyCtx<'_>,
     ) -> Option<Self::FleetAuto>;
 
-    /// The automaton of a correct process, boxed. Default: boxes
-    /// [`SyncAlgorithm::fleet_automaton`]'s [`FleetRole::Correct`]
-    /// result.
-    fn correct(
-        spec: &ScenarioSpec,
-        id: ProcessId,
-        ctx: &AssemblyCtx<'_>,
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(
-            Self::fleet_automaton(spec, id, FleetRole::Correct, ctx)
-                .expect("fleet_automaton must realize Correct"),
-        )
-    }
-
     /// The *unboxed* correct-process automaton, when the implementing
     /// type is itself that automaton — which is the pattern every
     /// algorithm in this workspace follows. Enables the monomorphized
-    /// `Vec<Self>` fleet fast path ([`crate::assemble_mono`]): fault-free
-    /// fleets skip the per-event virtual dispatch of `Box<dyn Automaton>`
-    /// entirely. `None` (the default) opts out; the assembly then falls
-    /// back to the boxed path, which is always available.
+    /// `Vec<Self>` rung ([`crate::assemble_mono`]): all-correct fleets
+    /// skip per-event dispatch entirely. `None` (the default) opts out;
+    /// the dispatch ladder then falls to the enum rung.
     ///
     /// Implementations must build **exactly** the automaton
-    /// [`SyncAlgorithm::correct`] would box: the two paths are pinned
-    /// byte-identical by the sweep parity tests.
+    /// [`SyncAlgorithm::fleet_automaton`] wraps for
+    /// [`FleetRole::Correct`]: the rungs are pinned byte-identical by
+    /// the sweep parity tests.
     fn correct_mono(spec: &ScenarioSpec, id: ProcessId, ctx: &AssemblyCtx<'_>) -> Option<Self>
     where
         Self: Sized,
@@ -156,44 +138,14 @@ pub trait SyncAlgorithm {
         None
     }
 
-    /// The automaton realizing `kind` for a designated-faulty process,
-    /// boxed. Default: boxes [`SyncAlgorithm::fleet_automaton`]'s
-    /// [`FleetRole::Faulty`] result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the algorithm has no realization of `kind`.
-    fn faulty(
-        spec: &ScenarioSpec,
-        id: ProcessId,
-        kind: FaultKind,
-        ctx: &AssemblyCtx<'_>,
-    ) -> Box<dyn Automaton<Msg = Self::Msg>> {
-        Box::new(
-            Self::fleet_automaton(spec, id, FleetRole::Faulty(kind), ctx)
-                .expect("fleet_automaton must realize designated faults"),
-        )
-    }
-
-    /// The automaton of a §9.1 rejoiner, boxed, if the algorithm
-    /// supports one. Default: boxes [`SyncAlgorithm::fleet_automaton`]'s
-    /// [`FleetRole::Rejoiner`] result.
-    fn rejoiner_automaton(
-        spec: &ScenarioSpec,
-        id: ProcessId,
-        ctx: &AssemblyCtx<'_>,
-    ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
-        Self::fleet_automaton(spec, id, FleetRole::Rejoiner, ctx)
-            .map(|a| Box::new(a) as Box<dyn Automaton<Msg = Self::Msg>>)
-    }
-
     /// The automaton of an adversary *member* process, boxed. Default:
     /// the canonical realization
     /// ([`crate::adversary::canonical_member`]) — legacy-equivalent
-    /// strategies map onto the same automata [`SyncAlgorithm::faulty`]
-    /// builds for the corresponding [`FaultKind`], churn wraps the
-    /// correct automaton, and delay-only strategies build the correct
-    /// automaton unchanged. Algorithms override this to give the new
+    /// strategies map onto the automata
+    /// [`SyncAlgorithm::fleet_automaton`] builds for the corresponding
+    /// [`FaultKind`], churn wraps the correct automaton, and delay-only
+    /// strategies build the correct automaton unchanged. Algorithms
+    /// override this to give the new
     /// strategies sharper realizations (see `Maintenance`'s
     /// member-aware collusion mask).
     ///

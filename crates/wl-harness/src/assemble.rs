@@ -1,13 +1,25 @@
-//! The single scenario-assembly path: [`assemble`].
+//! The single scenario-assembly path.
 //!
-//! Replaces the duplicated builders that used to live in
-//! `wl_core::scenario` and `wl_baselines::scenario`. The RNG draw order
-//! and sim-seed salting are preserved exactly, so executions are
-//! bit-for-bit identical to the legacy paths (pinned by the
-//! `harness_parity` integration tests).
+//! Every scenario — whichever dispatch rung runs it — is one
+//! [`BuiltScenario`] produced by one private body, `assembly`: the
+//! algorithm-independent parts (clocks, STARTs, corrections, seed, fault
+//! plan) in a fixed RNG draw order, one role per fleet slot, one
+//! `SimBuilder` chain. The rungs differ only in the type that *stores*
+//! the `n` automata, i.e. in the slot constructor they hand that body:
+//!
+//! | rung | fleet | accepts |
+//! |---|---|---|
+//! | [`assemble_mono`] | `Vec<A>` | every slot [`FleetRole::Correct`] |
+//! | [`assemble_enum`] | `Vec<A::FleetAuto>` | everything but behaviour-adversary members (and rejoiners the algorithm lacks) |
+//! | [`assemble`] | `Vec<Box<dyn Automaton>>` | everything |
+//!
+//! The RNG draw order and sim-seed salting are those of the legacy
+//! per-crate builders, so executions are bit-for-bit identical to them
+//! (pinned by the `harness_parity` integration tests) and to each other
+//! (the `rungs_agree` table in `sweep.rs`, the `fleet_parity` proptests).
 
 use crate::algo::{AssemblyCtx, FleetRole, StartDiscipline, SyncAlgorithm};
-use crate::spec::{DelayKind, ScenarioSpec};
+use crate::spec::{AdversarySpec, DelayKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wl_clock::drift::FleetClock;
@@ -16,16 +28,17 @@ use wl_core::Params;
 use wl_sim::delay::{AdversarialSplitDelay, ConstantDelay, DelayModel, UniformDelay};
 use wl_sim::faults::FaultPlan;
 use wl_sim::{
-    Automaton, CorrectionSink, Counters, EventQueue, HeapQueue, NullObserver, Observer, ProcessId,
-    SimBuilder, SimConfig, Simulation,
+    Automaton, DynFleet, EventQueue, Fleet, HeapQueue, NullObserver, ProcessId, SimBuilder,
+    SimConfig, Simulation, StdObservers,
 };
 use wl_time::{ClockTime, RealTime};
 
-/// A fully assembled scenario, generic over the protocol message type and
-/// (defaulted) the engine's event queue.
-pub struct BuiltScenario<M, Q = HeapQueue<M>> {
+/// A fully assembled scenario, generic over the protocol message type
+/// and (defaulted) the engine's event queue and fleet storage. Every
+/// rung's simulation carries the standard observer bundle.
+pub struct BuiltScenario<M, Q = HeapQueue<M>, F = DynFleet<M>> {
     /// The simulation, ready to run.
-    pub sim: Simulation<M, Q>,
+    pub sim: Simulation<M, Q, StdObservers, F>,
     /// Which processes are designated faulty (for the analysis).
     pub plan: FaultPlan,
     /// The parameters the scenario was built from.
@@ -39,7 +52,22 @@ pub struct BuiltScenario<M, Q = HeapQueue<M>> {
     pub initial_corrs: Vec<f64>,
 }
 
-impl<M, Q> std::fmt::Debug for BuiltScenario<M, Q> {
+/// A [`BuiltScenario`] whose fleet is a `Vec<A>` of correct automata
+/// (no per-event virtual dispatch). Produced by [`assemble_mono`].
+pub type MonoScenario<A> =
+    BuiltScenario<<A as SyncAlgorithm>::Msg, HeapQueue<<A as SyncAlgorithm>::Msg>, Vec<A>>;
+
+/// A [`BuiltScenario`] whose (possibly mixed) fleet is a
+/// `Vec<A::FleetAuto>` — enum-match dispatch, one contiguous allocation.
+/// Produced by [`assemble_enum`] / [`assemble_enum_with_queue`].
+pub type EnumScenario<A, Q = HeapQueue<<A as SyncAlgorithm>::Msg>> =
+    BuiltScenario<<A as SyncAlgorithm>::Msg, Q, Vec<<A as SyncAlgorithm>::FleetAuto>>;
+
+/// The simulation type of the monomorphized rung under observer `O`.
+pub type MonoSimulation<A, O> =
+    Simulation<<A as SyncAlgorithm>::Msg, HeapQueue<<A as SyncAlgorithm>::Msg>, O, Vec<A>>;
+
+impl<M, Q, F> std::fmt::Debug for BuiltScenario<M, Q, F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BuiltScenario")
             .field("plan", &self.plan)
@@ -48,11 +76,12 @@ impl<M, Q> std::fmt::Debug for BuiltScenario<M, Q> {
     }
 }
 
-/// Assembles `spec` under algorithm `A`.
+/// Assembles `spec` under algorithm `A` on the boxed rung, which hosts
+/// every scenario.
 ///
 /// The assembly realizes the spec's assumptions in a fixed RNG draw
 /// order so that identical `(spec, A)` pairs produce identical
-/// executions — on any machine, at any sweep width:
+/// executions — on any machine, at any sweep width, on any rung:
 ///
 /// 1. **Round-aligned** (A4): `n` initial offsets within
 ///    `spread_frac · β`, then the drift-model build seed, then START at
@@ -84,70 +113,175 @@ pub fn assemble_with_queue<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
     spec: &ScenarioSpec,
     queue: Q,
 ) -> BuiltScenario<A::Msg, Q> {
-    let AssemblyParts {
-        clocks,
-        starts,
-        initial_corrs,
-        sim_seed,
-        plan,
-    } = assembly_parts::<A>(spec);
+    assembly::<A, _>(spec, |id, slot, ctx| {
+        Some(match slot {
+            Slot::Role(role) => Box::new(A::fleet_automaton(spec, id, role, ctx)?),
+            Slot::Member(adv) => A::adversary_member(spec, id, adv, ctx),
+        })
+    })
+    // `fleet_automaton` declines only an unsupported role, and the one
+    // optional role is the rejoiner.
+    .unwrap_or_else(|| panic!("{} does not support rejoiners", A::NAME))
+    .build(queue)
+}
 
+/// Assembles `spec` on the monomorphized rung — a `Vec<A>` fleet — if
+/// every process is correct (delay-only adversaries qualify: their
+/// attack lives in the shared delay model) and `A` offers
+/// [`SyncAlgorithm::correct_mono`]. `None` otherwise; callers fall back
+/// to [`assemble_enum`].
+///
+/// # Panics
+///
+/// As [`assemble`] (validation failures).
+#[must_use]
+pub fn assemble_mono<A>(spec: &ScenarioSpec) -> Option<MonoScenario<A>>
+where
+    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
+{
+    Some(mono_assembly::<A>(spec)?.build(HeapQueue::new()))
+}
+
+/// [`assemble_mono`] under [`NullObserver`]: zero per-event measurement
+/// work, the engine's own `events_delivered` counter the only instrument
+/// left — the raw Monte Carlo throughput floor (`sim.null_mev_per_s` in
+/// the repo benchmark). `None` exactly when [`assemble_mono`] is.
+#[must_use]
+pub fn assemble_mono_null<A>(spec: &ScenarioSpec) -> Option<MonoSimulation<A, NullObserver>>
+where
+    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
+{
+    let builder = mono_assembly::<A>(spec)?.builder;
+    Some(builder.build_with(HeapQueue::new(), NullObserver))
+}
+
+fn mono_assembly<A>(spec: &ScenarioSpec) -> Option<Assembly<<A as SyncAlgorithm>::Msg, Vec<A>>>
+where
+    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
+{
+    assembly::<A, _>(spec, |id, slot, ctx| match slot {
+        Slot::Role(FleetRole::Correct) => A::correct_mono(spec, id, ctx),
+        _ => None,
+    })
+}
+
+/// Assembles `spec` on the enum-dispatched rung — any mix of correct,
+/// designated-faulty and rejoining processes as a `Vec<A::FleetAuto>` —
+/// unless it has behaviour-adversary members (their wrapper automata
+/// live outside the fleet enums) or a rejoiner `A` does not support.
+/// `None` then; callers fall back to [`assemble`].
+///
+/// # Panics
+///
+/// As [`assemble`] (validation failures, unsupported fault kinds).
+#[must_use]
+pub fn assemble_enum<A: SyncAlgorithm>(spec: &ScenarioSpec) -> Option<EnumScenario<A>> {
+    assemble_enum_with_queue::<A, _>(spec, HeapQueue::new())
+}
+
+/// [`assemble_enum`] with a caller-supplied event queue — what the
+/// `fleet_parity` proptests use to pit the enum fleet against the boxed
+/// fleet under the *same* (arbitrary, legal) tie-breaking queue.
+///
+/// # Panics
+///
+/// As [`assemble_enum`].
+#[must_use]
+pub fn assemble_enum_with_queue<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
+    spec: &ScenarioSpec,
+    queue: Q,
+) -> Option<EnumScenario<A, Q>> {
+    let assembly = assembly::<A, _>(spec, |id, slot, ctx| match slot {
+        Slot::Role(role) => A::fleet_automaton(spec, id, role, ctx),
+        Slot::Member(_) => None,
+    })?;
+    Some(assembly.build(queue))
+}
+
+/// What fills one fleet slot: a [`FleetRole`], which every rung asks its
+/// algorithm for, or a behaviour-adversary member, which only the boxed
+/// rung can host.
+enum Slot<'a> {
+    Role(FleetRole),
+    Member(&'a AdversarySpec),
+}
+
+/// An assembly short of its terminal `build*` call (which picks the
+/// queue and the observer).
+struct Assembly<M, F> {
+    builder: SimBuilder<M, F>,
+    plan: FaultPlan,
+    params: Params,
+    starts: Vec<RealTime>,
+    initial_corrs: Vec<f64>,
+}
+
+impl<M: Clone + std::fmt::Debug + Send + 'static, F: Fleet<M>> Assembly<M, F> {
+    fn build<Q: EventQueue<M>>(self, queue: Q) -> BuiltScenario<M, Q, F> {
+        BuiltScenario {
+            sim: self.builder.build_with_queue(queue),
+            plan: self.plan,
+            params: self.params,
+            starts: self.starts,
+            initial_corrs: self.initial_corrs,
+        }
+    }
+}
+
+/// The one assembly body. `automaton` builds what fills each slot, in
+/// the rung's fleet element type `T`; its returning `None` — the rung
+/// cannot store that slot — is the one way a rung declines a spec.
+fn assembly<'s, A: SyncAlgorithm, T: Automaton<Msg = A::Msg>>(
+    spec: &'s ScenarioSpec,
+    automaton: impl Fn(ProcessId, Slot<'s>, &AssemblyCtx<'_>) -> Option<T>,
+) -> Option<Assembly<A::Msg, Vec<T>>> {
+    let parts = assembly_parts::<A>(spec);
     let ctx = AssemblyCtx {
-        clocks: &clocks,
-        initial_corrs: &initial_corrs,
+        clocks: &parts.clocks,
+        initial_corrs: &parts.initial_corrs,
     };
-    let n = spec.params.n;
-    let mut starts_adj = starts.clone();
-    let mut procs: Vec<Box<dyn Automaton<Msg = A::Msg>>> = Vec::with_capacity(n);
-    for (i, start_slot) in starts_adj.iter_mut().enumerate() {
+    // Delay-only adversary members stay correct processes: their attack
+    // lives in the shared delay model.
+    let behaviour_adversary = spec
+        .adversary
+        .as_ref()
+        .filter(|adv| !adv.strategy.is_delay_only());
+    let mut sim_starts = parts.starts.clone();
+    let mut fleet = Vec::with_capacity(spec.params.n);
+    for (i, start) in sim_starts.iter_mut().enumerate() {
         let id = ProcessId(i);
-        let fault = spec
-            .faults
-            .iter()
-            .find(|&&(fid, _)| fid == id)
-            .map(|&(_, k)| k);
-        let is_rejoiner = spec.rejoiner.map(|(rid, _)| rid) == Some(id);
-        let adversary_member = spec
-            .adversary
-            .as_ref()
-            .filter(|adv| adv.controls(id) && !adv.strategy.is_delay_only());
-        let auto: Box<dyn Automaton<Msg = A::Msg>> = if is_rejoiner {
-            let (_, repair_at) = spec.rejoiner.expect("checked above");
-            *start_slot = repair_at;
-            A::rejoiner_automaton(spec, id, &ctx)
-                .unwrap_or_else(|| panic!("{} does not support rejoiners", A::NAME))
-        } else if let Some(adv) = adversary_member {
-            A::adversary_member(spec, id, adv, &ctx)
-        } else if let Some(kind) = fault {
-            A::faulty(spec, id, kind, &ctx)
+        let slot = if let Some((_, repair_at)) = spec.rejoiner.filter(|&(rid, _)| rid == id) {
+            *start = repair_at;
+            Slot::Role(FleetRole::Rejoiner)
+        } else if let Some(adv) = behaviour_adversary.filter(|adv| adv.controls(id)) {
+            Slot::Member(adv)
+        } else if let Some(&(_, kind)) = spec.faults.iter().find(|&&(fid, _)| fid == id) {
+            Slot::Role(FleetRole::Faulty(kind))
         } else {
-            A::correct(spec, id, &ctx)
+            Slot::Role(FleetRole::Correct)
         };
-        procs.push(auto);
+        fleet.push(automaton(id, slot, &ctx)?);
     }
-
-    let sim = SimBuilder::new()
-        .clocks(clocks)
-        .procs(procs)
-        .starts(starts_adj)
-        .fault_plan(plan.clone())
-        .config(sim_config(spec, sim_seed))
-        .delay_boxed(delay_model(spec))
-        .build_with_queue(queue);
-
-    BuiltScenario {
-        sim,
-        plan,
+    let builder = SimBuilder::new()
+        .clocks(parts.clocks)
+        .fleet(fleet)
+        .starts(sim_starts)
+        .fault_plan(parts.plan.clone())
+        .config(sim_config(spec, parts.sim_seed))
+        .delay_boxed(delay_model(spec));
+    Some(Assembly {
+        builder,
+        plan: parts.plan,
         params: spec.params.clone(),
-        starts,
-        initial_corrs,
-    }
+        starts: parts.starts,
+        initial_corrs: parts.initial_corrs,
+    })
 }
 
 /// The algorithm-independent half of an assembly: clocks, START times,
 /// initial corrections, the salted simulator seed, and the fault plan.
-/// One RNG draw order, shared verbatim by the boxed and monomorphized
-/// paths — byte-identical executions are a consequence, not a hope.
+/// One RNG draw order, shared verbatim by every rung — byte-identical
+/// executions are a consequence, not a hope.
 struct AssemblyParts {
     clocks: Vec<FleetClock>,
     starts: Vec<RealTime>,
@@ -245,273 +379,8 @@ fn delay_model(spec: &ScenarioSpec) -> Box<dyn DelayModel> {
         }
     };
     // A delay-only adversary pins its chosen links to the band edges and
-    // defers the rest to the base model (shared by all assembly paths, so
-    // the mono/enum/boxed parity guarantees carry over to adversarial
-    // delay scheduling).
+    // defers the rest to the base model.
     crate::adversary::wrap_delay_model(spec, base)
-}
-
-/// The simulation type of the monomorphized fast path: algorithm `A`'s
-/// message type, the heap queue, observer `O`, and a `Vec<A>` fleet.
-pub type MonoSimulation<A, O> =
-    Simulation<<A as SyncAlgorithm>::Msg, HeapQueue<<A as SyncAlgorithm>::Msg>, O, Vec<A>>;
-
-/// A scenario assembled on the monomorphized fast path: a `Vec<A>` fleet
-/// (no per-event virtual dispatch) under a `(Counters, CorrectionSink)`
-/// observer pair (no trace machinery). Produced by [`assemble_mono`];
-/// executions are byte-identical to the boxed [`assemble`] path.
-pub struct MonoScenario<A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>> {
-    /// The simulation, ready to [`Simulation::drive`].
-    pub sim: MonoSimulation<A, (Counters, CorrectionSink)>,
-    /// Which processes are designated faulty (always none on this path).
-    pub plan: FaultPlan,
-    /// The parameters the scenario was built from.
-    pub params: Params,
-    /// The A4 start times `t⁰_p` (see [`BuiltScenario::starts`]).
-    pub starts: Vec<RealTime>,
-    /// Initial corrections per process (all zero unless cold-starting).
-    pub initial_corrs: Vec<f64>,
-}
-
-/// Assembles `spec` on the monomorphized fast path, if it qualifies.
-///
-/// Qualifying specs are the all-correct ones — no faults, no rejoiner,
-/// tracing disabled — under an algorithm that offers
-/// [`SyncAlgorithm::correct_mono`]. Everything else returns `None` and
-/// callers fall back to [`assemble`]; [`crate::SweepRunner`] does this
-/// per grid point, so mixed fault/fault-free grids take the fast path
-/// exactly where it applies.
-///
-/// The RNG draw order, simulator seed, delay model, and fault plan are
-/// shared with [`assemble`] (one `assembly_parts` body), so the two
-/// paths produce bit-identical executions — pinned by the
-/// `mono_path_bit_identical_to_boxed` sweep test.
-#[must_use]
-pub fn assemble_mono<A>(spec: &ScenarioSpec) -> Option<MonoScenario<A>>
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-{
-    let (parts, fleet) = mono_parts::<A>(spec)?;
-    let observers = (Counters::new(), CorrectionSink::new(&parts.initial_corrs));
-    let sim = SimBuilder::new()
-        .clocks(parts.clocks)
-        .fleet(fleet)
-        .starts(parts.starts.clone())
-        .fault_plan(parts.plan.clone())
-        .config(sim_config(spec, parts.sim_seed))
-        .delay_boxed(delay_model(spec))
-        .build_with(HeapQueue::new(), observers);
-    Some(MonoScenario {
-        sim,
-        plan: parts.plan,
-        params: spec.params.clone(),
-        starts: parts.starts,
-        initial_corrs: parts.initial_corrs,
-    })
-}
-
-/// [`assemble_mono`] under a caller-chosen observer — the fully
-/// measurement-free variant with [`NullObserver`] is what the raw
-/// Monte Carlo throughput benchmarks use (`sim.null_mev_per_s` in the
-/// repo benchmark).
-///
-/// Returns `None` under exactly the same conditions as
-/// [`assemble_mono`].
-#[must_use]
-pub fn assemble_mono_observed<A, O>(
-    spec: &ScenarioSpec,
-    observer: O,
-) -> Option<MonoSimulation<A, O>>
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-    O: Observer<<A as SyncAlgorithm>::Msg>,
-{
-    let (parts, fleet) = mono_parts::<A>(spec)?;
-    Some(
-        SimBuilder::new()
-            .clocks(parts.clocks)
-            .fleet(fleet)
-            .starts(parts.starts)
-            .fault_plan(parts.plan)
-            .config(sim_config(spec, parts.sim_seed))
-            .delay_boxed(delay_model(spec))
-            .build_with(HeapQueue::new(), observer),
-    )
-}
-
-/// [`assemble_mono_observed`] with [`NullObserver`]: zero per-event
-/// measurement work. The engine's own `events_delivered` counter is the
-/// only instrument left.
-#[must_use]
-pub fn assemble_mono_null<A>(spec: &ScenarioSpec) -> Option<MonoSimulation<A, NullObserver>>
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-{
-    assemble_mono_observed::<A, _>(spec, NullObserver)
-}
-
-fn mono_parts<A>(spec: &ScenarioSpec) -> Option<(AssemblyParts, Vec<A>)>
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-{
-    if !spec.faults.is_empty() || spec.rejoiner.is_some() || spec.trace_capacity != 0 {
-        return None;
-    }
-    // A behaviour adversary needs the boxed wrapper automata; a delay-only
-    // adversary leaves every process correct (the attack lives in the
-    // shared delay model), so the fast path stays available.
-    if spec
-        .adversary
-        .as_ref()
-        .is_some_and(|adv| !adv.strategy.is_delay_only())
-    {
-        return None;
-    }
-    let parts = assembly_parts::<A>(spec);
-    let ctx = AssemblyCtx {
-        clocks: &parts.clocks,
-        initial_corrs: &parts.initial_corrs,
-    };
-    let fleet: Option<Vec<A>> = (0..spec.params.n)
-        .map(|i| A::correct_mono(spec, ProcessId(i), &ctx))
-        .collect();
-    Some((parts, fleet?))
-}
-
-/// The simulation type of the enum-dispatched fast path: algorithm `A`'s
-/// message type, the heap queue, observer `O`, and a
-/// `Vec<A::FleetAuto>` fleet (enum-match dispatch, no boxing).
-pub type EnumSimulation<A, O> = Simulation<
-    <A as SyncAlgorithm>::Msg,
-    HeapQueue<<A as SyncAlgorithm>::Msg>,
-    O,
-    Vec<<A as SyncAlgorithm>::FleetAuto>,
->;
-
-/// A scenario assembled on the enum-dispatched fast path: a mixed fleet
-/// (correct + faulty + rejoining processes) stored as a
-/// `Vec<A::FleetAuto>` instead of `Vec<Box<dyn Automaton>>`, under a
-/// `(Counters, CorrectionSink)` observer pair. Produced by
-/// [`assemble_enum`] (heap queue) or
-/// [`assemble_enum_with_queue`] (any queue); executions are
-/// byte-identical to the boxed [`assemble`] path.
-pub struct EnumScenario<A: SyncAlgorithm, Q = HeapQueue<<A as SyncAlgorithm>::Msg>> {
-    /// The simulation, ready to [`Simulation::drive`].
-    pub sim: Simulation<
-        <A as SyncAlgorithm>::Msg,
-        Q,
-        (Counters, CorrectionSink),
-        Vec<<A as SyncAlgorithm>::FleetAuto>,
-    >,
-    /// Which processes are designated faulty (for the analysis).
-    pub plan: FaultPlan,
-    /// The parameters the scenario was built from.
-    pub params: Params,
-    /// The A4 start times `t⁰_p` (see [`BuiltScenario::starts`]).
-    pub starts: Vec<RealTime>,
-    /// Initial corrections per process (all zero unless cold-starting).
-    pub initial_corrs: Vec<f64>,
-}
-
-/// Assembles `spec` on the enum-dispatched fast path, if it qualifies.
-///
-/// This is the faulted-fleet counterpart of [`assemble_mono`]: any mix
-/// of correct, designated-faulty, and rejoining processes runs as a
-/// `Vec<A::FleetAuto>` — enum-match dispatch instead of
-/// `Box<dyn Automaton>` virtual calls, one contiguous allocation instead
-/// of one per process. Only tracing disqualifies a spec (the path runs
-/// `(Counters, CorrectionSink)` observers, which record no trace), plus
-/// a rejoiner under an algorithm that does not support one; both return
-/// `None` and callers fall back to [`assemble`].
-///
-/// The RNG draw order, simulator seed, delay model, fault plan, rejoiner
-/// START deferral, and per-process automaton construction
-/// ([`SyncAlgorithm::fleet_automaton`] — the same single body the boxed
-/// path boxes) are all shared with [`assemble`], so the two paths
-/// produce bit-identical executions — pinned by
-/// `enum_path_bit_identical_to_boxed` and the `fleet_parity` proptests.
-///
-/// # Panics
-///
-/// As [`assemble`] (validation failures, unsupported fault kinds).
-#[must_use]
-pub fn assemble_enum<A: SyncAlgorithm>(spec: &ScenarioSpec) -> Option<EnumScenario<A>> {
-    assemble_enum_with_queue::<A, _>(spec, HeapQueue::new())
-}
-
-/// [`assemble_enum`] with a caller-supplied event queue — what the
-/// `fleet_parity` proptests use to pit the enum fleet against the boxed
-/// fleet under the *same* (arbitrary, legal) tie-breaking queue.
-///
-/// # Panics
-///
-/// As [`assemble_enum`].
-#[must_use]
-pub fn assemble_enum_with_queue<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
-    spec: &ScenarioSpec,
-    queue: Q,
-) -> Option<EnumScenario<A, Q>> {
-    if spec.trace_capacity != 0 {
-        return None;
-    }
-    // Behaviour-adversary members are wrapper automata outside the fleet
-    // enum; the boxed path hosts them. Delay-only adversaries qualify
-    // (all processes correct, attack in the shared delay model).
-    if spec
-        .adversary
-        .as_ref()
-        .is_some_and(|adv| !adv.strategy.is_delay_only())
-    {
-        return None;
-    }
-    let parts = assembly_parts::<A>(spec);
-    let ctx = AssemblyCtx {
-        clocks: &parts.clocks,
-        initial_corrs: &parts.initial_corrs,
-    };
-    let n = spec.params.n;
-    let mut starts_adj = parts.starts.clone();
-    let mut fleet: Vec<A::FleetAuto> = Vec::with_capacity(n);
-    for (i, start_slot) in starts_adj.iter_mut().enumerate() {
-        let id = ProcessId(i);
-        let fault = spec
-            .faults
-            .iter()
-            .find(|&&(fid, _)| fid == id)
-            .map(|&(_, k)| k);
-        let role = if spec.rejoiner.map(|(rid, _)| rid) == Some(id) {
-            let (_, repair_at) = spec.rejoiner.expect("checked above");
-            *start_slot = repair_at;
-            FleetRole::Rejoiner
-        } else if let Some(kind) = fault {
-            FleetRole::Faulty(kind)
-        } else {
-            FleetRole::Correct
-        };
-        fleet.push(A::fleet_automaton(spec, id, role, &ctx)?);
-    }
-
-    // Mirror `build_with_queue`: the correction sink is seeded from the
-    // *built fleet's* per-process initial corrections (a faulty wrapper
-    // reports 0.0 even in a cold-start scenario, exactly as on the boxed
-    // path).
-    let initial: Vec<f64> = fleet.iter().map(Automaton::initial_correction).collect();
-    let observers = (Counters::new(), CorrectionSink::new(&initial));
-    let sim = SimBuilder::new()
-        .clocks(parts.clocks)
-        .fleet(fleet)
-        .starts(starts_adj)
-        .fault_plan(parts.plan.clone())
-        .config(sim_config(spec, parts.sim_seed))
-        .delay_boxed(delay_model(spec))
-        .build_with(queue, observers);
-    Some(EnumScenario {
-        sim,
-        plan: parts.plan,
-        params: spec.params.clone(),
-        starts: parts.starts,
-        initial_corrs: parts.initial_corrs,
-    })
 }
 
 #[cfg(test)]

@@ -1,29 +1,22 @@
-//! Enum-dispatched fleets: the statically typed alternative to
-//! `DynFleet<M> = Vec<Box<dyn Automaton>>` for *faulted* scenarios.
+//! Enum-dispatched fleets: the statically typed storage for *mixed*
+//! fleets (correct processes, crash wrappers, spammers, two-faced
+//! attackers), where a `Vec<A>` of one automaton type cannot serve.
 //!
-//! The monomorphized `Vec<A>` fast path (PR 3) only covers all-correct
-//! fleets — one concrete automaton type per process. A faulted scenario
-//! mixes automata (correct processes, crash wrappers, spammers,
-//! two-faced attackers), which historically forced every process behind
-//! a `Box<dyn Automaton>` and every event through virtual dispatch.
-//!
-//! These enums close that gap: one enum per protocol message family
-//! wraps every automaton the corresponding [`crate::SyncAlgorithm`]
-//! implementations can realize, so a mixed fleet is a `Vec<...AlgoFleet>`
-//! — contiguous storage, enum-match dispatch the optimizer can inline,
-//! no per-process heap allocation.
+//! One enum per protocol message family wraps every automaton the
+//! corresponding [`crate::SyncAlgorithm`] implementations can realize, so
+//! a mixed fleet is a `Vec<...AlgoFleet>` — contiguous storage,
+//! enum-match dispatch the optimizer can inline, no per-process heap
+//! allocation.
 //!
 //! # Dispatch contract
 //!
 //! Each enum's [`Automaton`] impl is a pure delegator: `on_input` and
 //! `initial_correction` match on the variant and forward verbatim to the
-//! wrapped automaton. No variant adds, reorders, or filters behaviour —
-//! which is why the enum path is *byte-identical* to the boxed path
-//! (pinned by `enum_path_bit_identical_to_boxed` and the
-//! `fleet_parity` proptests). Variants are constructed exclusively by
+//! wrapped automaton. Variants are constructed exclusively by
 //! [`crate::SyncAlgorithm::fleet_automaton`], the same single body the
-//! boxed path boxes — bit-identity is a consequence of sharing that
-//! body, not a separately maintained invariant.
+//! boxed rung boxes — so the enum rung is byte-identical to the boxed
+//! one (pinned by the `rungs_agree` table and the `fleet_parity`
+//! proptests).
 
 use wl_baselines::byzantine::{TimedTwoFaced, ValueTwoFaced};
 use wl_baselines::lm_cnv::{CnvMsg, LmCnv};

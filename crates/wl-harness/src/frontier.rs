@@ -301,8 +301,19 @@ impl Frontier {
             }
             Err(e) => return Err(e.into()),
         };
-        FrontierSpec::parse_manifest(&text)
-            .ok_or_else(|| FrontierError::Missing { dir: dir.into() })
+        let found = FrontierSpec::parse_manifest(&text)
+            .ok_or_else(|| FrontierError::Missing { dir: dir.into() })?;
+        // A manifest is outside input (torn write, hand edit, shared drop
+        // box): zero-point chunks would divide the grid by zero.
+        if found.chunk == 0 {
+            return Err(FrontierError::Mismatch {
+                dir: dir.into(),
+                field: "chunk",
+                found: "0".into(),
+                expected: "at least 1".into(),
+            });
+        }
+        Ok(found)
     }
 
     /// Re-reads the manifest and checks every identity field.
@@ -852,6 +863,30 @@ mod tests {
             Frontier::open(&dir, spec).unwrap_err(),
             FrontierError::Missing { .. }
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_chunk_manifest_is_refused_before_it_divides_the_grid() {
+        let dir = tmp("chunk0");
+        let spec = FrontierSpec::for_grid::<Maintenance>(&grid(4), 2);
+        Frontier::init(&dir, spec.clone()).unwrap();
+        let manifest = dir.join(MANIFEST);
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        std::fs::write(&manifest, text.replace("chunk 2", "chunk 0")).unwrap();
+        for reopened in [
+            Frontier::open(&dir, spec.clone()),
+            Frontier::init(&dir, spec),
+        ] {
+            match reopened {
+                Err(FrontierError::Mismatch { field, found, .. }) => {
+                    assert_eq!((field, found.as_str()), ("chunk", "0"));
+                }
+                // What a worker does next with an adopted manifest.
+                Ok(frontier) => panic!("adopted: {:?}", frontier.is_complete()),
+                Err(e) => panic!("expected a chunk mismatch, got {e}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,13 +17,13 @@
 //!   An algorithm contributes its message type, its per-process automata
 //!   (correct, faulty, rejoining), and its start discipline; the harness
 //!   contributes everything else.
-//! * [`assemble()`](assemble()) — the single assembly function:
-//!   `assemble::<A>(&spec)` → a ready-to-run [`BuiltScenario`] on the
-//!   engine's binary-heap queue; [`assemble_with_queue`] accepts any
-//!   `wl-sim` `EventQueue` (the seam test fakes substitute through).
+//! * [`assemble()`](assemble()) — the single assembly path:
+//!   `assemble::<A>(&spec)` → a ready-to-run [`BuiltScenario`];
+//!   [`assemble_mono`] and [`assemble_enum`] are the same body at an
+//!   unboxed fleet type, for the specs such a fleet can store.
 //! * [`run`] — shared measurement helpers (`run_summary`,
-//!   `baseline_metrics`, `skew_series`) generic over the message type, so
-//!   Welch–Lynch runs and baseline runs are summarized by the same code.
+//!   `baseline_metrics`, `skew_series`) generic over the scenario, so
+//!   every algorithm on every fleet is summarized by the same code.
 //! * [`SweepRequest`] — the one sweep entry point: fans a grid of specs
 //!   across threads ([`SweepRunner`]) with
 //!   deterministic per-scenario seed derivation ([`derive_seed`]). Results
@@ -109,7 +109,7 @@ pub use adversary::{
 pub use algo::{AssemblyCtx, FleetRole, StartDiscipline, SyncAlgorithm};
 pub use assemble::{
     assemble, assemble_enum, assemble_enum_with_queue, assemble_mono, assemble_mono_null,
-    assemble_mono_observed, assemble_with_queue, BuiltScenario, EnumScenario, MonoScenario,
+    assemble_with_queue, BuiltScenario, EnumScenario, MonoScenario,
 };
 pub use cache::{
     CompactStats, DiskSweepCache, MergeConflict, MergeConflictKind, MergeStats, MigrationReport,
@@ -125,11 +125,11 @@ pub use service::{
     serve, service_from_env, ServeConfig, ServeReport, ServiceAddr, ServiceClient, ServiceStats,
     ServiceSweepCache,
 };
-pub use sketch::{store_report, SketchObserver, SkewSketch};
+pub use sketch::{store_report, SkewSketch};
 pub use spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 pub use sweep::{
     derive_seed, Capture, Shard, SweepAlgorithm, SweepCache, SweepOutcome, SweepRequest,
-    SweepRunner, SweepSeries, SweepSummary, TierPolicy,
+    SweepRunner, SweepSeries, SweepSummary,
 };
 pub use transport::{
     drive_frontier, DropBoxTransport, FrontierDriveError, FrontierDriveReport,

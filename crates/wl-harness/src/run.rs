@@ -1,14 +1,10 @@
 //! Shared measurement helpers: run a [`BuiltScenario`] to completion and
-//! extract the standard quantities, generically over the message type —
-//! the same code summarizes Welch–Lynch runs and baseline runs.
-//!
-//! These used to live in the `bench` crate (Welch–Lynch only) and were
-//! re-implemented ad hoc inside experiment binaries for the baselines.
+//! extract the standard quantities. One body, generic over the message
+//! type, the queue and the fleet storage — the same code summarizes
+//! Welch–Lynch and baseline runs on every dispatch rung.
 
 use crate::algo::SyncAlgorithm;
-use crate::assemble::{
-    assemble, assemble_enum, assemble_mono, BuiltScenario, EnumScenario, MonoScenario,
-};
+use crate::assemble::{assemble, assemble_enum, assemble_mono, BuiltScenario};
 use crate::spec::ScenarioSpec;
 use crate::sweep::{SweepAlgorithm, SweepSeries};
 use wl_analysis::adjustment::{check_adjustments, AdjustmentReport};
@@ -18,11 +14,7 @@ use wl_analysis::skew::SkewSeries;
 use wl_analysis::ExecutionView;
 use wl_clock::drift::FleetClock;
 use wl_core::Params;
-use wl_sim::faults::FaultPlan;
-use wl_sim::{
-    Automaton, CorrectionSink, Counters, EventQueue, Fleet, Observer, SimStats, Simulation,
-    StdObservers,
-};
+use wl_sim::{Automaton, EventQueue, Fleet, SimStats};
 use wl_time::{RealDur, RealTime};
 
 /// Everything the experiments usually need from one run.
@@ -38,26 +30,16 @@ pub struct RunSummary {
     pub stats: SimStats,
 }
 
-/// Runs a built scenario for `t_end` simulated seconds and summarizes it
-/// against the Welch–Lynch theorem suite.
+/// Runs a built scenario — of any rung — for `t_end` simulated seconds
+/// and summarizes it against the Welch–Lynch theorem suite.
 #[must_use]
-pub fn run_summary<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>>(
-    built: BuiltScenario<M, Q>,
-    t_end: f64,
-) -> RunSummary {
-    run_boxed(built, t_end, false).0
-}
-
-/// [`run_summary`] over a [`MonoScenario`] (the monomorphized fast path):
-/// drives the sim, then feeds the streamed counters and correction
-/// histories through the identical analysis body. Results are
-/// bit-identical to the boxed path's.
-#[must_use]
-pub fn run_summary_mono<A>(built: MonoScenario<A>, t_end: f64) -> RunSummary
+pub fn run_summary<M, Q, F>(built: BuiltScenario<M, Q, F>, t_end: f64) -> RunSummary
 where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
+    M: Clone + std::fmt::Debug + Send + 'static,
+    Q: EventQueue<M>,
+    F: Fleet<M>,
 {
-    run_mono(built, t_end, false).0
+    drive_and_summarize(built, t_end, false).0
 }
 
 /// [`run_summary`] plus a [`SweepSeries`] captured from the same
@@ -66,118 +48,63 @@ where
 /// for the exact contents).
 ///
 /// The capture is a post-hoc, read-only pass over the correction
-/// histories the standard observers already record — deliberately *not*
-/// a [`wl_sim::SkewProbe`] streamed during the run, because the
-/// event-adjacent samples (immediately before/after each correction,
-/// where the skew is extremal) need the completed history. That also
-/// keeps the captured series identical on the boxed and monomorphized
-/// run paths by construction, and leaves the scalar summary bit-for-bit
-/// what [`run_summary`] returns.
+/// histories the standard observers already record — not a sampler
+/// streamed during the run, because the event-adjacent samples
+/// (immediately before/after each correction, where the skew is
+/// extremal) need the completed history. It leaves the scalar summary
+/// bit-for-bit what [`run_summary`] returns.
 #[must_use]
-pub fn run_capture<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>>(
-    built: BuiltScenario<M, Q>,
-    t_end: f64,
-) -> (RunSummary, SweepSeries) {
-    captured(run_boxed(built, t_end, true))
-}
-
-/// [`run_capture`] over a [`MonoScenario`] — same series, same
-/// bit-identity guarantees, on the fast path.
-#[must_use]
-pub fn run_capture_mono<A>(built: MonoScenario<A>, t_end: f64) -> (RunSummary, SweepSeries)
+pub fn run_capture<M, Q, F>(built: BuiltScenario<M, Q, F>, t_end: f64) -> (RunSummary, SweepSeries)
 where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
+    M: Clone + std::fmt::Debug + Send + 'static,
+    Q: EventQueue<M>,
+    F: Fleet<M>,
 {
-    captured(run_mono(built, t_end, true))
+    let (summary, series) = drive_and_summarize(built, t_end, true);
+    (summary, series.expect("capture requested"))
 }
 
-/// [`run_summary`] over an [`EnumScenario`] (the enum-dispatched faulted
-/// fast path): drives the sim, then feeds the streamed counters and
-/// correction histories through the identical analysis body. Results
-/// are bit-identical to the boxed path's.
-#[must_use]
-pub fn run_summary_enum<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
-    built: EnumScenario<A, Q>,
-    t_end: f64,
-) -> RunSummary {
-    run_enum(built, t_end, false).0
-}
+// The per-rung spellings the repo benchmark imports.
+pub use self::{run_capture as run_capture_enum, run_capture as run_capture_mono};
+pub use self::{run_summary as run_summary_enum, run_summary as run_summary_mono};
 
-/// [`run_capture`] over an [`EnumScenario`] — same series, same
-/// bit-identity guarantees, on the enum fast path.
-#[must_use]
-pub fn run_capture_enum<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
-    built: EnumScenario<A, Q>,
-    t_end: f64,
-) -> (RunSummary, SweepSeries) {
-    captured(run_enum(built, t_end, true))
-}
-
-/// The dispatch ladder every sweep grid point takes: fault-free specs run
-/// on the monomorphized `Vec<A>` fleet; faulted/rejoiner specs on the
-/// enum-dispatched `Vec<A::FleetAuto>` fleet; only traced specs and
-/// behaviour adversaries fall back to `Box<dyn Automaton>`. All three
-/// rungs share [`drive_and_summarize`] and are pinned bit-identical by
-/// `mono_path_bit_identical_to_boxed` and `enum_path_bit_identical_to_boxed`.
+/// The dispatch ladder every sweep grid point takes: all-correct specs
+/// run on the monomorphized `Vec<A>` fleet; faulted/rejoiner specs on
+/// the enum-dispatched `Vec<A::FleetAuto>` fleet; only behaviour
+/// adversaries fall back to `Box<dyn Automaton>`. The rungs are pinned
+/// bit-identical by the `rungs_agree` table in `sweep.rs`.
 pub(crate) fn run_dispatched<A: SweepAlgorithm>(
     spec: &ScenarioSpec,
     capture: bool,
 ) -> (RunSummary, Option<SweepSeries>) {
     let t_end = spec.t_end.as_secs();
     if let Some(built) = assemble_mono::<A>(spec) {
-        run_mono(built, t_end, capture)
+        drive_and_summarize(built, t_end, capture)
     } else if let Some(built) = assemble_enum::<A>(spec) {
-        run_enum(built, t_end, capture)
+        drive_and_summarize(built, t_end, capture)
     } else {
-        run_boxed(assemble::<A>(spec), t_end, capture)
+        drive_and_summarize(assemble::<A>(spec), t_end, capture)
     }
 }
 
-fn run_boxed<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>>(
-    b: BuiltScenario<M, Q>,
-    t_end: f64,
-    capture: bool,
-) -> (RunSummary, Option<SweepSeries>) {
-    drive_and_summarize(b.sim, std_sinks, &b.params, &b.plan, t_end, capture)
-}
-
-fn run_mono<A>(b: MonoScenario<A>, t_end: f64, capture: bool) -> (RunSummary, Option<SweepSeries>)
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-{
-    drive_and_summarize(b.sim, pair_sinks, &b.params, &b.plan, t_end, capture)
-}
-
-fn run_enum<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
-    b: EnumScenario<A, Q>,
-    t_end: f64,
-    capture: bool,
-) -> (RunSummary, Option<SweepSeries>) {
-    drive_and_summarize(b.sim, pair_sinks, &b.params, &b.plan, t_end, capture)
-}
-
-/// The one drive-and-summarize body behind every `run_*` entry point:
-/// run the simulation to completion, then apply the theorem suite to the
-/// clocks and whatever `sinks` finds in the observer stack (counters +
-/// correction histories) — and optionally sample the series payload from
-/// the same view. Keeping this single keeps the run paths from diverging.
-fn drive_and_summarize<M, Q, O, F>(
-    mut sim: Simulation<M, Q, O, F>,
-    sinks: fn(&O) -> (&Counters, &CorrectionSink),
-    params: &Params,
-    plan: &FaultPlan,
+/// The one drive-and-summarize body: run the simulation to completion,
+/// then apply the theorem suite to the clocks and the observer bundle's
+/// counters and correction histories — and optionally sample the series
+/// payload from the same view.
+fn drive_and_summarize<M, Q, F>(
+    mut built: BuiltScenario<M, Q, F>,
     t_end: f64,
     capture: bool,
 ) -> (RunSummary, Option<SweepSeries>)
 where
     M: Clone + std::fmt::Debug + Send + 'static,
     Q: EventQueue<M>,
-    O: Observer<M>,
     F: Fleet<M>,
 {
-    sim.drive();
-    let (counters, corr) = sinks(sim.observer());
-    let view = ExecutionView::with_plan(sim.clocks(), corr.histories(), plan);
+    built.sim.drive();
+    let (sim, params) = (&built.sim, &built.params);
+    let observed = sim.observer();
+    let view = ExecutionView::with_plan(sim.clocks(), observed.corr.histories(), &built.plan);
     let from = RealTime::from_secs(params.t0 + 2.0 * params.p_round);
     let agreement = check_agreement(
         &view,
@@ -194,24 +121,10 @@ where
             agreement,
             adjustments,
             rounds,
-            stats: counters.stats(),
+            stats: observed.counters.stats(),
         },
         series,
     )
-}
-
-/// Where the boxed path's standard observer bundle keeps its sinks.
-fn std_sinks(o: &StdObservers) -> (&Counters, &CorrectionSink) {
-    (&o.counters, &o.corr)
-}
-
-/// Where the mono/enum fast paths' observer pair keeps its sinks.
-fn pair_sinks(o: &(Counters, CorrectionSink)) -> (&Counters, &CorrectionSink) {
-    (&o.0, &o.1)
-}
-
-fn captured((summary, series): (RunSummary, Option<SweepSeries>)) -> (RunSummary, SweepSeries) {
-    (summary, series.expect("capture requested"))
 }
 
 /// Runs `spec` with a monomorphized fleet and **no observer at all**
@@ -281,18 +194,15 @@ pub fn steady_skew<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>
 /// outputs).
 #[must_use]
 pub fn skew_series<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>>(
-    built: BuiltScenario<M, Q>,
+    mut built: BuiltScenario<M, Q>,
     t_end: f64,
     step: f64,
 ) -> SkewSeries {
-    let params = built.params.clone();
-    let plan = built.plan.clone();
-    let mut sim = built.sim;
-    let outcome = sim.run();
-    let view = ExecutionView::with_plan(sim.clocks(), &outcome.corr, &plan);
+    let outcome = built.sim.run();
+    let view = ExecutionView::with_plan(built.sim.clocks(), &outcome.corr, &built.plan);
     SkewSeries::sample_with_events(
         &view,
-        RealTime::from_secs(params.t0),
+        RealTime::from_secs(built.params.t0),
         RealTime::from_secs(t_end * 0.98),
         RealDur::from_secs(step),
     )
@@ -303,14 +213,12 @@ pub fn skew_series<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>
 /// state over the second half of the horizon).
 #[must_use]
 pub fn baseline_metrics<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>>(
-    built: BuiltScenario<M, Q>,
+    mut built: BuiltScenario<M, Q>,
     t_end: f64,
 ) -> (f64, f64) {
-    let params = built.params.clone();
-    let plan = built.plan.clone();
-    let mut sim = built.sim;
-    let outcome = sim.run();
-    let view = ExecutionView::with_plan(sim.clocks(), &outcome.corr, &plan);
+    let params = &built.params;
+    let outcome = built.sim.run();
+    let view = ExecutionView::with_plan(built.sim.clocks(), &outcome.corr, &built.plan);
     let series = SkewSeries::sample_with_events(
         &view,
         RealTime::from_secs(params.t0 + 3.0 * params.p_round),
@@ -318,6 +226,6 @@ pub fn baseline_metrics<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQue
         RealDur::from_secs(params.p_round / 5.0),
     );
     let steady = series.max_after(RealTime::from_secs(t_end / 2.0));
-    let adj = check_adjustments(&view, &params, 1);
+    let adj = check_adjustments(&view, params, 1);
     (steady, adj.max_abs)
 }

@@ -32,9 +32,9 @@
 //!   samples.
 //!
 //! Sketches enter the store as the `K`/`L` record kinds (see
-//! `docs/store-format.md`) and are produced per grid point by
-//! [`SketchObserver`] folding the exact skew sample stream that series
-//! capture records — so a sketch is a pure derivation of the series
+//! `docs/store-format.md`) and are produced per grid point by folding
+//! the exact skew sample stream that series capture records — so a
+//! sketch is a pure derivation of the series
 //! ([`SkewSketch::of_series`]), which is what lets a series record
 //! satisfy a sketch-needing lookup and lets the store upgrade
 //! sketch records to series records without losing information.
@@ -194,11 +194,11 @@ impl SkewSketch {
     /// what the store's upgrade lattice checks.
     #[must_use]
     pub fn of_series(series: &SweepSeries) -> Self {
-        let mut observer = SketchObserver::new();
+        let mut sketch = Self::new();
         for &v in &series.skew_values {
-            observer.observe(v);
+            sketch.observe(v);
         }
-        observer.finish()
+        sketch
     }
 
     /// The 128-bit tick sum, reassembled.
@@ -339,33 +339,6 @@ impl SkewSketch {
                 .iter()
                 .try_fold(self.low, |acc, &n| acc.checked_add(n))
                 == Some(self.count)
-    }
-}
-
-/// The per-point streaming observer: feed it skew samples, take the
-/// [`SkewSketch`]. A thin stateful wrapper so sweep bodies and tests
-/// fold through one named type rather than bare method calls.
-#[derive(Debug, Default)]
-pub struct SketchObserver {
-    sketch: SkewSketch,
-}
-
-impl SketchObserver {
-    /// A fresh observer over the empty sketch.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one skew sample.
-    pub fn observe(&mut self, skew: f64) {
-        self.sketch.observe(skew);
-    }
-
-    /// Consumes the observer, yielding the folded sketch.
-    #[must_use]
-    pub fn finish(self) -> SkewSketch {
-        self.sketch
     }
 }
 
@@ -586,11 +559,11 @@ mod tests {
         let s = SkewSketch::of_series(&series);
         assert_eq!(s.count, 3);
         assert_eq!(s.max, 3e-4);
-        let mut manual = SketchObserver::new();
+        let mut manual = SkewSketch::new();
         for v in [1e-4, 2e-4, 3e-4] {
             manual.observe(v);
         }
-        assert!(s.bit_identical(&manual.finish()));
+        assert!(s.bit_identical(&manual));
     }
 
     #[test]

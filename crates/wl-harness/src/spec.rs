@@ -37,10 +37,10 @@ pub enum DelayKind {
 /// Fault behaviours assignable to a process.
 ///
 /// Each algorithm realizes the kinds that make sense for its message
-/// alphabet (see [`SyncAlgorithm::faulty`]); asking for an unsupported
-/// kind panics with a clear message.
+/// alphabet (see [`SyncAlgorithm::fleet_automaton`]); asking for an
+/// unsupported kind panics with a clear message.
 ///
-/// [`SyncAlgorithm::faulty`]: crate::SyncAlgorithm::faulty
+/// [`SyncAlgorithm::fleet_automaton`]: crate::SyncAlgorithm::fleet_automaton
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub enum FaultKind {
     /// Correct until the given real time, then silent.

@@ -278,20 +278,6 @@ fn shard_slice(specs: Vec<ScenarioSpec>, shard: Shard) -> Vec<(usize, ScenarioSp
         .collect()
 }
 
-/// Which cache tiers a [`SweepRequest`] consults on a miss in the local
-/// [`SweepCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TierPolicy {
-    /// Local cache, then the results service named by
-    /// `WL_SWEEP_SERVICE` (when configured), then simulate — the
-    /// resolution ladder unsharded cached sweeps always used.
-    #[default]
-    Full,
-    /// Local cache only, never the service — the historical behaviour
-    /// of sharded sweeps, whose workers own disjoint store files.
-    LocalOnly,
-}
-
 /// What each grid point keeps beyond its scalar summary — the capture
 /// mode of a [`SweepRequest`] and the "how rich must a hit be" argument
 /// of every cache lookup.
@@ -365,7 +351,7 @@ impl FromStr for Capture {
 }
 
 /// The one sweep entry point: a builder over every combination of
-/// capture mode, cache tiers, sharding, thread count, and the CI
+/// capture mode, caching, sharding, thread count, and the CI
 /// expect-misses assertion — behind a single per-point body, so the
 /// combinations cannot drift apart.
 ///
@@ -401,7 +387,6 @@ pub struct SweepRequest<'a> {
     capture: Capture,
     shard: Option<Shard>,
     cache: Option<&'a SweepCache>,
-    tier: TierPolicy,
     expect_misses: Option<u64>,
 }
 
@@ -446,20 +431,18 @@ impl<'a> SweepRequest<'a> {
     }
 
     /// Run only the grid points `shard` owns, with grid-global indices
-    /// preserved in the outcomes. Sharded requests default to
-    /// [`TierPolicy::LocalOnly`] (the historical behaviour); an explicit
-    /// [`tier`](SweepRequest::tier) call after this one overrides that.
+    /// preserved in the outcomes. Sharded requests never consult the
+    /// results service: their workers own disjoint store files.
     #[must_use]
     pub fn shard(mut self, shard: Shard) -> Self {
         self.shard = Some(shard);
-        self.tier = TierPolicy::LocalOnly;
         self
     }
 
-    /// Memoize through `cache` (and the service tier, per
-    /// [`TierPolicy`]): grid points whose spec is already cached under
-    /// algorithm `A` are served without assembling or simulating
-    /// anything.
+    /// Memoize through `cache` (and, when unsharded, the results service
+    /// named by `WL_SWEEP_SERVICE`): grid points whose spec is already
+    /// cached under algorithm `A` are served without assembling or
+    /// simulating anything.
     ///
     /// Executions are pure functions of the spec, so a hit is exact, not
     /// approximate — lookups go through the 64-bit
@@ -474,13 +457,6 @@ impl<'a> SweepRequest<'a> {
     #[must_use]
     pub fn cached(mut self, cache: &'a SweepCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Overrides the cache-tier resolution ladder.
-    #[must_use]
-    pub fn tier(mut self, tier: TierPolicy) -> Self {
-        self.tier = tier;
         self
     }
 
@@ -511,19 +487,21 @@ impl<'a> SweepRequest<'a> {
             "expect_misses requires cached()"
         );
         let misses_before = self.cache.map(|c| c.misses());
-        let service = match (self.cache, self.tier) {
-            (Some(_), TierPolicy::Full) => ServiceSweepCache::from_env(),
+        // The service tier: local cache → service → simulate, for cached
+        // unsharded requests only.
+        let service = match (self.cache, self.shard) {
+            (Some(cache), None) => ServiceSweepCache::from_env().map(|s| (s, cache)),
             _ => None,
         };
         let owned = shard_slice(specs, self.shard.unwrap_or_else(Shard::full));
-        if let (Some(service), Some(cache)) = (&service, self.cache) {
+        if let Some((service, cache)) = &service {
             let owned_specs: Vec<ScenarioSpec> = owned.iter().map(|(_, s)| s.clone()).collect();
             service.prefetch::<A>(&owned_specs, self.capture, cache);
         }
         let out = self.runner.run(owned, |_, (index, spec)| {
             run_point_as::<A>(self.capture, *index, spec, self.cache)
         });
-        if let (Some(service), Some(cache)) = (&service, self.cache) {
+        if let Some((service, cache)) = &service {
             service.push_back::<A>(cache);
         }
         if let (Some(want), Some(before)) = (self.expect_misses, misses_before) {
@@ -985,8 +963,8 @@ impl SweepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assemble::{assemble, assemble_enum, assemble_mono};
-    use crate::run::run_summary;
+    use crate::assemble::{assemble, assemble_enum, assemble_mono, BuiltScenario};
+    use crate::run::{run_capture, run_summary};
     use crate::Maintenance;
     use wl_core::Params;
     use wl_time::RealTime;
@@ -1035,64 +1013,162 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mono_path_bit_identical_to_boxed() {
-        // Fault-free specs take the Vec<A> fast path inside run_point;
-        // forcing the boxed path through assemble + run_summary must give
-        // byte-identical outcomes.
-        for (i, spec) in grid(3).iter().enumerate() {
-            let fast = run_point::<Maintenance>(i, spec);
-            let boxed = SweepOutcome::new(
-                i,
-                spec.seed,
-                &run_summary(assemble::<Maintenance>(spec), spec.t_end.as_secs()),
-            );
-            assert!(fast.bit_identical(&boxed), "grid point {i} diverged");
+    /// The fastest rung a spec is expected on; every slower rung accepts
+    /// it too (the boxed rung hosts everything).
+    #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+    enum Fastest {
+        Mono,
+        Enum,
+        Boxed,
+    }
+
+    fn outcome_on<M, Q, F>(
+        built: BuiltScenario<M, Q, F>,
+        spec: &ScenarioSpec,
+        capture: Capture,
+    ) -> SweepOutcome
+    where
+        M: Clone + std::fmt::Debug + Send + 'static,
+        Q: wl_sim::EventQueue<M>,
+        F: wl_sim::Fleet<M>,
+    {
+        let t_end = spec.t_end.as_secs();
+        if capture == Capture::Series {
+            let (summary, series) = run_capture(built, t_end);
+            let mut outcome = SweepOutcome::new(0, spec.seed, &summary);
+            outcome.series = Some(series);
+            outcome
+        } else {
+            SweepOutcome::new(0, spec.seed, &run_summary(built, t_end))
         }
-        // And the fast path really is available for these specs.
-        assert!(assemble_mono::<Maintenance>(&grid(1)[0]).is_some());
-        // Faulted specs fall back.
-        let faulted = grid(1)[0]
-            .clone()
-            .fault(wl_sim::ProcessId(0), crate::FaultKind::Silent);
-        assert!(assemble_mono::<Maintenance>(&faulted).is_none());
+    }
+
+    fn traced_run<M, Q, F>(
+        mut built: BuiltScenario<M, Q, F>,
+    ) -> (Vec<wl_sim::trace::TraceEvent>, wl_sim::SimStats)
+    where
+        M: Clone + std::fmt::Debug + Send + 'static,
+        Q: wl_sim::EventQueue<M>,
+        F: wl_sim::Fleet<M>,
+    {
+        let outcome = built.sim.run();
+        (outcome.trace.events().to_vec(), outcome.stats)
+    }
+
+    /// One row of the rung table: (a) which rungs accept `spec`, traced
+    /// or not; (b) every accepting rung, and the ladder, reproduce the
+    /// boxed rung's outcome bit for bit at both captures; (c) traced,
+    /// every accepting rung records the boxed rung's trace and counters.
+    fn check_rungs<A: SweepAlgorithm>(row: &str, spec: &ScenarioSpec, fastest: Fastest) {
+        let row = format!("{} / {row}", A::NAME);
+        let traced = spec.clone().trace(16);
+        for s in [spec, &traced] {
+            assert_eq!(
+                assemble_mono::<A>(s).is_some(),
+                fastest == Fastest::Mono,
+                "{row}: mono acceptance"
+            );
+            assert_eq!(
+                assemble_enum::<A>(s).is_some(),
+                fastest <= Fastest::Enum,
+                "{row}: enum acceptance"
+            );
+        }
+        for capture in [Capture::Scalar, Capture::Series] {
+            let boxed = outcome_on(assemble::<A>(spec), spec, capture);
+            let ladder = run_point_as::<A>(capture, 0, spec, None);
+            assert!(ladder.bit_identical(&boxed), "{row}: ladder at {capture}");
+            if let Some(built) = assemble_mono::<A>(spec) {
+                let mono = outcome_on(built, spec, capture);
+                assert!(mono.bit_identical(&boxed), "{row}: mono at {capture}");
+            }
+            if let Some(built) = assemble_enum::<A>(spec) {
+                let on_enum = outcome_on(built, spec, capture);
+                assert!(on_enum.bit_identical(&boxed), "{row}: enum at {capture}");
+            }
+        }
+        let boxed = traced_run(assemble::<A>(&traced));
+        assert_eq!(boxed.0.len(), 16, "{row}: the trace fills");
+        if let Some(built) = assemble_mono::<A>(&traced) {
+            assert_eq!(traced_run(built), boxed, "{row}: mono trace");
+        }
+        if let Some(built) = assemble_enum::<A>(&traced) {
+            assert_eq!(traced_run(built), boxed, "{row}: enum trace");
+        }
     }
 
     #[test]
-    fn enum_path_bit_identical_to_boxed() {
-        // Faulted specs take the Vec<A::FleetAuto> fast path inside
-        // run_point; forcing the boxed path through assemble + run_summary
-        // must give byte-identical outcomes.
-        for (i, base) in grid(3).iter().enumerate() {
-            let spec = base
-                .clone()
-                .fault(wl_sim::ProcessId(0), crate::FaultKind::Silent);
-            // The faulted spec is served by the enum path, not mono.
-            assert!(assemble_mono::<Maintenance>(&spec).is_none());
-            assert!(assemble_enum::<Maintenance>(&spec).is_some());
-            let fast = run_point::<Maintenance>(i, &spec);
-            let boxed = SweepOutcome::new(
-                i,
-                spec.seed,
-                &run_summary(assemble::<Maintenance>(&spec), spec.t_end.as_secs()),
-            );
-            assert!(fast.bit_identical(&boxed), "grid point {i} diverged");
+    fn rungs_agree() {
+        use crate::{AdversarySpec, AdversaryStrategy, FaultKind, LmCnv, Startup};
+        use wl_sim::ProcessId;
+        use Fastest::{Boxed, Enum, Mono};
+
+        let p = ProcessId(0);
+        let rejoining = |spec: &ScenarioSpec| {
+            spec.clone()
+                .rejoiner(ProcessId(2), RealTime::from_secs(2.0))
+        };
+        let with = |spec: &ScenarioSpec, strategy| {
+            spec.clone()
+                .adversary(AdversarySpec::new(vec![p], strategy))
+        };
+        let churn = AdversaryStrategy::Churn { up: 1.0, down: 0.5 };
+
+        let base = grid(1).remove(0);
+        check_rungs::<Maintenance>("fault-free", &base, Mono);
+        for kind in [
+            FaultKind::CrashAt(2.0),
+            FaultKind::Silent,
+            FaultKind::RoundSpam,
+            FaultKind::PullApart(0.002),
+            FaultKind::PullApartHigh(0.002),
+            FaultKind::TwoFaced(0.002),
+        ] {
+            check_rungs::<Maintenance>(&format!("{kind:?}"), &base.clone().fault(p, kind), Enum);
         }
-        // A rejoiner scenario also rides the enum path, byte-identically.
-        let spec = grid(1)[0]
-            .clone()
-            .rejoiner(wl_sim::ProcessId(2), wl_time::RealTime::from_secs(2.0));
-        assert!(assemble_enum::<Maintenance>(&spec).is_some());
-        let fast = run_point::<Maintenance>(0, &spec);
-        let boxed = SweepOutcome::new(
-            0,
-            spec.seed,
-            &run_summary(assemble::<Maintenance>(&spec), spec.t_end.as_secs()),
+        check_rungs::<Maintenance>("rejoiner", &rejoining(&base), Enum);
+        check_rungs::<Maintenance>(
+            "delay-only adversary",
+            &with(&base, AdversaryStrategy::Partition),
+            Mono,
         );
-        assert!(fast.bit_identical(&boxed), "rejoiner point diverged");
-        // Traced specs fall all the way back to the boxed path.
-        let traced = grid(1)[0].clone().trace(16);
-        assert!(assemble_enum::<Maintenance>(&traced).is_none());
+        check_rungs::<Maintenance>("churn adversary", &with(&base, churn), Boxed);
+        // Declined by the enum rung as a *member*, though the automaton
+        // it maps to (Silent) is one the fleet enum could hold.
+        check_rungs::<Maintenance>(
+            "mute adversary",
+            &with(&base, AdversaryStrategy::Mute),
+            Boxed,
+        );
+
+        let sp = wl_core::StartupParams::new(4, 1, 1e-6, 0.010, 0.001).unwrap();
+        let cold = ScenarioSpec::startup(&sp, 5.0)
+            .seed(7)
+            .t_end(RealTime::from_secs(4.0));
+        check_rungs::<Startup>("fault-free", &cold, Mono);
+        check_rungs::<Startup>("Silent", &cold.clone().fault(p, FaultKind::Silent), Enum);
+        check_rungs::<Startup>(
+            "delay-only adversary",
+            &with(&cold, AdversaryStrategy::TargetedDelay { victim: 1 }),
+            Mono,
+        );
+        check_rungs::<Startup>("churn adversary", &with(&cold, churn), Boxed);
+
+        check_rungs::<LmCnv>("fault-free", &base, Mono);
+        for kind in [FaultKind::Silent, FaultKind::TwoFaced(0.002)] {
+            check_rungs::<LmCnv>(&format!("{kind:?}"), &base.clone().fault(p, kind), Enum);
+        }
+        check_rungs::<LmCnv>(
+            "delay-only adversary",
+            &with(&base, AdversaryStrategy::Partition),
+            Mono,
+        );
+        check_rungs::<LmCnv>("churn adversary", &with(&base, churn), Boxed);
+
+        // A rejoiner the algorithm lacks: no fast rung takes it (the
+        // boxed rung's refusal is `baselines_reject_rejoiners`).
+        assert!(assemble_enum::<Startup>(&rejoining(&cold)).is_none());
+        assert!(assemble_enum::<LmCnv>(&rejoining(&base)).is_none());
     }
 
     #[test]
@@ -1297,29 +1373,6 @@ mod tests {
         let _ = SweepRequest::new()
             .expect_misses(1)
             .run::<Maintenance>(grid(1));
-    }
-
-    #[test]
-    fn sharded_requests_default_to_local_tier() {
-        // `.shard()` flips the tier to LocalOnly; an explicit override
-        // restores the full ladder. (Pure policy check — no service is
-        // running, so we only verify the builder state transitions by
-        // exercising both paths successfully.)
-        let cache = SweepCache::new();
-        let shard = Shard::new(0, 2);
-        let local = SweepRequest::new()
-            .shard(shard)
-            .cached(&cache)
-            .run::<Maintenance>(grid(4));
-        let full = SweepRequest::new()
-            .shard(shard)
-            .tier(TierPolicy::Full)
-            .cached(&cache)
-            .run::<Maintenance>(grid(4));
-        assert!(local.iter().zip(&full).all(|(x, y)| x.bit_identical(y)));
-        // Grid-global indices survive the shard + cache combination.
-        assert_eq!(local.len(), 2);
-        assert!(local.iter().all(|o| shard.owns(o.index)));
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! 5. a warm server under load — 8 concurrent clients, each through the
 //!    `WL_SWEEP_SERVICE` env knob with `WL_SWEEP_EXPECT_MISSES=0`
 //!    semantics held (zero local misses per client) — answers everything
-//!    from its in-RAM index: server stats report zero simulations.
+//!    from its in-RAM index: server stats report zero simulations;
+//! 6. a *sharded* cached sweep never consults the service, even with
+//!    `WL_SWEEP_SERVICE` naming a live server: the server sees no
+//!    request and the client simulates every point it owns.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -28,7 +31,7 @@ use std::time::{Duration, Instant};
 use wl_core::Params;
 use wl_harness::{
     derive_seed, Capture, DelayKind, Maintenance, ScenarioSpec, ServiceAddr, ServiceClient,
-    ServiceStats, StoreFormat, SweepCache, SweepOutcome, SweepRequest, SweepStore,
+    ServiceStats, Shard, StoreFormat, SweepCache, SweepOutcome, SweepRequest, SweepStore,
 };
 use wl_time::RealTime;
 
@@ -63,7 +66,8 @@ fn main() {
     test_concurrent_clients_converge_to_reference_bytes();
     test_dead_service_degrades_to_local_sweep();
     test_warm_server_under_load_simulates_nothing();
-    println!("service_process: all 5 tests passed");
+    test_sharded_sweep_never_consults_the_service();
+    println!("service_process: all 6 tests passed");
 }
 
 // ---------------------------------------------------------------------------
@@ -382,6 +386,41 @@ fn test_warm_server_under_load_simulates_nothing() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
     println!("ok: 8 concurrent clients on a warm server simulate nothing anywhere");
+}
+
+fn test_sharded_sweep_never_consults_the_service() {
+    let dir = tmp_dir("sharded");
+    let server = Server::spawn(&dir, &dir.join("server.wls"), None);
+    let before = server.stats();
+
+    let shard = Shard::new(0, 2);
+    std::env::set_var("WL_SWEEP_SERVICE", server.addr.to_string());
+    let cache = SweepCache::new();
+    let out = SweepRequest::new()
+        .threads(1)
+        .shard(shard)
+        .cached(&cache)
+        .run::<Maintenance>(grid());
+    std::env::remove_var("WL_SWEEP_SERVICE");
+
+    let owned = (GRID / 2) as u64;
+    assert!(out.iter().all(|o| shard.owns(o.index)));
+    assert_eq!(
+        (cache.hits(), cache.misses()),
+        (0, owned),
+        "a sharded sweep simulates every point it owns locally"
+    );
+    let after = server.stats();
+    assert_eq!(
+        after.requests,
+        before.requests + 1,
+        "the server saw only the second Stats call"
+    );
+    assert_eq!((after.simulated, after.records), (0, 0));
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    println!("ok: a sharded sweep leaves a live service untouched");
 }
 
 fn test_dead_service_degrades_to_local_sweep() {

@@ -22,15 +22,15 @@
 
 use proptest::prelude::*;
 use wl_harness::cache::canon_string;
-use wl_harness::{SketchObserver, SkewSketch};
+use wl_harness::SkewSketch;
 
-/// Folds a sample stream through the per-point observer.
+/// Folds a sample stream into a fresh sketch.
 fn fold(samples: &[f64]) -> SkewSketch {
-    let mut obs = SketchObserver::new();
+    let mut sketch = SkewSketch::new();
     for &v in samples {
-        obs.observe(v);
+        sketch.observe(v);
     }
-    obs.finish()
+    sketch
 }
 
 fn merged(a: &SkewSketch, b: &SkewSketch) -> SkewSketch {

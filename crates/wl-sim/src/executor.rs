@@ -203,17 +203,6 @@ where
         &self.observer
     }
 
-    /// Mutable access to the observer stack.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
-    }
-
-    /// Consumes the simulation, returning the observer stack.
-    #[must_use]
-    pub fn into_observer(self) -> O {
-        self.observer
-    }
-
     /// Delivers the next event, if any remains before `t_end`.
     ///
     /// Returns the real time of the delivered event, or `None` when the
@@ -340,12 +329,6 @@ where
             trace: self.observer.trace.take(),
             stopped_at,
         }
-    }
-
-    /// Read-only view of the correction histories mid-run.
-    #[must_use]
-    pub fn correction_histories(&self) -> &[CorrectionHistory] {
-        self.observer.corr.histories()
     }
 
     /// Counters so far.

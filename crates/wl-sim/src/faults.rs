@@ -9,10 +9,8 @@
 //! strategies that need no knowledge of the protocol at all.
 
 use crate::{Actions, Automaton, Input, ProcessId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fmt;
-use wl_time::{ClockDur, ClockTime, RealTime};
+use wl_time::{ClockTime, RealTime};
 
 /// Which processes a scenario designates as faulty, with `n` and `f`.
 ///
@@ -171,66 +169,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> Automaton for SilentFor<M> {
     fn on_input(&mut self, _i: Input<M>, _now: ClockTime, _out: &mut Actions<M>) {}
 }
 
-/// A Byzantine process that floods every peer with random forgeries of a
-/// caller-supplied shape whenever it is scheduled, and keeps scheduling
-/// itself with tight timers.
-///
-/// `forge(rng)` produces one message; different recipients receive
-/// *different* forgeries ("two-faced" behaviour).
-pub struct RandomSpammer<M, F> {
-    forge: F,
-    rng: StdRng,
-    n: usize,
-    /// Physical-clock period between self-wakeups.
-    period: ClockDur,
-    _marker: std::marker::PhantomData<M>,
-}
-
-impl<M, F> fmt::Debug for RandomSpammer<M, F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RandomSpammer")
-            .field("n", &self.n)
-            .field("period", &self.period)
-            .finish()
-    }
-}
-
-impl<M, F: FnMut(&mut StdRng) -> M> RandomSpammer<M, F> {
-    /// Creates a spammer over `n` peers waking every `period` on its
-    /// physical clock, deterministic in `seed`.
-    #[must_use]
-    pub fn new(n: usize, period: ClockDur, seed: u64, forge: F) -> Self {
-        Self {
-            forge,
-            rng: StdRng::seed_from_u64(seed),
-            n,
-            period,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<M, F> Automaton for RandomSpammer<M, F>
-where
-    M: Clone + fmt::Debug + Send + 'static,
-    F: FnMut(&mut StdRng) -> M + Send,
-{
-    type Msg = M;
-
-    fn on_input(&mut self, input: Input<M>, phys_now: ClockTime, out: &mut Actions<M>) {
-        match input {
-            Input::Start | Input::Timer => {
-                for q in 0..self.n {
-                    let msg = (self.forge)(&mut self.rng);
-                    out.send(ProcessId(q), msg);
-                }
-                out.set_timer(phys_now + self.period);
-            }
-            Input::Message { .. } => {}
-        }
-    }
-}
-
 /// Converts an intended real crash time into the physical-clock deadline
 /// `Ph_p(t_crash)` expected by [`CrashAt`].
 #[must_use]
@@ -241,7 +179,6 @@ pub fn crash_phys_time<C: wl_clock::Clock + ?Sized>(clock: &C, t_crash: RealTime
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[derive(Debug, Default)]
     struct Echo {
@@ -325,29 +262,6 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn spammer_sends_distinct_forgeries_and_rearms() {
-        let mut sp = RandomSpammer::new(3, ClockDur::from_secs(1.0), 5, |rng| {
-            rng.gen_range(0u32..1000)
-        });
-        let mut out = Actions::new();
-        sp.on_input(Input::Start, ClockTime::ZERO, &mut out);
-        let acts: Vec<_> = out.drain().collect();
-        // 3 sends + 1 timer
-        assert_eq!(acts.len(), 4);
-        let msgs: Vec<u32> = acts
-            .iter()
-            .filter_map(|a| match a {
-                crate::Action::Send { msg, .. } => Some(*msg),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(msgs.len(), 3);
-        // Overwhelmingly likely distinct with this seed; just assert not all equal.
-        assert!(!(msgs[0] == msgs[1] && msgs[1] == msgs[2]));
-        assert!(matches!(acts[3], crate::Action::SetTimer { .. }));
     }
 
     #[test]

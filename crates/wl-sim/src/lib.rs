@@ -16,7 +16,7 @@
 //!   runtime in `wl-runtime` drive the same automata.
 //! * [`delay::DelayModel`] — pluggable message-delay distributions within
 //!   `[δ−ε, δ+ε]`, including adversarial ones.
-//! * [`faults`] — crash / silence / spam wrappers and fault bookkeeping;
+//! * [`faults`] — crash / silence wrappers and fault bookkeeping;
 //!   fully Byzantine behaviours are just alternative `Automaton`
 //!   implementations (they may send different lies to different peers).
 //! * [`Simulation`] — the executor: seeded, deterministic, streaming every
@@ -33,8 +33,8 @@
 //!   fakes substitute through.
 //! * **Observer** — anything implementing [`Observer`]: the default
 //!   [`StdObservers`] bundle (counters + correction histories + bounded
-//!   trace), a [`NullObserver`] for measurement-free runs, a streaming
-//!   [`SkewProbe`], or any composition of sinks.
+//!   trace), a [`NullObserver`] for measurement-free runs, or a
+//!   caller-written bundle of sinks.
 //! * **Fleet** — the process collection: boxed trait objects
 //!   ([`DynFleet`]) for mixed fleets, or a `Vec<A>` of one concrete
 //!   automaton type for monomorphized dispatch.
@@ -93,7 +93,7 @@ pub use event::{EventClass, Input, QueuedEvent};
 pub use executor::{DynFleet, Fleet, SimConfig, SimOutcome, Simulation};
 pub use history::CorrectionHistory;
 pub use observer::{
-    CorrectionSink, Counters, NullObserver, Observer, SimStats, SkewProbe, StdObservers, TraceSink,
+    CorrectionSink, Counters, NullObserver, Observer, SimStats, StdObservers, TraceSink,
 };
 pub use queue::{EventQueue, HeapQueue};
 

@@ -1,34 +1,27 @@
 //! Streaming execution observers: the [`Observer`] trait and the standard
 //! sinks.
 //!
-//! The executor used to hard-wire its instrumentation — counters mutated
-//! inline, a [`Trace`] vector filled eagerly, correction histories
-//! recorded unconditionally. Observers invert that: the engine *streams*
-//! everything observable about an execution (deliveries, sends, timers,
-//! corrections, annotations) through a sink chosen at build time, and
-//! each measurement becomes a composable [`Observer`] implementation:
+//! The engine *streams* everything observable about an execution
+//! (deliveries, sends, timers, corrections, annotations) through a sink
+//! chosen at build time:
 //!
 //! * [`Counters`] — the [`SimStats`] counters, and nothing else.
 //! * [`CorrectionSink`] — per-process [`CorrectionHistory`], from which
 //!   the analysis reconstructs every local-time function `L_p(t)`.
 //! * [`TraceSink`] — the bounded structured [`Trace`].
-//! * [`SkewProbe`] — streaming skew samples at a fixed cadence, without
-//!   retaining the execution.
 //! * [`NullObserver`] — nothing at all: measurement-free runs allocate
 //!   nothing per event.
 //!
-//! Sinks compose structurally: tuples `(A, B)` fan out to both members,
-//! `Option<O>` toggles a sink at runtime, and `Box<dyn Observer<M>>`
-//! erases the type. [`StdObservers`] is the counters + corrections +
-//! trace bundle that reproduces the legacy executor's behaviour exactly
-//! and backs [`crate::SimOutcome`].
+//! [`StdObservers`] is the counters + corrections + trace bundle that
+//! backs [`crate::SimOutcome`]. A different combination of sinks is a
+//! bundle written the same way — a struct of sinks whose [`Observer`]
+//! impl forwards each callback — installed with
+//! [`crate::SimBuilder::build_with`].
 
 use crate::history::CorrectionHistory;
 use crate::trace::{Trace, TraceEvent};
 use crate::{Input, ProcessId};
-use wl_clock::drift::FleetClock;
-use wl_clock::Clock;
-use wl_time::{ClockTime, RealDur, RealTime};
+use wl_time::{ClockTime, RealTime};
 
 /// Counters describing an execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -94,133 +87,6 @@ pub trait Observer<M>: Send {
 pub struct NullObserver;
 
 impl<M> Observer<M> for NullObserver {}
-
-impl<M> Observer<M> for () {}
-
-impl<M, A: Observer<M>, B: Observer<M>> Observer<M> for (A, B) {
-    fn on_deliver(&mut self, to: ProcessId, input: &Input<M>, at: RealTime) {
-        self.0.on_deliver(to, input, at);
-        self.1.on_deliver(to, input, at);
-    }
-    fn on_send(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        at: RealTime,
-        deliver_at: RealTime,
-        msg: &M,
-    ) {
-        self.0.on_send(from, to, at, deliver_at, msg);
-        self.1.on_send(from, to, at, deliver_at, msg);
-    }
-    fn on_timer_set(&mut self, by: ProcessId, at: RealTime, physical: ClockTime, suppressed: bool) {
-        self.0.on_timer_set(by, at, physical, suppressed);
-        self.1.on_timer_set(by, at, physical, suppressed);
-    }
-    fn on_correction(&mut self, by: ProcessId, at: RealTime, corr: f64) {
-        self.0.on_correction(by, at, corr);
-        self.1.on_correction(by, at, corr);
-    }
-    fn on_note(&mut self, by: ProcessId, at: RealTime, text: &str) {
-        self.0.on_note(by, at, text);
-        self.1.on_note(by, at, text);
-    }
-}
-
-impl<M, A: Observer<M>, B: Observer<M>, C: Observer<M>> Observer<M> for (A, B, C) {
-    fn on_deliver(&mut self, to: ProcessId, input: &Input<M>, at: RealTime) {
-        self.0.on_deliver(to, input, at);
-        self.1.on_deliver(to, input, at);
-        self.2.on_deliver(to, input, at);
-    }
-    fn on_send(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        at: RealTime,
-        deliver_at: RealTime,
-        msg: &M,
-    ) {
-        self.0.on_send(from, to, at, deliver_at, msg);
-        self.1.on_send(from, to, at, deliver_at, msg);
-        self.2.on_send(from, to, at, deliver_at, msg);
-    }
-    fn on_timer_set(&mut self, by: ProcessId, at: RealTime, physical: ClockTime, suppressed: bool) {
-        self.0.on_timer_set(by, at, physical, suppressed);
-        self.1.on_timer_set(by, at, physical, suppressed);
-        self.2.on_timer_set(by, at, physical, suppressed);
-    }
-    fn on_correction(&mut self, by: ProcessId, at: RealTime, corr: f64) {
-        self.0.on_correction(by, at, corr);
-        self.1.on_correction(by, at, corr);
-        self.2.on_correction(by, at, corr);
-    }
-    fn on_note(&mut self, by: ProcessId, at: RealTime, text: &str) {
-        self.0.on_note(by, at, text);
-        self.1.on_note(by, at, text);
-        self.2.on_note(by, at, text);
-    }
-}
-
-impl<M, O: Observer<M>> Observer<M> for Option<O> {
-    fn on_deliver(&mut self, to: ProcessId, input: &Input<M>, at: RealTime) {
-        if let Some(o) = self {
-            o.on_deliver(to, input, at);
-        }
-    }
-    fn on_send(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        at: RealTime,
-        deliver_at: RealTime,
-        msg: &M,
-    ) {
-        if let Some(o) = self {
-            o.on_send(from, to, at, deliver_at, msg);
-        }
-    }
-    fn on_timer_set(&mut self, by: ProcessId, at: RealTime, physical: ClockTime, suppressed: bool) {
-        if let Some(o) = self {
-            o.on_timer_set(by, at, physical, suppressed);
-        }
-    }
-    fn on_correction(&mut self, by: ProcessId, at: RealTime, corr: f64) {
-        if let Some(o) = self {
-            o.on_correction(by, at, corr);
-        }
-    }
-    fn on_note(&mut self, by: ProcessId, at: RealTime, text: &str) {
-        if let Some(o) = self {
-            o.on_note(by, at, text);
-        }
-    }
-}
-
-impl<M, O: Observer<M> + ?Sized> Observer<M> for Box<O> {
-    fn on_deliver(&mut self, to: ProcessId, input: &Input<M>, at: RealTime) {
-        (**self).on_deliver(to, input, at);
-    }
-    fn on_send(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        at: RealTime,
-        deliver_at: RealTime,
-        msg: &M,
-    ) {
-        (**self).on_send(from, to, at, deliver_at, msg);
-    }
-    fn on_timer_set(&mut self, by: ProcessId, at: RealTime, physical: ClockTime, suppressed: bool) {
-        (**self).on_timer_set(by, at, physical, suppressed);
-    }
-    fn on_correction(&mut self, by: ProcessId, at: RealTime, corr: f64) {
-        (**self).on_correction(by, at, corr);
-    }
-    fn on_note(&mut self, by: ProcessId, at: RealTime, text: &str) {
-        (**self).on_note(by, at, text);
-    }
-}
 
 /// Counts events into [`SimStats`] — the counting observer behind
 /// `SimOutcome::stats`, replacing the executor's inline counter fields.
@@ -317,9 +183,7 @@ impl TraceSink {
         }
     }
 
-    /// Whether recording is enabled.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.capacity > 0
     }
 
@@ -394,161 +258,6 @@ impl<M: std::fmt::Debug> Observer<M> for TraceSink {
                 text: text.to_owned(),
             });
         }
-    }
-}
-
-/// Streaming skew sampler: records `max − min` of the watched local
-/// clocks `Ph_p(t) + CORR_p(t)` at a fixed cadence, without keeping the
-/// execution around for post-hoc analysis.
-///
-/// The probe holds one clock and correction per process (index =
-/// [`ProcessId`], the whole fleet — the same indexing the engine uses),
-/// and measures the spread over the watched subset, by default everyone;
-/// restrict to the nonfaulty processes with [`SkewProbe::watch_only`].
-///
-/// Sampling is driven by delivered events: the sample at time `s` is
-/// taken at the first delivery at or after `s`, reflecting the
-/// corrections reported before that delivery. Pending samples between
-/// the last event and `until` are flushed by
-/// [`SkewProbe::finish`] (or lazily by the accessors). Adequate for
-/// monitoring a sweep's convergence; the exact reconstruction remains
-/// [`CorrectionSink`] + `wl-analysis`.
-#[derive(Debug, Clone)]
-pub struct SkewProbe {
-    clocks: Vec<FleetClock>,
-    corr: Vec<f64>,
-    watched: Vec<bool>,
-    next: RealTime,
-    step: RealDur,
-    until: RealTime,
-    samples: Vec<(RealTime, f64)>,
-}
-
-impl SkewProbe {
-    /// A probe over the whole fleet: `clocks[p]` and `initial_corrs[p]`
-    /// belong to process `p`, exactly as the engine indexes them.
-    /// Samples every `step` from `from` until `until`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clocks` and `initial_corrs` disagree on length, or if
-    /// `step` is not positive (the sampling loop must advance).
-    #[must_use]
-    pub fn new(
-        clocks: Vec<FleetClock>,
-        initial_corrs: &[f64],
-        from: RealTime,
-        until: RealTime,
-        step: RealDur,
-    ) -> Self {
-        assert_eq!(
-            clocks.len(),
-            initial_corrs.len(),
-            "one correction per clock"
-        );
-        assert!(step.as_secs() > 0.0, "sampling step must be positive");
-        let watched = vec![true; clocks.len()];
-        Self {
-            clocks,
-            corr: initial_corrs.to_vec(),
-            watched,
-            next: from,
-            step,
-            until,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Restricts the skew measurement to the given processes (typically
-    /// the fault plan's nonfaulty set). Corrections of unwatched
-    /// processes are still tracked; they just don't enter the spread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is out of range.
-    #[must_use]
-    pub fn watch_only(mut self, ids: &[ProcessId]) -> Self {
-        self.watched = vec![false; self.clocks.len()];
-        for id in ids {
-            self.watched[id.index()] = true;
-        }
-        self
-    }
-
-    /// Flushes the samples between the last observed event and `until`,
-    /// using the final corrections. Call after the run (the engine has
-    /// no end-of-run callback). [`SkewProbe::into_samples`] does this
-    /// implicitly; the borrowing accessors ([`SkewProbe::samples`],
-    /// [`SkewProbe::max_skew`]) do not.
-    pub fn finish(&mut self) {
-        let end = self.until;
-        self.advance_past(end);
-    }
-
-    /// The `(t, skew)` samples recorded so far.
-    #[must_use]
-    pub fn samples(&self) -> &[(RealTime, f64)] {
-        &self.samples
-    }
-
-    /// Flushes the tail ([`SkewProbe::finish`]) and returns all samples.
-    #[must_use]
-    pub fn into_samples(mut self) -> Vec<(RealTime, f64)> {
-        self.finish();
-        self.samples
-    }
-
-    /// The largest sampled skew, or 0 if nothing was sampled.
-    #[must_use]
-    pub fn max_skew(&self) -> f64 {
-        self.samples.iter().map(|&(_, s)| s).fold(0.0, f64::max)
-    }
-
-    fn sample_at(&mut self, t: RealTime) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for (i, (clock, &corr)) in self.clocks.iter().zip(&self.corr).enumerate() {
-            if !self.watched[i] {
-                continue;
-            }
-            let local = clock.read(t).as_secs() + corr;
-            lo = lo.min(local);
-            hi = hi.max(local);
-        }
-        if hi >= lo {
-            self.samples.push((t, hi - lo));
-        }
-    }
-
-    /// Takes every pending sample with time `<= at` (and `<= until`).
-    fn advance_past(&mut self, at: RealTime) {
-        while self.next <= at && self.next <= self.until {
-            let t = self.next;
-            self.sample_at(t);
-            self.next += self.step;
-        }
-    }
-
-    /// Takes every pending sample with time `< at` (corrections at `at`
-    /// itself are about to be reported, and must not leak backwards).
-    fn advance_to(&mut self, at: RealTime) {
-        while self.next < at && self.next <= self.until {
-            let t = self.next;
-            self.sample_at(t);
-            self.next += self.step;
-        }
-    }
-}
-
-impl<M> Observer<M> for SkewProbe {
-    fn on_deliver(&mut self, _to: ProcessId, _input: &Input<M>, at: RealTime) {
-        // Sample boundaries at exactly `at` are taken now, before this
-        // delivery's actions report corrections.
-        self.advance_past(at);
-    }
-    fn on_correction(&mut self, by: ProcessId, at: RealTime, corr: f64) {
-        self.advance_to(at);
-        self.corr[by.index()] = corr;
     }
 }
 
@@ -652,74 +361,5 @@ mod tests {
         Observer::<u32>::on_note(&mut s, ProcessId(0), t(0.0), "x");
         assert!(s.trace().events().is_empty());
         assert!(!s.is_enabled());
-    }
-
-    #[test]
-    fn tuple_fans_out() {
-        let mut pair = (Counters::new(), TraceSink::with_capacity(10));
-        Observer::<u32>::on_deliver(&mut pair, ProcessId(0), &Input::Timer, t(1.0));
-        assert_eq!(pair.0.stats().events_delivered, 1);
-        assert_eq!(pair.1.trace().events().len(), 1);
-    }
-
-    #[test]
-    fn option_toggles() {
-        let mut off: Option<Counters> = None;
-        Observer::<u32>::on_deliver(&mut off, ProcessId(0), &Input::Timer, t(1.0));
-        let mut on = Some(Counters::new());
-        Observer::<u32>::on_deliver(&mut on, ProcessId(0), &Input::Timer, t(1.0));
-        assert_eq!(on.unwrap().stats().events_delivered, 1);
-    }
-
-    #[test]
-    fn skew_probe_samples_between_events() {
-        use wl_clock::drift::DriftModel;
-        let clocks = DriftModel::Ideal.build(2, &[ClockTime::ZERO, ClockTime::from_secs(0.5)], 0);
-        let mut probe = SkewProbe::new(
-            clocks,
-            &[0.0, 0.0],
-            t(0.0),
-            t(10.0),
-            RealDur::from_secs(1.0),
-        );
-        // First delivery at t=2.5 flushes samples at 0, 1, 2.
-        Observer::<u32>::on_deliver(&mut probe, ProcessId(0), &Input::Start, t(2.5));
-        assert_eq!(probe.samples().len(), 3);
-        assert!((probe.max_skew() - 0.5).abs() < 1e-12);
-        // A correction closes the offset; later samples see it.
-        Observer::<u32>::on_correction(&mut probe, ProcessId(0), t(2.6), 0.5);
-        Observer::<u32>::on_deliver(&mut probe, ProcessId(0), &Input::Timer, t(4.5));
-        let last = *probe.samples().last().unwrap();
-        assert_eq!(last.0, t(4.0));
-        assert!(last.1.abs() < 1e-12);
-        // finish() flushes the tail out to `until`.
-        probe.finish();
-        assert_eq!(probe.samples().last().unwrap().0, t(10.0));
-        assert_eq!(probe.samples().len(), 11);
-    }
-
-    #[test]
-    fn skew_probe_boundary_and_watch_subset() {
-        use wl_clock::drift::DriftModel;
-        let offsets = [
-            ClockTime::ZERO,
-            ClockTime::from_secs(0.25),
-            ClockTime::from_secs(9.0), // a faulty outlier, excluded below
-        ];
-        let clocks = DriftModel::Ideal.build(3, &offsets, 0);
-        let mut probe = SkewProbe::new(clocks, &[0.0; 3], t(0.0), t(10.0), RealDur::from_secs(1.0))
-            .watch_only(&[ProcessId(0), ProcessId(1)]);
-        // An event exactly on a sample boundary takes that sample,
-        // before the event's own corrections are reported.
-        Observer::<u32>::on_deliver(&mut probe, ProcessId(1), &Input::Start, t(1.0));
-        Observer::<u32>::on_correction(&mut probe, ProcessId(1), t(1.0), -0.25);
-        assert_eq!(probe.samples().len(), 2); // t = 0 and t = 1
-        assert!((probe.max_skew() - 0.25).abs() < 1e-12, "outlier excluded");
-        // The correction of a *watched* process at t=1.0 did not leak
-        // into the t=1.0 sample, but shows up at t=2.0.
-        Observer::<u32>::on_deliver(&mut probe, ProcessId(0), &Input::Timer, t(2.0));
-        let last = *probe.samples().last().unwrap();
-        assert_eq!(last.0, t(2.0));
-        assert!(last.1.abs() < 1e-12);
     }
 }

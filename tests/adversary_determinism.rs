@@ -19,7 +19,7 @@ use welch_lynch::harness::{
     assemble_enum_with_queue, assemble_with_queue, derive_seed, run, AdversarySpec,
     AdversaryStrategy, Capture, DelayKind, Maintenance, ScenarioSpec, ServeConfig, ServiceAddr,
     ServiceClient, ServiceSweepCache, StoreFormat, SweepCache, SweepOutcome, SweepRequest,
-    SweepStore, TierPolicy,
+    SweepStore,
 };
 use welch_lynch::sim::ProcessId;
 use welch_lynch::time::RealTime;
@@ -200,7 +200,6 @@ fn gallery_byte_identical_through_service_transport_and_migration() {
     let local = SweepRequest::new()
         .threads(1)
         .cached(&local_cache)
-        .tier(TierPolicy::LocalOnly)
         .run::<Maintenance>(grid.clone());
     assert_eq!(local_cache.misses(), grid.len() as u64);
 
@@ -227,7 +226,6 @@ fn gallery_byte_identical_through_service_transport_and_migration() {
     let remote = SweepRequest::new()
         .threads(1)
         .cached(&service_cache)
-        .tier(TierPolicy::LocalOnly)
         .run::<Maintenance>(grid.clone());
     assert_eq!(
         service_cache.misses(),
