@@ -42,15 +42,27 @@ use wl_harness::{
     WorkerTransport,
 };
 
+/// The shared flags each mode honours; any other falls to [`usage`].
+/// The worker set is exactly what `command_for` below passes.
+const DRIVER_FLAGS: &[&str] = &[
+    "--format",
+    "--compact",
+    "--transport",
+    "--chunk",
+    "--capture",
+];
+const WORKER_FLAGS: &[&str] = &["--format", "--capture"];
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  sweep_drive --workers N [--grid SIZE] [--t-end SECS] [--dir DIR] [--out FILE] \
-         [--retries R] [--stall-ms T] [--crash-worker K] [--steal-ms T] {common}\n  \
+         [--retries R] [--stall-ms T] [--crash-worker K] [--steal-ms T] {driver}\n  \
          sweep_drive --frontier-worker --frontier DIR --worker-id ID --store FILE \
          [--grid SIZE] [--t-end SECS] [--steal-ms T] [--poll-ms T] \
-         [--crash-after-chunks M] {common}\n\
+         [--crash-after-chunks M] {worker}\n\
          --transport defaults to subprocess; --chunk is the checkpoint granule",
-        common = cli::COMMON_USAGE
+        driver = cli::common_usage(DRIVER_FLAGS),
+        worker = cli::common_usage(WORKER_FLAGS),
     );
     std::process::exit(2);
 }
@@ -83,7 +95,7 @@ fn frontier_worker_main(args: &[String]) {
     let mut poll_ms = 100u64;
     let mut crash_after_chunks = None;
     while let Some(flag) = it.next() {
-        if common.take(flag, &mut it) {
+        if common.take(WORKER_FLAGS, flag, &mut it) {
             continue;
         }
         match flag.as_str() {
@@ -148,7 +160,7 @@ fn driver_main(args: &[String]) {
     let mut common = cli::CommonArgs::default();
     let mut steal_ms = 2000u64;
     while let Some(flag) = it.next() {
-        if common.take(flag, &mut it) {
+        if common.take(DRIVER_FLAGS, flag, &mut it) {
             continue;
         }
         match flag.as_str() {

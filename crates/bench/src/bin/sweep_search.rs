@@ -34,8 +34,7 @@ use wl_time::RealTime;
 fn usage() -> ! {
     eprintln!(
         "usage: sweep_search [--seed S] [--descent R] [--anneal N] [--refine K] \
-         [--threads T] [--smoke] [--check] {common}",
-        common = cli::COMMON_USAGE
+         [--threads T] [--smoke] [--check]"
     );
     std::process::exit(2);
 }
@@ -59,12 +58,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = SearchConfig::default();
     let mut check = false;
-    let mut common = cli::CommonArgs::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        if common.take(flag, &mut it) {
-            continue;
-        }
         match flag.as_str() {
             "--seed" => cfg.seed = parse_seed(it.next()),
             "--descent" => cfg.descent_rounds = cli::require("--descent", it.next()),

@@ -1,4 +1,4 @@
-//! The sweep-results service CLI: run, query, stop, and benchmark a
+//! The sweep-results service CLI: run, query, and stop a
 //! `wl_harness::service` server (see `docs/service.md`).
 //!
 //! ```text
@@ -11,9 +11,6 @@
 //! # Query / stop a running server:
 //! sweep_serve --stats unix:/tmp/wl.sock
 //! sweep_serve --shutdown unix:/tmp/wl.sock
-//!
-//! # Self-contained perf probe (PERF.md's PR 7 row):
-//! sweep_serve --bench --clients 4 --requests 2000
 //! ```
 //!
 //! `--crash-after-batches N` is the fault-injection knob the CI
@@ -24,19 +21,17 @@
 
 use bench::cli;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
-use wl_harness::{
-    serve, Capture, Maintenance, ServeConfig, ServiceAddr, ServiceClient, StoreFormat,
-    SweepRequest, SweepStore, SyncAlgorithm,
-};
+use wl_harness::{serve, ServeConfig, ServiceAddr, ServiceClient, StoreFormat};
+
+/// The one shared flag the server honours; any other falls to [`usage`].
+const SERVE_FLAGS: &[&str] = &["--format"];
 
 fn usage() -> ! {
     eprintln!(
         "usage: sweep_serve --socket <path> | --tcp <addr> --store <file> \
          [--threads <n>] [--crash-after-batches <n>] {common}\n\
-       \x20      sweep_serve --stats <spec> | --shutdown <spec>   (spec: unix:<path> | tcp:<addr>)\n\
-       \x20      sweep_serve --bench [--clients <n>] [--requests <n>]",
-        common = cli::COMMON_USAGE
+       \x20      sweep_serve --stats <spec> | --shutdown <spec>   (spec: unix:<path> | tcp:<addr>)",
+        common = cli::common_usage(SERVE_FLAGS)
     );
     std::process::exit(2);
 }
@@ -57,13 +52,10 @@ fn main() {
     let mut crash_after_batches = None;
     let mut stats_spec: Option<ServiceAddr> = None;
     let mut shutdown_spec: Option<ServiceAddr> = None;
-    let mut bench = false;
-    let mut clients = 4usize;
-    let mut requests = 2000usize;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if common.take(arg, &mut it) {
+        if common.take(SERVE_FLAGS, arg, &mut it) {
             continue;
         }
         let mut val = || it.next().cloned().unwrap_or_else(|| usage());
@@ -77,9 +69,6 @@ fn main() {
             }
             "--stats" => stats_spec = Some(parse_spec(&val())),
             "--shutdown" => shutdown_spec = Some(parse_spec(&val())),
-            "--bench" => bench = true,
-            "--clients" => clients = val().parse().unwrap_or_else(|_| usage()),
-            "--requests" => requests = val().parse().unwrap_or_else(|_| usage()),
             _ => usage(),
         }
     }
@@ -100,10 +89,6 @@ fn main() {
             .shutdown()
             .unwrap_or_else(|e| fail(&format!("shutdown request failed: {e}")));
         println!("service shutdown requested");
-        return;
-    }
-    if bench {
-        run_bench(clients, requests.max(1));
         return;
     }
 
@@ -135,128 +120,4 @@ fn main() {
 fn fail(msg: &str) -> ! {
     eprintln!("sweep_serve: {msg}");
     std::process::exit(1);
-}
-
-/// The PERF.md probe: concurrent-client warm-hit throughput and latency
-/// against an in-process server, vs the local hydrated-store path over
-/// the same grid. Self-contained — builds its own store in a temp dir.
-fn run_bench(clients: usize, requests: usize) {
-    let dir = std::env::temp_dir().join(format!("wl-serve-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| fail(&format!("mkdir: {e}")));
-    let store_path = dir.join("bench.wls");
-    let sock = dir.join("bench.sock");
-    let addr = ServiceAddr::parse(&format!("unix:{}", sock.display()))
-        .unwrap_or_else(|| fail("unix sockets unavailable"));
-
-    let specs = bench::demo_grid(48);
-    let points: Vec<(u64, wl_harness::ScenarioSpec)> = specs
-        .iter()
-        .map(|s| (s.content_hash(), s.clone()))
-        .collect();
-
-    let mut cfg = ServeConfig::new(addr.clone(), &store_path);
-    cfg.threads = 2;
-    std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(&cfg, |_| ()));
-
-        // Cold pass populates the server store; everything after is
-        // warm. Retries cover both the socket file not existing yet and
-        // the bind→listen window where connects are refused.
-        let refs: Vec<(u64, &wl_harness::ScenarioSpec)> =
-            points.iter().map(|(h, s)| (*h, s)).collect();
-        let connect_deadline = Instant::now() + Duration::from_secs(10);
-        let got = loop {
-            let mut warmup = ServiceClient::new(addr.clone());
-            match warmup.batch_get(Maintenance::NAME, Capture::Scalar, &refs) {
-                Ok(got) => break got,
-                Err(_) if Instant::now() < connect_deadline => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => fail(&format!("warmup batch failed: {e}")),
-            }
-        };
-        assert!(got.iter().all(Option::is_some), "warmup must resolve all");
-
-        // Concurrent warm gets, per-request latency recorded.
-        let t0 = Instant::now();
-        let mut lats: Vec<Duration> = std::thread::scope(|clients_scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let addr = addr.clone();
-                    let points = &points;
-                    clients_scope.spawn(move || {
-                        let mut client = ServiceClient::new(addr);
-                        let mut lats = Vec::with_capacity(requests);
-                        for i in 0..requests {
-                            let (hash, _) = &points[(c + i * 7) % points.len()];
-                            let t = Instant::now();
-                            let got = client
-                                .get(*hash, Maintenance::NAME, Capture::Scalar)
-                                .unwrap_or_else(|e| fail(&format!("get failed: {e}")));
-                            lats.push(t.elapsed());
-                            assert!(got.is_some(), "warm get must hit");
-                        }
-                        lats
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread"))
-                .collect()
-        });
-        let wall = t0.elapsed();
-        ServiceClient::new(addr.clone())
-            .shutdown()
-            .unwrap_or_else(|e| fail(&format!("bench shutdown failed: {e}")));
-        server
-            .join()
-            .expect("server thread")
-            .unwrap_or_else(|e| fail(&format!("server failed: {e}")));
-
-        lats.sort();
-        let total = lats.len();
-        let pct = |p: f64| lats[(((total - 1) as f64) * p) as usize];
-        let service_rate = total as f64 / wall.as_secs_f64();
-
-        // The local comparison: hydrate the server's own store and time
-        // warm per-point resolution through the standard cached sweep
-        // (the DiskSweepCache hot path) — one point per call, so each
-        // call is one canonical-hash + confirmed lookup, the local
-        // equivalent of one service get.
-        std::env::remove_var("WL_SWEEP_SERVICE");
-        let store = SweepStore::open(&store_path).unwrap_or_else(|e| fail(&format!("open: {e}")));
-        let cache = store.hydrate();
-        let request = SweepRequest::new().threads(1).cached(&cache);
-        let mut local: Vec<Duration> = Vec::with_capacity(clients * requests);
-        let t0 = Instant::now();
-        for i in 0..clients * requests {
-            let spec = specs[(i * 7) % specs.len()].clone();
-            let t = Instant::now();
-            let out = request.run::<Maintenance>(vec![spec]);
-            local.push(t.elapsed());
-            assert_eq!(out.len(), 1);
-        }
-        let local_wall = t0.elapsed();
-        assert_eq!(cache.misses(), 0, "local pass must be fully warm");
-        local.sort();
-        let lpct = |p: f64| local[(((local.len() - 1) as f64) * p) as usize];
-        let local_rate = local.len() as f64 / local_wall.as_secs_f64();
-
-        println!(
-            "service bench: {clients} clients x {requests} warm gets over {} points",
-            points.len()
-        );
-        println!(
-            "  service: {service_rate:.0} gets/s, p50 {:.1} us, p99 {:.1} us",
-            pct(0.50).as_secs_f64() * 1e6,
-            pct(0.99).as_secs_f64() * 1e6,
-        );
-        println!(
-            "  local DiskSweepCache path: {local_rate:.0} lookups/s, p50 {:.1} us, p99 {:.1} us",
-            lpct(0.50).as_secs_f64() * 1e6,
-            lpct(0.99).as_secs_f64() * 1e6,
-        );
-    });
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,13 +21,20 @@ use wl_harness::{
     Maintenance, Shard, StoreFormat, SweepCache, SweepRequest, SweepStore, SweepSummary,
 };
 
+/// The shared flags each mode honours; any other falls to [`usage`].
+const SHARD_FLAGS: &[&str] = &["--format", "--compact", "--capture"];
+const MERGE_FLAGS: &[&str] = &["--format"];
+const MIGRATE_FLAGS: &[&str] = &["--format", "--compact"];
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  sweep_shard --shard K/N --store FILE [--grid SIZE] [--t-end SECS] \
-         [--expect-hits N] {common}\n  \
-         sweep_shard --merge OUT IN1 IN2 [IN3 ...] {common}\n  \
-         sweep_shard --migrate SRC DST {common}",
-        common = cli::COMMON_USAGE
+         [--expect-hits N] {shard}\n  \
+         sweep_shard --merge OUT IN1 IN2 [IN3 ...] {merge}\n  \
+         sweep_shard --migrate SRC DST {migrate}",
+        shard = cli::common_usage(SHARD_FLAGS),
+        merge = cli::common_usage(MERGE_FLAGS),
+        migrate = cli::common_usage(MIGRATE_FLAGS),
     );
     std::process::exit(2);
 }
@@ -58,7 +65,7 @@ fn run_shard(args: &[String]) {
     let mut expect_hits: Option<u64> = None;
     let mut common = cli::CommonArgs::default();
     while let Some(flag) = it.next() {
-        if common.take(flag, &mut it) {
+        if common.take(SHARD_FLAGS, flag, &mut it) {
             continue;
         }
         match flag.as_str() {
@@ -152,15 +159,19 @@ fn run_shard(args: &[String]) {
 }
 
 fn run_merge(args: &[String]) {
-    // Flags (e.g. `--format F`) may appear anywhere; the positional
-    // remainder is OUT IN1 IN2 [IN3 ...].
+    // `--format F` may appear anywhere; the positional remainder is
+    // OUT IN1 IN2 [IN3 ...].
     let mut common = cli::CommonArgs::default();
     let mut positional: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if !common.take(arg, &mut it) {
-            positional.push(arg.clone());
+        if common.take(MERGE_FLAGS, arg, &mut it) {
+            continue;
         }
+        if arg.starts_with("--") {
+            usage();
+        }
+        positional.push(arg.clone());
     }
     let format = common.format_or(StoreFormat::Text);
     let [out, inputs @ ..] = &positional[..] else {
@@ -215,7 +226,7 @@ fn run_migrate(args: &[String]) {
     let dst = it.next().unwrap_or_else(|| usage());
     let mut common = cli::CommonArgs::default();
     while let Some(flag) = it.next() {
-        if !common.take(flag, &mut it) {
+        if !common.take(MIGRATE_FLAGS, flag, &mut it) {
             usage();
         }
     }

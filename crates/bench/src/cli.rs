@@ -4,17 +4,36 @@
 //! hand-rolled flag loops, and the flags they share — `--format`,
 //! `--compact`, `--transport`, `--chunk`, `--capture` — drifted in
 //! spelling, error text, and help strings. This module owns those:
-//! every binary routes unknown flags through [`CommonArgs::take`]
-//! first, so the shared flags parse identically, reject bad values
-//! with identical messages, and advertise themselves with the same
-//! [`COMMON_USAGE`] snippet.
+//! every mode names the shared flags it honours and routes its flags
+//! through [`CommonArgs::take`] first, so a shared flag parses
+//! identically and rejects bad values with identical messages wherever
+//! it means something, falls through to the binary's own `usage()`
+//! wherever it does not, and is advertised by [`common_usage`] exactly
+//! where it is accepted.
 
 use wl_harness::{Capture, StoreFormat};
 
-/// The usage fragment for the shared flags — splice into each binary's
-/// usage string so help text cannot drift.
-pub const COMMON_USAGE: &str = "[--format text|binary] [--compact] \
-     [--transport subprocess|dropbox|service] [--chunk C] [--capture scalar|sketch|series]";
+/// The shared flags with their usage fragments, in advertised order.
+const SHARED: [(&str, &str); 5] = [
+    ("--format", "[--format text|binary]"),
+    ("--compact", "[--compact]"),
+    ("--transport", "[--transport subprocess|dropbox|service]"),
+    ("--chunk", "[--chunk C]"),
+    ("--capture", "[--capture scalar|sketch|series]"),
+];
+
+/// The usage fragment for the shared flags a mode honours — splice into
+/// that mode's usage line so help text cannot drift from what
+/// [`CommonArgs::take`] accepts there.
+#[must_use]
+pub fn common_usage(honoured: &[&str]) -> String {
+    let fragments: Vec<&str> = SHARED
+        .iter()
+        .filter(|(flag, _)| honoured.contains(flag))
+        .map(|&(_, fragment)| fragment)
+        .collect();
+    fragments.join(" ")
+}
 
 /// The transports a `--transport` drive can ride (see
 /// `wl_harness::transport`). Parsing is centralized here so every
@@ -40,10 +59,20 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Tries to consume `flag` (and its value, if it takes one) from
-    /// the iterator. Returns `true` when the flag was one of the shared
-    /// four; the caller's match loop handles everything else. Bad
-    /// values exit 2 with a uniform message.
-    pub fn take(&mut self, flag: &str, it: &mut std::slice::Iter<'_, String>) -> bool {
+    /// the iterator. Returns `true` when the flag is a shared flag this
+    /// mode `honoured`; the caller's match loop handles everything else
+    /// — a shared flag the mode does not read included, so it ends in
+    /// `usage()` instead of being silently ignored. Bad values exit 2
+    /// with a uniform message.
+    pub fn take(
+        &mut self,
+        honoured: &[&str],
+        flag: &str,
+        it: &mut std::slice::Iter<'_, String>,
+    ) -> bool {
+        if !honoured.contains(&flag) {
+            return false;
+        }
         match flag {
             "--format" => self.format = Some(require("--format", it.next())),
             "--compact" => self.compact = true,
@@ -106,13 +135,21 @@ fn bad_value(flag: &str, got: &str, want: &str) -> ! {
 mod tests {
     use super::*;
 
-    fn scan(args: &[&str]) -> (CommonArgs, Vec<String>) {
+    const ALL: &[&str] = &[
+        "--format",
+        "--compact",
+        "--transport",
+        "--chunk",
+        "--capture",
+    ];
+
+    fn scan(honoured: &[&str], args: &[&str]) -> (CommonArgs, Vec<String>) {
         let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
         let mut common = CommonArgs::default();
         let mut rest = Vec::new();
         let mut it = owned.iter();
         while let Some(flag) = it.next() {
-            if !common.take(flag, &mut it) {
+            if !common.take(honoured, flag, &mut it) {
                 rest.push(flag.clone());
             }
         }
@@ -121,19 +158,22 @@ mod tests {
 
     #[test]
     fn shared_flags_parse_and_pass_through_the_rest() {
-        let (common, rest) = scan(&[
-            "--grid",
-            "--format",
-            "binary",
-            "--compact",
-            "--transport",
-            "dropbox",
-            "--chunk",
-            "8",
-            "--capture",
-            "sketch",
-            "--store",
-        ]);
+        let (common, rest) = scan(
+            ALL,
+            &[
+                "--grid",
+                "--format",
+                "binary",
+                "--compact",
+                "--transport",
+                "dropbox",
+                "--chunk",
+                "8",
+                "--capture",
+                "sketch",
+                "--store",
+            ],
+        );
         assert_eq!(common.format, Some(StoreFormat::Binary));
         assert!(common.compact);
         assert_eq!(common.transport.as_deref(), Some("dropbox"));
@@ -144,12 +184,59 @@ mod tests {
 
     #[test]
     fn defaults_apply_when_flags_absent() {
-        let (common, rest) = scan(&[]);
+        let (common, rest) = scan(ALL, &[]);
         assert_eq!(common.format_or(StoreFormat::Text), StoreFormat::Text);
         assert_eq!(common.chunk_or(4), 4);
         assert_eq!(common.capture(), Capture::Scalar);
         assert!(!common.compact);
         assert!(common.transport.is_none());
         assert!(rest.is_empty());
+    }
+
+    /// The seven call sites' flag sets: a shared flag is parsed where
+    /// the mode honours it, handed back (to reach `usage()`) where it
+    /// does not, and advertised exactly where it is parsed.
+    #[test]
+    fn each_mode_takes_and_advertises_only_what_it_honours() {
+        let modes: [(&str, &[&str]); 7] = [
+            ("sweep_drive --workers", ALL),
+            ("sweep_drive --frontier-worker", &["--format", "--capture"]),
+            (
+                "sweep_shard --shard",
+                &["--format", "--compact", "--capture"],
+            ),
+            ("sweep_shard --merge", &["--format"]),
+            ("sweep_shard --migrate", &["--format", "--compact"]),
+            ("sweep_serve", &["--format"]),
+            ("sweep_search", &[]),
+        ];
+        type Parsed = fn(&CommonArgs) -> bool;
+        let given: [(&str, &str, Parsed); 5] = [
+            ("--format", "binary", |c| {
+                c.format == Some(StoreFormat::Binary)
+            }),
+            ("--compact", "", |c| c.compact),
+            ("--transport", "dropbox", |c| {
+                c.transport.as_deref() == Some("dropbox")
+            }),
+            ("--chunk", "8", |c| c.chunk == Some(8)),
+            ("--capture", "sketch", |c| {
+                c.capture == Some(Capture::Sketch)
+            }),
+        ];
+        for (mode, honoured) in modes {
+            let usage = common_usage(honoured);
+            for (flag, value, parsed) in given {
+                let (common, rest) = scan(honoured, &[flag, value]);
+                let honours = honoured.contains(&flag);
+                assert_eq!(parsed(&common), honours, "{mode}: {flag} parsed");
+                assert_eq!(
+                    rest.first().is_some_and(|r| r == flag),
+                    !honours,
+                    "{mode}: {flag} returned"
+                );
+                assert_eq!(usage.contains(flag), honours, "{mode}: {flag} advertised");
+            }
+        }
     }
 }

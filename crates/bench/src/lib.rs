@@ -11,7 +11,7 @@
 
 pub mod cli;
 
-pub use wl_harness::run::{baseline_metrics, run_summary, skew_series, steady_skew, RunSummary};
+pub use wl_harness::run::{baseline_metrics, run_summary, RunSummary};
 
 use wl_core::Params;
 use wl_harness::{derive_seed, DelayKind, DiskSweepCache, ScenarioSpec};

@@ -25,7 +25,7 @@
 //!   length-prefixed, checksummed binary units with their canonical
 //!   strings [`wlz`]-compressed, packed into fixed-capacity segments
 //!   ([`segment`] is the framing layer). ~2× smaller on series-heavy
-//!   grids (the hex-entropy floor; PERF.md row 5 has measurements), and
+//!   grids (the hex-entropy floor, PERF.md's PR 5 note), and
 //!   *appendable*: [`SweepStore::checkpoint`] extends the file by one
 //!   segment instead of rewriting it. Migration between the two is
 //!   lossless and byte-pinned ([`SweepStore::migrate`]).
@@ -132,7 +132,7 @@ pub enum StoreFormat {
     #[default]
     Text,
     /// Compressed binary segments (`WLSB`): the v3 format — ~2×
-    /// smaller on series grids (PERF.md row 5), appendable in O(new
+    /// smaller on series grids (PERF.md, PR 5), appendable in O(new
     /// records) by [`SweepStore::checkpoint`].
     Binary,
 }

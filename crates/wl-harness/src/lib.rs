@@ -21,9 +21,9 @@
 //!   `assemble::<A>(&spec)` → a ready-to-run [`BuiltScenario`];
 //!   [`assemble_mono`] and [`assemble_enum`] are the same body at an
 //!   unboxed fleet type, for the specs such a fleet can store.
-//! * [`run`] — shared measurement helpers (`run_summary`,
-//!   `baseline_metrics`, `skew_series`) generic over the scenario, so
-//!   every algorithm on every fleet is summarized by the same code.
+//! * [`run`] — shared measurement helpers (`run_summary`, `run_capture`,
+//!   `baseline_metrics`) generic over the scenario, so every algorithm
+//!   on every fleet is summarized by the same code.
 //! * [`SweepRequest`] — the one sweep entry point: fans a grid of specs
 //!   across threads ([`SweepRunner`]) with
 //!   deterministic per-scenario seed derivation ([`derive_seed`]). Results
@@ -81,7 +81,9 @@
 //!     })
 //!     .collect();
 //! let skews = SweepRunner::new().run(specs, |_, spec| {
-//!     wl_harness::run::steady_skew(assemble::<Maintenance>(spec), 5.0)
+//!     wl_harness::run::run_summary(assemble::<Maintenance>(spec), 5.0)
+//!         .agreement
+//!         .steady_skew
 //! });
 //! assert_eq!(skews.len(), 4);
 //! ```

@@ -3,7 +3,6 @@
 //! type, the queue and the fleet storage — the same code summarizes
 //! Welch–Lynch and baseline runs on every dispatch rung.
 
-use crate::algo::SyncAlgorithm;
 use crate::assemble::{assemble, assemble_enum, assemble_mono, BuiltScenario};
 use crate::spec::ScenarioSpec;
 use crate::sweep::{SweepAlgorithm, SweepSeries};
@@ -14,7 +13,7 @@ use wl_analysis::skew::SkewSeries;
 use wl_analysis::ExecutionView;
 use wl_clock::drift::FleetClock;
 use wl_core::Params;
-use wl_sim::{Automaton, EventQueue, Fleet, SimStats};
+use wl_sim::{EventQueue, Fleet, SimStats};
 use wl_time::{RealDur, RealTime};
 
 /// Everything the experiments usually need from one run.
@@ -127,21 +126,6 @@ where
     )
 }
 
-/// Runs `spec` with a monomorphized fleet and **no observer at all**
-/// ([`wl_sim::NullObserver`]) and returns the engine's own delivered-event
-/// count — the raw Monte Carlo throughput floor, with every measurement
-/// cost removed. `None` if the spec does not qualify for the fast path
-/// (see [`crate::assemble_mono`]).
-#[must_use]
-pub fn drive_unobserved<A>(spec: &ScenarioSpec) -> Option<u64>
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-{
-    let mut sim = crate::assemble::assemble_mono_null::<A>(spec)?;
-    sim.drive();
-    Some(sim.events_delivered())
-}
-
 /// Builds the [`SweepSeries`] payload from a completed execution. The
 /// uniform sampling step is `P/10`, floored so even very long horizons
 /// stay at ≤ ~4000 grid samples (event-adjacent samples make window
@@ -178,34 +162,6 @@ fn capture_series(
         corr_times: corr_changes.iter().map(|&(_, t, _)| t).collect(),
         corr_values: corr_changes.iter().map(|&(_, _, c)| c).collect(),
     }
-}
-
-/// Runs a built scenario and returns only the steady-state skew measured
-/// over the second half of the horizon.
-#[must_use]
-pub fn steady_skew<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>>(
-    built: BuiltScenario<M, Q>,
-    t_end: f64,
-) -> f64 {
-    run_summary(built, t_end).agreement.steady_skew
-}
-
-/// Samples the full skew series of a built scenario (for figure-style
-/// outputs).
-#[must_use]
-pub fn skew_series<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQueue<M>>(
-    mut built: BuiltScenario<M, Q>,
-    t_end: f64,
-    step: f64,
-) -> SkewSeries {
-    let outcome = built.sim.run();
-    let view = ExecutionView::with_plan(built.sim.clocks(), &outcome.corr, &built.plan);
-    SkewSeries::sample_with_events(
-        &view,
-        RealTime::from_secs(built.params.t0),
-        RealTime::from_secs(t_end * 0.98),
-        RealDur::from_secs(step),
-    )
 }
 
 /// The §10 comparison metrics: `(steady skew, max |ADJ|)`, sampled the way
