@@ -5,8 +5,8 @@
 //! # Serve a store on a unix socket (or --tcp 127.0.0.1:7171):
 //! sweep_serve --socket /tmp/wl.sock --store sweeps.wls --format binary
 //!
-//! # Point any cached experiment at it:
-//! WL_SWEEP_SERVICE=unix:/tmp/wl.sock cargo run --release -p bench --bin exp_agreement
+//! # Point the paper report (or any cached sweep) at it:
+//! WL_SWEEP_SERVICE=unix:/tmp/wl.sock cargo run --release -p bench --bin paper_report -- agreement
 //!
 //! # Query / stop a running server:
 //! sweep_serve --stats unix:/tmp/wl.sock

@@ -1,17 +1,17 @@
-//! Shared helpers for the experiment binaries.
+//! The paper report and the sweep CLIs.
 //!
-//! Each `exp_*` binary in `src/bin/` regenerates one table or figure of
-//! EXPERIMENTS.md. Scenario assembly and measurement live in
-//! [`wl_harness`]; this crate re-exports the run helpers and keeps only
-//! the experiment-local conveniences (default constants, cell
-//! formatting).
+//! [`paper`] reproduces the paper's checkable claims as the sections of
+//! one transcript, checked in as `docs/paper-report.txt`; the
+//! `paper_report` binary prints it. Scenario assembly and measurement
+//! live in [`wl_harness`]; this crate keeps the report, the shared
+//! argument layer of the `sweep_*` binaries ([`cli`]) and a few
+//! conveniences (default constants, cell formatting, the demo grid).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-
-pub use wl_harness::run::{baseline_metrics, run_summary, RunSummary};
+pub mod paper;
 
 use wl_core::Params;
 use wl_harness::{derive_seed, DelayKind, DiskSweepCache, ScenarioSpec};

@@ -419,8 +419,8 @@ impl<'a> SweepRequest<'a> {
     ///
     /// With a cache, a record poorer than the need is a miss: the point
     /// re-simulates once and the richer record replaces it in place, so
-    /// series-hungry experiments (`exp_boundary`, `exp_mean_mid`,
-    /// `exp_figures`) regenerate their figures from a warm cache with
+    /// series-hungry sections of `paper_report` (`boundary`, `mean_mid`,
+    /// `figures`) regenerate their figures from a warm cache with
     /// **zero** simulator executions. A richer record satisfies a poorer
     /// need — scalar consumers hit series-bearing records freely, and a
     /// sketch need derives its sketch from a stored series.

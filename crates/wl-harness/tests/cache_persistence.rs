@@ -9,8 +9,8 @@
 //!    same bytes as the 1-process store).
 //!
 //! And the ISSUE-4 extension: series-bearing sweeps
-//! (`Capture::Series`, the payload behind `exp_boundary` /
-//! `exp_mean_mid` / `exp_figures`) round-trip through the disk store
+//! (`Capture::Series`, the payload behind `paper_report`'s `boundary` /
+//! `mean_mid` / `figures` sections) round-trip through the disk store
 //! with every series element intact, so their warm re-runs also execute
 //! zero simulations.
 //!

@@ -172,7 +172,7 @@ impl Server {
 }
 
 /// Runs one cached sweep against `addr` (via the env knob — the exact
-/// path the `exp_*` binaries take) and returns the outcomes plus the
+/// path `paper_report` takes) and returns the outcomes plus the
 /// local cache's (hits, misses).
 fn served_sweep(addr: &ServiceAddr, specs: Vec<ScenarioSpec>) -> (Vec<SweepOutcome>, u64, u64) {
     std::env::set_var("WL_SWEEP_SERVICE", addr.to_string());

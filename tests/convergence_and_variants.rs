@@ -58,8 +58,9 @@ fn adversarial_execution_converges_to_4eps_fixed_point() {
     let skews = run_rounds(&params, true, 7);
     let fixed_point = theory::steady_state_beta(&params);
     let last = *skews.last().unwrap();
-    // The worst case rides the recurrence exactly (see exp_halving), so
-    // the final value is within 5% of the predicted fixed point.
+    // The worst case rides the recurrence exactly (see `paper_report
+    // halving`), so the final value is within 5% of the predicted fixed
+    // point.
     assert!(
         (last - fixed_point).abs() / fixed_point < 0.05,
         "final skew {last} vs fixed point {fixed_point}"
