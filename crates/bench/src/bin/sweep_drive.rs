@@ -31,7 +31,7 @@
 //! engine version is refused with a clear error naming the mismatched
 //! field — never silently merged, never a hang.
 
-use bench::{cli, demo_grid_t, DEMO_GRID};
+use bench::{cli, DEMO_GRID};
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
@@ -124,7 +124,7 @@ fn frontier_worker_main(args: &[String]) {
     };
     let progress = run_worker_frontier::<Maintenance>(
         &SweepRunner::new(),
-        demo_grid_t(grid_size, t_end),
+        cli::demo_grid_at(grid_size, t_end),
         &cfg,
         |p| {
             println!(
@@ -181,6 +181,7 @@ fn driver_main(args: &[String]) {
     if workers == 0 {
         usage();
     }
+    let grid = cli::demo_grid_at(grid_size, t_end);
     if let Some(k) = crash_worker {
         if k >= workers {
             eprintln!("--crash-worker {k} out of range 0..{workers}");
@@ -224,7 +225,6 @@ fn driver_main(args: &[String]) {
         cmd
     };
 
-    let grid = demo_grid_t(grid_size, t_end);
     let (report, stores) = match transport {
         "subprocess" => drive_over(&cfg, &grid, SubprocessTransport::new(command_for)),
         "dropbox" => drive_over(&cfg, &grid, DropBoxTransport::new(command_for)),

@@ -16,7 +16,7 @@
 //! cmp merged.wls full.wls
 //! ```
 
-use bench::{cli, demo_grid_t, enforce_expected_misses_on, DEMO_GRID};
+use bench::{cli, enforce_expected_misses_on, DEMO_GRID};
 use wl_harness::{
     Maintenance, Shard, StoreFormat, SweepCache, SweepRequest, SweepStore, SweepSummary,
 };
@@ -95,6 +95,7 @@ fn run_shard(args: &[String]) {
     let format = common.format;
     let compact = common.compact;
     let store_path = store_path.unwrap_or_else(|| usage());
+    let grid = cli::demo_grid_at(grid_size, t_end);
 
     let mut store = SweepStore::open(&store_path).unwrap_or_else(|e| {
         eprintln!("cannot open store {store_path}: {e}");
@@ -110,7 +111,7 @@ fn run_shard(args: &[String]) {
         .shard(shard)
         .cached(&cache)
         .capture(common.capture())
-        .run::<Maintenance>(demo_grid_t(grid_size, t_end));
+        .run::<Maintenance>(grid);
     let summary = SweepSummary::collect(&outcomes);
     enforce_expected_misses_on(&cache, &format!("shard {shard} over {store_path}"));
     let added = store.absorb(&cache);

@@ -11,7 +11,8 @@
 //! wherever it does not, and is advertised by [`common_usage`] exactly
 //! where it is accepted.
 
-use wl_harness::{Capture, StoreFormat};
+use wl_harness::run::agreement_window;
+use wl_harness::{Capture, ScenarioSpec, StoreFormat};
 
 /// The shared flags with their usage fragments, in advertised order.
 const SHARED: [(&str, &str); 5] = [
@@ -124,6 +125,21 @@ pub fn require<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> T {
         eprintln!("{flag}: cannot parse {raw:?}");
         std::process::exit(2);
     })
+}
+
+/// The demo grid at the horizon a `--t-end` flag asked for. A horizon
+/// too short for the agreement window is a refused flag value — exit 2
+/// naming the minimum — not a panic inside a sweep worker.
+#[must_use]
+pub fn demo_grid_at(size: usize, t_end: f64) -> Vec<ScenarioSpec> {
+    let grid = crate::demo_grid_t(size, t_end);
+    for spec in &grid {
+        if let Err(refusal) = agreement_window(&spec.params, t_end) {
+            eprintln!("--t-end: {refusal}");
+            std::process::exit(2);
+        }
+    }
+    grid
 }
 
 fn bad_value(flag: &str, got: &str, want: &str) -> ! {

@@ -21,6 +21,57 @@ pub struct AgreementReport {
     pub tightness: f64,
 }
 
+/// The running state of an agreement check: feed it every `(t, skew)`
+/// sample of the window `[from, to]`, in any order, then
+/// [`finish`](AgreementFold::finish) it against Theorem 16's γ.
+/// [`check_agreement`] is this fold over
+/// [`SkewSeries::sample_with_events`]; a caller that already evaluates
+/// those instants for another purpose folds them here itself.
+#[derive(Debug, Clone)]
+pub struct AgreementFold {
+    steady_from: RealTime,
+    max_skew: f64,
+    steady_skew: f64,
+}
+
+impl AgreementFold {
+    /// An empty fold over the window `[from, to]`; its second half is
+    /// the steady-state window.
+    #[must_use]
+    pub fn new(from: RealTime, to: RealTime) -> Self {
+        Self {
+            steady_from: from + (to - from) * 0.5,
+            max_skew: 0.0,
+            steady_skew: 0.0,
+        }
+    }
+
+    /// Adds the skew sampled at `t`.
+    pub fn observe(&mut self, t: RealTime, skew: f64) {
+        self.max_skew = self.max_skew.max(skew);
+        if t >= self.steady_from {
+            self.steady_skew = self.steady_skew.max(skew);
+        }
+    }
+
+    /// The verdict over everything observed.
+    #[must_use]
+    pub fn finish(self, params: &Params) -> AgreementReport {
+        let gamma = theory::gamma(params);
+        AgreementReport {
+            max_skew: self.max_skew,
+            gamma,
+            steady_skew: self.steady_skew,
+            holds: self.max_skew <= gamma + 1e-12,
+            tightness: if gamma > 0.0 {
+                self.max_skew / gamma
+            } else {
+                f64::NAN
+            },
+        }
+    }
+}
+
 /// Measures agreement over `[from, to]`, sampling every `step` plus at all
 /// correction changes, and compares against Theorem 16's γ.
 ///
@@ -35,22 +86,11 @@ pub fn check_agreement<C: Clock>(
     to: RealTime,
     step: RealDur,
 ) -> AgreementReport {
-    let gamma = theory::gamma(params);
-    let series = SkewSeries::sample_with_events(view, from, to, step);
-    let max_skew = series.max();
-    let midpoint = from + (to - from) * 0.5;
-    let steady_skew = series.max_after(midpoint);
-    AgreementReport {
-        max_skew,
-        gamma,
-        steady_skew,
-        holds: max_skew <= gamma + 1e-12,
-        tightness: if gamma > 0.0 {
-            max_skew / gamma
-        } else {
-            f64::NAN
-        },
+    let mut fold = AgreementFold::new(from, to);
+    for (t, skew) in SkewSeries::sample_with_events(view, from, to, step).samples {
+        fold.observe(t, skew);
     }
+    fold.finish(params)
 }
 
 #[cfg(test)]

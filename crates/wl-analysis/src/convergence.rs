@@ -6,7 +6,7 @@
 //! extracts the per-round skew series from an execution and estimates the
 //! contraction factor.
 
-use crate::skew::max_skew_at;
+use crate::skew::{SkewEvaluator, EVENT_EPS};
 use crate::ExecutionView;
 use wl_clock::Clock;
 use wl_time::{RealDur, RealTime};
@@ -21,24 +21,21 @@ pub struct RoundSeries {
     pub times: Vec<RealTime>,
 }
 
-/// Groups all nonfaulty correction changes into waves: changes within
-/// `wave_gap` of each other belong to one resynchronization wave, and the
-/// skew is measured just after the last change of each wave.
+/// Groups all nonfaulty correction changes into waves — changes within
+/// `wave_gap` of each other belong to one resynchronization wave — and
+/// returns, in time order, the instant just after the last change of
+/// each wave: where [`round_series`] measures.
 ///
 /// This avoids measuring mid-wave, where one process has updated and
 /// another has not (that transient is covered by Theorem 16's Case 2, not
 /// by the per-round recurrence).
 #[must_use]
-pub fn round_series<C: Clock>(view: &ExecutionView<'_, C>, wave_gap: RealDur) -> RoundSeries {
-    let mut changes: Vec<RealTime> = Vec::new();
-    for p in view.nonfaulty() {
-        changes.extend(view.corr[p].change_times());
-    }
-    changes.sort_by(|a, b| a.total_cmp(b));
+pub fn wave_instants<C: Clock>(view: &ExecutionView<'_, C>, wave_gap: RealDur) -> Vec<RealTime> {
+    let mut changes: Vec<RealTime> = view.nonfaulty_change_times().collect();
+    changes.sort_by(RealTime::total_cmp);
 
-    let mut skews = Vec::new();
-    let mut times = Vec::new();
-    let eps = RealDur::from_secs(1e-9);
+    let mut instants = Vec::new();
+    let eps = RealDur::from_secs(EVENT_EPS);
     let mut i = 0;
     while i < changes.len() {
         let mut last = changes[i];
@@ -47,12 +44,21 @@ pub fn round_series<C: Clock>(view: &ExecutionView<'_, C>, wave_gap: RealDur) ->
             last = changes[j];
             j += 1;
         }
-        let measure_at = last + eps;
-        times.push(measure_at);
-        skews.push(max_skew_at(view, measure_at));
+        instants.push(last + eps);
         i = j;
     }
-    RoundSeries { skews, times }
+    instants
+}
+
+/// The max pairwise nonfaulty skew at each of [`wave_instants`].
+#[must_use]
+pub fn round_series<C: Clock>(view: &ExecutionView<'_, C>, wave_gap: RealDur) -> RoundSeries {
+    let times = wave_instants(view, wave_gap);
+    let mut eval = SkewEvaluator::new(view);
+    RoundSeries {
+        skews: times.iter().map(|&t| eval.skew_at(t)).collect(),
+        times,
+    }
 }
 
 impl RoundSeries {

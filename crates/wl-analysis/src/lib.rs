@@ -6,7 +6,9 @@
 //! against it:
 //!
 //! * [`skew`] — pairwise local-time differences among nonfaulty processes,
-//!   sampled densely or at chosen instants.
+//!   sampled densely or at chosen instants. Its [`skew::SkewEvaluator`]
+//!   is the one place local times are evaluated on a sampling path:
+//!   every sampler below is a monotone pass through it.
 //! * [`agreement`] — Theorem 16's γ-agreement property.
 //! * [`validity`] — Theorem 19's (α₁, α₂, α₃)-validity envelope.
 //! * [`adjustment`] — Theorem 4(a)'s bound on every `ADJ`.
@@ -94,6 +96,14 @@ impl<'a, C: Clock> ExecutionView<'a, C> {
     #[must_use]
     pub fn nonfaulty(&self) -> Vec<usize> {
         (0..self.n()).filter(|&i| !self.faulty[i]).collect()
+    }
+
+    /// Every nonfaulty correction-change instant (the paper's update
+    /// times `u^i_p`), process by process — each process' run is in time
+    /// order, the concatenation is not.
+    pub fn nonfaulty_change_times(&self) -> impl Iterator<Item = RealTime> + '_ {
+        let honest = self.corr.iter().zip(&self.faulty).filter(|&(_, &f)| !f);
+        honest.flat_map(|(history, _)| history.change_times())
     }
 }
 

@@ -4,6 +4,7 @@
 //! every nonfaulty local time must advance linearly with real time,
 //! `α₁(t − tmax⁰) − α₃ ≤ L_p(t) − T⁰ ≤ α₂(t − tmin⁰) + α₃`.
 
+use crate::skew::SkewEvaluator;
 use crate::ExecutionView;
 use wl_clock::Clock;
 use wl_core::{theory, Params};
@@ -51,11 +52,11 @@ pub fn check_validity<C: Clock>(
     // Accumulators for the least-squares slope.
     let (mut sx, mut sy, mut sxx, mut sxy, mut count) = (0.0, 0.0, 0.0, 0.0, 0.0);
 
-    let ids = view.nonfaulty();
+    let mut eval = SkewEvaluator::new(view);
     let mut t = from.max(tmax0);
     while t <= to {
-        for &p in &ids {
-            let l = view.local_time(p, t) - t0;
+        for &local in eval.local_times_at(t) {
+            let l = local - t0;
             let lower = a1 * (t - tmax0).as_secs() - a3;
             let upper = a2 * (t - tmin0).as_secs() + a3;
             lower_slack = lower_slack.min(l - lower);

@@ -23,7 +23,8 @@
 //!   unboxed fleet type, for the specs such a fleet can store.
 //! * [`run`] — shared measurement helpers (`run_summary`, `run_capture`,
 //!   `baseline_metrics`) generic over the scenario, so every algorithm
-//!   on every fleet is summarized by the same code.
+//!   on every fleet is summarized by the same code: one monotone pass of
+//!   `wl_analysis`'s skew evaluator over every sample instant.
 //! * [`SweepRequest`] — the one sweep entry point: fans a grid of specs
 //!   across threads ([`SweepRunner`]) with
 //!   deterministic per-scenario seed derivation ([`derive_seed`]). Results

@@ -50,6 +50,7 @@ use crate::cache::segment::{EncodedRecord, Take};
 use crate::cache::{
     canon_string, fnv64, Admitted, Record, StoreFormat, SweepStore, ENGINE_VERSION,
 };
+use crate::run::agreement_window;
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 use crate::sweep::{run_point_as, Capture, SweepAlgorithm, SweepCache, SweepRunner};
 use std::collections::HashSet;
@@ -1635,9 +1636,12 @@ fn batch_get(
         for (i, item) in items.iter().enumerate() {
             // The hash recomputation is the codec's integrity check: a
             // drifting spec encoding degrades to "unresolved", and the
-            // client simulates locally — never a wrong record.
-            let Some(spec) =
-                decode_spec(&item.spec).filter(|s| s.content_hash() == item.content_hash)
+            // client simulates locally — never a wrong record. So does a
+            // horizon the run body refuses: the refusal is the client's
+            // to report, not a panic on this server's pool.
+            let Some(spec) = decode_spec(&item.spec)
+                .filter(|s| s.content_hash() == item.content_hash)
+                .filter(|s| agreement_window(&s.params, s.t_end.as_secs()).is_ok())
             else {
                 continue;
             };
@@ -2148,6 +2152,18 @@ mod tests {
             .batch_get("no-such-algo", Capture::Scalar, &points[..1])
             .unwrap();
         assert_eq!(unknown, vec![None]);
+        // A horizon too short for the agreement window: that slot is
+        // unresolved (the client's own run names the minimum), the point
+        // beside it resolves, and the server goes on answering below.
+        let short = specs[0].clone().t_end(RealTime::from_secs(0.5));
+        let mixed = client
+            .batch_get(
+                Maintenance::NAME,
+                Capture::Scalar,
+                &[(short.content_hash(), &short), points[1]],
+            )
+            .unwrap();
+        assert_eq!(mixed, vec![None, got[1].clone()]);
         // Put a foreign record and read it back.
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let mut foreign = arb_record(&mut rng);

@@ -525,9 +525,9 @@ impl<'a> SweepRequest<'a> {
 /// sketch need served by a series-bearing record derives the sketch on
 /// the fly and drops the series from the *returned* outcome (never from
 /// the cache: the richer record stays). A miss — including a poorer
-/// near-hit — runs the spec through [`run_dispatched`] with series
-/// capture when `capture` needs one, keeps the series, folds it into a
-/// [`SkewSketch`], or neither, and replaces the cache entry in place.
+/// near-hit — runs the spec through [`run_dispatched`] at `capture`,
+/// which hands back the series, the [`SkewSketch`] folded sample by
+/// sample without one, or neither, and replaces the cache entry in place.
 /// The scalar half is bit-identical at every `capture` (the capture is a
 /// read-only pass over the same run).
 pub(crate) fn run_point_as<A: SweepAlgorithm>(
@@ -553,16 +553,9 @@ pub(crate) fn run_point_as<A: SweepAlgorithm>(
             return hit;
         }
     }
-    let (summary, series) = run_dispatched::<A>(spec, capture != Capture::Scalar);
+    let (summary, sketch, series) = run_dispatched::<A>(spec, capture);
     let mut outcome = SweepOutcome::new(index, spec.seed, &summary);
-    match capture {
-        Capture::Scalar => {}
-        Capture::Sketch => {
-            let series = series.expect("capture requested");
-            outcome.sketch = Some(SkewSketch::of_series(&series));
-        }
-        Capture::Series => outcome.series = series,
-    }
+    (outcome.sketch, outcome.series) = (sketch, series);
     if let Some((cache, hash, spec_canon)) = keyed {
         cache.store(Record::of_outcome(A::NAME, hash, spec_canon, &outcome));
     }
@@ -964,7 +957,7 @@ impl SweepSummary {
 mod tests {
     use super::*;
     use crate::assemble::{assemble, assemble_enum, assemble_mono, BuiltScenario};
-    use crate::run::{run_capture, run_summary};
+    use crate::run::{drive_and_summarize, run_capture, run_summary};
     use crate::Maintenance;
     use wl_core::Params;
     use wl_time::RealTime;
@@ -1033,14 +1026,17 @@ mod tests {
         F: wl_sim::Fleet<M>,
     {
         let t_end = spec.t_end.as_secs();
-        if capture == Capture::Series {
-            let (summary, series) = run_capture(built, t_end);
-            let mut outcome = SweepOutcome::new(0, spec.seed, &summary);
-            outcome.series = Some(series);
-            outcome
-        } else {
-            SweepOutcome::new(0, spec.seed, &run_summary(built, t_end))
-        }
+        let (summary, sketch, series) = match capture {
+            Capture::Scalar => (run_summary(built, t_end), None, None),
+            Capture::Sketch => drive_and_summarize(built, t_end, capture),
+            Capture::Series => {
+                let (summary, series) = run_capture(built, t_end);
+                (summary, None, Some(series))
+            }
+        };
+        let mut outcome = SweepOutcome::new(0, spec.seed, &summary);
+        (outcome.sketch, outcome.series) = (sketch, series);
+        outcome
     }
 
     fn traced_run<M, Q, F>(
@@ -1057,8 +1053,10 @@ mod tests {
 
     /// One row of the rung table: (a) which rungs accept `spec`, traced
     /// or not; (b) every accepting rung, and the ladder, reproduce the
-    /// boxed rung's outcome bit for bit at both captures; (c) traced,
-    /// every accepting rung records the boxed rung's trace and counters.
+    /// boxed rung's outcome bit for bit at all three captures — whose
+    /// scalar halves are one another's, and whose in-pass sketch is the
+    /// sketch of the stored series; (c) traced, every accepting rung
+    /// records the boxed rung's trace and counters.
     fn check_rungs<A: SweepAlgorithm>(row: &str, spec: &ScenarioSpec, fastest: Fastest) {
         let row = format!("{} / {row}", A::NAME);
         let traced = spec.clone().trace(16);
@@ -1074,8 +1072,24 @@ mod tests {
                 "{row}: enum acceptance"
             );
         }
-        for capture in [Capture::Scalar, Capture::Series] {
-            let boxed = outcome_on(assemble::<A>(spec), spec, capture);
+        let [scalar, sketch, series] = [Capture::Scalar, Capture::Sketch, Capture::Series]
+            .map(|capture| outcome_on(assemble::<A>(spec), spec, capture));
+        let folded = sketch.sketch.as_ref().expect("sketch captured");
+        let stored = series.series.as_ref().expect("series captured");
+        assert!(
+            folded.bit_identical(&SkewSketch::of_series(stored)),
+            "{row}: in-pass sketch vs sketch of the series"
+        );
+        for richer in [&sketch, &series] {
+            let mut half = richer.clone();
+            (half.sketch, half.series) = (None, None);
+            assert!(half.bit_identical(&scalar), "{row}: scalar half");
+        }
+        for (capture, boxed) in [
+            (Capture::Scalar, scalar),
+            (Capture::Sketch, sketch),
+            (Capture::Series, series),
+        ] {
             let ladder = run_point_as::<A>(capture, 0, spec, None);
             assert!(ladder.bit_identical(&boxed), "{row}: ladder at {capture}");
             if let Some(built) = assemble_mono::<A>(spec) {
@@ -1100,6 +1114,7 @@ mod tests {
     #[test]
     fn rungs_agree() {
         use crate::{AdversarySpec, AdversaryStrategy, FaultKind, LmCnv, Startup};
+        use crate::{MahaneySchneider, Rejoiner, SrikanthToueg};
         use wl_sim::ProcessId;
         use Fastest::{Boxed, Enum, Mono};
 
@@ -1164,6 +1179,10 @@ mod tests {
             Mono,
         );
         check_rungs::<LmCnv>("churn adversary", &with(&base, churn), Boxed);
+
+        check_rungs::<Rejoiner>("rejoiner", &rejoining(&base), Enum);
+        check_rungs::<MahaneySchneider>("fault-free", &base, Mono);
+        check_rungs::<SrikanthToueg>("fault-free", &base, Mono);
 
         // A rejoiner the algorithm lacks: no fast rung takes it (the
         // boxed rung's refusal is `baselines_reject_rejoiners`).
