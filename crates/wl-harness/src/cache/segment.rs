@@ -973,6 +973,31 @@ mod tests {
     }
 
     #[test]
+    fn hostile_raw_length_is_refused_without_reserving_it() {
+        // A checksum-valid 47-byte record whose spec payload claims
+        // 4 GiB − 1 raw bytes behind a one-byte LZ stream. The checksum
+        // proves nothing about intent — anyone can compute FNV — so the
+        // claimed length must not reach the allocator.
+        let mut body = vec![TAG_SCALAR];
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(&3u32.to_le_bytes());
+        body.extend_from_slice(&1u16.to_le_bytes());
+        body.push(b'a');
+        body.push(ENC_LZ);
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.push(0);
+        body.push(ENC_RAW);
+        body.extend_from_slice(&[0u8; 8]);
+        let crc = fnv64(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        let mut record = (body.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&body);
+        assert_eq!(record.len(), 47);
+        assert!(EncodedRecord::decode(&record).is_none());
+    }
+
+    #[test]
     fn incompressible_payloads_are_stored_raw() {
         // A short, high-entropy payload: wlz gains nothing, so the
         // framing must fall back to raw bytes (enc_len == raw_len).
@@ -1167,6 +1192,20 @@ mod tests {
         let (out, segments, damaged) = read_all(&vandal);
         assert_eq!(out, batch_b, "the later segment survives");
         assert_eq!((segments, damaged), (2, batch_a.len()));
+
+        // The header's `mid` (bytes 16..20) and `raw` (20..24) lengths
+        // sit outside the checksum. A lie in either — however large —
+        // costs the segment and reserves nothing for the claim.
+        for field in [16, 20] {
+            for lie in [0, 1, u32::MAX] {
+                let mut liar = file.clone();
+                let at = FILE_HEADER_LEN + field;
+                liar[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+                let (out, segments, damaged) = read_all(&liar);
+                assert_eq!(out, batch_b, "header byte {field} = {lie}");
+                assert_eq!((segments, damaged), (2, batch_a.len()));
+            }
+        }
     }
 
     #[test]

@@ -1532,7 +1532,8 @@ fn dispatch(
     runner: &SweepRunner,
     cfg: &ServeConfig,
 ) -> io::Result<Response> {
-    lock_core(core).requests += 1;
+    let mut c = lock_core(core);
+    c.requests += 1;
     Ok(match request {
         Request::Get {
             content_hash,
@@ -1543,14 +1544,15 @@ fn dispatch(
             if engine_version != ENGINE_VERSION {
                 return Ok(Response::Miss);
             }
-            let mut c = lock_core(core);
-            match warm(&c.store, content_hash, &algo, need) {
-                Some(record) => {
-                    c.warm_hits += 1;
-                    Response::Found {
-                        record: record.encoded().clone(),
-                    }
-                }
+            let held = warm(&c.store, content_hash, &algo, need);
+            c.warm_hits += u64::from(held.is_some());
+            // The lock covers the lookup and the pointer clone only; the
+            // deep copy of the encoded form is made after it is released.
+            drop(c);
+            match held {
+                Some(record) => Response::Found {
+                    record: record.encoded().clone(),
+                },
                 None => Response::Miss,
             }
         }
@@ -1560,6 +1562,9 @@ fn dispatch(
             algo,
             items,
         } => {
+            // `batch_get` takes the lock per phase, never across a
+            // simulation.
+            drop(c);
             if engine_version != ENGINE_VERSION {
                 Response::Err {
                     message: format!(
@@ -1579,7 +1584,6 @@ fn dispatch(
                     ),
                 }
             } else {
-                let mut c = lock_core(core);
                 let mut changed = 0u64;
                 let mut refused = None;
                 for record in records {
@@ -1607,9 +1611,7 @@ fn dispatch(
                 }
             }
         }
-        Request::Stats => Response::Stats {
-            stats: lock_core(core).stats(),
-        },
+        Request::Stats => Response::Stats { stats: c.stats() },
         Request::Shutdown => Response::Ok,
     })
 }
