@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Every `--bin X` / `--bench X` / `--example X` and every checked-in reading
-# `BENCH_<n>[.trace].json` the live docs and CI (or the files given) mention
-# must exist; PERF.md, ROADMAP.md and CHANGES.md are history and exempt.
+# Every `--bin X` / `--bench X` / `--example X`, every checked-in reading
+# `BENCH_<n>[.trace].json`, every `crates/<name>` / `vendor/<name>` directory
+# and every backticked `wl-<name>` package the live docs and CI (or the files
+# given) mention must exist; PERF.md, ROADMAP.md and CHANGES.md are history
+# and exempt.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 [ $# -gt 0 ] || set -- README.md docs/*.md .claude/skills/verify/SKILL.md .github/workflows/ci.yml
@@ -12,6 +14,8 @@ while read -r kind name; do
     --bench) grep -hs -A2 '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml | grep -qx "name = \"$name\"" ;;
     --example) [ -f "examples/$name.rs" ] ;;
     BENCH_*) [ -f "$kind" ] ;;
+    crates/*|vendor/*) [ -d "$kind" ] ;;
+    \`wl-*) grep -qsx "name = \"${kind#?}\"" crates/*/Cargo.toml benchmark/Cargo.toml ;;
   esac || { echo "docs mention '$kind${name:+ $name}', which does not exist" >&2; rc=1; }
-done < <(grep -ohE -- '--(bin|bench|example) [A-Za-z0-9_-]+|BENCH_[0-9]+(\.trace)?\.json' "$@" | sort -u)
+done < <(grep -ohE -- '--(bin|bench|example) [A-Za-z0-9_-]+|BENCH_[0-9]+(\.trace)?\.json|(crates|vendor)/[A-Za-z0-9_-]+|`wl-[a-z0-9_-]+' "$@" | sort -u)
 exit $rc

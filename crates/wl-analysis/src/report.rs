@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 use std::io;
-use std::path::Path;
 
 /// A simple left-aligned text table.
 ///
@@ -85,16 +84,6 @@ impl Table {
             writeln!(w, "{}", r.join(","))?;
         }
         Ok(())
-    }
-
-    /// Saves the table as a CSV file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation and write errors.
-    pub fn save_csv<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let f = std::fs::File::create(path)?;
-        self.write_csv(io::BufWriter::new(f))
     }
 }
 

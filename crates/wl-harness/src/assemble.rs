@@ -25,7 +25,9 @@ use rand::{Rng, SeedableRng};
 use wl_clock::drift::FleetClock;
 use wl_clock::Clock;
 use wl_core::Params;
-use wl_sim::delay::{AdversarialSplitDelay, ConstantDelay, DelayModel, UniformDelay};
+use wl_sim::delay::{
+    AdversarialSplitDelay, ConstantDelay, DelayModel, SharedMediumDelay, UniformDelay,
+};
 use wl_sim::faults::FaultPlan;
 use wl_sim::{
     Automaton, DynFleet, EventQueue, Fleet, HeapQueue, NullObserver, ProcessId, SimBuilder,
@@ -377,6 +379,7 @@ fn delay_model(spec: &ScenarioSpec) -> Box<dyn DelayModel> {
         DelayKind::AdversarialSplit => {
             Box::new(AdversarialSplitDelay::new(p.delay_bounds(), p.n / 2))
         }
+        DelayKind::SharedMedium => Box::new(SharedMediumDelay::new(p.delay_bounds(), p.n)),
     };
     // A delay-only adversary pins its chosen links to the band edges and
     // defers the rest to the base model.

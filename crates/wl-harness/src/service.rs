@@ -330,6 +330,7 @@ pub fn encode_spec(spec: &ScenarioSpec) -> Vec<u8> {
         DelayKind::Constant => 0,
         DelayKind::Uniform => 1,
         DelayKind::AdversarialSplit => 2,
+        DelayKind::SharedMedium => 3,
     });
     u(&mut out, spec.seed);
     f(&mut out, spec.t_end.as_secs());
@@ -455,6 +456,7 @@ pub fn decode_spec(bytes: &[u8]) -> Option<ScenarioSpec> {
         0 => DelayKind::Constant,
         1 => DelayKind::Uniform,
         2 => DelayKind::AdversarialSplit,
+        3 => DelayKind::SharedMedium,
         _ => return None,
     };
     let seed = t.u64()?;
@@ -1839,10 +1841,11 @@ mod tests {
         ScenarioSpec {
             params,
             drift,
-            delay: match rng.gen::<u64>() % 3 {
+            delay: match rng.gen::<u64>() % 4 {
                 0 => DelayKind::Constant,
                 1 => DelayKind::Uniform,
-                _ => DelayKind::AdversarialSplit,
+                2 => DelayKind::AdversarialSplit,
+                _ => DelayKind::SharedMedium,
             },
             seed: rng.gen(),
             t_end: RealTime::from_secs(f(rng)),
@@ -2045,6 +2048,18 @@ mod tests {
         let mut retired = vec![0x02];
         retired.extend_from_slice(&records[0].encode());
         assert_eq!(decode_request(&retired), None);
+        // Delay tag 4 is not a delay model: the tag byte is the one that
+        // tells the last two kinds apart, and one past the last is refused.
+        let spec = grid(1).remove(0);
+        let split = encode_spec(&spec.clone().delay(DelayKind::AdversarialSplit));
+        let mut medium = encode_spec(&spec.delay(DelayKind::SharedMedium));
+        let tag = (0..medium.len())
+            .find(|&i| split[i] != medium[i])
+            .expect("tag byte");
+        assert_eq!((split[tag], medium[tag]), (2, 3));
+        assert!(decode_spec(&medium).is_some());
+        medium[tag] = 4;
+        assert_eq!(decode_spec(&medium), None);
     }
 
     #[test]

@@ -32,6 +32,8 @@ pub enum DelayKind {
     Uniform,
     /// Adversarial: fast to the low-index half, slow to the rest.
     AdversarialSplit,
+    /// §9.3's shared medium: concurrent frames queue, `2ε/n` each.
+    SharedMedium,
 }
 
 /// Fault behaviours assignable to a process.
@@ -498,6 +500,7 @@ impl ScenarioSpec {
             DelayKind::Constant => 0,
             DelayKind::Uniform => 1,
             DelayKind::AdversarialSplit => 2,
+            DelayKind::SharedMedium => 3,
         });
         mix(self.seed);
         mix(self.t_end.as_secs().to_bits());

@@ -197,6 +197,7 @@ mod legacy {
                 DelayKind::AdversarialSplit => {
                     Box::new(AdversarialSplitDelay::new(p.delay_bounds(), n / 2))
                 }
+                DelayKind::SharedMedium => panic!("SharedMedium is not in the legacy grid"),
             };
 
             let sim = SimBuilder::new()

@@ -49,7 +49,7 @@ impl DelayBounds {
         self.delta + self.eps
     }
 
-    /// Whether `d` lies within the band (with a 1ns numerical slack).
+    /// Whether `d` lies within the band (with a 1 ps numerical slack).
     #[must_use]
     pub fn contains(&self, d: RealDur) -> bool {
         let s = d.as_secs();
@@ -191,6 +191,74 @@ impl DelayModel for PerPairDelay {
     }
 }
 
+/// §9.3's shared broadcast medium (an Ethernet): one frame at a time is on
+/// the wire, and a frame sent while it is busy queues behind the frames
+/// in flight.
+///
+/// A *frame* is everything one process sends at one instant — a broadcast
+/// is one frame — so all its recipients hear it together, `(δ−ε) + wait`
+/// after it was sent. The frame time is `w = 2ε/n`: the widest for which
+/// `n` back-to-back frames still fit the A3 band, so contention shows up
+/// as queueing delay inside `[δ−ε, δ+ε]`, never as loss (which A3 rules
+/// out). `wait` is capped at `2ε`, the longest backlog the band can
+/// express. The model is deterministic: it draws nothing from the RNG.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SharedMediumDelay {
+    bounds: DelayBounds,
+    frame: RealDur,
+    /// When the medium next falls idle.
+    busy_until: RealTime,
+    /// The frame being fanned out: its sender, send time and delay.
+    current: Option<(ProcessId, RealTime, RealDur)>,
+}
+
+impl SharedMediumDelay {
+    /// An idle medium shared by `n` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    #[must_use]
+    pub fn new(bounds: DelayBounds, n: usize) -> Self {
+        assert!(n > 0, "a medium needs at least one process");
+        Self {
+            bounds,
+            frame: bounds.eps * 2.0 / n as f64,
+            busy_until: RealTime::from_secs(f64::NEG_INFINITY),
+            current: None,
+        }
+    }
+
+    /// The time one frame occupies the medium, `w = 2ε/n`.
+    #[must_use]
+    pub fn frame_time(&self) -> RealDur {
+        self.frame
+    }
+}
+
+impl DelayModel for SharedMediumDelay {
+    fn delay(
+        &mut self,
+        from: ProcessId,
+        _to: ProcessId,
+        at: RealTime,
+        _rng: &mut StdRng,
+    ) -> RealDur {
+        if let Some((sender, sent, d)) = self.current {
+            if sender == from && sent == at {
+                return d;
+            }
+        }
+        let band = self.bounds.max_delay() - self.bounds.min_delay();
+        let wait = (self.busy_until - at).max(RealDur::ZERO).min(band);
+        self.busy_until = at + wait + self.frame;
+        // Clamped to the band edge itself, never edge + slack.
+        let d = (self.bounds.min_delay() + wait).min(self.bounds.max_delay());
+        self.current = Some((from, at, d));
+        d
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +376,94 @@ mod tests {
             m.delay(ProcessId(2), ProcessId(1), RealTime::ZERO, &mut r),
             ms(5.0)
         );
+    }
+
+    /// `3n` processes broadcast at one instant through the executor, whose
+    /// A3 assert is the authority: each broadcast is heard by everyone at
+    /// one instant, the frames serialise `w` apart, and the backlog past
+    /// `2ε` is heard at exactly `δ+ε`.
+    #[test]
+    fn shared_medium_serialises_broadcasts_and_clamps_the_backlog() {
+        use crate::trace::TraceEvent;
+        use crate::{Actions, Automaton, Input, SimBuilder, SimConfig};
+        use wl_clock::drift::DriftModel;
+        use wl_time::ClockTime;
+
+        #[derive(Debug)]
+        struct Shout;
+        impl Automaton for Shout {
+            type Msg = ();
+            fn on_input(&mut self, input: Input<()>, _now: ClockTime, out: &mut Actions<()>) {
+                if matches!(input, Input::Start) {
+                    out.broadcast(());
+                }
+            }
+        }
+
+        // eps = 8ms over n = 4: w = 4ms, E10's frame time.
+        let b = DelayBounds::new(ms(40.0), ms(8.0));
+        let procs = 12;
+        let outcome = SimBuilder::new()
+            .clocks(DriftModel::Ideal.build(procs, &vec![ClockTime::ZERO; procs], 0))
+            .fleet((0..procs).map(|_| Shout).collect::<Vec<_>>())
+            .delay(SharedMediumDelay::new(b, 4))
+            .starts(vec![RealTime::ZERO; procs])
+            .config(SimConfig {
+                t_end: RealTime::from_secs(1.0),
+                delay_bounds: b,
+                trace_capacity: 1000,
+                ..SimConfig::default()
+            })
+            .build()
+            .run();
+        let heard: Vec<RealTime> = outcome
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Send { deliver_at, .. } => Some(deliver_at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(heard.len(), procs * procs);
+        for (k, frame) in heard.chunks(procs).enumerate() {
+            assert!(frame.iter().all(|&t| t == frame[0]), "frame {k}: {frame:?}");
+            let wait = (frame[0] - RealTime::ZERO - b.min_delay()).as_millis();
+            let queued = (4.0 * k as f64).min(16.0);
+            assert!((wait - queued).abs() < 1e-9, "frame {k} waited {wait}ms");
+        }
+        assert_eq!(heard[heard.len() - 1], RealTime::ZERO + b.max_delay());
+    }
+
+    #[test]
+    fn shared_medium_idle_delay_is_the_band_floor() {
+        let b = DelayBounds::new(ms(40.0), ms(8.0));
+        let mut m = SharedMediumDelay::new(b, 4);
+        assert_eq!(m.frame_time(), ms(4.0));
+        let mut r = rng();
+        let at = RealTime::from_secs(1.0);
+        // Idle; busy for one frame time; idle again once it has passed.
+        assert_eq!(
+            m.delay(ProcessId(0), ProcessId(1), at, &mut r),
+            b.min_delay()
+        );
+        assert!(m.delay(ProcessId(1), ProcessId(0), at + ms(1.0), &mut r) > b.min_delay());
+        assert_eq!(
+            m.delay(ProcessId(2), ProcessId(0), at + ms(20.0), &mut r),
+            b.min_delay()
+        );
+    }
+
+    #[test]
+    fn shared_medium_never_draws_from_the_rng() {
+        let b = DelayBounds::new(ms(40.0), ms(8.0));
+        let mut m = SharedMediumDelay::new(b, 4);
+        let mut r = rng();
+        for i in 0..100 {
+            let at = RealTime::from_secs(1.0 + 0.001 * (i / 3) as f64);
+            let _ = m.delay(ProcessId(i % 4), ProcessId((i + 1) % 4), at, &mut r);
+        }
+        assert_eq!(r.gen::<u64>(), rng().gen::<u64>());
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!
 //! * [`Automaton`] — the process transition function: consumes an
 //!   [`Input`] plus the current *physical* clock reading, emits
-//!   [`Action`]s. Both the simulator here and the threaded real-time
-//!   runtime in `wl-runtime` drive the same automata.
+//!   [`Action`]s.
 //! * [`delay::DelayModel`] — pluggable message-delay distributions within
 //!   `[δ−ε, δ+ε]`, including adversarial ones.
 //! * [`faults`] — crash / silence wrappers and fault bookkeeping;

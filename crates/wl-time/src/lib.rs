@@ -352,33 +352,6 @@ impl RealTime {
     }
 }
 
-/// A strictly ordered wrapper for use as a key in ordered collections.
-///
-/// Wraps a [`RealTime`] with IEEE total ordering so it can serve as a
-/// `BinaryHeap`/`BTreeMap` key. (Plain `f64` is only `PartialOrd`.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OrderedRealTime(pub RealTime);
-
-impl Eq for OrderedRealTime {}
-
-impl PartialOrd for OrderedRealTime {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedRealTime {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl From<RealTime> for OrderedRealTime {
-    fn from(t: RealTime) -> Self {
-        Self(t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,27 +400,6 @@ mod tests {
         assert_eq!(d.as_clock().as_real(), d);
         let t = RealTime::from_secs(3.0);
         assert_eq!(t.as_clock().as_real(), t);
-    }
-
-    #[test]
-    fn ordered_real_time_total_order() {
-        let mut v = [
-            OrderedRealTime(RealTime::from_secs(3.0)),
-            OrderedRealTime(RealTime::from_secs(1.0)),
-            OrderedRealTime(RealTime::from_secs(2.0)),
-        ];
-        v.sort();
-        assert_eq!(v[0].0, RealTime::from_secs(1.0));
-        assert_eq!(v[2].0, RealTime::from_secs(3.0));
-    }
-
-    #[test]
-    fn ordered_real_time_handles_nan_without_panicking() {
-        let nan = OrderedRealTime(RealTime::from_secs(f64::NAN));
-        let one = OrderedRealTime(RealTime::from_secs(1.0));
-        // total_cmp puts positive NaN after all numbers.
-        assert_eq!(nan.cmp(&one), Ordering::Greater);
-        assert!(!RealTime::from_secs(f64::NAN).is_finite());
     }
 
     #[test]

@@ -23,8 +23,6 @@
 //!   [`harness::SweepRunner`] for parameter grids.
 //! * [`analysis`] — skew measurement and property checking (Theorems 4,
 //!   16, 19; Lemmas 10, 20).
-//! * [`runtime`] — a threaded real-time runtime with a shared-medium
-//!   network model for the §9.3 implementation study.
 //!
 //! See `README.md` for a tour and `EXPERIMENTS.md` for the reproduction of
 //! every quantitative claim in the paper.
@@ -35,6 +33,5 @@ pub use wl_clock as clock;
 pub use wl_core as core;
 pub use wl_harness as harness;
 pub use wl_multiset as multiset;
-pub use wl_runtime as runtime;
 pub use wl_sim as sim;
 pub use wl_time as time;

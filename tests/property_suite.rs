@@ -34,7 +34,7 @@ proptest! {
         seed in 0u64..10_000,
         rho_exp in 1.0f64..3.0,            // rho in [1e-6, 1e-4]-ish
         eps_frac in 0.01f64..0.2,          // eps = frac * delta
-        delay_idx in 0usize..3,
+        delay_idx in 0usize..4,
         fault in proptest::option::of(arb_fault(1.0)), // beta scaled below
         victim in 0usize..4,
         drift_split in proptest::bool::ANY,
@@ -43,7 +43,12 @@ proptest! {
         let delta = 0.010;
         let eps = eps_frac * delta;
         let params = Params::auto(4, 1, rho, delta, eps).expect("feasible");
-        let delay = [DelayKind::Constant, DelayKind::Uniform, DelayKind::AdversarialSplit][delay_idx];
+        let delay = [
+            DelayKind::Constant,
+            DelayKind::Uniform,
+            DelayKind::AdversarialSplit,
+            DelayKind::SharedMedium,
+        ][delay_idx];
         let drift = if drift_split {
             DriftModel::Split { rho }
         } else {

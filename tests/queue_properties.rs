@@ -35,13 +35,18 @@ proptest! {
     fn prop_agreement_under_any_legal_interleaving(
         seed in 0u64..10_000,
         salt in 1u64..u64::MAX,
-        delay_idx in 0usize..3,
+        delay_idx in 0usize..4,
         n_idx in 0usize..3,
     ) {
         let (n, f) = [(4, 1), (5, 1), (7, 2)][n_idx];
         let params = Params::auto(n, f, 1e-6, 0.010, 0.001).expect("feasible");
         let t_end = 15.0;
-        let delay = [DelayKind::Constant, DelayKind::Uniform, DelayKind::AdversarialSplit][delay_idx];
+        let delay = [
+            DelayKind::Constant,
+            DelayKind::Uniform,
+            DelayKind::AdversarialSplit,
+            DelayKind::SharedMedium,
+        ][delay_idx];
         let spec = ScenarioSpec::new(params.clone())
             .seed(seed)
             .delay(delay)
