@@ -65,6 +65,7 @@
 //! [`ScenarioSpec::content_hash`]: crate::ScenarioSpec::content_hash
 //! [`SyncAlgorithm::NAME`]: crate::SyncAlgorithm::NAME
 
+mod canon;
 pub mod segment;
 
 use crate::sketch::SkewSketch;
