@@ -64,30 +64,29 @@
 //!
 //! [`ScenarioSpec::content_hash`]: crate::ScenarioSpec::content_hash
 //! [`SyncAlgorithm::NAME`]: crate::SyncAlgorithm::NAME
+//! [`SweepSeries`]: crate::SweepSeries
 
 mod canon;
 pub mod segment;
+#[cfg(test)]
+mod serde_reference;
+
+pub use canon::{canon_string, spec_is_adversarial, Canon};
 
 use crate::sketch::SkewSketch;
 use crate::sweep::Capture;
-use crate::sweep::{SweepCache, SweepOutcome, SweepSeries};
+use crate::sweep::{SweepCache, SweepOutcome};
+use canon::{parse_outcome, scalar_half, unescape};
 use segment::{
     record_tag, tag_payload_kind, EncodedRecord, PayloadKind, SegmentReader, SegmentWriter,
     DEFAULT_SEGMENT_CAPACITY,
 };
-use serde::ser::{
-    SerializeMap, SerializeSeq, SerializeStruct, SerializeStructVariant, SerializeTuple,
-    SerializeTupleStruct, SerializeTupleVariant,
-};
-use serde::{Serialize, Serializer};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
-use wl_sim::SimStats;
 
 /// The engine-semantics version stamped into every persisted record.
 ///
@@ -99,7 +98,7 @@ use wl_sim::SimStats;
 /// ignored at load time (never an error), so old stores degrade to cold
 /// caches instead of poisoning new runs.
 ///
-/// History: 3 added the optional [`SweepSeries`] payload (`S`-tagged
+/// History: 3 added the optional [`SweepSeries`](crate::SweepSeries) payload (`S`-tagged
 /// records) and the `series` field to the canonical [`SweepOutcome`]
 /// encoding. 4 added the adversary block to [`crate::ScenarioSpec`]
 /// (an `adversary:` field in every spec canon) and the adversarial
@@ -157,644 +156,6 @@ impl FromStr for StoreFormat {
             other => Err(format!("unknown store format `{other}` (text|binary)")),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Canonical serialization (vendored-serde Serializer).
-// ---------------------------------------------------------------------------
-
-/// Serializes any [`serde::Serialize`] value into the canonical,
-/// machine-independent text form the cache is keyed on.
-///
-/// Properties the store relies on:
-///
-/// * **deterministic & cross-machine stable** — no pointers, no hash
-///   iteration order (the workspace's derived types are structs, enums,
-///   tuples, and `Vec`s);
-/// * **bit-exact floats** — `f64`/`f32` are emitted as the hex of their
-///   IEEE bit patterns (`x3ff0000000000000`), so `-0.0`, `NaN` payloads,
-///   and every last ULP survive the round trip;
-/// * **whitespace-free** — records embed these strings in
-///   space-separated lines; the string escape maps ` ` to `\s`.
-#[must_use]
-pub fn canon_string<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut canon = Canon { out: String::new() };
-    value
-        .serialize(&mut canon)
-        .expect("canonical serialization is infallible");
-    canon.out
-}
-
-/// Error type for [`Canon`] — required by the serde traits, never
-/// actually produced.
-#[derive(Debug)]
-struct CanonError(String);
-
-impl std::fmt::Display for CanonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "canonical serialization error: {}", self.0)
-    }
-}
-
-impl std::error::Error for CanonError {}
-
-impl serde::ser::Error for CanonError {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        Self(msg.to_string())
-    }
-}
-
-struct Canon {
-    out: String,
-}
-
-impl Canon {
-    fn push_escaped(&mut self, s: &str) {
-        self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '\\' => self.out.push_str("\\\\"),
-                '"' => self.out.push_str("\\\""),
-                ' ' => self.out.push_str("\\s"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-}
-
-/// Compound-serializer helper: writes separators between elements.
-struct Compound<'a> {
-    canon: &'a mut Canon,
-    first: bool,
-    close: &'static str,
-}
-
-impl Compound<'_> {
-    fn sep(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.canon.out.push(',');
-        }
-    }
-
-    fn value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CanonError> {
-        self.sep();
-        value.serialize(&mut *self.canon)
-    }
-
-    fn field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), CanonError> {
-        self.sep();
-        self.canon.out.push_str(key);
-        self.canon.out.push(':');
-        value.serialize(&mut *self.canon)
-    }
-
-    fn finish(self) {
-        self.canon.out.push_str(self.close);
-    }
-}
-
-impl SerializeSeq for Compound<'_> {
-    type Ok = ();
-    type Error = CanonError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CanonError> {
-        self.value(value)
-    }
-    fn end(self) -> Result<(), CanonError> {
-        self.finish();
-        Ok(())
-    }
-}
-
-impl SerializeTuple for Compound<'_> {
-    type Ok = ();
-    type Error = CanonError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CanonError> {
-        self.value(value)
-    }
-    fn end(self) -> Result<(), CanonError> {
-        self.finish();
-        Ok(())
-    }
-}
-
-impl SerializeTupleStruct for Compound<'_> {
-    type Ok = ();
-    type Error = CanonError;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CanonError> {
-        self.value(value)
-    }
-    fn end(self) -> Result<(), CanonError> {
-        self.finish();
-        Ok(())
-    }
-}
-
-impl SerializeTupleVariant for Compound<'_> {
-    type Ok = ();
-    type Error = CanonError;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CanonError> {
-        self.value(value)
-    }
-    fn end(self) -> Result<(), CanonError> {
-        self.finish();
-        Ok(())
-    }
-}
-
-impl SerializeMap for Compound<'_> {
-    type Ok = ();
-    type Error = CanonError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CanonError> {
-        self.sep();
-        key.serialize(&mut *self.canon)?;
-        self.canon.out.push_str("=>");
-        Ok(())
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CanonError> {
-        value.serialize(&mut *self.canon)
-    }
-    fn end(self) -> Result<(), CanonError> {
-        self.finish();
-        Ok(())
-    }
-}
-
-impl SerializeStruct for Compound<'_> {
-    type Ok = ();
-    type Error = CanonError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), CanonError> {
-        self.field(key, value)
-    }
-    fn end(self) -> Result<(), CanonError> {
-        self.finish();
-        Ok(())
-    }
-}
-
-impl SerializeStructVariant for Compound<'_> {
-    type Ok = ();
-    type Error = CanonError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), CanonError> {
-        self.field(key, value)
-    }
-    fn end(self) -> Result<(), CanonError> {
-        self.finish();
-        Ok(())
-    }
-}
-
-impl<'a> Serializer for &'a mut Canon {
-    type Ok = ();
-    type Error = CanonError;
-    type SerializeSeq = Compound<'a>;
-    type SerializeTuple = Compound<'a>;
-    type SerializeTupleStruct = Compound<'a>;
-    type SerializeTupleVariant = Compound<'a>;
-    type SerializeMap = Compound<'a>;
-    type SerializeStruct = Compound<'a>;
-    type SerializeStructVariant = Compound<'a>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), CanonError> {
-        self.out.push(if v { 'T' } else { 'F' });
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), CanonError> {
-        self.serialize_i64(i64::from(v))
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), CanonError> {
-        self.serialize_i64(i64::from(v))
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), CanonError> {
-        self.serialize_i64(i64::from(v))
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), CanonError> {
-        write!(self.out, "{v}").expect("write to String");
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), CanonError> {
-        self.serialize_u64(u64::from(v))
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), CanonError> {
-        self.serialize_u64(u64::from(v))
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), CanonError> {
-        self.serialize_u64(u64::from(v))
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), CanonError> {
-        write!(self.out, "{v}").expect("write to String");
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), CanonError> {
-        write!(self.out, "y{:08x}", v.to_bits()).expect("write to String");
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), CanonError> {
-        write!(self.out, "x{:016x}", v.to_bits()).expect("write to String");
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), CanonError> {
-        self.push_escaped(&v.to_string());
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), CanonError> {
-        self.push_escaped(v);
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CanonError> {
-        self.out.push('b');
-        for byte in v {
-            write!(self.out, "{byte:02x}").expect("write to String");
-        }
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<(), CanonError> {
-        self.out.push('~');
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CanonError> {
-        self.out.push('+');
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), CanonError> {
-        self.out.push_str("()");
-        Ok(())
-    }
-    fn serialize_unit_struct(self, name: &'static str) -> Result<(), CanonError> {
-        self.out.push_str(name);
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-    ) -> Result<(), CanonError> {
-        self.out.push_str(name);
-        self.out.push_str("::");
-        self.out.push_str(variant);
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        name: &'static str,
-        value: &T,
-    ) -> Result<(), CanonError> {
-        self.out.push_str(name);
-        self.out.push('(');
-        value.serialize(&mut *self)?;
-        self.out.push(')');
-        Ok(())
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), CanonError> {
-        self.out.push_str(name);
-        self.out.push_str("::");
-        self.out.push_str(variant);
-        self.out.push('(');
-        value.serialize(&mut *self)?;
-        self.out.push(')');
-        Ok(())
-    }
-    fn serialize_seq(self, _len: Option<usize>) -> Result<Compound<'a>, CanonError> {
-        self.out.push('[');
-        Ok(Compound {
-            canon: self,
-            first: true,
-            close: "]",
-        })
-    }
-    fn serialize_tuple(self, _len: usize) -> Result<Compound<'a>, CanonError> {
-        self.out.push('(');
-        Ok(Compound {
-            canon: self,
-            first: true,
-            close: ")",
-        })
-    }
-    fn serialize_tuple_struct(
-        self,
-        name: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, CanonError> {
-        self.out.push_str(name);
-        self.out.push('(');
-        Ok(Compound {
-            canon: self,
-            first: true,
-            close: ")",
-        })
-    }
-    fn serialize_tuple_variant(
-        self,
-        name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, CanonError> {
-        self.out.push_str(name);
-        self.out.push_str("::");
-        self.out.push_str(variant);
-        self.out.push('(');
-        Ok(Compound {
-            canon: self,
-            first: true,
-            close: ")",
-        })
-    }
-    fn serialize_map(self, _len: Option<usize>) -> Result<Compound<'a>, CanonError> {
-        self.out.push('{');
-        Ok(Compound {
-            canon: self,
-            first: true,
-            close: "}",
-        })
-    }
-    fn serialize_struct(self, name: &'static str, _len: usize) -> Result<Compound<'a>, CanonError> {
-        self.out.push_str(name);
-        self.out.push('{');
-        Ok(Compound {
-            canon: self,
-            first: true,
-            close: "}",
-        })
-    }
-    fn serialize_struct_variant(
-        self,
-        name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, CanonError> {
-        self.out.push_str(name);
-        self.out.push_str("::");
-        self.out.push_str(variant);
-        self.out.push('{');
-        Ok(Compound {
-            canon: self,
-            first: true,
-            close: "}",
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The hand-rolled loader side: unescape + the SweepOutcome parser.
-// ---------------------------------------------------------------------------
-
-fn unescape(s: &str) -> Option<String> {
-    let inner = s.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            '"' => out.push('"'),
-            's' => out.push(' '),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Strict cursor over a canonical string: every `eat` states exactly what
-/// the generated encoding must contain next, so any drift between writer
-/// and parser surfaces as `None` (→ a skipped record), never as a
-/// misread value.
-struct Cursor<'a> {
-    s: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn eat(&mut self, prefix: &str) -> Option<()> {
-        self.s = self.s.strip_prefix(prefix)?;
-        Some(())
-    }
-
-    fn take_while(&mut self, pred: impl Fn(char) -> bool) -> &'a str {
-        let end = self
-            .s
-            .char_indices()
-            .find(|&(_, c)| !pred(c))
-            .map_or(self.s.len(), |(i, _)| i);
-        let (head, tail) = self.s.split_at(end);
-        self.s = tail;
-        head
-    }
-
-    fn u64_dec(&mut self) -> Option<u64> {
-        self.take_while(|c| c.is_ascii_digit()).parse().ok()
-    }
-
-    fn f64_bits(&mut self) -> Option<f64> {
-        self.eat("x")?;
-        let hex = self.take_while(|c| c.is_ascii_hexdigit());
-        if hex.len() != 16 {
-            return None;
-        }
-        Some(f64::from_bits(u64::from_str_radix(hex, 16).ok()?))
-    }
-
-    fn boolean(&mut self) -> Option<bool> {
-        match self.take_while(|c| c == 'T' || c == 'F') {
-            "T" => Some(true),
-            "F" => Some(false),
-            _ => None,
-        }
-    }
-
-    /// A `[a,b,c]` sequence, elements parsed by `elem`.
-    fn seq<T>(&mut self, mut elem: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
-        self.eat("[")?;
-        let mut out = Vec::new();
-        if self.eat("]").is_some() {
-            return Some(out);
-        }
-        loop {
-            out.push(elem(self)?);
-            if self.eat("]").is_some() {
-                return Some(out);
-            }
-            self.eat(",")?;
-        }
-    }
-
-    fn f64_seq(&mut self) -> Option<Vec<f64>> {
-        self.seq(Self::f64_bits)
-    }
-
-    fn u32_seq(&mut self) -> Option<Vec<u32>> {
-        self.seq(|c| u32::try_from(c.u64_dec()?).ok())
-    }
-
-    fn u64_seq(&mut self) -> Option<Vec<u64>> {
-        self.seq(Self::u64_dec)
-    }
-}
-
-/// Parses the canonical encoding of a [`SweepSeries`] (the payload of
-/// `S`-tagged records), mirroring `canon_string(&series)`.
-fn parse_series(c: &mut Cursor<'_>) -> Option<SweepSeries> {
-    c.eat("SweepSeries{round_times:")?;
-    let round_times = c.f64_seq()?;
-    c.eat(",round_skews:")?;
-    let round_skews = c.f64_seq()?;
-    c.eat(",skew_times:")?;
-    let skew_times = c.f64_seq()?;
-    c.eat(",skew_values:")?;
-    let skew_values = c.f64_seq()?;
-    c.eat(",corr_procs:")?;
-    let corr_procs = c.u32_seq()?;
-    c.eat(",corr_times:")?;
-    let corr_times = c.f64_seq()?;
-    c.eat(",corr_values:")?;
-    let corr_values = c.f64_seq()?;
-    c.eat("}")?;
-    Some(SweepSeries {
-        round_times,
-        round_skews,
-        skew_times,
-        skew_values,
-        corr_procs,
-        corr_times,
-        corr_values,
-    })
-}
-
-/// Parses the canonical encoding of a [`SkewSketch`] (the payload of
-/// `K`/`L`-tagged records), mirroring `canon_string(&sketch)`, and
-/// rejecting structurally invalid histograms
-/// ([`SkewSketch::well_formed`]) so a tampered record cannot reach the
-/// merge arithmetic.
-fn parse_sketch(c: &mut Cursor<'_>) -> Option<SkewSketch> {
-    c.eat("SkewSketch{count:")?;
-    let count = c.u64_dec()?;
-    c.eat(",low:")?;
-    let low = c.u64_dec()?;
-    c.eat(",sum_hi:")?;
-    let sum_hi = c.u64_dec()?;
-    c.eat(",sum_lo:")?;
-    let sum_lo = c.u64_dec()?;
-    c.eat(",max:")?;
-    let max = c.f64_bits()?;
-    c.eat(",bin_idx:")?;
-    // The canon stores bin indices differenced (first absolute, then
-    // gaps); undo the deltas here so `well_formed` checks the real
-    // histogram. Overflow means a tampered record: reject.
-    let mut bin_idx = c.u32_seq()?;
-    for i in 1..bin_idx.len() {
-        bin_idx[i] = bin_idx[i - 1].checked_add(bin_idx[i])?;
-    }
-    c.eat(",bin_count:")?;
-    let bin_count = c.u64_seq()?;
-    c.eat("}")?;
-    let sketch = SkewSketch {
-        count,
-        low,
-        sum_hi,
-        sum_lo,
-        max,
-        bin_idx,
-        bin_count,
-    };
-    sketch.well_formed().then_some(sketch)
-}
-
-/// Parses the canonical encoding of a [`SweepOutcome`] — the exact
-/// mirror of what `canon_string(&outcome)` emits (pinned by the
-/// `outcome_roundtrip` test). Returns `None` on any mismatch. Its one
-/// caller is `Record::admit`.
-fn parse_outcome(s: &str) -> Option<SweepOutcome> {
-    let mut c = Cursor { s };
-    c.eat("SweepOutcome{index:")?;
-    let index = c.u64_dec()?;
-    c.eat(",seed:")?;
-    let seed = c.u64_dec()?;
-    c.eat(",steady_skew:")?;
-    let steady_skew = c.f64_bits()?;
-    c.eat(",max_skew:")?;
-    let max_skew = c.f64_bits()?;
-    c.eat(",agreement_holds:")?;
-    let agreement_holds = c.boolean()?;
-    c.eat(",max_abs_adjustment:")?;
-    let max_abs_adjustment = c.f64_bits()?;
-    c.eat(",mean_abs_adjustment:")?;
-    let mean_abs_adjustment = c.f64_bits()?;
-    c.eat(",adjustment_holds:")?;
-    let adjustment_holds = c.boolean()?;
-    c.eat(",stats:SimStats{events_delivered:")?;
-    let events_delivered = c.u64_dec()?;
-    c.eat(",messages_sent:")?;
-    let messages_sent = c.u64_dec()?;
-    c.eat(",timers_set:")?;
-    let timers_set = c.u64_dec()?;
-    c.eat(",timers_suppressed:")?;
-    let timers_suppressed = c.u64_dec()?;
-    c.eat("},sketch:")?;
-    let sketch = if c.eat("~").is_some() {
-        None
-    } else {
-        c.eat("+")?;
-        Some(parse_sketch(&mut c)?)
-    };
-    c.eat(",series:")?;
-    let series = if c.eat("~").is_some() {
-        None
-    } else {
-        c.eat("+")?;
-        Some(parse_series(&mut c)?)
-    };
-    c.eat("}")?;
-    if !c.s.is_empty() {
-        return None;
-    }
-    Some(SweepOutcome {
-        index: usize::try_from(index).ok()?,
-        seed,
-        steady_skew,
-        max_skew,
-        agreement_holds,
-        max_abs_adjustment,
-        mean_abs_adjustment,
-        adjustment_holds,
-        stats: SimStats {
-            events_delivered,
-            messages_sent,
-            timers_set,
-            timers_suppressed,
-        },
-        sketch,
-        series,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -936,17 +297,6 @@ fn same_record(a: &Arc<Record>, b: &Arc<Record>) -> bool {
     Arc::ptr_eq(a, b) || a.encoded == b.encoded
 }
 
-/// The record's canonical outcome bytes up to its optional payloads
-/// (`sketch` and `series` are the grammar's last two fields) — the
-/// "scalar half" both sides of any lattice transition must agree on
-/// byte-for-byte.
-fn scalar_half(record: &Record) -> &str {
-    let canon = record.encoded.outcome_canon.as_str();
-    canon
-        .split_once(",sketch:")
-        .map_or(canon, |(scalar, _)| scalar)
-}
-
 /// The scalar ⊑ sketch ⊑ series join of a held record with an arriving
 /// one under the same key: `Ok(true)` = `theirs` is a strict upgrade
 /// (richer payload over a byte-identical scalar half) and should replace
@@ -971,7 +321,9 @@ fn lattice_join(ours: &Record, theirs: &Record) -> Result<bool, MergeConflictKin
         (Some(sketch), Some(series)) => SkewSketch::of_series(series).bit_identical(sketch),
         _ => true,
     };
-    if scalar_half(ours) != scalar_half(theirs) || !derived {
+    if scalar_half(&ours.encoded.outcome_canon) != scalar_half(&theirs.encoded.outcome_canon)
+        || !derived
+    {
         return Err(MergeConflictKind::OutcomeMismatch);
     }
     Ok(ours.kind() < theirs.kind())
@@ -984,7 +336,7 @@ fn lattice_join(ours: &Record, theirs: &Record) -> Result<bool, MergeConflictKin
 fn sketches_mergeable(a: &Record, b: &Record) -> bool {
     a.kind() == PayloadKind::Sketch
         && b.kind() == PayloadKind::Sketch
-        && scalar_half(a) == scalar_half(b)
+        && scalar_half(&a.encoded.outcome_canon) == scalar_half(&b.encoded.outcome_canon)
 }
 
 /// Why two stores refused to merge.
@@ -1744,20 +1096,6 @@ pub struct MigrationReport {
     pub bytes_out: u64,
 }
 
-/// Whether a canonical spec string describes an adversarial scenario.
-///
-/// The canonical grammar is space-free and escapes every string, the
-/// spec has no free-form string fields, and `adversary` is a unique
-/// field name, so the `adversary:+` prefix of a populated
-/// `Option<AdversarySpec>` appears in a spec canon *iff* the spec
-/// carries an adversary block. This is the store's adversary dimension:
-/// it selects between the `R`/`S` and `A`/`B` record tags without
-/// parsing the spec.
-#[must_use]
-pub fn spec_is_adversarial(spec_canon: &str) -> bool {
-    spec_canon.contains("adversary:+")
-}
-
 /// Renders one text record line (any engine version — retained stale
 /// records re-emit through the same path as live ones).
 fn text_line(encoded: &EncodedRecord) -> String {
@@ -1981,7 +1319,7 @@ impl DiskSweepCache {
 mod tests {
     use super::*;
     use crate::spec::ScenarioSpec;
-    use crate::sweep::{derive_seed, Capture, SweepRequest};
+    use crate::sweep::{derive_seed, Capture, SweepRequest, SweepSeries};
     use crate::Maintenance;
     use wl_core::Params;
     use wl_time::RealTime;
@@ -2212,6 +1550,31 @@ mod tests {
         assert!(unescape("no-quotes").is_none());
         assert!(unescape("\"dangling\\\"").is_none());
         assert!(unescape("\"bad\\q\"").is_none());
+    }
+
+    /// A record whose outcome spells a value as the writer never does is
+    /// not its canonical twin under other bytes (which `lattice_join`
+    /// would then refuse as a contradiction): it is corrupt.
+    #[test]
+    fn admit_refuses_spellings_the_writer_never_emits() {
+        let canonical = Record::of_outcome("A", 42, "Spec{n:4}".into(), &outcome_fixture());
+        let canonical = canonical.encoded().clone();
+        assert!(matches!(
+            Record::admit(canonical.clone()),
+            Admitted::Live(_)
+        ));
+        for (written, respelled) in [
+            ("steady_skew:x3f54", "steady_skew:x3F54"),
+            ("timers_set:3", "timers_set:03"),
+        ] {
+            let outcome_canon = canonical.outcome_canon.replace(written, respelled);
+            assert_ne!(outcome_canon, canonical.outcome_canon);
+            let respelled = EncodedRecord {
+                outcome_canon,
+                ..canonical.clone()
+            };
+            assert!(matches!(Record::admit(respelled), Admitted::Corrupt));
+        }
     }
 
     #[test]

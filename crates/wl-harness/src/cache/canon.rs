@@ -1,15 +1,641 @@
-//! The canonical text grammar's golden corpus.
+//! The canonical text grammar: its one writer and its one reader.
+//!
+//! Every byte this crate keys on is a string in this grammar — the spec
+//! canon a cache hit is confirmed against and the frontier's grid hash is
+//! taken over, the outcome canon a store record and a wire frame carry,
+//! the quoted algorithm name of a text store line — so the grammar is a
+//! decision this file makes, not a by-product of how a struct happens to
+//! be declared. [`Canon`] is the writer, implemented here for exactly
+//! the types that reach a store, a hash or the wire; [`parse_outcome`] is
+//! the reader, and it accepts only what the writer emits (the tests walk
+//! every one-byte mutant of a corpus to hold it to that). Changing a
+//! field of one of those types means editing its writer and reader
+//! below, bumping [`ENGINE_VERSION`](super::ENGINE_VERSION), and
+//! regenerating `tests/fixtures/canon.golden`; renaming or reordering
+//! the Rust field alone changes no byte.
+//!
+//! The grammar (`docs/store-format.md` is normative):
+//!
+//! * **deterministic and machine-independent** — no pointers, no hash
+//!   iteration order; structs are `Name{field:value,…}`, enum variants
+//!   `Name::Variant`, `Name::Variant(value)` or `Name::Variant{field:value,…}`,
+//!   newtypes `Name(value)`, tuples `(a,b)`, sequences `[a,b,…]`, options
+//!   `~` or `+value`, booleans `T` / `F`;
+//! * **bit-exact floats** — an `f64` is `x` and the sixteen lower-case
+//!   hex digits of its IEEE bit pattern (`x3ff0000000000000`), so `-0.0`,
+//!   NaN payloads and every last ULP survive;
+//! * **one spelling per value** — integers are decimal with no sign and
+//!   no leading zero;
+//! * **whitespace-free** — records embed these strings in
+//!   space-separated lines; the string escape maps ` ` to `\s`.
+
+use crate::sketch::SkewSketch;
+use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
+use crate::sweep::{SweepOutcome, SweepSeries};
+use std::fmt::Write as _;
+use wl_clock::drift::DriftModel;
+use wl_core::{AveragingFn, Params};
+use wl_sim::{ProcessId, SimStats};
+use wl_time::RealTime;
+
+/// A value with a canonical text form (see the grammar in
+/// `docs/store-format.md`).
+pub trait Canon {
+    /// Appends the canonical form of `self` to `out`.
+    fn canon(&self, out: &mut String);
+}
+
+/// The canonical, machine-independent text form of `value` — what the
+/// cache is keyed on, stores persist and the service sends.
+#[must_use]
+pub fn canon_string<T: Canon + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.canon(&mut out);
+    out
+}
+
+/// Appends `key` — a field's punctuation and name, spelled as the
+/// reader's `eat` spells it — and then the field's value.
+fn put<T: Canon + ?Sized>(out: &mut String, key: &str, value: &T) {
+    out.push_str(key);
+    value.canon(out);
+}
+
+// ---------------------------------------------------------------------------
+// Primitives: writers, and the cursor that reads them back.
+// ---------------------------------------------------------------------------
+
+impl Canon for bool {
+    fn canon(&self, out: &mut String) {
+        out.push(if *self { 'T' } else { 'F' });
+    }
+}
+
+impl Canon for u64 {
+    fn canon(&self, out: &mut String) {
+        write!(out, "{self}").expect("write to String");
+    }
+}
+
+impl Canon for u32 {
+    fn canon(&self, out: &mut String) {
+        u64::from(*self).canon(out);
+    }
+}
+
+impl Canon for usize {
+    fn canon(&self, out: &mut String) {
+        (*self as u64).canon(out);
+    }
+}
+
+impl Canon for f64 {
+    fn canon(&self, out: &mut String) {
+        write!(out, "x{:016x}", self.to_bits()).expect("write to String");
+    }
+}
+
+impl Canon for str {
+    fn canon(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                ' ' => out.push_str("\\s"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl Canon for String {
+    fn canon(&self, out: &mut String) {
+        self.as_str().canon(out);
+    }
+}
+
+impl<T: Canon> Canon for Option<T> {
+    fn canon(&self, out: &mut String) {
+        match self {
+            None => out.push('~'),
+            Some(value) => put(out, "+", value),
+        }
+    }
+}
+
+impl<T: Canon> Canon for [T] {
+    fn canon(&self, out: &mut String) {
+        out.push('[');
+        for (i, value) in self.iter().enumerate() {
+            put(out, if i == 0 { "" } else { "," }, value);
+        }
+        out.push(']');
+    }
+}
+
+impl<A: Canon, B: Canon> Canon for (A, B) {
+    fn canon(&self, out: &mut String) {
+        put(out, "(", &self.0);
+        put(out, ",", &self.1);
+        out.push(')');
+    }
+}
+
+/// The inverse of `str`'s writer: `None` on a missing quote, a dangling
+/// backslash or an escape the writer never emits.
+pub(super) fn unescape(s: &str) -> Option<String> {
+    let inner = s.strip_prefix('"')?.strip_suffix('"')?;
+    let mut out = String::with_capacity(inner.len());
+    let mut chars = inner.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next()? {
+            '\\' => out.push('\\'),
+            '"' => out.push('"'),
+            's' => out.push(' '),
+            'n' => out.push('\n'),
+            'r' => out.push('\r'),
+            't' => out.push('\t'),
+            _ => return None,
+        }
+    }
+    Some(out)
+}
+
+/// Strict cursor over a canonical string: every `eat` states exactly what
+/// the writer must have put next, and every token has one accepted
+/// spelling — the writer's — so any drift between writer and parser
+/// surfaces as `None` (→ a skipped record), never as a misread value,
+/// and two records that parse alike are alike byte for byte.
+struct Cursor<'a> {
+    s: &'a str,
+}
+
+impl<'a> Cursor<'a> {
+    fn eat(&mut self, prefix: &str) -> Option<()> {
+        self.s = self.s.strip_prefix(prefix)?;
+        Some(())
+    }
+
+    fn take_while(&mut self, pred: impl Fn(char) -> bool) -> &'a str {
+        let end = self
+            .s
+            .char_indices()
+            .find(|&(_, c)| !pred(c))
+            .map_or(self.s.len(), |(i, _)| i);
+        let (head, tail) = self.s.split_at(end);
+        self.s = tail;
+        head
+    }
+
+    /// A decimal integer as the writer spells it: no leading zero.
+    fn u64_dec(&mut self) -> Option<u64> {
+        let digits = self.take_while(|c| c.is_ascii_digit());
+        if digits.len() > 1 && digits.starts_with('0') {
+            return None;
+        }
+        digits.parse().ok()
+    }
+
+    /// `x` and sixteen hex digits as the writer spells them: lower case.
+    fn f64_bits(&mut self) -> Option<f64> {
+        self.eat("x")?;
+        let hex = self.take_while(|c| matches!(c, '0'..='9' | 'a'..='f'));
+        if hex.len() != 16 {
+            return None;
+        }
+        Some(f64::from_bits(u64::from_str_radix(hex, 16).ok()?))
+    }
+
+    fn boolean(&mut self) -> Option<bool> {
+        match self.take_while(|c| c == 'T' || c == 'F') {
+            "T" => Some(true),
+            "F" => Some(false),
+            _ => None,
+        }
+    }
+
+    /// `~`, or `+` and what `some` parses.
+    fn option<T>(&mut self, some: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        if self.eat("~").is_some() {
+            return Some(None);
+        }
+        self.eat("+")?;
+        some(self).map(Some)
+    }
+
+    /// A `[a,b,c]` sequence, elements parsed by `elem`.
+    fn seq<T>(&mut self, mut elem: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.eat("[")?;
+        let mut out = Vec::new();
+        if self.eat("]").is_some() {
+            return Some(out);
+        }
+        loop {
+            out.push(elem(self)?);
+            if self.eat("]").is_some() {
+                return Some(out);
+            }
+            self.eat(",")?;
+        }
+    }
+
+    fn f64_seq(&mut self) -> Option<Vec<f64>> {
+        self.seq(Self::f64_bits)
+    }
+
+    fn u32_seq(&mut self) -> Option<Vec<u32>> {
+        self.seq(|c| u32::try_from(c.u64_dec()?).ok())
+    }
+
+    fn u64_seq(&mut self) -> Option<Vec<u64>> {
+        self.seq(Self::u64_dec)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The spec grammar. Write-only: a spec canon is compared and hashed,
+// never parsed (the wire carries specs in `service.rs`'s binary codec).
+// ---------------------------------------------------------------------------
+
+impl Canon for ScenarioSpec {
+    fn canon(&self, out: &mut String) {
+        put(out, "ScenarioSpec{params:", &self.params);
+        put(out, ",drift:", &self.drift);
+        put(out, ",delay:", &self.delay);
+        put(out, ",seed:", &self.seed);
+        put(out, ",t_end:", &self.t_end);
+        put(out, ",spread_frac:", &self.spread_frac);
+        put(out, ",faults:", &self.faults[..]);
+        put(out, ",rejoiner:", &self.rejoiner);
+        put(out, ",adversary:", &self.adversary);
+        put(out, ",trace_capacity:", &self.trace_capacity);
+        put(out, ",max_events:", &self.max_events);
+        put(out, ",initial_spread:", &self.initial_spread);
+        out.push('}');
+    }
+}
+
+/// Whether a canonical spec string describes an adversarial scenario.
+///
+/// The canonical grammar is space-free and escapes every string, the
+/// spec has no free-form string fields, and `adversary` is a unique
+/// field name, so the `adversary:+` prefix of a populated
+/// `Option<AdversarySpec>` appears in a spec canon *iff* the spec
+/// carries an adversary block. This is the store's adversary dimension:
+/// it selects between the `R`/`S` and `A`/`B` record tags without
+/// parsing the spec.
+#[must_use]
+pub fn spec_is_adversarial(spec_canon: &str) -> bool {
+    spec_canon.contains("adversary:+")
+}
+
+impl Canon for Params {
+    fn canon(&self, out: &mut String) {
+        put(out, "Params{n:", &self.n);
+        put(out, ",f:", &self.f);
+        put(out, ",rho:", &self.rho);
+        put(out, ",delta:", &self.delta);
+        put(out, ",eps:", &self.eps);
+        put(out, ",beta:", &self.beta);
+        put(out, ",p_round:", &self.p_round);
+        put(out, ",t0:", &self.t0);
+        put(out, ",avg:", &self.avg);
+        put(out, ",sigma:", &self.sigma);
+        put(out, ",exchanges:", &self.exchanges);
+        out.push('}');
+    }
+}
+
+impl Canon for AveragingFn {
+    fn canon(&self, out: &mut String) {
+        out.push_str(match self {
+            Self::Midpoint => "AveragingFn::Midpoint",
+            Self::Mean => "AveragingFn::Mean",
+        });
+    }
+}
+
+impl Canon for DriftModel {
+    fn canon(&self, out: &mut String) {
+        match self {
+            Self::Ideal => return out.push_str("DriftModel::Ideal"),
+            Self::EvenSpread { rho } => put(out, "DriftModel::EvenSpread{rho:", rho),
+            Self::Split { rho } => put(out, "DriftModel::Split{rho:", rho),
+            Self::RandomConstant { rho } => put(out, "DriftModel::RandomConstant{rho:", rho),
+            Self::RandomPiecewise {
+                rho,
+                segment_secs,
+                horizon_secs,
+            } => {
+                put(out, "DriftModel::RandomPiecewise{rho:", rho);
+                put(out, ",segment_secs:", segment_secs);
+                put(out, ",horizon_secs:", horizon_secs);
+            }
+        }
+        out.push('}');
+    }
+}
+
+impl Canon for DelayKind {
+    fn canon(&self, out: &mut String) {
+        out.push_str(match self {
+            Self::Constant => "DelayKind::Constant",
+            Self::Uniform => "DelayKind::Uniform",
+            Self::AdversarialSplit => "DelayKind::AdversarialSplit",
+            Self::SharedMedium => "DelayKind::SharedMedium",
+        });
+    }
+}
+
+impl Canon for FaultKind {
+    fn canon(&self, out: &mut String) {
+        match self {
+            Self::CrashAt(at) => put(out, "FaultKind::CrashAt(", at),
+            Self::Silent => return out.push_str("FaultKind::Silent"),
+            Self::RoundSpam => return out.push_str("FaultKind::RoundSpam"),
+            Self::PullApart(amplitude) => put(out, "FaultKind::PullApart(", amplitude),
+            Self::PullApartHigh(amplitude) => put(out, "FaultKind::PullApartHigh(", amplitude),
+            Self::TwoFaced(amplitude) => put(out, "FaultKind::TwoFaced(", amplitude),
+        }
+        out.push(')');
+    }
+}
+
+impl Canon for AdversarySpec {
+    fn canon(&self, out: &mut String) {
+        put(out, "AdversarySpec{members:", &self.members[..]);
+        put(out, ",strategy:", &self.strategy);
+        put(out, ",seed:", &self.seed);
+        out.push('}');
+    }
+}
+
+impl Canon for AdversaryStrategy {
+    fn canon(&self, out: &mut String) {
+        match self {
+            Self::Crash { at } => put(out, "AdversaryStrategy::Crash{at:", at),
+            Self::Mute => return out.push_str("AdversaryStrategy::Mute"),
+            Self::Spam => return out.push_str("AdversaryStrategy::Spam"),
+            Self::PullApart { amplitude, high } => {
+                put(out, "AdversaryStrategy::PullApart{amplitude:", amplitude);
+                put(out, ",high:", high);
+            }
+            Self::TwoFacedValue { amplitude } => {
+                put(
+                    out,
+                    "AdversaryStrategy::TwoFacedValue{amplitude:",
+                    amplitude,
+                );
+            }
+            Self::Collude { amplitude } => {
+                put(out, "AdversaryStrategy::Collude{amplitude:", amplitude);
+            }
+            Self::Churn { up, down } => {
+                put(out, "AdversaryStrategy::Churn{up:", up);
+                put(out, ",down:", down);
+            }
+            Self::TargetedDelay { victim } => {
+                put(out, "AdversaryStrategy::TargetedDelay{victim:", victim);
+            }
+            Self::Partition => return out.push_str("AdversaryStrategy::Partition"),
+        }
+        out.push('}');
+    }
+}
+
+impl Canon for ProcessId {
+    fn canon(&self, out: &mut String) {
+        put(out, "ProcessId(", &self.0);
+        out.push(')');
+    }
+}
+
+impl Canon for RealTime {
+    fn canon(&self, out: &mut String) {
+        put(out, "RealTime(", &self.as_secs());
+        out.push(')');
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The outcome grammar: each writer above its reader.
+// ---------------------------------------------------------------------------
+
+impl Canon for SimStats {
+    fn canon(&self, out: &mut String) {
+        put(out, "SimStats{events_delivered:", &self.events_delivered);
+        put(out, ",messages_sent:", &self.messages_sent);
+        put(out, ",timers_set:", &self.timers_set);
+        put(out, ",timers_suppressed:", &self.timers_suppressed);
+        out.push('}');
+    }
+}
+
+fn parse_stats(c: &mut Cursor<'_>) -> Option<SimStats> {
+    c.eat("SimStats{events_delivered:")?;
+    let events_delivered = c.u64_dec()?;
+    c.eat(",messages_sent:")?;
+    let messages_sent = c.u64_dec()?;
+    c.eat(",timers_set:")?;
+    let timers_set = c.u64_dec()?;
+    c.eat(",timers_suppressed:")?;
+    let timers_suppressed = c.u64_dec()?;
+    c.eat("}")?;
+    Some(SimStats {
+        events_delivered,
+        messages_sent,
+        timers_set,
+        timers_suppressed,
+    })
+}
+
+/// **Delta-coded** bin indices: the first `bin_idx` element is written
+/// verbatim, every later one as the gap to its predecessor. Occupied
+/// bins cluster tightly (a typical skew distribution spans a handful of
+/// octaves), so the gaps are small integers regardless of where on the
+/// bin grid the mass sits — shorter digit strings in the canon and far
+/// better match locality for the packed-segment compressor.
+impl Canon for SkewSketch {
+    fn canon(&self, out: &mut String) {
+        put(out, "SkewSketch{count:", &self.count);
+        put(out, ",low:", &self.low);
+        put(out, ",sum_hi:", &self.sum_hi);
+        put(out, ",sum_lo:", &self.sum_lo);
+        put(out, ",max:", &self.max);
+        out.push_str(",bin_idx:[");
+        let mut prev = 0;
+        for (i, &idx) in self.bin_idx.iter().enumerate() {
+            put(out, if i == 0 { "" } else { "," }, &(idx - prev));
+            prev = idx;
+        }
+        put(out, "],bin_count:", &self.bin_count[..]);
+        out.push('}');
+    }
+}
+
+/// The payload of `K`/`L`-tagged records. Rejects structurally invalid
+/// histograms ([`SkewSketch::well_formed`]) so a tampered record cannot
+/// reach the merge arithmetic.
+fn parse_sketch(c: &mut Cursor<'_>) -> Option<SkewSketch> {
+    c.eat("SkewSketch{count:")?;
+    let count = c.u64_dec()?;
+    c.eat(",low:")?;
+    let low = c.u64_dec()?;
+    c.eat(",sum_hi:")?;
+    let sum_hi = c.u64_dec()?;
+    c.eat(",sum_lo:")?;
+    let sum_lo = c.u64_dec()?;
+    c.eat(",max:")?;
+    let max = c.f64_bits()?;
+    c.eat(",bin_idx:")?;
+    // Undo the deltas so `well_formed` checks the real histogram.
+    // Overflow means a tampered record: reject.
+    let mut bin_idx = c.u32_seq()?;
+    for i in 1..bin_idx.len() {
+        bin_idx[i] = bin_idx[i - 1].checked_add(bin_idx[i])?;
+    }
+    c.eat(",bin_count:")?;
+    let bin_count = c.u64_seq()?;
+    c.eat("}")?;
+    let sketch = SkewSketch {
+        count,
+        low,
+        sum_hi,
+        sum_lo,
+        max,
+        bin_idx,
+        bin_count,
+    };
+    sketch.well_formed().then_some(sketch)
+}
+
+impl Canon for SweepSeries {
+    fn canon(&self, out: &mut String) {
+        put(out, "SweepSeries{round_times:", &self.round_times[..]);
+        put(out, ",round_skews:", &self.round_skews[..]);
+        put(out, ",skew_times:", &self.skew_times[..]);
+        put(out, ",skew_values:", &self.skew_values[..]);
+        put(out, ",corr_procs:", &self.corr_procs[..]);
+        put(out, ",corr_times:", &self.corr_times[..]);
+        put(out, ",corr_values:", &self.corr_values[..]);
+        out.push('}');
+    }
+}
+
+/// The payload of `S`/`B`-tagged records.
+fn parse_series(c: &mut Cursor<'_>) -> Option<SweepSeries> {
+    c.eat("SweepSeries{round_times:")?;
+    let round_times = c.f64_seq()?;
+    c.eat(",round_skews:")?;
+    let round_skews = c.f64_seq()?;
+    c.eat(",skew_times:")?;
+    let skew_times = c.f64_seq()?;
+    c.eat(",skew_values:")?;
+    let skew_values = c.f64_seq()?;
+    c.eat(",corr_procs:")?;
+    let corr_procs = c.u32_seq()?;
+    c.eat(",corr_times:")?;
+    let corr_times = c.f64_seq()?;
+    c.eat(",corr_values:")?;
+    let corr_values = c.f64_seq()?;
+    c.eat("}")?;
+    Some(SweepSeries {
+        round_times,
+        round_skews,
+        skew_times,
+        skew_values,
+        corr_procs,
+        corr_times,
+        corr_values,
+    })
+}
+
+/// The optional payloads come last, `sketch` before `series`:
+/// [`scalar_half`] splits at the first of them.
+impl Canon for SweepOutcome {
+    fn canon(&self, out: &mut String) {
+        put(out, "SweepOutcome{index:", &self.index);
+        put(out, ",seed:", &self.seed);
+        put(out, ",steady_skew:", &self.steady_skew);
+        put(out, ",max_skew:", &self.max_skew);
+        put(out, ",agreement_holds:", &self.agreement_holds);
+        put(out, ",max_abs_adjustment:", &self.max_abs_adjustment);
+        put(out, ",mean_abs_adjustment:", &self.mean_abs_adjustment);
+        put(out, ",adjustment_holds:", &self.adjustment_holds);
+        put(out, ",stats:", &self.stats);
+        put(out, ",sketch:", &self.sketch);
+        put(out, ",series:", &self.series);
+        out.push('}');
+    }
+}
+
+/// Parses an outcome canon: `Some` exactly for the strings the writer
+/// above emits (so `canon_string(&parsed)` is the input, byte for byte).
+/// Its one caller outside the tests is `Record::admit`.
+pub(super) fn parse_outcome(s: &str) -> Option<SweepOutcome> {
+    let mut c = Cursor { s };
+    c.eat("SweepOutcome{index:")?;
+    let index = c.u64_dec()?;
+    c.eat(",seed:")?;
+    let seed = c.u64_dec()?;
+    c.eat(",steady_skew:")?;
+    let steady_skew = c.f64_bits()?;
+    c.eat(",max_skew:")?;
+    let max_skew = c.f64_bits()?;
+    c.eat(",agreement_holds:")?;
+    let agreement_holds = c.boolean()?;
+    c.eat(",max_abs_adjustment:")?;
+    let max_abs_adjustment = c.f64_bits()?;
+    c.eat(",mean_abs_adjustment:")?;
+    let mean_abs_adjustment = c.f64_bits()?;
+    c.eat(",adjustment_holds:")?;
+    let adjustment_holds = c.boolean()?;
+    c.eat(",stats:")?;
+    let stats = parse_stats(&mut c)?;
+    c.eat(",sketch:")?;
+    let sketch = c.option(parse_sketch)?;
+    c.eat(",series:")?;
+    let series = c.option(parse_series)?;
+    c.eat("}")?;
+    if !c.s.is_empty() {
+        return None;
+    }
+    Some(SweepOutcome {
+        index: usize::try_from(index).ok()?,
+        seed,
+        steady_skew,
+        max_skew,
+        agreement_holds,
+        max_abs_adjustment,
+        mean_abs_adjustment,
+        adjustment_holds,
+        stats,
+        sketch,
+        series,
+    })
+}
+
+/// An outcome canon up to its optional payloads — the "scalar half" both
+/// sides of any lattice transition must agree on byte-for-byte.
+pub(super) fn scalar_half(outcome_canon: &str) -> &str {
+    outcome_canon
+        .split_once(",sketch:")
+        .map_or(outcome_canon, |(scalar, _)| scalar)
+}
 
 #[cfg(test)]
 mod tests {
-    use crate::cache::canon_string;
-    use crate::sketch::SkewSketch;
-    use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
-    use crate::sweep::{derive_seed, SweepOutcome, SweepSeries};
-    use wl_clock::drift::DriftModel;
-    use wl_core::{AveragingFn, Params};
-    use wl_sim::{ProcessId, SimStats};
-    use wl_time::RealTime;
+    use super::*;
+    use crate::sweep::derive_seed;
 
     /// Floats a decimal rendering would lose or conflate: NaN, −0.0, the
     /// smallest subnormal, both infinities.
@@ -360,5 +986,57 @@ mod tests {
             golden.lines().count(),
             text.lines().count(),
         );
+    }
+
+    /// The writer this module replaced and the writer above agree on
+    /// every corpus value, byte for byte.
+    #[test]
+    fn explicit_writer_matches_the_derived_one() {
+        use crate::cache::serde_reference::canon_string as derived;
+        for spec in spec_corpus() {
+            assert_eq!(canon_string(&spec), derived(&spec));
+        }
+        for outcome in outcome_corpus() {
+            assert_eq!(canon_string(&outcome), derived(&outcome));
+            assert_eq!(canon_string(&outcome.sketch), derived(&outcome.sketch));
+            assert_eq!(canon_string(&outcome.series), derived(&outcome.series));
+        }
+        for s in STRING_CORPUS {
+            assert_eq!(canon_string(s), derived(s));
+            assert_eq!(canon_string(&s.to_string()), derived(&s.to_string()));
+        }
+        assert_eq!(canon_string(&true), derived(&true));
+        assert_eq!(canon_string(&false), derived(&false));
+        assert_eq!(canon_string(&Some(u64::MAX)), derived(&Some(u64::MAX)));
+        assert_eq!(canon_string(&None::<u64>), derived(&None::<u64>));
+        for x in edge_floats() {
+            assert_eq!(canon_string(&x), derived(&x));
+        }
+    }
+
+    /// The reader accepts only what the writer emits: every truncation
+    /// and every one-byte substitution of a corpus outcome either fails
+    /// to parse or is itself canonical.
+    #[test]
+    fn reader_accepts_only_what_the_writer_emits() {
+        let check = |mutant: &str| {
+            if let Some(parsed) = parse_outcome(mutant) {
+                assert_eq!(canon_string(&parsed), mutant, "accepted a second spelling");
+            }
+        };
+        for canon in outcome_canons() {
+            let parsed = parse_outcome(&canon).expect("the writer's own output parses");
+            assert_eq!(canon_string(&parsed), canon);
+            for cut in 0..canon.len() {
+                check(&canon[..cut]);
+            }
+            for at in 0..canon.len() {
+                for sub in "09aFx,:{}~+".chars() {
+                    let mut mutant = canon.clone();
+                    mutant.replace_range(at..=at, sub.encode_utf8(&mut [0; 4]));
+                    check(&mutant);
+                }
+            }
+        }
     }
 }
