@@ -639,52 +639,85 @@ mod tests {
 
     /// Floats a decimal rendering would lose or conflate: NaN, −0.0, the
     /// smallest subnormal, both infinities.
-    fn edge_floats() -> [f64; 5] {
-        [
-            f64::NAN,
-            -0.0,
-            f64::from_bits(1),
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ]
-    }
+    const EDGE_FLOATS: [f64; 5] = [
+        f64::NAN,
+        -0.0,
+        f64::from_bits(1),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
 
-    /// The `i`-th draw of the corpus's seeded stream as a raw float bit
-    /// pattern (any NaN payload, any exponent).
+    /// The `i`-th draw of a seeded stream as a raw float bit pattern
+    /// (any NaN payload, any exponent).
     fn seeded_float(stream: u64, i: u64) -> f64 {
         f64::from_bits(derive_seed(stream, i))
     }
 
-    /// Specs hitting every variant of every enum in the spec grammar,
-    /// both arms of every `Option`, empty and multi-entry vectors, the
-    /// edge floats and the integer extremes.
-    fn spec_corpus() -> Vec<ScenarioSpec> {
+    fn base() -> ScenarioSpec {
         let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
-        let base = || ScenarioSpec::new(params.clone()).t_end(RealTime::from_secs(2.0));
-        let mut specs = vec![base(), base().canonical()];
+        ScenarioSpec::new(params).t_end(RealTime::from_secs(2.0))
+    }
 
-        for drift in [
+    /// A spec with both `Option`s populated and multi-entry vectors,
+    /// every float field drawn from `f` and every integer field `int`.
+    fn saturated_spec(f: impl Fn(u64) -> f64, int: u64) -> ScenarioSpec {
+        let id = ProcessId(int as usize);
+        let churn = AdversaryStrategy::Churn {
+            up: f(8),
+            down: f(9),
+        };
+        let mut spec = base()
+            .seed(int)
+            .t_end(RealTime::from_secs(f(0)))
+            .spread_frac(f(1))
+            .drift(DriftModel::RandomPiecewise {
+                rho: f(2),
+                segment_secs: f(3),
+                horizon_secs: f(4),
+            })
+            .fault(id, FaultKind::CrashAt(f(5)))
+            .fault(ProcessId(0), FaultKind::TwoFaced(f(6)))
+            .rejoiner(id, RealTime::from_secs(f(7)))
+            .adversary(AdversarySpec::new(vec![id, ProcessId(0)], churn).seed(int))
+            .trace(int as usize)
+            .max_events(int);
+        spec.initial_spread = f(10);
+        spec.params = Params {
+            n: int as usize,
+            f: int as usize,
+            rho: f(11),
+            delta: f(12),
+            eps: f(13),
+            beta: f(14),
+            p_round: f(15),
+            t0: f(16),
+            avg: AveragingFn::Mean,
+            sigma: f(17),
+            exchanges: int as usize,
+        };
+        spec
+    }
+
+    /// Specs hitting every variant of every enum in the spec grammar,
+    /// both arms of every `Option`, empty, single- and multi-entry
+    /// vectors, the edge floats, the integer extremes and seeded bit
+    /// patterns.
+    fn spec_corpus() -> Vec<ScenarioSpec> {
+        let mut specs = vec![base(), base().canonical()];
+        let drifts = [
             DriftModel::Ideal,
             DriftModel::EvenSpread { rho: 1e-6 },
             DriftModel::Split { rho: 2e-6 },
             DriftModel::RandomConstant { rho: 3e-6 },
-            DriftModel::RandomPiecewise {
-                rho: 4e-6,
-                segment_secs: 0.25,
-                horizon_secs: 2.0,
-            },
-        ] {
-            specs.push(base().drift(drift));
-        }
-        for delay in [
+        ];
+        specs.extend(drifts.map(|drift| base().drift(drift)));
+        let delays = [
             DelayKind::Constant,
             DelayKind::Uniform,
             DelayKind::AdversarialSplit,
             DelayKind::SharedMedium,
-        ] {
-            specs.push(base().delay(delay));
-        }
-
+        ];
+        specs.extend(delays.map(|delay| base().delay(delay)));
         let faults = [
             FaultKind::CrashAt(1.5),
             FaultKind::Silent,
@@ -693,258 +726,124 @@ mod tests {
             FaultKind::PullApartHigh(0.0025),
             FaultKind::TwoFaced(0.003),
         ];
-        for (i, &kind) in faults.iter().enumerate() {
-            specs.push(base().fault(ProcessId(i), kind));
-        }
-        specs.push(
-            faults
-                .iter()
-                .enumerate()
-                .fold(base(), |spec, (i, &kind)| spec.fault(ProcessId(i), kind))
-                .silent(&[ProcessId(6), ProcessId(7)]),
-        );
-        specs.push(base().rejoiner(ProcessId(3), RealTime::from_secs(0.75)));
-
+        let faulty = |spec: ScenarioSpec, (i, &kind)| spec.fault(ProcessId(i), kind);
+        specs.push(faults.iter().enumerate().fold(base(), faulty));
+        specs.push(base().silent(&[ProcessId(3)]));
         let strategies = [
             AdversaryStrategy::Crash { at: 1.5 },
             AdversaryStrategy::Mute,
             AdversaryStrategy::Spam,
             AdversaryStrategy::PullApart {
                 amplitude: 0.002,
-                high: false,
-            },
-            AdversaryStrategy::PullApart {
-                amplitude: 0.002,
                 high: true,
             },
             AdversaryStrategy::TwoFacedValue { amplitude: 0.003 },
             AdversaryStrategy::Collude { amplitude: 0.001 },
-            AdversaryStrategy::Churn {
-                up: 0.5,
-                down: 0.25,
-            },
-            AdversaryStrategy::TargetedDelay { victim: 2 },
+            AdversaryStrategy::TargetedDelay { victim: usize::MAX },
             AdversaryStrategy::Partition,
         ];
-        for (i, &strategy) in strategies.iter().enumerate() {
+        for (i, strategy) in strategies.into_iter().enumerate() {
             let members = (0..i % 3).map(ProcessId).collect();
-            let adversary = AdversarySpec::new(members, strategy).seed(derive_seed(0xAD, i as u64));
-            specs.push(base().adversary(adversary));
+            specs.push(base().adversary(AdversarySpec::new(members, strategy)));
         }
-
-        let mut mean = params.clone();
-        mean.avg = AveragingFn::Mean;
-        mean.sigma = 1e-4;
-        mean.exchanges = 3;
-        specs.push(ScenarioSpec::new(mean).trace(64).max_events(1_000_000));
         let startup = wl_core::StartupParams::new(7, 2, 0.2, 0.010, 0.001).unwrap();
         specs.push(ScenarioSpec::startup(&startup, 2.0).seed(5));
-
-        // Every float field at every edge value, beside every integer
-        // field at its extreme.
-        for (i, x) in edge_floats().into_iter().enumerate() {
-            let mut spec = base()
-                .seed(u64::MAX)
-                .t_end(RealTime::from_secs(x))
-                .spread_frac(x)
-                .drift(DriftModel::RandomPiecewise {
-                    rho: x,
-                    segment_secs: x,
-                    horizon_secs: x,
-                })
-                .fault(ProcessId(usize::MAX), FaultKind::CrashAt(x))
-                .fault(ProcessId(i), FaultKind::TwoFaced(x))
-                .rejoiner(ProcessId(usize::MAX), RealTime::from_secs(x))
-                .adversary(
-                    AdversarySpec::new(
-                        vec![ProcessId(usize::MAX), ProcessId(0)],
-                        AdversaryStrategy::Churn { up: x, down: x },
-                    )
-                    .seed(u64::MAX),
-                )
-                .trace(usize::MAX)
-                .max_events(u64::MAX);
-            spec.initial_spread = x;
-            spec.params = Params {
-                n: usize::MAX,
-                f: usize::MAX,
-                rho: x,
-                delta: x,
-                eps: x,
-                beta: x,
-                p_round: x,
-                t0: x,
-                avg: AveragingFn::Mean,
-                sigma: x,
-                exchanges: usize::MAX,
-            };
-            specs.push(spec);
-        }
-        specs.push(base().adversary(AdversarySpec::new(
-            vec![ProcessId(1)],
-            AdversaryStrategy::TargetedDelay { victim: usize::MAX },
-        )));
-
-        // Seeded: every float a raw bit pattern off the stream.
-        for s in 0..6u64 {
-            let f = |i| seeded_float(0xC0_4057 + s, i);
-            let mut spec = base()
-                .seed(derive_seed(s, 0))
-                .t_end(RealTime::from_secs(f(0)))
-                .spread_frac(f(1))
-                .drift(DriftModel::RandomPiecewise {
-                    rho: f(2),
-                    segment_secs: f(3),
-                    horizon_secs: f(4),
-                })
-                .fault(ProcessId(s as usize), FaultKind::PullApart(f(5)))
-                .fault(ProcessId(s as usize + 1), FaultKind::PullApartHigh(f(6)))
-                .rejoiner(ProcessId(2), RealTime::from_secs(f(7)))
-                .adversary(
-                    AdversarySpec::new(
-                        vec![ProcessId(0), ProcessId(s as usize)],
-                        AdversaryStrategy::PullApart {
-                            amplitude: f(8),
-                            high: s % 2 == 0,
-                        },
-                    )
-                    .seed(derive_seed(s, 1)),
-                );
-            spec.initial_spread = f(9);
-            spec.params.rho = f(10);
-            spec.params.beta = f(11);
-            spec.params.p_round = f(12);
-            specs.push(spec);
-        }
+        specs.extend(EDGE_FLOATS.map(|x| saturated_spec(|_| x, u64::MAX)));
+        specs.extend((0..6).map(|s| saturated_spec(|i| seeded_float(s, i), derive_seed(s, 99))));
         specs
     }
 
-    fn scalar_outcome() -> SweepOutcome {
+    /// A scalar outcome, every float field drawn from `f` and every
+    /// integer field `int`.
+    fn scalar(f: impl Fn(u64) -> f64, int: u64) -> SweepOutcome {
         SweepOutcome {
-            index: 0,
-            seed: 0xDEAD_BEEF,
-            steady_skew: 1.25e-3,
-            max_skew: -0.0,
-            agreement_holds: true,
-            max_abs_adjustment: f64::NAN,
-            mean_abs_adjustment: 7.5e-4,
-            adjustment_holds: false,
+            index: int as usize,
+            seed: int,
+            steady_skew: f(0),
+            max_skew: f(1),
+            agreement_holds: int % 2 == 0,
+            max_abs_adjustment: f(2),
+            mean_abs_adjustment: f(3),
+            adjustment_holds: int % 2 == 1,
             stats: SimStats {
-                events_delivered: 1,
-                messages_sent: 20,
-                timers_set: 300,
-                timers_suppressed: 0,
+                events_delivered: int,
+                messages_sent: int / 10,
+                timers_set: int / 100,
+                timers_suppressed: int / 1000,
             },
             sketch: None,
             series: None,
         }
     }
 
-    fn series_payload() -> SweepSeries {
+    fn series(f: impl Fn(u64) -> f64, len: u64) -> SweepSeries {
+        let column = |c: u64| (0..len).map(|i| f(7 * i + c)).collect::<Vec<f64>>();
         SweepSeries {
-            round_times: vec![1.0, 2.0],
-            round_skews: vec![0.5, -0.0],
-            skew_times: vec![0.0, 0.5, 1.0],
-            skew_values: vec![1.0, f64::NAN, 0.25],
-            corr_procs: vec![0, 3, u32::MAX],
-            corr_times: vec![1.0, 1.5, f64::INFINITY],
-            corr_values: vec![-0.125, 2.5e-3, f64::from_bits(1)],
+            round_times: column(0),
+            round_skews: column(1),
+            skew_times: column(2),
+            skew_values: column(3),
+            corr_procs: (0..len).map(|i| (f(i).to_bits() >> 7) as u32).collect(),
+            corr_times: column(4),
+            corr_values: column(5),
         }
     }
 
     fn sketch_of(samples: impl IntoIterator<Item = f64>) -> SkewSketch {
         let mut sketch = SkewSketch::new();
-        for v in samples {
-            sketch.observe(v);
-        }
+        samples.into_iter().for_each(|v| sketch.observe(v));
         sketch
     }
 
-    /// Outcomes of all three payload kinds: scalar, sketch (≥ 3 bins, so
-    /// the delta coding of `bin_idx` shows) and series (non-empty and
-    /// empty vectors), plus the edge floats, the integer extremes and
-    /// seeded bit patterns.
+    /// Outcomes of all three payload kinds — scalar, sketch (≥ 3 bins, so
+    /// the delta coding of `bin_idx` shows) and series (empty and
+    /// non-empty vectors) — over plain values, the edge floats, the
+    /// integer extremes and seeded bit patterns.
     fn outcome_corpus() -> Vec<SweepOutcome> {
-        let mut outcomes = vec![scalar_outcome()];
-        outcomes.push(SweepOutcome {
-            index: usize::MAX,
-            seed: u64::MAX,
-            stats: SimStats {
-                events_delivered: u64::MAX,
-                messages_sent: u64::MAX,
-                timers_set: u64::MAX,
-                timers_suppressed: u64::MAX,
-            },
-            ..scalar_outcome()
-        });
-        for x in edge_floats() {
-            outcomes.push(SweepOutcome {
-                steady_skew: x,
-                max_skew: x,
-                max_abs_adjustment: x,
-                mean_abs_adjustment: x,
-                agreement_holds: false,
-                adjustment_holds: true,
-                ..scalar_outcome()
-            });
-        }
+        let plain = |i| 1.25e-3 / (i + 1) as f64;
+        let edge = |i| EDGE_FLOATS[i as usize % 5];
+        let mut outcomes = vec![scalar(plain, 0), scalar(plain, 1234)];
+        outcomes.extend(EDGE_FLOATS.map(|x| scalar(|_| x, u64::MAX)));
+        outcomes.extend((0..4).map(|s| scalar(|i| seeded_float(s, i), derive_seed(s, 99))));
 
         let wide = sketch_of([1e-6, 2e-6, 1e-4, 1.1e-4, 3e-3, 0.5, 0.0, f64::NAN, 4e9]);
         assert!(wide.bin_idx.len() >= 3 && wide.low == 2);
-        for sketch in [
+        let sketches = [
             SkewSketch::new(),
             sketch_of([2.5e-4]),
             wide,
-            sketch_of((0..40u64).map(|i| seeded_float(0x5CE7, i).abs())),
-            SkewSketch::of_series(&series_payload()),
-        ] {
-            outcomes.push(SweepOutcome {
-                sketch: Some(sketch),
-                ..scalar_outcome()
-            });
-        }
-
-        let empty_series = SweepSeries {
-            round_times: vec![],
-            round_skews: vec![],
-            skew_times: vec![],
-            skew_values: vec![],
-            corr_procs: vec![],
-            corr_times: vec![],
-            corr_values: vec![],
-        };
-        let seeded_series = SweepSeries {
-            round_times: (0..3).map(|i| seeded_float(1, i)).collect(),
-            round_skews: (0..3).map(|i| seeded_float(2, i)).collect(),
-            skew_times: (0..5).map(|i| seeded_float(3, i)).collect(),
-            skew_values: (0..5).map(|i| seeded_float(4, i)).collect(),
-            corr_procs: (0..4).map(|i| derive_seed(5, i) as u32).collect(),
-            corr_times: (0..4).map(|i| seeded_float(6, i)).collect(),
-            corr_values: (0..4).map(|i| seeded_float(7, i)).collect(),
-        };
-        for series in [series_payload(), empty_series, seeded_series] {
-            outcomes.push(SweepOutcome {
-                series: Some(series),
-                ..scalar_outcome()
-            });
-        }
+            sketch_of((0..40).map(|i| seeded_float(0x5CE7, i).abs())),
+        ];
+        outcomes.extend(sketches.map(|sketch| SweepOutcome {
+            sketch: Some(sketch),
+            ..scalar(plain, 0)
+        }));
+        let serieses = [
+            series(plain, 3),
+            series(plain, 0),
+            series(edge, 5),
+            series(|i| seeded_float(0x5E71E5, i), 4),
+        ];
+        outcomes.extend(serieses.map(|series| SweepOutcome {
+            series: Some(series),
+            ..scalar(plain, 0)
+        }));
         // The grammar allows both payloads at once, though no record
         // this crate stores carries both.
         outcomes.push(SweepOutcome {
-            sketch: Some(SkewSketch::of_series(&series_payload())),
-            series: Some(series_payload()),
-            ..scalar_outcome()
+            sketch: Some(SkewSketch::of_series(&series(plain, 3))),
+            series: Some(series(plain, 3)),
+            ..scalar(plain, 0)
         });
         outcomes
     }
 
     /// Strings through every escape (`\\`, `\"`, `\s`, `\n`, `\r`, `\t`)
-    /// and past ASCII; the algorithm names records carry are plain.
-    const STRING_CORPUS: [&str; 7] = [
+    /// and past ASCII, beside the plain names records carry.
+    const STRING_CORPUS: [&str; 6] = [
         "",
         "welch-lynch",
         "a b\"c",
-        "back\\slash",
         "tab\tnewline\nreturn\r",
         " \\s \" ",
         "ε ≤ δ — β",
@@ -1009,7 +908,7 @@ mod tests {
         assert_eq!(canon_string(&false), derived(&false));
         assert_eq!(canon_string(&Some(u64::MAX)), derived(&Some(u64::MAX)));
         assert_eq!(canon_string(&None::<u64>), derived(&None::<u64>));
-        for x in edge_floats() {
+        for x in EDGE_FLOATS {
             assert_eq!(canon_string(&x), derived(&x));
         }
     }
