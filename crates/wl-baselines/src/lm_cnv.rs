@@ -13,13 +13,12 @@
 //! adjustment), compared to Welch–Lynch's `4ε` — the gap experiment E11
 //! measures.
 
-use serde::{Deserialize, Serialize};
 use wl_core::Params;
 use wl_sim::{Actions, Automaton, Input, ProcessId};
 use wl_time::ClockTime;
 
 /// CNV's message: "my clock just read `T`" (the round trigger value).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CnvMsg(pub ClockTime);
 
 /// One process of the interactive convergence algorithm.

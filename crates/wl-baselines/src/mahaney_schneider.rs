@@ -12,13 +12,12 @@
 //! keeps single wild lies out even when the `3f+1` arithmetic no longer
 //! holds.
 
-use serde::{Deserialize, Serialize};
 use wl_core::Params;
 use wl_sim::{Actions, Automaton, Input, ProcessId};
 use wl_time::ClockTime;
 
 /// MS's message: the round trigger value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MsMsg(pub ClockTime);
 
 /// One process of the Mahaney–Schneider algorithm.

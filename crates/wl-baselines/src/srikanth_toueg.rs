@@ -16,7 +16,6 @@
 //! (§10), reflecting the clock jumping to the boundary rather than to a
 //! midpoint of estimates.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use wl_core::Params;
 use wl_sim::{Actions, Automaton, Input, ProcessId};
@@ -24,7 +23,7 @@ use wl_time::ClockTime;
 
 /// ST's message: a SYNC for round `round`; `echo` marks relays (counted
 /// identically, kept for traceability).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StMsg {
     /// Round index.
     pub round: u32,

@@ -10,13 +10,12 @@
 use crate::{rate_bounds, Clock, LinearClock, PiecewiseLinearClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use wl_time::{ClockDur, ClockTime, RealDur, RealTime};
 
 /// How the drift rates of a fleet of physical clocks are chosen.
 ///
 /// All models keep every rate within `[1/(1+ρ), 1+ρ]`, satisfying (A1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DriftModel {
     /// All clocks perfect (rate exactly 1). Useful to isolate the effect of
     /// message-delay uncertainty ε from drift.

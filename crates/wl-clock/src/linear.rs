@@ -1,7 +1,6 @@
 //! Constant-rate clocks: `C(t) = offset + rate · t`.
 
 use crate::Clock;
-use serde::{Deserialize, Serialize};
 use wl_time::{ClockDur, ClockTime, RealDur, RealTime};
 
 /// A clock advancing at a constant rate (`dC/dt = rate` everywhere).
@@ -19,7 +18,7 @@ use wl_time::{ClockDur, ClockTime, RealDur, RealTime};
 /// let clk = LinearClock::new(1.0, ClockTime::from_secs(3.0));
 /// assert_eq!(clk.read(RealTime::from_secs(2.0)), ClockTime::from_secs(5.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearClock {
     rate: f64,
     offset: ClockTime,

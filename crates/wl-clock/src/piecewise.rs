@@ -8,11 +8,10 @@
 //! *exactly* invertible (no numeric root finding).
 
 use crate::Clock;
-use serde::{Deserialize, Serialize};
 use wl_time::{ClockDur, ClockTime, RealDur, RealTime};
 
 /// One drift segment: from `start` (real time) the clock runs at `rate`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Real time at which this segment begins.
     pub start: RealTime,
@@ -40,7 +39,7 @@ pub struct Segment {
 /// let r = clk.read(RealTime::from_secs(20.0));
 /// assert!((r.as_secs() - (10.0 * 1.0001 + 10.0 * 0.9999)).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseLinearClock {
     /// Non-empty, sorted by `start`; the first segment also covers all real
     /// times before its `start`, the last all real times after.

@@ -1,6 +1,5 @@
 //! The protocol message alphabet.
 
-use serde::{Deserialize, Serialize};
 use wl_time::ClockTime;
 
 /// Messages exchanged by the Welch–Lynch algorithms.
@@ -8,7 +7,7 @@ use wl_time::ClockTime;
 /// A single alphabet covers the maintenance algorithm (§4), the startup
 /// algorithm (§9.2), and reintegration (§9.1) so that scenarios can mix
 /// correct processes, joiners, and Byzantine forgers on one network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WlMsg {
     /// The maintenance algorithm's `Tⁱ` message: "my `i`-th logical clock
     /// just reached `Tⁱ`". Receivers timestamp its *arrival*; the value

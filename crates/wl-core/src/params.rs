@@ -9,7 +9,6 @@
 //! resynchronizations (Lemma 11). Solving the constraints for small ρ gives
 //! the famous steady-state relation `β ≈ 4ε + 4ρP`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wl_multiset::AveragingFn;
 use wl_time::{ClockDur, ClockTime, RealDur};
@@ -115,7 +114,7 @@ impl std::error::Error for ParamError {}
 ///
 /// All time quantities are in seconds. Construct with [`Params::new`]
 /// (validates everything) or [`Params::auto`] (derives a feasible `(β, P)`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     /// Total number of processes `n` (A2: `n ≥ 3f+1`).
     pub n: usize,
@@ -436,7 +435,7 @@ pub fn max_p(rho: f64, delta: f64, eps: f64, beta: f64) -> f64 {
 
 /// Constants for the §9.2 startup algorithm (no β or `P`; rounds are paced
 /// by message exchanges, not preagreed local times).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StartupParams {
     /// Total number of processes.
     pub n: usize,

@@ -57,10 +57,14 @@
 //! and merging copy pointers, never strings, and two records are equal
 //! iff their canonical bytes are.
 //!
-//! Serialization uses the workspace's vendored `serde` (`Serialize`
-//! half) through [`canon_string`]; the vendored shim's `Deserialize` is
-//! compile-only by design, so loading goes through a small hand-rolled
-//! parser over the same canonical grammar, pinned by round-trip tests.
+//! **Canonical text.** The strings records carry — spec canon, outcome
+//! canon, the quoted algorithm name of a text line — follow one grammar,
+//! and `cache/canon.rs` owns it: the [`Canon`] writer behind
+//! [`canon_string`], hand-written for exactly the types that reach a
+//! store, a hash or the wire, beside the hand-written outcome parser,
+//! which accepts only what that writer emits. A golden corpus
+//! (`tests/fixtures/canon.golden`) pins the grammar character for
+//! character.
 //!
 //! [`ScenarioSpec::content_hash`]: crate::ScenarioSpec::content_hash
 //! [`SyncAlgorithm::NAME`]: crate::SyncAlgorithm::NAME
@@ -68,8 +72,6 @@
 
 mod canon;
 pub mod segment;
-#[cfg(test)]
-mod serde_reference;
 
 pub use canon::{canon_string, spec_is_adversarial, Canon};
 
@@ -98,9 +100,9 @@ use std::sync::Arc;
 /// ignored at load time (never an error), so old stores degrade to cold
 /// caches instead of poisoning new runs.
 ///
-/// History: 3 added the optional [`SweepSeries`](crate::SweepSeries) payload (`S`-tagged
-/// records) and the `series` field to the canonical [`SweepOutcome`]
-/// encoding. 4 added the adversary block to [`crate::ScenarioSpec`]
+/// History: 3 added the optional [`SweepSeries`](crate::SweepSeries)
+/// payload (`S`-tagged records) and the `series` field to the canonical
+/// [`SweepOutcome`] encoding. 4 added the adversary block to [`crate::ScenarioSpec`]
 /// (an `adversary:` field in every spec canon) and the adversarial
 /// record tags `A`/`B`; v3 stores still load — their records are
 /// retained verbatim as stale, exactly like the v2→v3 migration.
@@ -290,6 +292,12 @@ impl Record {
     fn key(&self) -> StoreKey {
         (self.encoded.content_hash, self.encoded.algo.clone())
     }
+
+    /// The canonical outcome bytes up to the optional payloads — what
+    /// both sides of any lattice transition must agree on byte-for-byte.
+    fn scalar_half(&self) -> &str {
+        scalar_half(&self.encoded.outcome_canon)
+    }
 }
 
 /// Whether two records are one: the same pointer, or the same bytes.
@@ -321,9 +329,7 @@ fn lattice_join(ours: &Record, theirs: &Record) -> Result<bool, MergeConflictKin
         (Some(sketch), Some(series)) => SkewSketch::of_series(series).bit_identical(sketch),
         _ => true,
     };
-    if scalar_half(&ours.encoded.outcome_canon) != scalar_half(&theirs.encoded.outcome_canon)
-        || !derived
-    {
+    if ours.scalar_half() != theirs.scalar_half() || !derived {
         return Err(MergeConflictKind::OutcomeMismatch);
     }
     Ok(ours.kind() < theirs.kind())
@@ -336,7 +342,7 @@ fn lattice_join(ours: &Record, theirs: &Record) -> Result<bool, MergeConflictKin
 fn sketches_mergeable(a: &Record, b: &Record) -> bool {
     a.kind() == PayloadKind::Sketch
         && b.kind() == PayloadKind::Sketch
-        && scalar_half(&a.encoded.outcome_canon) == scalar_half(&b.encoded.outcome_canon)
+        && a.scalar_half() == b.scalar_half()
 }
 
 /// Why two stores refused to merge.

@@ -1,33 +1,28 @@
 //! The canonical text grammar: its one writer and its one reader.
 //!
-//! Every byte this crate keys on is a string in this grammar — the spec
-//! canon a cache hit is confirmed against and the frontier's grid hash is
-//! taken over, the outcome canon a store record and a wire frame carry,
-//! the quoted algorithm name of a text store line — so the grammar is a
-//! decision this file makes, not a by-product of how a struct happens to
-//! be declared. [`Canon`] is the writer, implemented here for exactly
-//! the types that reach a store, a hash or the wire; [`parse_outcome`] is
-//! the reader, and it accepts only what the writer emits (the tests walk
-//! every one-byte mutant of a corpus to hold it to that). Changing a
-//! field of one of those types means editing its writer and reader
-//! below, bumping [`ENGINE_VERSION`](super::ENGINE_VERSION), and
-//! regenerating `tests/fixtures/canon.golden`; renaming or reordering
-//! the Rust field alone changes no byte.
+//! Every string this crate keys on follows this grammar — the spec canon
+//! a cache hit is confirmed against and the frontier's grid hash is taken
+//! over, the outcome canon a store record and a wire frame carry, the
+//! quoted algorithm name of a text store line — so the grammar is this
+//! file's decision, not a by-product of how a struct is declared.
+//! [`Canon`] is the writer, implemented for exactly the types that reach
+//! a store, a hash or the wire; [`parse_outcome`] is the reader, and
+//! accepts only what the writer emits. Changing a field means editing
+//! its writer and reader here, bumping
+//! [`ENGINE_VERSION`](super::ENGINE_VERSION) and regenerating
+//! `tests/fixtures/canon.golden`; renaming or reordering the Rust field
+//! alone moves no byte.
 //!
-//! The grammar (`docs/store-format.md` is normative):
-//!
-//! * **deterministic and machine-independent** — no pointers, no hash
-//!   iteration order; structs are `Name{field:value,…}`, enum variants
-//!   `Name::Variant`, `Name::Variant(value)` or `Name::Variant{field:value,…}`,
-//!   newtypes `Name(value)`, tuples `(a,b)`, sequences `[a,b,…]`, options
-//!   `~` or `+value`, booleans `T` / `F`;
-//! * **bit-exact floats** — an `f64` is `x` and the sixteen lower-case
-//!   hex digits of its IEEE bit pattern (`x3ff0000000000000`), so `-0.0`,
-//!   NaN payloads and every last ULP survive;
-//! * **one spelling per value** — integers are decimal with no sign and
-//!   no leading zero;
-//! * **whitespace-free** — records embed these strings in
-//!   space-separated lines; the string escape maps ` ` to `\s`.
+//! The grammar (`docs/store-format.md` is normative) is deterministic
+//! and machine-independent: structs are `Name{field:value,…}`, variants
+//! `Name::Variant`, `Name::Variant(value)` or `Name::Variant{field:value,…}`,
+//! newtypes `Name(value)`, tuples `(a,b)`, sequences `[a,b,…]`, options
+//! `~` or `+value`, booleans `T` / `F`. Floats are bit-exact — `x` and
+//! the sixteen lower-case hex digits of the IEEE pattern, so `-0.0`, NaN
+//! payloads and every last ULP survive; integers are decimal with no
+//! leading zero, so each value has one spelling; and nothing contains
+//! whitespace (records embed these strings in space-separated lines; the
+//! string escape maps ` ` to `\s`).
 
 use crate::sketch::SkewSketch;
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
@@ -128,13 +123,24 @@ impl<T: Canon> Canon for Option<T> {
     }
 }
 
+impl<T: Canon + ?Sized> Canon for &T {
+    fn canon(&self, out: &mut String) {
+        (**self).canon(out);
+    }
+}
+
+/// `[a,b,…]`.
+fn put_seq(out: &mut String, values: impl IntoIterator<Item = impl Canon>) {
+    out.push('[');
+    for (i, value) in values.into_iter().enumerate() {
+        put(out, if i == 0 { "" } else { "," }, &value);
+    }
+    out.push(']');
+}
+
 impl<T: Canon> Canon for [T] {
     fn canon(&self, out: &mut String) {
-        out.push('[');
-        for (i, value) in self.iter().enumerate() {
-            put(out, if i == 0 { "" } else { "," }, value);
-        }
-        out.push(']');
+        put_seq(out, self);
     }
 }
 
@@ -205,6 +211,10 @@ impl<'a> Cursor<'a> {
         digits.parse().ok()
     }
 
+    fn u32_dec(&mut self) -> Option<u32> {
+        u32::try_from(self.u64_dec()?).ok()
+    }
+
     /// `x` and sixteen hex digits as the writer spells them: lower case.
     fn f64_bits(&mut self) -> Option<f64> {
         self.eat("x")?;
@@ -246,18 +256,6 @@ impl<'a> Cursor<'a> {
             }
             self.eat(",")?;
         }
-    }
-
-    fn f64_seq(&mut self) -> Option<Vec<f64>> {
-        self.seq(Self::f64_bits)
-    }
-
-    fn u32_seq(&mut self) -> Option<Vec<u32>> {
-        self.seq(|c| u32::try_from(c.u64_dec()?).ok())
-    }
-
-    fn u64_seq(&mut self) -> Option<Vec<u64>> {
-        self.seq(Self::u64_dec)
     }
 }
 
@@ -471,13 +469,14 @@ impl Canon for SkewSketch {
         put(out, ",sum_hi:", &self.sum_hi);
         put(out, ",sum_lo:", &self.sum_lo);
         put(out, ",max:", &self.max);
-        out.push_str(",bin_idx:[");
-        let mut prev = 0;
-        for (i, &idx) in self.bin_idx.iter().enumerate() {
-            put(out, if i == 0 { "" } else { "," }, &(idx - prev));
-            prev = idx;
-        }
-        put(out, "],bin_count:", &self.bin_count[..]);
+        out.push_str(",bin_idx:");
+        let gaps = self.bin_idx.iter().scan(0, |prev, &idx| {
+            let gap = idx - *prev;
+            *prev = idx;
+            Some(gap)
+        });
+        put_seq(out, gaps);
+        put(out, ",bin_count:", &self.bin_count[..]);
         out.push('}');
     }
 }
@@ -499,12 +498,12 @@ fn parse_sketch(c: &mut Cursor<'_>) -> Option<SkewSketch> {
     c.eat(",bin_idx:")?;
     // Undo the deltas so `well_formed` checks the real histogram.
     // Overflow means a tampered record: reject.
-    let mut bin_idx = c.u32_seq()?;
+    let mut bin_idx = c.seq(Cursor::u32_dec)?;
     for i in 1..bin_idx.len() {
         bin_idx[i] = bin_idx[i - 1].checked_add(bin_idx[i])?;
     }
     c.eat(",bin_count:")?;
-    let bin_count = c.u64_seq()?;
+    let bin_count = c.seq(Cursor::u64_dec)?;
     c.eat("}")?;
     let sketch = SkewSketch {
         count,
@@ -534,19 +533,19 @@ impl Canon for SweepSeries {
 /// The payload of `S`/`B`-tagged records.
 fn parse_series(c: &mut Cursor<'_>) -> Option<SweepSeries> {
     c.eat("SweepSeries{round_times:")?;
-    let round_times = c.f64_seq()?;
+    let round_times = c.seq(Cursor::f64_bits)?;
     c.eat(",round_skews:")?;
-    let round_skews = c.f64_seq()?;
+    let round_skews = c.seq(Cursor::f64_bits)?;
     c.eat(",skew_times:")?;
-    let skew_times = c.f64_seq()?;
+    let skew_times = c.seq(Cursor::f64_bits)?;
     c.eat(",skew_values:")?;
-    let skew_values = c.f64_seq()?;
+    let skew_values = c.seq(Cursor::f64_bits)?;
     c.eat(",corr_procs:")?;
-    let corr_procs = c.u32_seq()?;
+    let corr_procs = c.seq(Cursor::u32_dec)?;
     c.eat(",corr_times:")?;
-    let corr_times = c.f64_seq()?;
+    let corr_times = c.seq(Cursor::f64_bits)?;
     c.eat(",corr_values:")?;
-    let corr_values = c.f64_seq()?;
+    let corr_values = c.seq(Cursor::f64_bits)?;
     c.eat("}")?;
     Some(SweepSeries {
         round_times,
@@ -560,7 +559,7 @@ fn parse_series(c: &mut Cursor<'_>) -> Option<SweepSeries> {
 }
 
 /// The optional payloads come last, `sketch` before `series`:
-/// [`scalar_half`] splits at the first of them.
+/// `scalar_half` splits at the first of them.
 impl Canon for SweepOutcome {
     fn canon(&self, out: &mut String) {
         put(out, "SweepOutcome{index:", &self.index);
@@ -624,8 +623,7 @@ pub(super) fn parse_outcome(s: &str) -> Option<SweepOutcome> {
     })
 }
 
-/// An outcome canon up to its optional payloads — the "scalar half" both
-/// sides of any lattice transition must agree on byte-for-byte.
+/// An outcome canon up to its optional payloads, the "scalar half".
 pub(super) fn scalar_half(outcome_canon: &str) -> &str {
     outcome_canon
         .split_once(",sketch:")
@@ -761,10 +759,10 @@ mod tests {
             seed: int,
             steady_skew: f(0),
             max_skew: f(1),
-            agreement_holds: int % 2 == 0,
+            agreement_holds: int.is_multiple_of(2),
             max_abs_adjustment: f(2),
             mean_abs_adjustment: f(3),
-            adjustment_holds: int % 2 == 1,
+            adjustment_holds: !int.is_multiple_of(2),
             stats: SimStats {
                 events_delivered: int,
                 messages_sent: int / 10,
@@ -885,32 +883,6 @@ mod tests {
             golden.lines().count(),
             text.lines().count(),
         );
-    }
-
-    /// The writer this module replaced and the writer above agree on
-    /// every corpus value, byte for byte.
-    #[test]
-    fn explicit_writer_matches_the_derived_one() {
-        use crate::cache::serde_reference::canon_string as derived;
-        for spec in spec_corpus() {
-            assert_eq!(canon_string(&spec), derived(&spec));
-        }
-        for outcome in outcome_corpus() {
-            assert_eq!(canon_string(&outcome), derived(&outcome));
-            assert_eq!(canon_string(&outcome.sketch), derived(&outcome.sketch));
-            assert_eq!(canon_string(&outcome.series), derived(&outcome.series));
-        }
-        for s in STRING_CORPUS {
-            assert_eq!(canon_string(s), derived(s));
-            assert_eq!(canon_string(&s.to_string()), derived(&s.to_string()));
-        }
-        assert_eq!(canon_string(&true), derived(&true));
-        assert_eq!(canon_string(&false), derived(&false));
-        assert_eq!(canon_string(&Some(u64::MAX)), derived(&Some(u64::MAX)));
-        assert_eq!(canon_string(&None::<u64>), derived(&None::<u64>));
-        for x in EDGE_FLOATS {
-            assert_eq!(canon_string(&x), derived(&x));
-        }
     }
 
     /// The reader accepts only what the writer emits: every truncation

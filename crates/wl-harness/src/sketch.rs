@@ -79,10 +79,10 @@ pub fn bin_lower_edge(idx: u32) -> f64 {
 /// A deterministic, mergeable sketch of a skew sample stream.
 ///
 /// All fields are public because the store serializes them canonically
-/// (field order is part of the record grammar in `cache.rs` —
-/// `parse_sketch` mirrors the declaration order below; keep them in
-/// sync). The struct maintains these invariants, which the store
-/// parser re-checks on load ([`SkewSketch::well_formed`]):
+/// (`cache/canon.rs` owns that grammar: its writer and `parse_sketch`
+/// spell every field themselves). The struct maintains these
+/// invariants, which the store parser re-checks on load
+/// ([`SkewSketch::well_formed`]):
 ///
 /// * `bin_idx` is strictly increasing, parallel to `bin_count`, with
 ///   every count nonzero and every index below [`BIN_LIMIT`];
@@ -128,39 +128,6 @@ pub struct SkewSketch {
 impl Default for SkewSketch {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Canonical serialization with **delta-encoded** bin indices: the
-/// first `bin_idx` element is emitted verbatim, every later one as the
-/// gap to its predecessor. Occupied bins cluster tightly (a typical
-/// skew distribution spans a handful of octaves), so the gaps are
-/// small integers regardless of where on the bin grid the mass sits —
-/// shorter digit strings in the canon and far better match locality
-/// for the packed-segment compressor. The store parser reverses the
-/// differencing before the [`well_formed`](SkewSketch::well_formed)
-/// check, which still rejects any non-increasing reconstruction.
-impl serde::Serialize for SkewSketch {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let deltas: Vec<u32> = self
-            .bin_idx
-            .iter()
-            .scan(0u32, |prev, &idx| {
-                let gap = idx - *prev;
-                *prev = idx;
-                Some(gap)
-            })
-            .collect();
-        let mut st = serializer.serialize_struct("SkewSketch", 7)?;
-        st.serialize_field("count", &self.count)?;
-        st.serialize_field("low", &self.low)?;
-        st.serialize_field("sum_hi", &self.sum_hi)?;
-        st.serialize_field("sum_lo", &self.sum_lo)?;
-        st.serialize_field("max", &self.max)?;
-        st.serialize_field("bin_idx", &deltas)?;
-        st.serialize_field("bin_count", &self.bin_count)?;
-        st.end()
     }
 }
 

@@ -24,7 +24,7 @@ use wl_sim::ProcessId;
 use wl_time::RealTime;
 
 /// Which delay model a scenario uses (all within the A3 band).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelayKind {
     /// Every message takes exactly δ.
     Constant,
@@ -43,7 +43,7 @@ pub enum DelayKind {
 /// unsupported kind panics with a clear message.
 ///
 /// [`SyncAlgorithm::fleet_automaton`]: crate::SyncAlgorithm::fleet_automaton
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Correct until the given real time, then silent.
     CrashAt(f64),
@@ -76,7 +76,7 @@ pub enum FaultKind {
 /// [`crate::adversary`]; each algorithm realizes the strategies that make
 /// sense for its message alphabet and panics with a clear message
 /// otherwise, exactly like [`FaultKind`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdversaryStrategy {
     /// Correct until the given real time, then silent
     /// (canonical [`FaultKind::CrashAt`]).
@@ -156,7 +156,7 @@ impl AdversaryStrategy {
 /// cache's canonical text form and the service wire codec, and persists
 /// in the segment store under the adversarial record tags (`A`/`B` — see
 /// `docs/store-format.md`).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversarySpec {
     /// The processes the adversary controls (its *members*).
     pub members: Vec<ProcessId>,
@@ -198,7 +198,7 @@ impl AdversarySpec {
 /// [`ScenarioSpec::startup`] (§9.2 cold start), then chain the builder
 /// methods. The spec is plain data: `Clone` it, mutate copies for grid
 /// sweeps, send it across threads.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The paper's global constants.
     pub params: Params,

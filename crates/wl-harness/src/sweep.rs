@@ -708,7 +708,7 @@ impl SweepCache {
 }
 
 /// One grid point's results, in grid order.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepOutcome {
     /// Position in the input grid.
     pub index: usize,
@@ -738,9 +738,9 @@ pub struct SweepOutcome {
     /// Optional per-run series payload (see [`SweepSeries`]) — present
     /// only when the outcome was produced by a
     /// [`Capture::Series`] request (or hydrated from a
-    /// series-bearing store record). Keep `sketch` and `series` **last,
-    /// in this order**: the canonical record parser in `cache.rs`
-    /// mirrors the field order.
+    /// series-bearing store record). How an outcome is stored is
+    /// `cache/canon.rs`'s decision, not this declaration's: a new field
+    /// needs its writer and reader there.
     pub series: Option<SweepSeries>,
 }
 
@@ -835,7 +835,7 @@ impl SweepOutcome {
 ///
 /// Stored in v2 (`S`-tagged) records of the sweep store; see
 /// `docs/sweeps.md`.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepSeries {
     /// Real time of each resynchronization wave measurement.
     pub round_times: Vec<f64>,

@@ -39,14 +39,13 @@
 pub mod distance;
 pub mod lemmas;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A finite multiset of real numbers, kept sorted ascending.
 ///
 /// Matches the paper's Appendix definition: a finite collection in which the
 /// same number may appear more than once.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Multiset {
     sorted: Vec<f64>,
 }
@@ -225,7 +224,7 @@ pub fn midpoint(a: f64, b: f64) -> f64 {
 }
 
 /// The "ordinary averaging function" applied after `reduce` (paper §4.1/§7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AveragingFn {
     /// Midpoint of the reduced range — the paper's choice; halves the error
     /// each round regardless of `n`.

@@ -8,11 +8,10 @@
 use crate::ProcessId;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use wl_time::{RealDur, RealTime};
 
 /// The admissible delay band `[δ−ε, δ+ε]` (assumption A3; requires δ > ε).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayBounds {
     /// Median delay δ.
     pub delta: RealDur,

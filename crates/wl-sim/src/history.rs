@@ -1,6 +1,5 @@
 //! Per-process correction history: reconstructing `L_p(t)` after the fact.
 
-use serde::{Deserialize, Serialize};
 use wl_time::{ClockDur, ClockTime, RealTime};
 
 /// The piecewise-constant history of a process' `CORR` variable.
@@ -10,7 +9,7 @@ use wl_time::{ClockDur, ClockTime, RealTime};
 /// every change so the analysis can evaluate `L_p` at *any* real time
 /// exactly — each constant-`CORR` stretch corresponds to one of the paper's
 /// logical clocks `C^i_p`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CorrectionHistory {
     /// `(t, corr)` pairs, non-decreasing in `t`; `corr` holds from `t`
     /// until the next entry.

@@ -103,9 +103,7 @@ use wl_time::ClockTime;
 ///
 /// The paper's processes are named `p, q, r`; here they are dense indices so
 /// arrays can be used for per-process state (the algorithm's `ARR[1..n]`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub usize);
 
 impl ProcessId {

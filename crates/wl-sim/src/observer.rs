@@ -24,7 +24,7 @@ use crate::{Input, ProcessId};
 use wl_time::{ClockTime, RealTime};
 
 /// Counters describing an execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Events delivered (START + TIMER + messages).
     pub events_delivered: u64,
