@@ -136,6 +136,7 @@ pub enum FleetClock {
 }
 
 impl Clock for FleetClock {
+    #[inline]
     fn read(&self, t: RealTime) -> ClockTime {
         match self {
             FleetClock::Linear(c) => c.read(t),
@@ -143,6 +144,7 @@ impl Clock for FleetClock {
         }
     }
 
+    #[inline]
     fn time_of(&self, big_t: ClockTime) -> RealTime {
         match self {
             FleetClock::Linear(c) => c.time_of(big_t),

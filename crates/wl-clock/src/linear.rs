@@ -67,10 +67,12 @@ impl Default for LinearClock {
 }
 
 impl Clock for LinearClock {
+    #[inline]
     fn read(&self, t: RealTime) -> ClockTime {
         self.offset + ClockDur::from_secs(self.rate * t.as_secs())
     }
 
+    #[inline]
     fn time_of(&self, big_t: ClockTime) -> RealTime {
         RealTime::ZERO + RealDur::from_secs((big_t - self.offset).as_secs() / self.rate)
     }

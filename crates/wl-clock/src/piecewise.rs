@@ -134,11 +134,13 @@ impl PiecewiseLinearClock {
 }
 
 impl Clock for PiecewiseLinearClock {
+    #[inline]
     fn read(&self, t: RealTime) -> ClockTime {
         let s = self.segment_for_real(t);
         s.clock_at_start + ClockDur::from_secs(s.rate * (t - s.start).as_secs())
     }
 
+    #[inline]
     fn time_of(&self, big_t: ClockTime) -> RealTime {
         let s = self.segment_for_clock(big_t);
         s.start + RealDur::from_secs((big_t - s.clock_at_start).as_secs() / s.rate)

@@ -23,7 +23,6 @@
 
 use crate::msg::WlMsg;
 use crate::params::Params;
-use wl_multiset::Multiset;
 use wl_sim::{Actions, Automaton, Input, ProcessId};
 use wl_time::ClockTime;
 
@@ -50,6 +49,8 @@ pub struct Maintenance {
     /// arbitrary" per the paper; stale entries behave as faulty values and
     /// are absorbed by `reduce`.
     arr: Vec<f64>,
+    /// Scratch for the update: `arr` copied and sorted, reused.
+    sorted: Vec<f64>,
     phase: Phase,
     /// `T`: the base value of the current round (clock seconds).
     t_round: f64,
@@ -81,6 +82,7 @@ impl Maintenance {
             params,
             corr: initial_corr,
             arr,
+            sorted: Vec::new(),
             phase: Phase::AwaitSend,
             exchange: 0,
             rounds_done: 0,
@@ -105,6 +107,7 @@ impl Maintenance {
             params,
             corr,
             arr,
+            sorted: Vec::new(),
             phase: Phase::AwaitSend,
             exchange: 0,
             rounds_done: 0,
@@ -184,16 +187,22 @@ impl Maintenance {
     }
 
     fn do_update(&mut self, out: &mut Actions<WlMsg>) {
-        let values = Multiset::from_values(&self.arr);
-        let av = self.params.avg.apply(&values, self.params.f);
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.arr);
+        let av = self
+            .params
+            .avg
+            .apply_sorted(&mut self.sorted, self.params.f);
         let adj = self.sub_base() + self.params.delta - av;
         self.corr += adj;
         self.updates_done += 1;
         out.note_correction(self.corr);
-        out.annotate(format!(
-            "update round_base={:.6} exchange={} adj={:+.9}",
-            self.t_round, self.exchange, adj
-        ));
+        out.annotate_with(|| {
+            format!(
+                "update round_base={:.6} exchange={} adj={:+.9}",
+                self.t_round, self.exchange, adj
+            )
+        });
 
         self.exchange += 1;
         if self.exchange >= self.params.exchanges {
@@ -349,6 +358,28 @@ mod tests {
             .as_slice()
             .iter()
             .any(|a| matches!(a, Action::SetTimer { .. })));
+    }
+
+    #[test]
+    fn update_note_reads_as_ever_and_is_skipped_when_unwanted() {
+        let p = params();
+        let step = |wants_notes: bool| {
+            let mut m = proc(0);
+            m.on_input(Input::Start, phys(p.t0, 0.0), &mut Actions::new());
+            let mut out = Actions::new();
+            out.wants_notes = wants_notes;
+            m.on_input(Input::Timer, phys(p.t0 + p.wait_window(), 0.0), &mut out);
+            out
+        };
+        let (with, without) = (step(true), step(false));
+        let is_note = |a: &&Action<WlMsg>| matches!(a, Action::Annotate(_));
+        let notes: Vec<_> = with.as_slice().iter().filter(is_note).collect();
+        // No arrivals: AV = T0, so ADJ = delta.
+        let text = "update round_base=1.000000 exchange=0 adj=+0.010000000";
+        assert_eq!(notes, [&Action::Annotate(text.into())]);
+        // Nothing else depends on the flag.
+        let rest: Vec<_> = with.as_slice().iter().filter(|a| !is_note(a)).collect();
+        assert_eq!(rest, without.as_slice().iter().collect::<Vec<_>>());
     }
 
     #[test]

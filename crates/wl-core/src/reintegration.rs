@@ -32,7 +32,6 @@ use crate::maintenance::Maintenance;
 use crate::msg::WlMsg;
 use crate::params::Params;
 use std::collections::BTreeMap;
-use wl_multiset::Multiset;
 use wl_sim::{Actions, Automaton, Input, ProcessId};
 use wl_time::ClockTime;
 
@@ -178,7 +177,7 @@ impl Rejoiner {
             // Collect until a full window after the first arrival of v.
             let end_local = c.first_arrival + self.window();
             out.set_timer(ClockTime::from_secs(end_local - self.corr));
-            out.annotate(format!("reintegration committed to round value {v:.6}"));
+            out.annotate_with(|| format!("reintegration committed to round value {v:.6}"));
             self.state = State::Collecting { v };
         }
     }
@@ -189,11 +188,8 @@ impl Rejoiner {
         // "initially arbitrary" array slots: fill with a constant far from
         // nothing in particular; reduce() treats them as the ≤ f faults.
         let filler = c.first_arrival;
-        let values: Vec<f64> = c.arr.iter().map(|o| o.unwrap_or(filler)).collect();
-        let av = self
-            .params
-            .avg
-            .apply(&Multiset::from_values(&values), self.params.f);
+        let mut values: Vec<f64> = c.arr.iter().map(|o| o.unwrap_or(filler)).collect();
+        let av = self.params.avg.apply_sorted(&mut values, self.params.f);
         let adj = v + self.params.delta - av;
         self.corr += adj;
         out.note_correction(self.corr);
@@ -207,9 +203,11 @@ impl Rejoiner {
             next_round,
         );
         out.set_timer(deadline);
-        out.annotate(format!(
-            "reintegration complete: adj={adj:+.9}, rejoining at round base {next_round:.6}"
-        ));
+        out.annotate_with(|| {
+            format!(
+                "reintegration complete: adj={adj:+.9}, rejoining at round base {next_round:.6}"
+            )
+        });
         self.joined_at = Some(self.local(phys_now));
         self.candidates.clear();
         self.state = State::Joined(inner);
@@ -228,7 +226,7 @@ impl Automaton for Rejoiner {
         match (&self.state, input) {
             (State::Asleep, Input::Start) => {
                 let woke_at = self.local(phys_now);
-                out.annotate(format!("rejoiner woke at local {woke_at:.6}"));
+                out.annotate_with(|| format!("rejoiner woke at local {woke_at:.6}"));
                 self.state = State::Orienting { woke_at };
             }
             (State::Asleep, _) => {} // still crashed

@@ -138,7 +138,7 @@ impl Startup {
         self.sent_ready = false;
         self.rcvd_ready.iter_mut().for_each(|b| *b = false);
         self.rcvd_ready_count = 0;
-        out.annotate(format!("startup round {} begin", self.rounds_done));
+        out.annotate_with(|| format!("startup round {} begin", self.rounds_done));
     }
 
     fn on_u_timer(&mut self, phys_now: ClockTime, out: &mut Actions<WlMsg>) {

@@ -104,6 +104,8 @@ pub struct AdversaryActor<M> {
     strategy: Box<dyn Adversary<M>>,
     rng: StdRng,
     scratch: Actions<M>,
+    /// The inner step's actions while the strategy rewrites them, reused.
+    acts: Vec<Action<M>>,
 }
 
 impl<M> fmt::Debug for AdversaryActor<M> {
@@ -135,6 +137,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> AdversaryActor<M> {
             strategy,
             rng: StdRng::seed_from_u64(seed),
             scratch: Actions::new(),
+            acts: Vec::new(),
         }
     }
 }
@@ -143,11 +146,14 @@ impl<M: Clone + fmt::Debug + Send + 'static> Automaton for AdversaryActor<M> {
     type Msg = M;
 
     fn on_input(&mut self, input: Input<M>, phys_now: ClockTime, out: &mut Actions<M>) {
+        // The wrapper forwards notes, so the inner automaton renders them
+        // only if the engine's observer reads them.
+        self.scratch.wants_notes = out.wants_notes;
         self.inner.on_input(input, phys_now, &mut self.scratch);
-        let mut acts: Vec<Action<M>> = self.scratch.drain().collect();
+        self.acts.extend(self.scratch.drain());
         self.strategy
-            .intercept(self.member, phys_now, &mut acts, &mut self.rng);
-        for act in acts {
+            .intercept(self.member, phys_now, &mut self.acts, &mut self.rng);
+        for act in self.acts.drain(..) {
             match act {
                 Action::Broadcast(m) => out.broadcast(m),
                 Action::Send { to, msg } => out.send(to, msg),

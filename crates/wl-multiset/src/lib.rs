@@ -246,10 +246,33 @@ impl AveragingFn {
     /// Panics unless `values.len() ≥ 2f+1`.
     #[must_use]
     pub fn apply(self, values: &Multiset, f: usize) -> f64 {
-        let reduced = values.reduce(f);
+        self.apply_sorted(&mut values.sorted.clone(), f)
+    }
+
+    /// [`apply`](AveragingFn::apply) without a [`Multiset`]: sorts
+    /// `values` in place and averages `values[f .. len−f]`, allocating
+    /// nothing — the per-update path of the automata, which keep the
+    /// buffer. Bit-identical to the multiset path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value is NaN or unless `values.len() ≥ 2f+1`.
+    #[must_use]
+    pub fn apply_sorted(self, values: &mut [f64], f: usize) -> f64 {
+        assert!(
+            values.iter().all(|v| !v.is_nan()),
+            "multiset elements must not be NaN"
+        );
+        values.sort_by(f64::total_cmp);
+        assert!(
+            values.len() >= 2 * f + 1,
+            "reduce requires |U| >= 2f+1 (got |U|={}, f={f})",
+            values.len()
+        );
+        let reduced = &values[f..values.len() - f];
         match self {
-            AveragingFn::Midpoint => reduced.mid().expect("reduce leaves >= 1 element"),
-            AveragingFn::Mean => reduced.mean().expect("reduce leaves >= 1 element"),
+            AveragingFn::Midpoint => midpoint(reduced[0], reduced[reduced.len() - 1]),
+            AveragingFn::Mean => reduced.iter().sum::<f64>() / reduced.len() as f64,
         }
     }
 
@@ -273,6 +296,7 @@ impl AveragingFn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ms(vals: &[f64]) -> Multiset {
         Multiset::from_values(vals)
@@ -395,6 +419,55 @@ mod tests {
         // reduce(1) leaves {1, 2, 9}.
         assert_eq!(AveragingFn::Midpoint.apply(&m, 1), 5.0);
         assert_eq!(AveragingFn::Mean.apply(&m, 1), 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn apply_sorted_rejects_nan() {
+        let _ = AveragingFn::Midpoint.apply_sorted(&mut [1.0, f64::NAN, 2.0], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "2f+1")]
+    fn apply_sorted_rejects_too_small() {
+        let _ = AveragingFn::Mean.apply_sorted(&mut [1.0, 2.0], 1);
+    }
+
+    /// Values where a different sort or a different summation order would
+    /// show in the bits: duplicates, both zeros, subnormals, huge and
+    /// ordinary magnitudes side by side.
+    fn awkward_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -50.0f64..50.0,
+            (0u64..4).prop_map(|k| k as f64 * 0.25),
+            Just(0.0),
+            Just(-0.0),
+            (1u64..8).prop_map(f64::from_bits),
+            (1u64..8).prop_map(|b| -f64::from_bits(b)),
+            -1e300f64..1e300,
+        ]
+    }
+
+    proptest! {
+        /// `apply_sorted` is the `Multiset` path, bit for bit: the explicit
+        /// `from_values → reduce → mid | mean` composition is the reference.
+        #[test]
+        fn prop_apply_sorted_matches_the_multiset_path(
+            values in proptest::collection::vec(awkward_value(), 1..20),
+            f_pick in 0usize..16,
+        ) {
+            let f = f_pick % ((values.len() - 1) / 2 + 1);
+            let reduced = Multiset::from_values(&values).reduce(f);
+            for (avg, reference) in [
+                (AveragingFn::Midpoint, reduced.mid().unwrap()),
+                (AveragingFn::Mean, reduced.mean().unwrap()),
+            ] {
+                let got = avg.apply_sorted(&mut values.clone(), f);
+                prop_assert_eq!(got.to_bits(), reference.to_bits());
+                let via_apply = avg.apply(&Multiset::from_values(&values), f);
+                prop_assert_eq!(via_apply.to_bits(), reference.to_bits());
+            }
+        }
     }
 
     #[test]

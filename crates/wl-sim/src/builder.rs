@@ -272,8 +272,10 @@ where
             rng,
             seq,
             now: RealTime::from_secs(f64::NEG_INFINITY),
+            band: self.config.delay_bounds.slack_band(),
             config: self.config,
             scratch: Actions::new(),
+            fan: Vec::new(),
         }
     }
 }

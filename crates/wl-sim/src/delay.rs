@@ -51,8 +51,13 @@ impl DelayBounds {
     /// Whether `d` lies within the band (with a 1 ps numerical slack).
     #[must_use]
     pub fn contains(&self, d: RealDur) -> bool {
-        let s = d.as_secs();
-        s >= self.min_delay().as_secs() - 1e-12 && s <= self.max_delay().as_secs() + 1e-12
+        self.slack_band().contains(&d.as_secs())
+    }
+
+    /// The seconds [`contains`](Self::contains) admits — the executor
+    /// computes them once per run, not once per message.
+    pub(crate) fn slack_band(&self) -> std::ops::RangeInclusive<f64> {
+        self.min_delay().as_secs() - 1e-12..=self.max_delay().as_secs() + 1e-12
     }
 }
 

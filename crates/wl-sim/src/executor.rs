@@ -144,6 +144,10 @@ pub struct Simulation<M, Q = HeapQueue<M>, O = StdObservers, F = DynFleet<M>> {
     pub(crate) now: RealTime,
     pub(crate) config: SimConfig,
     pub(crate) scratch: Actions<M>,
+    /// A broadcast's `(deliver_at, seq, to)` per recipient, reused.
+    pub(crate) fan: Vec<(RealTime, u64, ProcessId)>,
+    /// `config.delay_bounds.slack_band()`, computed once at build.
+    pub(crate) band: std::ops::RangeInclusive<f64>,
 }
 
 impl<M, Q: EventQueue<M>, O, F: Fleet<M>> fmt::Debug for Simulation<M, Q, O, F> {
@@ -213,8 +217,8 @@ where
         }
         let ev = self.queue.pop_next()?;
         if ev.at >= self.config.t_end {
-            // Not consumed: the event keeps its sequence number, so a
-            // later run with a larger horizon continues identically.
+            // Not consumed: it goes back with the `seq` it had, so every
+            // further `step()` pops and re-pushes it and changes nothing.
             self.queue.push(ev);
             return None;
         }
@@ -230,25 +234,35 @@ where
         self.observer.on_deliver(p, &ev.input, ev.at);
 
         let mut out = std::mem::take(&mut self.scratch);
+        out.wants_notes = self.observer.wants_notes();
         self.procs.step(p, ev.input, phys_now, &mut out);
-        let actions: Vec<Action<M>> = out.drain().collect();
-        self.scratch = out;
-        for action in actions {
+        for action in out.drain() {
             self.apply_action(p, action);
         }
+        self.scratch = out;
         Some(self.now)
     }
 
     fn apply_action(&mut self, p: ProcessId, action: Action<M>) {
         match action {
             Action::Broadcast(msg) => {
+                // Drawn, checked and announced in recipient order, as n
+                // single sends would be; then sorted for the queue.
+                let mut fan = std::mem::take(&mut self.fan);
+                fan.clear();
                 for q in 0..self.n() {
-                    self.schedule_send(p, ProcessId(q), msg.clone());
+                    let to = ProcessId(q);
+                    fan.push((self.draw_delivery(p, to, &msg), self.next_seq(), to));
                 }
+                sort_by_delivery(&mut fan);
+                self.queue.push_fanout(p, msg, &fan);
+                self.fan = fan;
             }
             Action::Send { to, msg } => {
                 assert!(to.index() < self.n(), "send target {to} out of range");
-                self.schedule_send(p, to, msg);
+                let at = self.draw_delivery(p, to, &msg);
+                let seq = self.next_seq();
+                self.queue.push_fanout(p, msg, &[(at, seq, to)]);
             }
             Action::SetTimer { physical } => {
                 let fire_at = self.clocks[p.index()].time_of(physical);
@@ -277,24 +291,19 @@ where
         }
     }
 
-    fn schedule_send(&mut self, from: ProcessId, to: ProcessId, msg: M) {
+    /// One message sent now: draws its delay, checks A3, tells the
+    /// observer; returns the delivery time.
+    fn draw_delivery(&mut self, from: ProcessId, to: ProcessId, msg: &M) -> RealTime {
         let d = self.delay.delay(from, to, self.now, &mut self.rng);
         assert!(
-            self.config.delay_bounds.contains(d),
+            self.band.contains(&d.as_secs()),
             "delay model produced {d} outside the band [{}, {}] (A3 violation)",
             self.config.delay_bounds.min_delay(),
             self.config.delay_bounds.max_delay(),
         );
         let deliver_at = self.now + d;
-        self.observer.on_send(from, to, self.now, deliver_at, &msg);
-        let seq = self.next_seq();
-        self.queue.push(QueuedEvent {
-            at: deliver_at,
-            class: EventClass::Normal,
-            seq,
-            to,
-            input: Input::Message { from, msg },
-        });
+        self.observer.on_send(from, to, self.now, deliver_at, msg);
+        deliver_at
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -309,6 +318,12 @@ where
         while self.step().is_some() {}
         self.now
     }
+}
+
+/// Sorts a fan by `(at, seq)` — stable, and the `seq`s already ascend.
+/// Not generic, so the sort is compiled once.
+fn sort_by_delivery(fan: &mut [(RealTime, u64, ProcessId)]) {
+    fan.sort_by(|a, b| a.0.total_cmp(&b.0));
 }
 
 /// Outcome extraction, available when the standard observer bundle is
@@ -342,9 +357,11 @@ where
 mod tests {
     use super::*;
     use crate::builder::SimBuilder;
-    use crate::delay::{ConstantDelay, PerPairDelay};
+    use crate::delay::{ConstantDelay, PerPairDelay, UniformDelay};
     use crate::observer::NullObserver;
     use crate::trace::TraceEvent;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use wl_clock::drift::DriftModel;
     use wl_time::{ClockDur, ClockTime, RealDur};
 
@@ -628,6 +645,174 @@ mod tests {
             })
             .build();
         let _ = sim.run();
+    }
+
+    /// Broadcasts once, on START.
+    #[derive(Debug)]
+    struct Shout;
+    impl Automaton for Shout {
+        type Msg = u32;
+        fn on_input(&mut self, input: Input<u32>, _now: ClockTime, out: &mut Actions<u32>) {
+            if matches!(input, Input::Start) {
+                out.broadcast(7);
+            }
+        }
+    }
+
+    fn shouters(n: usize, delay: impl DelayModel + 'static, config: SimConfig) -> Simulation<u32> {
+        SimBuilder::new()
+            .clocks(DriftModel::Ideal.build(n, &vec![ClockTime::ZERO; n], 0))
+            .procs((0..n).map(|_| Box::new(Shout) as _).collect())
+            .delay(delay)
+            .starts(vec![RealTime::ZERO; n])
+            .config(config)
+            .build()
+    }
+
+    /// The sibling of `out_of_band_delay_detected` whose offending send is
+    /// a broadcast: the fan-out arm keeps the same release-mode check.
+    #[test]
+    #[should_panic(expected = "A3 violation")]
+    fn out_of_band_broadcast_delay_detected() {
+        // Delay model says 5ms but declared bounds say 1ms +/- 0.
+        let config = SimConfig {
+            t_end: RealTime::from_secs(1.0),
+            delay_bounds: DelayBounds::new(RealDur::from_millis(1.0), RealDur::ZERO),
+            ..SimConfig::default()
+        };
+        let _ = shouters(2, ConstantDelay::new(RealDur::from_millis(5.0)), config).run();
+    }
+
+    /// The band the executor precomputes is `DelayBounds::contains`, to
+    /// the ulp: both admit `min − 1 ps` and `max + 1 ps` and nothing beyond.
+    #[test]
+    fn a3_band_is_delay_bounds_contains() {
+        let bounds = DelayBounds::new(RealDur::from_millis(10.0), RealDur::from_millis(1.0));
+        let band = shouters(
+            1,
+            ConstantDelay::new(RealDur::ZERO),
+            SimConfig {
+                delay_bounds: bounds,
+                ..SimConfig::default()
+            },
+        )
+        .band;
+        let lo: f64 = bounds.min_delay().as_secs() - 1e-12;
+        let hi: f64 = bounds.max_delay().as_secs() + 1e-12;
+        for (edge, inside) in [(lo, lo.next_up()), (hi, hi.next_down())] {
+            let outside = edge + (edge - inside);
+            for (s, admitted) in [(outside, false), (edge, true), (inside, true)] {
+                assert_eq!(band.contains(&s), admitted, "at {s:e}");
+                assert_eq!(bounds.contains(RealDur::from_secs(s)), admitted, "at {s:e}");
+            }
+        }
+        assert!(!band.contains(&f64::NAN));
+    }
+
+    /// `t_end` falls inside every broadcast's fan-out: the first event at
+    /// or past it is popped and pushed back by each further `step()`,
+    /// which must change nothing — not even when that event was the head
+    /// of a fan whose next recipient already took its place in the heap.
+    #[test]
+    fn stepping_past_t_end_changes_nothing() {
+        let n = 4;
+        let bounds = DelayBounds::new(RealDur::from_millis(10.0), RealDur::from_millis(5.0));
+        let config = |seed: u64, t_end_ms: f64| SimConfig {
+            t_end: RealTime::from_secs(t_end_ms / 1e3),
+            seed,
+            delay_bounds: bounds,
+            trace_capacity: 1000,
+            ..SimConfig::default()
+        };
+        for seed in 0..8 {
+            let mut sim = shouters(n, UniformDelay::new(bounds), config(seed, 10.0));
+            sim.drive();
+            let (delivered, queued) = (sim.events_delivered(), sim.queue.len());
+            assert!((n as u64) < delivered && delivered < (n + n * n) as u64);
+            assert_eq!(queued as u64, (n + n * n) as u64 - delivered);
+            for _ in 0..3 {
+                assert_eq!(sim.step(), None);
+                assert_eq!(sim.queue.len(), queued);
+                assert_eq!(sim.events_delivered(), delivered);
+            }
+            // What is left is still the execution's tail: with the horizon
+            // lifted (a test-only liberty) it ends as an unstopped run does.
+            sim.config.t_end = RealTime::from_secs(1.0);
+            let resumed = sim.run();
+            let straight = shouters(n, UniformDelay::new(bounds), config(seed, 1e3)).run();
+            assert_eq!(resumed.stats, straight.stats);
+            assert_eq!(
+                format!("{:?}", resumed.trace.events()),
+                format!("{:?}", straight.trace.events())
+            );
+        }
+    }
+
+    /// Broadcasts on START and annotates every input through a closure
+    /// that counts how often it is asked to render.
+    #[derive(Debug)]
+    struct Chatty(Arc<AtomicUsize>);
+    impl Automaton for Chatty {
+        type Msg = u32;
+        fn on_input(&mut self, input: Input<u32>, _now: ClockTime, out: &mut Actions<u32>) {
+            if matches!(input, Input::Start) {
+                out.broadcast(1);
+            }
+            out.annotate_with(|| format!("note {}", self.0.fetch_add(1, Ordering::Relaxed)));
+        }
+    }
+
+    #[test]
+    fn notes_render_only_for_an_observer_that_keeps_them() {
+        // Two processes: 2 STARTs + 4 messages = 6 annotated steps.
+        let chatty = |trace_capacity: usize| {
+            let rendered = Arc::new(AtomicUsize::new(0));
+            let builder = SimBuilder::new()
+                .clocks(DriftModel::Ideal.build(2, &[ClockTime::ZERO; 2], 0))
+                .fleet(vec![Chatty(rendered.clone()), Chatty(rendered.clone())])
+                .delay(ConstantDelay::new(RealDur::from_millis(1.0)))
+                .starts(vec![RealTime::ZERO; 2])
+                .delay_bounds(DelayBounds::new(RealDur::from_millis(1.0), RealDur::ZERO))
+                .trace_capacity(trace_capacity);
+            (builder, rendered)
+        };
+        let notes = |trace: &Trace| -> Vec<String> {
+            trace
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Note { text, .. } => Some(text.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        let (builder, rendered) = chatty(100);
+        let mut sim = builder.build_with(HeapQueue::new(), NullObserver);
+        sim.drive();
+        assert_eq!(sim.events_delivered(), 6);
+        assert_eq!(rendered.load(Ordering::Relaxed), 0);
+
+        let (builder, rendered) = chatty(0);
+        let outcome = builder.build().run();
+        assert_eq!(outcome.stats.events_delivered, 6);
+        assert_eq!(rendered.load(Ordering::Relaxed), 0);
+
+        let (builder, rendered) = chatty(100);
+        let outcome = builder.build().run();
+        assert_eq!(rendered.load(Ordering::Relaxed), 6);
+        let expected: Vec<String> = (0..6).map(|k| format!("note {k}")).collect();
+        assert_eq!(notes(&outcome.trace), expected);
+
+        // Taking the trace mid-run stops the rendering with the recording.
+        let (builder, rendered) = chatty(100);
+        let mut sim = builder.build();
+        sim.step();
+        sim.step();
+        assert_eq!(notes(&sim.observer.trace.take()), expected[..2]);
+        sim.drive();
+        assert_eq!(sim.events_delivered(), 6);
+        assert_eq!(rendered.load(Ordering::Relaxed), 2);
     }
 
     #[test]

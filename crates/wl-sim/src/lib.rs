@@ -156,11 +156,17 @@ pub enum Action<M> {
 #[derive(Debug)]
 pub struct Actions<M> {
     items: Vec<Action<M>>,
+    /// Whether anyone reads [`Action::Annotate`]s: [`Observer::wants_notes`],
+    /// set by the executor before every step (a wrapper automaton hands it on).
+    pub wants_notes: bool,
 }
 
 impl<M> Default for Actions<M> {
     fn default() -> Self {
-        Self { items: Vec::new() }
+        Self {
+            items: Vec::new(),
+            wants_notes: true,
+        }
     }
 }
 
@@ -194,6 +200,14 @@ impl<M> Actions<M> {
     /// Records a trace annotation.
     pub fn annotate(&mut self, note: impl Into<String>) {
         self.items.push(Action::Annotate(note.into()));
+    }
+
+    /// Records the annotation `render` produces — rendered only if
+    /// [`wants_notes`](Self::wants_notes), so an unread note costs nothing.
+    pub fn annotate_with(&mut self, render: impl FnOnce() -> String) {
+        if self.wants_notes {
+            self.items.push(Action::Annotate(render()));
+        }
     }
 
     /// Drains the accumulated actions.

@@ -79,6 +79,12 @@ pub trait Observer<M>: Send {
     fn on_note(&mut self, by: ProcessId, at: RealTime, text: &str) {
         let _ = (by, at, text);
     }
+
+    /// Whether `on_note` does anything. Asked before every step: on
+    /// `false`, [`crate::Actions::annotate_with`] renders no note.
+    fn wants_notes(&self) -> bool {
+        true
+    }
 }
 
 /// Observes nothing. Runs built with it do no per-event measurement work
@@ -86,7 +92,11 @@ pub trait Observer<M>: Send {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
-impl<M> Observer<M> for NullObserver {}
+impl<M> Observer<M> for NullObserver {
+    fn wants_notes(&self) -> bool {
+        false
+    }
+}
 
 /// Counts events into [`SimStats`] — the counting observer behind
 /// `SimOutcome::stats`, replacing the executor's inline counter fields.
@@ -259,6 +269,9 @@ impl<M: std::fmt::Debug> Observer<M> for TraceSink {
             });
         }
     }
+    fn wants_notes(&self) -> bool {
+        self.is_enabled()
+    }
 }
 
 /// The standard bundle: counters + correction histories + bounded trace.
@@ -316,6 +329,9 @@ impl<M: std::fmt::Debug> Observer<M> for StdObservers {
     }
     fn on_note(&mut self, by: ProcessId, at: RealTime, text: &str) {
         Observer::<M>::on_note(&mut self.trace, by, at, text);
+    }
+    fn wants_notes(&self) -> bool {
+        self.trace.is_enabled()
     }
 }
 

@@ -13,9 +13,11 @@
 //! tie-break — the one part of the order the paper leaves open — to show
 //! the theorems survive any legal interleaving.
 
-use crate::event::QueuedEvent;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::event::{EventClass, Input, QueuedEvent};
+use crate::ProcessId;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use wl_time::RealTime;
 
 /// A pending-event store for the executor.
 ///
@@ -31,6 +33,20 @@ pub trait EventQueue<M>: Send {
     /// Inserts a scheduled delivery.
     fn push(&mut self, ev: QueuedEvent<M>);
 
+    /// Inserts one broadcast: `msg` from `from` to each `(at, seq, to)` of
+    /// `sorted`, which ascends by `(at, seq)`. This body — one ordinary
+    /// message [`push`](EventQueue::push)ed per recipient — is the
+    /// definition; an override may change how the fan is stored, never
+    /// what `pop_next` and `len` answer.
+    fn push_fanout(&mut self, from: ProcessId, msg: M, sorted: &[(RealTime, u64, ProcessId)])
+    where
+        M: Clone,
+    {
+        for &(at, seq, to) in sorted {
+            self.push(message(at, seq, to, from, msg.clone()));
+        }
+    }
+
     /// Removes and returns the next event in delivery order.
     fn pop_next(&mut self) -> Option<QueuedEvent<M>>;
 
@@ -43,10 +59,52 @@ pub trait EventQueue<M>: Send {
     }
 }
 
-/// The binary-heap queue: a `BinaryHeap<Reverse<QueuedEvent<M>>>`, popping
-/// in [`QueuedEvent`]'s total order. `O(log n)` push/pop, no tuning knobs.
+fn message<M>(at: RealTime, seq: u64, to: ProcessId, from: ProcessId, msg: M) -> QueuedEvent<M> {
+    QueuedEvent {
+        at,
+        class: EventClass::Normal,
+        seq,
+        to,
+        input: Input::Message { from, msg },
+    }
+}
+
+/// The binary-heap queue, popping in [`QueuedEvent`]'s total order.
+/// `O(log n)` push/pop, no tuning knobs.
+///
+/// A broadcast is **one** entry: its earliest delivery plus the index of
+/// a recycled vector of the later recipients. Popping it rewrites the
+/// entry in place to the next recipient, which can only sift down, so a
+/// round of `n` broadcasts keeps `2n` entries in the heap, not `n²`.
 pub struct HeapQueue<M> {
-    heap: BinaryHeap<Reverse<QueuedEvent<M>>>,
+    heap: BinaryHeap<Reverse<Entry<M>>>,
+    /// Each live fan's later recipients, latest first; `free` indexes the
+    /// empty vectors, which are reused.
+    fans: Vec<Vec<(RealTime, u64, ProcessId)>>,
+    free: Vec<u32>,
+}
+
+/// A heap entry: the delivery it stands for now, and its fan if any.
+struct Entry<M> {
+    ev: QueuedEvent<M>,
+    fan: Option<u32>,
+}
+
+impl<M> PartialEq for Entry<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.ev == other.ev
+    }
+}
+impl<M> Eq for Entry<M> {}
+impl<M> PartialOrd for Entry<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<M> Ord for Entry<M> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.ev.cmp(&other.ev)
+    }
 }
 
 impl<M> Default for HeapQueue<M> {
@@ -61,6 +119,8 @@ impl<M> HeapQueue<M> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            fans: Vec::new(),
+            free: Vec::new(),
         }
     }
 }
@@ -68,28 +128,62 @@ impl<M> HeapQueue<M> {
 impl<M> std::fmt::Debug for HeapQueue<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HeapQueue")
-            .field("len", &self.heap.len())
-            .finish()
+            .field("entries", &self.heap.len())
+            .finish_non_exhaustive()
     }
 }
 
-impl<M: Send> EventQueue<M> for HeapQueue<M> {
+impl<M: Clone + Send> EventQueue<M> for HeapQueue<M> {
     fn push(&mut self, ev: QueuedEvent<M>) {
-        self.heap.push(Reverse(ev));
+        self.heap.push(Reverse(Entry { ev, fan: None }));
+    }
+
+    fn push_fanout(&mut self, from: ProcessId, msg: M, sorted: &[(RealTime, u64, ProcessId)]) {
+        let Some((&(at, seq, to), later)) = sorted.split_first() else {
+            return;
+        };
+        let fan = (!later.is_empty()).then(|| {
+            let ix = self.free.pop().unwrap_or_else(|| {
+                self.fans.push(Vec::new());
+                u32::try_from(self.fans.len() - 1).expect("fewer than 2^32 live broadcasts")
+            });
+            self.fans[ix as usize].extend(later.iter().rev());
+            ix
+        });
+        let ev = message(at, seq, to, from, msg);
+        self.heap.push(Reverse(Entry { ev, fan }));
     }
 
     fn pop_next(&mut self) -> Option<QueuedEvent<M>> {
-        self.heap.pop().map(|r| r.0)
+        let mut top = self.heap.peek_mut()?;
+        let Some(ix) = top.0.fan else {
+            return Some(PeekMut::pop(top).0.ev);
+        };
+        let later = &mut self.fans[ix as usize];
+        let (at, seq, to) = later.pop().expect("a live fan has a recipient left");
+        if later.is_empty() {
+            self.free.push(ix);
+            top.0.fan = None;
+        }
+        let mut next = top.0.ev.clone();
+        (next.at, next.seq, next.to) = (at, seq, to);
+        Some(std::mem::replace(&mut top.0.ev, next))
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.fans.iter().map(Vec::len).sum::<usize>()
     }
 }
 
 impl<M, Q: EventQueue<M> + ?Sized> EventQueue<M> for Box<Q> {
     fn push(&mut self, ev: QueuedEvent<M>) {
         (**self).push(ev);
+    }
+    fn push_fanout(&mut self, from: ProcessId, msg: M, sorted: &[(RealTime, u64, ProcessId)])
+    where
+        M: Clone,
+    {
+        (**self).push_fanout(from, msg, sorted);
     }
     fn pop_next(&mut self) -> Option<QueuedEvent<M>> {
         (**self).pop_next()
@@ -150,17 +244,32 @@ mod tests {
     /// Drains both queues under an identical randomized push/pop schedule
     /// — the executor's causal pattern: every push lands at or after the
     /// last pop — and asserts identical pop sequences (keys *and*
-    /// payloads).
+    /// payloads) and identical `len`s. The schedule mixes single pushes
+    /// with `push_fanout`s of 0, 1 and 2..=16 recipients (all at one
+    /// instant, split over two instants, all distinct), and pops land
+    /// mid-fan. `SortedReference` keeps the provided `push_fanout`, so a
+    /// subject that overrides it is checked against the definition.
     fn parity_run(
         mut reference: impl EventQueue<u32>,
         mut subject: impl EventQueue<u32>,
         seed: u64,
     ) {
+        fn same(a: &QueuedEvent<u32>, b: &QueuedEvent<u32>) {
+            assert_eq!(a.seq, b.seq, "pop order diverged at t={}", a.at);
+            assert_eq!(a.at.as_secs().to_bits(), b.at.as_secs().to_bits());
+            assert_eq!((a.class, a.to), (b.class, b.to), "seq={}", a.seq);
+            assert_eq!(a.input, b.input, "payload diverged at seq={}", a.seq);
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut seq = 0u64;
         let mut now = 0.0f64;
         for _ in 0..2000 {
-            if rng.gen_range(0..3) < 2 || reference.len() == 0 {
+            let roll = if reference.len() == 0 {
+                0
+            } else {
+                rng.gen_range(0u32..6)
+            };
+            if roll < 3 {
                 // Push an event at or after `now` (DES causality), with
                 // occasional exact-tie timestamps and far-future jumps.
                 let dt = match rng.gen_range(0u32..10) {
@@ -177,20 +286,42 @@ mod tests {
                 seq += 1;
                 reference.push(e.clone());
                 subject.push(e);
+            } else if roll == 3 {
+                let k = match rng.gen_range(0u32..4) {
+                    0 => 0,
+                    1 => 1,
+                    _ => rng.gen_range(2usize..=16),
+                };
+                let shape = rng.gen_range(0u32..3);
+                let base = now + rng.gen_range(0.0..0.02);
+                let mut fan = Vec::new();
+                for q in 0..k {
+                    let dt = match shape {
+                        0 => 0.0,
+                        1 => 0.01 * f64::from(rng.gen_range(0u32..2)),
+                        _ => rng.gen_range(0.0..0.02),
+                    };
+                    fan.push((RealTime::from_secs(base + dt), seq, ProcessId(q)));
+                    seq += 1;
+                }
+                fan.sort_by(|a, b| a.0.total_cmp(&b.0));
+                reference.push_fanout(ProcessId(k), seq as u32, &fan);
+                subject.push_fanout(ProcessId(k), seq as u32, &fan);
             } else {
                 let a = reference.pop_next().expect("reference nonempty");
                 let b = subject.pop_next().expect("subject nonempty");
-                assert_eq!(a.seq, b.seq, "pop order diverged at t={}", a.at);
-                assert_eq!(a.input, b.input, "payload diverged at seq={}", a.seq);
+                same(&a, &b);
                 now = a.at.as_secs();
             }
+            assert_eq!(reference.len(), subject.len());
         }
         while let Some(a) = reference.pop_next() {
             let b = subject.pop_next().expect("subject drained early");
-            assert_eq!(a.seq, b.seq);
-            assert_eq!(a.input, b.input);
+            same(&a, &b);
+            assert_eq!(reference.len(), subject.len());
         }
         assert!(subject.pop_next().is_none());
+        assert!(subject.is_empty());
     }
 
     #[test]
