@@ -32,14 +32,15 @@
 //! field — never silently merged, never a hang.
 
 use bench::{cli, DEMO_GRID};
+use std::io;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 use wl_harness::{
     drive_frontier, run_worker_frontier, Capture, DropBoxTransport, FrontierDriveReport,
-    FrontierDriverConfig, FrontierWorkerConfig, Maintenance, ScenarioSpec, ServiceTransport,
-    StoreFormat, SubprocessTransport, SweepRequest, SweepRunner, SweepStore, WorkerLaunch,
-    WorkerTransport,
+    FrontierDriverConfig, FrontierError, FrontierWorkerConfig, Maintenance, ScenarioSpec,
+    ServiceTransport, StoreFormat, SubprocessTransport, SweepRequest, SweepRunner, SweepStore,
+    WorkerLaunch, WorkerTransport,
 };
 
 /// The shared flags each mode honours; any other falls to [`usage`].
@@ -136,7 +137,10 @@ fn frontier_worker_main(args: &[String]) {
     )
     .unwrap_or_else(|e| {
         eprintln!("frontier worker {worker}: {e}");
-        std::process::exit(1);
+        // A refused value (an id that cannot name a claim file) is exit
+        // 2, like any refused flag; a failed run is exit 1.
+        let refused = matches!(&e, FrontierError::Io(e) if e.kind() == io::ErrorKind::InvalidInput);
+        std::process::exit(if refused { 2 } else { 1 });
     });
     println!(
         "frontier worker {worker} complete: {} chunk(s), {} point(s) ({} hits, {} misses)",

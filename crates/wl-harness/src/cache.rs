@@ -680,8 +680,15 @@ impl SweepStore {
     ///
     /// Returns how many records were added or replaced.
     pub fn absorb(&mut self, cache: &SweepCache) -> usize {
+        self.absorb_records(cache.snapshot())
+    }
+
+    /// [`absorb`](SweepStore::absorb) for records already in hand — the
+    /// frontier worker's per-chunk fold, which knows the chunk's records
+    /// and need not walk its whole cache for them.
+    pub(crate) fn absorb_records(&mut self, records: Vec<Arc<Record>>) -> usize {
         let mut changed = 0;
-        for record in cache.snapshot() {
+        for record in records {
             let key = record.key();
             let held = self.records.get(&key);
             if !held.is_some_and(|ours| same_record(ours, &record)) {

@@ -19,9 +19,14 @@
 //!
 //! * **Claim** — rename `cNNNNN.todo` → `cNNNNN.claim-<worker>`. Two
 //!   workers racing the same chunk issue two renames of the same source;
-//!   exactly one succeeds, the loser moves on. The winner then touches
-//!   the claim file, and keeps touching it per grid point — the file's
-//!   mtime is the chunk's heartbeat.
+//!   exactly one succeeds, the loser moves on. A handle claims the lowest
+//!   `.todo` at or past its *cursor* by trying the rename and advancing
+//!   on `NotFound` — no directory read; chunks a requeue put back behind
+//!   the cursor are found by a scan once that forward pass is exhausted.
+//!   (Who runs which chunk, in what order, never reaches the output —
+//!   see below.) The winner touches the claim file at claim time, then
+//!   every quarter of the steal timeout while the chunk runs — the
+//!   file's mtime is the chunk's heartbeat.
 //! * **Complete** — the worker checkpoints its store (the chunk's
 //!   records are durable *first*), then renames the claim → `.done`.
 //!   `.done` files are only ever created, never removed, so "all chunks
@@ -53,10 +58,12 @@ use crate::cache::{
     canon_string, fnv64_seeded, StoreFormat, SweepStore, ENGINE_VERSION, FNV_OFFSET,
 };
 use crate::spec::ScenarioSpec;
-use crate::sweep::{run_point_as, Capture, SweepAlgorithm, SweepRunner};
+use crate::sweep::{run_point_recorded, Capture, SweepAlgorithm, SweepRunner};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, SystemTime};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant, SystemTime};
 
 /// Name of the identity file inside a frontier directory.
 const MANIFEST: &str = "frontier.manifest";
@@ -221,10 +228,16 @@ pub struct FrontierStatus {
 
 /// A handle on one frontier directory (see the module docs for the
 /// on-disk protocol).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Frontier {
     dir: PathBuf,
     spec: FrontierSpec,
+    /// The lowest chunk this handle has not yet tried to claim: where
+    /// [`claim`](Self::claim)'s forward pass resumes. The rename, not
+    /// this, decides who owns a chunk.
+    cursor: AtomicUsize,
+    /// Directory reads made through this handle.
+    dir_reads: AtomicUsize,
 }
 
 impl Frontier {
@@ -244,12 +257,11 @@ impl Frontier {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let manifest = dir.join(MANIFEST);
+        let frontier = Self::handle(dir, spec);
         if manifest.exists() {
-            let frontier = Self { dir, spec };
             frontier.validate()?;
             return Ok(frontier);
         }
-        let frontier = Self { dir, spec };
         for c in 0..frontier.spec.chunks() {
             match std::fs::OpenOptions::new()
                 .write(true)
@@ -282,15 +294,22 @@ impl Frontier {
     pub fn open(dir: impl Into<PathBuf>, spec: FrontierSpec) -> Result<Self, FrontierError> {
         let dir = dir.into();
         let manifest = Self::read_manifest(&dir)?;
-        let frontier = Self {
-            dir,
-            spec: FrontierSpec {
-                chunk: manifest.chunk,
-                ..spec
-            },
+        let spec = FrontierSpec {
+            chunk: manifest.chunk,
+            ..spec
         };
+        let frontier = Self::handle(dir, spec);
         frontier.validate()?;
         Ok(frontier)
+    }
+
+    fn handle(dir: PathBuf, spec: FrontierSpec) -> Self {
+        Self {
+            dir,
+            spec,
+            cursor: AtomicUsize::new(0),
+            dir_reads: AtomicUsize::new(0),
+        }
     }
 
     fn read_manifest(dir: &Path) -> Result<FrontierSpec, FrontierError> {
@@ -389,17 +408,19 @@ impl Frontier {
         self.dir.join(format!("c{c:05}.claim-{worker}"))
     }
 
-    /// Parses `cNNNNN.<state>` off a directory entry.
+    /// Parses `cNNNNN.<state>` off a directory entry: five or more
+    /// digits, which is what `{:05}` prints from chunk 100 000 on.
     fn parse_entry(name: &str) -> Option<(usize, &str)> {
         let rest = name.strip_prefix('c')?;
         let (digits, state) = rest.split_once('.')?;
-        if digits.len() != 5 || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        if digits.len() < 5 || !digits.bytes().all(|b| b.is_ascii_digit()) {
             return None;
         }
         Some((digits.parse().ok()?, state))
     }
 
     fn scan(&self) -> io::Result<Vec<(usize, String)>> {
+        self.dir_reads.fetch_add(1, Ordering::Relaxed);
         let mut entries = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
@@ -411,6 +432,11 @@ impl Frontier {
         }
         entries.sort();
         Ok(entries)
+    }
+
+    #[cfg(test)]
+    fn dir_reads(&self) -> usize {
+        self.dir_reads.load(Ordering::Relaxed)
     }
 
     /// One directory scan, bucketed by state.
@@ -442,42 +468,54 @@ impl Frontier {
         Ok((0..self.chunks()).all(|c| self.done_path(c).exists()))
     }
 
-    /// Tries to claim one `.todo` chunk for `worker` (lowest chunk id
-    /// first, so progress is front-to-back and post-mortems read
-    /// linearly). `Ok(None)` = nothing claimable *right now* — the
-    /// caller distinguishes "all done" from "all claimed elsewhere" via
-    /// [`status`](Self::status).
+    /// Tries to claim one `.todo` chunk for `worker`: the lowest at or
+    /// past this handle's cursor, by renaming forward with **no directory
+    /// read**; once that pass is exhausted, the lowest a scan finds — by
+    /// then only one a requeue put back behind the cursor. `Ok(None)` =
+    /// nothing claimable *right now* — the caller distinguishes "all done"
+    /// from "all claimed elsewhere" via [`status`](Self::status).
     ///
     /// # Errors
     ///
     /// Directory read failures. Losing a claim race is not an error.
     pub fn claim(&self, worker: &str) -> io::Result<Option<Claim>> {
-        for (chunk, state) in self.scan()? {
-            if state != "todo" {
-                continue;
+        while self.cursor.load(Ordering::Relaxed) < self.chunks() {
+            let chunk = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if let Some(claim) = self.try_claim(chunk, worker)? {
+                return Ok(Some(claim));
             }
-            let claim = self.claim_path(chunk, worker);
-            match std::fs::rename(self.todo_path(chunk), &claim) {
-                Ok(()) => {
-                    // rename(2) preserves mtime; the heartbeat starts at
-                    // the moment of claiming, so stamp it.
-                    let _ = std::fs::OpenOptions::new()
-                        .append(true)
-                        .open(&claim)
-                        .and_then(|mut f| f.write_all(b"+"));
-                    return Ok(Some(Claim {
-                        chunk,
-                        range: self.chunk_range(chunk),
-                        path: claim,
-                        done: self.done_path(chunk),
-                    }));
-                }
-                // Someone else won the rename; try the next chunk.
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
+        }
+        let todo = |(chunk, state): (usize, String)| (state == "todo").then_some(chunk);
+        for chunk in self.scan()?.into_iter().filter_map(todo) {
+            if let Some(claim) = self.try_claim(chunk, worker)? {
+                return Ok(Some(claim));
             }
         }
         Ok(None)
+    }
+
+    /// The claim rename itself; `Ok(None)` = `chunk` is not `.todo`
+    /// (claimed, done, or someone else just won the race).
+    fn try_claim(&self, chunk: usize, worker: &str) -> io::Result<Option<Claim>> {
+        let claim = self.claim_path(chunk, worker);
+        match std::fs::rename(self.todo_path(chunk), &claim) {
+            Ok(()) => {
+                // rename(2) preserves mtime; the heartbeat starts at
+                // the moment of claiming, so stamp it.
+                let _ = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&claim)
+                    .and_then(|mut f| f.write_all(b"+"));
+                Ok(Some(Claim {
+                    chunk,
+                    range: self.chunk_range(chunk),
+                    path: claim,
+                    done: self.done_path(chunk),
+                }))
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 
     /// Requeues every claim whose heartbeat (file mtime) is older than
@@ -576,7 +614,8 @@ pub struct FrontierWorkerConfig {
     /// The frontier directory (must already be initialized).
     pub frontier: PathBuf,
     /// This worker's claim identity — unique per launch (the transports
-    /// use `w<slot>-a<attempt>`), sanitized to `[A-Za-z0-9_-]`.
+    /// use `w<slot>-a<attempt>`). It becomes part of a file name, so an
+    /// empty id or one outside `[A-Za-z0-9_-]` is refused.
     pub worker: String,
     /// The worker's private store (created if missing, hydrated if
     /// present — a restarted worker resumes, paying only for points that
@@ -621,6 +660,14 @@ pub struct FrontierProgress {
     pub records: usize,
 }
 
+/// Whether a running chunk's heartbeat needs refreshing: a quarter of the
+/// steal timeout has passed since the last beat. Asked after every grid
+/// point, so a live claim reads as orphaned only if one point runs for
+/// three quarters of the timeout.
+fn beat_due(since_last: Duration, steal_timeout: Duration) -> bool {
+    since_last >= steal_timeout / 4
+}
+
 /// Drains the frontier at `cfg.frontier`: claim a chunk, execute its
 /// grid points through the shared cached per-point body, checkpoint,
 /// mark done, repeat — until every chunk is `.done`. The worker protocol
@@ -639,13 +686,23 @@ pub struct FrontierProgress {
 /// # Errors
 ///
 /// [`FrontierError::Missing`]/[`FrontierError::Mismatch`] if the
-/// directory does not hold this grid's frontier; I/O failures.
+/// directory does not hold this grid's frontier; I/O failures, among
+/// them [`io::ErrorKind::InvalidInput`] for a `cfg.worker` that cannot
+/// name a claim file (refused before anything is opened).
 pub fn run_worker_frontier<A: SweepAlgorithm>(
     runner: &SweepRunner,
     grid: Vec<ScenarioSpec>,
     cfg: &FrontierWorkerConfig,
     mut on_chunk: impl FnMut(&FrontierProgress),
 ) -> Result<FrontierProgress, FrontierError> {
+    let nameable = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'-';
+    if cfg.worker.is_empty() || !cfg.worker.bytes().all(nameable) {
+        // A rename onto such a name fails `NotFound`, which reads as a
+        // lost claim race: the worker would poll forever.
+        let id = &cfg.worker;
+        let refusal = format!("worker id {id:?} cannot name a claim file: want [A-Za-z0-9_-]+");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, refusal).into());
+    }
     let frontier = Frontier::open(&cfg.frontier, FrontierSpec::for_grid::<A>(&grid, 1))?;
     let mut store = SweepStore::open(&cfg.store)?;
     store.set_format(cfg.format);
@@ -674,12 +731,19 @@ pub fn run_worker_frontier<A: SweepAlgorithm>(
             let specs: Vec<ScenarioSpec> = points.iter().map(|(_, s)| s.clone()).collect();
             service.prefetch::<A>(&specs, cfg.capture, &cache);
         }
-        let _ = runner.run(points, |_, (index, spec)| {
-            let outcome = run_point_as::<A>(cfg.capture, *index, spec, Some(&cache));
-            claim.beat();
-            outcome
+        // Stamped by the claim; `runner` may be many threads.
+        let last_beat = Mutex::new(Instant::now());
+        let records = runner.run(points, |_, (index, spec)| {
+            let (_, record) = run_point_recorded::<A>(cfg.capture, *index, spec, &cache);
+            let mut last = last_beat.lock().expect("heartbeat clock poisoned");
+            if beat_due(last.elapsed(), cfg.steal_timeout) {
+                *last = Instant::now();
+                claim.beat();
+            }
+            record
         });
-        store.absorb(&cache);
+        // The chunk's records; earlier chunks' are already in the store.
+        store.absorb_records(records);
         // Records durable before the chunk can read as done.
         store.checkpoint()?;
         checkpointed += 1;
@@ -808,6 +872,115 @@ mod tests {
         assert!(stolen.complete().unwrap());
         assert!(frontier.is_complete().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Drains `frontier` through `handle`, returning the chunks claimed
+    /// (each completed on the spot).
+    fn drain(handle: &Frontier, worker: &str) -> Vec<usize> {
+        let mut claimed = Vec::new();
+        while let Some(claim) = handle.claim(worker).unwrap() {
+            claimed.push(claim.chunk());
+            assert!(claim.complete().unwrap());
+        }
+        claimed
+    }
+
+    #[test]
+    fn two_cursors_interleaved_claim_every_chunk_once_each_in_order() {
+        let dir = tmp("cursors");
+        let spec = FrontierSpec::for_grid::<Maintenance>(&grid(37), 1);
+        let handles = [
+            Frontier::init(&dir, spec.clone()).unwrap(),
+            Frontier::open(&dir, spec).unwrap(),
+        ];
+        let mut claimed: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+        let mut exhausted = [false; 2];
+        let mut step = 0u64;
+        while exhausted != [true; 2] {
+            let who = (derive_seed(0xC0_25_02, step) % 2) as usize;
+            step += 1;
+            match handles[who].claim(["left", "right"][who]).unwrap() {
+                Some(claim) => claimed[who].push(claim.chunk()),
+                None => exhausted[who] = true,
+            }
+        }
+        for mine in &claimed {
+            assert!(!mine.is_empty(), "the schedule starved a handle");
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "not lowest-first");
+        }
+        let mut all = claimed.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..37).collect::<Vec<_>>(), "exactly once");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn requeued_chunk_behind_the_cursor_is_reclaimed() {
+        let dir = tmp("behind");
+        let spec = FrontierSpec::for_grid::<Maintenance>(&grid(8), 1);
+        let frontier = Frontier::init(&dir, spec).unwrap();
+        // Claim 0…4; complete all but chunk 2, whose owner dies.
+        for chunk in 0..5 {
+            let claim = frontier.claim("first").unwrap().unwrap();
+            assert_eq!(claim.chunk(), chunk);
+            if chunk != 2 {
+                assert!(claim.complete().unwrap());
+            }
+        }
+        assert_eq!(frontier.requeue_stale(Duration::ZERO).unwrap(), 1);
+        // The forward pass comes first; the requeued chunk, now behind
+        // the cursor, is what the fallback scan is for.
+        assert_eq!(drain(&frontier, "second"), [5, 6, 7, 2]);
+        assert!(frontier.is_complete().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn draining_a_frontier_alone_reads_the_directory_once() {
+        let dir = tmp("reads");
+        let spec = FrontierSpec::for_grid::<Maintenance>(&grid(64), 1);
+        let frontier = Frontier::init(&dir, spec).unwrap();
+        assert_eq!(drain(&frontier, "solo"), (0..64).collect::<Vec<_>>());
+        // One per claim (65) before the cursor; now only the pass that
+        // finds nothing left behind it.
+        assert!(frontier.dir_reads() <= 2, "{} reads", frontier.dir_reads());
+        assert!(frontier.is_complete().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn chunk_file_names_round_trip_past_five_digits() {
+        let dir = tmp("digits");
+        let frontier = Frontier::handle(dir, FrontierSpec::for_grid::<Maintenance>(&[], 1));
+        for chunk in [0, 99_999, 100_000, 1_234_567] {
+            for (path, state) in [
+                (frontier.todo_path(chunk), "todo"),
+                (frontier.done_path(chunk), "done"),
+                (frontier.claim_path(chunk, "w0-a1"), "claim-w0-a1"),
+            ] {
+                let name = path.file_name().unwrap().to_str().unwrap();
+                assert_eq!(Frontier::parse_entry(name), Some((chunk, state)), "{name}");
+            }
+        }
+        for stray in [
+            "c0001.todo",
+            "c00001todo",
+            "cx0001.todo",
+            "frontier.manifest",
+        ] {
+            assert_eq!(Frontier::parse_entry(stray), None, "{stray}");
+        }
+    }
+
+    #[test]
+    fn heartbeat_is_due_every_quarter_of_the_steal_timeout() {
+        let timeout = Duration::from_secs(2);
+        assert!(!beat_due(Duration::ZERO, timeout));
+        assert!(!beat_due(Duration::from_millis(499), timeout));
+        assert!(beat_due(Duration::from_millis(500), timeout));
+        assert!(beat_due(Duration::from_secs(3600), timeout));
+        // A zero timeout (everything is stale at once) beats every point.
+        assert!(beat_due(Duration::ZERO, Duration::ZERO));
     }
 
     #[test]
@@ -966,6 +1139,88 @@ mod tests {
             assert!(idle.store.exists(), "{format} header-only store written");
             assert!(SweepStore::open(&idle.store).unwrap().is_empty());
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn unnameable_worker_id_is_refused_before_anything_is_opened() {
+        let dir = tmp("badid");
+        for id in ["", "a/b", "w 0", "w0.a1"] {
+            // No frontier exists: a `Missing` here would mean the id was
+            // checked too late.
+            let cfg = worker_cfg(&dir, id, StoreFormat::Text);
+            match run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(2), &cfg, |_| {})
+            {
+                Err(FrontierError::Io(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+                    assert!(e.to_string().contains(&format!("{id:?}")), "{e}");
+                }
+                other => panic!("worker id {id:?} not refused: {other:?}"),
+            }
+        }
+        assert!(!dir.exists(), "the refusal created something");
+    }
+
+    /// A worker checkpoints each chunk's records — built or hit — and
+    /// nothing else: draining from empty, and (the restarted-worker
+    /// case) over a store that already holds the first half of the grid.
+    #[test]
+    fn worker_checkpoints_exactly_each_chunks_new_records() {
+        const N: usize = 8;
+        for format in [StoreFormat::Text, StoreFormat::Binary] {
+            for held in [0, N / 2] {
+                let dir = tmp(&format!("chunked-{format}-{held}"));
+                std::fs::create_dir_all(&dir).unwrap();
+                let spec = FrontierSpec::for_grid::<Maintenance>(&grid(N), 2);
+                Frontier::init(dir.join("frontier"), spec).unwrap();
+                let cfg = worker_cfg(&dir, "resumed", format);
+                let cache = SweepCache::new();
+                let _ = SweepRequest::new()
+                    .threads(1)
+                    .cached(&cache)
+                    .run::<Maintenance>(grid(N)[..held].to_vec());
+                let mut store = SweepStore::open(&cfg.store).unwrap();
+                store.set_format(format);
+                store.absorb(&cache);
+                store.save().unwrap();
+
+                // (records, store bytes) after every chunk.
+                let mut after_chunk = vec![(held, std::fs::metadata(&cfg.store).unwrap().len())];
+                let progress = run_worker_frontier::<Maintenance>(
+                    &SweepRunner::serial(),
+                    grid(N),
+                    &cfg,
+                    |p| after_chunk.push((p.records, std::fs::metadata(&cfg.store).unwrap().len())),
+                )
+                .unwrap();
+                assert_eq!((progress.chunks, progress.points), (N / 2, N));
+                assert_eq!(progress.hits, held as u64);
+                assert_eq!(progress.misses, (N - held) as u64);
+                for (chunk, pair) in after_chunk.windows(2).enumerate() {
+                    let fresh = if chunk * 2 < held { 0 } else { 2 };
+                    assert_eq!(pair[1].0, pair[0].0 + fresh, "chunk {chunk} records");
+                    assert_eq!(pair[1].1 > pair[0].1, fresh > 0, "chunk {chunk} bytes");
+                }
+
+                let worker_store = SweepStore::open(&cfg.store).unwrap();
+                assert_eq!(worker_store.len(), N);
+                assert_eq!(
+                    worker_store.superseded_records(),
+                    0,
+                    "a record written twice"
+                );
+                let mut merged = SweepStore::new();
+                merged.set_format(format);
+                merged.merge_from(&worker_store).unwrap();
+                let out = dir.join("merged.wls");
+                merged.save_to(&out).unwrap();
+                assert_eq!(
+                    std::fs::read(&out).unwrap(),
+                    reference_bytes(N, format),
+                    "{format} store resumed from {held} records != 1-process reference"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 

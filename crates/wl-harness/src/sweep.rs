@@ -536,29 +536,51 @@ pub(crate) fn run_point_as<A: SweepAlgorithm>(
     spec: &ScenarioSpec,
     cache: Option<&SweepCache>,
 ) -> SweepOutcome {
+    match cache {
+        Some(cache) => run_point_recorded::<A>(capture, index, spec, cache).0,
+        None => simulate_point::<A>(capture, index, spec),
+    }
+}
+
+/// [`run_point_as`] through `cache`, also handing back the record the
+/// cache now holds for the point — the one it hit, or the one it just
+/// built — so the frontier worker can checkpoint exactly a chunk's
+/// records without walking its whole cache.
+pub(crate) fn run_point_recorded<A: SweepAlgorithm>(
+    capture: Capture,
+    index: usize,
+    spec: &ScenarioSpec,
+    cache: &SweepCache,
+) -> (SweepOutcome, Arc<Record>) {
     // Canonical form on both sides: `drift: None` and its explicit
     // default are the same execution, and must hit each other.
-    let keyed = cache.map(|c| (c, spec.content_hash(), canon_string(&spec.canonical())));
-    if let Some((cache, hash, spec_canon)) = &keyed {
-        if let Some(record) = cache.lookup(*hash, A::NAME, spec_canon, capture) {
-            let mut hit = record.outcome().clone();
-            hit.index = index;
-            if capture == Capture::Sketch && hit.sketch.is_none() {
-                let series = hit
-                    .series
-                    .take()
-                    .expect("a sketch-satisfying hit without a sketch carries a series");
-                hit.sketch = Some(SkewSketch::of_series(&series));
-            }
-            return hit;
+    let (hash, spec_canon) = (spec.content_hash(), canon_string(&spec.canonical()));
+    if let Some(record) = cache.lookup(hash, A::NAME, &spec_canon, capture) {
+        let mut hit = record.outcome().clone();
+        hit.index = index;
+        if capture == Capture::Sketch && hit.sketch.is_none() {
+            let series = hit
+                .series
+                .take()
+                .expect("a sketch-satisfying hit without a sketch carries a series");
+            hit.sketch = Some(SkewSketch::of_series(&series));
         }
+        return (hit, record);
     }
+    let outcome = simulate_point::<A>(capture, index, spec);
+    let record = Record::of_outcome(A::NAME, hash, spec_canon, &outcome);
+    cache.store(Arc::clone(&record));
+    (outcome, record)
+}
+
+fn simulate_point<A: SweepAlgorithm>(
+    capture: Capture,
+    index: usize,
+    spec: &ScenarioSpec,
+) -> SweepOutcome {
     let (summary, sketch, series) = run_dispatched::<A>(spec, capture);
     let mut outcome = SweepOutcome::new(index, spec.seed, &summary);
     (outcome.sketch, outcome.series) = (sketch, series);
-    if let Some((cache, hash, spec_canon)) = keyed {
-        cache.store(Record::of_outcome(A::NAME, hash, spec_canon, &outcome));
-    }
     outcome
 }
 

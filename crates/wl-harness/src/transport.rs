@@ -24,7 +24,9 @@
 //!   budget, `SIGKILL` stalled ones, requeue orphaned frontier claims so
 //!   live workers steal dead workers' chunks, and — once every chunk is
 //!   `.done` — merge whatever [`WorkerTransport::stores`] reports into
-//!   one canonical output store.
+//!   one canonical output store. A pass runs every `cfg.poll`, and at
+//!   once when a worker exits: completion and crashes are noticed when
+//!   they happen, not at the next quantum.
 //!
 //! A worker that exhausts its restart budget *retires its slot* but
 //! does not fail the drive — its chunks are requeued and the survivors
@@ -591,7 +593,17 @@ fn monitor(
                 });
             }
         }
-        std::thread::sleep(cfg.poll);
+        // The next pass is due in `cfg.poll`, or the moment a worker
+        // exits: a clean exit means the frontier is complete, a crash
+        // wants its restart now — neither should wait out the quantum.
+        // (`try_wait` keeps what it finds for the pass to read.)
+        let pass = Instant::now();
+        while pass.elapsed() < cfg.poll
+            && (slots.iter_mut().filter(|slot| slot.live()))
+                .all(|slot| matches!(slot.child.try_wait(), Ok(None)))
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }
 

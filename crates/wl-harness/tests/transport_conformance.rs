@@ -22,15 +22,18 @@
 //!    slot; with no surviving slots the drive fails with
 //!    `WorkersExhausted`, never hangs.
 //!
-//! Three more legs run on the subprocess transport only (they pin the
-//! worker's store handling, which no transport touches):
+//! Four more legs run on the subprocess transport only (they pin the
+//! worker's store handling and the monitor's clock, which no transport
+//! touches):
 //!
 //! 5. **resume, not redo** — a lone worker crashed after its first chunk
 //!    restarts with exactly that chunk as cache hits;
 //! 6. **damaged store** — a worker store truncated mid-record, then at a
 //!    record boundary, costs exactly the lost record on a re-drive;
 //! 7. **binary format** — the crash scenario with binary worker stores
-//!    and a binary merged store, smaller than the text one.
+//!    and a binary merged store, smaller than the text one;
+//! 8. **wake on exit** — a drive whose monitor polls every 30 s still
+//!    returns the moment its last worker exits.
 //!
 //! Chunk-interleaving determinism beyond these fixed schedules is pinned
 //! by `tests/frontier_determinism.rs` (proptest, no subprocesses).
@@ -99,6 +102,7 @@ fn main() {
     conformance!(Kind::Subprocess, Kind::DropBox, Kind::Service);
     scenario_crash_resumes_not_redoes();
     scenario_damaged_store_costs_only_the_tail();
+    scenario_completion_is_noticed_when_it_happens();
     scenario_crash_mid_sweep(Kind::Subprocess, StoreFormat::Binary);
     assert!(
         reference_bytes(StoreFormat::Binary).len() < reference_bytes(StoreFormat::Text).len(),
@@ -473,6 +477,26 @@ fn scenario_crash_resumes_not_redoes() {
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
     println!("ok [subprocess]: crashed worker resumed from its checkpoint");
+}
+
+/// The parent is not the clock: a monitor that polls every 30 s still
+/// returns — merged bytes right — when its last worker exits, a few
+/// milliseconds in. The one wall-clock bound in this suite, at a 1000×
+/// margin: a monitor that only slept `poll` would take the full 30 s.
+fn scenario_completion_is_noticed_when_it_happens() {
+    let mut cfg = config(Kind::Subprocess, "wake", 2, 4);
+    cfg.poll = Duration::from_secs(30);
+    let started = Instant::now();
+    let report = run_drive(Kind::Subprocess, &cfg, Fault::default()).expect("clean drive");
+    let took = started.elapsed();
+    assert!(took < cfg.poll, "the drive waited out its poll: {took:?}");
+    assert_eq!((report.merged_records, report.restarts), (GRID, 0));
+    assert_eq!(
+        std::fs::read(&cfg.out).unwrap(),
+        reference_bytes(StoreFormat::Text)
+    );
+    let _ = std::fs::remove_dir_all(&cfg.dir);
+    println!("ok [subprocess]: completion noticed in {took:?}, not at the 30 s poll");
 }
 
 /// A worker store damaged *between* drives — truncated mid-record, then
