@@ -27,7 +27,6 @@
 use crate::sketch::SkewSketch;
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 use crate::sweep::{SweepOutcome, SweepSeries};
-use std::fmt::Write as _;
 use wl_clock::drift::DriftModel;
 use wl_core::{AveragingFn, Params};
 use wl_sim::{ProcessId, SimStats};
@@ -44,7 +43,9 @@ pub trait Canon {
 /// cache is keyed on, stores persist and the service sends.
 #[must_use]
 pub fn canon_string<T: Canon + ?Sized>(value: &T) -> String {
-    let mut out = String::new();
+    // One allocation holds a spec canon (≈ 500 B), the string every
+    // cache lookup writes; longer canons grow from there.
+    let mut out = String::with_capacity(512);
     value.canon(&mut out);
     out
 }
@@ -66,9 +67,27 @@ impl Canon for bool {
     }
 }
 
+/// Appends ASCII `digits` (every writer below builds them on the stack).
+fn put_ascii(out: &mut String, digits: &[u8]) {
+    out.push_str(std::str::from_utf8(digits).expect("ASCII digits"));
+}
+
+/// Decimal, no leading zero — `format!("{n}")`'s spelling, written
+/// without `core::fmt` (pinned by `digits_are_fmts`).
 impl Canon for u64 {
     fn canon(&self, out: &mut String) {
-        write!(out, "{self}").expect("write to String");
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = *self;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        put_ascii(out, &digits[at..]);
     }
 }
 
@@ -84,9 +103,17 @@ impl Canon for usize {
     }
 }
 
+/// `x` and the sixteen lower-case hex digits of the bit pattern —
+/// `format!("x{:016x}", bits)`'s spelling, written without `core::fmt`.
 impl Canon for f64 {
     fn canon(&self, out: &mut String) {
-        write!(out, "x{:016x}", self.to_bits()).expect("write to String");
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bits = self.to_bits();
+        let mut text = [b'x'; 17];
+        for (i, digit) in text[1..].iter_mut().enumerate() {
+            *digit = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+        }
+        put_ascii(out, &text);
     }
 }
 
@@ -846,6 +873,50 @@ mod tests {
         " \\s \" ",
         "ε ≤ δ — β",
     ];
+
+    /// The hand-written digit writers spell every value as `core::fmt`
+    /// does: decimal integers at every digit-count boundary, and float
+    /// bit patterns across signs, infinities, NaN payloads, subnormals
+    /// and 100 000 seeded draws.
+    #[test]
+    fn digits_are_fmts() {
+        let powers = (0..20).map(|e| 10u64.pow(e));
+        let boundaries = powers.flat_map(|p| [p - 1, p, p + 1]);
+        for n in [0, 9, 10, u64::MAX - 1, u64::MAX]
+            .into_iter()
+            .chain(boundaries)
+        {
+            assert_eq!(canon_string(&n), format!("{n}"));
+        }
+        for n in [0, 7, u32::MAX] {
+            assert_eq!(canon_string(&n), format!("{n}"));
+        }
+        assert_eq!(canon_string(&usize::MAX), format!("{}", usize::MAX));
+
+        let named = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001), // quiet NaN, payload 1
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xfff4_0000_dead_beef), // signalling, negative
+            f64::from_bits(1),                     // smallest subnormal
+            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+        ];
+        let seeded = (0..100_000).map(|i| seeded_float(0xD161, i));
+        for x in named.into_iter().chain(seeded) {
+            let bits = x.to_bits();
+            assert_eq!(canon_string(&x), format!("x{bits:016x}"), "{bits:#x}");
+        }
+    }
 
     fn outcome_canons() -> Vec<String> {
         outcome_corpus().iter().map(canon_string).collect()

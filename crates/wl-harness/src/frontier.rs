@@ -463,9 +463,15 @@ impl Frontier {
     ///
     /// # Errors
     ///
-    /// Directory read failures.
+    /// Directory read failures: a `.done` file that cannot be looked up
+    /// is an error, only one that is absent is `Ok(false)`.
     pub fn is_complete(&self) -> io::Result<bool> {
-        Ok((0..self.chunks()).all(|c| self.done_path(c).exists()))
+        for chunk in 0..self.chunks() {
+            if !self.done_path(chunk).try_exists()? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Tries to claim one `.todo` chunk for `worker`: the lowest at or
@@ -725,16 +731,13 @@ pub fn run_worker_frontier<A: SweepAlgorithm>(
             std::thread::sleep(cfg.poll);
             continue;
         };
-        let points: Vec<(usize, ScenarioSpec)> =
-            claim.range().map(|i| (i, grid[i].clone())).collect();
         if let Some(service) = &service {
-            let specs: Vec<ScenarioSpec> = points.iter().map(|(_, s)| s.clone()).collect();
-            service.prefetch::<A>(&specs, cfg.capture, &cache);
+            service.prefetch::<A>(&grid[claim.range()], cfg.capture, &cache);
         }
         // Stamped by the claim; `runner` may be many threads.
         let last_beat = Mutex::new(Instant::now());
-        let records = runner.run(points, |_, (index, spec)| {
-            let (_, record) = run_point_recorded::<A>(cfg.capture, *index, spec, &cache);
+        let records = runner.run(claim.range().collect(), |_, &index| {
+            let (_, record) = run_point_recorded::<A>(cfg.capture, index, &grid[index], &cache);
             let mut last = last_beat.lock().expect("heartbeat clock poisoned");
             if beat_due(last.elapsed(), cfg.steal_timeout) {
                 *last = Instant::now();
@@ -872,6 +875,21 @@ mod tests {
         assert!(stolen.complete().unwrap());
         assert!(frontier.is_complete().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn completion_check_reports_what_it_cannot_read() {
+        let dir = tmp("notadir");
+        let spec = FrontierSpec::for_grid::<Maintenance>(&grid(2), 1);
+        let frontier = Frontier::init(&dir, spec).unwrap();
+        assert!(!frontier.is_complete().unwrap());
+        // A regular file where the directory was: no chunk can be looked
+        // up, which is an error, not "not done yet".
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a frontier").unwrap();
+        let err = frontier.is_complete().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotADirectory, "{err}");
+        let _ = std::fs::remove_file(&dir);
     }
 
     /// Drains `frontier` through `handle`, returning the chunks claimed

@@ -270,14 +270,6 @@ impl SweepRunner {
     }
 }
 
-fn shard_slice(specs: Vec<ScenarioSpec>, shard: Shard) -> Vec<(usize, ScenarioSpec)> {
-    specs
-        .into_iter()
-        .enumerate()
-        .filter(|&(i, _)| shard.owns(i))
-        .collect()
-}
-
 /// What each grid point keeps beyond its scalar summary — the capture
 /// mode of a [`SweepRequest`] and the "how rich must a hit be" argument
 /// of every cache lookup.
@@ -493,13 +485,15 @@ impl<'a> SweepRequest<'a> {
             (Some(cache), None) => ServiceSweepCache::from_env().map(|s| (s, cache)),
             _ => None,
         };
-        let owned = shard_slice(specs, self.shard.unwrap_or_else(Shard::full));
         if let Some((service, cache)) = &service {
-            let owned_specs: Vec<ScenarioSpec> = owned.iter().map(|(_, s)| s.clone()).collect();
-            service.prefetch::<A>(&owned_specs, self.capture, cache);
+            service.prefetch::<A>(&specs, self.capture, cache);
         }
-        let out = self.runner.run(owned, |_, (index, spec)| {
-            run_point_as::<A>(self.capture, *index, spec, self.cache)
+        // Grid indices, not specs, are what a shard selects: every point
+        // runs on `&specs[i]`, sharded or not.
+        let shard = self.shard.unwrap_or_else(Shard::full);
+        let owned: Vec<usize> = (0..specs.len()).filter(|&i| shard.owns(i)).collect();
+        let out = self.runner.run(owned, |_, &index| {
+            run_point_as::<A>(self.capture, index, &specs[index], self.cache)
         });
         if let Some((service, cache)) = &service {
             service.push_back::<A>(cache);
@@ -1431,19 +1425,27 @@ mod tests {
     #[test]
     fn sharded_sweep_merges_to_unsharded() {
         let full = SweepRequest::new().threads(1).run::<Maintenance>(grid(5));
-        let parts: Vec<Vec<SweepOutcome>> = (0..2)
-            .map(|k| {
-                SweepRequest::new()
-                    .threads(1)
-                    .shard(Shard::new(k, 2))
-                    .run::<Maintenance>(grid(5))
-            })
-            .collect();
-        assert_eq!(parts[0].len(), 3);
-        assert_eq!(parts[1].len(), 2);
-        // Grid-global indices: the shards tile the unsharded run.
-        for part in parts.iter().flatten() {
-            assert!(part.bit_identical(&full[part.index]));
+        // Count 1 is `Shard::full()` given explicitly: the same as no shard.
+        assert_eq!(Shard::new(0, 1), Shard::full());
+        for threads in [1, 2] {
+            for count in 1..=3 {
+                let mut union = Vec::new();
+                for k in 0..count {
+                    let part = SweepRequest::new()
+                        .threads(threads)
+                        .shard(Shard::new(k, count))
+                        .run::<Maintenance>(grid(5));
+                    // Exactly the owned subsequence, in grid order, with
+                    // grid-global indices.
+                    let owned: Vec<usize> = (k as usize..5).step_by(count as usize).collect();
+                    let indices: Vec<usize> = part.iter().map(|o| o.index).collect();
+                    assert_eq!(indices, owned, "shard {k}/{count}, {threads} thread(s)");
+                    union.extend(part);
+                }
+                union.sort_by_key(|o| o.index);
+                assert_eq!(union.len(), full.len());
+                assert!(union.iter().zip(&full).all(|(a, b)| a.bit_identical(b)));
+            }
         }
     }
 }
