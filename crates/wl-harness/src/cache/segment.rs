@@ -1223,6 +1223,159 @@ mod tests {
         assert_eq!(damaged, 0);
     }
 
+    // -----------------------------------------------------------------
+    // Same bytes as the encode-then-copy writer.
+    // -----------------------------------------------------------------
+
+    /// `EncodedRecord::encode` as it stood when the writer framed every
+    /// record on push, verbatim.
+    fn reference_encode(record: &EncodedRecord) -> Vec<u8> {
+        let mut body = Vec::with_capacity(64 + record.outcome_canon.len() / 4);
+        body.push(record.tag);
+        body.extend_from_slice(&record.content_hash.to_le_bytes());
+        body.extend_from_slice(&record.engine_version.to_le_bytes());
+        let algo = record.algo.as_bytes();
+        body.extend_from_slice(
+            &u16::try_from(algo.len())
+                .expect("algorithm names are short")
+                .to_le_bytes(),
+        );
+        body.extend_from_slice(algo);
+        push_payload(&mut body, record.spec_canon.as_bytes());
+        push_payload(&mut body, record.outcome_canon.as_bytes());
+        let crc = fnv64(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+
+        let mut out = Vec::with_capacity(4 + body.len());
+        out.extend_from_slice(
+            &u32::try_from(body.len())
+                .expect("record < 4 GiB")
+                .to_le_bytes(),
+        );
+        out.extend_from_slice(&body);
+        out
+    }
+
+    /// The segment writer as it stood when `push` encoded and copied
+    /// every record's frame, verbatim but for the encoder it calls.
+    struct ReferenceWriter<'a> {
+        capacity: u32,
+        next_ordinal: u32,
+        out: Vec<u8>,
+        block: Vec<u8>,
+        pending: Vec<&'a EncodedRecord>,
+    }
+
+    impl<'a> ReferenceWriter<'a> {
+        fn new(capacity: u32, first_ordinal: u32) -> Self {
+            Self {
+                capacity,
+                next_ordinal: first_ordinal,
+                out: Vec::new(),
+                block: Vec::new(),
+                pending: Vec::new(),
+            }
+        }
+
+        fn push(&mut self, record: &'a EncodedRecord) {
+            let encoded = reference_encode(record);
+            if !self.block.is_empty() && self.block.len() + encoded.len() > self.capacity as usize {
+                self.seal();
+            }
+            self.block.extend_from_slice(&encoded);
+            self.pending.push(record);
+        }
+
+        fn seal(&mut self) {
+            if self.block.is_empty() {
+                return;
+            }
+            let raw_block = packed_block(&self.pending);
+            let mid = wlz::hex_pack(&raw_block);
+            let stored = wlz::compress(&mid);
+            let len32 = |n: usize| u32::try_from(n).expect("segment < 4 GiB").to_le_bytes();
+            let count = len32(self.pending.len());
+            if PACKED_SEGMENT_HEADER_LEN + stored.len() < SEGMENT_HEADER_LEN + self.block.len() {
+                self.out.extend_from_slice(&SEGMENT_MAGIC_PACKED);
+                self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
+                self.out.extend_from_slice(&count);
+                self.out.extend_from_slice(&len32(stored.len()));
+                self.out.extend_from_slice(&len32(mid.len()));
+                self.out.extend_from_slice(&len32(raw_block.len()));
+                self.out.extend_from_slice(&fnv64(&stored).to_le_bytes());
+                self.out.extend_from_slice(&stored);
+                self.block.clear();
+            } else {
+                self.out.extend_from_slice(&SEGMENT_MAGIC);
+                self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
+                self.out.extend_from_slice(&count);
+                self.out.extend_from_slice(&len32(self.block.len()));
+                self.out
+                    .extend_from_slice(&fnv64(&self.block).to_le_bytes());
+                self.out.append(&mut self.block);
+            }
+            self.pending.clear();
+            self.next_ordinal += 1;
+        }
+
+        fn into_parts(mut self) -> (Vec<u8>, u32) {
+            self.seal();
+            (self.out, self.next_ordinal)
+        }
+    }
+
+    #[test]
+    fn same_bytes_as_the_encode_then_copy_writer() {
+        // Scalar and series, compressible and not, in runs and
+        // interleaved — so blocks seal plain, packed, and mixed.
+        let records: Vec<EncodedRecord> = (0..40u64)
+            .map(|i| match i % 5 {
+                0 | 1 => rec(i, i % 2 == 0),
+                2 => noisy_rec(i, true),
+                3 => noisy_rec(i, false),
+                _ => rec(i / 2, true),
+            })
+            .chain((0..6).map(|i| noisy_rec(100 + i, i % 2 == 0)))
+            .chain((0..6).map(|i| rec(200 + i, false)))
+            .collect();
+        for record in &records {
+            assert_eq!(record.encode(), reference_encode(record));
+        }
+        let mut kinds = (false, false);
+        for capacity in [1, 64, 1024, DEFAULT_SEGMENT_CAPACITY] {
+            for first_ordinal in [0, 7] {
+                // A whole batch, and an appended checkpoint continuing
+                // it, for every split point.
+                for split in [0, 1, 13, records.len()] {
+                    let (head, tail) = records.split_at(split);
+                    let mut ours = SegmentWriter::new(capacity, first_ordinal);
+                    let mut theirs = ReferenceWriter::new(capacity, first_ordinal);
+                    for r in head {
+                        ours.push(r);
+                        theirs.push(r);
+                    }
+                    let (ours, next) = ours.into_parts();
+                    let (theirs, their_next) = theirs.into_parts();
+                    assert_eq!(ours, theirs, "capacity {capacity}, first {split} records");
+                    assert_eq!(next, their_next);
+                    let mut ours = SegmentWriter::new(capacity, next);
+                    let mut theirs = ReferenceWriter::new(capacity, next);
+                    for r in tail {
+                        ours.push(r);
+                        theirs.push(r);
+                    }
+                    let (ours, next) = ours.into_parts();
+                    let (theirs, their_next) = theirs.into_parts();
+                    assert_eq!(ours, theirs, "capacity {capacity}, appended after {split}");
+                    assert_eq!(next, their_next);
+                    kinds.0 |= ours.windows(4).any(|w| w == SEGMENT_MAGIC);
+                    kinds.1 |= ours.windows(4).any(|w| w == SEGMENT_MAGIC_PACKED);
+                }
+            }
+        }
+        assert_eq!(kinds, (true, true), "both framings were written");
+    }
+
     #[test]
     fn foreign_files_are_not_binary_stores() {
         assert!(SegmentReader::new(b"").is_none());

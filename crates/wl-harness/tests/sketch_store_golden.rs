@@ -16,6 +16,10 @@
 //!    character-identical, because CI `cmp`s its output across shard
 //!    counts and machines.
 //!
+//! Beside them, `series-store.wlsb` pins the binary writer's plain
+//! segments — per-record framing and checksums — which the packed
+//! sketch fixture never exercises.
+//!
 //! Regenerate deliberately (after an intentional format change, with
 //! the engine version bumped) via:
 //!
@@ -23,13 +27,16 @@
 //! WL_UPDATE_GOLDEN=1 cargo test -p wl-harness --test sketch_store_golden
 //! ```
 //!
-//! [`ENGINE_VERSION`]: wl_harness::ENGINE_VERSION
 
 use std::path::{Path, PathBuf};
 use wl_core::Params;
+use wl_harness::cache::segment::{
+    write_file, EncodedRecord, FILE_HEADER_LEN, PACKED_SEGMENT_HEADER_LEN, SEGMENT_HEADER_LEN,
+    SEGMENT_MAGIC, SEGMENT_MAGIC_PACKED, TAG_SERIES,
+};
 use wl_harness::{
     derive_seed, store_report, Capture, DelayKind, Maintenance, ScenarioSpec, SrikanthToueg,
-    StoreFormat, SweepCache, SweepRequest, SweepStore,
+    StoreFormat, SweepCache, SweepRequest, SweepStore, ENGINE_VERSION,
 };
 use wl_time::RealTime;
 
@@ -78,9 +85,17 @@ fn built_store() -> SweepStore {
 }
 
 fn save_bytes(format: StoreFormat) -> Vec<u8> {
-    let mut store = built_store();
+    save_store(built_store(), format, "sketch")
+}
+
+/// `store`'s bytes as saved in `format`, through a temp file named
+/// after `name` (the tests in this file run concurrently).
+fn save_store(mut store: SweepStore, format: StoreFormat, name: &str) -> Vec<u8> {
     store.set_format(format);
-    let path = std::env::temp_dir().join(format!("wl-golden-{}-{format}.wls", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "wl-golden-{}-{name}-{format}.wls",
+        std::process::id()
+    ));
     store.save_to(&path).expect("save fixture candidate");
     let bytes = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
@@ -143,4 +158,105 @@ fn sketch_store_and_stats_report_match_golden_fixtures() {
             "sweep_stats transcript drifted from the golden fixture"
         );
     }
+}
+
+/// The magic of every segment in a binary store file, in file order,
+/// walked header to header (a scan for the magic bytes could match
+/// inside a compressed block).
+fn segment_magics(file: &[u8]) -> Vec<[u8; 4]> {
+    let u32_at = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
+    let mut magics = Vec::new();
+    let mut at = FILE_HEADER_LEN;
+    while at < file.len() {
+        let magic: [u8; 4] = file[at..at + 4].try_into().unwrap();
+        let header = match magic {
+            SEGMENT_MAGIC => SEGMENT_HEADER_LEN,
+            SEGMENT_MAGIC_PACKED => PACKED_SEGMENT_HEADER_LEN,
+            other => panic!("no segment magic at byte {at}: {other:?}"),
+        };
+        magics.push(magic);
+        at += header + u32_at(at + 12);
+    }
+    assert_eq!(at, file.len(), "the last segment ends the file");
+    magics
+}
+
+/// Records a store keeps from an older engine: retained verbatim,
+/// their outcome grammar never parsed. Their payloads are pseudo-random
+/// text with no lowercase hex, which no codec shrinks — the one kind of
+/// record a writer keeps in a plain segment, since canonical text,
+/// series included, always packs smaller.
+fn stale_noise_records() -> Vec<EncodedRecord> {
+    const ALPHABET: &[u8] = b"GHIJKLMNOPQRSTUVWXYZ!#%-_+ghijk";
+    let mut x = 0x57A1_E0F0_57A1_E0F1u64;
+    let mut noise = |len: usize| -> String {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ALPHABET[(x >> 58) as usize % ALPHABET.len()] as char
+            })
+            .collect()
+    };
+    (0..3)
+        .map(|i| EncodedRecord {
+            tag: TAG_SERIES,
+            content_hash: derive_seed(0x57A1_E000, i),
+            engine_version: ENGINE_VERSION - 1,
+            algo: "wl-maintenance".into(),
+            spec_canon: noise(300),
+            outcome_canon: noise(600),
+        })
+        .collect()
+}
+
+/// The plain-segment path, pinned. The sketch fixture above is one
+/// packed (`WSGZ`) segment, so it never writes a record's own framing
+/// or checksum; this one is a series-capture binary store over the same
+/// grid, written one record per segment (capacity 1, adopted from the
+/// file it was opened from) beside three stale-engine records that stay
+/// plain (`WSEG`). Its live series records pack.
+#[test]
+fn series_store_matches_golden_fixture() {
+    let path = fixture_dir().join("series-store.wlsb");
+    let stale = std::env::temp_dir().join(format!("wl-golden-{}-stale.wlsb", std::process::id()));
+    std::fs::write(&stale, write_file(&stale_noise_records(), 1)).unwrap();
+    let mut store = SweepStore::open(&stale).unwrap();
+    let _ = std::fs::remove_file(&stale);
+    let cache = SweepCache::new();
+    let _ = SweepRequest::new()
+        .threads(1)
+        .cached(&cache)
+        .capture(Capture::Series)
+        .run::<Maintenance>(fixture_grid());
+    store.absorb(&cache);
+    let binary = save_store(store, StoreFormat::Binary, "series");
+
+    if std::env::var("WL_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &binary).unwrap();
+        eprintln!("golden fixture regenerated at {}", path.display());
+    }
+
+    let frozen = std::fs::read(&path).expect("checked-in series fixture");
+    let magics = segment_magics(&frozen);
+    assert_eq!(magics.len(), 9, "one segment per record");
+    assert!(
+        magics.contains(&SEGMENT_MAGIC) && magics.contains(&SEGMENT_MAGIC_PACKED),
+        "the series fixture must hold plain and packed segments: {magics:?}"
+    );
+    assert_eq!(
+        frozen, binary,
+        "binary series store drifted from the golden fixture"
+    );
+    let loaded = SweepStore::open(&path).unwrap();
+    assert_eq!(
+        (loaded.len(), loaded.stale_records(), loaded.skipped_lines()),
+        (6, 3, 0)
+    );
+    // Saved again as loaded, the file is byte-identical.
+    assert_eq!(
+        save_store(loaded, StoreFormat::Binary, "series-resave"),
+        frozen
+    );
 }

@@ -117,7 +117,7 @@ fn main() {
 
 /// `--frontier-worker --frontier DIR --worker-id ID --store FILE
 /// [--format F] [--steal-ms T] [--crash-after-chunks M]
-/// [--hang-after-chunks M]`
+/// [--hang-after-chunks M] [--hold-until FILE]`
 fn worker_main(args: &[String]) {
     let mut it = args.iter();
     let mut frontier = None;
@@ -127,6 +127,7 @@ fn worker_main(args: &[String]) {
     let mut steal_ms = 2000u64;
     let mut crash_after_chunks = None;
     let mut hang_after_chunks: Option<usize> = None;
+    let mut hold_until = None;
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--frontier" => frontier = it.next().cloned(),
@@ -138,10 +139,23 @@ fn worker_main(args: &[String]) {
                 crash_after_chunks = Some(it.next().unwrap().parse().unwrap())
             }
             "--hang-after-chunks" => hang_after_chunks = Some(it.next().unwrap().parse().unwrap()),
+            "--hold-until" => hold_until = it.next().map(PathBuf::from),
             other => panic!("unknown worker flag {other}"),
         }
     }
     let worker = worker.expect("--worker-id");
+    if let Some(release) = hold_until {
+        // Touch nothing until the file appears.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !release.exists() {
+            assert!(
+                Instant::now() < deadline,
+                "{} never appeared",
+                release.display()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
     let cfg = FrontierWorkerConfig {
         frontier: PathBuf::from(frontier.expect("--frontier")),
         worker: worker.clone(),
@@ -278,7 +292,16 @@ fn run_drive(
     fault: Fault,
 ) -> Result<FrontierDriveReport, FrontierDriveError> {
     let format = cfg.format;
+    // A first-launch crash happens only if the faulted worker claims a
+    // chunk, and a peer can drain the whole frontier before it does. So
+    // its peers hold until the driver launches its restart — which it
+    // does only once it has seen the crash.
+    let hold = fault.crash && !fault.every_launch;
+    let restart_launched = cfg.dir.join("restart-launched");
     let command_for = move |launch: &WorkerLaunch| {
+        if hold && launch.slot == fault.slot && launch.attempt > 0 {
+            std::fs::write(&restart_launched, b"").expect("release the held peers");
+        }
         let mut cmd = Command::new(std::env::current_exe().expect("own path"));
         cmd.arg("--frontier-worker")
             .arg("--frontier")
@@ -298,6 +321,8 @@ fn run_drive(
             if fault.hang {
                 cmd.arg("--hang-after-chunks").arg("1");
             }
+        } else if hold && launch.attempt == 0 {
+            cmd.arg("--hold-until").arg(&restart_launched);
         }
         cmd
     };
@@ -415,7 +440,9 @@ fn scenario_bytes_match(kind: Kind) {
 /// A worker hard-aborted after checkpointing its first chunk — claim
 /// left orphaned, the `kill -9` shape — is restarted; the orphan is
 /// requeued after the steal timeout and re-claimed (by the restart or a
-/// peer); the merge is byte-identical anyway.
+/// peer); the merge is byte-identical anyway. The peer starts only once
+/// the restart is launched (see `run_drive`): a peer that drained the
+/// frontier first would leave the faulted worker nothing to crash on.
 fn scenario_crash_mid_sweep(kind: Kind, format: StoreFormat) {
     let mut cfg = config(kind, &format!("crash-{format}"), 2, 2);
     cfg.format = format;
