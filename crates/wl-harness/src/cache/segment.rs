@@ -39,8 +39,9 @@
 //!   like fields puts each canon right after its near-twin from the
 //!   previous record, which is exactly the redundancy an LZ window
 //!   exploits; on sketch-record stores this is what turns ~1 KB/point
-//!   into ~100 B/point, while on series-heavy blocks the plain framing
-//!   usually stays smaller and nothing changes.
+//!   into ~100 B/point. Canonical text, series included, packs smaller
+//!   in practice; a block stays plain when its payloads do not
+//!   compress, and only then are its records framed and checksummed.
 //! * **Append-friendly**: the file header does not state a segment
 //!   count; readers scan segments to EOF. A checkpoint can therefore
 //!   extend a store by appending one segment instead of rewriting the
@@ -256,6 +257,18 @@ impl<'a> Take<'a> {
     }
 }
 
+/// What a record's frame adds to its body: a `u32` length, a `u64` checksum.
+const FRAME_LEN: usize = 4 + 8;
+
+/// Closes the frame at `out[start..]` (4 placeholder bytes, then a body):
+/// appends the body's FNV-1a and writes the length covering both.
+fn close_frame(out: &mut Vec<u8>, start: usize) {
+    let crc = fnv64(&out[start + 4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    let len = u32::try_from(out.len() - start - 4).expect("record < 4 GiB");
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
 /// Reads one encoded payload (see `push_payload`) off the cursor.
 fn payload(c: &mut Take<'_>) -> Option<String> {
     let enc = c.u8()?;
@@ -301,30 +314,28 @@ impl EncodedRecord {
     /// self-checksummed body (see `docs/store-format.md` § "v3 record").
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64 + self.outcome_canon.len() / 4);
-        body.push(self.tag);
-        body.extend_from_slice(&self.content_hash.to_le_bytes());
-        body.extend_from_slice(&self.engine_version.to_le_bytes());
+        let mut out = Vec::with_capacity(64 + FRAME_LEN + self.outcome_canon.len() / 4);
+        out.extend_from_slice(&[0; 4]);
+        self.push_body(&mut out);
+        close_frame(&mut out, 0);
+        out
+    }
+
+    /// Appends this record's body short of its checksum: the fixed
+    /// fields, then both payloads in their chosen encodings.
+    fn push_body(&self, out: &mut Vec<u8>) {
+        out.push(self.tag);
+        out.extend_from_slice(&self.content_hash.to_le_bytes());
+        out.extend_from_slice(&self.engine_version.to_le_bytes());
         let algo = self.algo.as_bytes();
-        body.extend_from_slice(
+        out.extend_from_slice(
             &u16::try_from(algo.len())
                 .expect("algorithm names are short")
                 .to_le_bytes(),
         );
-        body.extend_from_slice(algo);
-        push_payload(&mut body, self.spec_canon.as_bytes());
-        push_payload(&mut body, self.outcome_canon.as_bytes());
-        let crc = fnv64(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(
-            &u32::try_from(body.len())
-                .expect("record < 4 GiB")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&body);
-        out
+        out.extend_from_slice(algo);
+        push_payload(out, self.spec_canon.as_bytes());
+        push_payload(out, self.outcome_canon.as_bytes());
     }
 
     /// Parses one record from the front of `data`, returning it and the
@@ -520,7 +531,10 @@ pub struct SegmentWriter<'a> {
     capacity: u32,
     next_ordinal: u32,
     out: Vec<u8>,
-    block: Vec<u8>,
+    /// The open segment's record bodies, back to back and unframed.
+    bodies: Vec<u8>,
+    /// Where each open record's body ends in `bodies`.
+    ends: Vec<usize>,
     /// The open segment's records, borrowed until it seals.
     pending: Vec<&'a EncodedRecord>,
 }
@@ -534,7 +548,8 @@ impl<'a> SegmentWriter<'a> {
             capacity,
             next_ordinal: first_ordinal,
             out: Vec::new(),
-            block: Vec::new(),
+            bodies: Vec::new(),
+            ends: Vec::new(),
             pending: Vec::new(),
         }
     }
@@ -544,17 +559,26 @@ impl<'a> SegmentWriter<'a> {
     /// fall) is accounted in the *plain* encoding, whether or not the
     /// sealed segment ends up packed — so boundary placement never
     /// depends on compression ratios.
+    ///
+    /// The record's body — fields and both payloads, each in its smallest
+    /// encoding — is built here, once; its frame (length and checksum)
+    /// only if the segment seals plain. The capacity rule needs just the
+    /// plain length: body + 12 bytes.
     pub fn push(&mut self, record: &'a EncodedRecord) {
-        let encoded = record.encode();
-        if !self.block.is_empty() && self.block.len() + encoded.len() > self.capacity as usize {
-            self.seal();
+        let start = self.bodies.len();
+        record.push_body(&mut self.bodies);
+        let plain = self.bodies.len() + FRAME_LEN * (self.pending.len() + 1);
+        if !self.pending.is_empty() && plain > self.capacity as usize {
+            self.seal(start);
         }
-        self.block.extend_from_slice(&encoded);
+        self.ends.push(self.bodies.len());
         self.pending.push(record);
     }
 
-    fn seal(&mut self) {
-        if self.block.is_empty() {
+    /// Seals the open segment: the pending records, whose bodies are
+    /// `self.bodies[..sealed]`.
+    fn seal(&mut self, sealed: usize) {
+        if self.pending.is_empty() {
             return;
         }
         // Candidate framings for the same records: plain (per-payload
@@ -567,7 +591,8 @@ impl<'a> SegmentWriter<'a> {
         let stored = wlz::compress(&mid);
         let len32 = |n: usize| u32::try_from(n).expect("segment < 4 GiB").to_le_bytes();
         let count = len32(self.pending.len());
-        if PACKED_SEGMENT_HEADER_LEN + stored.len() < SEGMENT_HEADER_LEN + self.block.len() {
+        let plain_len = sealed + FRAME_LEN * self.pending.len();
+        if PACKED_SEGMENT_HEADER_LEN + stored.len() < SEGMENT_HEADER_LEN + plain_len {
             self.out.extend_from_slice(&SEGMENT_MAGIC_PACKED);
             self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
             self.out.extend_from_slice(&count);
@@ -576,16 +601,26 @@ impl<'a> SegmentWriter<'a> {
             self.out.extend_from_slice(&len32(raw_block.len()));
             self.out.extend_from_slice(&fnv64(&stored).to_le_bytes());
             self.out.extend_from_slice(&stored);
-            self.block.clear();
         } else {
             self.out.extend_from_slice(&SEGMENT_MAGIC);
             self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
             self.out.extend_from_slice(&count);
-            self.out.extend_from_slice(&len32(self.block.len()));
-            self.out
-                .extend_from_slice(&fnv64(&self.block).to_le_bytes());
-            self.out.append(&mut self.block);
+            self.out.extend_from_slice(&len32(plain_len));
+            let crc_at = self.out.len();
+            self.out.extend_from_slice(&[0; 8]);
+            let mut from = 0;
+            for &end in &self.ends {
+                let frame = self.out.len();
+                self.out.extend_from_slice(&[0; 4]);
+                self.out.extend_from_slice(&self.bodies[from..end]);
+                close_frame(&mut self.out, frame);
+                from = end;
+            }
+            let crc = fnv64(&self.out[crc_at + 8..]);
+            self.out[crc_at..crc_at + 8].copy_from_slice(&crc.to_le_bytes());
         }
+        self.bodies.drain(..sealed);
+        self.ends.clear();
         self.pending.clear();
         self.next_ordinal += 1;
     }
@@ -603,7 +638,7 @@ impl<'a> SegmentWriter<'a> {
     /// checkpointer needs to keep extending the same file.
     #[must_use]
     pub fn into_parts(mut self) -> (Vec<u8>, u32) {
-        self.seal();
+        self.seal(self.bodies.len());
         (self.out, self.next_ordinal)
     }
 }
