@@ -23,12 +23,14 @@
 //! actually cause a restart, so the smoke cannot silently stop covering
 //! the restart path.
 //!
-//! `--transport subprocess|dropbox|service` (default `subprocess`)
-//! decides where the shared state lives — drive-local, under a shared
-//! drop-box directory any machine can mount, or drive-local plus the
-//! `WL_SWEEP_SERVICE` results service (requiring that env var). A
-//! frontier directory left over from a *different* grid, chunk size, or
-//! engine version is refused with a clear error naming the mismatched
+//! Everything shared lives in `--dir`: the frontier, and per worker slot
+//! a store and a log. The harvest merges every `worker-*.wls` there, so
+//! another machine sharing the directory joins by claiming from
+//! `<dir>/frontier` and checkpointing into `<dir>/worker-<id>.wls`.
+//! Workers inherit the driver's environment: with `WL_SWEEP_SERVICE`
+//! exported, the fleet resolves its chunks against that results server.
+//! A frontier directory left over from a *different* grid, chunk size,
+//! or engine version is refused with a clear error naming the mismatched
 //! field — never silently merged, never a hang.
 
 use bench::{cli, DEMO_GRID};
@@ -37,21 +39,14 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 use wl_harness::{
-    drive_frontier, run_worker_frontier, Capture, DropBoxTransport, FrontierDriveReport,
-    FrontierDriverConfig, FrontierError, FrontierWorkerConfig, Maintenance, ScenarioSpec,
-    ServiceTransport, StoreFormat, SubprocessTransport, SweepRequest, SweepRunner, SweepStore,
-    WorkerLaunch, WorkerTransport,
+    drive_frontier, run_worker_frontier, Capture, FrontierDriverConfig, FrontierError,
+    FrontierWorkerConfig, Maintenance, ScenarioSpec, StoreFormat, SubprocessTransport,
+    SweepRequest, SweepRunner, SweepStore, WorkerLaunch, WorkerTransport,
 };
 
 /// The shared flags each mode honours; any other falls to [`usage`].
-/// The worker set is exactly what `command_for` below passes.
-const DRIVER_FLAGS: &[&str] = &[
-    "--format",
-    "--compact",
-    "--transport",
-    "--chunk",
-    "--capture",
-];
+/// The worker set is exactly what the driver's launch closure passes.
+const DRIVER_FLAGS: &[&str] = &["--format", "--compact", "--chunk", "--capture"];
 const WORKER_FLAGS: &[&str] = &["--format", "--capture"];
 
 fn usage() -> ! {
@@ -61,7 +56,7 @@ fn usage() -> ! {
          sweep_drive --frontier-worker --frontier DIR --worker-id ID --store FILE \
          [--grid SIZE] [--t-end SECS] [--steal-ms T] [--poll-ms T] \
          [--crash-after-chunks M] {worker}\n\
-         --transport defaults to subprocess; --chunk is the checkpoint granule",
+         --chunk is the checkpoint granule; workers inherit WL_SWEEP_SERVICE",
         driver = cli::common_usage(DRIVER_FLAGS),
         worker = cli::common_usage(WORKER_FLAGS),
     );
@@ -148,8 +143,8 @@ fn frontier_worker_main(args: &[String]) {
     );
 }
 
-/// The driver: cut the grid into chunks, run the fleet over the chosen
-/// transport, merge, and self-check the result.
+/// The driver: cut the grid into chunks, run the fleet, merge, and
+/// self-check the result.
 fn driver_main(args: &[String]) {
     let mut it = args.iter();
     it.next(); // the "--workers" flag itself
@@ -180,7 +175,6 @@ fn driver_main(args: &[String]) {
         }
     }
     let format = common.format_or(StoreFormat::Text);
-    let transport = common.transport.as_deref().unwrap_or("subprocess");
     let capture = common.capture();
     if workers == 0 {
         usage();
@@ -202,7 +196,7 @@ fn driver_main(args: &[String]) {
     cfg.steal_timeout = Duration::from_millis(steal_ms);
     cfg.format = format;
 
-    let command_for = move |launch: &WorkerLaunch| {
+    let mut transport = SubprocessTransport::new(move |launch: &WorkerLaunch| {
         let mut cmd = Command::new(&exe);
         cmd.arg("--frontier-worker")
             .arg("--frontier")
@@ -227,29 +221,20 @@ fn driver_main(args: &[String]) {
             cmd.arg("--crash-after-chunks").arg("1");
         }
         cmd
-    };
+    });
 
-    let (report, stores) = match transport {
-        "subprocess" => drive_over(&cfg, &grid, SubprocessTransport::new(command_for)),
-        "dropbox" => drive_over(&cfg, &grid, DropBoxTransport::new(command_for)),
-        _ => {
-            // `CommonArgs::take` admits only the three names, so this is
-            // "service": it points workers at a *running* sweep_serve,
-            // whose address this CLI takes from the same env knob the
-            // workers will see.
-            let Ok(addr) = std::env::var("WL_SWEEP_SERVICE") else {
-                eprintln!(
-                    "--transport service needs WL_SWEEP_SERVICE set to a running \
-                     sweep_serve address (unix:<path> or tcp:<host>:<port>)"
-                );
-                std::process::exit(2);
-            };
-            drive_over(&cfg, &grid, ServiceTransport::new(addr, command_for))
-        }
+    // A foreign frontier (different grid, chunking, or engine) is a
+    // clear refusal, not a hang or a silent merge.
+    let fail = |e: &dyn std::fmt::Display| -> ! {
+        eprintln!("sweep_drive failed: {e}");
+        std::process::exit(1);
     };
+    let report =
+        drive_frontier::<Maintenance>(&cfg, &grid, &mut transport).unwrap_or_else(|e| fail(&e));
+    let stores = transport.stores(&cfg).unwrap_or_else(|e| fail(&e));
 
     println!(
-        "driver[{transport}]: {workers} worker(s) stealing {}-point chunks over {grid_size} grid \
+        "driver: {workers} worker(s) stealing {}-point chunks over {grid_size} grid \
          points; {} restart(s) ({} stall kill(s), {} slot(s) retired), {} claim(s) requeued; \
          merged {} store(s) = {} record(s) -> {}",
         cfg.chunk,
@@ -293,24 +278,6 @@ fn driver_main(args: &[String]) {
     }
 
     verify_merged(&cfg, &grid, report.merged_records, capture);
-}
-
-/// Runs the drive over `transport`; returns the report and the stores
-/// the transport harvested. A foreign frontier (different grid,
-/// chunking, or engine) is a clear refusal, not a hang or a silent merge.
-fn drive_over(
-    cfg: &FrontierDriverConfig,
-    grid: &[ScenarioSpec],
-    mut transport: impl WorkerTransport,
-) -> (FrontierDriveReport, Vec<PathBuf>) {
-    let fail = |e: &dyn std::fmt::Display| -> ! {
-        eprintln!("sweep_drive failed: {e}");
-        std::process::exit(1);
-    };
-    let report =
-        drive_frontier::<Maintenance>(cfg, grid, &mut transport).unwrap_or_else(|e| fail(&e));
-    let stores = transport.stores(cfg).unwrap_or_else(|e| fail(&e));
-    (report, stores)
 }
 
 /// The post-drive self-checks: exactly one record per grid point (a

@@ -2,7 +2,7 @@
 //!
 //! `sweep_drive`, `sweep_shard`, and `sweep_serve` each grew their own
 //! hand-rolled flag loops, and the flags they share — `--format`,
-//! `--compact`, `--transport`, `--chunk`, `--capture` — drifted in
+//! `--compact`, `--chunk`, `--capture` — drifted in
 //! spelling, error text, and help strings. This module owns those:
 //! every mode names the shared flags it honours and routes its flags
 //! through [`CommonArgs::take`] first, so a shared flag parses
@@ -15,10 +15,9 @@ use wl_harness::run::agreement_window;
 use wl_harness::{Capture, ScenarioSpec, StoreFormat};
 
 /// The shared flags with their usage fragments, in advertised order.
-const SHARED: [(&str, &str); 5] = [
+const SHARED: [(&str, &str); 4] = [
     ("--format", "[--format text|binary]"),
     ("--compact", "[--compact]"),
-    ("--transport", "[--transport subprocess|dropbox|service]"),
     ("--chunk", "[--chunk C]"),
     ("--capture", "[--capture scalar|sketch|series]"),
 ];
@@ -36,11 +35,6 @@ pub fn common_usage(honoured: &[&str]) -> String {
     fragments.join(" ")
 }
 
-/// The transports a `--transport` drive can ride (see
-/// `wl_harness::transport`). Parsing is centralized here so every
-/// binary accepts the same names and prints the same rejection.
-pub const TRANSPORTS: [&str; 3] = ["subprocess", "dropbox", "service"];
-
 /// Shared flags in their parsed form. `None` means "not given" — each
 /// binary applies its own default (`sweep_serve` defaults `--format`
 /// to binary, the store CLIs to text).
@@ -50,8 +44,6 @@ pub struct CommonArgs {
     pub format: Option<StoreFormat>,
     /// `--compact`: rewrite stores canonically after the run.
     pub compact: bool,
-    /// `--transport subprocess|dropbox|service`: frontier transport.
-    pub transport: Option<String>,
     /// `--chunk C`: frontier chunk size in grid points.
     pub chunk: Option<usize>,
     /// `--capture scalar|sketch|series`: what each grid point records.
@@ -77,13 +69,6 @@ impl CommonArgs {
         match flag {
             "--format" => self.format = Some(require("--format", it.next())),
             "--compact" => self.compact = true,
-            "--transport" => {
-                let t: String = require("--transport", it.next());
-                if !TRANSPORTS.contains(&t.as_str()) {
-                    bad_value("--transport", &t, "subprocess, dropbox, or service");
-                }
-                self.transport = Some(t);
-            }
             "--chunk" => {
                 let chunk: std::num::NonZeroUsize = require("--chunk", it.next());
                 self.chunk = Some(chunk.get());
@@ -142,22 +127,11 @@ pub fn demo_grid_at(size: usize, t_end: f64) -> Vec<ScenarioSpec> {
     grid
 }
 
-fn bad_value(flag: &str, got: &str, want: &str) -> ! {
-    eprintln!("{flag}: unknown value {got:?}: use {want}");
-    std::process::exit(2);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const ALL: &[&str] = &[
-        "--format",
-        "--compact",
-        "--transport",
-        "--chunk",
-        "--capture",
-    ];
+    const ALL: &[&str] = &["--format", "--compact", "--chunk", "--capture"];
 
     fn scan(honoured: &[&str], args: &[&str]) -> (CommonArgs, Vec<String>) {
         let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
@@ -181,8 +155,6 @@ mod tests {
                 "--format",
                 "binary",
                 "--compact",
-                "--transport",
-                "dropbox",
                 "--chunk",
                 "8",
                 "--capture",
@@ -192,7 +164,6 @@ mod tests {
         );
         assert_eq!(common.format, Some(StoreFormat::Binary));
         assert!(common.compact);
-        assert_eq!(common.transport.as_deref(), Some("dropbox"));
         assert_eq!(common.chunk, Some(8));
         assert_eq!(common.capture, Some(Capture::Sketch));
         assert_eq!(rest, ["--grid", "--store"]);
@@ -205,7 +176,6 @@ mod tests {
         assert_eq!(common.chunk_or(4), 4);
         assert_eq!(common.capture(), Capture::Scalar);
         assert!(!common.compact);
-        assert!(common.transport.is_none());
         assert!(rest.is_empty());
     }
 
@@ -227,14 +197,11 @@ mod tests {
             ("sweep_search", &[]),
         ];
         type Parsed = fn(&CommonArgs) -> bool;
-        let given: [(&str, &str, Parsed); 5] = [
+        let given: [(&str, &str, Parsed); 4] = [
             ("--format", "binary", |c| {
                 c.format == Some(StoreFormat::Binary)
             }),
             ("--compact", "", |c| c.compact),
-            ("--transport", "dropbox", |c| {
-                c.transport.as_deref() == Some("dropbox")
-            }),
             ("--chunk", "8", |c| c.chunk == Some(8)),
             ("--capture", "sketch", |c| {
                 c.capture == Some(Capture::Sketch)

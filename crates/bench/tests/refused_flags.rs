@@ -1,6 +1,7 @@
-//! A refused flag value is exit 2 with a message on stderr — not a panic
-//! (101) out of a sweep worker, and not after the run has left files
-//! behind. One table, in the style of `cli.rs`'s per-mode table.
+//! A refused flag value, or a flag the mode does not know, is exit 2
+//! with a message on stderr — not a panic (101) out of a sweep worker,
+//! and not after the run has left files behind. The value refusals are
+//! one table, in the style of `cli.rs`'s per-mode table.
 
 use std::process::Command;
 
@@ -54,4 +55,21 @@ fn a_horizon_too_short_for_the_agreement_window_is_exit_2() {
         );
         assert!(!dir.exists(), "{mode}: refused before touching the disk");
     }
+}
+
+/// A drive has one topology, so `--transport` is an unknown flag: usage
+/// and exit 2 before anything touches the disk, never silently ignored.
+#[test]
+fn a_transport_flag_is_an_unknown_flag() {
+    let dir = std::env::temp_dir().join(format!("wl-refused-transport-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let work = dir.to_str().expect("utf-8 temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep_drive"))
+        .args(["--workers", "1", "--transport", "subprocess", "--dir", work])
+        .output()
+        .expect("run the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage:"), "{stderr}");
+    assert!(!dir.exists(), "refused after touching the disk");
 }

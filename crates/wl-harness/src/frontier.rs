@@ -1,6 +1,6 @@
 //! The work-stealing frontier: a persisted queue of grid **chunks** that
-//! any number of workers — local subprocesses, remote machines on a
-//! shared mount, service-backed fleets — drain cooperatively.
+//! any number of workers — local subprocesses, or machines sharing the
+//! drive directory — drain cooperatively.
 //!
 //! A static `k/N` slice makes a heterogeneous fleet finish at the pace
 //! of its slowest member and makes a dead worker's slice wait for a
@@ -613,14 +613,14 @@ impl Claim {
 // The frontier worker body.
 // ---------------------------------------------------------------------------
 
-/// Configuration of one frontier worker (the subprocess side of every
-/// transport).
+/// Configuration of one frontier worker (the subprocess side of a
+/// drive).
 #[derive(Debug, Clone)]
 pub struct FrontierWorkerConfig {
     /// The frontier directory (must already be initialized).
     pub frontier: PathBuf,
-    /// This worker's claim identity — unique per launch (the transports
-    /// use `w<slot>-a<attempt>`). It becomes part of a file name, so an
+    /// This worker's claim identity — unique per launch (the driver
+    /// uses `w<slot>-a<attempt>`). It becomes part of a file name, so an
     /// empty id or one outside `[A-Za-z0-9_-]` is refused.
     pub worker: String,
     /// The worker's private store (created if missing, hydrated if
@@ -769,13 +769,6 @@ pub fn run_worker_frontier<A: SweepAlgorithm>(
         progress.hits = cache.hits();
         progress.misses = cache.misses();
         progress.records = store.len();
-        on_chunk(&progress);
-    }
-    if progress.points == 0 {
-        // A worker that never won a claim still writes a valid
-        // (header-only) store so transports that merge by enumeration
-        // find a file.
-        store.save()?;
         on_chunk(&progress);
     }
     Ok(progress)
@@ -1149,13 +1142,12 @@ mod tests {
                     .unwrap();
             assert_eq!(progress.chunks, 0, "no chunks left to claim");
             assert_eq!(progress.points, 0);
-            // A worker that wins no claim still leaves a loadable
-            // header-only store for enumerating transports to merge.
+            // A worker that wins no claim writes no store: the harvest
+            // scans for the stores that exist.
             let idle = worker_cfg(&dir, "idle", format);
             run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(5), &idle, |_| {})
                 .unwrap();
-            assert!(idle.store.exists(), "{format} header-only store written");
-            assert!(SweepStore::open(&idle.store).unwrap().is_empty());
+            assert!(!idle.store.exists(), "{format} idle worker wrote a store");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

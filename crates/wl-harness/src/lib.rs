@@ -51,11 +51,13 @@
 //! * [`frontier`] + [`transport`] — the multi-process layer:
 //!   [`run_worker_frontier`] drains a rename-based work-stealing
 //!   [`Frontier`] of grid chunks into a checkpointed, resumable store;
-//!   [`drive_frontier`] spawns the workers over a [`WorkerTransport`]
-//!   (subprocess, drop box, or service), monitors heartbeats, restarts
-//!   crashed or stalled workers under a bounded budget, and auto-merges
-//!   their stores into a store byte-identical to a 1-process run
-//!   (`sweep_drive` is the CLI).
+//!   [`drive_frontier`] spawns the workers as subprocesses over one
+//!   drive directory, monitors heartbeats, restarts crashed or stalled
+//!   workers under a bounded budget, and merges every worker store in
+//!   that directory into a store byte-identical to a 1-process run
+//!   (`sweep_drive` is the CLI). Another machine joins through a shared
+//!   directory; `WL_SWEEP_SERVICE` in the driver's environment makes
+//!   the fleet service-backed.
 //!
 //! # Quickstart
 //!
@@ -135,8 +137,8 @@ pub use sweep::{
     SweepRunner, SweepSeries, SweepSummary,
 };
 pub use transport::{
-    drive_frontier, DropBoxTransport, FrontierDriveError, FrontierDriveReport,
-    FrontierDriverConfig, ServiceTransport, SubprocessTransport, WorkerLaunch, WorkerTransport,
+    drive_frontier, FrontierDriveError, FrontierDriveReport, FrontierDriverConfig,
+    SubprocessTransport, WorkerLaunch, WorkerTransport,
 };
 
 // The algorithms, re-exported so harness users need a single import.

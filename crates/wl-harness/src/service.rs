@@ -1371,10 +1371,19 @@ impl Listener {
             }
             #[cfg(unix)]
             ServiceAddr::Unix(path) => {
-                // The server owns its socket path; a stale file from a
-                // killed predecessor must not block the restart.
-                if path.exists() {
-                    std::fs::remove_file(path)?;
+                // A stale socket from a killed predecessor must not block
+                // the restart; anything else at the path (a store, say)
+                // is refused and left untouched.
+                use std::os::unix::fs::FileTypeExt as _;
+                match std::fs::symlink_metadata(path) {
+                    Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path)?,
+                    Ok(_) => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::AlreadyExists,
+                            format!("{} exists and is not a socket", path.display()),
+                        ))
+                    }
+                    Err(_) => {}
                 }
                 let listener = UnixListener::bind(path)?;
                 Ok((Self::Unix(listener), ServiceAddr::Unix(path.clone())))
@@ -2603,5 +2612,39 @@ mod tests {
         ServiceClient::new(addr).shutdown().unwrap();
         server.join().unwrap().unwrap();
         let _ = std::fs::remove_file(&store_path);
+    }
+
+    /// A unix address pointing at something that is not a socket — a
+    /// store, say — is refused, and the file survives untouched.
+    #[cfg(unix)]
+    #[test]
+    fn unix_bind_refuses_a_regular_file() {
+        let path = tmp_store("precious");
+        std::fs::write(&path, b"precious").unwrap();
+        let err = Listener::bind(&ServiceAddr::Unix(path.clone())).expect_err("not a socket");
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), b"precious");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A listener dropped without cleanup (a killed server) leaves its
+    /// socket file behind; the next bind replaces it and listens.
+    #[cfg(unix)]
+    #[test]
+    fn unix_bind_replaces_a_stale_socket() {
+        let path =
+            std::env::temp_dir().join(format!("wl-service-{}-stale.sock", std::process::id()));
+        let addr = ServiceAddr::Unix(path.clone());
+        let _ = std::fs::remove_file(&path);
+        drop(Listener::bind(&addr).expect("first bind"));
+        assert!(path.exists(), "a dropped listener leaves its socket file");
+        let (listener, _) = Listener::bind(&addr).expect("stale socket replaced");
+        assert!(UnixStream::connect(&path).is_ok(), "the new socket listens");
+        drop(listener);
+        std::fs::remove_file(&path).unwrap();
     }
 }

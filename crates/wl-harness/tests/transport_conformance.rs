@@ -1,39 +1,33 @@
 //! The transport conformance suite: the driver's contracts, proven
-//! **per transport** against the work-stealing frontier — with real
-//! subprocesses (this test binary re-enters itself as the worker,
-//! `argv[1] == "--frontier-worker"`, and as the sweep service,
-//! `argv[1] == "--serve"`; hence `harness = false` in the manifest).
+//! against the work-stealing frontier with real subprocesses (this test
+//! binary re-enters itself as the worker, `argv[1] == "--frontier-worker"`,
+//! and as the sweep service, `argv[1] == "--serve"`; hence
+//! `harness = false` in the manifest). A drive has one topology — the
+//! drive directory — so each scenario runs once:
 //!
-//! The suite is one set of scenario functions and one macro
-//! ([`conformance!`]) that stamps them out for every
-//! [`WorkerTransport`] backend — adding a fourth transport means adding
-//! one macro line, zero new assertions:
-//!
-//! 1. **bytes** — an N-worker drive merges byte-identical to the
-//!    1-process reference store, ragged last chunk included;
+//! 1. **bytes** — a 3-worker drive merges byte-identical to the
+//!    1-process reference store, ragged last chunk included; a completed
+//!    3-worker directory re-driven by one worker, its output deleted,
+//!    merges the same bytes from stores that worker's slot does not own;
 //! 2. **crash** — a worker hard-aborted after checkpointing its first
 //!    chunk (claim left orphaned — the `kill -9` shape) is restarted,
 //!    the orphan is requeued and stolen, and the merge is still
-//!    byte-identical;
+//!    byte-identical, with text stores and again with binary ones;
 //! 3. **stall** — a worker that wedges (alive, no progress, no peers to
 //!    steal around it) is `SIGKILL`ed on heartbeat timeout, restarted,
 //!    resumes from its checkpoints, and the merge is byte-identical;
 //! 4. **exhaust** — a worker that crashes on every launch retires its
 //!    slot; with no surviving slots the drive fails with
-//!    `WorkersExhausted`, never hangs.
-//!
-//! Four more legs run on the subprocess transport only (they pin the
-//! worker's store handling and the monitor's clock, which no transport
-//! touches):
-//!
+//!    `WorkersExhausted`, never hangs;
 //! 5. **resume, not redo** — a lone worker crashed after its first chunk
 //!    restarts with exactly that chunk as cache hits;
 //! 6. **damaged store** — a worker store truncated mid-record, then at a
 //!    record boundary, costs exactly the lost record on a re-drive;
-//! 7. **binary format** — the crash scenario with binary worker stores
-//!    and a binary merged store, smaller than the text one;
-//! 8. **wake on exit** — a drive whose monitor polls every 30 s still
-//!    returns the moment its last worker exits.
+//! 7. **wake on exit** — a drive whose monitor polls every 30 s still
+//!    returns the moment its last worker exits;
+//! 8. **service fleet** — workers launched with `WL_SWEEP_SERVICE` set
+//!    merge the reference bytes, and the server, asked before shutdown,
+//!    holds every record: the fleet really went through it.
 //!
 //! Chunk-interleaving determinism beyond these fixed schedules is pinned
 //! by `tests/frontier_determinism.rs` (proptest, no subprocesses).
@@ -44,10 +38,10 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use wl_core::Params;
 use wl_harness::{
-    derive_seed, drive_frontier, run_worker_frontier, Capture, DelayKind, DropBoxTransport,
-    FrontierDriveError, FrontierDriveReport, FrontierDriverConfig, FrontierWorkerConfig,
-    Maintenance, ScenarioSpec, ServiceAddr, ServiceClient, ServiceTransport, StoreFormat,
-    SubprocessTransport, SweepCache, SweepRequest, SweepRunner, SweepStore, WorkerLaunch,
+    derive_seed, drive_frontier, run_worker_frontier, Capture, DelayKind, FrontierDriveError,
+    FrontierDriveReport, FrontierDriverConfig, FrontierWorkerConfig, Maintenance, ScenarioSpec,
+    ServiceAddr, ServiceClient, StoreFormat, SubprocessTransport, SweepCache, SweepRequest,
+    SweepRunner, SweepStore, WorkerLaunch,
 };
 use wl_time::RealTime;
 
@@ -72,18 +66,6 @@ fn grid() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Stamps the four conformance scenarios out for each transport kind.
-macro_rules! conformance {
-    ($($kind:expr),+ $(,)?) => {
-        $(
-            scenario_bytes_match($kind);
-            scenario_crash_mid_sweep($kind, StoreFormat::Text);
-            scenario_stall_kill($kind);
-            scenario_retry_exhaustion($kind);
-        )+
-    };
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
@@ -98,17 +80,21 @@ fn main() {
         _ => {}
     }
 
-    // The whole suite, per transport. A fourth backend = one more line.
-    conformance!(Kind::Subprocess, Kind::DropBox, Kind::Service);
+    scenario_bytes_match();
+    scenario_redrive_harvests_every_store();
+    scenario_crash_mid_sweep(StoreFormat::Text);
+    scenario_crash_mid_sweep(StoreFormat::Binary);
+    scenario_stall_kill();
+    scenario_retry_exhaustion();
     scenario_crash_resumes_not_redoes();
     scenario_damaged_store_costs_only_the_tail();
     scenario_completion_is_noticed_when_it_happens();
-    scenario_crash_mid_sweep(Kind::Subprocess, StoreFormat::Binary);
+    scenario_service_fleet();
     assert!(
         reference_bytes(StoreFormat::Binary).len() < reference_bytes(StoreFormat::Text).len(),
         "binary merged store not smaller than text"
     );
-    println!("transport_conformance: all scenarios passed on all transports");
+    println!("transport_conformance: all scenarios passed");
 }
 
 // ---------------------------------------------------------------------------
@@ -187,7 +173,7 @@ fn worker_main(args: &[String]) {
 }
 
 // ---------------------------------------------------------------------------
-// Server mode (for the service transport legs).
+// Server mode (for the service fleet).
 // ---------------------------------------------------------------------------
 
 /// `--serve --socket PATH --store FILE`
@@ -213,26 +199,8 @@ fn serve_main(args: &[String]) {
 }
 
 // ---------------------------------------------------------------------------
-// The transport-parameterized fixture.
+// The fixture.
 // ---------------------------------------------------------------------------
-
-/// Which backend a scenario runs against.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Subprocess,
-    DropBox,
-    Service,
-}
-
-impl Kind {
-    fn label(self) -> &'static str {
-        match self {
-            Self::Subprocess => "subprocess",
-            Self::DropBox => "dropbox",
-            Self::Service => "service",
-        }
-    }
-}
 
 /// Per-slot fault injection for one drive.
 #[derive(Clone, Copy, Default)]
@@ -245,6 +213,10 @@ struct Fault {
     every_launch: bool,
     /// `--hang-after-chunks 1` on this slot's first launch.
     hang: bool,
+    /// This slot's first launch holds for a file that never appears: it
+    /// claims nothing, and the driver kills it once its peers complete
+    /// the frontier.
+    idle: bool,
 }
 
 struct Server {
@@ -283,21 +255,23 @@ impl Server {
     }
 }
 
-/// One frontier drive over transport `kind` with fault `fault`; worker
-/// stores take `cfg.format`. The service legs spawn (and shut down) a
-/// real server subprocess around the drive.
+/// One frontier drive with fault `fault`; worker stores take
+/// `cfg.format`. Workers see `WL_SWEEP_SERVICE` set to `service`, or
+/// `off` so an inherited one cannot turn misses into hits.
 fn run_drive(
-    kind: Kind,
     cfg: &FrontierDriverConfig,
     fault: Fault,
+    service: Option<&ServiceAddr>,
 ) -> Result<FrontierDriveReport, FrontierDriveError> {
     let format = cfg.format;
+    let service = service.map_or_else(|| "off".to_string(), ToString::to_string);
     // A first-launch crash happens only if the faulted worker claims a
     // chunk, and a peer can drain the whole frontier before it does. So
     // its peers hold until the driver launches its restart — which it
     // does only once it has seen the crash.
     let hold = fault.crash && !fault.every_launch;
     let restart_launched = cfg.dir.join("restart-launched");
+    let never = cfg.dir.join("never");
     let command_for = move |launch: &WorkerLaunch| {
         if hold && launch.slot == fault.slot && launch.attempt > 0 {
             std::fs::write(&restart_launched, b"").expect("release the held peers");
@@ -313,7 +287,8 @@ fn run_drive(
             .arg("--format")
             .arg(format.to_string())
             .arg("--steal-ms")
-            .arg("400");
+            .arg("400")
+            .env("WL_SWEEP_SERVICE", &service);
         if launch.slot == fault.slot && (launch.attempt == 0 || fault.every_launch) {
             if fault.crash {
                 cmd.arg("--crash-after-chunks").arg("1");
@@ -321,37 +296,19 @@ fn run_drive(
             if fault.hang {
                 cmd.arg("--hang-after-chunks").arg("1");
             }
+            if fault.idle {
+                cmd.arg("--hold-until").arg(&never);
+            }
         } else if hold && launch.attempt == 0 {
             cmd.arg("--hold-until").arg(&restart_launched);
         }
         cmd
     };
-    match kind {
-        Kind::Subprocess => {
-            drive_frontier::<Maintenance>(cfg, &grid(), &mut SubprocessTransport::new(command_for))
-        }
-        Kind::DropBox => {
-            drive_frontier::<Maintenance>(cfg, &grid(), &mut DropBoxTransport::new(command_for))
-        }
-        Kind::Service => {
-            let server = Server::spawn(&cfg.dir);
-            let result = drive_frontier::<Maintenance>(
-                cfg,
-                &grid(),
-                &mut ServiceTransport::new(server.addr.to_string(), command_for),
-            );
-            server.shutdown();
-            result
-        }
-    }
+    drive_frontier::<Maintenance>(cfg, &grid(), &mut SubprocessTransport::new(command_for))
 }
 
-fn config(kind: Kind, name: &str, workers: u32, chunk: usize) -> FrontierDriverConfig {
-    let dir = std::env::temp_dir().join(format!(
-        "wl-conform-{}-{}-{name}",
-        std::process::id(),
-        kind.label()
-    ));
+fn config(name: &str, workers: u32, chunk: usize) -> FrontierDriverConfig {
+    let dir = std::env::temp_dir().join(format!("wl-conform-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join("merged.wls");
@@ -406,34 +363,60 @@ fn final_hits_misses(log: &Path) -> (u64, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// The scenarios — written once, run per transport by `conformance!`.
+// The scenarios.
 // ---------------------------------------------------------------------------
 
 /// 3 workers stealing 3-point chunks (ragged 2-point last chunk) merge
 /// byte-identical to the 1-process reference.
-fn scenario_bytes_match(kind: Kind) {
-    let cfg = config(kind, "bytes", 3, 3);
-    let report = run_drive(kind, &cfg, Fault::default()).expect("clean drive");
+fn scenario_bytes_match() {
+    let cfg = config("bytes", 3, 3);
+    let report = run_drive(&cfg, Fault::default(), None).expect("clean drive");
     assert_eq!(report.merged_records, GRID);
     assert_eq!(report.restarts, 0);
-    // At least one deposited store must be harvested; a worker that
-    // never won a claim may be reaped before it writes its header-only
-    // store, so an exact count is transport timing, not contract.
-    assert!(
-        report.stores_merged >= 1,
-        "no worker store harvested on {}",
-        kind.label()
-    );
+    // A worker that never won a claim writes no store, so how many
+    // stores there are is timing, not contract.
+    assert!(report.stores_merged >= 1, "no worker store harvested");
     assert_eq!(
         std::fs::read(&cfg.out).unwrap(),
         reference_bytes(StoreFormat::Text),
-        "[{}] 3-worker merged store != 1-process reference",
-        kind.label()
+        "3-worker merged store != 1-process reference"
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
+    println!("ok: 3-worker drive byte-identical to 1-process run");
+}
+
+/// A completed 3-worker directory, its output deleted, re-driven by one
+/// worker: the frontier is already complete, so the harvest alone must
+/// rebuild the bytes. Slot 0 idles through the first drive, so every
+/// record lives in a store the re-drive's one slot does not own.
+fn scenario_redrive_harvests_every_store() {
+    let cfg = config("redrive", 3, 3);
+    let idle = Fault {
+        slot: 0,
+        idle: true,
+        ..Fault::default()
+    };
+    let report = run_drive(&cfg, idle, None).expect("3-worker drive");
+    assert!(!cfg.worker_store(0).exists(), "the idle slot wrote a store");
+    assert!(report.stores_merged >= 1);
+    assert_eq!(
+        std::fs::read(&cfg.out).unwrap(),
+        reference_bytes(StoreFormat::Text)
+    );
+
+    std::fs::remove_file(&cfg.out).unwrap();
+    let solo = FrontierDriverConfig { workers: 1, ..cfg };
+    let again = run_drive(&solo, Fault::default(), None).expect("1-worker re-drive");
+    assert_eq!(again.stores_merged, report.stores_merged);
+    assert_eq!(
+        std::fs::read(&solo.out).unwrap(),
+        reference_bytes(StoreFormat::Text),
+        "1-worker re-drive of a 3-worker directory != 1-process reference"
+    );
+    let _ = std::fs::remove_dir_all(&solo.dir);
     println!(
-        "ok [{}]: N-worker drive byte-identical to 1-process run",
-        kind.label()
+        "ok: a 1-worker re-drive merges the {} store(s) its slot does not own",
+        report.stores_merged
     );
 }
 
@@ -443,20 +426,16 @@ fn scenario_bytes_match(kind: Kind) {
 /// peer); the merge is byte-identical anyway. The peer starts only once
 /// the restart is launched (see `run_drive`): a peer that drained the
 /// frontier first would leave the faulted worker nothing to crash on.
-fn scenario_crash_mid_sweep(kind: Kind, format: StoreFormat) {
-    let mut cfg = config(kind, &format!("crash-{format}"), 2, 2);
+fn scenario_crash_mid_sweep(format: StoreFormat) {
+    let mut cfg = config(&format!("crash-{format}"), 2, 2);
     cfg.format = format;
     let fault = Fault {
         slot: 0,
         crash: true,
         ..Fault::default()
     };
-    let report = run_drive(kind, &cfg, fault).expect("crash drive");
-    assert!(
-        report.restarts >= 1,
-        "[{}] the injected crash must restart",
-        kind.label()
-    );
+    let report = run_drive(&cfg, fault, None).expect("crash drive");
+    assert!(report.restarts >= 1, "the injected crash must restart");
     assert_eq!(report.merged_records, GRID);
     assert_eq!(report.skipped_lines, 0, "checkpoints load clean");
     let merged = std::fs::read(&cfg.out).unwrap();
@@ -468,30 +447,25 @@ fn scenario_crash_mid_sweep(kind: Kind, format: StoreFormat) {
     assert_eq!(
         merged,
         reference_bytes(format),
-        "[{}] post-crash {format} merged store != 1-process reference",
-        kind.label()
+        "post-crash {format} merged store != 1-process reference"
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
-    println!(
-        "ok [{}]: kill-mid-sweep restart converges byte-identically ({format})",
-        kind.label()
-    );
+    println!("ok: kill-mid-sweep restart converges byte-identically ({format})");
 }
 
 /// A lone worker hard-aborted after checkpointing its first chunk is
 /// restarted and *resumes*: the restart re-claims the orphaned chunk once
 /// it is requeued and serves it from its hydrated store, so its
 /// completion line reads one chunk of hits and the rest of the grid as
-/// misses. (Subprocess only: a service tier would turn misses into hits.)
+/// misses.
 fn scenario_crash_resumes_not_redoes() {
-    let kind = Kind::Subprocess;
-    let cfg = config(kind, "resume", 1, 2);
+    let cfg = config("resume", 1, 2);
     let fault = Fault {
         slot: 0,
         crash: true,
         ..Fault::default()
     };
-    let report = run_drive(kind, &cfg, fault).expect("resume drive");
+    let report = run_drive(&cfg, fault, None).expect("resume drive");
     assert_eq!(report.restarts, 1, "exactly the injected crash restarted");
     assert_eq!(
         final_hits_misses(&cfg.worker_log(0)),
@@ -503,7 +477,7 @@ fn scenario_crash_resumes_not_redoes() {
         reference_bytes(StoreFormat::Text)
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
-    println!("ok [subprocess]: crashed worker resumed from its checkpoint");
+    println!("ok: crashed worker resumed from its checkpoint");
 }
 
 /// The parent is not the clock: a monitor that polls every 30 s still
@@ -511,10 +485,10 @@ fn scenario_crash_resumes_not_redoes() {
 /// milliseconds in. The one wall-clock bound in this suite, at a 1000×
 /// margin: a monitor that only slept `poll` would take the full 30 s.
 fn scenario_completion_is_noticed_when_it_happens() {
-    let mut cfg = config(Kind::Subprocess, "wake", 2, 4);
+    let mut cfg = config("wake", 2, 4);
     cfg.poll = Duration::from_secs(30);
     let started = Instant::now();
-    let report = run_drive(Kind::Subprocess, &cfg, Fault::default()).expect("clean drive");
+    let report = run_drive(&cfg, Fault::default(), None).expect("clean drive");
     let took = started.elapsed();
     assert!(took < cfg.poll, "the drive waited out its poll: {took:?}");
     assert_eq!((report.merged_records, report.restarts), (GRID, 0));
@@ -523,7 +497,7 @@ fn scenario_completion_is_noticed_when_it_happens() {
         reference_bytes(StoreFormat::Text)
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
-    println!("ok [subprocess]: completion noticed in {took:?}, not at the 30 s poll");
+    println!("ok: completion noticed in {took:?}, not at the 30 s poll");
 }
 
 /// A worker store damaged *between* drives — truncated mid-record, then
@@ -531,10 +505,9 @@ fn scenario_completion_is_noticed_when_it_happens() {
 /// into the same directory (the loader skips the tear, the worker
 /// re-simulates only that point), and the merge is byte-identical.
 fn scenario_damaged_store_costs_only_the_tail() {
-    let kind = Kind::Subprocess;
-    let cfg = config(kind, "truncate", 1, 3);
-    let store = cfg.dir.join("worker-0.wls");
-    run_drive(kind, &cfg, Fault::default()).expect("initial drive");
+    let cfg = config("truncate", 1, 3);
+    let store = cfg.worker_store(0);
+    run_drive(&cfg, Fault::default(), None).expect("initial drive");
     assert_eq!(
         std::fs::read(&cfg.out).unwrap(),
         reference_bytes(StoreFormat::Text)
@@ -557,10 +530,10 @@ fn scenario_damaged_store_costs_only_the_tail() {
 
         // A fresh frontier and log, so every chunk is re-claimed and the
         // completion line below belongs to this drive.
-        std::fs::remove_dir_all(cfg.dir.join("frontier")).unwrap();
+        std::fs::remove_dir_all(cfg.frontier_dir()).unwrap();
         std::fs::remove_file(cfg.worker_log(0)).unwrap();
         std::fs::remove_file(&cfg.out).unwrap();
-        run_drive(kind, &cfg, Fault::default()).expect("resume drive");
+        run_drive(&cfg, Fault::default(), None).expect("resume drive");
         assert_eq!(
             final_hits_misses(&cfg.worker_log(0)),
             (GRID as u64 - 1, 1),
@@ -573,7 +546,7 @@ fn scenario_damaged_store_costs_only_the_tail() {
         );
     }
     let _ = std::fs::remove_dir_all(&cfg.dir);
-    println!("ok [subprocess]: mid-record and boundary truncations cost exactly the damaged tail");
+    println!("ok: mid-record and boundary truncations cost exactly the damaged tail");
 }
 
 /// A single wedged worker — alive, no progress, and *no peers* to steal
@@ -581,8 +554,8 @@ fn scenario_damaged_store_costs_only_the_tail() {
 /// restart resumes from its checkpoints and the merge is byte-identical.
 /// (One worker on purpose: with peers, work stealing would mask the
 /// stall instead of exercising the kill path.)
-fn scenario_stall_kill(kind: Kind) {
-    let mut cfg = config(kind, "stall", 1, 3);
+fn scenario_stall_kill() {
+    let mut cfg = config("stall", 1, 3);
     // Generous relative to a healthy worker's inter-chunk time (tens of
     // ms even in debug builds) so only the deliberately hung worker can
     // ever trip it.
@@ -592,33 +565,24 @@ fn scenario_stall_kill(kind: Kind) {
         hang: true,
         ..Fault::default()
     };
-    let report = run_drive(kind, &cfg, fault).expect("stall drive");
-    assert_eq!(
-        report.stall_kills,
-        1,
-        "[{}] the hung worker was SIGKILLed",
-        kind.label()
-    );
+    let report = run_drive(&cfg, fault, None).expect("stall drive");
+    assert_eq!(report.stall_kills, 1, "the hung worker was SIGKILLed");
     assert_eq!(report.restarts, 1);
     assert_eq!(report.merged_records, GRID);
     assert_eq!(
         std::fs::read(&cfg.out).unwrap(),
         reference_bytes(StoreFormat::Text),
-        "[{}] post-stall merged store != 1-process reference",
-        kind.label()
+        "post-stall merged store != 1-process reference"
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
-    println!(
-        "ok [{}]: stalled worker killed, restarted; drive converged",
-        kind.label()
-    );
+    println!("ok: stalled worker killed, restarted; drive converged");
 }
 
 /// A worker that crashes on **every** launch exhausts its restart budget
 /// and retires its slot; with no slots left the drive fails with
 /// `WorkersExhausted` — a clear error, never a hang.
-fn scenario_retry_exhaustion(kind: Kind) {
-    let mut cfg = config(kind, "exhaust", 1, 2);
+fn scenario_retry_exhaustion() {
+    let mut cfg = config("exhaust", 1, 2);
     cfg.max_restarts = 1;
     let fault = Fault {
         slot: 0,
@@ -626,20 +590,37 @@ fn scenario_retry_exhaustion(kind: Kind) {
         every_launch: true,
         ..Fault::default()
     };
-    let err = run_drive(kind, &cfg, fault).expect_err("budget must run out");
-    match err {
+    match run_drive(&cfg, fault, None).expect_err("budget must run out") {
         FrontierDriveError::WorkersExhausted { chunks_left, .. } => {
-            assert!(
-                chunks_left >= 1,
-                "[{}] chunks must remain unfinished",
-                kind.label()
-            );
+            assert!(chunks_left >= 1, "chunks must remain unfinished");
         }
-        other => panic!("[{}] expected WorkersExhausted, got {other}", kind.label()),
+        other => panic!("expected WorkersExhausted, got {other}"),
     }
     let _ = std::fs::remove_dir_all(&cfg.dir);
-    println!(
-        "ok [{}]: restart-budget exhaustion fails the drive cleanly",
-        kind.label()
+    println!("ok: restart-budget exhaustion fails the drive cleanly");
+}
+
+/// A service-backed fleet is a drive whose workers see
+/// `WL_SWEEP_SERVICE`: they offer each chunk to the server and push what
+/// they simulate back. The merge is the reference bytes, and the server,
+/// asked before it shuts down, holds every record — a tier that quietly
+/// fell back to local simulation would leave it empty.
+fn scenario_service_fleet() {
+    let cfg = config("service", 3, 3);
+    let server = Server::spawn(&cfg.dir);
+    let report = run_drive(&cfg, Fault::default(), Some(&server.addr));
+    let stats = ServiceClient::new(server.addr.clone())
+        .stats()
+        .expect("stats");
+    server.shutdown();
+    let report = report.expect("service-backed drive");
+    assert_eq!(report.merged_records, GRID);
+    assert_eq!(stats.records, GRID as u64, "the server holds every record");
+    assert_eq!(
+        std::fs::read(&cfg.out).unwrap(),
+        reference_bytes(StoreFormat::Text),
+        "service-backed merged store != 1-process reference"
     );
+    let _ = std::fs::remove_dir_all(&cfg.dir);
+    println!("ok: service-backed fleet byte-identical; the server holds all {GRID} records");
 }
