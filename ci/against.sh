@@ -3,8 +3,9 @@
 # <rev> out as a git worktree under a temporary directory (local history
 # only), builds it and this checkout, and checks that the two builds
 # write, serve and finish each other's stores byte for byte:
-#   1. `sweep_shard --shard 0/1` stores at every capture x format;
-#   2. a 2-worker `sweep_drive`, on each side;
+#   1. `sweep_shard --shard 0/1` stores at every capture, each side's
+#      store exported through its own `--migrate` in both layouts;
+#   2. a 2-worker `sweep_drive`, on each side, compared the same way;
 #   3. a sweep cache <rev> populated serves this checkout's `paper_report`
 #      with zero simulations, and the transcript is docs/paper-report.txt;
 #   4. a <rev> server answers this checkout's client, and the reverse;
@@ -46,24 +47,37 @@ same() { # <expected> <actual>
   files=$((files + 1))
 }
 
-# 1. Shard stores, every capture x format.
-for capture in scalar sketch series; do
-  for format in text binary; do
-    for side in base change; do
-      "${bin[$side]}/sweep_shard" --shard 0/1 --capture "$capture" --format "$format" \
-        --store "$side-$capture-$format.wls" > /dev/null
-    done
-    same "base-$capture-$format.wls" "change-$capture-$format.wls"
+# Exports <side>-<name>.wls through <side>'s own `--migrate` to
+# <side>-<name>-binary.wls and <side>-<name>-text.wls, so the comparison
+# does not depend on which layout either side writes by default.
+export_both() { # <side> <name>
+  for format in binary text; do
+    "${bin[$1]}/sweep_shard" --migrate "$1-$2.wls" "$1-$2-$format.wls" --format $format > /dev/null
   done
+}
+# Compares both layouts of <name> across the two sides.
+same_both() { # <name>
+  for format in binary text; do same "base-$1-$format.wls" "change-$1-$format.wls"; done
+}
+
+# 1. Shard stores, every capture x layout; the change's store as written
+#    is the binary layout.
+for capture in scalar sketch series; do
+  for side in base change; do
+    "${bin[$side]}/sweep_shard" --shard 0/1 --capture "$capture" --store "$side-$capture.wls" > /dev/null
+    export_both $side $capture
+  done
+  same_both $capture
+  same "base-$capture-binary.wls" "change-$capture.wls"
 done
-reference=change-scalar-text.wls
 
 # 2. A 2-worker drive on each side.
 for side in base change; do
   "${bin[$side]}/sweep_drive" --workers 2 --dir "$side-drive" --out "$side-drive.wls" > /dev/null
+  export_both $side drive
 done
-same base-drive.wls change-drive.wls
-same "$reference" change-drive.wls
+same_both drive
+same change-scalar-binary.wls change-drive.wls
 
 # 3. A cache the base populated serves the change's report, warm.
 WL_SWEEP_CACHE_DIR=cache "${bin[base]}/paper_report" > base-report.txt 2> /dev/null
@@ -73,7 +87,7 @@ same "$root/docs/paper-report.txt" change-report.txt
 # 4. Over the wire, each side's server under the other side's client:
 #    a cold pass the server simulates, then a fresh client served
 #    entirely over the wire. The server's store is the local one.
-WL_SWEEP_FORMAT=binary WL_SWEEP_CACHE_DIR=local "${bin[change]}/paper_report" agreement > local.txt 2> /dev/null
+WL_SWEEP_CACHE_DIR=local "${bin[change]}/paper_report" agreement > local.txt 2> /dev/null
 for pair in base:change change:base; do
   server=${pair%:*} client=${pair#*:}
   sock=$out/$server-serves-$client.sock
@@ -104,7 +118,8 @@ rc=0
 ("${bin[base]}/sweep_drive" --frontier-worker --frontier $d/frontier --worker-id w1-a0 \
   --store $d/worker-1.wls --crash-after-chunks 2; exit) > /dev/null 2>&1 || rc=$?
 [ $rc != 0 ] || { echo "against: the $rev slot-1 worker did not crash" >&2; exit 1; }
-"${bin[change]}/sweep_drive" --workers 1 --steal-ms 500 --dir $d --out $d/merged.wls > /dev/null
-same "$reference" $d/merged.wls
+"${bin[change]}/sweep_drive" --workers 1 --steal-ms 500 --dir $d --out change-$d.wls > /dev/null
+export_both change $d
+for format in binary text; do same "change-scalar-$format.wls" "change-$d-$format.wls"; done
 
 echo "against $rev: $files files byte-identical"

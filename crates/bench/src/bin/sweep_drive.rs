@@ -40,14 +40,16 @@ use std::process::Command;
 use std::time::Duration;
 use wl_harness::{
     drive_frontier, run_worker_frontier, Capture, FrontierDriverConfig, FrontierError,
-    FrontierWorkerConfig, Maintenance, ScenarioSpec, StoreFormat, SubprocessTransport,
-    SweepRequest, SweepRunner, SweepStore, WorkerLaunch, WorkerTransport,
+    FrontierWorkerConfig, Maintenance, ScenarioSpec, SubprocessTransport, SweepRequest,
+    SweepRunner, SweepStore, WorkerLaunch, WorkerTransport,
 };
 
 /// The shared flags each mode honours; any other falls to [`usage`].
 /// The worker set is exactly what the driver's launch closure passes.
-const DRIVER_FLAGS: &[&str] = &["--format", "--compact", "--chunk", "--capture"];
-const WORKER_FLAGS: &[&str] = &["--format", "--capture"];
+/// Every store a drive writes is binary (`sweep_shard --migrate` exports
+/// text).
+const DRIVER_FLAGS: &[&str] = &["--compact", "--chunk", "--capture"];
+const WORKER_FLAGS: &[&str] = &["--capture"];
 
 fn usage() -> ! {
     eprintln!(
@@ -106,18 +108,14 @@ fn frontier_worker_main(args: &[String]) {
             _ => usage(),
         }
     }
-    let format = common.format_or(StoreFormat::Text);
     let worker = worker.unwrap_or_else(|| usage());
-    let cfg = FrontierWorkerConfig {
-        frontier: PathBuf::from(frontier.unwrap_or_else(|| usage())),
-        worker: worker.clone(),
-        store: PathBuf::from(store.unwrap_or_else(|| usage())),
-        format,
-        steal_timeout: Duration::from_millis(steal_ms),
-        poll: Duration::from_millis(poll_ms),
-        crash_after_chunks,
-        capture: common.capture(),
-    };
+    let frontier = frontier.unwrap_or_else(|| usage());
+    let store = store.unwrap_or_else(|| usage());
+    let mut cfg = FrontierWorkerConfig::new(frontier, worker.clone(), store);
+    cfg.steal_timeout = Duration::from_millis(steal_ms);
+    cfg.poll = Duration::from_millis(poll_ms);
+    cfg.crash_after_chunks = crash_after_chunks;
+    cfg.capture = common.capture();
     let progress = run_worker_frontier::<Maintenance>(
         &SweepRunner::new(),
         cli::demo_grid_at(grid_size, t_end),
@@ -174,7 +172,6 @@ fn driver_main(args: &[String]) {
             _ => usage(),
         }
     }
-    let format = common.format_or(StoreFormat::Text);
     let capture = common.capture();
     if workers == 0 {
         usage();
@@ -194,7 +191,6 @@ fn driver_main(args: &[String]) {
     cfg.max_restarts = retries;
     cfg.stall_timeout = stall_ms.map(Duration::from_millis);
     cfg.steal_timeout = Duration::from_millis(steal_ms);
-    cfg.format = format;
 
     let mut transport = SubprocessTransport::new(move |launch: &WorkerLaunch| {
         let mut cmd = Command::new(&exe);
@@ -209,8 +205,6 @@ fn driver_main(args: &[String]) {
             .arg(grid_size.to_string())
             .arg("--t-end")
             .arg(t_end.to_string())
-            .arg("--format")
-            .arg(format.to_string())
             .arg("--capture")
             .arg(capture.to_string())
             .arg("--steal-ms")

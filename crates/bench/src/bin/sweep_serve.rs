@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! # Serve a store on a unix socket (or --tcp 127.0.0.1:7171):
-//! sweep_serve --socket /tmp/wl.sock --store sweeps.wls --format binary
+//! sweep_serve --socket /tmp/wl.sock --store sweeps.wls
 //!
 //! # Point the paper report (or any cached sweep) at it:
 //! WL_SWEEP_SERVICE=unix:/tmp/wl.sock cargo run --release -p bench --bin paper_report -- agreement
@@ -19,19 +19,14 @@
 //! clients observe the death and fall back to local simulation, and a
 //! restarted server serves the checkpointed prefix.
 
-use bench::cli;
 use std::path::PathBuf;
-use wl_harness::{serve, ServeConfig, ServiceAddr, ServiceClient, StoreFormat};
-
-/// The one shared flag the server honours; any other falls to [`usage`].
-const SERVE_FLAGS: &[&str] = &["--format"];
+use wl_harness::{serve, ServeConfig, ServiceAddr, ServiceClient};
 
 fn usage() -> ! {
     eprintln!(
         "usage: sweep_serve --socket <path> | --tcp <addr> --store <file> \
-         [--threads <n>] [--crash-after-batches <n>] {common}\n\
-       \x20      sweep_serve --stats <spec> | --shutdown <spec>   (spec: unix:<path> | tcp:<addr>)",
-        common = cli::common_usage(SERVE_FLAGS)
+         [--threads <n>] [--crash-after-batches <n>]\n\
+       \x20      sweep_serve --stats <spec> | --shutdown <spec>   (spec: unix:<path> | tcp:<addr>)"
     );
     std::process::exit(2);
 }
@@ -47,7 +42,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr: Option<ServiceAddr> = None;
     let mut store: Option<PathBuf> = None;
-    let mut common = cli::CommonArgs::default();
     let mut threads = 0usize;
     let mut crash_after_batches = None;
     let mut stats_spec: Option<ServiceAddr> = None;
@@ -55,9 +49,6 @@ fn main() {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if common.take(SERVE_FLAGS, arg, &mut it) {
-            continue;
-        }
         let mut val = || it.next().cloned().unwrap_or_else(|| usage());
         match arg.as_str() {
             "--socket" => addr = Some(parse_spec(&format!("unix:{}", val()))),
@@ -72,8 +63,6 @@ fn main() {
             _ => usage(),
         }
     }
-    let format = common.format_or(StoreFormat::Binary);
-
     if let Some(spec) = stats_spec {
         let stats = ServiceClient::new(spec)
             .stats()
@@ -96,7 +85,6 @@ fn main() {
         usage();
     };
     let mut cfg = ServeConfig::new(addr, store);
-    cfg.format = format;
     cfg.threads = threads;
     cfg.crash_after_batches = crash_after_batches;
     let report = serve(&cfg, |resolved| {

@@ -17,23 +17,21 @@
 //! ```
 
 use bench::{cli, enforce_expected_misses_on, DEMO_GRID};
-use wl_harness::{
-    Maintenance, Shard, StoreFormat, SweepCache, SweepRequest, SweepStore, SweepSummary,
-};
+use wl_harness::{Maintenance, Shard, SweepCache, SweepRequest, SweepStore, SweepSummary};
 
 /// The shared flags each mode honours; any other falls to [`usage`].
-const SHARD_FLAGS: &[&str] = &["--format", "--compact", "--capture"];
-const MERGE_FLAGS: &[&str] = &["--format"];
+/// `--migrate` alone takes `--format`: every store a run writes is
+/// binary, and text is an export.
+const SHARD_FLAGS: &[&str] = &["--compact", "--capture"];
 const MIGRATE_FLAGS: &[&str] = &["--format", "--compact"];
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  sweep_shard --shard K/N --store FILE [--grid SIZE] [--t-end SECS] \
          [--expect-hits N] {shard}\n  \
-         sweep_shard --merge OUT IN1 IN2 [IN3 ...] {merge}\n  \
+         sweep_shard --merge OUT IN1 IN2 [IN3 ...]\n  \
          sweep_shard --migrate SRC DST {migrate}",
         shard = cli::common_usage(SHARD_FLAGS),
-        merge = cli::common_usage(MERGE_FLAGS),
         migrate = cli::common_usage(MIGRATE_FLAGS),
     );
     std::process::exit(2);
@@ -92,20 +90,15 @@ fn run_shard(args: &[String]) {
             _ => usage(),
         }
     }
-    let format = common.format;
     let compact = common.compact;
     let store_path = store_path.unwrap_or_else(|| usage());
     let grid = cli::demo_grid_at(grid_size, t_end);
 
+    // A text store opens like a binary one and is saved back as binary.
     let mut store = SweepStore::open(&store_path).unwrap_or_else(|e| {
         eprintln!("cannot open store {store_path}: {e}");
         std::process::exit(1)
     });
-    // Unspecified, the store keeps its auto-detected format; an explicit
-    // --format migrates it on this save.
-    if let Some(format) = format {
-        store.set_format(format);
-    }
     let cache: SweepCache = store.hydrate();
     let outcomes = SweepRequest::new()
         .shard(shard)
@@ -136,13 +129,12 @@ fn run_shard(args: &[String]) {
     }
     println!(
         "shard {shard}: {} grid points ({} hits, {} misses), {} events, all-agree {}; \
-         {added} records written to {store_path} ({} format)",
+         {added} records written to {store_path}",
         outcomes.len(),
         cache.hits(),
         cache.misses(),
         summary.events,
         summary.all_hold(),
-        store.format(),
     );
     // Machine-checkable smoke assertion: CI pins "this run was entirely
     // cache-served" through the exit code instead of grepping the line
@@ -160,29 +152,15 @@ fn run_shard(args: &[String]) {
 }
 
 fn run_merge(args: &[String]) {
-    // `--format F` may appear anywhere; the positional remainder is
-    // OUT IN1 IN2 [IN3 ...].
-    let mut common = cli::CommonArgs::default();
-    let mut positional: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if common.take(MERGE_FLAGS, arg, &mut it) {
-            continue;
-        }
-        if arg.starts_with("--") {
-            usage();
-        }
-        positional.push(arg.clone());
+    // OUT IN1 IN2 [IN3 ...]; no flags.
+    if args.iter().any(|arg| arg.starts_with("--")) {
+        usage();
     }
-    let format = common.format_or(StoreFormat::Text);
-    let [out, inputs @ ..] = &positional[..] else {
-        usage()
-    };
+    let [out, inputs @ ..] = args else { usage() };
     if inputs.len() < 2 {
         usage();
     }
     let mut merged = SweepStore::new();
-    merged.set_format(format);
     for input in inputs {
         let shard_store = SweepStore::open(input).unwrap_or_else(|e| {
             eprintln!("cannot open shard store {input}: {e}");
@@ -210,17 +188,15 @@ fn run_merge(args: &[String]) {
         eprintln!("cannot save merged store {out}: {e}");
         std::process::exit(1)
     });
-    println!(
-        "merged store: {} records -> {out} ({} format)",
-        merged.len(),
-        merged.format()
-    );
+    println!("merged store: {} records -> {out}", merged.len());
 }
 
 /// `--migrate SRC DST [--format F] [--compact]`: lossless store
-/// conversion (default: to binary). Text → binary → text reproduces the
+/// conversion — the one place text is written (`--format text`, an
+/// export; the default is binary). Binary → text → binary reproduces the
 /// source byte-for-byte; `--compact` additionally drops stale-engine
-/// records from DST (after which the round trip is no longer claimed).
+/// records from DST, in DST's format (after which the round trip is no
+/// longer claimed).
 fn run_migrate(args: &[String]) {
     let mut it = args.iter();
     let src = it.next().unwrap_or_else(|| usage());
@@ -231,7 +207,7 @@ fn run_migrate(args: &[String]) {
             usage();
         }
     }
-    let format = common.format_or(StoreFormat::Binary);
+    let format = common.format.unwrap_or_default();
     let compact = common.compact;
     let report = SweepStore::migrate(src, dst, format).unwrap_or_else(|e| {
         eprintln!("cannot migrate {src} -> {dst}: {e}");
@@ -247,6 +223,7 @@ fn run_migrate(args: &[String]) {
             eprintln!("cannot reopen {dst}: {e}");
             std::process::exit(1)
         });
+        store.set_format(format);
         let stats = store.compact().unwrap_or_else(|e| {
             eprintln!("cannot compact {dst}: {e}");
             std::process::exit(1)

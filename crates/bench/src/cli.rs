@@ -1,9 +1,9 @@
 //! Shared argument layer for the sweep CLIs.
 //!
 //! `sweep_drive`, `sweep_shard`, and `sweep_serve` each grew their own
-//! hand-rolled flag loops, and the flags they share — `--format`,
-//! `--compact`, `--chunk`, `--capture` — drifted in
-//! spelling, error text, and help strings. This module owns those:
+//! hand-rolled flag loops, and the flags they share — `--format`
+//! (`sweep_shard --migrate` only), `--compact`, `--chunk`, `--capture` —
+//! drifted in spelling, error text, and help strings. This module owns those:
 //! every mode names the shared flags it honours and routes its flags
 //! through [`CommonArgs::take`] first, so a shared flag parses
 //! identically and rejects bad values with identical messages wherever
@@ -36,11 +36,10 @@ pub fn common_usage(honoured: &[&str]) -> String {
 }
 
 /// Shared flags in their parsed form. `None` means "not given" — each
-/// binary applies its own default (`sweep_serve` defaults `--format`
-/// to binary, the store CLIs to text).
+/// binary applies its own default.
 #[derive(Debug, Default, Clone)]
 pub struct CommonArgs {
-    /// `--format text|binary`: on-disk store format.
+    /// `--format text|binary`: the layout `--migrate` writes.
     pub format: Option<StoreFormat>,
     /// `--compact`: rewrite stores canonically after the run.
     pub compact: bool,
@@ -77,12 +76,6 @@ impl CommonArgs {
             _ => return false,
         }
         true
-    }
-
-    /// The chosen format, or the binary's default.
-    #[must_use]
-    pub fn format_or(&self, default: StoreFormat) -> StoreFormat {
-        self.format.unwrap_or(default)
     }
 
     /// The chosen chunk size, or the binary's default.
@@ -172,7 +165,7 @@ mod tests {
     #[test]
     fn defaults_apply_when_flags_absent() {
         let (common, rest) = scan(ALL, &[]);
-        assert_eq!(common.format_or(StoreFormat::Text), StoreFormat::Text);
+        assert_eq!(common.format, None);
         assert_eq!(common.chunk_or(4), 4);
         assert_eq!(common.capture(), Capture::Scalar);
         assert!(!common.compact);
@@ -181,19 +174,20 @@ mod tests {
 
     /// The seven call sites' flag sets: a shared flag is parsed where
     /// the mode honours it, handed back (to reach `usage()`) where it
-    /// does not, and advertised exactly where it is parsed.
+    /// does not, and advertised exactly where it is parsed. `--format`
+    /// is `--migrate`'s alone.
     #[test]
     fn each_mode_takes_and_advertises_only_what_it_honours() {
         let modes: [(&str, &[&str]); 7] = [
-            ("sweep_drive --workers", ALL),
-            ("sweep_drive --frontier-worker", &["--format", "--capture"]),
             (
-                "sweep_shard --shard",
-                &["--format", "--compact", "--capture"],
+                "sweep_drive --workers",
+                &["--compact", "--chunk", "--capture"],
             ),
-            ("sweep_shard --merge", &["--format"]),
+            ("sweep_drive --frontier-worker", &["--capture"]),
+            ("sweep_shard --shard", &["--compact", "--capture"]),
+            ("sweep_shard --merge", &[]),
             ("sweep_shard --migrate", &["--format", "--compact"]),
-            ("sweep_serve", &["--format"]),
+            ("sweep_serve", &[]),
             ("sweep_search", &[]),
         ];
         type Parsed = fn(&CommonArgs) -> bool;

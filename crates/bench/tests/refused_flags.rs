@@ -1,7 +1,8 @@
 //! A refused flag value, or a flag the mode does not know, is exit 2
 //! with a message on stderr — not a panic (101) out of a sweep worker,
-//! and not after the run has left files behind. The value refusals are
-//! one table, in the style of `cli.rs`'s per-mode table.
+//! and not after the run has left files behind. The value refusals and
+//! the `--format` refusals are one table each, in the style of `cli.rs`'s
+//! per-mode table.
 
 use std::process::Command;
 
@@ -72,4 +73,77 @@ fn a_transport_flag_is_an_unknown_flag() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.starts_with("usage:"), "{stderr}");
     assert!(!dir.exists(), "refused after touching the disk");
+}
+
+/// Every store a run writes is binary, so `--format` is an unknown flag
+/// in each mode but `sweep_shard --migrate`: usage and exit 2 before
+/// anything touches the disk. The text export `--migrate` names works.
+#[test]
+fn a_format_flag_is_unknown_outside_migrate() {
+    let dir = std::env::temp_dir().join(format!("wl-refused-format-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let at = |name: &str| dir.join(name).to_str().expect("utf-8 temp dir").to_string();
+    let (store, text, work, sock) = (at("x.wls"), at("x-text.wls"), at("drive"), at("wl.sock"));
+    let shard = env!("CARGO_BIN_EXE_sweep_shard");
+    let drive = env!("CARGO_BIN_EXE_sweep_drive");
+    let modes: [(&str, &str, Vec<&str>); 5] = [
+        (
+            "sweep_shard --shard",
+            shard,
+            vec!["--shard", "0/1", "--store", &store],
+        ),
+        (
+            "sweep_shard --merge",
+            shard,
+            vec!["--merge", &store, &store, &store],
+        ),
+        (
+            "sweep_drive --workers",
+            drive,
+            vec!["--workers", "1", "--dir", &work],
+        ),
+        (
+            "sweep_drive --frontier-worker",
+            drive,
+            vec![
+                "--frontier-worker",
+                "--frontier",
+                &work,
+                "--worker-id",
+                "w0",
+                "--store",
+                &store,
+            ],
+        ),
+        (
+            "sweep_serve",
+            env!("CARGO_BIN_EXE_sweep_serve"),
+            vec!["--socket", &sock, "--store", &store],
+        ),
+    ];
+    for (mode, bin, args) in modes {
+        let out = Command::new(bin)
+            .args(args)
+            .args(["--format", "text"])
+            .output()
+            .expect("run the binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{mode}: {stderr}");
+        assert!(stderr.starts_with("usage:"), "{mode}: {stderr}");
+        assert!(!dir.exists(), "{mode}: refused after touching the disk");
+    }
+
+    let run = |args: &[&str]| {
+        let out = Command::new(shard)
+            .args(args)
+            .output()
+            .expect("run sweep_shard");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "sweep_shard {args:?}: {stderr}");
+    };
+    run(&["--shard", "0/1", "--grid", "2", "--store", &store]);
+    run(&["--migrate", &store, &text, "--format", "text"]);
+    assert!(std::fs::read(&store).unwrap().starts_with(b"WLSB"));
+    assert!(std::fs::read(&text).unwrap().starts_with(b"wlsweep 1\n"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

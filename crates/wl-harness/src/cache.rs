@@ -13,22 +13,25 @@
 //!    semantics, seed derivation, or the canonical encoding change.
 //!    Records from another engine version are *stale* and ignored.
 //!
-//! [`SweepStore`] owns the on-disk formats — two of them, auto-detected
-//! on load and selected per store on save ([`StoreFormat`]):
+//! [`SweepStore`] owns the on-disk formats — two layouts of the same
+//! records, both auto-detected on load ([`StoreFormat`]):
 //!
-//! * **text** (`wlsweep 1`): one human-greppable record line per
-//!   `(spec, algorithm)` pair, each carrying its own checksum. Scalar
-//!   summaries are `R`-tagged; records whose outcome additionally
-//!   carries a [`SweepSeries`] payload are `S`-tagged (the v2 record
-//!   kind, introduced with `ENGINE_VERSION` 3).
-//! * **binary** (`WLSB`, the v3 format): the same records framed as
-//!   length-prefixed, checksummed binary units with their canonical
-//!   strings [`wlz`]-compressed, packed into fixed-capacity segments
-//!   ([`segment`] is the framing layer). ~2× smaller on series-heavy
-//!   grids (the hex-entropy floor, PERF.md's PR 5 note), and
-//!   *appendable*: [`SweepStore::checkpoint`] extends the file by one
-//!   segment instead of rewriting it. Migration between the two is
-//!   lossless and byte-pinned ([`SweepStore::migrate`]).
+//! * **binary** (`WLSB`, the v3 format) — what every store is saved
+//!   and checkpointed as: records framed as length-prefixed, checksummed
+//!   binary units with their canonical strings [`wlz`]-compressed,
+//!   packed into fixed-capacity segments ([`segment`] is the framing
+//!   layer). ~2× smaller on series-heavy grids (the hex-entropy floor,
+//!   see PERF.md), and *appendable*: [`SweepStore::checkpoint`] extends
+//!   the file by one segment instead of rewriting it.
+//! * **text** (`wlsweep 1`) — an import/export layout: one
+//!   human-greppable record line per `(spec, algorithm)` pair, each
+//!   carrying its own checksum. Scalar summaries are `R`-tagged; records
+//!   whose outcome additionally carries a [`SweepSeries`] payload are
+//!   `S`-tagged (the v2 record kind, introduced with `ENGINE_VERSION`
+//!   3). A text store opens like any other and saves as binary; text is
+//!   written only on request ([`SweepStore::set_format`],
+//!   [`SweepStore::migrate`]). Migration between the two is lossless
+//!   and byte-pinned.
 //!
 //! `docs/store-format.md` is the normative byte-level specification of
 //! both formats. Loading tolerates arbitrary corruption (truncated
@@ -119,23 +122,23 @@ pub const ENGINE_VERSION: u32 = 5;
 /// bytes.
 const HEADER: &str = "wlsweep 1";
 
-/// Which on-disk layout a [`SweepStore`] reads and writes.
+/// Which on-disk layout a [`SweepStore`] writes.
 ///
 /// Both formats carry exactly the same records (`docs/store-format.md`
 /// specifies each byte), so stores migrate between them losslessly —
 /// text → binary → text reproduces the original file byte-for-byte.
-/// [`SweepStore::open`] auto-detects the format of an existing file;
-/// the format only has to be *chosen* when creating or migrating a
-/// store.
+/// [`SweepStore::open`] reads either; every store saves as binary unless
+/// a text export is asked for ([`SweepStore::set_format`],
+/// [`SweepStore::migrate`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StoreFormat {
     /// Line-oriented, human-greppable text (`wlsweep 1`): the v1/v2
-    /// format, and the default for new stores.
-    #[default]
+    /// format, kept as an import/export layout.
     Text,
-    /// Compressed binary segments (`WLSB`): the v3 format — ~2×
-    /// smaller on series grids (PERF.md, PR 5), appendable in O(new
-    /// records) by [`SweepStore::checkpoint`].
+    /// Compressed binary segments (`WLSB`): the v3 format and the one
+    /// runs write — ~2× smaller on series grids (see PERF.md),
+    /// appendable in O(new records) by [`SweepStore::checkpoint`].
+    #[default]
     Binary,
 }
 
@@ -476,11 +479,12 @@ impl SweepStore {
     /// Opens the store at `path`, tolerating anything it finds there.
     ///
     /// The format is auto-detected from the leading bytes: a `WLSB`
-    /// magic loads as v3 binary, a `wlsweep 1` header as v1/v2 text —
-    /// the store remembers which, and [`save`](SweepStore::save) writes
-    /// it back the same way unless
-    /// [`set_format`](SweepStore::set_format) says otherwise. A missing
-    /// file is an empty store (in the default text format).
+    /// magic loads as v3 binary, a `wlsweep 1` header as v1/v2 text.
+    /// Either way [`save`](SweepStore::save) and
+    /// [`checkpoint`](SweepStore::checkpoint) write binary unless
+    /// [`set_format`](SweepStore::set_format) asks for a text export —
+    /// opening a text store imports it. A missing file is an empty
+    /// store.
     ///
     /// Damage never errors, whatever the format: records that fail
     /// their checksum or their parse are counted in
@@ -522,7 +526,6 @@ impl SweepStore {
     /// writer wins) — that is how an appended checkpoint upgrades a
     /// scalar record to a series-bearing one without rewriting the file.
     fn load_binary(&mut self, mut reader: SegmentReader<'_>) {
-        self.format = StoreFormat::Binary;
         if reader.capacity() > 0 {
             self.segment_capacity = reader.capacity();
         }
@@ -539,8 +542,9 @@ impl SweepStore {
     /// The v1/v2 load path, line-oriented. Duplicate keys keep the
     /// *first* record (the text format is never appended to by this
     /// crate, so an appended duplicate can only be a foreign artifact).
+    /// The file is not an append base, so the first checkpoint rewrites
+    /// it as binary.
     fn load_text(&mut self, text: &str) {
-        self.format = StoreFormat::Text;
         let mut lines = text.lines();
         if lines.next() != Some(HEADER) {
             self.skipped = text.lines().count();
@@ -624,18 +628,17 @@ impl SweepStore {
         self.superseded
     }
 
-    /// The format this store loads from and saves to. Auto-detected by
-    /// [`open`](SweepStore::open); change it with
-    /// [`set_format`](SweepStore::set_format).
+    /// The format this store saves to: binary, whatever it was loaded
+    /// from, unless [`set_format`](SweepStore::set_format) changed it.
     #[must_use]
     pub fn format(&self) -> StoreFormat {
         self.format
     }
 
     /// Selects the on-disk format for subsequent saves — the in-place
-    /// half of a migration (the next [`save`](SweepStore::save) rewrites
-    /// the file in the new format; see [`SweepStore::migrate`] for the
-    /// copying form).
+    /// half of a migration, and the only way a store writes text (the
+    /// next [`save`](SweepStore::save) rewrites the file in the new
+    /// format; see [`SweepStore::migrate`] for the copying form).
     pub fn set_format(&mut self, format: StoreFormat) {
         if self.format != format {
             self.format = format;
@@ -909,8 +912,8 @@ impl SweepStore {
     /// store this *appends* one or more segments holding only the
     /// changed records — O(changes), not O(store) — relying on the v3
     /// last-writer-wins load rule to supersede any older versions of
-    /// those keys. Everywhere else (text stores, damaged files, fresh
-    /// paths, format changes) it falls back to a full
+    /// those keys. Everywhere else (imported text stores, text exports,
+    /// damaged files, fresh paths) it falls back to a full
     /// [`save`](SweepStore::save). Returns how many records were
     /// flushed.
     ///
@@ -968,12 +971,11 @@ impl SweepStore {
     /// compacted store serves exactly the same grid.
     ///
     /// ```
-    /// use wl_harness::{StoreFormat, SweepStore};
+    /// use wl_harness::SweepStore;
     ///
     /// let path = std::env::temp_dir().join(format!("compact-doc-{}.wls", std::process::id()));
     /// # let _ = std::fs::remove_file(&path);
     /// let mut store = SweepStore::open(&path).expect("open");
-    /// store.set_format(StoreFormat::Binary);
     /// let stats = store.compact().expect("compact");
     /// assert_eq!((stats.dropped_stale, stats.dropped_superseded), (0, 0));
     /// assert_eq!(stats.live, store.len());
@@ -1011,32 +1013,32 @@ impl SweepStore {
     }
 
     /// Copies the store at `src` to `dst` in `format` — the lossless,
-    /// byte-pinned migration: migrating text → binary → text (or the
-    /// reverse) reproduces the original file **byte-for-byte**, stale
-    /// records included, as long as both hops use the same segment
-    /// capacity. `src` is left untouched; `src == dst` converts in
-    /// place (the write is atomic-by-rename).
+    /// byte-pinned text export and import: migrating binary → text →
+    /// binary (or the reverse) reproduces the original file
+    /// **byte-for-byte**, stale records included, as long as both hops
+    /// use the same segment capacity. `src` is left untouched;
+    /// `src == dst` converts in place (the write is atomic-by-rename).
     ///
     /// ```
     /// use wl_harness::{StoreFormat, SweepStore};
     ///
     /// let dir = std::env::temp_dir();
-    /// let text = dir.join(format!("migrate-doc-{}.wls", std::process::id()));
-    /// let binary = dir.join(format!("migrate-doc-{}.wlb", std::process::id()));
+    /// let binary = dir.join(format!("migrate-doc-{}.wls", std::process::id()));
+    /// let text = dir.join(format!("migrate-doc-{}-text.wls", std::process::id()));
     /// let round = dir.join(format!("migrate-doc-{}-round.wls", std::process::id()));
-    /// # let _ = std::fs::remove_file(&text);
-    /// let mut store = SweepStore::open(&text).expect("open");
-    /// store.save().expect("write an (empty) text store");
+    /// # let _ = std::fs::remove_file(&binary);
+    /// let mut store = SweepStore::open(&binary).expect("open");
+    /// store.save().expect("write an (empty) binary store");
     ///
-    /// let report = SweepStore::migrate(&text, &binary, StoreFormat::Binary).expect("to binary");
+    /// let report = SweepStore::migrate(&binary, &text, StoreFormat::Text).expect("export");
     /// assert_eq!(report.records, 0);
-    /// let _ = SweepStore::migrate(&binary, &round, StoreFormat::Text).expect("back to text");
+    /// let _ = SweepStore::migrate(&text, &round, StoreFormat::Binary).expect("import");
     /// assert_eq!(
-    ///     std::fs::read(&text).unwrap(),
+    ///     std::fs::read(&binary).unwrap(),
     ///     std::fs::read(&round).unwrap(),
-    ///     "text -> binary -> text is byte-identical",
+    ///     "binary -> text -> binary is byte-identical",
     /// );
-    /// # for p in [&text, &binary, &round] { let _ = std::fs::remove_file(p); }
+    /// # for p in [&binary, &text, &round] { let _ = std::fs::remove_file(p); }
     /// ```
     ///
     /// # Errors
@@ -1201,19 +1203,12 @@ impl DiskSweepCache {
     }
 
     /// Opens the shared store under `WL_SWEEP_CACHE_DIR` (see the type
-    /// docs). Infallible by design.
-    ///
-    /// The `WL_SWEEP_FORMAT` environment variable (`text` | `binary`)
-    /// selects the on-disk [`StoreFormat`] future persists write —
-    /// an existing store in the other format still loads (detection is
-    /// by content, not by the variable) and is migrated in place on the
-    /// next persist. Unset, the store keeps whatever format it already
-    /// has (text for brand-new stores). Like every cache knob, the
-    /// variable cannot change a *result* — only how it is stored.
+    /// docs). Infallible by design. A text store found there loads like
+    /// a binary one and is rewritten as binary by the next persist.
     #[must_use]
     pub fn open_shared() -> Self {
         let dir = std::env::var("WL_SWEEP_CACHE_DIR").unwrap_or_default();
-        let mut disk = match dir.as_str() {
+        match dir.as_str() {
             "0" | "off" => Self {
                 store: SweepStore::new(),
                 cache: SweepCache::new(),
@@ -1221,15 +1216,7 @@ impl DiskSweepCache {
             },
             "" => Self::open_or_warn(Path::new("target/sweep-cache").join("sweeps.wls")),
             dir => Self::open_or_warn(Path::new(dir).join("sweeps.wls")),
-        };
-        match std::env::var("WL_SWEEP_FORMAT").as_deref() {
-            Err(_) | Ok("") => {}
-            Ok(raw) => match raw.parse::<StoreFormat>() {
-                Ok(format) => disk.store.set_format(format),
-                Err(e) => eprintln!("warning: WL_SWEEP_FORMAT ignored: {e}"),
-            },
         }
-        disk
     }
 
     fn open_or_warn(path: PathBuf) -> Self {
@@ -1261,14 +1248,6 @@ impl DiskSweepCache {
     #[must_use]
     pub fn store(&self) -> &SweepStore {
         &self.store
-    }
-
-    /// Selects the [`StoreFormat`] the next [`persist`](DiskSweepCache::persist)
-    /// writes — the programmatic form of the `WL_SWEEP_FORMAT`
-    /// environment knob (an existing store in the other format is
-    /// migrated by that persist).
-    pub fn set_format(&mut self, format: StoreFormat) {
-        self.store.set_format(format);
     }
 
     /// Absorbs the cache into the store and saves it (no-op when
@@ -1355,6 +1334,15 @@ mod tests {
 
     fn tmp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("wl-cache-{}-{name}.wls", std::process::id()))
+    }
+
+    /// Saves `cache`'s records to `path` as a text export — the layout
+    /// the line-level tamper tests edit by hand.
+    fn save_text(path: &Path, cache: &SweepCache) {
+        let mut store = SweepStore::new();
+        store.set_format(StoreFormat::Text);
+        store.absorb(cache);
+        store.save_to(path).unwrap();
     }
 
     fn outcome_fixture() -> SweepOutcome {
@@ -1626,9 +1614,7 @@ mod tests {
         let path = tmp_path("truncated");
         let cache = SweepCache::new();
         let _ = serial(&cache).run::<Maintenance>(grid(1));
-        let mut store = SweepStore::open(&path).unwrap();
-        store.absorb(&cache);
-        store.save().unwrap();
+        save_text(&path, &cache);
 
         let full = std::fs::read_to_string(&path).unwrap();
         // Cut mid-record: the single record line loses its tail (and its
@@ -1653,9 +1639,7 @@ mod tests {
         let path = tmp_path("corrupt");
         let cache = SweepCache::new();
         let _ = serial(&cache).run::<Maintenance>(grid(2));
-        let mut store = SweepStore::open(&path).unwrap();
-        store.absorb(&cache);
-        store.save().unwrap();
+        save_text(&path, &cache);
 
         let mut text = std::fs::read_to_string(&path).unwrap();
         // Flip a byte inside the first record line's spec blob.
@@ -1675,9 +1659,7 @@ mod tests {
         let path = tmp_path("stale");
         let cache = SweepCache::new();
         let _ = serial(&cache).run::<Maintenance>(grid(2));
-        let mut store = SweepStore::open(&path).unwrap();
-        store.absorb(&cache);
-        store.save().unwrap();
+        save_text(&path, &cache);
 
         // Rewrite one record as if an older engine had produced it —
         // with a *valid* checksum, so only the version gate rejects it.
@@ -1987,7 +1969,6 @@ mod tests {
         let cold = SweepCache::new();
         let _ = serial(&cold).run::<Maintenance>(g.clone());
         let mut store = SweepStore::open(&path).unwrap();
-        store.set_format(StoreFormat::Binary);
         store.absorb(&cold);
         store.save().unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -2026,12 +2007,11 @@ mod tests {
             .capture(Capture::Series)
             .run::<Maintenance>(grid(3));
         let mut store = SweepStore::open(&path).unwrap();
-        store.set_format(StoreFormat::Binary);
         store.absorb(&cache);
         store.save().unwrap();
 
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..4], b"WLSB", "binary magic");
+        assert_eq!(&bytes[..4], b"WLSB", "a new store saves binary");
 
         // Auto-detection: open() needs no format hint.
         let reopened = SweepStore::open(&path).unwrap();
@@ -2050,7 +2030,6 @@ mod tests {
         // Canonical regardless of how the records arrived: a merge
         // accumulator saving in binary produces the identical file.
         let mut merged = SweepStore::new();
-        merged.set_format(StoreFormat::Binary);
         merged.merge_from(&reopened).unwrap();
         let p2 = tmp_path("bin-roundtrip-merged");
         merged.save_to(&p2).unwrap();
@@ -2065,16 +2044,13 @@ mod tests {
         let text1 = tmp_path("mig-text1");
         let binary = tmp_path("mig-binary");
         let text2 = tmp_path("mig-text2");
-        let _ = std::fs::remove_file(&text1);
         let cache = SweepCache::new();
         let g = grid(4);
         let _ = serial(&cache).run::<Maintenance>(g[..2].to_vec());
         let _ = serial(&cache)
             .capture(Capture::Series)
             .run::<Maintenance>(g[2..].to_vec());
-        let mut store = SweepStore::open(&text1).unwrap();
-        store.absorb(&cache);
-        store.save().unwrap();
+        save_text(&text1, &cache);
 
         let to_bin = SweepStore::migrate(&text1, &binary, StoreFormat::Binary).unwrap();
         assert_eq!(
@@ -2178,9 +2154,7 @@ mod tests {
             let text1 = tmp_path(&format!("prop-mig-t1-{seed}"));
             let binary = tmp_path(&format!("prop-mig-b-{seed}"));
             let text2 = tmp_path(&format!("prop-mig-t2-{seed}"));
-            let mut store = SweepStore::new();
-            store.absorb(&cache);
-            store.save_to(&text1).unwrap();
+            save_text(&text1, &cache);
             SweepStore::migrate(&text1, &binary, StoreFormat::Binary).unwrap();
             SweepStore::migrate(&binary, &text2, StoreFormat::Text).unwrap();
             let t1 = std::fs::read(&text1).unwrap();
@@ -2195,12 +2169,9 @@ mod tests {
     #[test]
     fn compaction_preserves_live_records_and_drops_stale() {
         let path = tmp_path("compact");
-        let _ = std::fs::remove_file(&path);
         let cache = SweepCache::new();
         let _ = serial(&cache).run::<Maintenance>(grid(3));
-        let mut store = SweepStore::open(&path).unwrap();
-        store.absorb(&cache);
-        store.save().unwrap();
+        save_text(&path, &cache);
 
         // Downgrade one record's engine version (valid checksum), as in
         // `stale_engine_records_are_ignored`.
@@ -2220,10 +2191,12 @@ mod tests {
         lines[1] = format!("{downgraded} {crc:016x}");
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
 
-        // Retention: a load + save must NOT destroy the stale record.
+        // Retention: a load + save must NOT destroy the stale record,
+        // and the imported text store saves as binary.
         let mut store = SweepStore::open(&path).unwrap();
         assert_eq!((store.len(), store.stale_records()), (2, 1));
         store.save().unwrap();
+        assert_eq!(&std::fs::read(&path).unwrap()[..4], b"WLSB");
         let reopened = SweepStore::open(&path).unwrap();
         assert_eq!(
             reopened.stale_records(),
@@ -2262,7 +2235,6 @@ mod tests {
         let cache = SweepCache::new();
         let _ = serial(&cache).run::<Maintenance>(g.clone());
         let mut store = SweepStore::open(&path).unwrap();
-        store.set_format(StoreFormat::Binary);
         store.absorb(&cache);
         store.save().unwrap();
         let base = std::fs::read(&path).unwrap();

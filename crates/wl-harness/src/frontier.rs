@@ -252,13 +252,15 @@ impl Frontier {
     /// # Errors
     ///
     /// [`FrontierError::Mismatch`] for a foreign frontier,
-    /// [`FrontierError::Io`] for filesystem failures.
+    /// [`FrontierError::Io`] for filesystem failures — a manifest that
+    /// cannot be looked up among them: only an absent one means a fresh
+    /// directory.
     pub fn init(dir: impl Into<PathBuf>, spec: FrontierSpec) -> Result<Self, FrontierError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let manifest = dir.join(MANIFEST);
         let frontier = Self::handle(dir, spec);
-        if manifest.exists() {
+        if manifest.try_exists()? {
             frontier.validate()?;
             return Ok(frontier);
         }
@@ -627,7 +629,8 @@ pub struct FrontierWorkerConfig {
     /// present — a restarted worker resumes, paying only for points that
     /// never checkpointed).
     pub store: PathBuf,
-    /// On-disk store format (binary checkpoints are O(chunk) appends).
+    /// On-disk store format: binary, whose checkpoints are O(chunk)
+    /// appends, unless a caller asks for a text store.
     pub format: StoreFormat,
     /// Claims older than this are considered orphaned and requeued when
     /// this worker runs out of `.todo` chunks.
@@ -644,6 +647,29 @@ pub struct FrontierWorkerConfig {
     /// per-record, and a mixed fleet would leave the merged store's
     /// richness dependent on which worker won each chunk.
     pub capture: Capture,
+}
+
+impl FrontierWorkerConfig {
+    /// A worker `worker` draining `frontier` into `store`, with the
+    /// defaults `sweep_drive --frontier-worker` uses: binary store, 2 s
+    /// steal timeout, 100 ms poll, no fault injection, scalar capture.
+    #[must_use]
+    pub fn new(
+        frontier: impl Into<PathBuf>,
+        worker: impl Into<String>,
+        store: impl Into<PathBuf>,
+    ) -> Self {
+        Self {
+            frontier: frontier.into(),
+            worker: worker.into(),
+            store: store.into(),
+            format: StoreFormat::default(),
+            steal_timeout: Duration::from_secs(2),
+            poll: Duration::from_millis(100),
+            crash_after_chunks: None,
+            capture: Capture::Scalar,
+        }
+    }
 }
 
 /// Cumulative progress of a frontier worker, reported after every chunk.
@@ -885,6 +911,32 @@ mod tests {
         let _ = std::fs::remove_file(&dir);
     }
 
+    /// A manifest that cannot be looked up is not an absent one: init
+    /// reports it instead of laying a fresh frontier over the directory
+    /// and renaming a new manifest over the old one.
+    #[cfg(unix)]
+    #[test]
+    fn init_reports_a_manifest_it_cannot_look_up() {
+        let dir = tmp("manifest-loop");
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join(MANIFEST);
+        std::os::unix::fs::symlink(MANIFEST, &manifest).unwrap();
+        let spec = FrontierSpec::for_grid::<Maintenance>(&grid(2), 1);
+        match Frontier::init(&dir, spec) {
+            Err(FrontierError::Io(_)) => {}
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        let link = std::fs::symlink_metadata(&manifest).unwrap();
+        assert!(link.file_type().is_symlink(), "the manifest was replaced");
+        assert_eq!(std::fs::read_link(&manifest).unwrap(), Path::new(MANIFEST));
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "init laid chunk files beside the manifest"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Drains `frontier` through `handle`, returning the chunks claimed
     /// (each completed on the spot).
     fn drain(handle: &Frontier, worker: &str) -> Vec<usize> {
@@ -1075,81 +1127,69 @@ mod tests {
     }
 
     /// The 1-process reference store bytes for `grid(n)`.
-    fn reference_bytes(n: usize, format: StoreFormat) -> Vec<u8> {
+    fn reference_bytes(n: usize) -> Vec<u8> {
         let cache = SweepCache::new();
         let _ = SweepRequest::new()
             .threads(1)
             .cached(&cache)
             .run::<Maintenance>(grid(n));
         let mut store = SweepStore::new();
-        store.set_format(format);
         store.absorb(&cache);
-        let path = std::env::temp_dir().join(format!(
-            "wl-frontier-ref-{}-{n}-{format}.wls",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("wl-frontier-ref-{}-{n}.wls", std::process::id()));
         store.save_to(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         bytes
     }
 
-    fn worker_cfg(dir: &Path, name: &str, format: StoreFormat) -> FrontierWorkerConfig {
-        FrontierWorkerConfig {
-            frontier: dir.join("frontier"),
-            worker: name.to_string(),
-            store: dir.join(format!("{name}.wls")),
-            format,
-            steal_timeout: Duration::from_secs(3600),
-            poll: Duration::from_millis(5),
-            crash_after_chunks: None,
-            capture: Capture::Scalar,
-        }
+    fn worker_cfg(dir: &Path, name: &str) -> FrontierWorkerConfig {
+        let store = dir.join(format!("{name}.wls"));
+        let mut cfg = FrontierWorkerConfig::new(dir.join("frontier"), name, store);
+        cfg.steal_timeout = Duration::from_secs(3600);
+        cfg.poll = Duration::from_millis(5);
+        cfg
     }
 
     #[test]
     fn single_frontier_worker_store_matches_reference() {
-        for format in [StoreFormat::Text, StoreFormat::Binary] {
-            let dir = tmp(&format!("solo-{format}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            let spec = FrontierSpec::for_grid::<Maintenance>(&grid(5), 2);
-            Frontier::init(dir.join("frontier"), spec).unwrap();
-            let cfg = worker_cfg(&dir, "solo", format);
-            let progress =
-                run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(5), &cfg, |_| {})
-                    .unwrap();
-            assert_eq!(progress.chunks, 3);
-            assert_eq!(progress.points, 5);
-            assert_eq!(progress.misses, 5);
-            // The worker's store is already canonical-equivalent: merge
-            // into a fresh store and compare against the reference.
-            let mut merged = SweepStore::new();
-            merged.set_format(format);
-            merged
-                .merge_from(&SweepStore::open(cfg.store.clone()).unwrap())
+        let dir = tmp("solo");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = FrontierSpec::for_grid::<Maintenance>(&grid(5), 2);
+        Frontier::init(dir.join("frontier"), spec).unwrap();
+        let cfg = worker_cfg(&dir, "solo");
+        let progress =
+            run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(5), &cfg, |_| {})
                 .unwrap();
-            let out = dir.join("merged.wls");
-            merged.save_to(&out).unwrap();
-            assert_eq!(
-                std::fs::read(&out).unwrap(),
-                reference_bytes(5, format),
-                "{format} frontier store != 1-process reference"
-            );
-            // A re-run over the completed frontier is pure hits and
-            // touches nothing.
-            let progress =
-                run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(5), &cfg, |_| {})
-                    .unwrap();
-            assert_eq!(progress.chunks, 0, "no chunks left to claim");
-            assert_eq!(progress.points, 0);
-            // A worker that wins no claim writes no store: the harvest
-            // scans for the stores that exist.
-            let idle = worker_cfg(&dir, "idle", format);
-            run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(5), &idle, |_| {})
+        assert_eq!(progress.chunks, 3);
+        assert_eq!(progress.points, 5);
+        assert_eq!(progress.misses, 5);
+        // The worker's store is already canonical-equivalent: merge into
+        // a fresh store and compare against the reference.
+        let mut merged = SweepStore::new();
+        merged
+            .merge_from(&SweepStore::open(cfg.store.clone()).unwrap())
+            .unwrap();
+        let out = dir.join("merged.wls");
+        merged.save_to(&out).unwrap();
+        assert_eq!(
+            std::fs::read(&out).unwrap(),
+            reference_bytes(5),
+            "frontier store != 1-process reference"
+        );
+        // A re-run over the completed frontier is pure hits and touches
+        // nothing.
+        let progress =
+            run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(5), &cfg, |_| {})
                 .unwrap();
-            assert!(!idle.store.exists(), "{format} idle worker wrote a store");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        assert_eq!(progress.chunks, 0, "no chunks left to claim");
+        assert_eq!(progress.points, 0);
+        // A worker that wins no claim writes no store: the harvest scans
+        // for the stores that exist.
+        let idle = worker_cfg(&dir, "idle");
+        run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(5), &idle, |_| {}).unwrap();
+        assert!(!idle.store.exists(), "idle worker wrote a store");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1158,7 +1198,7 @@ mod tests {
         for id in ["", "a/b", "w 0", "w0.a1"] {
             // No frontier exists: a `Missing` here would mean the id was
             // checked too late.
-            let cfg = worker_cfg(&dir, id, StoreFormat::Text);
+            let cfg = worker_cfg(&dir, id);
             match run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(2), &cfg, |_| {})
             {
                 Err(FrontierError::Io(e)) => {
@@ -1177,60 +1217,54 @@ mod tests {
     #[test]
     fn worker_checkpoints_exactly_each_chunks_new_records() {
         const N: usize = 8;
-        for format in [StoreFormat::Text, StoreFormat::Binary] {
-            for held in [0, N / 2] {
-                let dir = tmp(&format!("chunked-{format}-{held}"));
-                std::fs::create_dir_all(&dir).unwrap();
-                let spec = FrontierSpec::for_grid::<Maintenance>(&grid(N), 2);
-                Frontier::init(dir.join("frontier"), spec).unwrap();
-                let cfg = worker_cfg(&dir, "resumed", format);
-                let cache = SweepCache::new();
-                let _ = SweepRequest::new()
-                    .threads(1)
-                    .cached(&cache)
-                    .run::<Maintenance>(grid(N)[..held].to_vec());
-                let mut store = SweepStore::open(&cfg.store).unwrap();
-                store.set_format(format);
-                store.absorb(&cache);
-                store.save().unwrap();
+        for held in [0, N / 2] {
+            let dir = tmp(&format!("chunked-{held}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let spec = FrontierSpec::for_grid::<Maintenance>(&grid(N), 2);
+            Frontier::init(dir.join("frontier"), spec).unwrap();
+            let cfg = worker_cfg(&dir, "resumed");
+            let cache = SweepCache::new();
+            let _ = SweepRequest::new()
+                .threads(1)
+                .cached(&cache)
+                .run::<Maintenance>(grid(N)[..held].to_vec());
+            let mut store = SweepStore::open(&cfg.store).unwrap();
+            store.absorb(&cache);
+            store.save().unwrap();
 
-                // (records, store bytes) after every chunk.
-                let mut after_chunk = vec![(held, std::fs::metadata(&cfg.store).unwrap().len())];
-                let progress = run_worker_frontier::<Maintenance>(
-                    &SweepRunner::serial(),
-                    grid(N),
-                    &cfg,
-                    |p| after_chunk.push((p.records, std::fs::metadata(&cfg.store).unwrap().len())),
-                )
+            // (records, store bytes) after every chunk.
+            let mut after_chunk = vec![(held, std::fs::metadata(&cfg.store).unwrap().len())];
+            let progress =
+                run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(N), &cfg, |p| {
+                    after_chunk.push((p.records, std::fs::metadata(&cfg.store).unwrap().len()))
+                })
                 .unwrap();
-                assert_eq!((progress.chunks, progress.points), (N / 2, N));
-                assert_eq!(progress.hits, held as u64);
-                assert_eq!(progress.misses, (N - held) as u64);
-                for (chunk, pair) in after_chunk.windows(2).enumerate() {
-                    let fresh = if chunk * 2 < held { 0 } else { 2 };
-                    assert_eq!(pair[1].0, pair[0].0 + fresh, "chunk {chunk} records");
-                    assert_eq!(pair[1].1 > pair[0].1, fresh > 0, "chunk {chunk} bytes");
-                }
-
-                let worker_store = SweepStore::open(&cfg.store).unwrap();
-                assert_eq!(worker_store.len(), N);
-                assert_eq!(
-                    worker_store.superseded_records(),
-                    0,
-                    "a record written twice"
-                );
-                let mut merged = SweepStore::new();
-                merged.set_format(format);
-                merged.merge_from(&worker_store).unwrap();
-                let out = dir.join("merged.wls");
-                merged.save_to(&out).unwrap();
-                assert_eq!(
-                    std::fs::read(&out).unwrap(),
-                    reference_bytes(N, format),
-                    "{format} store resumed from {held} records != 1-process reference"
-                );
-                let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!((progress.chunks, progress.points), (N / 2, N));
+            assert_eq!(progress.hits, held as u64);
+            assert_eq!(progress.misses, (N - held) as u64);
+            for (chunk, pair) in after_chunk.windows(2).enumerate() {
+                let fresh = if chunk * 2 < held { 0 } else { 2 };
+                assert_eq!(pair[1].0, pair[0].0 + fresh, "chunk {chunk} records");
+                assert_eq!(pair[1].1 > pair[0].1, fresh > 0, "chunk {chunk} bytes");
             }
+
+            let worker_store = SweepStore::open(&cfg.store).unwrap();
+            assert_eq!(worker_store.len(), N);
+            assert_eq!(
+                worker_store.superseded_records(),
+                0,
+                "a record written twice"
+            );
+            let mut merged = SweepStore::new();
+            merged.merge_from(&worker_store).unwrap();
+            let out = dir.join("merged.wls");
+            merged.save_to(&out).unwrap();
+            assert_eq!(
+                std::fs::read(&out).unwrap(),
+                reference_bytes(N),
+                "store resumed from {held} records != 1-process reference"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -1240,10 +1274,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let spec = FrontierSpec::for_grid::<Maintenance>(&grid(6), 1);
         Frontier::init(dir.join("frontier"), spec).unwrap();
-        let cfgs = [
-            worker_cfg(&dir, "left", StoreFormat::Text),
-            worker_cfg(&dir, "right", StoreFormat::Text),
-        ];
+        let cfgs = [worker_cfg(&dir, "left"), worker_cfg(&dir, "right")];
         std::thread::scope(|scope| {
             for cfg in &cfgs {
                 scope.spawn(move || {
@@ -1266,10 +1297,7 @@ mod tests {
         assert_eq!(merged.len(), 6, "the two workers covered the grid");
         let out = dir.join("merged.wls");
         merged.save_to(&out).unwrap();
-        assert_eq!(
-            std::fs::read(&out).unwrap(),
-            reference_bytes(6, StoreFormat::Text)
-        );
+        assert_eq!(std::fs::read(&out).unwrap(), reference_bytes(6));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -47,9 +47,7 @@
 //! [`ScenarioSpec::content_hash`]: ScenarioSpec::content_hash
 
 use crate::cache::segment::{EncodedRecord, Take};
-use crate::cache::{
-    canon_string, fnv64, Admitted, Record, StoreFormat, SweepStore, ENGINE_VERSION,
-};
+use crate::cache::{canon_string, fnv64, Admitted, Record, SweepStore, ENGINE_VERSION};
 use crate::run::agreement_window;
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 use crate::sweep::{run_point_as, Capture, SweepAlgorithm, SweepCache, SweepRunner};
@@ -195,14 +193,21 @@ impl Inbound {
 /// the stream has a read timeout set (the server's connections do), a
 /// timeout **between** frames reports [`Inbound::Idle`] so the handler
 /// can re-check the shutdown flag; a timeout *inside* a frame keeps
-/// waiting — bytes of a frame, once started, arrive promptly or the
-/// peer is gone.
-fn read_frame(r: &mut impl Read) -> io::Result<Inbound> {
+/// waiting for the rest, unless `shutdown` is set — then the peer that
+/// went quiet mid-frame is dropped rather than holding the server open.
+fn read_frame(r: &mut impl Read, shutdown: Option<&AtomicBool>) -> io::Result<Inbound> {
     let timed_out = |e: &io::Error| {
         matches!(
             e.kind(),
             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
         )
+    };
+    let wait_on = || match shutdown {
+        Some(flag) if flag.load(Ordering::SeqCst) => Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "peer went quiet mid-frame during shutdown",
+        )),
+        _ => Ok(()),
     };
     let mut len = [0u8; 4];
     let mut got = 0usize;
@@ -213,7 +218,7 @@ fn read_frame(r: &mut impl Read) -> io::Result<Inbound> {
             Ok(n) => got += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if timed_out(&e) && got == 0 => return Ok(Inbound::Idle),
-            Err(e) if timed_out(&e) => {}
+            Err(e) if timed_out(&e) => wait_on()?,
             Err(e) => return Err(e),
         }
     }
@@ -230,7 +235,7 @@ fn read_frame(r: &mut impl Read) -> io::Result<Inbound> {
         match r.by_ref().take(rest).read_to_end(&mut buf) {
             Ok(_) if buf.len() < total => return Err(io::ErrorKind::UnexpectedEof.into()),
             Ok(_) => {}
-            Err(e) if timed_out(&e) => {}
+            Err(e) if timed_out(&e) => wait_on()?,
             Err(e) => return Err(e),
         }
     }
@@ -994,7 +999,7 @@ impl ServiceClient {
         }
         let stream = self.stream.as_mut().expect("just connected");
         let result = write_frame(stream, body)
-            .and_then(|()| read_frame(stream))
+            .and_then(|()| read_frame(stream, None))
             .and_then(|inbound| {
                 inbound
                     .frame()
@@ -1295,9 +1300,6 @@ pub struct ServeConfig {
     /// The served store (created if missing, hydrated if present — a
     /// restarted server resumes from whatever its checkpoints left).
     pub store: PathBuf,
-    /// On-disk format. [`StoreFormat::Binary`] makes per-batch
-    /// checkpoints O(batch) segment appends.
-    pub format: StoreFormat,
     /// Simulation pool width for miss batches; `0` = the
     /// [`SweepRunner::new`] default (`WL_SWEEP_THREADS` / all cores).
     pub threads: usize,
@@ -1310,13 +1312,12 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A server on `addr` over the store at `store`, with defaults
-    /// (binary format, auto pool width, no fault injection).
+    /// (auto pool width, no fault injection).
     #[must_use]
     pub fn new(addr: ServiceAddr, store: impl Into<PathBuf>) -> Self {
         Self {
             addr,
             store: store.into(),
-            format: StoreFormat::Binary,
             threads: 0,
             crash_after_batches: None,
         }
@@ -1424,8 +1425,7 @@ fn wake(addr: &ServiceAddr) {
 /// Binding, accepting, and final-save I/O failures. Per-connection I/O
 /// errors only drop that connection.
 pub fn serve(cfg: &ServeConfig, on_ready: impl FnOnce(&ServiceAddr)) -> io::Result<ServeReport> {
-    let mut store = SweepStore::open(&cfg.store)?;
-    store.set_format(cfg.format);
+    let store = SweepStore::open(&cfg.store)?;
     let (listener, resolved) = Listener::bind(&cfg.addr)?;
     on_ready(&resolved);
     let core = Mutex::new(Core {
@@ -1505,7 +1505,7 @@ fn handle(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(IDLE_POLL))?;
     loop {
-        let body = match read_frame(&mut stream)? {
+        let body = match read_frame(&mut stream, Some(shutdown))? {
             Inbound::Frame(body) => body,
             Inbound::Eof => return Ok(()),
             Inbound::Idle => {
@@ -2005,14 +2005,14 @@ mod tests {
             }
             let mut reader: &[u8] = &wire;
             for req in &requests {
-                let body = read_frame(&mut reader).unwrap().frame().expect("frame");
+                let body = read_frame(&mut reader, None).unwrap().frame().expect("frame");
                 proptest::prop_assert_eq!(decode_request(&body).as_ref(), Some(req));
             }
             for resp in &responses {
-                let body = read_frame(&mut reader).unwrap().frame().expect("frame");
+                let body = read_frame(&mut reader, None).unwrap().frame().expect("frame");
                 proptest::prop_assert_eq!(decode_response(&body).as_ref(), Some(resp));
             }
-            proptest::prop_assert!(matches!(read_frame(&mut reader), Ok(Inbound::Eof)), "clean EOF");
+            proptest::prop_assert!(matches!(read_frame(&mut reader, None), Ok(Inbound::Eof)), "clean EOF");
         }
     }
 
@@ -2032,7 +2032,7 @@ mod tests {
             let mut bad = wire.clone();
             bad[i] ^= 0x40;
             let mut reader: &[u8] = &bad;
-            match read_frame(&mut reader).map(Inbound::frame) {
+            match read_frame(&mut reader, None).map(Inbound::frame) {
                 Err(_) => {}
                 Ok(None) => {}
                 Ok(Some(read_body)) => {
@@ -2048,7 +2048,7 @@ mod tests {
         }
         // Truncation inside a frame is an error, not a short read.
         let mut truncated: &[u8] = &wire[..wire.len() - 1];
-        assert!(read_frame(&mut truncated).is_err());
+        assert!(read_frame(&mut truncated, None).is_err());
         // Opcode 0x02 (the retired single-record put) is not a request:
         // the server answers such a frame "malformed request".
         let Request::PutBatch { records } = &original else {
@@ -2076,11 +2076,11 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         wire.extend_from_slice(&[0u8; 16]);
-        assert!(read_frame(&mut &wire[..]).is_err());
+        assert!(read_frame(&mut &wire[..], None).is_err());
         let mut wire = Vec::new();
         wire.extend_from_slice(&(MIN_FRAME - 1).to_le_bytes());
         wire.extend_from_slice(&[0u8; 16]);
-        assert!(read_frame(&mut &wire[..]).is_err());
+        assert!(read_frame(&mut &wire[..], None).is_err());
     }
 
     /// A hostile peer: the largest legal length prefix, then nothing.
@@ -2107,7 +2107,7 @@ mod tests {
             prefix: MAX_FRAME.to_le_bytes().to_vec(),
             largest_offer: 0,
         };
-        let err = read_frame(&mut peer).map(Inbound::frame).unwrap_err();
+        let err = read_frame(&mut peer, None).map(Inbound::frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(
             (1..=FRAME_RESERVE).contains(&peer.largest_offer),
@@ -2126,7 +2126,6 @@ mod tests {
         let cfg = ServeConfig {
             addr: ServiceAddr::Tcp("127.0.0.1:0".into()),
             store: store_path.clone(),
-            format: StoreFormat::Binary,
             threads: 1,
             crash_after_batches: None,
         };
@@ -2248,7 +2247,6 @@ mod tests {
         let cfg = ServeConfig {
             addr: ServiceAddr::Tcp("127.0.0.1:0".into()),
             store: store_path.clone(),
-            format: StoreFormat::Binary,
             threads: 1,
             crash_after_batches: None,
         };
@@ -2477,7 +2475,7 @@ mod tests {
             let items = vec![Some(encoded)];
             let server = std::thread::spawn(move || {
                 let (mut stream, _) = listener.accept().unwrap();
-                let _request = read_frame(&mut stream).unwrap();
+                let _request = read_frame(&mut stream, None).unwrap();
                 write_frame(&mut stream, &encode_response(&Response::Batch { items })).unwrap();
             });
             let cache = SweepCache::new();
@@ -2510,7 +2508,6 @@ mod tests {
         let cfg = ServeConfig {
             addr: ServiceAddr::Unix(sock.clone()),
             store: store_path.clone(),
-            format: StoreFormat::Binary,
             threads: 1,
             crash_after_batches: None,
         };
@@ -2576,7 +2573,6 @@ mod tests {
         let cfg = ServeConfig {
             addr: ServiceAddr::Unix(sock.clone()),
             store: store_path.clone(),
-            format: StoreFormat::Binary,
             threads: 1,
             crash_after_batches: None,
         };
@@ -2646,5 +2642,39 @@ mod tests {
         assert!(UnixStream::connect(&path).is_ok(), "the new socket listens");
         drop(listener);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A peer that sends half a length prefix and goes quiet must not
+    /// hold `serve` open past a shutdown: its connection is dropped at
+    /// the next read timeout, and the canonical rewrite happens.
+    #[test]
+    fn a_peer_quiet_mid_frame_does_not_hold_shutdown_open() {
+        let store_path = tmp_store("half-frame");
+        let _ = std::fs::remove_file(&store_path);
+        let mut cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), &store_path);
+        cfg.threads = 1;
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let _ = done_tx.send(serve(&cfg, move |addr| {
+                ready_tx.send(addr.clone()).unwrap()
+            }));
+        });
+        let addr = ready_rx.recv().expect("server ready");
+        let ServiceAddr::Tcp(tcp) = &addr else {
+            unreachable!("bound over TCP")
+        };
+        // Accepted first (the accept queue is FIFO): 2 of 4 length bytes.
+        let mut quiet = TcpStream::connect(tcp.as_str()).unwrap();
+        quiet.write_all(&[16, 0]).unwrap();
+        ServiceClient::new(addr).shutdown().unwrap();
+        let served = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("serve still running 10 s after shutdown");
+        served.unwrap();
+        server.join().unwrap();
+        assert!(store_path.exists(), "the canonical rewrite happened");
+        drop(quiet);
+        let _ = std::fs::remove_file(&store_path);
     }
 }

@@ -78,14 +78,15 @@ pub struct FrontierDriverConfig {
     /// Frontier claims whose heartbeat is older than this are requeued
     /// by the monitor loop, making a dead worker's chunks stealable.
     pub steal_timeout: Duration,
-    /// Format of the merged output store (worker stores keep whatever
-    /// format their workers wrote; the merge auto-detects per file).
+    /// Format of the merged output store: binary unless a caller asks
+    /// for a text one (the merge auto-detects each worker store's).
     pub format: StoreFormat,
 }
 
 impl FrontierDriverConfig {
     /// A config with the defaults the `sweep_drive` bin uses: 2 restarts
-    /// per slot, 50 ms poll, no stall timeout, 2 s steal timeout.
+    /// per slot, 50 ms poll, no stall timeout, 2 s steal timeout, binary
+    /// output.
     #[must_use]
     pub fn new(workers: u32, dir: impl Into<PathBuf>, out: impl Into<PathBuf>) -> Self {
         Self {

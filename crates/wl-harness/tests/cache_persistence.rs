@@ -14,10 +14,9 @@
 //! with every series element intact, so their warm re-runs also execute
 //! zero simulations.
 //!
-//! And the ISSUE-5 acceptance: a text store migrates to the v3 binary
-//! segment format and back **byte-identically**, warm runs off the
-//! migrated (smaller) binary store still execute zero simulations, and
-//! `DiskSweepCache` persists/serves either format transparently.
+//! And the binary store: `DiskSweepCache` persists binary, its text
+//! export migrates back **byte-identically**, and warm runs off either
+//! layout execute zero simulations.
 
 use std::path::PathBuf;
 use wl_core::Params;
@@ -161,32 +160,32 @@ fn warm_series_run_executes_zero_simulations() {
 
 #[test]
 fn migrated_binary_store_serves_warm_series_run_with_zero_simulations() {
-    // The ISSUE-5 acceptance flow end-to-end through the public API: a
-    // text store produced the PR-4 way migrates to the v3 binary format
-    // and back byte-identically, and warm runs off the *migrated* store
+    // The export/import flow end-to-end through the public API: the
+    // binary store a persist writes exports to text and imports back
+    // byte-identically, and warm runs off the *imported* text store
     // execute zero simulations.
-    let text = tmp("mig-warm-text");
     let binary = tmp("mig-warm-binary");
+    let text = tmp("mig-warm-text");
     let round = tmp("mig-warm-round");
-    let _ = std::fs::remove_file(&text);
+    let _ = std::fs::remove_file(&binary);
 
-    let mut disk = DiskSweepCache::open(&text).unwrap();
+    let mut disk = DiskSweepCache::open(&binary).unwrap();
     let cold = cached(disk.cache())
         .capture(Capture::Series)
         .run::<Maintenance>(grid(4));
     disk.persist().unwrap();
 
-    let report = SweepStore::migrate(&text, &binary, StoreFormat::Binary).unwrap();
+    let report = SweepStore::migrate(&binary, &text, StoreFormat::Text).unwrap();
     assert_eq!(report.records, 4);
     assert!(
-        report.bytes_out < report.bytes_in,
-        "binary series store ({}) must be smaller than text ({})",
-        report.bytes_out,
-        report.bytes_in
+        report.bytes_in < report.bytes_out,
+        "binary series store ({}) must be smaller than its text export ({})",
+        report.bytes_in,
+        report.bytes_out
     );
 
-    // Warm run off the binary store: zero misses = zero simulations.
-    let warm_disk = DiskSweepCache::open(&binary).unwrap();
+    // Warm run off the text export: zero misses = zero simulations.
+    let warm_disk = DiskSweepCache::open(&text).unwrap();
     assert_eq!(warm_disk.store().format(), StoreFormat::Binary);
     let warm = cached(warm_disk.cache())
         .capture(Capture::Series)
@@ -194,33 +193,31 @@ fn migrated_binary_store_serves_warm_series_run_with_zero_simulations() {
     assert_eq!(
         (warm_disk.cache().hits(), warm_disk.cache().misses()),
         (4, 0),
-        "migrated store must serve the whole grid warm"
+        "the text export must serve the whole grid warm"
     );
     for (a, b) in warm.iter().zip(&cold) {
         assert!(a.bit_identical(b), "migration must be lossless");
     }
 
-    // And back: byte-identical to the original text store.
-    SweepStore::migrate(&binary, &round, StoreFormat::Text).unwrap();
+    // And back: byte-identical to the store the persist wrote.
+    SweepStore::migrate(&text, &round, StoreFormat::Binary).unwrap();
     assert_eq!(
-        std::fs::read(&text).unwrap(),
+        std::fs::read(&binary).unwrap(),
         std::fs::read(&round).unwrap(),
-        "text -> binary -> text is byte-pinned"
+        "binary -> text -> binary is byte-pinned"
     );
-    for p in [&text, &binary, &round] {
+    for p in [&binary, &text, &round] {
         let _ = std::fs::remove_file(p);
     }
 }
 
 #[test]
 fn binary_disk_cache_persists_and_serves_like_text() {
-    // DiskSweepCache::set_format (the WL_SWEEP_FORMAT code path): the
-    // persist writes binary, a fresh handle auto-detects it, and the
-    // warm run is served entirely from disk.
+    // A default persist writes binary, a fresh handle auto-detects it,
+    // and the warm run is served entirely from disk.
     let path = tmp("bin-disk");
     let _ = std::fs::remove_file(&path);
     let mut disk = DiskSweepCache::open(&path).unwrap();
-    disk.set_format(StoreFormat::Binary);
     let cold = cached(disk.cache()).run::<Maintenance>(grid(6));
     assert_eq!(disk.persist().unwrap(), 6);
     assert!(disk.status().contains("binary store"), "{}", disk.status());

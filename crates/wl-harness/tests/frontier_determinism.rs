@@ -11,8 +11,7 @@
 //! * worker death points — before *or* after the chunk checkpoint, the
 //!   two halves of the `kill -9` window — with the orphaned claim
 //!   recovered by `requeue_stale` and the dead worker later restarted
-//!   against its own store (resume);
-//! * on-disk format (text and binary).
+//!   against its own store (resume).
 //!
 //! Whatever the schedule, the merged store must be byte-identical to a
 //! serial 1-process sweep of the same grid. The subprocess version of
@@ -23,8 +22,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 use wl_core::Params;
 use wl_harness::{
-    derive_seed, DelayKind, Frontier, FrontierSpec, Maintenance, ScenarioSpec, StoreFormat,
-    SweepCache, SweepRequest, SweepRunner, SweepStore,
+    derive_seed, DelayKind, Frontier, FrontierSpec, Maintenance, ScenarioSpec, SweepCache,
+    SweepRequest, SweepRunner, SweepStore,
 };
 use wl_time::RealTime;
 
@@ -55,7 +54,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// The serial 1-process bytes every schedule must reproduce.
-fn reference_bytes(dir: &std::path::Path, format: StoreFormat) -> Vec<u8> {
+fn reference_bytes(dir: &std::path::Path) -> Vec<u8> {
     let cache = SweepCache::new();
     let _ = SweepRequest::new()
         .threads(1)
@@ -63,7 +62,6 @@ fn reference_bytes(dir: &std::path::Path, format: StoreFormat) -> Vec<u8> {
         .run::<Maintenance>(grid());
     let path = dir.join("reference.wls");
     let mut store = SweepStore::open(&path).unwrap();
-    store.set_format(format);
     store.absorb(&cache);
     store.save().unwrap();
     std::fs::read(&path).unwrap()
@@ -83,10 +81,9 @@ struct Worker {
 }
 
 impl Worker {
-    fn spawn(dir: &std::path::Path, id: usize, format: StoreFormat) -> Self {
+    fn spawn(dir: &std::path::Path, id: usize) -> Self {
         let path = dir.join(format!("w{id}.wls"));
-        let mut store = SweepStore::open(&path).unwrap();
-        store.set_format(format);
+        let store = SweepStore::open(&path).unwrap();
         let cache = store.hydrate();
         Self {
             name: format!("w{id}"),
@@ -101,9 +98,8 @@ impl Worker {
 
     /// Restart after a death: reopen the same store file and resume from
     /// whatever its checkpoints left behind.
-    fn restart(&mut self, format: StoreFormat) {
-        let mut store = SweepStore::open(&self.path).unwrap();
-        store.set_format(format);
+    fn restart(&mut self) {
+        let store = SweepStore::open(&self.path).unwrap();
         self.cache = store.hydrate();
         self.store = store;
         self.dead = false;
@@ -131,15 +127,13 @@ proptest! {
     fn any_schedule_merges_to_the_unsharded_bytes(
         chunk in 1usize..GRID + 3,
         worker_count in 1usize..4,
-        binary in proptest::bool::ANY,
         schedule in proptest::collection::vec(0usize..64, 0..48),
         death_chunks in proptest::collection::vec(proptest::option::of(0usize..3), 3),
         death_after in proptest::collection::vec(proptest::bool::ANY, 3),
     ) {
-        let format = if binary { StoreFormat::Binary } else { StoreFormat::Text };
         let dir = tmp_dir("case");
         let grid = grid();
-        let reference = reference_bytes(&dir, format);
+        let reference = reference_bytes(&dir);
 
         let frontier_dir = dir.join("frontier");
         let frontier =
@@ -147,7 +141,7 @@ proptest! {
                 .unwrap();
         let runner = SweepRunner::serial();
         let mut workers: Vec<Worker> = (0..worker_count)
-            .map(|id| Worker::spawn(&dir, id, format))
+            .map(|id| Worker::spawn(&dir, id))
             .collect();
         let deaths: Vec<Option<Death>> = death_chunks
             .iter()
@@ -164,7 +158,7 @@ proptest! {
                 // The fleet died out: the driver restarts every slot
                 // against its own store (resume semantics).
                 for w in &mut workers {
-                    w.restart(format);
+                    w.restart();
                 }
                 continue;
             }
@@ -214,7 +208,6 @@ proptest! {
         // Harvest and merge, exactly as `drive_frontier` does.
         let out = dir.join("merged.wls");
         let mut merged = SweepStore::open(&out).unwrap();
-        merged.set_format(format);
         for w in &workers {
             let theirs = SweepStore::open(&w.path).unwrap();
             merged.merge_from(&theirs).unwrap();
@@ -225,10 +218,9 @@ proptest! {
         prop_assert_eq!(
             merged_bytes,
             reference,
-            "chunk={} workers={} format={:?}: schedule diverged from the unsharded run",
+            "chunk={} workers={}: schedule diverged from the unsharded run",
             chunk,
-            worker_count,
-            format
+            worker_count
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use wl_core::Params;
 use wl_harness::{
     derive_seed, Capture, DelayKind, Maintenance, ScenarioSpec, ServiceAddr, ServiceClient,
-    ServiceStats, Shard, StoreFormat, SweepCache, SweepOutcome, SweepRequest, SweepStore,
+    ServiceStats, Shard, SweepCache, SweepOutcome, SweepRequest, SweepStore,
 };
 use wl_time::RealTime;
 
@@ -93,7 +93,6 @@ fn serve_main(args: &[String]) {
     let cfg = wl_harness::ServeConfig {
         addr: ServiceAddr::parse(&format!("unix:{}", socket.expect("--socket"))).unwrap(),
         store: PathBuf::from(store.expect("--store")),
-        format: StoreFormat::Binary,
         threads: 1,
         crash_after_batches,
     };
@@ -196,7 +195,6 @@ fn reference_bytes(dir: &Path) -> Vec<u8> {
         .run::<Maintenance>(grid());
     let path = dir.join("reference.wls");
     let mut store = SweepStore::open(&path).unwrap();
-    store.set_format(StoreFormat::Binary);
     store.absorb(&cache);
     store.save().unwrap();
     std::fs::read(&path).unwrap()

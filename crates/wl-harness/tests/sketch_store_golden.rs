@@ -66,7 +66,7 @@ fn fixture_grid() -> Vec<ScenarioSpec> {
 }
 
 /// Runs the fixture grid in sketch-capture mode under both families and
-/// returns the populated store (unsaved, format unset).
+/// returns the populated store (unsaved).
 fn built_store() -> SweepStore {
     let cache = SweepCache::new();
     let _ = SweepRequest::new()
@@ -157,6 +157,42 @@ fn sketch_store_and_stats_report_match_golden_fixtures() {
             golden,
             "sweep_stats transcript drifted from the golden fixture"
         );
+    }
+}
+
+/// Text is an import/export layout, pinned by the two fixtures as they
+/// stand: the text fixture opened and saved is the binary fixture, the
+/// binary fixture exported is the text fixture, and a store opened from
+/// text checkpoints as that binary file too.
+#[test]
+fn text_fixture_imports_as_the_binary_fixture_and_exports_back() {
+    let text_path = fixture_dir().join("sketch-store.wls");
+    let binary_path = fixture_dir().join("sketch-store.wlsb");
+    let text = std::fs::read(&text_path).expect("checked-in text fixture");
+    let binary = std::fs::read(&binary_path).expect("checked-in binary fixture");
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!("wl-golden-{}-{name}.wls", std::process::id()))
+    };
+
+    // Import, on a copy: the fixture itself is never rewritten.
+    let imported = tmp("imported");
+    std::fs::write(&imported, &text).unwrap();
+    SweepStore::open(&imported).unwrap().save().unwrap();
+    assert_eq!(std::fs::read(&imported).unwrap(), binary, "import");
+
+    let exported = tmp("exported");
+    SweepStore::migrate(&binary_path, &exported, StoreFormat::Text).unwrap();
+    assert_eq!(std::fs::read(&exported).unwrap(), text, "export");
+
+    let checkpointed = tmp("checkpointed");
+    std::fs::write(&checkpointed, &text).unwrap();
+    let mut store = SweepStore::open(&checkpointed).unwrap();
+    assert_eq!(store.checkpoint().unwrap(), 0, "nothing new to flush");
+    assert_eq!(std::fs::read(&checkpointed).unwrap(), binary, "checkpoint");
+    let reloaded = SweepStore::open(&checkpointed).unwrap();
+    assert_eq!((reloaded.len(), reloaded.skipped_lines()), (12, 0));
+    for path in [imported, exported, checkpointed] {
+        let _ = std::fs::remove_file(path);
     }
 }
 

@@ -12,7 +12,7 @@
 //! 2. **crash** — a worker hard-aborted after checkpointing its first
 //!    chunk (claim left orphaned — the `kill -9` shape) is restarted,
 //!    the orphan is requeued and stolen, and the merge is still
-//!    byte-identical, with text stores and again with binary ones;
+//!    byte-identical;
 //! 3. **stall** — a worker that wedges (alive, no progress, no peers to
 //!    steal around it) is `SIGKILL`ed on heartbeat timeout, restarted,
 //!    resumes from its checkpoints, and the merge is byte-identical;
@@ -37,11 +37,12 @@ use std::process::{Child, Command};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use wl_core::Params;
+use wl_harness::cache::segment::{write_file, EncodedRecord, SegmentReader};
 use wl_harness::{
-    derive_seed, drive_frontier, run_worker_frontier, Capture, DelayKind, FrontierDriveError,
+    derive_seed, drive_frontier, run_worker_frontier, DelayKind, FrontierDriveError,
     FrontierDriveReport, FrontierDriverConfig, FrontierWorkerConfig, Maintenance, ScenarioSpec,
-    ServiceAddr, ServiceClient, StoreFormat, SubprocessTransport, SweepCache, SweepRequest,
-    SweepRunner, SweepStore, WorkerLaunch,
+    ServiceAddr, ServiceClient, SubprocessTransport, SweepCache, SweepRequest, SweepRunner,
+    SweepStore, WorkerLaunch,
 };
 use wl_time::RealTime;
 
@@ -82,18 +83,13 @@ fn main() {
 
     scenario_bytes_match();
     scenario_redrive_harvests_every_store();
-    scenario_crash_mid_sweep(StoreFormat::Text);
-    scenario_crash_mid_sweep(StoreFormat::Binary);
+    scenario_crash_mid_sweep();
     scenario_stall_kill();
     scenario_retry_exhaustion();
     scenario_crash_resumes_not_redoes();
     scenario_damaged_store_costs_only_the_tail();
     scenario_completion_is_noticed_when_it_happens();
     scenario_service_fleet();
-    assert!(
-        reference_bytes(StoreFormat::Binary).len() < reference_bytes(StoreFormat::Text).len(),
-        "binary merged store not smaller than text"
-    );
     println!("transport_conformance: all scenarios passed");
 }
 
@@ -102,14 +98,13 @@ fn main() {
 // ---------------------------------------------------------------------------
 
 /// `--frontier-worker --frontier DIR --worker-id ID --store FILE
-/// [--format F] [--steal-ms T] [--crash-after-chunks M]
+/// [--steal-ms T] [--crash-after-chunks M]
 /// [--hang-after-chunks M] [--hold-until FILE]`
 fn worker_main(args: &[String]) {
     let mut it = args.iter();
     let mut frontier = None;
     let mut worker = None;
     let mut store = None;
-    let mut format = StoreFormat::Text;
     let mut steal_ms = 2000u64;
     let mut crash_after_chunks = None;
     let mut hang_after_chunks: Option<usize> = None;
@@ -119,7 +114,6 @@ fn worker_main(args: &[String]) {
             "--frontier" => frontier = it.next().cloned(),
             "--worker-id" => worker = it.next().cloned(),
             "--store" => store = it.next().cloned(),
-            "--format" => format = it.next().unwrap().parse().unwrap(),
             "--steal-ms" => steal_ms = it.next().unwrap().parse().unwrap(),
             "--crash-after-chunks" => {
                 crash_after_chunks = Some(it.next().unwrap().parse().unwrap())
@@ -142,16 +136,11 @@ fn worker_main(args: &[String]) {
             std::thread::sleep(Duration::from_millis(5));
         }
     }
-    let cfg = FrontierWorkerConfig {
-        frontier: PathBuf::from(frontier.expect("--frontier")),
-        worker: worker.clone(),
-        store: PathBuf::from(store.expect("--store")),
-        format,
-        steal_timeout: Duration::from_millis(steal_ms),
-        poll: Duration::from_millis(20),
-        crash_after_chunks,
-        capture: Capture::Scalar,
-    };
+    let store = store.expect("--store");
+    let mut cfg = FrontierWorkerConfig::new(frontier.expect("--frontier"), worker.clone(), store);
+    cfg.steal_timeout = Duration::from_millis(steal_ms);
+    cfg.poll = Duration::from_millis(20);
+    cfg.crash_after_chunks = crash_after_chunks;
     let progress = run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(), &cfg, |p| {
         println!(
             "progress worker={worker} chunks={} points={} hits={} misses={}",
@@ -191,7 +180,6 @@ fn serve_main(args: &[String]) {
     let cfg = wl_harness::ServeConfig {
         addr: ServiceAddr::parse(&format!("unix:{}", socket.expect("--socket"))).unwrap(),
         store: PathBuf::from(store.expect("--store")),
-        format: StoreFormat::Binary,
         threads: 1,
         crash_after_batches: None,
     };
@@ -255,15 +243,14 @@ impl Server {
     }
 }
 
-/// One frontier drive with fault `fault`; worker stores take
-/// `cfg.format`. Workers see `WL_SWEEP_SERVICE` set to `service`, or
-/// `off` so an inherited one cannot turn misses into hits.
+/// One frontier drive with fault `fault`. Workers see
+/// `WL_SWEEP_SERVICE` set to `service`, or `off` so an inherited one
+/// cannot turn misses into hits.
 fn run_drive(
     cfg: &FrontierDriverConfig,
     fault: Fault,
     service: Option<&ServiceAddr>,
 ) -> Result<FrontierDriveReport, FrontierDriveError> {
-    let format = cfg.format;
     let service = service.map_or_else(|| "off".to_string(), ToString::to_string);
     // A first-launch crash happens only if the faulted worker claims a
     // chunk, and a peer can drain the whole frontier before it does. So
@@ -284,8 +271,6 @@ fn run_drive(
             .arg(&launch.worker)
             .arg("--store")
             .arg(&launch.store)
-            .arg("--format")
-            .arg(format.to_string())
             .arg("--steal-ms")
             .arg("400")
             .env("WL_SWEEP_SERVICE", &service);
@@ -316,26 +301,21 @@ fn config(name: &str, workers: u32, chunk: usize) -> FrontierDriverConfig {
     cfg.chunk = chunk;
     cfg.poll = Duration::from_millis(10);
     cfg.steal_timeout = Duration::from_millis(400);
-    cfg.format = StoreFormat::Text;
     cfg
 }
 
 /// The 1-process reference bytes every scenario compares against,
-/// computed in-process once per format for the whole suite.
-fn reference_bytes(format: StoreFormat) -> &'static [u8] {
-    static REFERENCE: [OnceLock<Vec<u8>>; 2] = [OnceLock::new(), OnceLock::new()];
-    REFERENCE[usize::from(format == StoreFormat::Binary)].get_or_init(|| {
+/// computed in-process once for the whole suite.
+fn reference_bytes() -> &'static [u8] {
+    static REFERENCE: OnceLock<Vec<u8>> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
         let cache = SweepCache::new();
         let _ = SweepRequest::new()
             .threads(1)
             .cached(&cache)
             .run::<Maintenance>(grid());
-        let path = std::env::temp_dir().join(format!(
-            "wl-conform-{}-ref-{format}.wls",
-            std::process::id()
-        ));
+        let path = std::env::temp_dir().join(format!("wl-conform-{}-ref.wls", std::process::id()));
         let mut store = SweepStore::open(&path).unwrap();
-        store.set_format(format);
         store.absorb(&cache);
         store.save().unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -378,7 +358,7 @@ fn scenario_bytes_match() {
     assert!(report.stores_merged >= 1, "no worker store harvested");
     assert_eq!(
         std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(StoreFormat::Text),
+        reference_bytes(),
         "3-worker merged store != 1-process reference"
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
@@ -399,10 +379,7 @@ fn scenario_redrive_harvests_every_store() {
     let report = run_drive(&cfg, idle, None).expect("3-worker drive");
     assert!(!cfg.worker_store(0).exists(), "the idle slot wrote a store");
     assert!(report.stores_merged >= 1);
-    assert_eq!(
-        std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(StoreFormat::Text)
-    );
+    assert_eq!(std::fs::read(&cfg.out).unwrap(), reference_bytes());
 
     std::fs::remove_file(&cfg.out).unwrap();
     let solo = FrontierDriverConfig { workers: 1, ..cfg };
@@ -410,7 +387,7 @@ fn scenario_redrive_harvests_every_store() {
     assert_eq!(again.stores_merged, report.stores_merged);
     assert_eq!(
         std::fs::read(&solo.out).unwrap(),
-        reference_bytes(StoreFormat::Text),
+        reference_bytes(),
         "1-worker re-drive of a 3-worker directory != 1-process reference"
     );
     let _ = std::fs::remove_dir_all(&solo.dir);
@@ -426,9 +403,8 @@ fn scenario_redrive_harvests_every_store() {
 /// peer); the merge is byte-identical anyway. The peer starts only once
 /// the restart is launched (see `run_drive`): a peer that drained the
 /// frontier first would leave the faulted worker nothing to crash on.
-fn scenario_crash_mid_sweep(format: StoreFormat) {
-    let mut cfg = config(&format!("crash-{format}"), 2, 2);
-    cfg.format = format;
+fn scenario_crash_mid_sweep() {
+    let cfg = config("crash", 2, 2);
     let fault = Fault {
         slot: 0,
         crash: true,
@@ -439,18 +415,17 @@ fn scenario_crash_mid_sweep(format: StoreFormat) {
     assert_eq!(report.merged_records, GRID);
     assert_eq!(report.skipped_lines, 0, "checkpoints load clean");
     let merged = std::fs::read(&cfg.out).unwrap();
-    assert_eq!(
+    assert!(
         merged.starts_with(b"WLSB"),
-        format == StoreFormat::Binary,
-        "merged output is a {format} store"
+        "merged output is a binary store"
     );
     assert_eq!(
         merged,
-        reference_bytes(format),
-        "post-crash {format} merged store != 1-process reference"
+        reference_bytes(),
+        "post-crash merged store != 1-process reference"
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
-    println!("ok: kill-mid-sweep restart converges byte-identically ({format})");
+    println!("ok: kill-mid-sweep restart converges byte-identically");
 }
 
 /// A lone worker hard-aborted after checkpointing its first chunk is
@@ -472,10 +447,7 @@ fn scenario_crash_resumes_not_redoes() {
         (cfg.chunk as u64, (GRID - cfg.chunk) as u64),
         "restart must resume, not redo"
     );
-    assert_eq!(
-        std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(StoreFormat::Text)
-    );
+    assert_eq!(std::fs::read(&cfg.out).unwrap(), reference_bytes());
     let _ = std::fs::remove_dir_all(&cfg.dir);
     println!("ok: crashed worker resumed from its checkpoint");
 }
@@ -492,10 +464,7 @@ fn scenario_completion_is_noticed_when_it_happens() {
     let took = started.elapsed();
     assert!(took < cfg.poll, "the drive waited out its poll: {took:?}");
     assert_eq!((report.merged_records, report.restarts), (GRID, 0));
-    assert_eq!(
-        std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(StoreFormat::Text)
-    );
+    assert_eq!(std::fs::read(&cfg.out).unwrap(), reference_bytes());
     let _ = std::fs::remove_dir_all(&cfg.dir);
     println!("ok: completion noticed in {took:?}, not at the 30 s poll");
 }
@@ -503,25 +472,29 @@ fn scenario_completion_is_noticed_when_it_happens() {
 /// A worker store damaged *between* drives — truncated mid-record, then
 /// at a record boundary — costs exactly the lost record on a re-drive
 /// into the same directory (the loader skips the tear, the worker
-/// re-simulates only that point), and the merge is byte-identical.
+/// re-simulates only that point), and the merge is byte-identical. The
+/// store is first rewritten one record per segment (a store keeps its
+/// file's capacity), so a cut costs one record, not a packed segment.
 fn scenario_damaged_store_costs_only_the_tail() {
     let cfg = config("truncate", 1, 3);
     let store = cfg.worker_store(0);
     run_drive(&cfg, Fault::default(), None).expect("initial drive");
-    assert_eq!(
-        std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(StoreFormat::Text)
-    );
+    assert_eq!(std::fs::read(&cfg.out).unwrap(), reference_bytes());
 
     for name in ["mid-record", "boundary"] {
-        // Mid-record: 10 bytes off the tail, so the last line fails its
-        // checksum. Boundary: the final line dropped whole.
+        // Mid-record: 10 bytes off the tail, so the last segment fails
+        // its checksum. Boundary: the final segment dropped whole.
         let mid_record = name == "mid-record";
-        let full = std::fs::read_to_string(&store).unwrap();
+        let bytes = std::fs::read(&store).unwrap();
+        let records: Vec<EncodedRecord> = SegmentReader::new(&bytes).expect("binary").collect();
+        assert_eq!(records.len(), GRID, "{name}: one version of each record");
+        let full = write_file(&records, 1);
+        let boundary = write_file(&records[..GRID - 1], 1);
+        assert!(full.starts_with(&boundary), "segments are written in order");
         let cut = if mid_record {
             full.len() - 10
         } else {
-            full[..full.len() - 1].rfind('\n').unwrap() + 1
+            boundary.len()
         };
         std::fs::write(&store, &full[..cut]).unwrap();
         let damaged = SweepStore::open(&store).unwrap();
@@ -541,7 +514,7 @@ fn scenario_damaged_store_costs_only_the_tail() {
         );
         assert_eq!(
             std::fs::read(&cfg.out).unwrap(),
-            reference_bytes(StoreFormat::Text),
+            reference_bytes(),
             "{name}: resume over a damaged store != clean store"
         );
     }
@@ -571,7 +544,7 @@ fn scenario_stall_kill() {
     assert_eq!(report.merged_records, GRID);
     assert_eq!(
         std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(StoreFormat::Text),
+        reference_bytes(),
         "post-stall merged store != 1-process reference"
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
@@ -618,7 +591,7 @@ fn scenario_service_fleet() {
     assert_eq!(stats.records, GRID as u64, "the server holds every record");
     assert_eq!(
         std::fs::read(&cfg.out).unwrap(),
-        reference_bytes(StoreFormat::Text),
+        reference_bytes(),
         "service-backed merged store != 1-process reference"
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);

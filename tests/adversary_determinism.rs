@@ -210,7 +210,6 @@ fn gallery_byte_identical_through_service_transport_and_migration() {
     let cfg = ServeConfig {
         addr: ServiceAddr::Tcp("127.0.0.1:0".into()),
         store: dir.join("service.wls"),
-        format: StoreFormat::Binary,
         threads: 2,
         crash_after_batches: None,
     };
