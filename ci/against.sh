@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Byte identity against another revision. `ci/against.sh <rev>` checks
-# <rev> out as a git worktree under a temporary directory (local history
-# only), builds it and this checkout, and checks that the two builds
-# write, serve and finish each other's stores byte for byte:
+# This checkout against another revision, in one of two halves.
+#
+# `ci/against.sh <rev>` — byte identity. Exports <rev> into a temporary
+# directory (local history only), builds it and this checkout, and
+# checks that the two builds write, serve and finish each other's stores
+# byte for byte:
 #   1. `sweep_shard --shard 0/1` stores at every capture, each side's
 #      store exported through its own `--migrate` in both layouts;
 #   2. a 2-worker `sweep_drive`, on each side, compared the same way;
@@ -11,22 +13,142 @@
 #   4. a <rev> server answers this checkout's client, and the reverse;
 #   5. a drive directory <rev> half-drained, one slot's store holding
 #      chunks no later slot owns, is finished by this checkout.
-# Exits 1 naming the first file that differs, 2 on a usage error.
+# Exits 1 naming the first file that differs.
+#
+# `ci/against.sh <rev> --pairs N [--workload W] [--seconds S] [--seed X] [--trace]`
+# — pair judging. Builds each side's `benchmark/` once and runs N pairs
+# of the two binaries from one working directory, in ABBA order (pair 1
+# base first, pair 2 change first, ...), every workload or only W, S
+# seconds each (default 10) at seed X (default 0x11), end to end or,
+# with --trace, layer by layer. Prints, per workload x metric: both
+# medians, the change in the median
+# of the pairs and in the ratio of the medians, how many pairs the change
+# is ahead in (by the metric's `better` in BENCHMARK.json), each pair's
+# change, and each side's quartile spread (nearest-rank Q3 - Q1 over the
+# median); then each run's "machine ... x slower than reference" factors.
+# Exits 1 if a run fails its checks.
+#
+# Exit 2 on a usage error.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
-[ $# -eq 1 ] || { echo "usage: ci/against.sh <rev>" >&2; exit 2; }
+usage() {
+  echo "usage: ci/against.sh <rev> [--pairs N [--workload W] [--seconds S] [--seed X] [--trace]]" >&2
+  exit 2
+}
+[ $# -ge 1 ] || usage
 rev=$(git rev-parse --verify --quiet "$1^{commit}") || { echo "against: unknown revision $1" >&2; exit 2; }
+shift
+pairs=0 workload= seconds=10 seed=0x11 trace=0 tuned=
+while [ $# -gt 0 ]; do
+  if [ "$1" = --trace ]; then
+    trace=1 tuned=1
+    shift
+    continue
+  fi
+  [ $# -ge 2 ] || usage
+  case $1 in
+    --pairs) pairs=$2 ;;
+    --workload) workload=$2 tuned=1 ;;
+    --seconds) seconds=$2 tuned=1 ;;
+    --seed) seed=$2 tuned=1 ;;
+    *) usage ;;
+  esac
+  shift 2
+done
+[[ $pairs =~ ^[0-9]+$ ]] || usage
+[ "$pairs" -gt 0 ] || [ -z "$tuned" ] || usage
 root=$PWD
 tmp=$(mktemp -d)
 servers=()
 cleanup() {
   for pid in "${servers[@]}"; do kill "$pid" 2>/dev/null || true; done
-  git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
   rm -rf "$tmp"
 }
 trap cleanup EXIT
 
-git worktree add --detach --quiet "$tmp/base" "$rev"
+# A plain export, not a worktree: nothing under .git changes, so a run
+# killed before its cleanup leaves nothing behind in the repository.
+mkdir "$tmp/base"
+git archive "$rev" | tar -x -C "$tmp/base"
+
+if [ "$pairs" -gt 0 ]; then
+  # Each side's benchmark, built once (this checkout's where run.sh builds
+  # it), then both binaries side by side.
+  mkdir "$tmp/bin" "$tmp/pairs"
+  cargo build --release --offline -q --manifest-path "$tmp/base/benchmark/Cargo.toml" \
+    --target-dir "$tmp/base-bench-target"
+  cp "$tmp/base-bench-target/release/wl-benchmark" "$tmp/bin/base"
+  change_target=${CARGO_TARGET_DIR:-$root/benchmark/target}
+  cargo build --release --offline -q --manifest-path "$root/benchmark/Cargo.toml" \
+    --target-dir "$change_target"
+  cp "$change_target/release/wl-benchmark" "$tmp/bin/change"
+  workloads=$workload
+  [ -n "$workloads" ] || workloads="cold_sweep warm_sweep store_fold service_mix drive_2w"
+  # Both binaries run from one working directory: file-bound metrics read
+  # differently from different directories.
+  cd "$tmp/pairs"
+  readings=$tmp/readings.txt speeds=$tmp/speeds.txt
+  : > "$readings"
+  : > "$speeds"
+  for pair in $(seq 1 "$pairs"); do
+    order="base change"
+    [ $((pair % 2)) = 1 ] || order="change base"
+    for side in $order; do
+      for w in $workloads; do
+        log=$tmp/$pair-$side-$w.log
+        "$tmp/bin/$side" --workload "$w" --seed "$seed" --seconds "$seconds" --trace "$trace" \
+          > /dev/null 2> "$log" || { cat "$log" >&2; echo "against: pair $pair, $side $w failed" >&2; exit 1; }
+        # A metric row is "<workload> <metric> <value> <unit>".
+        awk -v p="$pair" -v s="$side" -v w="$w" '$1 == w && NF == 4 { print p, s, w, $2, $3 }' "$log" >> "$readings"
+        awk -v p="$pair" -v s="$side" -v w="$w" '/x slower than reference/ {
+          for (i = 1; i < NF; i++) if ($i == "machine") f = f sep $(i + 1); sep = ","
+        } END { if (f != "") print p, s, w, f }' "$log" >> "$speeds"
+      done
+    done
+    echo "against $rev: pair $pair of $pairs done ($order)" >&2
+  done
+  echo "# ci/against.sh $rev --pairs $pairs, seed $seed, $seconds s per workload, trace $trace, ABBA (odd pairs base first)"
+  echo "# base = $rev, change = this checkout; delta = change / base - 1; ahead = better by BENCHMARK.json"
+  # The direction of every metric, then the readings.
+  grep -oE '"name": "[^"]+", "unit": "[^"]*", "better": "(higher|lower)"' "$root/BENCHMARK.json" |
+    awk -F'"' '{ print "better", $4, $12 }' | cat - "$readings" | awk -v n="$pairs" '
+    function sort(a, k,   i, j, t) {
+      for (i = 2; i <= k; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+    }
+    function median(a, k) { sort(a, k); return k % 2 ? a[(k + 1) / 2] : (a[k / 2] + a[k / 2 + 1]) / 2 }
+    function rank(a, k, q,   r) { r = int(q * k); if (r < q * k) r++; if (r < 1) r = 1; return a[r] }
+    function spread(a, k,   m) { sort(a, k); m = median(a, k); m = m < 0 ? -m : m; return m ? (rank(a, k, 0.75) - rank(a, k, 0.25)) / m * 100 : 0 }
+    function pct(x) { return sprintf("%+.1f %%", x) }
+    $1 == "better" { better[$2] = $3; next }
+    {
+      key = $3 " " $4
+      if (!(key in seen)) { seen[key] = 1; keys[++nkeys] = key }
+      value[key, $2, $1] = $5
+      if ($5 != 0) read[key] = 1
+    }
+    END {
+      printf "%-12s %-34s %14s %14s %12s %12s %6s  %-9s %-11s per-pair delta\n", "workload", "metric", "base median", "change median", "pair median", "median ratio", "ahead", "base iqr", "change iqr"
+      for (i = 1; i <= nkeys; i++) {
+        key = keys[i]; split(key, km, " ")
+        if (!(key in read)) continue # a metric of another workload: zero in every run
+        ahead = 0; k = 0; list = ""
+        for (p = 1; p <= n; p++) {
+          b[p] = value[key, "base", p]; c[p] = value[key, "change", p]
+          d = b[p] ? (c[p] / b[p] - 1) * 100 : 0
+          if ((better[km[2]] == "higher" && c[p] > b[p]) || (better[km[2]] == "lower" && c[p] < b[p])) ahead++
+          list = list sprintf(" %+.1f", d); deltas[++k] = d
+        }
+        bm = median(b, n); cm = median(c, n)
+        printf "%-12s %-34s %14.4f %14.4f %12s %12s %3d/%-2d  %-9s %-11s%s\n", km[1], km[2], bm, cm, pct(median(deltas, k)), pct(bm ? (cm / bm - 1) * 100 : 0), ahead, n, sprintf("%.1f %%", spread(b, n)), sprintf("%.1f %%", spread(c, n)), list
+      }
+    }'
+  if [ -s "$speeds" ]; then
+    echo "# machine x slower than reference, per run (one factor per measured phase)"
+    sort -n -k1,1 -s "$speeds" | awk '{ printf "pair %-3s %-6s %-12s %s\n", $1, $2, $3, $4 }'
+  fi
+  exit 0
+fi
+
 build() { # <checkout> <target dir>
   (cd "$1" && cargo build --release --offline -q --target-dir "$2" -p bench \
     --bin sweep_shard --bin sweep_drive --bin sweep_serve --bin paper_report)

@@ -58,7 +58,8 @@
 //! imply. [`SweepCache`]'s map, [`SweepStore`]'s map, the results server
 //! and its client tier all hold the same pointer: hydrating, absorbing
 //! and merging copy pointers, never strings, and two records are equal
-//! iff their canonical bytes are.
+//! iff their canonical bytes are. A record the server replies with also
+//! keeps its binary encoding, computed once, on the first reply.
 //!
 //! **Canonical text.** The strings records carry — spec canon, outcome
 //! canon, the quoted algorithm name of a text line — follow one grammar,
@@ -91,7 +92,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The engine-semantics version stamped into every persisted record.
 ///
@@ -198,6 +199,10 @@ type StoreKey = (u64, String);
 pub(crate) struct Record {
     encoded: EncodedRecord,
     outcome: SweepOutcome,
+    /// `encoded.encode()`, filled the first time the results server
+    /// replies with this record (see [`Record::encoded_bytes`]). A
+    /// `Box`, not a `Vec`: it holds no spare capacity.
+    encoded_bytes: OnceLock<Box<[u8]>>,
 }
 
 /// What [`Record::admit`] made of an arriving [`EncodedRecord`].
@@ -234,7 +239,15 @@ impl Record {
             outcome_canon: canon_string(&outcome),
             spec_canon,
         };
-        Arc::new(Self { encoded, outcome })
+        Arc::new(Self::new(encoded, outcome))
+    }
+
+    fn new(encoded: EncodedRecord, outcome: SweepOutcome) -> Self {
+        Self {
+            encoded,
+            outcome,
+            encoded_bytes: OnceLock::new(),
+        }
     }
 
     /// Validates a record that arrived as bytes — a text line, a binary
@@ -256,12 +269,22 @@ impl Record {
             outcome.index = 0;
             encoded.outcome_canon = canon_string(&outcome);
         }
-        Admitted::Live(Arc::new(Self { encoded, outcome }))
+        Admitted::Live(Arc::new(Self::new(encoded, outcome)))
     }
 
     /// The six format-level fields store saves and wire frames carry.
     pub(crate) fn encoded(&self) -> &EncodedRecord {
         &self.encoded
+    }
+
+    /// [`EncodedRecord::encode`] of [`Record::encoded`], computed on the
+    /// first call and kept: a record never changes once it is shared, so
+    /// the bytes cannot go stale. Only the server's reply path asks, so a
+    /// record that is never served holds an empty cell and nothing else;
+    /// saves, checkpoints and puts keep their own encoders.
+    pub(crate) fn encoded_bytes(&self) -> &[u8] {
+        self.encoded_bytes
+            .get_or_init(|| self.encoded.encode().into_boxed_slice())
     }
 
     /// The parsed view of `encoded().outcome_canon` (grid index 0).
@@ -1991,6 +2014,30 @@ mod tests {
             .run::<Maintenance>(vec![g[1].clone()]);
         assert_eq!(store.absorb(&cache), 1);
         assert_eq!(store.checkpoint().unwrap(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Both constructors leave a record's served encoding empty, a save
+    /// and a checkpoint do not fill it, and the first ask fills it with
+    /// `encode()`'s bytes that every later ask hands back.
+    #[test]
+    fn encoded_bytes_are_filled_once_on_first_ask() {
+        let path = tmp_path("encoded-bytes");
+        let _ = std::fs::remove_file(&path);
+        let made = Record::of_outcome("A", 42, "Spec{n:4}".into(), &outcome_fixture());
+        let Admitted::Live(admitted) = Record::admit(made.encoded().clone()) else {
+            panic!("a record of_outcome made is live");
+        };
+        let mut store = SweepStore::open(&path).unwrap();
+        assert!(store.insert(Arc::clone(&made)).unwrap());
+        assert_eq!(store.checkpoint().unwrap(), 1);
+        store.save().unwrap();
+        for record in [&made, &admitted] {
+            assert!(record.encoded_bytes.get().is_none());
+            let first = record.encoded_bytes();
+            assert_eq!(first, record.encoded().encode());
+            assert!(std::ptr::eq(first, record.encoded_bytes()));
+        }
         let _ = std::fs::remove_file(&path);
     }
 

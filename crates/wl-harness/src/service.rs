@@ -138,29 +138,35 @@ fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Writes one frame: `u32` LE length, the body, its FNV-1a checksum.
+/// Writes one frame: `u32` LE length, the body, its FNV-1a checksum —
+/// built in one buffer and handed to the stream in one write, so a
+/// frame is one syscall and never a small write for Nagle's algorithm
+/// to hold back behind a delayed ACK.
 fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     let total = u32::try_from(body.len() + 8).map_err(|_| bad_data("frame too large"))?;
     if total > MAX_FRAME {
         return Err(bad_data("frame too large"));
     }
-    w.write_all(&total.to_le_bytes())?;
-    w.write_all(body)?;
-    w.write_all(&fnv64(body).to_le_bytes())?;
+    let mut frame = Vec::with_capacity(4 + body.len() + 8);
+    frame.extend_from_slice(&total.to_le_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(&fnv64(body).to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Validates a fully-read frame body (checksum trailer) and strips the
-/// checksum. `None` = corrupt.
-fn check_frame(buf: &[u8]) -> Option<&[u8]> {
+/// checksum in place. `None` = corrupt.
+fn check_frame(mut buf: Vec<u8>) -> Option<Vec<u8>> {
     if buf.len() < MIN_FRAME as usize {
         return None;
     }
-    let (body, crc) = buf.split_at(buf.len() - 8);
-    if fnv64(body).to_le_bytes() != crc {
+    let body_len = buf.len() - 8;
+    if fnv64(&buf[..body_len]).to_le_bytes() != buf[body_len..] {
         return None;
     }
-    Some(body)
+    buf.truncate(body_len);
+    Some(buf)
 }
 
 /// Body-buffer reservation made before any body byte has arrived. The
@@ -239,8 +245,8 @@ fn read_frame(r: &mut impl Read, shutdown: Option<&AtomicBool>) -> io::Result<In
             Err(e) => return Err(e),
         }
     }
-    check_frame(&buf)
-        .map(|body| Inbound::Frame(body.to_vec()))
+    check_frame(buf)
+        .map(Inbound::Frame)
         .ok_or_else(|| bad_data("frame checksum mismatch"))
 }
 
@@ -795,33 +801,54 @@ pub fn decode_request(body: &[u8]) -> Option<Request> {
     t.done().then_some(req)
 }
 
+/// The body of a [`Response::Found`] around a record's
+/// [`EncodedRecord::encode`] bytes — the one layout both
+/// [`encode_response`] and the server's hit path write.
+fn found_body(record: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + record.len());
+    out.push(RE_FOUND);
+    out.extend_from_slice(record);
+    out
+}
+
+/// The body of a [`Response::Batch`] over each slot's
+/// [`EncodedRecord::encode`] bytes (`1` + bytes, or `0` for an
+/// unresolved slot) — the one layout both [`encode_response`] and the
+/// server's batch path write.
+fn batch_body<B: AsRef<[u8]>>(slots: &[Option<B>]) -> Vec<u8> {
+    let bytes: usize = slots.iter().flatten().map(|b| b.as_ref().len()).sum();
+    let mut out = Vec::with_capacity(5 + slots.len() + bytes);
+    out.push(RE_BATCH);
+    let count = u32::try_from(slots.len()).expect("batch < 4G items");
+    out.extend_from_slice(&count.to_le_bytes());
+    for slot in slots {
+        match slot {
+            Some(record) => {
+                out.push(1);
+                out.extend_from_slice(record.as_ref());
+            }
+            None => out.push(0),
+        }
+    }
+    out
+}
+
 /// Encodes a response into a frame body.
 #[must_use]
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
     match resp {
-        Response::Found { record } => {
-            out.push(RE_FOUND);
-            out.extend_from_slice(&record.encode());
-        }
-        Response::Miss => out.push(RE_MISS),
-        Response::Ok => out.push(RE_OK),
+        Response::Found { record } => found_body(&record.encode()),
+        Response::Miss => vec![RE_MISS],
+        Response::Ok => vec![RE_OK],
         Response::Batch { items } => {
-            out.push(RE_BATCH);
-            let count = u32::try_from(items.len()).expect("batch < 4G items");
-            out.extend_from_slice(&count.to_le_bytes());
-            for item in items {
-                match item {
-                    Some(record) => {
-                        out.push(1);
-                        out.extend_from_slice(&record.encode());
-                    }
-                    None => out.push(0),
-                }
-            }
+            let slots: Vec<Option<Vec<u8>>> = items
+                .iter()
+                .map(|item| item.as_ref().map(EncodedRecord::encode))
+                .collect();
+            batch_body(&slots)
         }
         Response::Stats { stats } => {
-            out.push(RE_STATS);
+            let mut out = vec![RE_STATS];
             for v in [
                 stats.records,
                 stats.warm_hits,
@@ -831,13 +858,14 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             ] {
                 out.extend_from_slice(&v.to_le_bytes());
             }
+            out
         }
         Response::Err { message } => {
-            out.push(RE_ERR);
+            let mut out = vec![RE_ERR];
             push_str16(&mut out, message);
+            out
         }
     }
-    out
 }
 
 /// Decodes a frame body into a response. `None` = malformed.
@@ -891,9 +919,18 @@ enum Stream {
 }
 
 impl Stream {
+    /// A TCP stream with `TCP_NODELAY` set: a request and its reply are
+    /// one frame each, so there is never a later write to coalesce with.
+    /// Best effort — a stream that refuses the option is slower, not
+    /// wrong, and must not take the accept loop down.
+    fn tcp(stream: TcpStream) -> Self {
+        let _ = stream.set_nodelay(true);
+        Self::Tcp(stream)
+    }
+
     fn connect(addr: &ServiceAddr) -> io::Result<Self> {
         match addr {
-            ServiceAddr::Tcp(a) => TcpStream::connect(a.as_str()).map(Self::Tcp),
+            ServiceAddr::Tcp(a) => TcpStream::connect(a.as_str()).map(Self::tcp),
             #[cfg(unix)]
             ServiceAddr::Unix(p) => UnixStream::connect(p).map(Self::Unix),
         }
@@ -1394,7 +1431,7 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Stream> {
         match self {
-            Self::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Self::Tcp(l) => l.accept().map(|(s, _)| Stream::tcp(s)),
             #[cfg(unix)]
             Self::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
@@ -1523,8 +1560,8 @@ fn handle(
             continue;
         };
         let is_shutdown = matches!(request, Request::Shutdown);
-        let response = dispatch(request, core, runner, cfg)?;
-        write_frame(&mut stream, &encode_response(&response))?;
+        let reply = dispatch(request, core, runner, cfg)?;
+        write_frame(&mut stream, &reply)?;
         if is_shutdown {
             shutdown.store(true, Ordering::SeqCst);
             wake(addr);
@@ -1537,15 +1574,19 @@ fn lock_core(core: &Mutex<Core>) -> std::sync::MutexGuard<'_, Core> {
     core.lock().expect("server core poisoned")
 }
 
+/// Answers one request with its reply body. A hit is written from the
+/// record's kept [`Record::encoded_bytes`] through the same layout
+/// helpers [`encode_response`] uses; every other reply is a
+/// [`Response`] encoded by it.
 fn dispatch(
     request: Request,
     core: &Mutex<Core>,
     runner: &SweepRunner,
     cfg: &ServeConfig,
-) -> io::Result<Response> {
+) -> io::Result<Vec<u8>> {
     let mut c = lock_core(core);
     c.requests += 1;
-    Ok(match request {
+    let response = match request {
         Request::Get {
             content_hash,
             engine_version,
@@ -1553,17 +1594,16 @@ fn dispatch(
             algo,
         } => {
             if engine_version != ENGINE_VERSION {
-                return Ok(Response::Miss);
+                return Ok(encode_response(&Response::Miss));
             }
             let held = warm(&c.store, content_hash, &algo, need);
             c.warm_hits += u64::from(held.is_some());
             // The lock covers the lookup and the pointer clone only; the
-            // deep copy of the encoded form is made after it is released.
+            // record's bytes are encoded (once) and copied after it is
+            // released.
             drop(c);
             match held {
-                Some(record) => Response::Found {
-                    record: record.encoded().clone(),
-                },
+                Some(record) => return Ok(found_body(record.encoded_bytes())),
                 None => Response::Miss,
             }
         }
@@ -1583,7 +1623,7 @@ fn dispatch(
                     ),
                 }
             } else {
-                batch_get(&algo, need, &items, core, runner, cfg)?
+                return batch_get(&algo, need, &items, core, runner, cfg);
             }
         }
         Request::PutBatch { records } => {
@@ -1624,7 +1664,8 @@ fn dispatch(
         }
         Request::Stats => Response::Stats { stats: c.stats() },
         Request::Shutdown => Response::Ok,
-    })
+    };
+    Ok(encode_response(&response))
 }
 
 /// The store's record for a key, if it is rich enough for `need` — the
@@ -1634,6 +1675,8 @@ fn warm(store: &SweepStore, content_hash: u64, algo: &str, need: Capture) -> Opt
     held.filter(|record| need.kind() <= record.kind()).cloned()
 }
 
+/// Resolves a batch-get and returns its reply body, every resolved slot
+/// written from its record's kept [`Record::encoded_bytes`].
 fn batch_get(
     algo: &str,
     need: Capture,
@@ -1641,7 +1684,7 @@ fn batch_get(
     core: &Mutex<Core>,
     runner: &SweepRunner,
     cfg: &ServeConfig,
-) -> io::Result<Response> {
+) -> io::Result<Vec<u8>> {
     let mut out: Vec<Option<Arc<Record>>> = vec![None; items.len()];
     let mut cold: Vec<(usize, ScenarioSpec)> = Vec::new();
     {
@@ -1702,11 +1745,11 @@ fn batch_get(
             }
         }
     }
-    let items = out
+    let slots: Vec<Option<&[u8]>> = out
         .iter()
-        .map(|slot| slot.as_ref().map(|record| record.encoded().clone()))
+        .map(|slot| slot.as_deref().map(Record::encoded_bytes))
         .collect();
-    Ok(Response::Batch { items })
+    Ok(batch_body(&slots))
 }
 
 /// Runs a batch of grid points under the algorithm named `algo`, through
@@ -1750,8 +1793,8 @@ fn simulate(
 mod tests {
     use super::*;
     use crate::algo::SyncAlgorithm as _;
-    use crate::cache::segment::{TAG_SCALAR, TAG_SERIES, TAG_SKETCH};
-    use crate::sweep::derive_seed;
+    use crate::cache::segment::{TAG_ADV_SKETCH, TAG_SCALAR, TAG_SERIES, TAG_SKETCH};
+    use crate::sweep::{derive_seed, SweepOutcome, SweepSeries};
     use crate::Maintenance;
     use rand::{Rng, SeedableRng};
 
@@ -1801,6 +1844,80 @@ mod tests {
             outcome_canon: format!("Outcome{{v:x{:016x}}}", rng.gen::<u64>())
                 .repeat(1 + (rng.gen::<u64>() % 4) as usize),
         }
+    }
+
+    /// A random outcome at grid index `index` through arbitrary bit
+    /// patterns, on any payload rung: scalar, sketch or series.
+    fn arb_outcome(rng: &mut rand::rngs::StdRng, index: usize) -> SweepOutcome {
+        let f = |rng: &mut rand::rngs::StdRng| f64::from_bits(rng.gen::<u64>());
+        let fv = |rng: &mut rand::rngs::StdRng, n: u64| (0..n).map(|_| f(rng)).collect::<Vec<_>>();
+        let series = (rng.gen::<u64>() % 3 == 0).then(|| {
+            let n = rng.gen::<u64>() % 24;
+            SweepSeries {
+                round_times: fv(rng, n),
+                round_skews: fv(rng, n),
+                skew_times: fv(rng, n / 2),
+                skew_values: fv(rng, n / 2),
+                corr_procs: (0..n / 3).map(|_| rng.gen::<u32>()).collect(),
+                corr_times: fv(rng, n / 3),
+                corr_values: fv(rng, n / 3),
+            }
+        });
+        let sketch = (series.is_none() && rng.gen::<u64>() % 2 == 0).then(|| {
+            let mut sketch = crate::SkewSketch::new();
+            let samples = rng.gen::<u64>() % 30;
+            fv(rng, samples).into_iter().for_each(|v| sketch.observe(v));
+            sketch
+        });
+        SweepOutcome {
+            index,
+            seed: rng.gen(),
+            steady_skew: f(rng),
+            max_skew: f(rng),
+            agreement_holds: rng.gen::<u64>() % 2 == 0,
+            max_abs_adjustment: f(rng),
+            mean_abs_adjustment: f(rng),
+            adjustment_holds: rng.gen::<u64>() % 2 == 0,
+            stats: wl_sim::SimStats {
+                events_delivered: rng.gen(),
+                messages_sent: rng.gen(),
+                timers_set: rng.gen(),
+                timers_suppressed: rng.gen(),
+            },
+            sketch,
+            series,
+        }
+    }
+
+    /// One outcome per payload rung — scalar, sketch, series — over one
+    /// scalar half, the sketch derived from the series.
+    fn payload_outcomes() -> [SweepOutcome; 3] {
+        let scalar = SweepOutcome {
+            index: 4,
+            seed: 1,
+            steady_skew: 2.0,
+            max_skew: 3.0,
+            agreement_holds: true,
+            max_abs_adjustment: 0.5,
+            mean_abs_adjustment: 0.25,
+            adjustment_holds: true,
+            stats: wl_sim::SimStats::default(),
+            sketch: None,
+            series: None,
+        };
+        let mut series = scalar.clone();
+        series.series = Some(SweepSeries {
+            round_times: vec![1.0],
+            round_skews: vec![0.5],
+            skew_times: vec![0.0, 1.0],
+            skew_values: vec![0.25, f64::NAN],
+            corr_procs: vec![2],
+            corr_times: vec![1.0],
+            corr_values: vec![-0.125],
+        });
+        let mut sketch = scalar.clone();
+        sketch.sketch = series.series.as_ref().map(crate::SkewSketch::of_series);
+        [scalar, sketch, series]
     }
 
     fn arb_spec(rng: &mut rand::rngs::StdRng) -> ScenarioSpec {
@@ -2014,6 +2131,43 @@ mod tests {
             }
             proptest::prop_assert!(matches!(read_frame(&mut reader, None), Ok(Inbound::Eof)), "clean EOF");
         }
+
+        /// A live record's kept bytes are `encoded().encode()`, and a
+        /// `Found` written from them is `encode_response`'s, for a record
+        /// admitted at a non-zero grid index (which `admit`
+        /// re-canonicalizes) and for the same record made by `of_outcome`.
+        #[test]
+        fn prop_kept_bytes_are_the_encoding(seed in 0u64..u64::MAX) {
+            use crate::cache::segment::record_tag;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut arriving = arb_record(&mut rng);
+            if rng.gen::<u64>() % 2 == 0 {
+                arriving.spec_canon.push_str(",adversary:+Mute");
+            }
+            let index = 1 + (rng.gen::<u64>() % 4096) as usize;
+            let outcome = arb_outcome(&mut rng, index);
+            arriving.outcome_canon = canon_string(&outcome);
+            arriving.tag = record_tag(outcome.kind(), crate::cache::spec_is_adversarial(&arriving.spec_canon));
+            let Admitted::Live(admitted) = Record::admit(arriving.clone()) else {
+                panic!("seed {seed}: a canonical outcome under its own tag is live");
+            };
+            proptest::prop_assert_ne!(&admitted.encoded().outcome_canon, &arriving.outcome_canon);
+            let made = Record::of_outcome(
+                &arriving.algo,
+                arriving.content_hash,
+                arriving.spec_canon.clone(),
+                &outcome,
+            );
+            proptest::prop_assert_eq!(made.encoded(), admitted.encoded());
+            for record in [&admitted, &made] {
+                let want = record.encoded().encode();
+                proptest::prop_assert_eq!(record.encoded_bytes(), &want[..]);
+                proptest::prop_assert_eq!(
+                    found_body(record.encoded_bytes()),
+                    encode_response(&Response::Found { record: record.encoded().clone() })
+                );
+            }
+        }
     }
 
     /// Mirror of the segment suite's tamper test at the frame layer:
@@ -2116,6 +2270,149 @@ mod tests {
         );
     }
 
+    /// A frame is one `write` call — length, body and checksum together —
+    /// so no small write is left for Nagle's algorithm to hold back.
+    #[test]
+    fn a_frame_is_one_write_call() {
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for len in [0, 1, FRAME_RESERVE + 1] {
+            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.writes, 1, "a {len}-byte body");
+            let mut frame = u32::try_from(len + 8).unwrap().to_le_bytes().to_vec();
+            frame.extend_from_slice(&body);
+            frame.extend_from_slice(&fnv64(&body).to_le_bytes());
+            assert_eq!(w.bytes, frame, "a {len}-byte body");
+        }
+    }
+
+    /// Both ends of a service TCP connection — the client's connect and
+    /// the server's accept — switch Nagle's algorithm off.
+    #[test]
+    fn tcp_streams_set_nodelay_on_both_ends() {
+        let (listener, addr) = Listener::bind(&ServiceAddr::Tcp("127.0.0.1:0".into())).unwrap();
+        let client = Stream::connect(&addr).unwrap();
+        let server = listener.accept().unwrap();
+        for (end, stream) in [("client", client), ("server", server)] {
+            let Stream::Tcp(stream) = stream else {
+                panic!("{end}: a TCP address gives a TCP stream");
+            };
+            assert!(stream.nodelay().unwrap(), "{end} end");
+        }
+    }
+
+    /// The server's reply bodies are the public codec's bytes: a `Get`
+    /// hit, and a `BatchGet` mixing hits with an unresolved slot, over
+    /// scalar, sketch, series and adversarial records — on the first
+    /// reply, which fills each record's kept bytes, and on a repeat,
+    /// which reuses them. Each order runs on fresh records, so both
+    /// opcodes are checked filling the bytes.
+    #[test]
+    fn served_replies_equal_encode_response() {
+        let [scalar, sketch, series] = payload_outcomes();
+        let specs = grid(3);
+        let adversarial = specs[0].clone().adversary(AdversarySpec::new(
+            vec![ProcessId(0)],
+            AdversaryStrategy::Mute,
+        ));
+        let points = [
+            (&specs[0], &scalar),
+            (&specs[1], &sketch),
+            (&specs[2], &series),
+            (&adversarial, &sketch),
+        ];
+        let runner = SweepRunner::serial();
+        let cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), tmp_store("replies"));
+        let get = |spec: &ScenarioSpec| Request::Get {
+            content_hash: spec.content_hash(),
+            engine_version: ENGINE_VERSION,
+            need: Capture::Scalar,
+            algo: Maintenance::NAME.into(),
+        };
+        // Every point, with an undecodable spec in the middle.
+        let mut items: Vec<BatchItem> = points
+            .iter()
+            .map(|(spec, _)| BatchItem {
+                content_hash: spec.content_hash(),
+                spec: encode_spec(spec),
+            })
+            .collect();
+        items.insert(
+            2,
+            BatchItem {
+                content_hash: 7,
+                spec: vec![],
+            },
+        );
+        let batch = Request::BatchGet {
+            engine_version: ENGINE_VERSION,
+            need: Capture::Scalar,
+            algo: Maintenance::NAME.into(),
+            items,
+        };
+        for batch_first in [true, false] {
+            let mut store = SweepStore::new();
+            let mut held = Vec::new();
+            for (spec, outcome) in points {
+                let canon = canon_string(&spec.canonical());
+                let record =
+                    Record::of_outcome(Maintenance::NAME, spec.content_hash(), canon, outcome);
+                assert!(store.insert(Arc::clone(&record)).unwrap());
+                held.push(record.encoded().clone());
+            }
+            let tags: Vec<u8> = held.iter().map(|r| r.tag).collect();
+            assert_eq!(tags, [TAG_SCALAR, TAG_SKETCH, TAG_SERIES, TAG_ADV_SKETCH]);
+            let core = Mutex::new(Core {
+                store,
+                warm_hits: 0,
+                simulated: 0,
+                puts: 0,
+                requests: 0,
+                batches: 0,
+            });
+            let reply = |request: &Request| dispatch(request.clone(), &core, &runner, &cfg);
+            let mut slots: Vec<Option<EncodedRecord>> = held.iter().cloned().map(Some).collect();
+            slots.insert(2, None);
+            let want_batch = encode_response(&Response::Batch { items: slots });
+            for pass in ["first", "repeat"] {
+                if batch_first {
+                    assert_eq!(reply(&batch).unwrap(), want_batch, "{pass} batch");
+                }
+                for ((spec, _), record) in points.iter().zip(&held) {
+                    let want = encode_response(&Response::Found {
+                        record: record.clone(),
+                    });
+                    assert_eq!(
+                        reply(&get(spec)).unwrap(),
+                        want,
+                        "{pass} get, tag {}",
+                        record.tag
+                    );
+                }
+                if !batch_first {
+                    assert_eq!(reply(&batch).unwrap(), want_batch, "{pass} batch");
+                }
+            }
+            let stats = core.into_inner().unwrap().stats();
+            assert_eq!((stats.warm_hits, stats.simulated), (16, 0));
+        }
+    }
+
     /// End-to-end over TCP on an ephemeral port: cold batch-get
     /// simulates on the server, warm get hits, put inserts, stats
     /// count, shutdown saves canonically.
@@ -2194,7 +2491,7 @@ mod tests {
         let mut foreign = arb_record(&mut rng);
         foreign.tag = TAG_SCALAR;
         foreign.outcome_canon = {
-            let outcome = crate::sweep::SweepOutcome {
+            let outcome = SweepOutcome {
                 index: 0,
                 seed: 1,
                 steady_skew: 2.0,
@@ -2321,9 +2618,8 @@ mod tests {
     #[test]
     fn admission_table_across_carriers() {
         use crate::cache::segment::{
-            write_file, DEFAULT_SEGMENT_CAPACITY, TAG_ADV_SCALAR, TAG_ADV_SERIES, TAG_ADV_SKETCH,
+            write_file, DEFAULT_SEGMENT_CAPACITY, TAG_ADV_SCALAR, TAG_ADV_SERIES,
         };
-        use crate::sweep::{SweepOutcome, SweepSeries};
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Class {
             Live,
@@ -2337,31 +2633,7 @@ mod tests {
             vec![ProcessId(0)],
             AdversaryStrategy::Mute,
         ));
-        let scalar = SweepOutcome {
-            index: 4,
-            seed: 1,
-            steady_skew: 2.0,
-            max_skew: 3.0,
-            agreement_holds: true,
-            max_abs_adjustment: 0.5,
-            mean_abs_adjustment: 0.25,
-            adjustment_holds: true,
-            stats: wl_sim::SimStats::default(),
-            sketch: None,
-            series: None,
-        };
-        let mut series = scalar.clone();
-        series.series = Some(SweepSeries {
-            round_times: vec![1.0],
-            round_skews: vec![0.5],
-            skew_times: vec![0.0, 1.0],
-            skew_values: vec![0.25, f64::NAN],
-            corr_procs: vec![2],
-            corr_times: vec![1.0],
-            corr_values: vec![-0.125],
-        });
-        let mut sketch = scalar.clone();
-        sketch.sketch = series.series.as_ref().map(crate::SkewSketch::of_series);
+        let [scalar, sketch, series] = payload_outcomes();
         let record = |spec: &ScenarioSpec, outcome: &SweepOutcome| {
             let canon = canon_string(&spec.canonical());
             let record = Record::of_outcome(Maintenance::NAME, spec.content_hash(), canon, outcome);
