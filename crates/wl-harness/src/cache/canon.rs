@@ -103,11 +103,13 @@ impl Canon for usize {
     }
 }
 
+/// The hex digits a float's bit pattern is spelled in: lower case only.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
 /// `x` and the sixteen lower-case hex digits of the bit pattern —
 /// `format!("x{:016x}", bits)`'s spelling, written without `core::fmt`.
 impl Canon for f64 {
     fn canon(&self, out: &mut String) {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
         let bits = self.to_bits();
         let mut text = [b'x'; 17];
         for (i, digit) in text[1..].iter_mut().enumerate() {
@@ -203,61 +205,92 @@ pub(super) fn unescape(s: &str) -> Option<String> {
     Some(out)
 }
 
+/// A byte's value as a lower-case hex digit, or 16: the one lookup that
+/// both reads a float's digits and tells where they end.
+const HEX_DIGIT: [u8; 256] = {
+    let mut table = [16; 256];
+    let mut digit = 0;
+    while digit < 16 {
+        table[HEX[digit] as usize] = digit as u8;
+        digit += 1;
+    }
+    table
+};
+
 /// Strict cursor over a canonical string: every `eat` states exactly what
 /// the writer must have put next, and every token has one accepted
 /// spelling — the writer's — so any drift between writer and parser
 /// surfaces as `None` (→ a skipped record), never as a misread value,
 /// and two records that parse alike are alike byte for byte.
+///
+/// It reads bytes, not `char`s: every token of the grammar is ASCII, so
+/// a byte that is not the one expected fails the parse wherever it falls,
+/// inside a multi-byte character or not.
 struct Cursor<'a> {
-    s: &'a str,
+    s: &'a [u8],
 }
 
-impl<'a> Cursor<'a> {
+impl Cursor<'_> {
     fn eat(&mut self, prefix: &str) -> Option<()> {
-        self.s = self.s.strip_prefix(prefix)?;
+        self.s = self.s.strip_prefix(prefix.as_bytes())?;
         Some(())
     }
 
-    fn take_while(&mut self, pred: impl Fn(char) -> bool) -> &'a str {
-        let end = self
-            .s
-            .char_indices()
-            .find(|&(_, c)| !pred(c))
-            .map_or(self.s.len(), |(i, _)| i);
-        let (head, tail) = self.s.split_at(end);
-        self.s = tail;
-        head
+    /// Whether the next byte satisfies `pred` (`false` at the end).
+    fn next_is(&self, pred: impl Fn(u8) -> bool) -> bool {
+        self.s.first().is_some_and(|&b| pred(b))
     }
 
-    /// A decimal integer as the writer spells it: no leading zero.
+    /// A decimal integer as the writer spells it: no leading zero, no
+    /// sign, no more than a `u64` holds.
     fn u64_dec(&mut self) -> Option<u64> {
-        let digits = self.take_while(|c| c.is_ascii_digit());
-        if digits.len() > 1 && digits.starts_with('0') {
+        let len = self.s.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.s.split_at(len);
+        if digits.is_empty() || (len > 1 && digits[0] == b'0') {
             return None;
         }
-        digits.parse().ok()
+        let n = digits.iter().try_fold(0u64, |n, &d| {
+            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })?;
+        self.s = rest;
+        Some(n)
     }
 
     fn u32_dec(&mut self) -> Option<u32> {
         u32::try_from(self.u64_dec()?).ok()
     }
 
-    /// `x` and sixteen hex digits as the writer spells them: lower case.
+    /// `x` and exactly sixteen hex digits as the writer spells them:
+    /// lower case, and no seventeenth.
     fn f64_bits(&mut self) -> Option<f64> {
         self.eat("x")?;
-        let hex = self.take_while(|c| matches!(c, '0'..='9' | 'a'..='f'));
-        if hex.len() != 16 {
+        let (hex, rest) = self.s.split_at_checked(16)?;
+        // One test for a non-digit, after the loop: a digit is below 16,
+        // the table's "not a digit" is 16.
+        let (mut bits, mut seen) = (0u64, 0u8);
+        for &b in hex {
+            let digit = HEX_DIGIT[usize::from(b)];
+            seen |= digit;
+            bits = bits << 4 | u64::from(digit);
+        }
+        if seen >= 16 {
             return None;
         }
-        Some(f64::from_bits(u64::from_str_radix(hex, 16).ok()?))
+        self.s = rest;
+        let seventeenth = self.next_is(|b| HEX_DIGIT[usize::from(b)] < 16);
+        (!seventeenth).then(|| f64::from_bits(bits))
     }
 
+    /// `T` or `F`, alone: `TT` or `TF` is no spelling of either.
     fn boolean(&mut self) -> Option<bool> {
-        match self.take_while(|c| c == 'T' || c == 'F') {
-            "T" => Some(true),
-            "F" => Some(false),
-            _ => None,
-        }
+        let (&first, rest) = self.s.split_first()?;
+        let value = match first {
+            b'T' => true,
+            b'F' => false,
+            _ => return None,
+        };
+        self.s = rest;
+        (!self.next_is(|b| b == b'T' || b == b'F')).then_some(value)
     }
 
     /// `~`, or `+` and what `some` parses.
@@ -608,7 +641,7 @@ impl Canon for SweepOutcome {
 /// above emits (so `canon_string(&parsed)` is the input, byte for byte).
 /// Its one caller outside the tests is `Record::admit`.
 pub(super) fn parse_outcome(s: &str) -> Option<SweepOutcome> {
-    let mut c = Cursor { s };
+    let mut c = Cursor { s: s.as_bytes() };
     c.eat("SweepOutcome{index:")?;
     let index = c.u64_dec()?;
     c.eat(",seed:")?;
@@ -954,6 +987,127 @@ mod tests {
             golden.lines().count(),
             text.lines().count(),
         );
+    }
+
+    /// The cursor as it stood when it read `char`s off a `&str`, verbatim
+    /// but for its name: the oracle the byte cursor is compared against.
+    struct StrCursor<'a> {
+        s: &'a str,
+    }
+
+    impl<'a> StrCursor<'a> {
+        fn eat(&mut self, prefix: &str) -> Option<()> {
+            self.s = self.s.strip_prefix(prefix)?;
+            Some(())
+        }
+
+        fn take_while(&mut self, pred: impl Fn(char) -> bool) -> &'a str {
+            let end = self
+                .s
+                .char_indices()
+                .find(|&(_, c)| !pred(c))
+                .map_or(self.s.len(), |(i, _)| i);
+            let (head, tail) = self.s.split_at(end);
+            self.s = tail;
+            head
+        }
+
+        fn u64_dec(&mut self) -> Option<u64> {
+            let digits = self.take_while(|c| c.is_ascii_digit());
+            if digits.len() > 1 && digits.starts_with('0') {
+                return None;
+            }
+            digits.parse().ok()
+        }
+
+        fn u32_dec(&mut self) -> Option<u32> {
+            u32::try_from(self.u64_dec()?).ok()
+        }
+
+        fn f64_bits(&mut self) -> Option<f64> {
+            self.eat("x")?;
+            let hex = self.take_while(|c| matches!(c, '0'..='9' | 'a'..='f'));
+            if hex.len() != 16 {
+                return None;
+            }
+            Some(f64::from_bits(u64::from_str_radix(hex, 16).ok()?))
+        }
+
+        fn boolean(&mut self) -> Option<bool> {
+            match self.take_while(|c| c == 'T' || c == 'F') {
+                "T" => Some(true),
+                "F" => Some(false),
+                _ => None,
+            }
+        }
+    }
+
+    /// Every token reader of the byte cursor returns what the `char`
+    /// cursor returned and, on success, leaves the same rest — over
+    /// integers at and past every width's end, leading zeros and signs,
+    /// floats of 15–17 digits in either case, booleans doubled, and each
+    /// of those followed by a delimiter, a digit, a letter, a non-ASCII
+    /// character or nothing.
+    #[test]
+    fn tokens_read_as_the_char_cursor_read_them() {
+        let small = [
+            "",
+            "0",
+            "00",
+            "01",
+            "7",
+            "42",
+            "+1",
+            "-1",
+            "4294967295",
+            "4294967296",
+        ];
+        let wide = [
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+        ];
+        let floats = [
+            "x",
+            "x3ff0000000000000",
+            "x3ff000000000000",
+            "x3ff00000000000000",
+        ];
+        let bad_floats = ["x3FF0000000000000", "x3ff000000000000g", "3ff0000000000000"];
+        let booleans = ["T", "F", "TT", "TF", "FT", "t", "True", "é", "T\u{e9}"];
+        let tails = ["", ",", "]", "}", "0", "a", "f", "T", "F", "é", "x1"];
+        let tokens = [&small[..], &wide, &floats, &bad_floats, &booleans].concat();
+        for token in tokens {
+            for tail in tails {
+                let s = format!("{token}{tail}");
+                let old = || StrCursor { s: &s };
+                let new = || Cursor { s: s.as_bytes() };
+                macro_rules! same {
+                    ($read:ident) => {{
+                        let (mut o, mut n) = (old(), new());
+                        let (want, got) = (o.$read(), n.$read());
+                        assert_eq!(
+                            format!("{want:?}"),
+                            format!("{got:?}"),
+                            "{} on {s:?}",
+                            stringify!($read)
+                        );
+                        if want.is_some() {
+                            assert_eq!(
+                                o.s.as_bytes(),
+                                n.s,
+                                "rest after {} on {s:?}",
+                                stringify!($read)
+                            );
+                        }
+                    }};
+                }
+                same!(u64_dec);
+                same!(u32_dec);
+                same!(f64_bits);
+                same!(boolean);
+            }
+        }
     }
 
     /// The reader accepts only what the writer emits: every truncation
