@@ -56,7 +56,7 @@ fn usage() -> ! {
         "usage:\n  sweep_drive --workers N [--grid SIZE] [--t-end SECS] [--dir DIR] [--out FILE] \
          [--retries R] [--stall-ms T] [--crash-worker K] [--steal-ms T] {driver}\n  \
          sweep_drive --frontier-worker --frontier DIR --worker-id ID --store FILE \
-         [--grid SIZE] [--t-end SECS] [--steal-ms T] [--poll-ms T] \
+         [--grid SIZE] [--t-end SECS] [--steal-ms T] \
          [--crash-after-chunks M] {worker}\n\
          --chunk is the checkpoint granule; workers inherit WL_SWEEP_SERVICE",
         driver = cli::common_usage(DRIVER_FLAGS),
@@ -90,7 +90,6 @@ fn frontier_worker_main(args: &[String]) {
     let mut t_end = 2.0f64;
     let mut common = cli::CommonArgs::default();
     let mut steal_ms = 2000u64;
-    let mut poll_ms = 100u64;
     let mut crash_after_chunks = None;
     while let Some(flag) = it.next() {
         if common.take(WORKER_FLAGS, flag, &mut it) {
@@ -103,7 +102,6 @@ fn frontier_worker_main(args: &[String]) {
             "--grid" => grid_size = parse(it.next()),
             "--t-end" => t_end = parse(it.next()),
             "--steal-ms" => steal_ms = parse(it.next()),
-            "--poll-ms" => poll_ms = parse(it.next()),
             "--crash-after-chunks" => crash_after_chunks = Some(parse(it.next())),
             _ => usage(),
         }
@@ -113,7 +111,6 @@ fn frontier_worker_main(args: &[String]) {
     let store = store.unwrap_or_else(|| usage());
     let mut cfg = FrontierWorkerConfig::new(frontier, worker.clone(), store);
     cfg.steal_timeout = Duration::from_millis(steal_ms);
-    cfg.poll = Duration::from_millis(poll_ms);
     cfg.crash_after_chunks = crash_after_chunks;
     cfg.capture = common.capture();
     let progress = run_worker_frontier::<Maintenance>(

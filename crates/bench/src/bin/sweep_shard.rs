@@ -175,8 +175,8 @@ fn run_merge(args: &[String]) {
         }
         match merged.merge_from(&shard_store) {
             Ok(stats) => println!(
-                "merged {input}: {} added, {} agreed, {} sketch-merged",
-                stats.added, stats.agreed, stats.merged
+                "merged {input}: {} added, {} agreed, {} upgraded",
+                stats.added, stats.agreed, stats.upgraded
             ),
             Err(conflict) => {
                 eprintln!("merge conflict: {conflict}");

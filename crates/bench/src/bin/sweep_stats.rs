@@ -12,9 +12,11 @@
 //!
 //! The output is deterministic — character-identical across runs,
 //! machines, and shard counts over the same records — so CI can `cmp`
-//! it against a golden transcript. Multiple stores are merged (sketch
-//! ⊔ sketch = histogram add) before reporting, which is exactly how a
-//! fleet's shard stores aggregate without ever materializing series.
+//! it against a golden transcript. Multiple stores are merged first
+//! (`merge_from`: shard stores of one grid are disjoint or agree), and
+//! the report then folds the records' sketches together (sketch ⊔ sketch
+//! = histogram add), which is exactly how a fleet's shard stores
+//! aggregate without ever materializing series.
 //!
 //! [`SkewSketch`]: wl_harness::SkewSketch
 

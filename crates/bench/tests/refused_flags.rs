@@ -75,6 +75,31 @@ fn a_transport_flag_is_an_unknown_flag() {
     assert!(!dir.exists(), "refused after touching the disk");
 }
 
+/// A frontier worker polls at its config's default, so `--poll-ms` is
+/// an unknown flag: usage and exit 2 before anything touches the disk.
+#[test]
+fn a_poll_ms_flag_is_an_unknown_flag() {
+    let dir = std::env::temp_dir().join(format!("wl-refused-poll-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let at = |name: &str| dir.join(name).to_str().expect("utf-8 temp dir").to_string();
+    let (store, work) = (at("x.wls"), at("drive"));
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep_drive"))
+        .args([
+            "--frontier-worker",
+            "--frontier",
+            &work,
+            "--worker-id",
+            "w0",
+        ])
+        .args(["--store", &store, "--poll-ms", "5"])
+        .output()
+        .expect("run the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage:"), "{stderr}");
+    assert!(!dir.exists(), "refused after touching the disk");
+}
+
 /// Every store a run writes is binary, so `--format` is an unknown flag
 /// in each mode but `sweep_shard --migrate`: usage and exit 2 before
 /// anything touches the disk. The text export `--migrate` names works.

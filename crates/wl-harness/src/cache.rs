@@ -331,24 +331,26 @@ fn same_record(a: &Arc<Record>, b: &Arc<Record>) -> bool {
     Arc::ptr_eq(a, b) || a.encoded == b.encoded
 }
 
-/// The scalar ⊑ sketch ⊑ series join of a held record with an arriving
-/// one under the same key: `Ok(true)` = `theirs` is a strict upgrade
-/// (richer payload over a byte-identical scalar half) and should replace
-/// `ours`, `Ok(false)` = it teaches nothing (identical, or poorer over
-/// the same scalar half), `Err` = the two contradict each other. A
-/// sketch beside a series must also be that series' derivation — it is
-/// not new information, so a disagreeing one is a contradiction.
-fn lattice_join(ours: &Record, theirs: &Record) -> Result<bool, MergeConflictKind> {
+/// The one rule by which a store takes a record for a key it already
+/// holds — the scalar ⊑ sketch ⊑ series join of `ours` with `theirs`:
+/// `Ok(true)` = `theirs` is a strict upgrade (richer payload over a
+/// byte-identical scalar half) and should replace `ours`, `Ok(false)` =
+/// it teaches nothing (the same record, or poorer over the same scalar
+/// half), `Err` = the two contradict each other. Two different records
+/// of one kind always contradict — a record is a pure function of its
+/// spec, so there is nothing to combine. A sketch beside a series must
+/// also be that series' derivation — it is not new information, so a
+/// disagreeing one is a contradiction.
+fn lattice_join(ours: &Arc<Record>, theirs: &Arc<Record>) -> Result<bool, MergeConflictKind> {
+    if same_record(ours, theirs) {
+        return Ok(false);
+    }
     if ours.encoded.spec_canon != theirs.encoded.spec_canon {
         return Err(MergeConflictKind::SpecMismatch);
-    }
-    if ours.encoded.outcome_canon == theirs.encoded.outcome_canon {
-        return Ok(false);
     }
     let (poorer, richer) = match ours.kind().cmp(&theirs.kind()) {
         std::cmp::Ordering::Less => (ours, theirs),
         std::cmp::Ordering::Greater => (theirs, ours),
-        // Same kind but different bytes: a genuine contradiction.
         std::cmp::Ordering::Equal => return Err(MergeConflictKind::OutcomeMismatch),
     };
     let derived = match (&poorer.outcome.sketch, &richer.outcome.series) {
@@ -359,16 +361,6 @@ fn lattice_join(ours: &Record, theirs: &Record) -> Result<bool, MergeConflictKin
         return Err(MergeConflictKind::OutcomeMismatch);
     }
     Ok(ours.kind() < theirs.kind())
-}
-
-/// Whether two same-key records qualify for the [`SweepStore::merge_from`]
-/// sketch ⊔ sketch arm: both are sketch-kind records whose scalar
-/// halves are byte-identical — only the mergeable histogram payloads
-/// differ.
-fn sketches_mergeable(a: &Record, b: &Record) -> bool {
-    a.kind() == PayloadKind::Sketch
-        && b.kind() == PayloadKind::Sketch
-        && a.scalar_half() == b.scalar_half()
 }
 
 /// Why two stores refused to merge.
@@ -390,10 +382,13 @@ pub enum MergeConflictKind {
     /// cache degrades it to a miss) but unrepresentable in the one-slot
     /// store, so merging refuses.
     SpecMismatch,
-    /// Same key, same spec, different outcomes: the two stores were
-    /// written by executions that were *not* bit-identical — mixed
-    /// engine builds or hardware-dependent math. This is the error the
-    /// determinism contract exists to catch; do not pick a winner.
+    /// Same key, same spec, outcomes no lattice step joins: two
+    /// different records of one payload kind (two sketches included),
+    /// different scalar halves, or a sketch that is not the derivation
+    /// of the series beside it. The two were written by executions that
+    /// were *not* bit-identical — mixed engine builds or
+    /// hardware-dependent math. This is the error the determinism
+    /// contract exists to catch; do not pick a winner, and do not sum.
     OutcomeMismatch,
 }
 
@@ -429,11 +424,12 @@ impl std::error::Error for MergeConflict {}
 pub struct MergeStats {
     /// Records the other store contributed that this one lacked.
     pub added: usize,
-    /// Records present in both and confirmed byte-identical.
+    /// Records present in both that the join found agreeing: the same
+    /// bytes, or theirs poorer over our scalar half.
     pub agreed: usize,
-    /// Sketch-kind records present in both with byte-identical scalar
-    /// halves, combined by histogram add (the sketch ⊔ sketch arm).
-    pub merged: usize,
+    /// Records present in both where theirs was a strict upgrade of ours
+    /// (richer payload over a byte-identical scalar half) and replaced it.
+    pub upgraded: usize,
 }
 
 /// A disk-persistent, content-addressed store of sweep records — the
@@ -699,12 +695,13 @@ impl SweepStore {
         }
     }
 
-    /// Folds a cache's entries into the store (the write half): a record
-    /// the store lacks, or holds with different canonical bytes, is
-    /// taken over by pointer; one hydrated from this store and untouched
-    /// since is recognised by its pointer alone.
+    /// Folds a cache's entries into the store (the write half) through
+    /// the one join (`lattice_join`): a record the store lacks, or a
+    /// strict upgrade of the one it holds, is taken over by pointer; one
+    /// hydrated from this store and untouched since is recognised by its
+    /// pointer alone; one that contradicts ours leaves ours in place.
     ///
-    /// Returns how many records were added or replaced.
+    /// Returns how many records were added or upgraded.
     pub fn absorb(&mut self, cache: &SweepCache) -> usize {
         self.absorb_records(cache.snapshot())
     }
@@ -713,16 +710,27 @@ impl SweepStore {
     /// frontier worker's per-chunk fold, which knows the chunk's records
     /// and need not walk its whole cache for them.
     pub(crate) fn absorb_records(&mut self, records: Vec<Arc<Record>>) -> usize {
-        let mut changed = 0;
+        let mut taken = 0;
         for record in records {
             let key = record.key();
-            let held = self.records.get(&key);
-            if !held.is_some_and(|ours| same_record(ours, &record)) {
+            if self.takes(&key, &record) == Ok(true) {
                 self.put(key, record);
-                changed += 1;
+                taken += 1;
             }
         }
-        changed
+        taken
+    }
+
+    /// Whether the store would take `theirs` under `key`: `Ok(true)` for
+    /// a vacant key or a strict upgrade, `Ok(false)` when ours already
+    /// says it, the conflict otherwise — `lattice_join`, keyed.
+    fn takes(&self, key: &StoreKey, theirs: &Arc<Record>) -> Result<bool, MergeConflict> {
+        match self.records.get(key) {
+            None => Ok(true),
+            Some(ours) => {
+                lattice_join(ours, theirs).map_err(|kind| MergeConflict::under(key, kind))
+            }
+        }
     }
 
     /// Holds `record` under `key`, marked unsaved so the next
@@ -739,25 +747,20 @@ impl SweepStore {
         self.records.get(&(content_hash, algo.to_string()))
     }
 
-    /// Inserts one record under the scalar ⊑ sketch ⊑ series lattice
-    /// (`lattice_join`): a vacant key takes it, a richer record replaces
-    /// a poorer one over a byte-identical scalar half, and an identical
-    /// or poorer arrival is an agreeing no-op; one that contradicts the
-    /// held record is a [`MergeConflict`]. Returns whether the store
-    /// changed; changed records are marked unsaved, so the next
+    /// Inserts one record through the one join (`lattice_join`): a
+    /// vacant key takes it, a richer record replaces a poorer one over a
+    /// byte-identical scalar half, and an identical or poorer arrival is
+    /// an agreeing no-op; one that contradicts the held record is a
+    /// [`MergeConflict`]. Returns whether the store changed; changed
+    /// records are marked unsaved, so the next
     /// [`checkpoint`](SweepStore::checkpoint) persists them.
     pub(crate) fn insert(&mut self, record: Arc<Record>) -> Result<bool, MergeConflict> {
         let key = record.key();
-        let upgrade = match self.records.get(&key) {
-            None => true,
-            Some(ours) => {
-                lattice_join(ours, &record).map_err(|kind| MergeConflict::under(&key, kind))?
-            }
-        };
-        if upgrade {
+        let take = self.takes(&key, &record)?;
+        if take {
             self.put(key, record);
         }
-        Ok(upgrade)
+        Ok(take)
     }
 
     /// [`insert`](SweepStore::insert) for a record that arrived as
@@ -774,55 +777,35 @@ impl SweepStore {
         }
     }
 
-    /// Merges another store's records into this one, equality-confirmed:
-    /// a key present in both must carry byte-identical spec *and*
-    /// outcome, otherwise the merge refuses with a [`MergeConflict`]
-    /// (and this store is left unchanged).
+    /// Merges another store's records into this one through the one
+    /// join (`lattice_join`): a key this store lacks is added, a strict
+    /// upgrade replaces ours, an identical or poorer record agrees — and
+    /// any contradiction refuses the whole merge with a [`MergeConflict`],
+    /// leaving this store unchanged.
     ///
     /// # Errors
     ///
     /// See [`MergeConflictKind`] for the two refusal modes.
     pub fn merge_from(&mut self, other: &Self) -> Result<MergeStats, MergeConflict> {
-        // Validate everything before mutating anything.
-        for (key, theirs) in &other.records {
-            let Some(ours) = self.records.get(key) else {
-                continue;
-            };
-            let kind = if ours.encoded.spec_canon != theirs.encoded.spec_canon {
-                MergeConflictKind::SpecMismatch
-            } else if same_record(ours, theirs) || sketches_mergeable(ours, theirs) {
-                continue;
-            } else {
-                MergeConflictKind::OutcomeMismatch
-            };
-            return Err(MergeConflict::under(key, kind));
-        }
+        // Join everything before mutating anything.
         let mut stats = MergeStats::default();
+        let mut taken = Vec::new();
         for (key, theirs) in &other.records {
-            let joined = match self.records.get(key) {
-                None => {
-                    stats.added += 1;
-                    Arc::clone(theirs)
-                }
-                Some(ours) if same_record(ours, theirs) => {
-                    stats.agreed += 1;
-                    continue;
-                }
-                // The sketch ⊔ sketch arm (validated above): two partial
-                // folds of one point's sample population combine by
-                // histogram add — associative, commutative, and
-                // order-independent, so merge order across shard stores
-                // cannot change the result.
-                Some(ours) => {
-                    let mut outcome = ours.outcome.clone();
-                    let both = outcome.sketch.as_mut().zip(theirs.outcome.sketch.as_ref());
-                    let (sketch, theirs_sketch) = both.expect("validated as mergeable sketches");
-                    sketch.merge(theirs_sketch);
-                    stats.merged += 1;
-                    Record::of_outcome(&key.1, key.0, ours.encoded.spec_canon.clone(), &outcome)
-                }
-            };
-            self.put(key.clone(), joined);
+            match self.records.get(key) {
+                None => stats.added += 1,
+                Some(ours) => match lattice_join(ours, theirs) {
+                    Ok(true) => stats.upgraded += 1,
+                    Ok(false) => {
+                        stats.agreed += 1;
+                        continue;
+                    }
+                    Err(kind) => return Err(MergeConflict::under(key, kind)),
+                },
+            }
+            taken.push((key, theirs));
+        }
+        for (key, theirs) in taken {
+            self.put(key.clone(), Arc::clone(theirs));
         }
         Ok(stats)
     }
@@ -831,20 +814,20 @@ impl SweepStore {
     /// conflict — the silent sibling of [`SweepStore::merge_from`], for
     /// when "ours is fresher" is the right policy (e.g. folding in what
     /// another process wrote to the shared file while we were running).
-    /// Missing means: a key this store lacks, **or** a record strictly
-    /// richer than ours over a byte-identical scalar half (the upgrade
-    /// arm of `insert`, sketch-is-the-derivation-of-the-series check
-    /// included) — so a scalar copy never shadows the series record
-    /// another process paid for. Anything that contradicts ours leaves
-    /// ours untouched. Returns how many records were adopted.
+    /// The same join decides (`lattice_join`): a key this store lacks,
+    /// or a record strictly richer than ours over a byte-identical
+    /// scalar half, is adopted — so a scalar copy never shadows the
+    /// series record another process paid for; anything that
+    /// contradicts ours leaves ours untouched, exactly as
+    /// [`absorb`](SweepStore::absorb) does. Returns how many records
+    /// were adopted.
     pub fn adopt_missing_from(&mut self, other: &Self) -> usize {
+        // `other`'s own keys, not `absorb_records`' one new key per
+        // record: a persist walks the whole on-disk store, and those
+        // short-lived keys alone raise the persist's peak RSS.
         let mut adopted = 0;
         for (key, theirs) in &other.records {
-            let adopt = match self.records.get(key) {
-                None => true,
-                Some(ours) => lattice_join(ours, theirs) == Ok(true),
-            };
-            if adopt {
+            if self.takes(key, theirs) == Ok(true) {
                 self.put(key.clone(), Arc::clone(theirs));
                 adopted += 1;
             }
@@ -1285,8 +1268,9 @@ impl DiskSweepCache {
     /// other's stores instead of overwriting or downgrading them (the
     /// save itself is atomic-by-rename, so the residual race is a benign
     /// lose-the-interleaved-write, not a torn file). Adopted records are
-    /// handed to the cache too, so a later persist cannot absorb the
-    /// poorer copies back.
+    /// handed to the cache too, so this process's later sweeps hit them
+    /// (a later persist could not absorb the poorer copies back anyway:
+    /// the join never downgrades).
     ///
     /// # Errors
     ///
@@ -1448,8 +1432,8 @@ mod tests {
         // Scalar re-arrival against the held sketch record: agreed no-op.
         assert!(!store.insert_encoded(rec_scalar.clone()).unwrap());
         // A *different* sketch under the same scalar half is a same-kind
-        // contradiction here — insert_encoded is equality-confirmed per
-        // rung; only merge_from knows the sketch ⊔ sketch join.
+        // contradiction — through every entry point, since one join
+        // decides them all; two sketches of one point never sum.
         let mut other_sketch = sketch.clone();
         other_sketch.sketch.as_mut().unwrap().observe(1.25e-4);
         assert_eq!(
@@ -1725,7 +1709,7 @@ mod tests {
             MergeStats {
                 added: 0,
                 agreed: 2,
-                merged: 0
+                upgraded: 0
             }
         );
 
@@ -1757,116 +1741,144 @@ mod tests {
         store
     }
 
-    /// The full conflict matrix of [`SweepStore::merge_from`] across
-    /// payload kinds: the sketch ⊔ sketch arm is the *only* same-key
-    /// different-bytes combination that merges — every cross-kind or
-    /// same-kind disagreement refuses, and refusal is atomic.
+    /// One same-key join for every entry point: each case has one
+    /// verdict (`lattice_join`'s), and the entry points differ only in
+    /// what they do with a refusal — `merge_from` refuses the whole merge
+    /// and leaves the target untouched (a vacant sibling key included),
+    /// `adopt_missing_from` and `absorb` keep ours, `insert_encoded`
+    /// returns the conflict. Two different sketches are a contradiction,
+    /// never a histogram sum.
     #[test]
-    fn merge_from_conflict_matrix_across_payload_kinds() {
-        let scalar = outcome_fixture();
+    fn one_join_decides_every_entry_point() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Verdict {
+            Take,
+            Agree,
+            Refuse(MergeConflictKind),
+        }
+        use MergeConflictKind::{OutcomeMismatch as Outcome, SpecMismatch as Spec};
+        use Verdict::{Agree, Refuse, Take};
+
+        let record = |spec: &str, outcome: &SweepOutcome| {
+            Record::of_outcome("A", 1, spec.to_string(), outcome)
+        };
+        let r = |outcome: &SweepOutcome| record("Spec{n:4}", outcome);
         let mut series = outcome_fixture();
         series.series = Some(series_fixture());
         let mut other_series = series.clone();
         other_series.series.as_mut().unwrap().round_skews[0] = 0.75;
+        let mut derived = outcome_fixture();
+        derived.sketch = Some(SkewSketch::of_series(series.series.as_ref().unwrap()));
         let sketch_over = |samples: &[f64]| {
             let mut out = outcome_fixture();
-            let mut sk = crate::sketch::SkewSketch::new();
+            let mut sketch = SkewSketch::new();
             for &v in samples {
-                sk.observe(v);
+                sketch.observe(v);
             }
-            out.sketch = Some(sk);
-            out
+            out.sketch = Some(sketch);
+            r(&out)
         };
-        let sk_a = sketch_over(&[1.0e-4, 3.0e-4, f64::NAN]);
-        let sk_b = sketch_over(&[2.0e-4, -0.0]);
+        // The records under one key: `sc` the scalar, `se`/`se2` two
+        // series, `dk` the sketch derived from `se`, `ka`/`kb` two other
+        // sketches (`ka2` another pointer to `ka`'s bytes), `alien` the
+        // scalar of another spec.
+        let sc = r(&outcome_fixture());
+        let alien = record("Spec{n:5}", &outcome_fixture());
+        let (se, se2, dk) = (r(&series), r(&other_series), r(&derived));
+        let ka = sketch_over(&[1.0e-4, 3.0e-4, f64::NAN]);
+        let ka2 = sketch_over(&[1.0e-4, 3.0e-4, f64::NAN]);
+        let kb = sketch_over(&[2.0e-4, -0.0]);
 
-        // sketch ⊔ sketch over one scalar half: the single mergeable
-        // cell — histogram add, equal to folding both sample sets.
-        let mut target = store_with(1, &sk_a);
-        let stats = target.merge_from(&store_with(1, &sk_b)).unwrap();
-        assert_eq!(
-            stats,
-            MergeStats {
-                added: 0,
-                agreed: 0,
-                merged: 1
+        let cases = [
+            ("vacant", None, &sc, Take),
+            ("identical", Some(&ka), &ka2, Agree),
+            ("scalar -> sketch", Some(&sc), &dk, Take),
+            ("sketch -> series", Some(&dk), &se, Take),
+            ("series <- sketch", Some(&se), &dk, Agree),
+            ("underived sketch", Some(&ka), &se, Refuse(Outcome)),
+            ("two sketches", Some(&ka), &kb, Refuse(Outcome)),
+            ("two series", Some(&se), &se2, Refuse(Outcome)),
+            ("spec mismatch", Some(&sc), &alien, Refuse(Spec)),
+        ];
+        let key = (1, "A".to_string());
+        let snapshot = |store: &SweepStore| -> Vec<EncodedRecord> {
+            store.records.values().map(|r| r.encoded.clone()).collect()
+        };
+        for (case, ours, theirs, verdict) in cases {
+            let target = || {
+                let mut store = SweepStore::new();
+                if let Some(ours) = ours {
+                    store.put(key.clone(), Arc::clone(ours));
+                }
+                store
+            };
+            // What the key holds after an entry point that takes on
+            // `Take` and keeps ours otherwise.
+            let kept = |store: &SweepStore| {
+                let held = store.records.get(&key).map(|r| r.encoded.clone());
+                let want = if verdict == Take { Some(theirs) } else { ours };
+                assert_eq!(held, want.map(|r| r.encoded.clone()), "{case}: held record");
+            };
+            let taken = usize::from(verdict == Take);
+
+            // merge_from, beside a sibling key the target lacks.
+            let mut store = target();
+            let before = snapshot(&store);
+            let mut incoming = SweepStore::new();
+            incoming.put(key.clone(), Arc::clone(theirs));
+            incoming.put((2, "A".to_string()), Arc::clone(&sc));
+            match (store.merge_from(&incoming), verdict) {
+                (Err(conflict), Refuse(kind)) => {
+                    assert_eq!(conflict.kind, kind, "{case}: merge_from");
+                    assert_eq!(
+                        snapshot(&store),
+                        before,
+                        "{case}: refused merge touched the target"
+                    );
+                }
+                (Ok(stats), Take | Agree) => {
+                    let vacant = usize::from(ours.is_none());
+                    let upgraded = taken - vacant;
+                    let agreed = usize::from(verdict == Agree);
+                    let want = MergeStats {
+                        added: 1 + vacant,
+                        agreed,
+                        upgraded,
+                    };
+                    assert_eq!(stats, want, "{case}: merge_from");
+                    kept(&store);
+                }
+                (got, _) => panic!("{case}: merge_from gave {got:?}, want {verdict:?}"),
             }
-        );
-        let mut joined = sketch_over(&[1.0e-4, 3.0e-4, f64::NAN, 2.0e-4, -0.0]);
-        joined.index = 0; // stored outcomes are index-normalized
-        let held = &target.records[&(1, "A".to_string())];
-        assert!(
-            held.outcome
-                .sketch
-                .as_ref()
-                .unwrap()
-                .bit_identical(joined.sketch.as_ref().unwrap()),
-            "merged sketch must equal the 1-process fold of both shards"
-        );
-        assert_eq!(
-            held.encoded.outcome_canon,
-            canon_string(&joined),
-            "the canonical bytes were re-derived after the join"
-        );
 
-        // Identical sketch records agree instead of double-counting.
-        let stats = target.merge_from(&store_with(1, &joined)).unwrap();
-        assert_eq!(
-            stats,
-            MergeStats {
-                added: 0,
-                agreed: 1,
-                merged: 0
-            }
-        );
-
-        // Every other same-key disagreement refuses: scalar × sketch,
-        // sketch × series (even derivation-consistent), series × series,
-        // and sketch × sketch with drifted scalar halves.
-        let mut consistent_sketch = outcome_fixture();
-        consistent_sketch.sketch = Some(crate::sketch::SkewSketch::of_series(
-            series.series.as_ref().unwrap(),
-        ));
-        let mut drifted = sk_b.clone();
-        drifted.seed ^= 1;
-        for (ours, theirs) in [
-            (&scalar, &sk_a),
-            (&sk_a, &scalar),
-            (&consistent_sketch, &series),
-            (&series, &consistent_sketch),
-            (&series, &other_series),
-            (&sk_a, &drifted),
-        ] {
-            let mut target = store_with(1, ours);
-            let before = target.records[&(1, "A".to_string())]
-                .encoded
-                .outcome_canon
-                .clone();
-            let err = target.merge_from(&store_with(1, theirs)).unwrap_err();
-            assert_eq!(err.kind, MergeConflictKind::OutcomeMismatch);
+            // adopt_missing_from: keeps ours on a refusal.
+            let mut store = target();
+            let mut other = SweepStore::new();
+            other.put(key.clone(), Arc::clone(theirs));
             assert_eq!(
-                target.records[&(1, "A".to_string())].encoded.outcome_canon,
-                before,
-                "refused merge must not touch the target"
+                store.adopt_missing_from(&other),
+                taken,
+                "{case}: adopt_missing_from"
             );
-        }
+            kept(&store);
 
-        // Validation precedes mutation: a conflict on one key leaves a
-        // mergeable sibling key untouched too.
-        let mut target = store_with(1, &sk_a);
-        target.merge_from(&store_with(2, &scalar)).unwrap();
-        let mut incoming = store_with(1, &sk_b);
-        incoming.merge_from(&store_with(2, &series)).unwrap();
-        let before = target.records[&(1, "A".to_string())]
-            .encoded
-            .outcome_canon
-            .clone();
-        assert!(target.merge_from(&incoming).is_err());
-        assert_eq!(
-            target.records[&(1, "A".to_string())].encoded.outcome_canon,
-            before,
-            "the mergeable key must not merge when a sibling conflicts"
-        );
+            // absorb: keeps ours on a refusal.
+            let mut store = target();
+            let cache = SweepCache::new();
+            cache.store(Arc::clone(theirs));
+            assert_eq!(store.absorb(&cache), taken, "{case}: absorb");
+            kept(&store);
+
+            // insert_encoded: returns the conflict, and the store keeps ours.
+            let mut store = target();
+            let got = store.insert_encoded(theirs.encoded.clone());
+            match (got, verdict) {
+                (Ok(took), Take | Agree) => assert_eq!(took, verdict == Take, "{case}: insert"),
+                (Err(conflict), Refuse(kind)) => assert_eq!(conflict.kind, kind, "{case}: insert"),
+                (got, _) => panic!("{case}: insert_encoded gave {got:?}, want {verdict:?}"),
+            }
+            kept(&store);
+        }
     }
 
     #[test]

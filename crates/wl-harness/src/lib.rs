@@ -30,8 +30,8 @@
 //!   deterministic per-scenario seed derivation ([`derive_seed`]). Results
 //!   are identical at any thread count, including one. Grids also split
 //!   across *processes and machines*: [`Shard`] covers a grid k/N-wise
-//!   and [`SweepStore::merge_from`] reassembles the shards' stores,
-//!   equality-confirmed.
+//!   and [`SweepStore::merge_from`] reassembles the shards' stores
+//!   through the store's one same-key join.
 //! * [`cache`] — the persistence layer: [`SweepCache`] memoizes per-spec
 //!   results in memory; [`SweepStore`] persists them to a
 //!   content-addressed, corruption-tolerant record file shared across

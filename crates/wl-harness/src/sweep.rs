@@ -16,8 +16,9 @@
 //! can also be split across *processes and machines*: [`Shard`] names a
 //! `k/N` slice, [`SweepRequest::shard`] runs it, and the shards' stores
 //! reassemble the full grid through
-//! [`SweepStore::merge_from`](crate::cache::SweepStore::merge_from), with
-//! equality-confirmed conflict detection (see `docs/sweeps.md`).
+//! [`SweepStore::merge_from`](crate::cache::SweepStore::merge_from), whose
+//! one same-key join refuses any two records that disagree (see
+//! `docs/sweeps.md`).
 
 use crate::algo::SyncAlgorithm;
 use crate::cache::segment::PayloadKind;

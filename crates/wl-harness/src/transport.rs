@@ -44,7 +44,7 @@ use crate::sweep::SweepAlgorithm;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Configuration.
@@ -70,7 +70,7 @@ pub struct FrontierDriverConfig {
     pub max_restarts: u32,
     /// Monitor poll interval.
     pub poll: Duration,
-    /// If set, a worker whose heartbeat (store mtime/size, log size) has
+    /// If set, a worker whose heartbeat (store length, log length) has
     /// not changed for this long is `SIGKILL`ed and restarted, consuming
     /// one restart. `None` trusts workers to either exit or make
     /// progress.
@@ -286,17 +286,14 @@ impl From<FrontierError> for FrontierDriveError {
     }
 }
 
-/// The heartbeat signature of one worker: (store mtime + size, log size).
-/// Any change counts as life; checkpoint saves touch the store, progress
-/// lines grow the log.
-type BeatSig = (Option<(SystemTime, u64)>, u64);
+/// The heartbeat signature of one worker: (store length, log length),
+/// 0 for a file not there yet. Any change counts as life: a checkpoint
+/// appends to the store, and every chunk and idle pass prints a log line.
+type BeatSig = (u64, u64);
 
 fn beat_sig(store: &Path, log: &Path) -> BeatSig {
-    let store_sig = std::fs::metadata(store)
-        .ok()
-        .and_then(|m| Some((m.modified().ok()?, m.len())));
-    let log_len = std::fs::metadata(log).map_or(0, |m| m.len());
-    (store_sig, log_len)
+    let len = |path: &Path| std::fs::metadata(path).map_or(0, |m| m.len());
+    (len(store), len(log))
 }
 
 fn spawn_worker(mut cmd: Command, log: &Path) -> io::Result<Child> {
@@ -387,7 +384,7 @@ pub fn drive_frontier<A: SweepAlgorithm>(
             child,
             attempts: 1,
             last_beat: Instant::now(),
-            sig: (None, 0),
+            sig: (0, 0),
             done: false,
             retired: false,
         });
