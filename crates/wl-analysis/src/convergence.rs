@@ -33,7 +33,13 @@ pub struct RoundSeries {
 pub fn wave_instants<C: Clock>(view: &ExecutionView<'_, C>, wave_gap: RealDur) -> Vec<RealTime> {
     let mut changes: Vec<RealTime> = view.nonfaulty_change_times().collect();
     changes.sort_by(RealTime::total_cmp);
+    waves_of_sorted(&changes, wave_gap)
+}
 
+/// [`wave_instants`] over change instants the caller has already sorted
+/// by [`RealTime::total_cmp`].
+#[must_use]
+pub fn waves_of_sorted(changes: &[RealTime], wave_gap: RealDur) -> Vec<RealTime> {
     let mut instants = Vec::new();
     let eps = RealDur::from_secs(EVENT_EPS);
     let mut i = 0;

@@ -2,7 +2,7 @@
 
 use crate::ExecutionView;
 use wl_clock::Clock;
-use wl_time::{ClockDur, RealDur, RealTime};
+use wl_time::{RealDur, RealTime};
 
 /// How far (seconds) a "just before" / "just after" sample sits from
 /// the correction change it brackets.
@@ -12,45 +12,41 @@ pub(crate) const EVENT_EPS: f64 = 1e-9;
 /// `L_p(t) = Ph_p(t) + CORR_p(t)` — the evaluator under every sampler in
 /// this crate.
 ///
-/// The nonfaulty set is fixed at construction and each process keeps a
-/// cursor into its correction history, so a sample costs one clock read
-/// per process instead of an allocation and a binary search per process.
-/// The price is the one precondition: instants must be fed in
-/// **non-decreasing** order (under [`RealTime::total_cmp`]). For such
-/// instants the cursor sits exactly where
+/// The nonfaulty set is fixed at construction. Each process is a *lane*:
+/// the affine [`Piece`](wl_clock::Piece) its clock is on and the
+/// correction in force, kept as parallel `reading / rate / origin / corr`
+/// arrays, so a sample is one multiply-add per lane. A lane is re-read
+/// only when `t` reaches its next correction change or the end of its
+/// clock piece. The price is the one precondition: instants must be fed
+/// in **non-decreasing** order (under [`RealTime::total_cmp`]). For such
+/// instants the correction cursor sits exactly where
 /// [`CorrectionHistory::corr_at`](wl_sim::CorrectionHistory::corr_at)'s
-/// search lands, and the local time is formed by the same expression as
+/// search lands, the piece is the one [`Clock::read`] reads through, and
+/// the local time is formed by the same expression as
 /// [`ExecutionView::local_time`], so every value is bit-identical to the
 /// random-access one.
 pub struct SkewEvaluator<'v, C> {
     lanes: Vec<Lane<'v, C>>,
+    reading: Vec<f64>,
+    rate: Vec<f64>,
+    origin: Vec<f64>,
+    corr: Vec<f64>,
+    /// The earliest instant, as an [`RealTime::order_key`], at which some
+    /// lane must be re-read.
+    due: u64,
     local: Vec<f64>,
     last: RealTime,
 }
 
-/// One nonfaulty process: its clock, its `(t, corr)` change points, and
-/// the index of the change in force at the last instant evaluated.
+/// One nonfaulty process: its clock, its `(t, corr)` change points, the
+/// index of the change in force, and when its piece and its lane fall due
+/// (as [`RealTime::order_key`]s).
 struct Lane<'v, C> {
     clock: &'v C,
     entries: &'v [(RealTime, f64)],
     at: usize,
-}
-
-impl<C: Clock> Lane<'_, C> {
-    /// Moves the cursor to the change in force at `t` — the latest at or
-    /// before it — and evaluates `L_p(t)`.
-    #[inline]
-    fn local_time_at(&mut self, t: RealTime) -> f64 {
-        while self
-            .entries
-            .get(self.at + 1)
-            .is_some_and(|next| next.0.total_cmp(&t).is_le())
-        {
-            self.at += 1;
-        }
-        let corr = self.entries[self.at].1;
-        (self.clock.read(t) + ClockDur::from_secs(corr)).as_secs()
-    }
+    piece_until: u64,
+    due: u64,
 }
 
 impl<'v, C: Clock> SkewEvaluator<'v, C> {
@@ -73,17 +69,29 @@ impl<'v, C: Clock> SkewEvaluator<'v, C> {
                     clock: &view.clocks[p],
                     entries,
                     at: 0,
+                    piece_until: 0,
+                    due: 0,
                 }
             })
             .collect();
+        let n = lanes.len();
         Self {
-            local: Vec::with_capacity(lanes.len()),
             lanes,
+            reading: vec![0.0; n],
+            rate: vec![0.0; n],
+            origin: vec![0.0; n],
+            corr: vec![0.0; n],
+            due: 0,
+            local: Vec::with_capacity(n),
             last: RealTime::from_secs(f64::NEG_INFINITY),
         }
     }
 
-    /// The one precondition the cursors add, checked in debug builds.
+    /// Moves to `t`: re-reads every lane that has fallen due — its
+    /// correction cursor to the latest change at or before `t`, its piece
+    /// when `t` has left it — and checks, in debug builds, the one
+    /// precondition the cursors add.
+    #[inline]
     fn step_to(&mut self, t: RealTime) {
         debug_assert!(
             self.last.total_cmp(&t).is_le(),
@@ -91,6 +99,51 @@ impl<'v, C: Clock> SkewEvaluator<'v, C> {
             self.last
         );
         self.last = t;
+        let key = t.order_key();
+        if key >= self.due {
+            self.reread(t, key);
+        }
+    }
+
+    fn reread(&mut self, t: RealTime, key: u64) {
+        let mut due = u64::MAX;
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            if key >= lane.due {
+                while lane
+                    .entries
+                    .get(lane.at + 1)
+                    .is_some_and(|next| next.0.order_key() <= key)
+                {
+                    lane.at += 1;
+                }
+                self.corr[i] = lane.entries[lane.at].1;
+                if key >= lane.piece_until {
+                    let piece = lane.clock.piece(t);
+                    self.reading[i] = piece.reading.as_secs();
+                    self.rate[i] = piece.rate;
+                    self.origin[i] = piece.origin.as_secs();
+                    lane.piece_until = piece.until.order_key();
+                }
+                let change = lane.entries.get(lane.at + 1);
+                lane.due = change.map_or(u64::MAX, |next| next.0.order_key());
+                lane.due = lane.due.min(lane.piece_until);
+            }
+            due = due.min(lane.due);
+        }
+        self.due = due;
+    }
+
+    /// The lanes' local times at `t`, one per lane in process-id order:
+    /// `Piece::at` plus the correction, as `ExecutionView::local_time`
+    /// spells it.
+    #[inline]
+    fn lane_times(&self, t: RealTime) -> impl Iterator<Item = f64> + '_ {
+        let t = t.as_secs();
+        let lanes = self.reading.iter().zip(&self.rate).zip(&self.origin);
+        let lanes = lanes.zip(&self.corr);
+        lanes.map(move |(((&reading, &rate), &origin), &corr)| {
+            (reading + rate * (t - origin)) + corr
+        })
     }
 
     /// The nonfaulty local times at `t`, in process-id order.
@@ -99,9 +152,10 @@ impl<'v, C: Clock> SkewEvaluator<'v, C> {
     /// given.
     pub fn local_times_at(&mut self, t: RealTime) -> &[f64] {
         self.step_to(t);
-        self.local.clear();
-        let lanes = self.lanes.iter_mut();
-        self.local.extend(lanes.map(|lane| lane.local_time_at(t)));
+        let mut local = std::mem::take(&mut self.local);
+        local.clear();
+        local.extend(self.lane_times(t));
+        self.local = local;
         &self.local
     }
 
@@ -112,8 +166,7 @@ impl<'v, C: Clock> SkewEvaluator<'v, C> {
         self.step_to(t);
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for lane in &mut self.lanes {
-            let l = lane.local_time_at(t);
+        for l in self.lane_times(t) {
             lo = lo.min(l);
             hi = hi.max(l);
         }
@@ -140,18 +193,15 @@ pub fn max_skew_at<C: Clock>(view: &ExecutionView<'_, C>, t: RealTime) -> f64 {
 /// # Panics
 ///
 /// Panics if `step` is not positive or `from > to`.
-#[must_use]
-pub fn grid(from: RealTime, to: RealTime, step: RealDur) -> Vec<RealTime> {
+pub fn grid(from: RealTime, to: RealTime, step: RealDur) -> impl Iterator<Item = RealTime> + Clone {
     assert!(step.as_secs() > 0.0, "step must be positive");
     assert!(from <= to, "empty sampling interval");
-    let mut instants = Vec::new();
-    let mut t = from;
-    while t < to {
-        instants.push(t);
-        t += step;
-    }
-    instants.push(to);
-    instants
+    let mut next = Some(from);
+    std::iter::from_fn(move || {
+        let t = next?;
+        next = (t < to).then(|| t + step);
+        Some(if t < to { t } else { to })
+    })
 }
 
 /// The two instants at which a correction change at `t` makes the skew
@@ -171,7 +221,10 @@ pub struct SkewSeries {
 impl SkewSeries {
     /// One pass of the evaluator over `instants`, which must be in time
     /// order.
-    fn evaluate<C: Clock>(view: &ExecutionView<'_, C>, instants: Vec<RealTime>) -> Self {
+    fn evaluate<C: Clock>(
+        view: &ExecutionView<'_, C>,
+        instants: impl IntoIterator<Item = RealTime>,
+    ) -> Self {
         let mut eval = SkewEvaluator::new(view);
         let samples = instants.into_iter().map(|t| (t, eval.skew_at(t)));
         Self {
@@ -208,7 +261,7 @@ impl SkewSeries {
         to: RealTime,
         step: RealDur,
     ) -> Self {
-        let mut instants = grid(from, to, step);
+        let mut instants: Vec<RealTime> = grid(from, to, step).collect();
         for t in view.nonfaulty_change_times() {
             if t >= from && t <= to {
                 instants.extend(around_change(t));
@@ -412,7 +465,8 @@ mod tests {
     }
 
     /// A fleet of 1–6 processes, 0–3 of them faulty, on linear and
-    /// piecewise clocks, whose histories change between t = 0 and ~3.
+    /// piecewise clocks (some pieces of length 0), whose histories change
+    /// between t = 0 and ~3.
     fn arb_fleet(rng: &mut StdRng) -> (Vec<FleetClock>, Vec<CorrectionHistory>, Vec<bool>) {
         let n = rng.gen_range(1..7usize);
         let mut faulty = vec![false; n];
@@ -426,8 +480,17 @@ mod tests {
                 if rng.gen_bool(0.5) {
                     FleetClock::Linear(LinearClock::new(rate(rng), offset))
                 } else {
+                    // A third of the pieces have length exactly 0: they
+                    // share their start with the piece after them.
                     let pieces: Vec<(RealDur, f64)> = (0..rng.gen_range(1..5))
-                        .map(|_| (RealDur::from_secs(rng.gen_range(0.0..1.0)), rate(rng)))
+                        .map(|_| {
+                            let len = if rng.gen_range(0..3) == 0 {
+                                0.0
+                            } else {
+                                rng.gen_range(0.0..1.0)
+                            };
+                            (RealDur::from_secs(len), rate(rng))
+                        })
                         .collect();
                     FleetClock::Piecewise(PiecewiseLinearClock::from_rates(
                         RealTime::ZERO,
@@ -470,7 +533,8 @@ mod tests {
             let ids = view.nonfaulty();
             let mut eval = SkewEvaluator::new(&view);
             // A random walk, plus every change instant itself (faulty
-            // processes' too) and the pair around it.
+            // processes' too) and the pair around it, plus every clock
+            // segment start — where a lane re-reads its piece.
             let mut t = -0.5;
             let mut instants: Vec<RealTime> = (0..48)
                 .map(|_| {
@@ -480,6 +544,11 @@ mod tests {
                 .collect();
             instants.extend(corr.iter().flat_map(CorrectionHistory::change_times));
             instants.extend(view.nonfaulty_change_times().flat_map(around_change));
+            for clock in &clocks {
+                if let FleetClock::Piecewise(c) = clock {
+                    instants.extend(c.segments().iter().map(|s| s.start));
+                }
+            }
             instants.sort_by(RealTime::total_cmp);
             for at in instants {
                 let local: Vec<u64> = eval.local_times_at(at).iter().map(|l| l.to_bits()).collect();

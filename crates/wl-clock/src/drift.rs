@@ -7,7 +7,7 @@
 //! rate behaviour; the initial offsets (within β or arbitrary, for the
 //! startup experiments) are chosen by the scenario code in `wl-sim`.
 
-use crate::{rate_bounds, Clock, LinearClock, PiecewiseLinearClock};
+use crate::{rate_bounds, Clock, LinearClock, Piece, PiecewiseLinearClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wl_time::{ClockDur, ClockTime, RealDur, RealTime};
@@ -156,6 +156,14 @@ impl Clock for FleetClock {
         match self {
             FleetClock::Linear(c) => c.rate_at(t),
             FleetClock::Piecewise(c) => c.rate_at(t),
+        }
+    }
+
+    #[inline]
+    fn piece(&self, t: RealTime) -> Piece {
+        match self {
+            FleetClock::Linear(c) => c.piece(t),
+            FleetClock::Piecewise(c) => c.piece(t),
         }
     }
 }

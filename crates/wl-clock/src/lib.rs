@@ -45,7 +45,7 @@ pub use linear::LinearClock;
 pub use logical::LogicalClock;
 pub use piecewise::{PiecewiseLinearClock, Segment};
 
-use wl_time::{ClockTime, RealTime};
+use wl_time::{ClockDur, ClockTime, RealTime};
 
 /// A monotonically increasing map from real time to clock time (paper §2.1).
 ///
@@ -63,6 +63,36 @@ pub trait Clock: std::fmt::Debug + Send + Sync {
 
     /// The instantaneous rate `dC/dt` at real time `t`.
     fn rate_at(&self, t: RealTime) -> f64;
+
+    /// The affine stretch of this clock in force at `t`, and where it
+    /// ends: `piece(t).at(t)` is `read(t)`, and so is `piece(t).at(t')`
+    /// for every later `t'` before `piece(t).until`.
+    fn piece(&self, t: RealTime) -> Piece;
+}
+
+/// One affine stretch of a clock: `C(t) = reading + rate · (t − origin)`
+/// from the instant it was asked for until `until` (exclusive). A clock
+/// whose reading is not of that form past one instant answers
+/// `until == t`: the piece holds at `t` only.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Piece {
+    /// The real time the stretch is measured from.
+    pub origin: RealTime,
+    /// The clock reading at `origin`.
+    pub reading: ClockTime,
+    /// The rate `dC/dt` over the stretch.
+    pub rate: f64,
+    /// The first real time the stretch may no longer hold.
+    pub until: RealTime,
+}
+
+impl Piece {
+    /// The reading at `t` — the one formula every affine clock reads by.
+    #[inline]
+    #[must_use]
+    pub fn at(&self, t: RealTime) -> ClockTime {
+        self.reading + ClockDur::from_secs(self.rate * (t - self.origin).as_secs())
+    }
 }
 
 impl<C: Clock + ?Sized> Clock for &C {
@@ -74,6 +104,9 @@ impl<C: Clock + ?Sized> Clock for &C {
     }
     fn rate_at(&self, t: RealTime) -> f64 {
         (**self).rate_at(t)
+    }
+    fn piece(&self, t: RealTime) -> Piece {
+        (**self).piece(t)
     }
 }
 
@@ -87,6 +120,9 @@ impl<C: Clock + ?Sized> Clock for Box<C> {
     fn rate_at(&self, t: RealTime) -> f64 {
         (**self).rate_at(t)
     }
+    fn piece(&self, t: RealTime) -> Piece {
+        (**self).piece(t)
+    }
 }
 
 impl<C: Clock + ?Sized> Clock for std::sync::Arc<C> {
@@ -98,6 +134,9 @@ impl<C: Clock + ?Sized> Clock for std::sync::Arc<C> {
     }
     fn rate_at(&self, t: RealTime) -> f64 {
         (**self).rate_at(t)
+    }
+    fn piece(&self, t: RealTime) -> Piece {
+        (**self).piece(t)
     }
 }
 

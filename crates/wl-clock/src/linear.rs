@@ -1,7 +1,7 @@
 //! Constant-rate clocks: `C(t) = offset + rate · t`.
 
-use crate::Clock;
-use wl_time::{ClockDur, ClockTime, RealDur, RealTime};
+use crate::{Clock, Piece};
+use wl_time::{ClockTime, RealDur, RealTime};
 
 /// A clock advancing at a constant rate (`dC/dt = rate` everywhere).
 ///
@@ -69,7 +69,7 @@ impl Default for LinearClock {
 impl Clock for LinearClock {
     #[inline]
     fn read(&self, t: RealTime) -> ClockTime {
-        self.offset + ClockDur::from_secs(self.rate * t.as_secs())
+        self.piece(t).at(t)
     }
 
     #[inline]
@@ -79,6 +79,18 @@ impl Clock for LinearClock {
 
     fn rate_at(&self, _t: RealTime) -> f64 {
         self.rate
+    }
+
+    /// One stretch, forever: `t − 0` is `t`, so reading through it is
+    /// `offset + rate · t` to the bit.
+    #[inline]
+    fn piece(&self, _t: RealTime) -> Piece {
+        Piece {
+            origin: RealTime::ZERO,
+            reading: self.offset,
+            rate: self.rate,
+            until: RealTime::from_secs(f64::INFINITY),
+        }
     }
 }
 

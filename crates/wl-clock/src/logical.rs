@@ -1,6 +1,6 @@
 //! Logical clocks: a physical clock plus a correction (paper §3.2).
 
-use crate::Clock;
+use crate::{Clock, Piece};
 use wl_time::{ClockDur, ClockTime, RealTime};
 
 /// A logical clock `C(t) = Ph(t) + CORR` for a *fixed* correction value.
@@ -77,6 +77,18 @@ impl<C: Clock> Clock for LogicalClock<C> {
 
     fn rate_at(&self, t: RealTime) -> f64 {
         self.phys.rate_at(t)
+    }
+
+    /// The correction is added after the physical reading, which no one
+    /// affine formula reproduces bit for bit past `t`: the piece holds
+    /// at `t` only.
+    fn piece(&self, t: RealTime) -> Piece {
+        Piece {
+            origin: t,
+            reading: self.read(t),
+            rate: self.rate_at(t),
+            until: t,
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! rates extended to ±∞. The map stays continuous, strictly increasing, and
 //! *exactly* invertible (no numeric root finding).
 
-use crate::Clock;
+use crate::{Clock, Piece};
 use wl_time::{ClockDur, ClockTime, RealDur, RealTime};
 
 /// One drift segment: from `start` (real time) the clock runs at `rate`.
@@ -111,33 +111,31 @@ impl PiecewiseLinearClock {
         (lo, hi)
     }
 
-    fn segment_for_real(&self, t: RealTime) -> &Segment {
-        // The first segment whose start is <= t; before the first start we
-        // extend the first segment's rate backwards.
-        match self.segments.binary_search_by(|s| s.start.total_cmp(&t)) {
-            Ok(i) => &self.segments[i],
-            Err(0) => &self.segments[0],
-            Err(i) => &self.segments[i - 1],
-        }
+    /// The segment in force at `t`: the last one starting at or before
+    /// it, or the first when `t` precedes every start (its rate extends
+    /// backwards). Zero-length segments share a start with the next one;
+    /// the last of them is the one that runs, so it is the one chosen.
+    fn segment_index(&self, t: RealTime) -> usize {
+        let after = self
+            .segments
+            .partition_point(|s| s.start.total_cmp(&t).is_le());
+        after.saturating_sub(1)
     }
 
+    /// The segment whose readings contain `big_t`, chosen the same way
+    /// over `clock_at_start`.
     fn segment_for_clock(&self, big_t: ClockTime) -> &Segment {
-        match self
+        let after = self
             .segments
-            .binary_search_by(|s| s.clock_at_start.total_cmp(&big_t))
-        {
-            Ok(i) => &self.segments[i],
-            Err(0) => &self.segments[0],
-            Err(i) => &self.segments[i - 1],
-        }
+            .partition_point(|s| s.clock_at_start.total_cmp(&big_t).is_le());
+        &self.segments[after.saturating_sub(1)]
     }
 }
 
 impl Clock for PiecewiseLinearClock {
     #[inline]
     fn read(&self, t: RealTime) -> ClockTime {
-        let s = self.segment_for_real(t);
-        s.clock_at_start + ClockDur::from_secs(s.rate * (t - s.start).as_secs())
+        self.piece(t).at(t)
     }
 
     #[inline]
@@ -147,7 +145,23 @@ impl Clock for PiecewiseLinearClock {
     }
 
     fn rate_at(&self, t: RealTime) -> f64 {
-        self.segment_for_real(t).rate
+        self.segments[self.segment_index(t)].rate
+    }
+
+    /// The segment in force at `t`, until the next one starts.
+    #[inline]
+    fn piece(&self, t: RealTime) -> Piece {
+        let i = self.segment_index(t);
+        let s = &self.segments[i];
+        Piece {
+            origin: s.start,
+            reading: s.clock_at_start,
+            rate: s.rate,
+            until: self
+                .segments
+                .get(i + 1)
+                .map_or(RealTime::from_secs(f64::INFINITY), |next| next.start),
+        }
     }
 }
 
@@ -230,6 +244,59 @@ mod tests {
             &[(RealDur::from_secs(-1.0), 1.0)],
             1.0,
         );
+    }
+
+    /// Zero-length pieces share their start with the piece after them.
+    /// At that start the clock runs at the following rate, and a read
+    /// through the chosen piece is the read itself, bit for bit, at,
+    /// just before and just after every boundary — with 1–5 zero-length
+    /// pieces leading, in the middle, and trailing into the final rate.
+    #[test]
+    fn zero_length_pieces_yield_to_the_following_rate() {
+        for zeros in 1..=5 {
+            let flat: Vec<(RealDur, f64)> = (0..zeros)
+                .map(|j| (RealDur::ZERO, 3.0 + f64::from(j)))
+                .collect();
+            let one = |len: f64, rate: f64| vec![(RealDur::from_secs(len), rate)];
+            let layouts = [
+                [flat.clone(), one(1.0, 1.5), one(2.0, 0.75)].concat(),
+                [one(1.0, 1.5), flat.clone(), one(2.0, 0.75)].concat(),
+                [one(1.0, 1.5), one(2.0, 0.75), flat.clone()].concat(),
+            ];
+            for pieces in layouts {
+                let c = PiecewiseLinearClock::from_rates(
+                    RealTime::from_secs(0.5),
+                    ClockTime::from_secs(-0.25),
+                    &pieces,
+                    1.25,
+                );
+                let segments = c.segments();
+                for (i, s) in segments.iter().enumerate() {
+                    let following = segments[i..]
+                        .iter()
+                        .take_while(|later| later.start == s.start)
+                        .last()
+                        .expect("the segment itself");
+                    assert_eq!(
+                        c.rate_at(s.start),
+                        following.rate,
+                        "{zeros} zeros: {pieces:?}"
+                    );
+                    assert_eq!(c.read(s.start), s.clock_at_start);
+                    assert_eq!(c.time_of(s.clock_at_start), s.start);
+                    let at = s.start.as_secs();
+                    for t in [at.next_down(), at, at.next_up()].map(RealTime::from_secs) {
+                        let piece = c.piece(t);
+                        assert_eq!(
+                            piece.at(t).as_secs().to_bits(),
+                            c.read(t).as_secs().to_bits()
+                        );
+                        assert_eq!(piece.rate, c.rate_at(t));
+                        assert!(piece.until > t, "a piece holds at the instant it was read");
+                    }
+                }
+            }
+        }
     }
 
     prop_compose! {

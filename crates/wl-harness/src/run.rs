@@ -9,7 +9,7 @@ use crate::spec::ScenarioSpec;
 use crate::sweep::{Capture, SweepAlgorithm, SweepSeries};
 use wl_analysis::adjustment::{check_adjustments, AdjustmentReport};
 use wl_analysis::agreement::{AgreementFold, AgreementReport};
-use wl_analysis::convergence::{wave_instants, RoundSeries};
+use wl_analysis::convergence::{waves_of_sorted, RoundSeries};
 use wl_analysis::skew::{around_change, grid, SkewEvaluator, SkewSeries};
 use wl_analysis::ExecutionView;
 use wl_clock::drift::FleetClock;
@@ -163,12 +163,17 @@ where
 /// Everything that samples local times — the agreement window at `P/7`,
 /// the per-wave round series, and at `capture` above `Scalar` the skew
 /// series over `[0, 0.99·t_end]` — is one time-ordered pass of the
-/// [`SkewEvaluator`] over the union of their instants: each instant is
-/// evaluated once and handed to the consumers it is tagged for. The two
-/// instants around a correction change belong to every window the change
-/// falls in. A sample is a pure function of its instant, so the order
-/// among equal instants cannot change a stored `(t, skew)` pair, and
-/// every consumer's fold (`max`, the sketch's integer fields) is
+/// [`SkewEvaluator`] over the union of their instants. The union is a
+/// merge of five streams that are each in time order already: the
+/// agreement grid, the capture grid, the instants 1 ns before each
+/// nonfaulty correction change, the changes themselves (sorted once,
+/// and shared with the wave finder), and the waves. Each distinct
+/// instant is evaluated once and handed to every stream element equal
+/// to it, for the consumers that element is tagged for. The two
+/// instants around a change belong to every window the change falls
+/// in. A sample is a pure function of its instant, so the order among
+/// equal instants cannot change a stored `(t, skew)` pair, and every
+/// consumer's fold (`max`, the sketch's integer fields) is
 /// order-independent.
 fn summarize(
     view: &ExecutionView<'_, FleetClock>,
@@ -178,30 +183,25 @@ fn summarize(
     capture: Capture,
     stats: SimStats,
 ) -> Summarized {
-    let agreement_grid = grid(from, to, RealDur::from_secs(params.p_round / 7.0));
+    let mut changes: Vec<RealTime> = view.nonfaulty_change_times().collect();
+    changes.sort_by(RealTime::total_cmp);
+    let waves = waves_of_sorted(&changes, RealDur::from_secs(params.p_round / 4.0));
     // The capture grid: step `P/10`, floored so even very long horizons
     // stay at ≤ ~4000 grid samples (event-adjacent samples make window
     // maxima exact regardless of grid density, so the floor costs nothing).
     let capturing = capture != Capture::Scalar;
     let capture_to = RealTime::from_secs(t_end * 0.99);
-    let capture_grid = if capturing {
-        let step = (params.p_round / 10.0).max(t_end / 4000.0);
-        grid(RealTime::ZERO, capture_to, RealDur::from_secs(step))
-    } else {
-        Vec::new()
-    };
-    let waves = wave_instants(view, RealDur::from_secs(params.p_round / 4.0));
+    let capture_step = RealDur::from_secs((params.p_round / 10.0).max(t_end / 4000.0));
 
-    // Sized once: this list is the pass's peak memory.
-    let changes = view.nonfaulty_change_times().count();
-    let mut instants: Vec<(RealTime, Consumers)> =
-        Vec::with_capacity(agreement_grid.len() + capture_grid.len() + 2 * changes + waves.len());
-    let mut feed = |ts: &[RealTime], consumers: Consumers| {
-        instants.extend(ts.iter().map(|&t| (t, consumers)));
-    };
-    feed(&agreement_grid, AGREEMENT);
-    feed(&capture_grid, CAPTURE);
-    for t in view.nonfaulty_change_times() {
+    let tag = |consumers: Consumers| move |t: RealTime| (t, consumers);
+    let mut agreement_grid =
+        grid(from, to, RealDur::from_secs(params.p_round / 7.0)).map(tag(AGREEMENT));
+    let mut capture_grid = capturing
+        .then(|| grid(RealTime::ZERO, capture_to, capture_step))
+        .into_iter()
+        .flatten()
+        .map(tag(CAPTURE));
+    let tagged_changes = changes.iter().filter_map(|&t| {
         let mut consumers = 0;
         if t >= from && t <= to {
             consumers |= AGREEMENT;
@@ -209,32 +209,49 @@ fn summarize(
         if capturing && t >= RealTime::ZERO && t <= capture_to {
             consumers |= CAPTURE;
         }
-        if consumers != 0 {
-            feed(&around_change(t), consumers);
-        }
-    }
-    feed(&waves, ROUNDS);
-    instants.sort_by(|a, b| a.0.total_cmp(&b.0));
+        (consumers != 0).then_some((t, consumers))
+    });
+    let mut before_changes = tagged_changes
+        .clone()
+        .map(|(t, consumers)| (around_change(t)[0], consumers));
+    let mut at_changes = tagged_changes;
+    let mut wave_instants = waves.iter().copied().map(tag(ROUNDS));
+    let mut sources: [&mut dyn Iterator<Item = (RealTime, Consumers)>; 5] = [
+        &mut agreement_grid,
+        &mut capture_grid,
+        &mut before_changes,
+        &mut at_changes,
+        &mut wave_instants,
+    ];
+    let keyed = |(t, consumers): (RealTime, Consumers)| (t.order_key(), t, consumers);
+    let mut heads = sources.each_mut().map(|source| source.next().map(keyed));
 
     let mut eval = SkewEvaluator::new(view);
     let mut agreement = AgreementFold::new(from, to);
     let mut round_skews = Vec::with_capacity(waves.len());
-    let mut sketch = SkewSketch::new();
     let (mut skew_times, mut skew_values) = (Vec::new(), Vec::new());
-    for (t, consumers) in instants {
+    while let Some((key, t)) = heads
+        .iter()
+        .flatten()
+        .map(|&(key, t, _)| (key, t))
+        .min_by_key(|&(key, _)| key)
+    {
         let skew = eval.skew_at(t);
-        if consumers & AGREEMENT != 0 {
-            agreement.observe(t, skew);
-        }
-        if consumers & ROUNDS != 0 {
-            round_skews.push(skew);
-        }
-        if consumers & CAPTURE != 0 {
-            if capture == Capture::Sketch {
-                sketch.observe(skew);
-            } else {
-                skew_times.push(t.as_secs());
-                skew_values.push(skew);
+        for (head, source) in heads.iter_mut().zip(&mut sources) {
+            while let Some((_, _, consumers)) = head.filter(|&(at, _, _)| at == key) {
+                if consumers & AGREEMENT != 0 {
+                    agreement.observe(t, skew);
+                }
+                if consumers & ROUNDS != 0 {
+                    round_skews.push(skew);
+                }
+                if consumers & CAPTURE != 0 {
+                    if capture == Capture::Series {
+                        skew_times.push(t.as_secs());
+                    }
+                    skew_values.push(skew);
+                }
+                *head = source.next().map(keyed);
             }
         }
     }
@@ -243,6 +260,7 @@ fn summarize(
         skews: round_skews,
         times: waves,
     };
+    let sketch = (capture == Capture::Sketch).then(|| SkewSketch::of_samples(&skew_values));
     let series = (capture == Capture::Series)
         .then(|| series_payload(view, &rounds, skew_times, skew_values));
     let summary = RunSummary {
@@ -251,11 +269,7 @@ fn summarize(
         rounds,
         stats,
     };
-    (
-        summary,
-        (capture == Capture::Sketch).then_some(sketch),
-        series,
-    )
+    (summary, sketch, series)
 }
 
 /// Assembles the [`SweepSeries`] payload around the skew samples the
@@ -313,8 +327,190 @@ pub fn baseline_metrics<M: Clone + std::fmt::Debug + Send + 'static, Q: EventQue
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_point_as;
-    use crate::Maintenance;
+    use crate::sweep::{run_point_as, SweepOutcome};
+    use crate::{derive_seed, DelayKind, FaultKind, Maintenance};
+    use wl_clock::drift::DriftModel;
+    use wl_sim::ProcessId;
+
+    /// The pass as it was before the merge: every instant of every
+    /// consumer collected into one tagged list, stable-sorted by time,
+    /// and evaluated entry by entry — the oracle [`summarize`] must
+    /// match bit for bit.
+    fn summarize_by_sorting(
+        view: &ExecutionView<'_, FleetClock>,
+        params: &Params,
+        (from, to): (RealTime, RealTime),
+        t_end: f64,
+        capture: Capture,
+        stats: SimStats,
+    ) -> Summarized {
+        use wl_analysis::convergence::wave_instants;
+        let agreement_grid: Vec<RealTime> =
+            grid(from, to, RealDur::from_secs(params.p_round / 7.0)).collect();
+        let capturing = capture != Capture::Scalar;
+        let capture_to = RealTime::from_secs(t_end * 0.99);
+        let capture_grid: Vec<RealTime> = if capturing {
+            let step = (params.p_round / 10.0).max(t_end / 4000.0);
+            grid(RealTime::ZERO, capture_to, RealDur::from_secs(step)).collect()
+        } else {
+            Vec::new()
+        };
+        let waves = wave_instants(view, RealDur::from_secs(params.p_round / 4.0));
+
+        let mut instants: Vec<(RealTime, Consumers)> = Vec::new();
+        let mut feed = |ts: &[RealTime], consumers: Consumers| {
+            instants.extend(ts.iter().map(|&t| (t, consumers)));
+        };
+        feed(&agreement_grid, AGREEMENT);
+        feed(&capture_grid, CAPTURE);
+        for t in view.nonfaulty_change_times() {
+            let mut consumers = 0;
+            if t >= from && t <= to {
+                consumers |= AGREEMENT;
+            }
+            if capturing && t >= RealTime::ZERO && t <= capture_to {
+                consumers |= CAPTURE;
+            }
+            if consumers != 0 {
+                feed(&around_change(t), consumers);
+            }
+        }
+        feed(&waves, ROUNDS);
+        instants.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+        let mut eval = SkewEvaluator::new(view);
+        let mut agreement = AgreementFold::new(from, to);
+        let mut round_skews = Vec::new();
+        let mut sketch = SkewSketch::new();
+        let (mut skew_times, mut skew_values) = (Vec::new(), Vec::new());
+        for (t, consumers) in instants {
+            let skew = eval.skew_at(t);
+            if consumers & AGREEMENT != 0 {
+                agreement.observe(t, skew);
+            }
+            if consumers & ROUNDS != 0 {
+                round_skews.push(skew);
+            }
+            if consumers & CAPTURE != 0 {
+                if capture == Capture::Sketch {
+                    sketch.observe(skew);
+                } else {
+                    skew_times.push(t.as_secs());
+                    skew_values.push(skew);
+                }
+            }
+        }
+        let rounds = RoundSeries {
+            skews: round_skews,
+            times: waves,
+        };
+        let series = (capture == Capture::Series)
+            .then(|| series_payload(view, &rounds, skew_times, skew_values));
+        let summary = RunSummary {
+            agreement: agreement.finish(params),
+            adjustments: check_adjustments(view, params, 1),
+            rounds,
+            stats,
+        };
+        (
+            summary,
+            (capture == Capture::Sketch).then_some(sketch),
+            series,
+        )
+    }
+
+    /// A summary as one comparable record: every scalar, the sketch and
+    /// the series through [`SweepOutcome::bit_identical`], and the round
+    /// series and γ by their bits.
+    fn same(a: &Summarized, b: &Summarized) -> bool {
+        let outcome = |(summary, sketch, series): &Summarized| {
+            let mut outcome = SweepOutcome::new(0, 0, summary);
+            (outcome.sketch, outcome.series) = (sketch.clone(), series.clone());
+            outcome
+        };
+        let bits = |(summary, _, _): &Summarized| {
+            let rounds = &summary.rounds;
+            let mut bits: Vec<u64> = rounds.skews.iter().map(|s| s.to_bits()).collect();
+            bits.extend(rounds.times.iter().map(|t| t.as_secs().to_bits()));
+            bits.push(summary.agreement.gamma.to_bits());
+            bits.push(summary.agreement.tightness.to_bits());
+            (bits, rounds.skews.len())
+        };
+        outcome(a).bit_identical(&outcome(b)) && bits(a) == bits(b)
+    }
+
+    /// The merged pass is the sorted pass, bit for bit, on linear and
+    /// piecewise drift, with and without faults, at every capture level,
+    /// over the run's own window and over windows whose edges sit
+    /// exactly on capture-grid instants and on correction changes — the
+    /// instants two streams share.
+    #[test]
+    fn merged_pass_matches_the_sorted_oracle() {
+        let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
+        let wandering = DriftModel::RandomPiecewise {
+            rho: params.rho,
+            segment_secs: params.p_round / 10.0,
+            horizon_secs: 1.2,
+        };
+        let delays = [
+            DelayKind::Constant,
+            DelayKind::Uniform,
+            DelayKind::AdversarialSplit,
+        ];
+        for i in 0..12u64 {
+            let mut spec = ScenarioSpec::new(params.clone())
+                .seed(derive_seed(0x0_2AC1E, i))
+                .delay(delays[i as usize % 3])
+                .t_end(RealTime::from_secs(1.5 + 0.25 * (i % 3) as f64));
+            if i % 2 == 1 {
+                spec = spec.drift(wandering.clone());
+            }
+            match i % 4 {
+                2 => spec = spec.fault(ProcessId(3), FaultKind::PullApart(0.002)),
+                3 => spec = spec.rejoiner(ProcessId(0), RealTime::from_secs(1.3)),
+                _ => {}
+            }
+            let t_end = spec.t_end.as_secs();
+            let mut built = crate::assemble::assemble::<Maintenance>(&spec);
+            built.sim.drive();
+            let sim = &built.sim;
+            let histories = sim.observer().corr.histories();
+            let view = ExecutionView::with_plan(sim.clocks(), histories, &built.plan);
+            let stats = sim.observer().counters.stats();
+
+            let step = (params.p_round / 10.0).max(t_end / 4000.0);
+            let capture_grid: Vec<RealTime> = grid(
+                RealTime::ZERO,
+                RealTime::from_secs(t_end * 0.99),
+                RealDur::from_secs(step),
+            )
+            .collect();
+            let mut changes: Vec<RealTime> = view.nonfaulty_change_times().collect();
+            changes.sort_by(RealTime::total_cmp);
+            assert!(changes.len() > 8, "spec {i} changes its corrections");
+            let on_grid = |at: f64| capture_grid[(capture_grid.len() as f64 * at) as usize];
+            let on_change = |at: f64| changes[(changes.len() as f64 * at) as usize];
+            let windows = [
+                agreement_window(&params, t_end).unwrap(),
+                (on_grid(0.3), on_grid(0.8)),
+                (on_change(0.2), on_change(0.9)),
+                (on_grid(0.1), on_change(0.6)),
+                (on_change(0.4), on_change(0.4)),
+            ];
+            for window in windows {
+                for capture in [Capture::Scalar, Capture::Sketch, Capture::Series] {
+                    let merged = summarize(&view, &params, window, t_end, capture, stats);
+                    let sorted =
+                        summarize_by_sorting(&view, &params, window, t_end, capture, stats);
+                    assert!(
+                        same(&merged, &sorted),
+                        "spec {i}, window {window:?}, {capture:?}: merged {merged:?} \
+                         sorted {sorted:?}"
+                    );
+                }
+            }
+        }
+    }
 
     /// A horizon below [`min_horizon`] is refused by name — by the check
     /// itself, and by the per-point body every sweep, worker and server

@@ -161,9 +161,21 @@ impl SkewSketch {
     /// what the store's upgrade lattice checks.
     #[must_use]
     pub fn of_series(series: &SweepSeries) -> Self {
+        Self::of_samples(&series.skew_values)
+    }
+
+    /// Folds `samples`, in order, into a fresh sketch — [`observe`]
+    /// each, with each sample's bin looked for first where the one
+    /// before it landed (a skew stream moves slowly, so it usually stays
+    /// in its bin).
+    ///
+    /// [`observe`]: SkewSketch::observe
+    #[must_use]
+    pub(crate) fn of_samples(samples: &[f64]) -> Self {
         let mut sketch = Self::new();
-        for &v in &series.skew_values {
-            sketch.observe(v);
+        let mut last = 0;
+        for &v in samples {
+            sketch.fold(v, &mut last);
         }
         sketch
     }
@@ -179,25 +191,43 @@ impl SkewSketch {
         self.sum_lo = s as u64;
     }
 
-    fn bump(&mut self, idx: u32, n: u64) {
+    /// Adds `n` to bin `idx`, inserting it if absent; returns its
+    /// position in `bin_idx`.
+    fn bump(&mut self, idx: u32, n: u64) -> usize {
         match self.bin_idx.binary_search(&idx) {
-            Ok(i) => self.bin_count[i] += n,
+            Ok(i) => {
+                self.bin_count[i] += n;
+                i
+            }
             Err(i) => {
                 self.bin_idx.insert(i, idx);
                 self.bin_count.insert(i, n);
+                i
             }
         }
     }
 
     /// Adds one sample.
     pub fn observe(&mut self, v: f64) {
+        self.fold(v, &mut 0);
+    }
+
+    /// The one body of [`observe`](SkewSketch::observe): adds `v`,
+    /// trying the bin at position `*last` before searching, and leaves
+    /// `*last` at the bin `v` landed in.
+    fn fold(&mut self, v: f64, last: &mut usize) {
         self.count += 1;
         self.set_sum_ticks(self.sum_ticks() + i128::from(quantize_ticks(v)));
         if v.total_cmp(&self.max).is_gt() && !v.is_nan() {
             self.max = v;
         }
         if v > 0.0 {
-            self.bump(bin_of(v), 1);
+            let idx = bin_of(v);
+            if self.bin_idx.get(*last) == Some(&idx) {
+                self.bin_count[*last] += 1;
+            } else {
+                *last = self.bump(idx, 1);
+            }
         } else {
             self.low += 1;
         }

@@ -29,6 +29,7 @@
 //!
 
 use std::path::{Path, PathBuf};
+use wl_clock::drift::DriftModel;
 use wl_core::Params;
 use wl_harness::cache::segment::{
     write_file, EncodedRecord, FILE_HEADER_LEN, PACKED_SEGMENT_HEADER_LEN, SEGMENT_HEADER_LEN,
@@ -294,5 +295,73 @@ fn series_store_matches_golden_fixture() {
     assert_eq!(
         save_store(loaded, StoreFormat::Binary, "series-resave"),
         frozen
+    );
+}
+
+/// A series-capture grid on wandering clocks: four points at `n = 4`
+/// over three delay models, each clock a `RandomPiecewise` drift. Two
+/// points re-draw their rate every capture-grid step, so every grid
+/// instant is also a segment start; two re-draw at an unaligned length
+/// and stop re-drawing before the horizon. Every other fixture runs the
+/// default `Split` drift, whose clocks are all linear.
+fn piecewise_grid() -> Vec<ScenarioSpec> {
+    let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
+    let rho = params.rho;
+    let aligned = params.p_round / 10.0;
+    let delays = [
+        DelayKind::Constant,
+        DelayKind::Uniform,
+        DelayKind::AdversarialSplit,
+    ];
+    (0..4)
+        .map(|i| {
+            let (segment_secs, horizon_secs) = if i % 2 == 0 {
+                (aligned, 1.5)
+            } else {
+                (0.0731, 1.1)
+            };
+            ScenarioSpec::new(params.clone())
+                .seed(derive_seed(0x9_1ECE, i as u64))
+                .delay(delays[i % 3])
+                .drift(DriftModel::RandomPiecewise {
+                    rho,
+                    segment_secs,
+                    horizon_secs,
+                })
+                .t_end(RealTime::from_secs(1.5))
+        })
+        .collect()
+}
+
+/// The piecewise-clock path, pinned: a series store of
+/// [`piecewise_grid`] is the checked-in `piecewise-store.wlsb`, byte
+/// for byte, and loads back as four live records.
+#[test]
+fn piecewise_series_store_matches_golden_fixture() {
+    let path = fixture_dir().join("piecewise-store.wlsb");
+    let cache = SweepCache::new();
+    let _ = SweepRequest::new()
+        .threads(1)
+        .cached(&cache)
+        .capture(Capture::Series)
+        .run::<Maintenance>(piecewise_grid());
+    let mut store = SweepStore::new();
+    store.absorb(&cache);
+    let binary = save_store(store, StoreFormat::Binary, "piecewise");
+
+    if std::env::var("WL_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &binary).unwrap();
+        eprintln!("golden fixture regenerated at {}", path.display());
+    }
+
+    let frozen = std::fs::read(&path).expect("checked-in piecewise fixture");
+    assert_eq!(
+        frozen, binary,
+        "piecewise series store drifted from the golden fixture"
+    );
+    let loaded = SweepStore::open(&path).unwrap();
+    assert_eq!(
+        (loaded.len(), loaded.stale_records(), loaded.skipped_lines()),
+        (4, 0, 0)
     );
 }

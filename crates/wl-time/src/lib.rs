@@ -77,6 +77,17 @@ macro_rules! time_point {
                 self.0.total_cmp(&other.0)
             }
 
+            /// The representation's bits, mapped so that unsigned integer
+            /// order is [`total_cmp`](Self::total_cmp)'s order: negatives
+            /// have every bit flipped, everything else only the sign bit.
+            /// Comparing two keys is one integer compare.
+            #[must_use]
+            #[inline]
+            pub fn order_key(self) -> u64 {
+                let bits = self.0.to_bits();
+                bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
+            }
+
             /// The pointwise maximum of two time-points.
             #[must_use]
             pub fn max(self, other: Self) -> Self {
