@@ -28,8 +28,8 @@ use wl_core::params::{max_p, min_p};
 use wl_core::{theory, AveragingFn, Params, StartupParams};
 use wl_harness::{
     assemble, run, Capture, DelayKind, FaultKind, LmCnv, MahaneySchneider, Maintenance, Rejoiner,
-    ScenarioSpec, SrikanthToueg, Startup, SweepAlgorithm, SweepCache, SweepOutcome, SweepRequest,
-    SweepRunner, SyncAlgorithm,
+    ScenarioSpec, SrikanthToueg, Startup, SweepCache, SweepOutcome, SweepRequest, SweepRunner,
+    SyncAlgorithm,
 };
 use wl_sim::delay::SharedMediumDelay;
 use wl_sim::trace::{Trace, TraceEvent};
@@ -220,7 +220,7 @@ struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// Runs `specs` through the shared cache at `capture` richness.
-    fn sweep<A: SweepAlgorithm>(
+    fn sweep<A: SyncAlgorithm>(
         &self,
         capture: Capture,
         specs: Vec<ScenarioSpec>,

@@ -392,11 +392,9 @@ pub fn canonical_member<A: SyncAlgorithm>(
     adv: &AdversarySpec,
     ctx: &AssemblyCtx<'_>,
 ) -> Box<dyn Automaton<Msg = A::Msg>> {
-    let boxed = |role| -> Box<dyn Automaton<Msg = A::Msg>> {
-        Box::new(
-            A::fleet_automaton(spec, id, role, ctx)
-                .expect("fleet_automaton realizes correct and designated-faulty roles"),
-        )
+    let boxed = |role| {
+        A::fleet_automaton(spec, id, role, ctx)
+            .expect("fleet_automaton realizes correct and designated-faulty roles")
     };
     let faulty = |kind| boxed(FleetRole::Faulty(kind));
     match adv.strategy {

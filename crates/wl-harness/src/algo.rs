@@ -8,7 +8,9 @@
 //! * its message type ([`SyncAlgorithm::Msg`]);
 //! * its start discipline ([`SyncAlgorithm::discipline`]) — round-aligned
 //!   per assumption A4, or the §9.2 cold start;
-//! * automata for correct, faulty, and rejoining processes.
+//! * automata for correct, faulty, and rejoining processes
+//!   ([`SyncAlgorithm::fleet_automaton`]), each boxed into the one fleet
+//!   type every scenario runs on.
 //!
 //! Implementations exist for the paper's [`Maintenance`], [`Startup`] and
 //! [`Rejoiner`] and for the §10 baselines [`LmCnv`], [`MahaneySchneider`]
@@ -17,7 +19,6 @@
 //! executions are bit-for-bit identical to the pre-harness code paths —
 //! the `harness_parity` integration tests pin this.
 
-use crate::fleet::{CnvAlgoFleet, MsAlgoFleet, StAlgoFleet, WlAlgoFleet};
 use crate::spec::{FaultKind, ScenarioSpec};
 use wl_baselines::byzantine::{TimedTwoFaced, ValueTwoFaced};
 use wl_baselines::lm_cnv::{CnvMsg, LmCnv};
@@ -92,18 +93,9 @@ pub trait SyncAlgorithm {
     /// The start discipline and sim-seed salt.
     fn discipline(spec: &ScenarioSpec) -> StartDiscipline;
 
-    /// The enum type a `Vec`-of-enums fleet of this algorithm holds —
-    /// one of the `*AlgoFleet` enums in [`crate::fleet`], shared by
-    /// every algorithm of the same message family.
-    type FleetAuto: Automaton<Msg = Self::Msg> + 'static;
-
     /// The **single** automaton-construction body: builds the automaton
-    /// filling fleet slot `id` in role `role`.
-    ///
-    /// Both mixed-fleet rungs go through here — the enum rung stores the
-    /// result directly in a `Vec<Self::FleetAuto>`
-    /// ([`crate::assemble_enum`]), the boxed rung boxes it
-    /// ([`crate::assemble()`]) — so the two cannot diverge.
+    /// filling fleet slot `id` in role `role`, boxed for the one fleet
+    /// type ([`wl_sim::DynFleet`]) every scenario runs on.
     ///
     /// Returns `None` only for an unsupported *role* (today: a rejoiner
     /// under an algorithm without one).
@@ -117,26 +109,7 @@ pub trait SyncAlgorithm {
         id: ProcessId,
         role: FleetRole,
         ctx: &AssemblyCtx<'_>,
-    ) -> Option<Self::FleetAuto>;
-
-    /// The *unboxed* correct-process automaton, when the implementing
-    /// type is itself that automaton — which is the pattern every
-    /// algorithm in this workspace follows. Enables the monomorphized
-    /// `Vec<Self>` rung ([`crate::assemble_mono`]): all-correct fleets
-    /// skip per-event dispatch entirely. `None` (the default) opts out;
-    /// the dispatch ladder then falls to the enum rung.
-    ///
-    /// Implementations must build **exactly** the automaton
-    /// [`SyncAlgorithm::fleet_automaton`] wraps for
-    /// [`FleetRole::Correct`]: the rungs are pinned byte-identical by
-    /// the sweep parity tests.
-    fn correct_mono(spec: &ScenarioSpec, id: ProcessId, ctx: &AssemblyCtx<'_>) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        let _ = (spec, id, ctx);
-        None
-    }
+    ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>>;
 
     /// The automaton of an adversary *member* process, boxed. Default:
     /// the canonical realization
@@ -218,26 +191,24 @@ impl SyncAlgorithm for Maintenance {
         }
     }
 
-    type FleetAuto = WlAlgoFleet;
-
     fn fleet_automaton(
         spec: &ScenarioSpec,
         id: ProcessId,
         role: FleetRole,
         ctx: &AssemblyCtx<'_>,
-    ) -> Option<WlAlgoFleet> {
+    ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
         let p = &spec.params;
         let n = p.n;
         Some(match role {
-            FleetRole::Correct => WlAlgoFleet::Maintenance(Maintenance::new(id, p.clone(), 0.0)),
-            FleetRole::Rejoiner => WlAlgoFleet::Rejoiner(Rejoiner::new(id, p.clone())),
+            FleetRole::Correct => Box::new(Maintenance::new(id, p.clone(), 0.0)),
+            FleetRole::Rejoiner => Box::new(Rejoiner::new(id, p.clone())),
             FleetRole::Faulty(kind) => match kind {
-                FaultKind::CrashAt(t) => WlAlgoFleet::Crashed(CrashAt::new(
+                FaultKind::CrashAt(t) => Box::new(CrashAt::new(
                     Maintenance::new(id, p.clone(), 0.0),
                     crash_phys_time(&ctx.clocks[id.index()], RealTime::from_secs(t)),
                 )),
-                FaultKind::Silent => WlAlgoFleet::Silent(SilentFor::<WlMsg>::default()),
-                FaultKind::RoundSpam => WlAlgoFleet::Spammer(RoundSpammer::new(
+                FaultKind::Silent => Box::new(SilentFor::<WlMsg>::default()),
+                FaultKind::RoundSpam => Box::new(RoundSpammer::new(
                     n,
                     p.wait_window() / 2.0,
                     spec.seed.wrapping_add(id.index() as u64),
@@ -246,21 +217,17 @@ impl SyncAlgorithm for Maintenance {
                 // Against Welch–Lynch, the generic two-faced attack *is*
                 // the pull-apart: lying about your clock means sending Tⁱ
                 // at a shifted moment.
-                FaultKind::PullApart(a) | FaultKind::TwoFaced(a) => WlAlgoFleet::PullApart(
-                    PullApart::new(p.clone(), a, early_below_legacy_wl(n, p.f)),
-                ),
+                FaultKind::PullApart(a) | FaultKind::TwoFaced(a) => {
+                    Box::new(PullApart::new(p.clone(), a, early_below_legacy_wl(n, p.f)))
+                }
                 FaultKind::PullApartHigh(a) => {
                     // Early sends go to the upper-index honest half.
                     let threshold = p.f + (n - p.f) / 2;
                     let mask = (0..n).map(|q| q >= threshold).collect();
-                    WlAlgoFleet::PullApart(PullApart::with_early_mask(p.clone(), a, mask))
+                    Box::new(PullApart::with_early_mask(p.clone(), a, mask))
                 }
             },
         })
-    }
-
-    fn correct_mono(spec: &ScenarioSpec, id: ProcessId, _ctx: &AssemblyCtx<'_>) -> Option<Self> {
-        Some(Maintenance::new(id, spec.params.clone(), 0.0))
     }
 
     fn adversary_member(
@@ -319,14 +286,12 @@ impl SyncAlgorithm for Rejoiner {
         <Maintenance as SyncAlgorithm>::discipline(spec)
     }
 
-    type FleetAuto = WlAlgoFleet;
-
     fn fleet_automaton(
         spec: &ScenarioSpec,
         id: ProcessId,
         role: FleetRole,
         ctx: &AssemblyCtx<'_>,
-    ) -> Option<WlAlgoFleet> {
+    ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
         <Maintenance as SyncAlgorithm>::fleet_automaton(spec, id, role, ctx)
     }
 }
@@ -345,36 +310,24 @@ impl SyncAlgorithm for Startup {
         }
     }
 
-    type FleetAuto = WlAlgoFleet;
-
     fn fleet_automaton(
         spec: &ScenarioSpec,
         id: ProcessId,
         role: FleetRole,
         ctx: &AssemblyCtx<'_>,
-    ) -> Option<WlAlgoFleet> {
+    ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
         Some(match role {
-            FleetRole::Correct => WlAlgoFleet::Startup(Startup::new(
+            FleetRole::Correct => Box::new(Startup::new(
                 id,
                 spec.startup_params(),
                 ctx.initial_corrs[id.index()],
             )),
-            FleetRole::Faulty(FaultKind::Silent) => {
-                WlAlgoFleet::Silent(SilentFor::<WlMsg>::default())
-            }
+            FleetRole::Faulty(FaultKind::Silent) => Box::new(SilentFor::<WlMsg>::default()),
             FleetRole::Faulty(other) => {
                 panic!("the startup scenarios only realize Silent faults, got {other:?}")
             }
             FleetRole::Rejoiner => return None,
         })
-    }
-
-    fn correct_mono(spec: &ScenarioSpec, id: ProcessId, ctx: &AssemblyCtx<'_>) -> Option<Self> {
-        Some(Startup::new(
-            id,
-            spec.startup_params(),
-            ctx.initial_corrs[id.index()],
-        ))
     }
 }
 
@@ -394,37 +347,27 @@ impl SyncAlgorithm for LmCnv {
         }
     }
 
-    type FleetAuto = CnvAlgoFleet;
-
     fn fleet_automaton(
         spec: &ScenarioSpec,
         id: ProcessId,
         role: FleetRole,
         _ctx: &AssemblyCtx<'_>,
-    ) -> Option<CnvAlgoFleet> {
+    ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
         let p = &spec.params;
         Some(match role {
-            FleetRole::Correct => CnvAlgoFleet::Correct(LmCnv::new(id, p.clone(), 0.0)),
-            FleetRole::Faulty(FaultKind::Silent) => {
-                CnvAlgoFleet::Silent(SilentFor::<CnvMsg>::default())
-            }
-            FleetRole::Faulty(FaultKind::TwoFaced(a)) => {
-                CnvAlgoFleet::TwoFaced(ValueTwoFaced::new(
-                    p.clone(),
-                    a,
-                    early_below(p.n, spec),
-                    (|claim| CnvMsg(ClockTime::from_secs(claim))) as fn(f64) -> CnvMsg,
-                ))
-            }
+            FleetRole::Correct => Box::new(LmCnv::new(id, p.clone(), 0.0)),
+            FleetRole::Faulty(FaultKind::Silent) => Box::new(SilentFor::<CnvMsg>::default()),
+            FleetRole::Faulty(FaultKind::TwoFaced(a)) => Box::new(ValueTwoFaced::new(
+                p.clone(),
+                a,
+                early_below(p.n, spec),
+                (|claim| CnvMsg(ClockTime::from_secs(claim))) as fn(f64) -> CnvMsg,
+            )),
             FleetRole::Faulty(other) => {
                 panic!("LM-CNV scenarios realize Silent/TwoFaced faults, got {other:?}")
             }
             FleetRole::Rejoiner => return None,
         })
-    }
-
-    fn correct_mono(spec: &ScenarioSpec, id: ProcessId, _ctx: &AssemblyCtx<'_>) -> Option<Self> {
-        Some(LmCnv::new(id, spec.params.clone(), 0.0))
     }
 }
 
@@ -438,21 +381,17 @@ impl SyncAlgorithm for MahaneySchneider {
         }
     }
 
-    type FleetAuto = MsAlgoFleet;
-
     fn fleet_automaton(
         spec: &ScenarioSpec,
         id: ProcessId,
         role: FleetRole,
         _ctx: &AssemblyCtx<'_>,
-    ) -> Option<MsAlgoFleet> {
+    ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
         let p = &spec.params;
         Some(match role {
-            FleetRole::Correct => MsAlgoFleet::Correct(MahaneySchneider::new(id, p.clone(), 0.0)),
-            FleetRole::Faulty(FaultKind::Silent) => {
-                MsAlgoFleet::Silent(SilentFor::<MsMsg>::default())
-            }
-            FleetRole::Faulty(FaultKind::TwoFaced(a)) => MsAlgoFleet::TwoFaced(ValueTwoFaced::new(
+            FleetRole::Correct => Box::new(MahaneySchneider::new(id, p.clone(), 0.0)),
+            FleetRole::Faulty(FaultKind::Silent) => Box::new(SilentFor::<MsMsg>::default()),
+            FleetRole::Faulty(FaultKind::TwoFaced(a)) => Box::new(ValueTwoFaced::new(
                 p.clone(),
                 a,
                 early_below(p.n, spec),
@@ -463,10 +402,6 @@ impl SyncAlgorithm for MahaneySchneider {
             }
             FleetRole::Rejoiner => return None,
         })
-    }
-
-    fn correct_mono(spec: &ScenarioSpec, id: ProcessId, _ctx: &AssemblyCtx<'_>) -> Option<Self> {
-        Some(MahaneySchneider::new(id, spec.params.clone(), 0.0))
     }
 }
 
@@ -480,21 +415,17 @@ impl SyncAlgorithm for SrikanthToueg {
         }
     }
 
-    type FleetAuto = StAlgoFleet;
-
     fn fleet_automaton(
         spec: &ScenarioSpec,
         id: ProcessId,
         role: FleetRole,
         _ctx: &AssemblyCtx<'_>,
-    ) -> Option<StAlgoFleet> {
+    ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
         let p = &spec.params;
         Some(match role {
-            FleetRole::Correct => StAlgoFleet::Correct(SrikanthToueg::new(id, p.clone(), 0.0)),
-            FleetRole::Faulty(FaultKind::Silent) => {
-                StAlgoFleet::Silent(SilentFor::<StMsg>::default())
-            }
-            FleetRole::Faulty(FaultKind::TwoFaced(a)) => StAlgoFleet::TwoFaced(TimedTwoFaced::new(
+            FleetRole::Correct => Box::new(SrikanthToueg::new(id, p.clone(), 0.0)),
+            FleetRole::Faulty(FaultKind::Silent) => Box::new(SilentFor::<StMsg>::default()),
+            FleetRole::Faulty(FaultKind::TwoFaced(a)) => Box::new(TimedTwoFaced::new(
                 p.clone(),
                 a,
                 early_below(p.n, spec),
@@ -508,10 +439,6 @@ impl SyncAlgorithm for SrikanthToueg {
             }
             FleetRole::Rejoiner => return None,
         })
-    }
-
-    fn correct_mono(spec: &ScenarioSpec, id: ProcessId, _ctx: &AssemblyCtx<'_>) -> Option<Self> {
-        Some(SrikanthToueg::new(id, spec.params.clone(), 0.0))
     }
 }
 

@@ -1,25 +1,17 @@
 //! The single scenario-assembly path.
 //!
-//! Every scenario — whichever dispatch rung runs it — is one
-//! [`BuiltScenario`] produced by one private body, `assembly`: the
-//! algorithm-independent parts (clocks, STARTs, corrections, seed, fault
-//! plan) in a fixed RNG draw order, one role per fleet slot, one
-//! `SimBuilder` chain. The rungs differ only in the type that *stores*
-//! the `n` automata, i.e. in the slot constructor they hand that body:
-//!
-//! | rung | fleet | accepts |
-//! |---|---|---|
-//! | [`assemble_mono`] | `Vec<A>` | every slot [`FleetRole::Correct`] |
-//! | [`assemble_enum`] | `Vec<A::FleetAuto>` | everything but behaviour-adversary members (and rejoiners the algorithm lacks) |
-//! | [`assemble`] | `Vec<Box<dyn Automaton>>` | everything |
+//! Every scenario is one [`BuiltScenario`] produced by one private body,
+//! `assembly`: the algorithm-independent parts (clocks, STARTs,
+//! corrections, seed, fault plan) in a fixed RNG draw order, one boxed
+//! automaton per fleet slot — correct, designated-faulty, rejoining or
+//! adversary member alike — and one `SimBuilder` chain.
 //!
 //! The RNG draw order and sim-seed salting are those of the legacy
 //! per-crate builders, so executions are bit-for-bit identical to them
-//! (pinned by the `harness_parity` integration tests) and to each other
-//! (the `rungs_agree` table in `sweep.rs`, the `fleet_parity` proptests).
+//! (pinned by the `harness_parity` integration tests).
 
 use crate::algo::{AssemblyCtx, FleetRole, StartDiscipline, SyncAlgorithm};
-use crate::spec::{AdversarySpec, DelayKind, ScenarioSpec};
+use crate::spec::{DelayKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wl_clock::drift::FleetClock;
@@ -29,18 +21,15 @@ use wl_sim::delay::{
     AdversarialSplitDelay, ConstantDelay, DelayModel, SharedMediumDelay, UniformDelay,
 };
 use wl_sim::faults::FaultPlan;
-use wl_sim::{
-    Automaton, DynFleet, EventQueue, Fleet, HeapQueue, NullObserver, ProcessId, SimBuilder,
-    SimConfig, Simulation, StdObservers,
-};
+use wl_sim::{EventQueue, HeapQueue, ProcessId, SimBuilder, SimConfig, Simulation, StdObservers};
 use wl_time::{ClockTime, RealTime};
 
 /// A fully assembled scenario, generic over the protocol message type
-/// and (defaulted) the engine's event queue and fleet storage. Every
-/// rung's simulation carries the standard observer bundle.
-pub struct BuiltScenario<M, Q = HeapQueue<M>, F = DynFleet<M>> {
+/// and (defaulted) the engine's event queue. The simulation carries the
+/// standard observer bundle.
+pub struct BuiltScenario<M, Q = HeapQueue<M>> {
     /// The simulation, ready to run.
-    pub sim: Simulation<M, Q, StdObservers, F>,
+    pub sim: Simulation<M, Q, StdObservers>,
     /// Which processes are designated faulty (for the analysis).
     pub plan: FaultPlan,
     /// The parameters the scenario was built from.
@@ -54,22 +43,7 @@ pub struct BuiltScenario<M, Q = HeapQueue<M>, F = DynFleet<M>> {
     pub initial_corrs: Vec<f64>,
 }
 
-/// A [`BuiltScenario`] whose fleet is a `Vec<A>` of correct automata
-/// (no per-event virtual dispatch). Produced by [`assemble_mono`].
-pub type MonoScenario<A> =
-    BuiltScenario<<A as SyncAlgorithm>::Msg, HeapQueue<<A as SyncAlgorithm>::Msg>, Vec<A>>;
-
-/// A [`BuiltScenario`] whose (possibly mixed) fleet is a
-/// `Vec<A::FleetAuto>` — enum-match dispatch, one contiguous allocation.
-/// Produced by [`assemble_enum`] / [`assemble_enum_with_queue`].
-pub type EnumScenario<A, Q = HeapQueue<<A as SyncAlgorithm>::Msg>> =
-    BuiltScenario<<A as SyncAlgorithm>::Msg, Q, Vec<<A as SyncAlgorithm>::FleetAuto>>;
-
-/// The simulation type of the monomorphized rung under observer `O`.
-pub type MonoSimulation<A, O> =
-    Simulation<<A as SyncAlgorithm>::Msg, HeapQueue<<A as SyncAlgorithm>::Msg>, O, Vec<A>>;
-
-impl<M, Q, F> std::fmt::Debug for BuiltScenario<M, Q, F> {
+impl<M, Q> std::fmt::Debug for BuiltScenario<M, Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BuiltScenario")
             .field("plan", &self.plan)
@@ -78,12 +52,11 @@ impl<M, Q, F> std::fmt::Debug for BuiltScenario<M, Q, F> {
     }
 }
 
-/// Assembles `spec` under algorithm `A` on the boxed rung, which hosts
-/// every scenario.
+/// Assembles `spec` under algorithm `A`.
 ///
 /// The assembly realizes the spec's assumptions in a fixed RNG draw
 /// order so that identical `(spec, A)` pairs produce identical
-/// executions — on any machine, at any sweep width, on any rung:
+/// executions — on any machine, at any sweep width:
 ///
 /// 1. **Round-aligned** (A4): `n` initial offsets within
 ///    `spread_frac · β`, then the drift-model build seed, then START at
@@ -115,111 +88,21 @@ pub fn assemble_with_queue<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
     spec: &ScenarioSpec,
     queue: Q,
 ) -> BuiltScenario<A::Msg, Q> {
-    assembly::<A, _>(spec, |id, slot, ctx| {
-        Some(match slot {
-            Slot::Role(role) => Box::new(A::fleet_automaton(spec, id, role, ctx)?),
-            Slot::Member(adv) => A::adversary_member(spec, id, adv, ctx),
-        })
-    })
-    // `fleet_automaton` declines only an unsupported role, and the one
-    // optional role is the rejoiner.
-    .unwrap_or_else(|| panic!("{} does not support rejoiners", A::NAME))
-    .build(queue)
-}
-
-/// Assembles `spec` on the monomorphized rung — a `Vec<A>` fleet — if
-/// every process is correct (delay-only adversaries qualify: their
-/// attack lives in the shared delay model) and `A` offers
-/// [`SyncAlgorithm::correct_mono`]. `None` otherwise; callers fall back
-/// to [`assemble_enum`].
-///
-/// # Panics
-///
-/// As [`assemble`] (validation failures).
-#[must_use]
-pub fn assemble_mono<A>(spec: &ScenarioSpec) -> Option<MonoScenario<A>>
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-{
-    Some(mono_assembly::<A>(spec)?.build(HeapQueue::new()))
-}
-
-/// [`assemble_mono`] under [`NullObserver`]: zero per-event measurement
-/// work, the engine's own `events_delivered` counter the only instrument
-/// left — the raw Monte Carlo throughput floor (`sim.null_mev_per_s` in
-/// the repo benchmark). `None` exactly when [`assemble_mono`] is.
-#[must_use]
-pub fn assemble_mono_null<A>(spec: &ScenarioSpec) -> Option<MonoSimulation<A, NullObserver>>
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-{
-    let builder = mono_assembly::<A>(spec)?.builder;
-    Some(builder.build_with(HeapQueue::new(), NullObserver))
-}
-
-fn mono_assembly<A>(spec: &ScenarioSpec) -> Option<Assembly<<A as SyncAlgorithm>::Msg, Vec<A>>>
-where
-    A: SyncAlgorithm + Automaton<Msg = <A as SyncAlgorithm>::Msg>,
-{
-    assembly::<A, _>(spec, |id, slot, ctx| match slot {
-        Slot::Role(FleetRole::Correct) => A::correct_mono(spec, id, ctx),
-        _ => None,
-    })
-}
-
-/// Assembles `spec` on the enum-dispatched rung — any mix of correct,
-/// designated-faulty and rejoining processes as a `Vec<A::FleetAuto>` —
-/// unless it has behaviour-adversary members (their wrapper automata
-/// live outside the fleet enums) or a rejoiner `A` does not support.
-/// `None` then; callers fall back to [`assemble`].
-///
-/// # Panics
-///
-/// As [`assemble`] (validation failures, unsupported fault kinds).
-#[must_use]
-pub fn assemble_enum<A: SyncAlgorithm>(spec: &ScenarioSpec) -> Option<EnumScenario<A>> {
-    assemble_enum_with_queue::<A, _>(spec, HeapQueue::new())
-}
-
-/// [`assemble_enum`] with a caller-supplied event queue — what the
-/// `fleet_parity` proptests use to pit the enum fleet against the boxed
-/// fleet under the *same* (arbitrary, legal) tie-breaking queue.
-///
-/// # Panics
-///
-/// As [`assemble_enum`].
-#[must_use]
-pub fn assemble_enum_with_queue<A: SyncAlgorithm, Q: EventQueue<A::Msg>>(
-    spec: &ScenarioSpec,
-    queue: Q,
-) -> Option<EnumScenario<A, Q>> {
-    let assembly = assembly::<A, _>(spec, |id, slot, ctx| match slot {
-        Slot::Role(role) => A::fleet_automaton(spec, id, role, ctx),
-        Slot::Member(_) => None,
-    })?;
-    Some(assembly.build(queue))
-}
-
-/// What fills one fleet slot: a [`FleetRole`], which every rung asks its
-/// algorithm for, or a behaviour-adversary member, which only the boxed
-/// rung can host.
-enum Slot<'a> {
-    Role(FleetRole),
-    Member(&'a AdversarySpec),
+    assembly::<A>(spec).build(queue)
 }
 
 /// An assembly short of its terminal `build*` call (which picks the
 /// queue and the observer).
-struct Assembly<M, F> {
-    builder: SimBuilder<M, F>,
+pub(crate) struct Assembly<M> {
+    pub(crate) builder: SimBuilder<M>,
     plan: FaultPlan,
     params: Params,
     starts: Vec<RealTime>,
     initial_corrs: Vec<f64>,
 }
 
-impl<M: Clone + std::fmt::Debug + Send + 'static, F: Fleet<M>> Assembly<M, F> {
-    fn build<Q: EventQueue<M>>(self, queue: Q) -> BuiltScenario<M, Q, F> {
+impl<M: Clone + std::fmt::Debug + Send + 'static> Assembly<M> {
+    fn build<Q: EventQueue<M>>(self, queue: Q) -> BuiltScenario<M, Q> {
         BuiltScenario {
             sim: self.builder.build_with_queue(queue),
             plan: self.plan,
@@ -230,17 +113,22 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, F: Fleet<M>> Assembly<M, F> {
     }
 }
 
-/// The one assembly body. `automaton` builds what fills each slot, in
-/// the rung's fleet element type `T`; its returning `None` — the rung
-/// cannot store that slot — is the one way a rung declines a spec.
-fn assembly<'s, A: SyncAlgorithm, T: Automaton<Msg = A::Msg>>(
-    spec: &'s ScenarioSpec,
-    automaton: impl Fn(ProcessId, Slot<'s>, &AssemblyCtx<'_>) -> Option<T>,
-) -> Option<Assembly<A::Msg, Vec<T>>> {
+/// The one assembly body: one automaton per slot, in slot order.
+///
+/// # Panics
+///
+/// As [`assemble`].
+pub(crate) fn assembly<A: SyncAlgorithm>(spec: &ScenarioSpec) -> Assembly<A::Msg> {
     let parts = assembly_parts::<A>(spec);
     let ctx = AssemblyCtx {
         clocks: &parts.clocks,
         initial_corrs: &parts.initial_corrs,
+    };
+    // `fleet_automaton` declines only an unsupported role, and the one
+    // optional role is the rejoiner.
+    let in_role = |id, role| {
+        A::fleet_automaton(spec, id, role, &ctx)
+            .unwrap_or_else(|| panic!("{} does not support rejoiners", A::NAME))
     };
     // Delay-only adversary members stay correct processes: their attack
     // lives in the shared delay model.
@@ -252,38 +140,38 @@ fn assembly<'s, A: SyncAlgorithm, T: Automaton<Msg = A::Msg>>(
     let mut fleet = Vec::with_capacity(spec.params.n);
     for (i, start) in sim_starts.iter_mut().enumerate() {
         let id = ProcessId(i);
-        let slot = if let Some((_, repair_at)) = spec.rejoiner.filter(|&(rid, _)| rid == id) {
-            *start = repair_at;
-            Slot::Role(FleetRole::Rejoiner)
-        } else if let Some(adv) = behaviour_adversary.filter(|adv| adv.controls(id)) {
-            Slot::Member(adv)
-        } else if let Some(&(_, kind)) = spec.faults.iter().find(|&&(fid, _)| fid == id) {
-            Slot::Role(FleetRole::Faulty(kind))
-        } else {
-            Slot::Role(FleetRole::Correct)
-        };
-        fleet.push(automaton(id, slot, &ctx)?);
+        fleet.push(
+            if let Some((_, repair_at)) = spec.rejoiner.filter(|&(rid, _)| rid == id) {
+                *start = repair_at;
+                in_role(id, FleetRole::Rejoiner)
+            } else if let Some(adv) = behaviour_adversary.filter(|adv| adv.controls(id)) {
+                A::adversary_member(spec, id, adv, &ctx)
+            } else if let Some(&(_, kind)) = spec.faults.iter().find(|&&(fid, _)| fid == id) {
+                in_role(id, FleetRole::Faulty(kind))
+            } else {
+                in_role(id, FleetRole::Correct)
+            },
+        );
     }
     let builder = SimBuilder::new()
         .clocks(parts.clocks)
-        .fleet(fleet)
+        .procs(fleet)
         .starts(sim_starts)
         .fault_plan(parts.plan.clone())
         .config(sim_config(spec, parts.sim_seed))
         .delay_boxed(delay_model(spec));
-    Some(Assembly {
+    Assembly {
         builder,
         plan: parts.plan,
         params: spec.params.clone(),
         starts: parts.starts,
         initial_corrs: parts.initial_corrs,
-    })
+    }
 }
 
 /// The algorithm-independent half of an assembly: clocks, START times,
-/// initial corrections, the salted simulator seed, and the fault plan.
-/// One RNG draw order, shared verbatim by every rung — byte-identical
-/// executions are a consequence, not a hope.
+/// initial corrections, the salted simulator seed, and the fault plan,
+/// in one RNG draw order.
 struct AssemblyParts {
     clocks: Vec<FleetClock>,
     starts: Vec<RealTime>,

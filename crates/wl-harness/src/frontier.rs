@@ -54,11 +54,12 @@
 //! is a [`FrontierError::Mismatch`] naming the offending field — never a
 //! silent merge of two unrelated sweeps.
 
+use crate::algo::SyncAlgorithm;
 use crate::cache::{
     canon_string, fnv64_seeded, StoreFormat, SweepStore, ENGINE_VERSION, FNV_OFFSET,
 };
 use crate::spec::ScenarioSpec;
-use crate::sweep::{run_point_recorded, Capture, SweepAlgorithm, SweepRunner};
+use crate::sweep::{run_point_recorded, Capture, SweepRunner};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,7 +98,7 @@ impl FrontierSpec {
     ///
     /// Panics if `chunk == 0`.
     #[must_use]
-    pub fn for_grid<A: SweepAlgorithm>(grid: &[ScenarioSpec], chunk: usize) -> Self {
+    pub fn for_grid<A: SyncAlgorithm>(grid: &[ScenarioSpec], chunk: usize) -> Self {
         assert!(chunk >= 1, "frontier chunks must hold at least one point");
         let mut hash = FNV_OFFSET;
         for spec in grid {
@@ -721,7 +722,7 @@ fn beat_due(since_last: Duration, steal_timeout: Duration) -> bool {
 /// directory does not hold this grid's frontier; I/O failures, among
 /// them [`io::ErrorKind::InvalidInput`] for a `cfg.worker` that cannot
 /// name a claim file (refused before anything is opened).
-pub fn run_worker_frontier<A: SweepAlgorithm>(
+pub fn run_worker_frontier<A: SyncAlgorithm>(
     runner: &SweepRunner,
     grid: Vec<ScenarioSpec>,
     cfg: &FrontierWorkerConfig,

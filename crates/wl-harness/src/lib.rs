@@ -18,12 +18,11 @@
 //!   (correct, faulty, rejoining), and its start discipline; the harness
 //!   contributes everything else.
 //! * [`assemble()`](assemble()) — the single assembly path:
-//!   `assemble::<A>(&spec)` → a ready-to-run [`BuiltScenario`];
-//!   [`assemble_mono`] and [`assemble_enum`] are the same body at an
-//!   unboxed fleet type, for the specs such a fleet can store.
+//!   `assemble::<A>(&spec)` → a ready-to-run [`BuiltScenario`] whose
+//!   fleet is one boxed automaton per process, whatever its role.
 //! * [`run`] — shared measurement helpers (`run_summary`, `run_capture`,
 //!   `baseline_metrics`) generic over the scenario, so every algorithm
-//!   on every fleet is summarized by the same code: one monotone pass of
+//!   is summarized by the same code: one monotone pass of
 //!   `wl_analysis`'s skew evaluator over every sample instant.
 //! * [`SweepRequest`] — the one sweep entry point: fans a grid of specs
 //!   across threads ([`SweepRunner`]) with
@@ -98,7 +97,6 @@ pub mod adversary;
 pub mod algo;
 pub mod assemble;
 pub mod cache;
-pub mod fleet;
 pub mod frontier;
 pub mod run;
 pub mod search;
@@ -112,19 +110,18 @@ pub use adversary::{
     Adversary, AdversaryActor, AdversaryDelay, ChurnStrategy, LinkPlan, TargetedLinks,
 };
 pub use algo::{AssemblyCtx, FleetRole, StartDiscipline, SyncAlgorithm};
-pub use assemble::{
-    assemble, assemble_enum, assemble_enum_with_queue, assemble_mono, assemble_mono_null,
-    assemble_with_queue, BuiltScenario, EnumScenario, MonoScenario,
-};
+pub use assemble::{assemble, assemble_with_queue, BuiltScenario};
 pub use cache::{
     CompactStats, DiskSweepCache, MergeConflict, MergeConflictKind, MergeStats, MigrationReport,
     StoreFormat, SweepStore, ENGINE_VERSION,
 };
-pub use fleet::{CnvAlgoFleet, MsAlgoFleet, StAlgoFleet, WlAlgoFleet};
 pub use frontier::{
     run_worker_frontier, Claim, Frontier, FrontierError, FrontierProgress, FrontierSpec,
     FrontierStatus, FrontierWorkerConfig,
 };
+// The repo benchmark's spellings (see `run`).
+pub use algo::SyncAlgorithm as SweepAlgorithm;
+pub use run::{assemble_enum, assemble_mono, assemble_mono_null};
 pub use search::{search_worst_case, SearchConfig, SearchReport};
 pub use service::{
     serve, service_from_env, ServeConfig, ServeReport, ServiceAddr, ServiceClient, ServiceStats,
@@ -133,8 +130,8 @@ pub use service::{
 pub use sketch::{store_report, SkewSketch};
 pub use spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 pub use sweep::{
-    derive_seed, Capture, Shard, SweepAlgorithm, SweepCache, SweepOutcome, SweepRequest,
-    SweepRunner, SweepSeries, SweepSummary,
+    derive_seed, Capture, Shard, SweepCache, SweepOutcome, SweepRequest, SweepRunner, SweepSeries,
+    SweepSummary,
 };
 pub use transport::{
     drive_frontier, FrontierDriveError, FrontierDriveReport, FrontierDriverConfig,

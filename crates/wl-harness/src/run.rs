@@ -1,12 +1,13 @@
 //! Shared measurement helpers: run a [`BuiltScenario`] to completion and
 //! extract the standard quantities. One body, generic over the message
-//! type, the queue and the fleet storage — the same code summarizes
-//! Welch–Lynch and baseline runs on every dispatch rung.
+//! type and the queue — the same code summarizes Welch–Lynch and
+//! baseline runs.
 
-use crate::assemble::{assemble, assemble_enum, assemble_mono, BuiltScenario};
+use crate::algo::SyncAlgorithm;
+use crate::assemble::{assemble, assembly, BuiltScenario};
 use crate::sketch::SkewSketch;
 use crate::spec::ScenarioSpec;
-use crate::sweep::{Capture, SweepAlgorithm, SweepSeries};
+use crate::sweep::{Capture, SweepSeries};
 use wl_analysis::adjustment::{check_adjustments, AdjustmentReport};
 use wl_analysis::agreement::{AgreementFold, AgreementReport};
 use wl_analysis::convergence::{waves_of_sorted, RoundSeries};
@@ -14,7 +15,7 @@ use wl_analysis::skew::{around_change, grid, SkewEvaluator, SkewSeries};
 use wl_analysis::ExecutionView;
 use wl_clock::drift::FleetClock;
 use wl_core::Params;
-use wl_sim::{EventQueue, Fleet, SimStats};
+use wl_sim::{EventQueue, HeapQueue, NullObserver, SimStats, Simulation};
 use wl_time::{RealDur, RealTime};
 
 /// Everything the experiments usually need from one run.
@@ -59,18 +60,17 @@ pub fn min_horizon(params: &Params) -> f64 {
     (params.t0 + 2.0 * params.p_round) / 0.98
 }
 
-/// Runs a built scenario — of any rung — for `t_end` simulated seconds
-/// and summarizes it against the Welch–Lynch theorem suite.
+/// Runs a built scenario for `t_end` simulated seconds and summarizes it
+/// against the Welch–Lynch theorem suite.
 ///
 /// # Panics
 ///
 /// Panics if `t_end` is below [`min_horizon`].
 #[must_use]
-pub fn run_summary<M, Q, F>(built: BuiltScenario<M, Q, F>, t_end: f64) -> RunSummary
+pub fn run_summary<M, Q>(built: BuiltScenario<M, Q>, t_end: f64) -> RunSummary
 where
     M: Clone + std::fmt::Debug + Send + 'static,
     Q: EventQueue<M>,
-    F: Fleet<M>,
 {
     drive_and_summarize(built, t_end, Capture::Scalar).0
 }
@@ -91,42 +91,53 @@ where
 ///
 /// Panics if `t_end` is below [`min_horizon`].
 #[must_use]
-pub fn run_capture<M, Q, F>(built: BuiltScenario<M, Q, F>, t_end: f64) -> (RunSummary, SweepSeries)
+pub fn run_capture<M, Q>(built: BuiltScenario<M, Q>, t_end: f64) -> (RunSummary, SweepSeries)
 where
     M: Clone + std::fmt::Debug + Send + 'static,
     Q: EventQueue<M>,
-    F: Fleet<M>,
 {
     let (summary, _, series) = drive_and_summarize(built, t_end, Capture::Series);
     (summary, series.expect("capture requested"))
 }
 
-// The per-rung spellings the repo benchmark imports.
+// The repo benchmark's spellings, from when a point ran on one of three
+// fleet types. Each is the one assembly or the one run; `_mono` / `_enum`
+// accept just the specs those fleets held, so its rows keep their points.
 pub use self::{run_capture as run_capture_enum, run_capture as run_capture_mono};
 pub use self::{run_summary as run_summary_enum, run_summary as run_summary_mono};
+
+/// The benchmark's spelling of [`assemble`], for a spec with no
+/// designated fault, rejoiner or behaviour adversary; `None` otherwise.
+#[must_use]
+pub fn assemble_mono<A: SyncAlgorithm>(spec: &ScenarioSpec) -> Option<BuiltScenario<A::Msg>> {
+    held(spec, true).then(|| assemble::<A>(spec))
+}
+
+/// The benchmark's spelling of [`assemble`], for a spec with no
+/// behaviour adversary; `None` otherwise.
+#[must_use]
+pub fn assemble_enum<A: SyncAlgorithm>(spec: &ScenarioSpec) -> Option<BuiltScenario<A::Msg>> {
+    held(spec, false).then(|| assemble::<A>(spec))
+}
+
+/// [`assemble_mono`]'s assembly under [`NullObserver`]: the engine's own
+/// event counter the only instrument (the benchmark's `sim.null_mev_per_s`).
+#[must_use]
+pub fn assemble_mono_null<A: SyncAlgorithm>(
+    spec: &ScenarioSpec,
+) -> Option<Simulation<A::Msg, HeapQueue<A::Msg>, NullObserver>> {
+    let builder = held(spec, true).then(|| assembly::<A>(spec).builder)?;
+    Some(builder.build_with(HeapQueue::new(), NullObserver))
+}
+
+fn held(spec: &ScenarioSpec, mono: bool) -> bool {
+    let member = (spec.adversary.as_ref()).is_some_and(|adv| !adv.strategy.is_delay_only());
+    !member && !(mono && (!spec.faults.is_empty() || spec.rejoiner.is_some()))
+}
 
 /// A run's summary with the payload its [`Capture`] level asked for:
 /// a sketch under `Sketch`, a series under `Series`, never both.
 pub(crate) type Summarized = (RunSummary, Option<SkewSketch>, Option<SweepSeries>);
-
-/// The dispatch ladder every sweep grid point takes: all-correct specs
-/// run on the monomorphized `Vec<A>` fleet; faulted/rejoiner specs on
-/// the enum-dispatched `Vec<A::FleetAuto>` fleet; only behaviour
-/// adversaries fall back to `Box<dyn Automaton>`. The rungs are pinned
-/// bit-identical by the `rungs_agree` table in `sweep.rs`.
-pub(crate) fn run_dispatched<A: SweepAlgorithm>(
-    spec: &ScenarioSpec,
-    capture: Capture,
-) -> Summarized {
-    let t_end = spec.t_end.as_secs();
-    if let Some(built) = assemble_mono::<A>(spec) {
-        drive_and_summarize(built, t_end, capture)
-    } else if let Some(built) = assemble_enum::<A>(spec) {
-        drive_and_summarize(built, t_end, capture)
-    } else {
-        drive_and_summarize(assemble::<A>(spec), t_end, capture)
-    }
-}
 
 /// Which consumers a sample instant of the one pass feeds.
 type Consumers = u8;
@@ -137,15 +148,14 @@ const CAPTURE: Consumers = 4;
 /// The one drive-and-summarize body: run the simulation to completion,
 /// then [`summarize`] the clocks and the observer bundle's counters and
 /// correction histories.
-pub(crate) fn drive_and_summarize<M, Q, F>(
-    mut built: BuiltScenario<M, Q, F>,
+pub(crate) fn drive_and_summarize<M, Q>(
+    mut built: BuiltScenario<M, Q>,
     t_end: f64,
     capture: Capture,
 ) -> Summarized
 where
     M: Clone + std::fmt::Debug + Send + 'static,
     Q: EventQueue<M>,
-    F: Fleet<M>,
 {
     let window = agreement_window(&built.params, t_end).unwrap_or_else(|e| panic!("{e}"));
     built.sim.drive();
@@ -157,8 +167,8 @@ where
 }
 
 /// The theorem suite over a completed execution — deliberately not
-/// generic over the simulation, so every rung of every algorithm shares
-/// one copy of it.
+/// generic over the simulation, so every algorithm shares one copy of
+/// it.
 ///
 /// Everything that samples local times — the agreement window at `P/7`,
 /// the per-wave round series, and at `capture` above `Scalar` the skew

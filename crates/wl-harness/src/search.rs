@@ -28,8 +28,9 @@
 //! executing a single simulation. Reports carry the margin to the
 //! paper's Theorem 16 bound γ ([`wl_core::theory::gamma`]).
 
+use crate::algo::SyncAlgorithm;
 use crate::spec::{AdversarySpec, AdversaryStrategy, FaultKind, ScenarioSpec};
-use crate::sweep::{SweepAlgorithm, SweepCache, SweepRequest};
+use crate::sweep::{SweepCache, SweepRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wl_sim::ProcessId;
@@ -282,7 +283,7 @@ fn with_param(s: &AdversaryStrategy, i: usize, v: f64) -> AdversaryStrategy {
 /// Evaluates candidates through the cached sweep body, returning the
 /// worst-window skew of each. Cache hits replay for free; misses
 /// simulate through the exact per-point body every sweep uses.
-fn evaluate<A: SweepAlgorithm>(
+fn evaluate<A: SyncAlgorithm>(
     base: &ScenarioSpec,
     candidates: &[Candidate],
     cache: &SweepCache,
@@ -313,7 +314,7 @@ fn evaluate<A: SweepAlgorithm>(
 ///
 /// Panics if the base spec's `f` exceeds `n` (malformed parameters).
 #[must_use]
-pub fn search_worst_case<A: SweepAlgorithm>(
+pub fn search_worst_case<A: SyncAlgorithm>(
     base: &ScenarioSpec,
     cfg: &SearchConfig,
     cache: &SweepCache,
@@ -384,7 +385,7 @@ pub fn search_worst_case<A: SweepAlgorithm>(
 }
 
 /// Coordinate descent then annealing on one starting point.
-fn refine<A: SweepAlgorithm>(
+fn refine<A: SyncAlgorithm>(
     base: &ScenarioSpec,
     start: Candidate,
     start_skew: f64,

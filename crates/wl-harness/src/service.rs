@@ -12,8 +12,7 @@
 //! * [`serve`] — the server core. It owns a [`SweepStore`], answers warm
 //!   lookups at memory speed from the in-RAM record index, batches misses
 //!   onto a resident simulation pool (a [`SweepRunner`] — every point
-//!   goes through the same per-point body as local sweeps, enum-fleet
-//!   fast path included), and flushes every batch of new records with
+//!   goes through the same per-point body as local sweeps), and flushes every batch of new records with
 //!   [`SweepStore::checkpoint`] **before** answering. A `kill -9` at any
 //!   instant therefore leaves a loadable store — the same crash contract
 //!   the driver pins for workers — and a graceful [shutdown](Request::Shutdown)
@@ -46,11 +45,12 @@
 //! [`run_worker_frontier`]: crate::frontier::run_worker_frontier
 //! [`ScenarioSpec::content_hash`]: ScenarioSpec::content_hash
 
+use crate::algo::SyncAlgorithm;
 use crate::cache::segment::{EncodedRecord, Take};
 use crate::cache::{canon_string, fnv64, Admitted, Record, SweepStore, ENGINE_VERSION};
 use crate::run::agreement_window;
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
-use crate::sweep::{run_point_as, Capture, SweepAlgorithm, SweepCache, SweepRunner};
+use crate::sweep::{run_point_as, Capture, SweepCache, SweepRunner};
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -1230,7 +1230,7 @@ impl ServiceSweepCache {
     /// (honoring the `need` payload level) and seeds the answers into
     /// `cache`, so the sweep loop that follows sees them as plain hits.
     /// Returns how many points the service supplied.
-    pub fn prefetch<A: SweepAlgorithm>(
+    pub fn prefetch<A: SyncAlgorithm>(
         &self,
         specs: &[ScenarioSpec],
         need: Capture,
@@ -1286,7 +1286,7 @@ impl ServiceSweepCache {
     /// to the service, as **one** [`Request::PutBatch`] frame (one
     /// server-side lock acquisition and one checkpoint, however many
     /// points the sweep — or the frontier chunk — simulated).
-    pub fn push_back<A: SweepAlgorithm>(&self, cache: &SweepCache) {
+    pub fn push_back<A: SyncAlgorithm>(&self, cache: &SweepCache) {
         if self.degraded.load(Ordering::Relaxed) {
             return;
         }
@@ -1753,17 +1753,15 @@ fn batch_get(
 }
 
 /// Runs a batch of grid points under the algorithm named `algo`, through
-/// the exact per-point bodies local sweeps use (same dispatch ladder:
-/// mono fleet → enum fleet → boxed). `None` = the name is not one this
-/// server can assemble.
+/// the exact per-point body local sweeps use. `None` = the name is not
+/// one this server can assemble.
 fn simulate(
     algo: &str,
     runner: &SweepRunner,
     points: &[(usize, ScenarioSpec)],
     need: Capture,
 ) -> Option<Vec<crate::sweep::SweepOutcome>> {
-    use crate::algo::SyncAlgorithm as _;
-    fn run<A: SweepAlgorithm>(
+    fn run<A: SyncAlgorithm>(
         runner: &SweepRunner,
         points: &[(usize, ScenarioSpec)],
         need: Capture,
@@ -1792,7 +1790,6 @@ fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::SyncAlgorithm as _;
     use crate::cache::segment::{TAG_ADV_SKETCH, TAG_SCALAR, TAG_SERIES, TAG_SKETCH};
     use crate::sweep::{derive_seed, SweepOutcome, SweepSeries};
     use crate::Maintenance;

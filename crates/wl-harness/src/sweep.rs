@@ -21,9 +21,10 @@
 //! `docs/sweeps.md`).
 
 use crate::algo::SyncAlgorithm;
+use crate::assemble::assemble;
 use crate::cache::segment::PayloadKind;
 use crate::cache::{canon_string, Record};
-use crate::run::{run_dispatched, RunSummary};
+use crate::run::{drive_and_summarize, RunSummary};
 use crate::service::ServiceSweepCache;
 use crate::sketch::SkewSketch;
 use crate::spec::ScenarioSpec;
@@ -32,7 +33,7 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use wl_analysis::stats::Online;
-use wl_sim::{Automaton, SimStats};
+use wl_sim::SimStats;
 
 /// Derives the seed of grid point `idx` from a base seed (SplitMix64).
 ///
@@ -50,17 +51,6 @@ pub fn derive_seed(base: u64, idx: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
-
-/// A [`SyncAlgorithm`] whose tag type is itself the correct-process
-/// [`Automaton`] over its own message type — the pattern every algorithm
-/// in this workspace follows (blanket-implemented; nothing to do).
-///
-/// [`SweepRequest::run`] requires it so it can take the
-/// monomorphized `Vec<A>` fleet fast path on qualifying grid points; see
-/// [`crate::assemble_mono`].
-pub trait SweepAlgorithm: SyncAlgorithm + Automaton<Msg = <Self as SyncAlgorithm>::Msg> {}
-
-impl<T> SweepAlgorithm for T where T: SyncAlgorithm + Automaton<Msg = <T as SyncAlgorithm>::Msg> {}
 
 /// A `k/N` slice of a sweep grid: shard `k` owns the grid indices
 /// congruent to `k` mod `N`.
@@ -474,7 +464,7 @@ impl<'a> SweepRequest<'a> {
     /// assertion fails or was set without
     /// [`cached`](SweepRequest::cached), or if a worker thread panics.
     #[must_use]
-    pub fn run<A: SweepAlgorithm>(&self, specs: Vec<ScenarioSpec>) -> Vec<SweepOutcome> {
+    pub fn run<A: SyncAlgorithm>(&self, specs: Vec<ScenarioSpec>) -> Vec<SweepOutcome> {
         assert!(
             self.expect_misses.is_none() || self.cache.is_some(),
             "expect_misses requires cached()"
@@ -520,12 +510,12 @@ impl<'a> SweepRequest<'a> {
 /// sketch need served by a series-bearing record derives the sketch on
 /// the fly and drops the series from the *returned* outcome (never from
 /// the cache: the richer record stays). A miss — including a poorer
-/// near-hit — runs the spec through [`run_dispatched`] at `capture`,
-/// which hands back the series, the [`SkewSketch`] folded sample by
-/// sample without one, or neither, and replaces the cache entry in place.
+/// near-hit — assembles and runs the spec at `capture`, which hands back
+/// the series, the [`SkewSketch`] folded sample by sample without one, or
+/// neither, and replaces the cache entry in place.
 /// The scalar half is bit-identical at every `capture` (the capture is a
 /// read-only pass over the same run).
-pub(crate) fn run_point_as<A: SweepAlgorithm>(
+pub(crate) fn run_point_as<A: SyncAlgorithm>(
     capture: Capture,
     index: usize,
     spec: &ScenarioSpec,
@@ -541,7 +531,7 @@ pub(crate) fn run_point_as<A: SweepAlgorithm>(
 /// cache now holds for the point — the one it hit, or the one it just
 /// built — so the frontier worker can checkpoint exactly a chunk's
 /// records without walking its whole cache.
-pub(crate) fn run_point_recorded<A: SweepAlgorithm>(
+pub(crate) fn run_point_recorded<A: SyncAlgorithm>(
     capture: Capture,
     index: usize,
     spec: &ScenarioSpec,
@@ -568,12 +558,13 @@ pub(crate) fn run_point_recorded<A: SweepAlgorithm>(
     (outcome, record)
 }
 
-fn simulate_point<A: SweepAlgorithm>(
+fn simulate_point<A: SyncAlgorithm>(
     capture: Capture,
     index: usize,
     spec: &ScenarioSpec,
 ) -> SweepOutcome {
-    let (summary, sketch, series) = run_dispatched::<A>(spec, capture);
+    let t_end = spec.t_end.as_secs();
+    let (summary, sketch, series) = drive_and_summarize(assemble::<A>(spec), t_end, capture);
     let mut outcome = SweepOutcome::new(index, spec.seed, &summary);
     (outcome.sketch, outcome.series) = (sketch, series);
     outcome
@@ -973,14 +964,14 @@ impl SweepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assemble::{assemble, assemble_enum, assemble_mono, BuiltScenario};
+    use crate::assemble::BuiltScenario;
     use crate::run::{drive_and_summarize, run_capture, run_summary};
     use crate::Maintenance;
     use wl_core::Params;
     use wl_time::RealTime;
 
     /// The scalar-capture, uncached per-point body.
-    fn run_point<A: SweepAlgorithm>(index: usize, spec: &ScenarioSpec) -> SweepOutcome {
+    fn run_point<A: SyncAlgorithm>(index: usize, spec: &ScenarioSpec) -> SweepOutcome {
         run_point_as::<A>(Capture::Scalar, index, spec, None)
     }
 
@@ -1023,24 +1014,14 @@ mod tests {
         }
     }
 
-    /// The fastest rung a spec is expected on; every slower rung accepts
-    /// it too (the boxed rung hosts everything).
-    #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-    enum Fastest {
-        Mono,
-        Enum,
-        Boxed,
-    }
-
-    fn outcome_on<M, Q, F>(
-        built: BuiltScenario<M, Q, F>,
+    fn outcome_on<M, Q>(
+        built: BuiltScenario<M, Q>,
         spec: &ScenarioSpec,
         capture: Capture,
     ) -> SweepOutcome
     where
         M: Clone + std::fmt::Debug + Send + 'static,
         Q: wl_sim::EventQueue<M>,
-        F: wl_sim::Fleet<M>,
     {
         let t_end = spec.t_end.as_secs();
         let (summary, sketch, series) = match capture {
@@ -1056,39 +1037,13 @@ mod tests {
         outcome
     }
 
-    fn traced_run<M, Q, F>(
-        mut built: BuiltScenario<M, Q, F>,
-    ) -> (Vec<wl_sim::trace::TraceEvent>, wl_sim::SimStats)
-    where
-        M: Clone + std::fmt::Debug + Send + 'static,
-        Q: wl_sim::EventQueue<M>,
-        F: wl_sim::Fleet<M>,
-    {
-        let outcome = built.sim.run();
-        (outcome.trace.events().to_vec(), outcome.stats)
-    }
-
-    /// One row of the rung table: (a) which rungs accept `spec`, traced
-    /// or not; (b) every accepting rung, and the ladder, reproduce the
-    /// boxed rung's outcome bit for bit at all three captures — whose
-    /// scalar halves are one another's, and whose in-pass sketch is the
-    /// sketch of the stored series; (c) traced, every accepting rung
-    /// records the boxed rung's trace and counters.
-    fn check_rungs<A: SweepAlgorithm>(row: &str, spec: &ScenarioSpec, fastest: Fastest) {
+    /// One row of the capture table: (a) the three captures of one
+    /// assembly — whose scalar halves are one another's, and whose
+    /// in-pass sketch is the sketch of the stored series; (b) the sweep's
+    /// per-point body reproduces each bit for bit; (c) traced, the
+    /// assembly fills its trace.
+    fn check_captures<A: SyncAlgorithm>(row: &str, spec: &ScenarioSpec) {
         let row = format!("{} / {row}", A::NAME);
-        let traced = spec.clone().trace(16);
-        for s in [spec, &traced] {
-            assert_eq!(
-                assemble_mono::<A>(s).is_some(),
-                fastest == Fastest::Mono,
-                "{row}: mono acceptance"
-            );
-            assert_eq!(
-                assemble_enum::<A>(s).is_some(),
-                fastest <= Fastest::Enum,
-                "{row}: enum acceptance"
-            );
-        }
         let [scalar, sketch, series] = [Capture::Scalar, Capture::Sketch, Capture::Series]
             .map(|capture| outcome_on(assemble::<A>(spec), spec, capture));
         let folded = sketch.sketch.as_ref().expect("sketch captured");
@@ -1102,38 +1057,23 @@ mod tests {
             (half.sketch, half.series) = (None, None);
             assert!(half.bit_identical(&scalar), "{row}: scalar half");
         }
-        for (capture, boxed) in [
+        for (capture, assembled) in [
             (Capture::Scalar, scalar),
             (Capture::Sketch, sketch),
             (Capture::Series, series),
         ] {
-            let ladder = run_point_as::<A>(capture, 0, spec, None);
-            assert!(ladder.bit_identical(&boxed), "{row}: ladder at {capture}");
-            if let Some(built) = assemble_mono::<A>(spec) {
-                let mono = outcome_on(built, spec, capture);
-                assert!(mono.bit_identical(&boxed), "{row}: mono at {capture}");
-            }
-            if let Some(built) = assemble_enum::<A>(spec) {
-                let on_enum = outcome_on(built, spec, capture);
-                assert!(on_enum.bit_identical(&boxed), "{row}: enum at {capture}");
-            }
+            let point = run_point_as::<A>(capture, 0, spec, None);
+            assert!(point.bit_identical(&assembled), "{row}: point at {capture}");
         }
-        let boxed = traced_run(assemble::<A>(&traced));
-        assert_eq!(boxed.0.len(), 16, "{row}: the trace fills");
-        if let Some(built) = assemble_mono::<A>(&traced) {
-            assert_eq!(traced_run(built), boxed, "{row}: mono trace");
-        }
-        if let Some(built) = assemble_enum::<A>(&traced) {
-            assert_eq!(traced_run(built), boxed, "{row}: enum trace");
-        }
+        let trace = assemble::<A>(&spec.clone().trace(16)).sim.run().trace;
+        assert_eq!(trace.events().len(), 16, "{row}: the trace fills");
     }
 
     #[test]
-    fn rungs_agree() {
+    fn captures_agree() {
         use crate::{AdversarySpec, AdversaryStrategy, FaultKind, LmCnv, Startup};
         use crate::{MahaneySchneider, Rejoiner, SrikanthToueg};
         use wl_sim::ProcessId;
-        use Fastest::{Boxed, Enum, Mono};
 
         let p = ProcessId(0);
         let rejoining = |spec: &ScenarioSpec| {
@@ -1147,7 +1087,7 @@ mod tests {
         let churn = AdversaryStrategy::Churn { up: 1.0, down: 0.5 };
 
         let base = grid(1).remove(0);
-        check_rungs::<Maintenance>("fault-free", &base, Mono);
+        check_captures::<Maintenance>("fault-free", &base);
         for kind in [
             FaultKind::CrashAt(2.0),
             FaultKind::Silent,
@@ -1156,55 +1096,41 @@ mod tests {
             FaultKind::PullApartHigh(0.002),
             FaultKind::TwoFaced(0.002),
         ] {
-            check_rungs::<Maintenance>(&format!("{kind:?}"), &base.clone().fault(p, kind), Enum);
+            check_captures::<Maintenance>(&format!("{kind:?}"), &base.clone().fault(p, kind));
         }
-        check_rungs::<Maintenance>("rejoiner", &rejoining(&base), Enum);
-        check_rungs::<Maintenance>(
+        check_captures::<Maintenance>("rejoiner", &rejoining(&base));
+        check_captures::<Maintenance>(
             "delay-only adversary",
             &with(&base, AdversaryStrategy::Partition),
-            Mono,
         );
-        check_rungs::<Maintenance>("churn adversary", &with(&base, churn), Boxed);
-        // Declined by the enum rung as a *member*, though the automaton
-        // it maps to (Silent) is one the fleet enum could hold.
-        check_rungs::<Maintenance>(
-            "mute adversary",
-            &with(&base, AdversaryStrategy::Mute),
-            Boxed,
-        );
+        check_captures::<Maintenance>("churn adversary", &with(&base, churn));
+        check_captures::<Maintenance>("mute adversary", &with(&base, AdversaryStrategy::Mute));
 
         let sp = wl_core::StartupParams::new(4, 1, 1e-6, 0.010, 0.001).unwrap();
         let cold = ScenarioSpec::startup(&sp, 5.0)
             .seed(7)
             .t_end(RealTime::from_secs(4.0));
-        check_rungs::<Startup>("fault-free", &cold, Mono);
-        check_rungs::<Startup>("Silent", &cold.clone().fault(p, FaultKind::Silent), Enum);
-        check_rungs::<Startup>(
+        check_captures::<Startup>("fault-free", &cold);
+        check_captures::<Startup>("Silent", &cold.clone().fault(p, FaultKind::Silent));
+        check_captures::<Startup>(
             "delay-only adversary",
             &with(&cold, AdversaryStrategy::TargetedDelay { victim: 1 }),
-            Mono,
         );
-        check_rungs::<Startup>("churn adversary", &with(&cold, churn), Boxed);
+        check_captures::<Startup>("churn adversary", &with(&cold, churn));
 
-        check_rungs::<LmCnv>("fault-free", &base, Mono);
+        check_captures::<LmCnv>("fault-free", &base);
         for kind in [FaultKind::Silent, FaultKind::TwoFaced(0.002)] {
-            check_rungs::<LmCnv>(&format!("{kind:?}"), &base.clone().fault(p, kind), Enum);
+            check_captures::<LmCnv>(&format!("{kind:?}"), &base.clone().fault(p, kind));
         }
-        check_rungs::<LmCnv>(
+        check_captures::<LmCnv>(
             "delay-only adversary",
             &with(&base, AdversaryStrategy::Partition),
-            Mono,
         );
-        check_rungs::<LmCnv>("churn adversary", &with(&base, churn), Boxed);
+        check_captures::<LmCnv>("churn adversary", &with(&base, churn));
 
-        check_rungs::<Rejoiner>("rejoiner", &rejoining(&base), Enum);
-        check_rungs::<MahaneySchneider>("fault-free", &base, Mono);
-        check_rungs::<SrikanthToueg>("fault-free", &base, Mono);
-
-        // A rejoiner the algorithm lacks: no fast rung takes it (the
-        // boxed rung's refusal is `baselines_reject_rejoiners`).
-        assert!(assemble_enum::<Startup>(&rejoining(&cold)).is_none());
-        assert!(assemble_enum::<LmCnv>(&rejoining(&base)).is_none());
+        check_captures::<Rejoiner>("rejoiner", &rejoining(&base));
+        check_captures::<MahaneySchneider>("fault-free", &base);
+        check_captures::<SrikanthToueg>("fault-free", &base);
     }
 
     #[test]

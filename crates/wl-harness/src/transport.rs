@@ -37,10 +37,10 @@
 //! any worker count, chunk interleaving, mid-sweep kill schedule or
 //! service tier. See `docs/sweeps.md` § "The driver".
 
+use crate::algo::SyncAlgorithm;
 use crate::cache::{MergeConflict, StoreFormat, SweepStore};
 use crate::frontier::{Frontier, FrontierError, FrontierSpec};
 use crate::spec::ScenarioSpec;
-use crate::sweep::SweepAlgorithm;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -351,7 +351,7 @@ impl Slot {
 /// # Panics
 ///
 /// Panics if `cfg.workers == 0` or `cfg.chunk == 0`.
-pub fn drive_frontier<A: SweepAlgorithm>(
+pub fn drive_frontier<A: SyncAlgorithm>(
     cfg: &FrontierDriverConfig,
     grid: &[ScenarioSpec],
     transport: &mut impl WorkerTransport,

@@ -18,7 +18,9 @@
 //!
 //! Beside them, `series-store.wlsb` pins the binary writer's plain
 //! segments — per-record framing and checksums — which the packed
-//! sketch fixture never exercises.
+//! sketch fixture never exercises, and `faulted-store.wlsb` pins the
+//! executions of fleets with faulty, rejoining and adversary members,
+//! which every other fixture's fault-free grid never builds.
 //!
 //! Regenerate deliberately (after an intentional format change, with
 //! the engine version bumped) via:
@@ -36,9 +38,11 @@ use wl_harness::cache::segment::{
     SEGMENT_MAGIC, SEGMENT_MAGIC_PACKED, TAG_SERIES,
 };
 use wl_harness::{
-    derive_seed, store_report, Capture, DelayKind, Maintenance, ScenarioSpec, SrikanthToueg,
-    StoreFormat, SweepCache, SweepRequest, SweepStore, ENGINE_VERSION,
+    derive_seed, store_report, AdversarySpec, AdversaryStrategy, Capture, DelayKind, FaultKind,
+    LmCnv, MahaneySchneider, Maintenance, Rejoiner, ScenarioSpec, SrikanthToueg, Startup,
+    StoreFormat, SweepCache, SweepRequest, SweepStore, SyncAlgorithm, ENGINE_VERSION,
 };
+use wl_sim::ProcessId;
 use wl_time::RealTime;
 
 fn fixture_dir() -> PathBuf {
@@ -363,5 +367,93 @@ fn piecewise_series_store_matches_golden_fixture() {
     assert_eq!(
         (loaded.len(), loaded.stale_records(), loaded.skipped_lines()),
         (4, 0, 0)
+    );
+}
+
+/// Series-captures `specs` under `A` into `cache`, serially.
+fn capture_into<A: SyncAlgorithm>(cache: &SweepCache, specs: Vec<ScenarioSpec>) {
+    let _ = SweepRequest::new()
+        .threads(1)
+        .cached(cache)
+        .capture(Capture::Series)
+        .run::<A>(specs);
+}
+
+/// One series-capture point per kind of mixed fleet: Maintenance under
+/// each of the six fault kinds, with a rejoiner (as `Maintenance` and
+/// as `Rejoiner`) and with a churning adversary member; `Startup` with a
+/// silent process; and each §10 baseline with a silent and with a
+/// two-faced process — 16 records.
+fn faulted_store() -> SweepStore {
+    let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
+    let p = ProcessId(0);
+    let point = |i: u64, spec: ScenarioSpec| {
+        spec.seed(derive_seed(0xFA_17ED, i))
+            .t_end(RealTime::from_secs(2.0))
+    };
+    let base = |i: u64| point(i, ScenarioSpec::new(params.clone()));
+    let rejoining = base(6).rejoiner(ProcessId(2), RealTime::from_secs(1.0));
+    let churn = AdversaryStrategy::Churn { up: 1.0, down: 0.5 };
+
+    let cache = SweepCache::new();
+    let mut maintenance: Vec<ScenarioSpec> = [
+        FaultKind::CrashAt(1.0),
+        FaultKind::Silent,
+        FaultKind::RoundSpam,
+        FaultKind::PullApart(0.002),
+        FaultKind::PullApartHigh(0.002),
+        FaultKind::TwoFaced(0.002),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, kind)| base(i as u64).fault(p, kind))
+    .collect();
+    maintenance.push(rejoining.clone());
+    maintenance.push(base(7).adversary(AdversarySpec::new(vec![p], churn)));
+    capture_into::<Maintenance>(&cache, maintenance);
+    capture_into::<Rejoiner>(&cache, vec![rejoining]);
+
+    let sp = wl_core::StartupParams::new(4, 1, 1e-6, 0.010, 0.001).unwrap();
+    let cold = point(8, ScenarioSpec::startup(&sp, 5.0)).fault(p, FaultKind::Silent);
+    capture_into::<Startup>(&cache, vec![cold]);
+
+    let baseline = || {
+        [FaultKind::Silent, FaultKind::TwoFaced(0.002)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| base(9 + i as u64).fault(p, kind))
+            .collect::<Vec<_>>()
+    };
+    capture_into::<LmCnv>(&cache, baseline());
+    capture_into::<MahaneySchneider>(&cache, baseline());
+    capture_into::<SrikanthToueg>(&cache, baseline());
+
+    let mut store = SweepStore::new();
+    store.absorb(&cache);
+    store
+}
+
+/// The faulted fleets, pinned: a series store of [`faulted_store`] is
+/// the checked-in `faulted-store.wlsb`, byte for byte, and loads back as
+/// sixteen live records.
+#[test]
+fn faulted_series_store_matches_golden_fixture() {
+    let path = fixture_dir().join("faulted-store.wlsb");
+    let binary = save_store(faulted_store(), StoreFormat::Binary, "faulted");
+
+    if std::env::var("WL_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &binary).unwrap();
+        eprintln!("golden fixture regenerated at {}", path.display());
+    }
+
+    let frozen = std::fs::read(&path).expect("checked-in faulted fixture");
+    assert_eq!(
+        frozen, binary,
+        "faulted series store drifted from the golden fixture"
+    );
+    let loaded = SweepStore::open(&path).unwrap();
+    assert_eq!(
+        (loaded.len(), loaded.stale_records(), loaded.skipped_lines()),
+        (16, 0, 0)
     );
 }

@@ -2,7 +2,8 @@
 //!
 //! Replaces the old six-argument positional `Simulation::new` with a
 //! typed builder that names every ingredient and selects the engine's
-//! pluggable axes:
+//! pluggable axes (the queue and the observer; the processes are always
+//! one [`DynFleet`] of boxed automata):
 //!
 //! ```
 //! use wl_sim::{Actions, Automaton, Input, ProcessId, SimBuilder, SimConfig};
@@ -20,7 +21,7 @@
 //! let n = 3;
 //! let mut sim = SimBuilder::new()
 //!     .clocks(DriftModel::Ideal.build(n, &vec![ClockTime::ZERO; n], 0))
-//!     .fleet((0..n).map(|_| Quiet).collect::<Vec<_>>()) // monomorphized
+//!     .procs((0..n).map(|_| Box::new(Quiet) as _).collect())
 //!     .delay(ConstantDelay::new(RealDur::from_millis(1.0)))
 //!     .starts(vec![RealTime::ZERO; n])
 //!     .delay_bounds(DelayBounds::new(RealDur::from_millis(1.0), RealDur::ZERO))
@@ -38,7 +39,7 @@
 
 use crate::delay::{DelayBounds, DelayModel};
 use crate::event::{EventClass, Input, QueuedEvent};
-use crate::executor::{DynFleet, Fleet, SimConfig, Simulation};
+use crate::executor::{DynFleet, SimConfig, Simulation};
 use crate::faults::FaultPlan;
 use crate::observer::{Observer, StdObservers};
 use crate::queue::{EventQueue, HeapQueue};
@@ -50,13 +51,9 @@ use wl_clock::drift::FleetClock;
 use wl_time::RealTime;
 
 /// Builder for [`Simulation`]s. See the module docs.
-///
-/// `F` is the fleet type: [`DynFleet`] (boxed trait objects, mixed
-/// fleets) unless [`fleet`](SimBuilder::fleet) substitutes a concrete
-/// collection.
-pub struct SimBuilder<M, F = DynFleet<M>> {
+pub struct SimBuilder<M> {
     clocks: Vec<FleetClock>,
-    procs: Option<F>,
+    procs: Option<DynFleet<M>>,
     delay: Option<Box<dyn DelayModel>>,
     starts: Vec<RealTime>,
     plan: Option<FaultPlan>,
@@ -71,7 +68,7 @@ impl<M> Default for SimBuilder<M> {
 }
 
 impl<M> SimBuilder<M> {
-    /// An empty builder with a [`DynFleet`] process collection.
+    /// An empty builder.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -91,30 +88,12 @@ impl<M> SimBuilder<M> {
         self.procs = Some(procs);
         self
     }
-}
 
-impl<M, F> SimBuilder<M, F> {
     /// Sets the physical clocks, `clocks[p]` belonging to process `p`.
     #[must_use]
     pub fn clocks(mut self, clocks: Vec<FleetClock>) -> Self {
         self.clocks = clocks;
         self
-    }
-
-    /// Substitutes a custom fleet — e.g. a `Vec<A>` of one concrete
-    /// [`crate::Automaton`] type, monomorphizing per-event dispatch.
-    /// Discards any fleet set earlier.
-    #[must_use]
-    pub fn fleet<F2>(self, fleet: F2) -> SimBuilder<M, F2> {
-        SimBuilder {
-            clocks: self.clocks,
-            procs: Some(fleet),
-            delay: self.delay,
-            starts: self.starts,
-            plan: self.plan,
-            config: self.config,
-            _msg: PhantomData,
-        }
     }
 
     /// Sets the message-delay model.
@@ -191,10 +170,9 @@ impl<M, F> SimBuilder<M, F> {
     }
 }
 
-impl<M, F> SimBuilder<M, F>
+impl<M> SimBuilder<M>
 where
     M: Clone + std::fmt::Debug + Send + 'static,
-    F: Fleet<M>,
 {
     /// Builds the default engine: [`HeapQueue`] + [`StdObservers`].
     ///
@@ -203,7 +181,7 @@ where
     /// Panics if procs or the delay model are missing, `n == 0`, or the
     /// clock/start vectors disagree with the fleet on `n`.
     #[must_use]
-    pub fn build(self) -> Simulation<M, HeapQueue<M>, StdObservers, F> {
+    pub fn build(self) -> Simulation<M, HeapQueue<M>, StdObservers> {
         self.build_with_queue(HeapQueue::<M>::new())
     }
 
@@ -213,12 +191,10 @@ where
     ///
     /// As [`build`](SimBuilder::build).
     #[must_use]
-    pub fn build_with_queue<Q: EventQueue<M>>(self, queue: Q) -> Simulation<M, Q, StdObservers, F> {
+    pub fn build_with_queue<Q: EventQueue<M>>(self, queue: Q) -> Simulation<M, Q, StdObservers> {
         let initial: Vec<f64> = {
             let procs = self.procs.as_ref().expect("SimBuilder: procs not set");
-            (0..procs.len())
-                .map(|i| procs.initial_correction(ProcessId(i)))
-                .collect()
+            procs.iter().map(|a| a.initial_correction()).collect()
         };
         let observers = StdObservers::new(&initial, self.config.trace_capacity);
         self.build_with(queue, observers)
@@ -227,8 +203,8 @@ where
     /// Builds with a custom event queue and a custom observer stack.
     ///
     /// The observer receives no special seeding — a caller installing its
-    /// own [`crate::CorrectionSink`] seeds it from the fleet's
-    /// [`Fleet::initial_correction`] values.
+    /// own [`crate::CorrectionSink`] seeds it from the automata's
+    /// [`crate::Automaton::initial_correction`] values.
     ///
     /// # Panics
     ///
@@ -238,7 +214,7 @@ where
         self,
         mut queue: Q,
         observer: O,
-    ) -> Simulation<M, Q, O, F> {
+    ) -> Simulation<M, Q, O> {
         let procs = self.procs.expect("SimBuilder: procs not set");
         let delay = self.delay.expect("SimBuilder: delay model not set");
         let n = procs.len();

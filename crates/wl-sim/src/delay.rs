@@ -409,7 +409,7 @@ mod tests {
         let procs = 12;
         let outcome = SimBuilder::new()
             .clocks(DriftModel::Ideal.build(procs, &vec![ClockTime::ZERO; procs], 0))
-            .fleet((0..procs).map(|_| Shout).collect::<Vec<_>>())
+            .procs((0..procs).map(|_| Box::new(Shout) as _).collect())
             .delay(SharedMediumDelay::new(b, 4))
             .starts(vec![RealTime::ZERO; procs])
             .config(SimConfig {

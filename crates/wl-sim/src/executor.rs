@@ -6,15 +6,15 @@
 //! inserted back into the buffer with delays from the [`DelayModel`].
 //! Everything is deterministic given the seed.
 //!
-//! The engine is generic over its three pluggable axes (see
+//! The engine is generic over its two pluggable axes (see
 //! `docs/engine.md`):
 //!
 //! * `Q:` [`EventQueue`] — the pending-event store ([`HeapQueue`], the
 //!   one engine queue; test fakes substitute through the trait);
 //! * `O:` [`Observer`] — the measurement sink ([`StdObservers`] default,
-//!   [`crate::NullObserver`] for measurement-free runs);
-//! * `F:` [`Fleet`] — the process collection ([`DynFleet`] default; a
-//!   `Vec<A>` of one concrete automaton type monomorphizes dispatch).
+//!   [`crate::NullObserver`] for measurement-free runs).
+//!
+//! The processes are one [`DynFleet`]: a boxed automaton each.
 //!
 //! Construct simulations with [`SimBuilder`](crate::SimBuilder); the
 //! defaulted type parameters keep `Simulation<M>` meaning exactly what it
@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 use std::fmt;
 use wl_clock::drift::FleetClock;
 use wl_clock::Clock;
-use wl_time::{ClockTime, RealTime};
+use wl_time::RealTime;
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -79,61 +79,21 @@ pub struct SimOutcome {
     pub stopped_at: RealTime,
 }
 
-/// A collection of processes the engine can step.
-///
-/// The default is [`DynFleet`] — one boxed [`Automaton`] trait object per
-/// process, supporting mixed fleets (correct + Byzantine + rejoining).
-/// A `Vec<A>` of one concrete automaton type also implements `Fleet`
-/// (every `Box<dyn Automaton>` is itself an `Automaton`), giving
-/// single-algorithm fleets a monomorphized, virtual-call-free step path.
-pub trait Fleet<M>: Send {
-    /// Number of processes.
-    fn len(&self) -> usize;
-
-    /// Whether the fleet is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Delivers one input to process `p`.
-    fn step(&mut self, p: ProcessId, input: Input<M>, phys_now: ClockTime, out: &mut Actions<M>);
-
-    /// Process `p`'s initial correction variable.
-    fn initial_correction(&self, p: ProcessId) -> f64;
-}
-
-/// The default, fully dynamic fleet: one boxed automaton per process.
+/// The fleet: one boxed automaton per process, so one `Vec` holds any
+/// mix of correct, faulty and rejoining processes.
 pub type DynFleet<M> = Vec<Box<dyn Automaton<Msg = M>>>;
-
-impl<A: Automaton> Fleet<A::Msg> for Vec<A> {
-    fn len(&self) -> usize {
-        <[A]>::len(self)
-    }
-    fn step(
-        &mut self,
-        p: ProcessId,
-        input: Input<A::Msg>,
-        phys_now: ClockTime,
-        out: &mut Actions<A::Msg>,
-    ) {
-        self[p.index()].on_input(input, phys_now, out);
-    }
-    fn initial_correction(&self, p: ProcessId) -> f64 {
-        self[p.index()].initial_correction()
-    }
-}
 
 /// The discrete-event simulator.
 ///
-/// Generic over the protocol's message type `M`, the event queue `Q`, the
-/// observer `O`, and the fleet `F` (see the module docs); the defaults
-/// make `Simulation<M>` the heap-queue, standard-observer, dynamic-fleet
-/// engine. Owns the physical clocks (processes only ever see readings of
-/// their own clock), the automata, the delay model, and the global
-/// message buffer. Built by [`SimBuilder`](crate::SimBuilder).
-pub struct Simulation<M, Q = HeapQueue<M>, O = StdObservers, F = DynFleet<M>> {
+/// Generic over the protocol's message type `M`, the event queue `Q` and
+/// the observer `O` (see the module docs); the defaults make
+/// `Simulation<M>` the heap-queue, standard-observer engine. Owns the
+/// physical clocks (processes only ever see readings of their own
+/// clock), the automata, the delay model, and the global message
+/// buffer. Built by [`SimBuilder`](crate::SimBuilder).
+pub struct Simulation<M, Q = HeapQueue<M>, O = StdObservers> {
     pub(crate) clocks: Vec<FleetClock>,
-    pub(crate) procs: F,
+    pub(crate) procs: DynFleet<M>,
     pub(crate) delay: Box<dyn DelayModel>,
     pub(crate) queue: Q,
     pub(crate) observer: O,
@@ -150,7 +110,7 @@ pub struct Simulation<M, Q = HeapQueue<M>, O = StdObservers, F = DynFleet<M>> {
     pub(crate) band: std::ops::RangeInclusive<f64>,
 }
 
-impl<M, Q: EventQueue<M>, O, F: Fleet<M>> fmt::Debug for Simulation<M, Q, O, F> {
+impl<M, Q: EventQueue<M>, O> fmt::Debug for Simulation<M, Q, O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
             .field("n", &self.procs.len())
@@ -161,12 +121,11 @@ impl<M, Q: EventQueue<M>, O, F: Fleet<M>> fmt::Debug for Simulation<M, Q, O, F> 
     }
 }
 
-impl<M, Q, O, F> Simulation<M, Q, O, F>
+impl<M, Q, O> Simulation<M, Q, O>
 where
     M: Clone + fmt::Debug + Send + 'static,
     Q: EventQueue<M>,
     O: Observer<M>,
-    F: Fleet<M>,
 {
     /// Number of processes.
     #[must_use]
@@ -235,7 +194,7 @@ where
 
         let mut out = std::mem::take(&mut self.scratch);
         out.wants_notes = self.observer.wants_notes();
-        self.procs.step(p, ev.input, phys_now, &mut out);
+        self.procs[p.index()].on_input(ev.input, phys_now, &mut out);
         for action in out.drain() {
             self.apply_action(p, action);
         }
@@ -328,11 +287,10 @@ fn sort_by_delivery(fan: &mut [(RealTime, u64, ProcessId)]) {
 
 /// Outcome extraction, available when the standard observer bundle is
 /// installed (the default).
-impl<M, Q, F> Simulation<M, Q, StdObservers, F>
+impl<M, Q> Simulation<M, Q, StdObservers>
 where
     M: Clone + fmt::Debug + Send + 'static,
     Q: EventQueue<M>,
-    F: Fleet<M>,
 {
     /// Runs to completion and returns the outcome.
     #[must_use]
@@ -459,27 +417,6 @@ mod tests {
         // 2 starts + 11 message hops.
         assert_eq!(sim.events_delivered(), 13);
         assert!(stopped > RealTime::ZERO);
-    }
-
-    #[test]
-    fn homogeneous_fleet_monomorphizes() {
-        // A Vec<PingPong> (no boxing) is a valid fleet.
-        let n = 2;
-        let clocks = DriftModel::Ideal.build(n, &vec![ClockTime::ZERO; n], 0);
-        let fleet: Vec<PingPong> = (0..n).map(|me| PingPong { budget: 4, me }).collect();
-        let mut sim = SimBuilder::new()
-            .clocks(clocks)
-            .fleet(fleet)
-            .delay(ConstantDelay::new(RealDur::from_millis(1.0)))
-            .starts(vec![RealTime::ZERO; n])
-            .config(SimConfig {
-                t_end: RealTime::from_secs(10.0),
-                delay_bounds: DelayBounds::new(RealDur::from_millis(1.0), RealDur::ZERO),
-                ..SimConfig::default()
-            })
-            .build();
-        let outcome = sim.run();
-        assert_eq!(outcome.stats.messages_sent, 5);
     }
 
     #[test]
@@ -769,7 +706,10 @@ mod tests {
             let rendered = Arc::new(AtomicUsize::new(0));
             let builder = SimBuilder::new()
                 .clocks(DriftModel::Ideal.build(2, &[ClockTime::ZERO; 2], 0))
-                .fleet(vec![Chatty(rendered.clone()), Chatty(rendered.clone())])
+                .procs(vec![
+                    Box::new(Chatty(rendered.clone())),
+                    Box::new(Chatty(rendered.clone())),
+                ])
                 .delay(ConstantDelay::new(RealDur::from_millis(1.0)))
                 .starts(vec![RealTime::ZERO; 2])
                 .delay_bounds(DelayBounds::new(RealDur::from_millis(1.0), RealDur::ZERO))

@@ -24,7 +24,7 @@
 //!
 //! # The pluggable engine
 //!
-//! The executor is generic over three axes, all chosen through
+//! The executor is generic over two axes, both chosen through
 //! [`SimBuilder`] (see `docs/engine.md` for the contracts):
 //!
 //! * **Event queue** — anything implementing [`EventQueue`]. The engine
@@ -34,9 +34,10 @@
 //!   [`StdObservers`] bundle (counters + correction histories + bounded
 //!   trace), a [`NullObserver`] for measurement-free runs, or a
 //!   caller-written bundle of sinks.
-//! * **Fleet** — the process collection: boxed trait objects
-//!   ([`DynFleet`]) for mixed fleets, or a `Vec<A>` of one concrete
-//!   automaton type for monomorphized dispatch.
+//!
+//! The processes are one [`DynFleet`] — a boxed [`Automaton`] each — so
+//! one collection holds any mix of correct, faulty and rejoining
+//! processes.
 //!
 //! # Example
 //!
@@ -64,7 +65,7 @@
 //! let n = 3;
 //! let mut sim = SimBuilder::new()
 //!     .clocks(DriftModel::Ideal.build(n, &vec![ClockTime::ZERO; n], 0))
-//!     .fleet((0..n).map(|_| Hello(0)).collect::<Vec<_>>())
+//!     .procs((0..n).map(|_| Box::new(Hello(0)) as _).collect())
 //!     .delay(ConstantDelay::new(RealDur::from_millis(1.0)))
 //!     .starts(vec![RealTime::ZERO; n])
 //!     .t_end(RealTime::from_secs(1.0))
@@ -89,7 +90,7 @@ pub mod trace;
 
 pub use builder::SimBuilder;
 pub use event::{EventClass, Input, QueuedEvent};
-pub use executor::{DynFleet, Fleet, SimConfig, SimOutcome, Simulation};
+pub use executor::{DynFleet, SimConfig, SimOutcome, Simulation};
 pub use history::CorrectionHistory;
 pub use observer::{
     CorrectionSink, Counters, NullObserver, Observer, SimStats, StdObservers, TraceSink,

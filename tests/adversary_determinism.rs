@@ -6,8 +6,7 @@
 //!
 //! Byte-identity is checked with [`SweepOutcome::bit_identical`] (IEEE
 //! bit patterns, not epsilons) and `std::fs::read` equality on saved
-//! stores — the same currency `fleet_parity.rs` and the CI shard smoke
-//! use.
+//! stores — the same currency the CI shard smoke uses.
 
 mod common;
 
@@ -16,10 +15,9 @@ use proptest::prelude::*;
 use welch_lynch::core::Params;
 use welch_lynch::harness::service::{decode_spec, encode_spec};
 use welch_lynch::harness::{
-    assemble_enum_with_queue, assemble_with_queue, derive_seed, run, AdversarySpec,
-    AdversaryStrategy, Capture, DelayKind, Maintenance, ScenarioSpec, ServeConfig, ServiceAddr,
-    ServiceClient, ServiceSweepCache, StoreFormat, SweepCache, SweepOutcome, SweepRequest,
-    SweepStore,
+    assemble_with_queue, derive_seed, run, AdversarySpec, AdversaryStrategy, Capture, DelayKind,
+    Maintenance, ScenarioSpec, ServeConfig, ServiceAddr, ServiceClient, ServiceSweepCache,
+    StoreFormat, SweepCache, SweepOutcome, SweepRequest, SweepStore,
 };
 use welch_lynch::sim::ProcessId;
 use welch_lynch::time::RealTime;
@@ -105,9 +103,8 @@ proptest! {
     }
 
     /// Delay-only adversaries (the attack lives in the shared delay
-    /// model, every process stays correct) qualify for the enum fast
-    /// path — and it must match the boxed path bit-for-bit under the
-    /// same arbitrary legal tie-breaking.
+    /// model, every process stays correct): two assemblies under the
+    /// same arbitrary legal tie-breaking run bit-for-bit alike.
     #[test]
     fn prop_delay_only_adversaries_ride_the_enum_path_identically(
         seed in 0u64..10_000,
@@ -122,25 +119,22 @@ proptest! {
         };
         let spec = adversarial_spec(&params, strategy, seed);
         let t_end = spec.t_end.as_secs();
-        let boxed = assemble_with_queue::<Maintenance, _>(&spec, ShuffledTieQueue::new(salt));
-        let boxed_out = SweepOutcome::new(0, spec.seed, &run::run_summary(boxed, t_end));
-        let enum_built =
-            assemble_enum_with_queue::<Maintenance, _>(&spec, ShuffledTieQueue::new(salt))
-                .expect("delay-only adversaries qualify for the enum fast path");
-        let enum_out = SweepOutcome::new(0, spec.seed, &run::run_summary_enum(enum_built, t_end));
+        let once = assemble_with_queue::<Maintenance, _>(&spec, ShuffledTieQueue::new(salt));
+        let a = SweepOutcome::new(0, spec.seed, &run::run_summary(once, t_end));
+        let again = assemble_with_queue::<Maintenance, _>(&spec, ShuffledTieQueue::new(salt));
+        let b = SweepOutcome::new(0, spec.seed, &run::run_summary(again, t_end));
         prop_assert!(
-            enum_out.bit_identical(&boxed_out),
-            "enum fleet diverged from boxed fleet under {:?} (salt {})",
+            a.bit_identical(&b),
+            "delay-only strategy {:?} is not deterministic under salt {}",
             strategy,
             salt
         );
     }
 
-    /// Behaviour adversaries are wrapper automata hosted by the boxed
-    /// path: the enum path must decline them, and the boxed execution —
-    /// including the strategy's own seeded RNG — must be a pure function
-    /// of (spec, tie order): the same shuffled-tie salt reproduces the
-    /// run bit-for-bit.
+    /// Behaviour adversaries are wrapper automata in the fleet: the
+    /// execution — including the strategy's own seeded RNG — must be a
+    /// pure function of (spec, tie order): the same shuffled-tie salt
+    /// reproduces the run bit-for-bit.
     #[test]
     fn prop_behaviour_adversaries_deterministic_under_shuffled_ties(
         seed in 0u64..10_000,
@@ -150,12 +144,6 @@ proptest! {
         let params = family();
         let strategy = gallery(&params)[strat_idx]; // 0..8 = the behaviour strategies
         let spec = adversarial_spec(&params, strategy, seed);
-        prop_assert!(
-            assemble_enum_with_queue::<Maintenance, _>(&spec, ShuffledTieQueue::new(salt))
-                .is_none(),
-            "behaviour strategy {:?} must fall back to the boxed path",
-            strategy
-        );
         let t_end = spec.t_end.as_secs();
         let once = assemble_with_queue::<Maintenance, _>(&spec, ShuffledTieQueue::new(salt));
         let a = SweepOutcome::new(0, spec.seed, &run::run_summary(once, t_end));

@@ -3,8 +3,8 @@
 //! Currently: [`ShuffledTieQueue`], an interleaving-legal event queue
 //! that permutes same-instant same-class ties pseudo-randomly. Used by
 //! `queue_properties.rs` (the theorems survive any legal tie-breaking)
-//! and `fleet_parity.rs` (the enum fleet matches the boxed fleet under
-//! any legal tie-breaking).
+//! and `adversary_determinism.rs` (adversarial runs replay under any
+//! legal tie-breaking).
 
 use welch_lynch::sim::{EventQueue, QueuedEvent};
 

@@ -17,8 +17,7 @@ use common::ShuffledTieQueue;
 use proptest::prelude::*;
 use welch_lynch::core::Params;
 use welch_lynch::harness::{
-    assemble_enum_with_queue, assemble_with_queue, run, DelayKind, FaultKind, Maintenance,
-    ScenarioSpec,
+    assemble_with_queue, run, DelayKind, FaultKind, Maintenance, ScenarioSpec,
 };
 use welch_lynch::sim::ProcessId;
 use welch_lynch::time::RealTime;
@@ -94,9 +93,9 @@ proptest! {
     }
 
     /// The theorems also survive arbitrary legal tie-breaking when the
-    /// fleet runs on the enum-dispatched fast path with a designated
-    /// Byzantine attacker in it: the `f`-resilient bounds hold for the
-    /// nonfaulty processes no matter how ties resolve.
+    /// fleet has a designated Byzantine attacker in it: the
+    /// `f`-resilient bounds hold for the nonfaulty processes no matter
+    /// how ties resolve.
     #[test]
     fn prop_agreement_enum_fleet_under_any_legal_interleaving(
         seed in 0u64..10_000,
@@ -112,18 +111,17 @@ proptest! {
             .delay(DelayKind::Uniform)
             .fault(ProcessId(0), FaultKind::TwoFaced(attack))
             .t_end(RealTime::from_secs(t_end));
-        let built = assemble_enum_with_queue::<Maintenance, _>(&spec, ShuffledTieQueue::new(salt))
-            .expect("faulted spec rides the enum path");
-        let summary = run::run_summary_enum(built, t_end);
+        let built = assemble_with_queue::<Maintenance, _>(&spec, ShuffledTieQueue::new(salt));
+        let summary = run::run_summary(built, t_end);
         prop_assert!(
             summary.agreement.holds,
-            "Theorem 16 violated by enum fleet under shuffled ties: max skew {} > gamma {}",
+            "Theorem 16 violated by faulted fleet under shuffled ties: max skew {} > gamma {}",
             summary.agreement.max_skew,
             summary.agreement.gamma,
         );
         prop_assert!(
             summary.adjustments.holds,
-            "adjustment bound violated by enum fleet under shuffled ties: {} > {}",
+            "adjustment bound violated by faulted fleet under shuffled ties: {} > {}",
             summary.adjustments.max_abs,
             summary.adjustments.bound,
         );
