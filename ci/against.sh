@@ -12,7 +12,11 @@
 #      with zero simulations, and the transcript is docs/paper-report.txt;
 #   4. a <rev> server answers this checkout's client, and the reverse;
 #   5. a drive directory <rev> half-drained, one slot's store holding
-#      chunks no later slot owns, is finished by this checkout.
+#      chunks no later slot owns, is finished by this checkout;
+#   6. `sweep_search --smoke` — the one run that carries an adversary
+#      block — prints the same transcript and writes the same store on
+#      both sides, and this checkout reruns it over <rev>'s store with
+#      zero simulations.
 # Exits 1 naming the first file that differs.
 #
 # `ci/against.sh <rev> --pairs N [--workload W] [--seconds S] [--seed X] [--trace]`
@@ -151,7 +155,7 @@ fi
 
 build() { # <checkout> <target dir>
   (cd "$1" && cargo build --release --offline -q --target-dir "$2" -p bench \
-    --bin sweep_shard --bin sweep_drive --bin sweep_serve --bin paper_report)
+    --bin sweep_shard --bin sweep_drive --bin sweep_serve --bin paper_report --bin sweep_search)
 }
 build "$tmp/base" "$tmp/base-target"
 build "$root" "$root/target"
@@ -243,5 +247,16 @@ rc=0
 "${bin[change]}/sweep_drive" --workers 1 --steal-ms 500 --dir $d --out change-$d.wls > /dev/null
 export_both change $d
 for format in binary text; do same "change-scalar-$format.wls" "change-$d-$format.wls"; done
+
+# 6. Adversarial executions: each side's smoke-sized worst-case search,
+#    then the change's rerun over the base's cache, warm.
+for side in base change; do
+  WL_SWEEP_CACHE_DIR=$side-search "${bin[$side]}/sweep_search" --smoke > "$side-search.txt" 2> /dev/null
+done
+same base-search.txt change-search.txt
+same base-search/sweeps.wls change-search/sweeps.wls
+WL_SWEEP_CACHE_DIR=base-search WL_SWEEP_EXPECT_MISSES=0 "${bin[change]}/sweep_search" --smoke \
+  > change-warm-search.txt 2> /dev/null
+same base-search.txt change-warm-search.txt
 
 echo "against $rev: $files files byte-identical"

@@ -106,9 +106,6 @@ pub mod spec;
 pub mod sweep;
 pub mod transport;
 
-pub use adversary::{
-    Adversary, AdversaryActor, AdversaryDelay, ChurnStrategy, LinkPlan, TargetedLinks,
-};
 pub use algo::{AssemblyCtx, FleetRole, StartDiscipline, SyncAlgorithm};
 pub use assemble::{assemble, assemble_with_queue, BuiltScenario};
 pub use cache::{

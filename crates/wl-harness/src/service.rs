@@ -1716,6 +1716,9 @@ fn batch_get(
         if let Some(outcomes) = simulate(algo, runner, &cold, need) {
             let mut c = lock_core(core);
             for ((i, spec), outcome) in cold.iter().zip(outcomes) {
+                let Some(outcome) = outcome else {
+                    continue;
+                };
                 let canon = canon_string(&spec.canonical());
                 let record = Record::of_outcome(algo, spec.content_hash(), canon, &outcome);
                 match c.store.insert(Arc::clone(&record)) {
@@ -1755,19 +1758,30 @@ fn batch_get(
 /// Runs a batch of grid points under the algorithm named `algo`, through
 /// the exact per-point body local sweeps use. `None` = the name is not
 /// one this server can assemble.
+///
+/// A decodable spec can still be one `assemble` refuses (a fault id
+/// ≥ n, timing that fails validation, a non-positive churn phase, an
+/// out-of-range victim); its point panics. Each point runs under
+/// `catch_unwind`, so a refused point is an unresolved slot — the
+/// client's to report — while the rest of the batch resolves and
+/// checkpoints, and the connection thread never re-raises into
+/// [`serve`]'s scope, whose shutdown save must run.
 fn simulate(
     algo: &str,
     runner: &SweepRunner,
     points: &[(usize, ScenarioSpec)],
     need: Capture,
-) -> Option<Vec<crate::sweep::SweepOutcome>> {
+) -> Option<Vec<Option<crate::sweep::SweepOutcome>>> {
     fn run<A: SyncAlgorithm>(
         runner: &SweepRunner,
         points: &[(usize, ScenarioSpec)],
         need: Capture,
-    ) -> Vec<crate::sweep::SweepOutcome> {
+    ) -> Vec<Option<crate::sweep::SweepOutcome>> {
         runner.run(points.to_vec(), |_, (index, spec)| {
-            run_point_as::<A>(need, *index, spec, None)
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_point_as::<A>(need, *index, spec, None)
+            }))
+            .ok()
         })
     }
     if algo == crate::Maintenance::NAME {
@@ -2529,6 +2543,68 @@ mod tests {
         assert_eq!(store.len(), 4);
         assert_eq!(store.skipped_lines(), 0);
         let _ = std::fs::remove_file(&store_path);
+    }
+
+    /// Specs that decode, hash and pass the horizon check but that
+    /// `assemble` refuses — a fault id ≥ n, a non-positive churn phase,
+    /// an out-of-range victim — come back unresolved beside a point that
+    /// resolves, and the server still shuts down through its canonical
+    /// save: its store file is the one a local sweep of the good point
+    /// writes.
+    #[test]
+    fn a_point_the_server_cannot_assemble_is_unresolved_and_shutdown_still_saves() {
+        let store_path = tmp_store("refused-point");
+        let _ = std::fs::remove_file(&store_path);
+        let cfg = ServeConfig {
+            addr: ServiceAddr::Tcp("127.0.0.1:0".into()),
+            store: store_path.clone(),
+            threads: 2,
+            crash_after_batches: None,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let server =
+            std::thread::spawn(move || serve(&cfg, move |addr| tx.send(addr.clone()).unwrap()));
+        let mut client = ServiceClient::new(rx.recv().expect("server ready"));
+
+        let good = grid(1).pop().unwrap();
+        let adversary = |strategy| {
+            good.clone()
+                .adversary(AdversarySpec::new(vec![ProcessId(0)], strategy))
+        };
+        let refused = [
+            good.clone().fault(ProcessId(99), FaultKind::Silent),
+            adversary(AdversaryStrategy::Churn { up: 1.0, down: 0.0 }),
+            adversary(AdversaryStrategy::TargetedDelay { victim: 9 }),
+        ];
+        let mut points: Vec<(u64, &ScenarioSpec)> =
+            refused.iter().map(|s| (s.content_hash(), s)).collect();
+        points.push((good.content_hash(), &good));
+        let got = client
+            .batch_get(Maintenance::NAME, Capture::Scalar, &points)
+            .unwrap();
+        assert_eq!(
+            got.iter().map(Option::is_some).collect::<Vec<_>>(),
+            [false, false, false, true]
+        );
+        assert_eq!(client.stats().unwrap().simulated, 1);
+
+        client.shutdown().unwrap();
+        let report = server.join().expect("serve did not panic");
+        assert_eq!(report.expect("serve returned Ok").stats.records, 1);
+
+        let cache = SweepCache::new();
+        let _ = run_point_as::<Maintenance>(Capture::Scalar, 0, &good, Some(&cache));
+        let mut local = SweepStore::new();
+        local.absorb(&cache);
+        let local_path = tmp_store("refused-point-local");
+        local.save_to(&local_path).unwrap();
+        assert_eq!(
+            std::fs::read(&store_path).unwrap(),
+            std::fs::read(&local_path).unwrap(),
+            "the shut-down store is canonical"
+        );
+        let _ = std::fs::remove_file(&store_path);
+        let _ = std::fs::remove_file(&local_path);
     }
 
     /// Batched puts: one frame inserts many records under one lock and

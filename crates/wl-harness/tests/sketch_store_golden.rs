@@ -457,3 +457,108 @@ fn faulted_series_store_matches_golden_fixture() {
         (16, 0, 0)
     );
 }
+
+/// Every built-in strategy (all nine discriminants; both pull-apart
+/// orientations), with payloads scaled to the family's β and P — the
+/// gallery of `tests/adversary_determinism.rs`.
+fn strategy_gallery(params: &Params) -> Vec<AdversaryStrategy> {
+    let beta = params.beta;
+    vec![
+        AdversaryStrategy::Crash { at: 2.0 },
+        AdversaryStrategy::Mute,
+        AdversaryStrategy::Spam,
+        AdversaryStrategy::PullApart {
+            amplitude: beta,
+            high: false,
+        },
+        AdversaryStrategy::PullApart {
+            amplitude: beta,
+            high: true,
+        },
+        AdversaryStrategy::TwoFacedValue { amplitude: beta },
+        AdversaryStrategy::Collude { amplitude: beta },
+        AdversaryStrategy::Churn {
+            up: 2.0 * params.p_round,
+            down: params.p_round,
+        },
+        AdversaryStrategy::TargetedDelay { victim: 2 },
+        AdversaryStrategy::Partition,
+    ]
+}
+
+/// One series-capture point per adversary realization: Maintenance
+/// under the whole strategy gallery with member 0, then Srikanth–Toueg
+/// (member 0) and LM-CNV (member 1) each under Mute, TwoFacedValue,
+/// Churn, TargetedDelay and Partition — 20 records.
+fn adversary_store() -> SweepStore {
+    let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
+    let point = |i: u64, member: usize, strategy: AdversaryStrategy| {
+        ScenarioSpec::new(params.clone())
+            .seed(derive_seed(0xAD_5E75, i))
+            .delay(DelayKind::Uniform)
+            .adversary(AdversarySpec::new(vec![ProcessId(member)], strategy).seed(7))
+            .t_end(RealTime::from_secs(2.0))
+    };
+    let gallery = strategy_gallery(&params);
+    let baseline_strategies = || {
+        gallery
+            .iter()
+            .copied()
+            .filter(|s| {
+                matches!(
+                    s,
+                    AdversaryStrategy::Mute
+                        | AdversaryStrategy::TwoFacedValue { .. }
+                        | AdversaryStrategy::Churn { .. }
+                        | AdversaryStrategy::TargetedDelay { .. }
+                        | AdversaryStrategy::Partition
+                )
+            })
+            .enumerate()
+    };
+
+    let cache = SweepCache::new();
+    let maintenance = gallery
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| point(i as u64, 0, s))
+        .collect();
+    capture_into::<Maintenance>(&cache, maintenance);
+    let st = baseline_strategies()
+        .map(|(i, s)| point(10 + i as u64, 0, s))
+        .collect();
+    capture_into::<SrikanthToueg>(&cache, st);
+    let lm = baseline_strategies()
+        .map(|(i, s)| point(15 + i as u64, 1, s))
+        .collect();
+    capture_into::<LmCnv>(&cache, lm);
+
+    let mut store = SweepStore::new();
+    store.absorb(&cache);
+    store
+}
+
+/// Every adversary strategy's executions, pinned: a series store of
+/// [`adversary_store`] is the checked-in `adversary-store.wlsb`, byte
+/// for byte, and loads back as twenty live records.
+#[test]
+fn adversary_series_store_matches_golden_fixture() {
+    let path = fixture_dir().join("adversary-store.wlsb");
+    let binary = save_store(adversary_store(), StoreFormat::Binary, "adversary");
+
+    if std::env::var("WL_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &binary).unwrap();
+        eprintln!("golden fixture regenerated at {}", path.display());
+    }
+
+    let frozen = std::fs::read(&path).expect("checked-in adversary fixture");
+    assert_eq!(
+        frozen, binary,
+        "adversary series store drifted from the golden fixture"
+    );
+    let loaded = SweepStore::open(&path).unwrap();
+    assert_eq!(
+        (loaded.len(), loaded.stale_records(), loaded.skipped_lines()),
+        (20, 0, 0)
+    );
+}

@@ -3,7 +3,10 @@
 //! The paper treats the delay of each message as adversarially chosen
 //! within the band. Experiments therefore need both benign distributions
 //! (uniform noise) and adversarial ones that *correlate* delays with the
-//! sender/receiver to push the algorithm toward its worst case.
+//! sender/receiver to push the algorithm toward its worst case. Every
+//! delay fault is one of these models: the split, the shared medium, and
+//! [`PerPairDelay`]'s fixed links over any other model, which is where
+//! the harness's delay-only adversaries pin their links.
 
 use crate::ProcessId;
 use rand::rngs::StdRng;
@@ -144,54 +147,48 @@ impl DelayModel for AdversarialSplitDelay {
     }
 }
 
-/// Fixed per-(sender, receiver) delays from a matrix.
+/// Fixed delays on chosen directed links over a base model.
 ///
-/// Lets tests wire up completely deterministic executions with
-/// heterogeneous links.
-#[derive(Debug, Clone, PartialEq)]
+/// A link [`set`](Self::set) to a delay always returns it and draws
+/// nothing from the RNG; every other link asks `base`, so the base
+/// model's draws are exactly those of the links left to it. Tests use it
+/// to wire up deterministic heterogeneous links; delay-only adversaries
+/// use it to pin chosen links to an edge of the A3 band.
+#[derive(Debug)]
 pub struct PerPairDelay {
     n: usize,
-    matrix: Vec<RealDur>,
+    fixed: Vec<Option<RealDur>>,
+    base: Box<dyn DelayModel>,
 }
 
 impl PerPairDelay {
-    /// Builds from a row-major `n × n` matrix (`matrix[from * n + to]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix.len() != n * n`.
+    /// Every link of `n` processes deferred to `base`.
     #[must_use]
-    pub fn new(n: usize, matrix: Vec<RealDur>) -> Self {
-        assert_eq!(matrix.len(), n * n, "matrix must be n x n");
-        Self { n, matrix }
+    pub fn new(n: usize, base: Box<dyn DelayModel>) -> Self {
+        Self {
+            n,
+            fixed: vec![None; n * n],
+            base,
+        }
     }
 
-    /// Builds with every entry `d`, then lets tests override single links.
-    #[must_use]
-    pub fn uniform(n: usize, d: RealDur) -> Self {
-        Self::new(n, vec![d; n * n])
-    }
-
-    /// Overrides the delay of one directed link.
+    /// Fixes the delay of one directed link.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
     pub fn set(&mut self, from: ProcessId, to: ProcessId, d: RealDur) {
         assert!(from.index() < self.n && to.index() < self.n);
-        self.matrix[from.index() * self.n + to.index()] = d;
+        self.fixed[from.index() * self.n + to.index()] = Some(d);
     }
 }
 
 impl DelayModel for PerPairDelay {
-    fn delay(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        _at: RealTime,
-        _rng: &mut StdRng,
-    ) -> RealDur {
-        self.matrix[from.index() * self.n + to.index()]
+    fn delay(&mut self, from: ProcessId, to: ProcessId, t: RealTime, rng: &mut StdRng) -> RealDur {
+        match self.fixed[from.index() * self.n + to.index()] {
+            Some(d) => d,
+            None => self.base.delay(from, to, t, rng),
+        }
     }
 }
 
@@ -369,7 +366,7 @@ mod tests {
 
     #[test]
     fn per_pair_matrix_lookup_and_override() {
-        let mut m = PerPairDelay::uniform(3, ms(5.0));
+        let mut m = PerPairDelay::new(3, Box::new(ConstantDelay::new(ms(5.0))));
         m.set(ProcessId(1), ProcessId(2), ms(6.0));
         let mut r = rng();
         assert_eq!(
@@ -470,9 +467,31 @@ mod tests {
         assert_eq!(r.gen::<u64>(), rng().gen::<u64>());
     }
 
+    /// Fixed links sit where they were set, inside the band, and draw
+    /// nothing: the base model's stream serves only the links left to it.
     #[test]
-    #[should_panic(expected = "n x n")]
-    fn per_pair_rejects_bad_matrix() {
-        let _ = PerPairDelay::new(2, vec![ms(1.0); 3]);
+    fn per_pair_fixed_links_stay_in_band_and_skip_the_base_rng() {
+        let b = DelayBounds::new(ms(10.0), ms(1.0));
+        let mut m = PerPairDelay::new(3, Box::new(UniformDelay::new(b)));
+        m.set(ProcessId(0), ProcessId(1), b.max_delay());
+        m.set(ProcessId(1), ProcessId(0), b.min_delay());
+        let mut r = rng();
+        assert_eq!(
+            m.delay(ProcessId(0), ProcessId(1), RealTime::ZERO, &mut r),
+            b.max_delay()
+        );
+        assert_eq!(
+            m.delay(ProcessId(1), ProcessId(0), RealTime::ZERO, &mut r),
+            b.min_delay()
+        );
+        assert_eq!(r.gen::<u64>(), rng().gen::<u64>(), "fixed links drew");
+        let mut r = rng();
+        let d = m.delay(ProcessId(2), ProcessId(1), RealTime::ZERO, &mut r);
+        assert!(b.contains(d));
+        let mut base = UniformDelay::new(b);
+        assert_eq!(
+            d,
+            base.delay(ProcessId(2), ProcessId(1), RealTime::ZERO, &mut rng())
+        );
     }
 }

@@ -788,7 +788,7 @@ mod tests {
         let procs: Vec<Box<dyn Automaton<Msg = u32>>> = (0..2)
             .map(|me| Box::new(PingPong { budget: 0, me }) as Box<dyn Automaton<Msg = u32>>)
             .collect();
-        let mut m = PerPairDelay::uniform(2, RealDur::from_millis(9.0));
+        let mut m = PerPairDelay::new(2, Box::new(ConstantDelay::new(RealDur::from_millis(9.0))));
         m.set(ProcessId(0), ProcessId(1), RealDur::from_millis(11.0));
         let mut sim = SimBuilder::new()
             .clocks(clocks)

@@ -1,14 +1,18 @@
-//! Fault injection: crash wrappers, canned Byzantine behaviours, and the
-//! fault plan bookkeeping used by analysis.
+//! Fault injection: the wrapper automata behind every behaviour fault,
+//! and the fault plan bookkeeping used by analysis.
 //!
 //! The model permits *arbitrary* (Byzantine) process faults — a faulty
 //! process may change state arbitrarily, set whatever timers it likes, and
 //! send anything to anyone (§2.3). In code, a Byzantine process is simply a
-//! different [`Automaton`] implementation; this module provides wrappers
-//! that derive faulty behaviours from a correct one, plus generic
-//! strategies that need no knowledge of the protocol at all.
+//! different [`Automaton`] implementation. This module holds the ones that
+//! need no knowledge of the protocol: [`CrashAt`] and [`Churn`] derive a
+//! faulty process from a correct one by stepping it straight into the
+//! caller's [`Actions`] and cutting what it may emit, and [`SilentFor`]
+//! never emits anything. Protocol-aware liars live with their protocols
+//! (`wl_core::byzantine`, `wl_baselines::byzantine`); delay faults are
+//! [`DelayModel`](crate::delay::DelayModel)s.
 
-use crate::{Actions, Automaton, Input, ProcessId};
+use crate::{Action, Actions, Automaton, Input, ProcessId};
 use std::fmt;
 use wl_time::{ClockTime, RealTime};
 
@@ -137,19 +141,8 @@ impl<A: Automaton> Automaton for CrashAt<A> {
 }
 
 /// Silent fault: never reacts to anything (a process that failed before
-/// the execution started, or an omission-faulty peer).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Silent;
-
-impl Automaton for Silent {
-    // Works with any protocol whose message type the scenario picks; being
-    // generic here would leak into object safety, so Silent is defined per
-    // message type via `SilentFor`.
-    type Msg = ();
-    fn on_input(&mut self, _i: Input<()>, _now: ClockTime, _out: &mut Actions<()>) {}
-}
-
-/// Silent fault usable with any message type.
+/// the execution started, or an omission-faulty peer), for any message
+/// type.
 pub struct SilentFor<M>(std::marker::PhantomData<M>);
 
 impl<M> Default for SilentFor<M> {
@@ -167,6 +160,54 @@ impl<M> fmt::Debug for SilentFor<M> {
 impl<M: Clone + fmt::Debug + Send + 'static> Automaton for SilentFor<M> {
     type Msg = M;
     fn on_input(&mut self, _i: Input<M>, _now: ClockTime, _out: &mut Actions<M>) {}
+}
+
+/// Crash-recovery churn: the wrapped automaton alternates `up` seconds
+/// alive and `down` seconds down on its own physical clock.
+///
+/// While down it drops every message the inner step produced
+/// (send-omission, like a crashed process) but keeps its timers,
+/// corrections and notes, so the inner state machine resumes where it
+/// left off on recovery.
+#[derive(Debug)]
+pub struct Churn<A> {
+    inner: A,
+    up: f64,
+    down: f64,
+}
+
+impl<A: Automaton> Churn<A> {
+    /// Wraps `inner`: alive for the first `up` seconds of every
+    /// `up + down` period of its physical clock, down for the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `up > 0` and `down > 0`.
+    #[must_use]
+    pub fn new(inner: A, up: f64, down: f64) -> Self {
+        assert!(up > 0.0 && down > 0.0, "churn phases must be positive");
+        Self { inner, up, down }
+    }
+}
+
+impl<A: Automaton> Automaton for Churn<A> {
+    type Msg = A::Msg;
+
+    fn on_input(&mut self, input: Input<A::Msg>, phys_now: ClockTime, out: &mut Actions<A::Msg>) {
+        let before = out.items.len();
+        self.inner.on_input(input, phys_now, out);
+        if phys_now.as_secs().rem_euclid(self.up + self.down) >= self.up {
+            let mut seen = 0;
+            out.items.retain(|a| {
+                seen += 1;
+                seen <= before || !matches!(a, Action::Broadcast(_) | Action::Send { .. })
+            });
+        }
+    }
+
+    fn initial_correction(&self) -> f64 {
+        self.inner.initial_correction()
+    }
 }
 
 /// Converts an intended real crash time into the physical-clock deadline
@@ -262,6 +303,46 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty());
+    }
+
+    #[derive(Debug)]
+    struct Beacon;
+
+    impl Automaton for Beacon {
+        type Msg = u32;
+        fn on_input(&mut self, _i: Input<u32>, phys_now: ClockTime, out: &mut Actions<u32>) {
+            out.send(ProcessId(1), 7);
+            out.set_timer(phys_now + wl_time::ClockDur::from_secs(1.0));
+        }
+    }
+
+    #[test]
+    fn churn_drops_sends_only_while_down() {
+        let mut churn = Churn::new(Beacon, 2.0, 1.0);
+        let step = |churn: &mut Churn<Beacon>, at: f64| {
+            let mut out = Actions::new();
+            churn.on_input(Input::Timer, ClockTime::from_secs(at), &mut out);
+            out.drain().collect::<Vec<_>>()
+        };
+        for alive in [0.5, 1.9, 3.1] {
+            assert_eq!(
+                step(&mut churn, alive).len(),
+                2,
+                "alive: send + timer pass through"
+            );
+        }
+        let acts = step(&mut churn, 2.5);
+        assert_eq!(acts.len(), 1, "down: send dropped, timer kept");
+        assert!(matches!(acts[0], Action::SetTimer { .. }));
+
+        // Only this step's output is filtered, never what `out` held.
+        let mut out = Actions::new();
+        out.send(ProcessId(2), 1);
+        churn.on_input(Input::Timer, ClockTime::from_secs(2.5), &mut out);
+        assert!(matches!(
+            out.as_slice(),
+            [Action::Send { .. }, Action::SetTimer { .. }]
+        ));
     }
 
     #[test]

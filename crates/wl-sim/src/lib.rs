@@ -15,7 +15,7 @@
 //!   [`Action`]s.
 //! * [`delay::DelayModel`] — pluggable message-delay distributions within
 //!   `[δ−ε, δ+ε]`, including adversarial ones.
-//! * [`faults`] — crash / silence wrappers and fault bookkeeping;
+//! * [`faults`] — crash / churn / silence wrappers and fault bookkeeping;
 //!   fully Byzantine behaviours are just alternative `Automaton`
 //!   implementations (they may send different lies to different peers).
 //! * [`Simulation`] — the executor: seeded, deterministic, streaming every
@@ -158,7 +158,8 @@ pub enum Action<M> {
 pub struct Actions<M> {
     items: Vec<Action<M>>,
     /// Whether anyone reads [`Action::Annotate`]s: [`Observer::wants_notes`],
-    /// set by the executor before every step (a wrapper automaton hands it on).
+    /// set by the executor before every step (a wrapper automaton steps its
+    /// inner one into the same `Actions`, so the flag reaches it).
     pub wants_notes: bool,
 }
 
