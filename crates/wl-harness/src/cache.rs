@@ -190,6 +190,19 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_seeded(FNV_OFFSET, bytes)
 }
 
+/// Two FNV-1a chains continued over the same bytes in one pass: the
+/// chains do not depend on each other, so each byte's two multiplies
+/// overlap and the pair costs about one chain's time.
+pub(crate) fn fnv64_pair(a: u64, b: u64, bytes: &[u8]) -> (u64, u64) {
+    let (mut a, mut b) = (a, b);
+    for &byte in bytes {
+        let byte = u64::from(byte);
+        a = (a ^ byte).wrapping_mul(FNV_PRIME);
+        b = (b ^ byte).wrapping_mul(FNV_PRIME);
+    }
+    (a, b)
+}
+
 type StoreKey = (u64, String);
 
 /// The one in-memory record (see the module docs' record model): the
@@ -199,10 +212,11 @@ type StoreKey = (u64, String);
 pub(crate) struct Record {
     encoded: EncodedRecord,
     outcome: SweepOutcome,
-    /// `encoded.encode()`, filled the first time the results server
-    /// replies with this record (see [`Record::encoded_bytes`]). A
-    /// `Box`, not a `Vec`: it holds no spare capacity.
-    encoded_bytes: OnceLock<Box<[u8]>>,
+    /// The results server's whole `Found` reply frame for this record,
+    /// filled the first time the server replies with it (see
+    /// [`Record::found_frame`]). A `Box`, not a `Vec`: it holds no spare
+    /// capacity.
+    found_frame: OnceLock<Box<[u8]>>,
 }
 
 /// What [`Record::admit`] made of an arriving [`EncodedRecord`].
@@ -246,7 +260,7 @@ impl Record {
         Self {
             encoded,
             outcome,
-            encoded_bytes: OnceLock::new(),
+            found_frame: OnceLock::new(),
         }
     }
 
@@ -277,14 +291,23 @@ impl Record {
         &self.encoded
     }
 
-    /// [`EncodedRecord::encode`] of [`Record::encoded`], computed on the
-    /// first call and kept: a record never changes once it is shared, so
-    /// the bytes cannot go stale. Only the server's reply path asks, so a
-    /// record that is never served holds an empty cell and nothing else;
-    /// saves, checkpoints and puts keep their own encoders.
+    /// The frame the results server writes for a `Get` hit on this
+    /// record — length prefix, opcode, [`EncodedRecord::encode`] bytes,
+    /// frame checksum — built on the first call and kept: a record never
+    /// changes once it is shared, so the bytes cannot go stale. Only the
+    /// server's reply path asks, so a record that is never served holds
+    /// an empty cell and nothing else; saves, checkpoints and puts keep
+    /// their own encoders.
+    pub(crate) fn found_frame(&self) -> &[u8] {
+        self.found_frame
+            .get_or_init(|| crate::service::found_frame(&self.encoded))
+    }
+
+    /// [`EncodedRecord::encode`] of [`Record::encoded`], sliced out of
+    /// [`Record::found_frame`] — what a `BatchGet` slot carries, so a
+    /// served record keeps one buffer, not two.
     pub(crate) fn encoded_bytes(&self) -> &[u8] {
-        self.encoded_bytes
-            .get_or_init(|| self.encoded.encode().into_boxed_slice())
+        crate::service::found_record(self.found_frame())
     }
 
     /// The parsed view of `encoded().outcome_canon` (grid index 0).
@@ -744,7 +767,13 @@ impl SweepStore {
     /// [`crate::service`] puts on the wire, so served records are
     /// *exactly* what a store save would write.
     pub(crate) fn record(&self, content_hash: u64, algo: &str) -> Option<&Arc<Record>> {
-        self.records.get(&(content_hash, algo.to_string()))
+        // Keys order by hash first and `String::new()` does not allocate:
+        // the range opens at the hash's first algorithm, so the lookup
+        // walks the few records under one hash and builds no key.
+        self.records
+            .range((content_hash, String::new())..)
+            .take_while(|((hash, _), _)| *hash == content_hash)
+            .find_map(|((_, held), record)| (held == algo).then_some(record))
     }
 
     /// Inserts one record through the one join (`lattice_join`): a
@@ -1382,6 +1411,38 @@ mod tests {
             corr_procs: vec![0, 3],
             corr_times: vec![1.0, 1.5],
             corr_values: vec![-0.125, 2.5e-3],
+        }
+    }
+
+    /// A key lookup finds exactly its record among neighbours: the hashes
+    /// on either side, other algorithms under the same hash (one an
+    /// empty name, the one the lookup's range opens at), and the
+    /// largest hash.
+    #[test]
+    fn record_lookup_finds_its_key_among_neighbours() {
+        let mut store = SweepStore::new();
+        let keys = [
+            (41, "A"),
+            (42, ""),
+            (42, "A"),
+            (42, "B"),
+            (43, "A"),
+            (u64::MAX, "B"),
+        ];
+        for (hash, algo) in keys {
+            let record =
+                Record::of_outcome(algo, hash, format!("Spec{{n:{hash}}}"), &outcome_fixture());
+            assert!(store.insert(record).unwrap());
+        }
+        for (hash, algo) in keys {
+            let held = store.record(hash, algo).expect("stored key");
+            assert_eq!(
+                (held.encoded().content_hash, &held.encoded().algo[..]),
+                (hash, algo)
+            );
+        }
+        for (hash, algo) in [(41, "B"), (42, "AB"), (44, "A"), (0, ""), (u64::MAX, "A")] {
+            assert!(store.record(hash, algo).is_none(), "{hash}/{algo}");
         }
     }
 
@@ -2029,9 +2090,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Both constructors leave a record's served encoding empty, a save
-    /// and a checkpoint do not fill it, and the first ask fills it with
-    /// `encode()`'s bytes that every later ask hands back.
+    /// Both constructors leave a record's served frame empty, a save and
+    /// a checkpoint do not fill it, and the first ask fills it with a
+    /// frame around `encode()`'s bytes that every later ask hands back —
+    /// the record bytes a slice of that one buffer, not a second one.
     #[test]
     fn encoded_bytes_are_filled_once_on_first_ask() {
         let path = tmp_path("encoded-bytes");
@@ -2045,10 +2107,13 @@ mod tests {
         assert_eq!(store.checkpoint().unwrap(), 1);
         store.save().unwrap();
         for record in [&made, &admitted] {
-            assert!(record.encoded_bytes.get().is_none());
+            assert!(record.found_frame.get().is_none());
             let first = record.encoded_bytes();
             assert_eq!(first, record.encoded().encode());
             assert!(std::ptr::eq(first, record.encoded_bytes()));
+            let frame = record.found_frame().as_ptr_range();
+            assert!(frame.contains(&first.as_ptr()), "one kept buffer");
+            assert_eq!(record.found_frame().len(), first.len() + 13);
         }
         let _ = std::fs::remove_file(&path);
     }

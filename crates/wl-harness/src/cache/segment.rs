@@ -50,7 +50,7 @@
 //!
 //! [`SweepStore`]: crate::cache::SweepStore
 
-use crate::cache::fnv64;
+use crate::cache::{fnv64, fnv64_pair, fnv64_seeded, FNV_OFFSET};
 
 /// First four bytes of every binary store file.
 pub const FILE_MAGIC: [u8; 4] = *b"WLSB";
@@ -261,8 +261,9 @@ impl<'a> Take<'a> {
 const FRAME_LEN: usize = 4 + 8;
 
 /// Closes the frame at `out[start..]` (4 placeholder bytes, then a body):
-/// appends the body's FNV-1a and writes the length covering both.
-fn close_frame(out: &mut Vec<u8>, start: usize) {
+/// appends the body's FNV-1a and writes the length covering both — the
+/// framing of a record here and of a service frame on the wire.
+pub(crate) fn close_frame(out: &mut Vec<u8>, start: usize) {
     let crc = fnv64(&out[start + 4..]);
     out.extend_from_slice(&crc.to_le_bytes());
     let len = u32::try_from(out.len() - start - 4).expect("record < 4 GiB");
@@ -315,10 +316,17 @@ impl EncodedRecord {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + FRAME_LEN + self.outcome_canon.len() / 4);
-        out.extend_from_slice(&[0; 4]);
-        self.push_body(&mut out);
-        close_frame(&mut out, 0);
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends [`encode`](Self::encode)'s bytes to `out` — for a caller
+    /// that frames the record inside a larger buffer.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        self.push_body(out);
+        close_frame(out, start);
     }
 
     /// Appends this record's body short of its checksum: the fixed
@@ -344,17 +352,31 @@ impl EncodedRecord {
     /// compression framing violation, or non-UTF-8 text.
     #[must_use]
     pub fn decode(data: &[u8]) -> Option<(Self, usize)> {
-        let mut head = Take(data);
-        let body_len = head.u32()? as usize;
-        let body = head.bytes(body_len)?;
-        if body_len < 8 {
-            return None;
-        }
-        let (checked, crc_bytes) = body.split_at(body_len - 8);
-        let crc = u64::from_le_bytes(crc_bytes.try_into().ok()?);
+        let (checked, crc) = split_record(data)?;
         if crc != fnv64(checked) {
             return None;
         }
+        Some((Self::parse(checked)?, 4 + checked.len() + 8))
+    }
+
+    /// [`decode`](Self::decode) that hashes each byte once for two
+    /// checksums: the record's own, and `outer` — the FNV-1a chain of an
+    /// enclosing frame, continued over every byte the record spans. The
+    /// two chains run interleaved, so checking both costs about what
+    /// checking one does. `outer` is only meaningful on `Some`.
+    pub(crate) fn decode_within(data: &[u8], outer: &mut u64) -> Option<(Self, usize)> {
+        let (checked, crc) = split_record(data)?;
+        let used = 4 + checked.len() + 8;
+        let (frame, own) = fnv64_pair(fnv64_seeded(*outer, &data[..4]), FNV_OFFSET, checked);
+        *outer = fnv64_seeded(frame, &data[used - 8..used]);
+        if own != crc {
+            return None;
+        }
+        Some((Self::parse(checked)?, used))
+    }
+
+    /// The fields of a record body whose checksum already held.
+    fn parse(checked: &[u8]) -> Option<Self> {
         let mut c = Take(checked);
         let tag = *c.bytes(1)?.first()?;
         if !Self::known_tag(tag) {
@@ -366,21 +388,27 @@ impl EncodedRecord {
         let algo = String::from_utf8(c.bytes(algo_len)?.to_vec()).ok()?;
         let spec_canon = payload(&mut c)?;
         let outcome_canon = payload(&mut c)?;
-        if !c.0.is_empty() {
-            return None;
-        }
-        Some((
-            Self {
-                tag,
-                content_hash,
-                engine_version,
-                algo,
-                spec_canon,
-                outcome_canon,
-            },
-            4 + body_len,
-        ))
+        c.done().then_some(Self {
+            tag,
+            content_hash,
+            engine_version,
+            algo,
+            spec_canon,
+            outcome_canon,
+        })
     }
+}
+
+/// The checksummed bytes and the stated checksum of the record framed at
+/// the front of `data`. `None` = the frame runs past `data` or is too
+/// short to hold a checksum.
+fn split_record(data: &[u8]) -> Option<(&[u8], u64)> {
+    let mut head = Take(data);
+    let body_len = head.u32()? as usize;
+    let body = head.bytes(body_len)?;
+    let checked_len = body_len.checked_sub(8)?;
+    let (checked, crc) = body.split_at(checked_len);
+    Some((checked, u64::from_le_bytes(crc.try_into().ok()?)))
 }
 
 /// Serializes a record sequence as the **columnar block** a packed

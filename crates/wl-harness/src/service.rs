@@ -46,13 +46,15 @@
 //! [`ScenarioSpec::content_hash`]: ScenarioSpec::content_hash
 
 use crate::algo::SyncAlgorithm;
-use crate::cache::segment::{EncodedRecord, Take};
-use crate::cache::{canon_string, fnv64, Admitted, Record, SweepStore, ENGINE_VERSION};
+use crate::cache::segment::{close_frame, EncodedRecord, Take};
+use crate::cache::{
+    canon_string, fnv64, fnv64_seeded, Admitted, Record, SweepStore, ENGINE_VERSION, FNV_OFFSET,
+};
 use crate::run::agreement_window;
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 use crate::sweep::{run_point_as, Capture, SweepCache, SweepRunner};
 use std::collections::HashSet;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -143,15 +145,22 @@ fn bad_data(msg: &str) -> io::Error {
 /// frame is one syscall and never a small write for Nagle's algorithm
 /// to hold back behind a delayed ACK.
 fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let total = u32::try_from(body.len() + 8).map_err(|_| bad_data("frame too large"))?;
-    if total > MAX_FRAME {
+    let mut frame = Vec::with_capacity(4 + body.len() + 8);
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(body);
+    close_frame(&mut frame, 0);
+    send_frame(w, &frame)
+}
+
+/// Hands a whole frame, length prefix and checksum included, to the
+/// stream in one write — [`write_frame`]'s last step, and all a `Get`
+/// hit does with its record's kept [`Record::found_frame`]. A frame
+/// over [`MAX_FRAME`] is refused, not sent for the peer to refuse.
+fn send_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
+    if frame.len() > 4 + MAX_FRAME as usize {
         return Err(bad_data("frame too large"));
     }
-    let mut frame = Vec::with_capacity(4 + body.len() + 8);
-    frame.extend_from_slice(&total.to_le_bytes());
-    frame.extend_from_slice(body);
-    frame.extend_from_slice(&fnv64(body).to_le_bytes());
-    w.write_all(&frame)?;
+    w.write_all(frame)?;
     w.flush()
 }
 
@@ -177,6 +186,8 @@ const FRAME_RESERVE: usize = 64 * 1024;
 
 /// What [`read_frame`] found on the stream.
 enum Inbound {
+    /// The body from [`read_frame`]; body and checksum from
+    /// [`read_unchecked`].
     Frame(Vec<u8>),
     /// Clean EOF *between* frames.
     Eof,
@@ -185,7 +196,7 @@ enum Inbound {
 }
 
 impl Inbound {
-    /// The frame body, if one arrived.
+    /// The frame, if one arrived.
     fn frame(self) -> Option<Vec<u8>> {
         match self {
             Self::Frame(body) => Some(body),
@@ -194,14 +205,39 @@ impl Inbound {
     }
 }
 
-/// Reads one frame — the one reader under both the client and the
-/// server. EOF or a checksum failure inside a frame is an error. When
-/// the stream has a read timeout set (the server's connections do), a
-/// timeout **between** frames reports [`Inbound::Idle`] so the handler
-/// can re-check the shutdown flag; a timeout *inside* a frame keeps
-/// waiting for the rest, unless `shutdown` is set — then the peer that
-/// went quiet mid-frame is dropped rather than holding the server open.
+/// Each connection's read buffer, one per end (see [`buffered`]): a
+/// frame up to this size that has arrived whole is taken off the socket
+/// in one `read`. No larger than [`FRAME_RESERVE`], so a hostile length
+/// prefix still costs no more than that.
+const READ_BUF: usize = FRAME_RESERVE;
+
+/// The read side of a connection, client or server: the stream behind
+/// one [`READ_BUF`] buffer. Dropped with its stream, so a connection
+/// that failed never leaves bytes behind for the next.
+fn buffered<R: Read>(stream: R) -> BufReader<R> {
+    BufReader::with_capacity(READ_BUF, stream)
+}
+
+/// Reads one frame and checks its checksum — the server's reader. EOF
+/// or a checksum failure inside a frame is an error.
 fn read_frame(r: &mut impl Read, shutdown: Option<&AtomicBool>) -> io::Result<Inbound> {
+    match read_unchecked(r, shutdown)? {
+        Inbound::Frame(frame) => check_frame(frame)
+            .map(Inbound::Frame)
+            .ok_or_else(|| bad_data("frame checksum mismatch")),
+        between => Ok(between),
+    }
+}
+
+/// Reads one frame, checksum trailer included and not yet checked — the
+/// one reader under both the client and the server. EOF inside a frame
+/// is an error. When the stream has a read timeout set (the server's
+/// connections do), a timeout **between** frames reports
+/// [`Inbound::Idle`] so the handler can re-check the shutdown flag; a
+/// timeout *inside* a frame keeps waiting for the rest, unless
+/// `shutdown` is set — then the peer that went quiet mid-frame is
+/// dropped rather than holding the server open.
+fn read_unchecked(r: &mut impl Read, shutdown: Option<&AtomicBool>) -> io::Result<Inbound> {
     let timed_out = |e: &io::Error| {
         matches!(
             e.kind(),
@@ -245,9 +281,7 @@ fn read_frame(r: &mut impl Read, shutdown: Option<&AtomicBool>) -> io::Result<In
             Err(e) => return Err(e),
         }
     }
-    check_frame(buf)
-        .map(Inbound::Frame)
-        .ok_or_else(|| bad_data("frame checksum mismatch"))
+    Ok(Inbound::Frame(buf))
 }
 
 // ---------------------------------------------------------------------------
@@ -751,7 +785,7 @@ fn put_batch_body<'a>(records: impl ExactSizeIterator<Item = &'a EncodedRecord>)
     let count = u32::try_from(records.len()).expect("batch < 4G records");
     out.extend_from_slice(&count.to_le_bytes());
     for record in records {
-        out.extend_from_slice(&record.encode());
+        record.encode_into(&mut out);
     }
     out
 }
@@ -801,14 +835,23 @@ pub fn decode_request(body: &[u8]) -> Option<Request> {
     t.done().then_some(req)
 }
 
-/// The body of a [`Response::Found`] around a record's
-/// [`EncodedRecord::encode`] bytes — the one layout both
-/// [`encode_response`] and the server's hit path write.
-fn found_body(record: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + record.len());
-    out.push(RE_FOUND);
-    out.extend_from_slice(record);
-    out
+/// The whole frame of a [`Response::Found`] for `record`, built in one
+/// buffer: the bytes [`write_frame`] sends for [`encode_response`]'s
+/// body. The server keeps it beside the record
+/// ([`Record::found_frame`]), so a hit is one write of kept bytes.
+pub(crate) fn found_frame(record: &EncodedRecord) -> Box<[u8]> {
+    let mut frame = vec![0; 4];
+    frame.push(RE_FOUND);
+    record.encode_into(&mut frame);
+    close_frame(&mut frame, 0);
+    frame.into_boxed_slice()
+}
+
+/// The record's [`EncodedRecord::encode`] bytes inside a
+/// [`found_frame`]: after the length prefix and the opcode, before the
+/// checksum.
+pub(crate) fn found_record(frame: &[u8]) -> &[u8] {
+    &frame[4 + 1..frame.len() - 8]
 }
 
 /// The body of a [`Response::Batch`] over each slot's
@@ -837,7 +880,11 @@ fn batch_body<B: AsRef<[u8]>>(slots: &[Option<B>]) -> Vec<u8> {
 #[must_use]
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Found { record } => found_body(&record.encode()),
+        Response::Found { record } => {
+            let mut out = vec![RE_FOUND];
+            record.encode_into(&mut out);
+            out
+        }
         Response::Miss => vec![RE_MISS],
         Response::Ok => vec![RE_OK],
         Response::Batch { items } => {
@@ -871,6 +918,14 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Decodes a frame body into a response. `None` = malformed.
 #[must_use]
 pub fn decode_response(body: &[u8]) -> Option<Response> {
+    decode_response_with(body, record)
+}
+
+/// [`decode_response`]'s grammar, each record read through `record`.
+fn decode_response_with(
+    body: &[u8],
+    mut record: impl FnMut(&mut Take<'_>) -> Option<EncodedRecord>,
+) -> Option<Response> {
     let mut t = Take(body);
     let resp = match t.u8()? {
         RE_FOUND => Response::Found {
@@ -905,6 +960,35 @@ pub fn decode_response(body: &[u8]) -> Option<Response> {
         _ => return None,
     };
     t.done().then_some(resp)
+}
+
+/// Checks and decodes a reply frame (`frame` = body, then checksum) —
+/// the client's read path. It accepts and returns exactly what
+/// [`check_frame`] then [`decode_response`] do, but reads each byte
+/// once: a record is hashed for its own checksum and the frame's in one
+/// pass ([`EncodedRecord::decode_within`]), the bytes between records
+/// for the frame's alone, and nothing is hashed again to decode.
+fn decode_reply(frame: &[u8]) -> Option<Response> {
+    let body_len = frame.len().checked_sub(8)?;
+    let (body, crc) = frame.split_at(body_len);
+    let (mut chain, mut hashed) = (FNV_OFFSET, 0);
+    let response = decode_response_with(body, |t| {
+        let at = body_len - t.0.len();
+        chain = fnv64_seeded(chain, &body[hashed..at]);
+        let (record, used) = EncodedRecord::decode_within(t.0, &mut chain)?;
+        hashed = at + t.bytes(used)?.len();
+        Some(record)
+    })?;
+    let chain = fnv64_seeded(chain, &body[hashed..]);
+    (chain.to_le_bytes()[..] == *crc).then_some(response)
+}
+
+/// Reads one reply frame and decodes it through [`decode_reply`].
+fn read_reply(r: &mut impl Read) -> io::Result<Response> {
+    let frame = read_unchecked(r, None)?
+        .frame()
+        .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
+    decode_reply(&frame).ok_or_else(|| bad_data("corrupt or malformed response"))
 }
 
 // ---------------------------------------------------------------------------
@@ -981,14 +1065,16 @@ impl Write for Stream {
 #[derive(Debug)]
 pub struct ServiceClient {
     addr: ServiceAddr,
-    stream: Option<Stream>,
+    /// The connection behind its read buffer; `None` until the first
+    /// request, and again after any failure.
+    conn: Option<BufReader<Stream>>,
 }
 
 impl ServiceClient {
     /// A client for `addr`; connects on first use.
     #[must_use]
     pub fn new(addr: ServiceAddr) -> Self {
-        Self { addr, stream: None }
+        Self { addr, conn: None }
     }
 
     /// The address this client talks to.
@@ -1013,40 +1099,26 @@ impl ServiceClient {
 
     /// [`request`](ServiceClient::request) for an already-encoded body.
     fn send(&mut self, body: &[u8]) -> io::Result<Response> {
-        let reused = self.stream.is_some();
+        let reused = self.conn.is_some();
         match self.roundtrip(body) {
-            Ok(resp) => Ok(resp),
-            Err(e) if reused => {
-                // The pooled connection may have died with the previous
-                // server process; one fresh connection decides it.
-                let _ = e;
-                self.stream = None;
-                self.roundtrip(body)
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
+            // The pooled connection may have died with the previous
+            // server process; one fresh connection decides it.
+            Err(_) if reused => self.roundtrip(body),
+            result => result,
         }
     }
 
+    /// One request and its reply on the pooled connection. Any failure
+    /// drops the connection and its read buffer, so bytes left over from
+    /// a bad reply are never read as the next one.
     fn roundtrip(&mut self, body: &[u8]) -> io::Result<Response> {
-        if self.stream.is_none() {
-            self.stream = Some(Stream::connect(&self.addr)?);
+        if self.conn.is_none() {
+            self.conn = Some(buffered(Stream::connect(&self.addr)?));
         }
-        let stream = self.stream.as_mut().expect("just connected");
-        let result = write_frame(stream, body)
-            .and_then(|()| read_frame(stream, None))
-            .and_then(|inbound| {
-                inbound
-                    .frame()
-                    .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))
-            })
-            .and_then(|frame| {
-                decode_response(&frame).ok_or_else(|| bad_data("malformed response"))
-            });
+        let conn = self.conn.as_mut().expect("just connected");
+        let result = write_frame(conn.get_mut(), body).and_then(|()| read_reply(conn));
         if result.is_err() {
-            self.stream = None;
+            self.conn = None;
         }
         result
     }
@@ -1533,7 +1605,7 @@ pub fn serve(cfg: &ServeConfig, on_ready: impl FnOnce(&ServiceAddr)) -> io::Resu
 const IDLE_POLL: Duration = Duration::from_millis(200);
 
 fn handle(
-    mut stream: Stream,
+    stream: Stream,
     core: &Mutex<Core>,
     runner: &SweepRunner,
     shutdown: &AtomicBool,
@@ -1541,8 +1613,9 @@ fn handle(
     cfg: &ServeConfig,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(IDLE_POLL))?;
+    let mut conn = buffered(stream);
     loop {
-        let body = match read_frame(&mut stream, Some(shutdown))? {
+        let body = match read_frame(&mut conn, Some(shutdown))? {
             Inbound::Frame(body) => body,
             Inbound::Eof => return Ok(()),
             Inbound::Idle => {
@@ -1556,12 +1629,11 @@ fn handle(
             let resp = Response::Err {
                 message: "malformed request".to_string(),
             };
-            write_frame(&mut stream, &encode_response(&resp))?;
+            write_frame(conn.get_mut(), &encode_response(&resp))?;
             continue;
         };
         let is_shutdown = matches!(request, Request::Shutdown);
-        let reply = dispatch(request, core, runner, cfg)?;
-        write_frame(&mut stream, &reply)?;
+        dispatch(request, core, runner, cfg)?.write_to(conn.get_mut())?;
         if is_shutdown {
             shutdown.store(true, Ordering::SeqCst);
             wake(addr);
@@ -1574,16 +1646,54 @@ fn lock_core(core: &Mutex<Core>) -> std::sync::MutexGuard<'_, Core> {
     core.lock().expect("server core poisoned")
 }
 
-/// Answers one request with its reply body. A hit is written from the
-/// record's kept [`Record::encoded_bytes`] through the same layout
-/// helpers [`encode_response`] uses; every other reply is a
-/// [`Response`] encoded by it.
+/// What the server sends back for one request.
+#[derive(Debug)]
+enum Reply {
+    /// A `Get` hit: the record's kept [`Record::found_frame`], sent as is.
+    Found(Arc<Record>),
+    /// Any other reply: a body, framed on the way out.
+    Body(Vec<u8>),
+}
+
+impl Reply {
+    fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        match self {
+            Self::Found(record) => send_frame(w, record.found_frame()),
+            Self::Body(body) => write_frame(w, body),
+        }
+    }
+
+    /// The frame body this reply sends.
+    #[cfg(test)]
+    fn body(&self) -> &[u8] {
+        match self {
+            Self::Found(record) => {
+                let frame = record.found_frame();
+                &frame[4..frame.len() - 8]
+            }
+            Self::Body(body) => body,
+        }
+    }
+}
+
+/// A reply equals a frame body when it sends that body.
+#[cfg(test)]
+impl PartialEq<Vec<u8>> for Reply {
+    fn eq(&self, body: &Vec<u8>) -> bool {
+        self.body() == &body[..]
+    }
+}
+
+/// Answers one request. A hit is the record's kept
+/// [`Record::found_frame`], a batch is written from the records' kept
+/// bytes through the layout helper [`encode_response`] uses, and every
+/// other reply is a [`Response`] encoded by it.
 fn dispatch(
     request: Request,
     core: &Mutex<Core>,
     runner: &SweepRunner,
     cfg: &ServeConfig,
-) -> io::Result<Vec<u8>> {
+) -> io::Result<Reply> {
     let mut c = lock_core(core);
     c.requests += 1;
     let response = match request {
@@ -1594,16 +1704,16 @@ fn dispatch(
             algo,
         } => {
             if engine_version != ENGINE_VERSION {
-                return Ok(encode_response(&Response::Miss));
+                return Ok(Reply::Body(encode_response(&Response::Miss)));
             }
             let held = warm(&c.store, content_hash, &algo, need);
             c.warm_hits += u64::from(held.is_some());
             // The lock covers the lookup and the pointer clone only; the
-            // record's bytes are encoded (once) and copied after it is
+            // record's frame is built (once) and written after it is
             // released.
             drop(c);
             match held {
-                Some(record) => return Ok(found_body(record.encoded_bytes())),
+                Some(record) => return Ok(Reply::Found(record)),
                 None => Response::Miss,
             }
         }
@@ -1623,7 +1733,7 @@ fn dispatch(
                     ),
                 }
             } else {
-                return batch_get(&algo, need, &items, core, runner, cfg);
+                return batch_get(&algo, need, &items, core, runner, cfg).map(Reply::Body);
             }
         }
         Request::PutBatch { records } => {
@@ -1665,7 +1775,7 @@ fn dispatch(
         Request::Stats => Response::Stats { stats: c.stats() },
         Request::Shutdown => Response::Ok,
     };
-    Ok(encode_response(&response))
+    Ok(Reply::Body(encode_response(&response)))
 }
 
 /// The store's record for a key, if it is rich enough for `need` — the
@@ -1931,6 +2041,23 @@ mod tests {
         [scalar, sketch, series]
     }
 
+    /// The record the wire fixtures pin: the sketch outcome of
+    /// [`payload_outcomes`] under the first grid point's spec.
+    fn fixed_record() -> (ScenarioSpec, Arc<Record>) {
+        let [_, sketch, _] = payload_outcomes();
+        let spec = grid(1).remove(0);
+        let canon = canon_string(&spec.canonical());
+        let record = Record::of_outcome(Maintenance::NAME, spec.content_hash(), canon, &sketch);
+        (spec, record)
+    }
+
+    /// A framed reply, length prefix and checksum included.
+    fn framed(reply: &Response) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode_response(reply)).unwrap();
+        wire
+    }
+
     fn arb_spec(rng: &mut rand::rngs::StdRng) -> ScenarioSpec {
         let f = |rng: &mut rand::rngs::StdRng| f64::from_bits(rng.gen::<u64>());
         let params = Params {
@@ -2143,8 +2270,55 @@ mod tests {
             proptest::prop_assert!(matches!(read_frame(&mut reader, None), Ok(Inbound::Eof)), "clean EOF");
         }
 
-        /// A live record's kept bytes are `encoded().encode()`, and a
-        /// `Found` written from them is `encode_response`'s, for a record
+        /// The client's one-pass reply check accepts and returns exactly
+        /// what the two-pass oracle — `check_frame`, then
+        /// `decode_response` — does, on random replies: intact, with a
+        /// flipped bit, and with a flipped bit under a resealed frame
+        /// checksum, which only a record's own checksum can catch.
+        #[test]
+        fn prop_fused_reply_check_equals_two_pass(seed in 0u64..u64::MAX) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let record = arb_record(&mut rng);
+            let replies = [
+                Response::Found { record: record.clone() },
+                Response::Miss,
+                Response::Ok,
+                Response::Batch { items: vec![Some(record), None, Some(arb_record(&mut rng))] },
+                Response::Batch { items: vec![] },
+                Response::Stats {
+                    stats: ServiceStats {
+                        records: rng.gen(),
+                        warm_hits: rng.gen(),
+                        simulated: rng.gen(),
+                        puts: rng.gen(),
+                        requests: rng.gen(),
+                    },
+                },
+                Response::Err { message: "refused ∆".into() },
+            ];
+            for reply in &replies {
+                let wire = framed(reply);
+                for mutation in ["intact", "flipped", "resealed"] {
+                    let mut frame = wire.clone();
+                    if mutation != "intact" {
+                        let i = 4 + (rng.gen::<u64>() % (wire.len() - 12) as u64) as usize;
+                        frame[i] ^= 1 << (rng.gen::<u64>() % 8);
+                    }
+                    if mutation == "resealed" {
+                        frame.truncate(frame.len() - 8);
+                        close_frame(&mut frame, 0);
+                    }
+                    let oracle = check_frame(frame[4..].to_vec()).and_then(|body| decode_response(&body));
+                    proptest::prop_assert_eq!(&decode_reply(&frame[4..]), &oracle, "{}", mutation);
+                    if mutation == "intact" {
+                        proptest::prop_assert_eq!(oracle.as_ref(), Some(reply));
+                    }
+                }
+            }
+        }
+
+        /// A live record's kept bytes are `encoded().encode()`, and its
+        /// kept `Found` frame is `encode_response`'s body framed, for a record
         /// admitted at a non-zero grid index (which `admit`
         /// re-canonicalizes) and for the same record made by `of_outcome`.
         #[test]
@@ -2173,10 +2347,10 @@ mod tests {
             for record in [&admitted, &made] {
                 let want = record.encoded().encode();
                 proptest::prop_assert_eq!(record.encoded_bytes(), &want[..]);
-                proptest::prop_assert_eq!(
-                    found_body(record.encoded_bytes()),
-                    encode_response(&Response::Found { record: record.encoded().clone() })
-                );
+                let mut framed = Vec::new();
+                let body = encode_response(&Response::Found { record: record.encoded().clone() });
+                write_frame(&mut framed, &body).unwrap();
+                proptest::prop_assert_eq!(record.found_frame(), &framed[..]);
             }
         }
     }
@@ -2214,6 +2388,30 @@ mod tests {
         // Truncation inside a frame is an error, not a short read.
         let mut truncated: &[u8] = &wire[..wire.len() - 1];
         assert!(read_frame(&mut truncated, None).is_err());
+        // A `Found` and a `Batch` reply through the client's read path,
+        // whose one pass checks the frame's and each record's checksum:
+        // every single-byte flip is refused.
+        let record = fixed_record().1.encoded().clone();
+        for reply in [
+            Response::Found {
+                record: record.clone(),
+            },
+            Response::Batch {
+                items: vec![Some(record.clone()), None, Some(record.clone())],
+            },
+        ] {
+            let wire = framed(&reply);
+            assert_eq!(read_reply(&mut buffered(&wire[..])).unwrap(), reply);
+            for i in 0..wire.len() {
+                let mut bad = wire.clone();
+                bad[i] ^= 0x40;
+                assert!(
+                    read_reply(&mut buffered(&bad[..])).is_err(),
+                    "flip at byte {i} of a {:#x} reply went unnoticed",
+                    wire[4]
+                );
+            }
+        }
         // Opcode 0x02 (the retired single-record put) is not a request:
         // the server answers such a frame "malformed request".
         let Request::PutBatch { records } = &original else {
@@ -2310,6 +2508,150 @@ mod tests {
             frame.extend_from_slice(&fnv64(&body).to_le_bytes());
             assert_eq!(w.bytes, frame, "a {len}-byte body");
         }
+    }
+
+    /// A reply whose frame checksum holds around a record whose own
+    /// checksum does not is refused as `InvalidData`: flip any byte of a
+    /// `Found` or `Batch` body, reseal the frame, and the client's one
+    /// pass still catches it — as the two-pass oracle does.
+    #[test]
+    fn a_record_failing_its_own_checksum_is_refused_inside_a_sound_frame() {
+        let record = fixed_record().1.encoded().clone();
+        for reply in [
+            Response::Found {
+                record: record.clone(),
+            },
+            Response::Batch {
+                items: vec![None, Some(record.clone())],
+            },
+        ] {
+            let wire = framed(&reply);
+            for i in 4..wire.len() - 8 {
+                let mut bad = wire[..wire.len() - 8].to_vec();
+                bad[i] ^= 0x01;
+                close_frame(&mut bad, 0);
+                let body = check_frame(bad[4..].to_vec()).expect("the frame checksum holds");
+                assert_eq!(decode_response(&body), None, "oracle, flip at byte {i}");
+                let err = read_reply(&mut buffered(&bad[..])).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {i}");
+            }
+        }
+    }
+
+    /// A stream that hands out its bytes in chunks of the given sizes,
+    /// cycling through them, and counts its `read` calls.
+    struct Chunked {
+        bytes: Vec<u8>,
+        at: usize,
+        sizes: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = size.min(buf.len()).min(self.bytes.len() - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// Frames decode through a connection's read buffer however the
+    /// stream splits them — one byte per read, two frames in one read, a
+    /// length prefix split across reads — and two frames that arrived
+    /// whole cost one `read`.
+    #[test]
+    fn buffered_frames_decode_however_the_stream_splits_them() {
+        let replies = [
+            Response::Found {
+                record: fixed_record().1.encoded().clone(),
+            },
+            Response::Miss,
+        ];
+        let wire: Vec<u8> = replies.iter().flat_map(framed).collect();
+        let first = framed(&replies[0]).len();
+        let cases = [
+            ("one byte per read", vec![1], wire.len()),
+            ("two frames in one read", vec![usize::MAX], 1),
+            (
+                "length prefixes split across reads",
+                vec![2, first - 2, 3, usize::MAX],
+                4,
+            ),
+        ];
+        for (case, sizes, reads) in cases {
+            let mut conn = buffered(Chunked {
+                bytes: wire.clone(),
+                at: 0,
+                sizes,
+                reads: 0,
+            });
+            for reply in &replies {
+                assert_eq!(&read_reply(&mut conn).unwrap(), reply, "{case}");
+            }
+            assert_eq!(conn.get_ref().reads, reads, "{case}");
+            let end = read_unchecked(&mut conn, None).unwrap();
+            assert!(matches!(end, Inbound::Eof), "{case}");
+        }
+    }
+
+    /// A client whose reply failed its checksum drops the connection and
+    /// the bytes buffered behind that reply, then reconnects: a well-formed
+    /// frame sent right after the bad one is never read as a reply —
+    /// neither on a pooled connection (retried once, transparently) nor
+    /// on a fresh one (the error surfaces).
+    #[test]
+    fn a_client_drops_a_failed_connection_with_its_buffered_bytes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = ServiceAddr::Tcp(listener.local_addr().unwrap().to_string());
+        let stats = |records| {
+            framed(&Response::Stats {
+                stats: ServiceStats {
+                    records,
+                    ..ServiceStats::default()
+                },
+            })
+        };
+        let bad_then_leftover = || {
+            let mut bytes = stats(0);
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0x01;
+            bytes.extend_from_slice(&stats(99));
+            bytes
+        };
+        // Per connection, the bytes sent after each request read.
+        let script = [
+            vec![stats(1), bad_then_leftover()],
+            vec![stats(2), bad_then_leftover()],
+            vec![bad_then_leftover()],
+            vec![stats(3)],
+        ];
+        let server = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for replies in script {
+                let (mut stream, _) = listener.accept().unwrap();
+                for reply in replies {
+                    read_frame(&mut stream, None).unwrap();
+                    stream.write_all(&reply).unwrap();
+                }
+                held.push(stream);
+            }
+        });
+        let mut client = ServiceClient::new(addr);
+        assert_eq!(client.stats().unwrap().records, 1);
+        // Pooled: the bad reply drops the first connection, the retry
+        // reads the second's answer.
+        assert_eq!(client.stats().unwrap().records, 2);
+        // A bad reply on the pooled connection and on the fresh one its
+        // retry opens: the caller's error, and nothing of either
+        // survives into the next request's connection.
+        let err = client.stats().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(client.conn.is_none(), "the failed connection is dropped");
+        assert_eq!(client.stats().unwrap().records, 3);
+        server.join().unwrap();
     }
 
     /// Both ends of a service TCP connection — the client's connect and
@@ -2421,6 +2763,85 @@ mod tests {
             }
             let stats = core.into_inner().unwrap().stats();
             assert_eq!((stats.warm_hits, stats.simulated), (16, 0));
+        }
+    }
+
+    /// The wire, pinned: the exact bytes of a `Found` frame and of a
+    /// two-slot `Batch` frame (the record, then an unresolved slot) for
+    /// one fixed sketch record are checked in under `tests/fixtures/`.
+    /// Regenerate only after an intended protocol change, with
+    /// `WL_UPDATE_GOLDEN=1 cargo test -p wl-harness --lib wire_frames`.
+    #[test]
+    fn wire_frames_match_golden_fixtures() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let (spec, record) = fixed_record();
+        let encoded = record.encoded().clone();
+        let found = framed(&Response::Found {
+            record: encoded.clone(),
+        });
+        let batch_frame = framed(&Response::Batch {
+            items: vec![Some(encoded), None],
+        });
+        let fixtures = [
+            ("wire-found.frame", &found),
+            ("wire-batch.frame", &batch_frame),
+        ];
+        if std::env::var("WL_UPDATE_GOLDEN").is_ok() {
+            for (name, bytes) in fixtures {
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+        }
+        for (name, bytes) in fixtures {
+            let frozen = std::fs::read(dir.join(name)).expect("checked-in wire fixture");
+            assert_eq!(&frozen, bytes, "{name} drifted from the golden fixture");
+        }
+        // The server sends the same bytes: a hit writes the record's kept
+        // frame, and a batch resolves the record beside an undecodable
+        // spec — on the first reply, which builds the frame, and on a
+        // repeat, which reuses it.
+        let mut store = SweepStore::new();
+        assert!(store.insert(record).unwrap());
+        let core = Mutex::new(Core {
+            store,
+            warm_hits: 0,
+            simulated: 0,
+            puts: 0,
+            requests: 0,
+            batches: 0,
+        });
+        let runner = SweepRunner::serial();
+        let cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), tmp_store("wire"));
+        let get = Request::Get {
+            content_hash: spec.content_hash(),
+            engine_version: ENGINE_VERSION,
+            need: Capture::Sketch,
+            algo: Maintenance::NAME.into(),
+        };
+        let batch = Request::BatchGet {
+            engine_version: ENGINE_VERSION,
+            need: Capture::Sketch,
+            algo: Maintenance::NAME.into(),
+            items: vec![
+                BatchItem {
+                    content_hash: spec.content_hash(),
+                    spec: encode_spec(&spec),
+                },
+                BatchItem {
+                    content_hash: 7,
+                    spec: vec![],
+                },
+            ],
+        };
+        for request in [&batch, &get, &get, &batch] {
+            let mut sent = Vec::new();
+            let reply = dispatch(request.clone(), &core, &runner, &cfg).unwrap();
+            reply.write_to(&mut sent).unwrap();
+            let want = if matches!(request, Request::Get { .. }) {
+                &found
+            } else {
+                &batch_frame
+            };
+            assert_eq!(&sent, want, "served {:?}", reply.body()[0]);
         }
     }
 

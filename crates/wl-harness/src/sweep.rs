@@ -422,10 +422,10 @@ impl<'a> SweepRequest<'a> {
         self
     }
 
-    /// Memoize through `cache` (and, when unsharded, the results service
-    /// named by `WL_SWEEP_SERVICE`): grid points whose spec is already
-    /// cached under algorithm `A` are served without assembling or
-    /// simulating anything.
+    /// Memoize through `cache` (and, when unsharded or sharded `0/1`, the
+    /// results service named by `WL_SWEEP_SERVICE`): grid points whose
+    /// spec is already cached under algorithm `A` are served without
+    /// assembling or simulating anything.
     ///
     /// Executions are pure functions of the spec, so a hit is exact, not
     /// approximate — lookups go through the 64-bit
@@ -471,9 +471,12 @@ impl<'a> SweepRequest<'a> {
         );
         let misses_before = self.cache.map(|c| c.misses());
         // The service tier: local cache → service → simulate, for cached
-        // unsharded requests only.
-        let service = match (self.cache, self.shard) {
-            (Some(cache), None) => ServiceSweepCache::from_env().map(|s| (s, cache)),
+        // requests over the whole grid only — unsharded, or the one shard
+        // of `0/1`, which owns every point.
+        let service = match self.cache {
+            Some(cache) if self.shard.is_none_or(|s| s == Shard::full()) => {
+                ServiceSweepCache::from_env().map(|s| (s, cache))
+            }
             _ => None,
         };
         if let Some((service, cache)) = &service {

@@ -23,7 +23,9 @@
 //!    from its in-RAM index: server stats report zero simulations;
 //! 6. a *sharded* cached sweep never consults the service, even with
 //!    `WL_SWEEP_SERVICE` naming a live server: the server sees no
-//!    request and the client simulates every point it owns.
+//!    request and the client simulates every point it owns — while the
+//!    whole-grid shard `0/1` is the unsharded sweep and resolves every
+//!    point on the server.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -416,9 +418,24 @@ fn test_sharded_sweep_never_consults_the_service() {
     );
     assert_eq!((after.simulated, after.records), (0, 0));
 
+    std::env::set_var("WL_SWEEP_SERVICE", server.addr.to_string());
+    let whole = SweepCache::new();
+    let _ = SweepRequest::new()
+        .threads(1)
+        .shard(Shard::full())
+        .cached(&whole)
+        .run::<Maintenance>(grid());
+    std::env::remove_var("WL_SWEEP_SERVICE");
+    assert_eq!(
+        (whole.hits(), whole.misses()),
+        (GRID as u64, 0),
+        "the shard 0/1 is served like an unsharded sweep"
+    );
+    assert_eq!(server.stats().simulated, GRID as u64);
+
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-    println!("ok: a sharded sweep leaves a live service untouched");
+    println!("ok: a sharded sweep leaves a live service untouched; 0/1 uses it");
 }
 
 fn test_dead_service_degrades_to_local_sweep() {
