@@ -192,13 +192,16 @@ where
         let phys_now = self.clocks[p.index()].read(ev.at);
         self.observer.on_deliver(p, &ev.input, ev.at);
 
-        let mut out = std::mem::take(&mut self.scratch);
-        out.wants_notes = self.observer.wants_notes();
-        self.procs[p.index()].on_input(ev.input, phys_now, &mut out);
-        for action in out.drain() {
-            self.apply_action(p, action);
+        // Lent in place; moved out, to free `self`, only if the step emitted.
+        self.scratch.wants_notes = self.observer.wants_notes();
+        self.procs[p.index()].on_input(ev.input, phys_now, &mut self.scratch);
+        if !self.scratch.is_empty() {
+            let mut out = std::mem::take(&mut self.scratch);
+            for action in out.drain() {
+                self.apply_action(p, action);
+            }
+            self.scratch = out;
         }
-        self.scratch = out;
         Some(self.now)
     }
 
@@ -318,7 +321,7 @@ mod tests {
     use crate::delay::{ConstantDelay, PerPairDelay, UniformDelay};
     use crate::observer::NullObserver;
     use crate::trace::TraceEvent;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use wl_clock::drift::DriftModel;
     use wl_time::{ClockDur, ClockTime, RealDur};
@@ -753,6 +756,102 @@ mod tests {
         sim.drive();
         assert_eq!(sim.events_delivered(), 6);
         assert_eq!(rendered.load(Ordering::Relaxed), 2);
+
+        // A step that emits nothing leaves the next step's note intact:
+        // some delivery is silent (the next trace event is the next
+        // delivery) and the step after it renders a note.
+        let (builder, _) = picky(true, 100);
+        let trace = builder.build().run().trace;
+        let events = trace.events();
+        let delivery = |e: &TraceEvent| matches!(e, TraceEvent::Deliver { .. });
+        let Some(i) = events.windows(3).position(|w| {
+            delivery(&w[0]) && delivery(&w[1]) && matches!(w[2], TraceEvent::Send { .. })
+        }) else {
+            panic!("no loud step follows a silent one: {events:?}");
+        };
+        let TraceEvent::Deliver { to, .. } = events[i + 1] else {
+            unreachable!()
+        };
+        assert!(events[i + 2..]
+            .iter()
+            .take_while(|e| !delivery(e))
+            .any(|e| matches!(e, TraceEvent::Note { by, .. } if *by == to)));
+        assert_eq!(notes(&trace).len(), 6);
+    }
+
+    /// Loud on START and on its own messages above 0 — broadcasts the
+    /// count down and annotates — and silent on everything else. On entry
+    /// to every step it checks the scratch it is lent.
+    #[derive(Debug)]
+    struct Picky {
+        me: ProcessId,
+        wants_notes: Arc<AtomicBool>,
+    }
+    impl Automaton for Picky {
+        type Msg = u32;
+        fn on_input(&mut self, input: Input<u32>, _now: ClockTime, out: &mut Actions<u32>) {
+            assert!(out.is_empty(), "lent {:?}", out.as_slice());
+            assert_eq!(out.wants_notes, self.wants_notes.load(Ordering::Relaxed));
+            let next = match input {
+                Input::Start => Some(2),
+                Input::Message { from, msg } if from == self.me && msg > 0 => Some(msg - 1),
+                _ => None,
+            };
+            if let Some(k) = next {
+                out.broadcast(k);
+                let me = self.me;
+                out.annotate_with(|| format!("{me} sends {k}"));
+            }
+        }
+    }
+
+    /// Two `Picky`s: 2 STARTs, then 4 deliveries each of 2, 1 and 0 — 14
+    /// steps, 6 loud and 8 silent. The flag is what the automata expect
+    /// `wants_notes` to read.
+    fn picky(wants_notes: bool, trace_capacity: usize) -> (SimBuilder<u32>, Arc<AtomicBool>) {
+        let flag = Arc::new(AtomicBool::new(wants_notes));
+        let procs: Vec<Box<dyn Automaton<Msg = u32>>> = (0..2)
+            .map(|q| {
+                Box::new(Picky {
+                    me: ProcessId(q),
+                    wants_notes: flag.clone(),
+                }) as Box<dyn Automaton<Msg = u32>>
+            })
+            .collect();
+        let builder = SimBuilder::new()
+            .clocks(DriftModel::Ideal.build(2, &[ClockTime::ZERO; 2], 0))
+            .procs(procs)
+            .delay(ConstantDelay::new(RealDur::from_millis(1.0)))
+            .starts(vec![RealTime::ZERO; 2])
+            .delay_bounds(DelayBounds::new(RealDur::from_millis(1.0), RealDur::ZERO))
+            .trace_capacity(trace_capacity);
+        (builder, flag)
+    }
+
+    #[test]
+    fn a_silent_step_lends_the_scratch_and_keeps_the_flag() {
+        let (builder, _) = picky(false, 100);
+        let mut sim = builder.build_with(HeapQueue::new(), NullObserver);
+        sim.drive();
+        assert_eq!(sim.events_delivered(), 14);
+
+        for (wants_notes, trace_capacity) in [(false, 0), (true, 100)] {
+            let (builder, _) = picky(wants_notes, trace_capacity);
+            let outcome = builder.build().run();
+            assert_eq!(outcome.stats.events_delivered, 14);
+            assert_eq!(outcome.stats.messages_sent, 12);
+        }
+
+        // The flag follows the observer mid-run: taking the trace clears it.
+        let (builder, flag) = picky(true, 100);
+        let mut sim = builder.build();
+        for _ in 0..4 {
+            sim.step();
+        }
+        sim.observer.trace.take();
+        flag.store(false, Ordering::Relaxed);
+        sim.drive();
+        assert_eq!(sim.events_delivered(), 14);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! tie-break. That order is **total** ([`QueuedEvent`]'s `Ord`), so any
 //! correct priority queue yields byte-identical executions: the queue is
 //! purely a cost choice, and the binary heap won it at every `n` measured
-//! (PERF.md, PR 2 and PR 6). The trait stays so tests can substitute a
-//! fake: `ShuffledTieQueue` in `tests/common` permutes the `seq`
-//! tie-break — the one part of the order the paper leaves open — to show
-//! the theorems survive any legal interleaving.
+//! (PERF.md, PR 2 and PR 6); [`HeapQueue`] compares it as one `u128`.
+//! The trait stays so tests can substitute a fake: `ShuffledTieQueue` in
+//! `tests/common` permutes the `seq` tie-break — the one part of the
+//! order the paper leaves open — to show the theorems survive any legal
+//! interleaving.
 
 use crate::event::{EventClass, Input, QueuedEvent};
 use crate::ProcessId;
@@ -72,10 +73,10 @@ fn message<M>(at: RealTime, seq: u64, to: ProcessId, from: ProcessId, msg: M) ->
 /// The binary-heap queue, popping in [`QueuedEvent`]'s total order.
 /// `O(log n)` push/pop, no tuning knobs.
 ///
-/// The heap holds only keys — the delivery order packed into two
-/// integers, and the index of the slot that keeps the event — so each
-/// level of a sift moves 24 bytes, and an event is read once, when it
-/// pops. Slots are recycled.
+/// The heap holds only keys — the delivery order packed into one `u128`,
+/// and the index of the slot that keeps the event — so each level of a
+/// sift makes one integer compare and moves 32 bytes, and an event is
+/// read once, when it pops. Slots are recycled.
 ///
 /// A broadcast is **one** key: its slot keeps the earliest delivery and
 /// the later recipients. Popping it rewrites the key in place to the next
@@ -88,15 +89,36 @@ pub struct HeapQueue<M> {
     len: usize,
 }
 
-/// `(at, class << 63 | seq, slot)`: `at` through
-/// [`RealTime::order_key`], so unsigned order on the first two fields is
-/// [`QueuedEvent`]'s order, then the slot holding the event.
-type Key = (u64, u64, u32);
+/// `order` is `at` through [`RealTime::order_key`], then `class << 63 |
+/// seq`, so its unsigned order is [`QueuedEvent`]'s order; `slot` holds
+/// the event and takes no part in the order.
+struct Key {
+    order: u128,
+    slot: u32,
+}
 
 fn key(at: RealTime, class: EventClass, seq: u64, slot: u32) -> Key {
     debug_assert!(seq >> 63 == 0, "seq {seq} overflows the packed key");
-    (at.order_key(), (class as u64) << 63 | seq, slot)
+    let order = u128::from(at.order_key()) << 64 | (class as u128) << 63 | u128::from(seq);
+    Key { order, slot }
 }
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.order.cmp(&other.order)
+    }
+}
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.order == other.order
+    }
+}
+impl Eq for Key {}
 
 /// A queued event, and — for a broadcast — its later recipients, latest
 /// first. A free slot keeps its vector's capacity for the next fan.
@@ -164,7 +186,7 @@ impl<M: Clone + Send> EventQueue<M> for HeapQueue<M> {
 
     fn pop_next(&mut self) -> Option<QueuedEvent<M>> {
         let mut top = self.heap.peek_mut()?;
-        let ix = top.0 .2;
+        let ix = top.0.slot;
         let slot = &mut self.slots[ix as usize];
         self.len -= 1;
         let Some((at, seq, to)) = slot.later.pop() else {
@@ -209,6 +231,7 @@ mod tests {
     use crate::ProcessId;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cmp::Ordering;
     use wl_time::RealTime;
 
     fn ev(at: f64, class: EventClass, seq: u64) -> QueuedEvent<u32> {
@@ -351,7 +374,8 @@ mod tests {
     /// The packed key orders exactly as [`QueuedEvent::cmp`]: over every
     /// pair drawn from ±0.0, negatives, subnormals, ±inf and NaN payloads
     /// of both signs, both classes and adjacent `seq`s up to the top of
-    /// the packed range — then over random bit patterns.
+    /// the packed range — then over random bit patterns. The slot never
+    /// takes part in the order.
     #[test]
     fn packed_key_orders_as_queued_event() {
         let mut times: Vec<f64> = vec![
@@ -395,10 +419,7 @@ mod tests {
             };
             ev(f64::from_bits(rng.gen()), class, rng.gen_range(0..=top))
         }));
-        let packed = |e: &QueuedEvent<u32>| {
-            let (at, order, _) = key(e.at, e.class, e.seq, 0);
-            (at, order)
-        };
+        let packed = |e: &QueuedEvent<u32>| key(e.at, e.class, e.seq, 0).order;
         for a in &events {
             for b in &events {
                 assert_eq!(
@@ -413,6 +434,16 @@ mod tests {
                     b.seq
                 );
             }
+        }
+        // The slot never takes part: one order under any two slots is
+        // equal, and a lower order wins whatever the slots.
+        for (lo, hi) in [(0, u32::MAX), (u32::MAX, 0), (7, 7)] {
+            let at = RealTime::from_secs(1.0);
+            let a = key(at, EventClass::Normal, 5, lo);
+            assert_eq!(a.cmp(&key(at, EventClass::Normal, 5, hi)), Ordering::Equal);
+            assert!(a < key(at, EventClass::Normal, 6, hi));
+            assert!(a < key(at, EventClass::Timer, 0, hi));
+            assert!(key(at, EventClass::Timer, 0, lo) > key(at, EventClass::Normal, top, hi));
         }
     }
 
