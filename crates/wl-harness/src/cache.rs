@@ -77,6 +77,7 @@
 mod canon;
 pub mod segment;
 
+pub(crate) use canon::spec_gamma;
 pub use canon::{canon_string, spec_is_adversarial, Canon};
 
 use crate::sketch::SkewSketch;
@@ -480,7 +481,7 @@ pub struct SweepStore {
     /// saves and migrations; [`SweepStore::compact`] drops them.
     retained: Vec<EncodedRecord>,
     /// Keys changed since the last write to `path` — what
-    /// [`SweepStore::checkpoint`] appends.
+    /// [`SweepStore::checkpoint`] appends; empty while there is no path.
     unsaved: BTreeSet<StoreKey>,
     /// Whether the file at `path` is a cleanly-loaded (or just-written)
     /// binary store this process may extend by appending segments.
@@ -756,11 +757,13 @@ impl SweepStore {
         }
     }
 
-    /// Holds `record` under `key`, marked unsaved so the next
-    /// [`checkpoint`](SweepStore::checkpoint) persists it.
+    /// Holds `record` under `key`; a store with a path marks it unsaved
+    /// so the next [`checkpoint`](SweepStore::checkpoint) persists it.
     fn put(&mut self, key: StoreKey, record: Arc<Record>) {
-        self.records.insert(key.clone(), record);
-        self.unsaved.insert(key);
+        if self.path.is_some() {
+            self.unsaved.insert(key.clone());
+        }
+        self.records.insert(key, record);
     }
 
     /// The live record under one key, if present — what
@@ -2398,6 +2401,58 @@ mod tests {
         assert_eq!(compacted.superseded_records(), 0);
         assert_eq!(compacted.len(), 2);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A path-less store — the merge accumulator — tracks no unsaved
+    /// record and refuses to save or checkpoint after a merge or an
+    /// absorb; a store opened from a path checkpoints exactly what it
+    /// merged or absorbed, and its appended file reopens as the records
+    /// of a full save.
+    #[test]
+    fn only_a_store_with_a_path_tracks_unsaved_records() {
+        let g = grid(4);
+        let early = SweepCache::new();
+        let _ = serial(&early).run::<Maintenance>(g[..2].to_vec());
+        let mut shard = SweepStore::new();
+        shard.absorb(&early);
+        let late = SweepCache::new();
+        let _ = serial(&late).run::<Maintenance>(g[2..].to_vec());
+        let refused =
+            |result: io::Result<()>| result.is_err_and(|e| e.kind() == io::ErrorKind::InvalidInput);
+
+        let mut pathless = SweepStore::new();
+        assert_eq!(pathless.merge_from(&shard).unwrap().added, 2);
+        assert!(pathless.unsaved.is_empty());
+        assert!(refused(pathless.checkpoint().map(drop)) && refused(pathless.save()));
+        assert_eq!(pathless.absorb(&late), 2);
+        assert!(pathless.unsaved.is_empty());
+        assert!(refused(pathless.checkpoint().map(drop)) && refused(pathless.save()));
+
+        let [path, full, again] = ["pathed", "pathed-full", "pathed-again"].map(tmp_path);
+        let _ = std::fs::remove_file(&path);
+        let mut pathed = SweepStore::open(&path).unwrap();
+        pathed.merge_from(&shard).unwrap();
+        assert_eq!(pathed.checkpoint().unwrap(), 2, "a fresh path: a full save");
+        let saved = std::fs::read(&path).unwrap();
+        assert_eq!(pathed.absorb(&late), 2);
+        assert_eq!(
+            pathed.checkpoint().unwrap(),
+            2,
+            "the absorbed two, appended"
+        );
+        assert_eq!(pathed.checkpoint().unwrap(), 0);
+        let appended = std::fs::read(&path).unwrap();
+        assert_eq!(&appended[..saved.len()], &saved[..]);
+
+        pathless.save_to(&full).unwrap();
+        SweepStore::open(&path).unwrap().save_to(&again).unwrap();
+        assert_eq!(
+            std::fs::read(&again).unwrap(),
+            std::fs::read(&full).unwrap()
+        );
+        for path in [path, full, again] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

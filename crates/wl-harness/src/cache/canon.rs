@@ -320,8 +320,8 @@ impl Cursor<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// The spec grammar. Write-only: a spec canon is compared and hashed,
-// never parsed (the wire carries specs in `service.rs`'s binary codec).
+// The spec grammar. A spec canon is compared and hashed, and read back
+// only by `spec_gamma` (the wire carries specs in `service.rs`'s codec).
 // ---------------------------------------------------------------------------
 
 impl Canon for ScenarioSpec {
@@ -354,6 +354,34 @@ impl Canon for ScenarioSpec {
 #[must_use]
 pub fn spec_is_adversarial(spec_canon: &str) -> bool {
     spec_canon.contains("adversary:+")
+}
+
+/// Theorem 16's γ for a spec canon, read in one forward pass over its
+/// leading `ScenarioSpec{params:Params{n:…,f:…,rho:…,delta:…,eps:…,beta:…`
+/// — γ's four inputs, bit-exact. The block's later fields do not enter
+/// γ and are placeholders. `None` when the canon does not begin so.
+pub(crate) fn spec_gamma(spec: &str) -> Option<f64> {
+    let mut c = Cursor { s: spec.as_bytes() };
+    c.eat("ScenarioSpec{params:Params{n:")?;
+    let n = usize::try_from(c.u64_dec()?).ok()?;
+    c.eat(",f:")?;
+    let f = usize::try_from(c.u64_dec()?).ok()?;
+    let mut float = |key: &str| c.eat(key).and_then(|()| c.f64_bits());
+    let (rho, delta) = (float(",rho:")?, float(",delta:")?);
+    let (eps, beta) = (float(",eps:")?, float(",beta:")?);
+    Some(wl_core::theory::gamma(&Params {
+        n,
+        f,
+        rho,
+        delta,
+        eps,
+        beta,
+        p_round: 0.0,
+        t0: 0.0,
+        avg: AveragingFn::Midpoint,
+        sigma: 0.0,
+        exchanges: 1,
+    }))
 }
 
 impl Canon for Params {

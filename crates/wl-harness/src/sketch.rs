@@ -371,7 +371,10 @@ pub fn store_report(store: &crate::cache::SweepStore) -> String {
     let mut total = 0usize;
     for (_hash, algo, spec_canon, outcome) in store.iter_records() {
         total += 1;
-        let fam = families.entry(algo.to_string()).or_default();
+        let fam = match families.get_mut(algo) {
+            Some(fam) => fam,
+            None => families.entry(algo.to_string()).or_default(),
+        };
         fam.points += 1;
         if fam.points == 1 {
             fam.point_max = f64::NEG_INFINITY;
@@ -379,7 +382,7 @@ pub fn store_report(store: &crate::cache::SweepStore) -> String {
         if outcome.max_skew.total_cmp(&fam.point_max).is_gt() {
             fam.point_max = outcome.max_skew;
         }
-        if let Some(g) = gamma_of_spec(spec_canon) {
+        if let Some(g) = crate::cache::spec_gamma(spec_canon) {
             fam.gamma = Some(fam.gamma.map_or(g, |cur| cur.min(g)));
         }
         if let Some(sketch) = &outcome.sketch {
@@ -433,34 +436,6 @@ pub fn store_report(store: &crate::cache::SweepStore) -> String {
         }
     }
     out
-}
-
-/// Theorem 16's γ for the `Params` block of a canonical spec string —
-/// the four fields γ reads (ρ, δ, ε, β) are recovered from their
-/// pinned `x`-hex encodings without a full spec parser; the remaining
-/// fields are immaterial to the bound and filled with placeholders.
-fn gamma_of_spec(spec_canon: &str) -> Option<f64> {
-    let params = spec_canon.split_once("Params{")?.1;
-    let field = |name: &str| -> Option<f64> {
-        let pat = format!("{name}:x");
-        let at = params.find(&pat)? + pat.len();
-        let hex = params.get(at..at + 16)?;
-        Some(f64::from_bits(u64::from_str_radix(hex, 16).ok()?))
-    };
-    let p = wl_core::Params {
-        n: 4,
-        f: 1,
-        rho: field("rho")?,
-        delta: field("delta")?,
-        eps: field("eps")?,
-        beta: field("beta")?,
-        p_round: 1.0,
-        t0: 1.0,
-        avg: wl_core::AveragingFn::Midpoint,
-        sigma: 0.0,
-        exchanges: 1,
-    };
-    Some(wl_core::theory::gamma(&p))
 }
 
 #[cfg(test)]
@@ -589,8 +564,291 @@ mod tests {
         let params = wl_core::Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
         let spec = crate::ScenarioSpec::new(params.clone());
         let canon = crate::cache::canon_string(&spec.canonical());
-        let g = gamma_of_spec(&canon).expect("Params block parses");
+        let g = crate::cache::spec_gamma(&canon).expect("Params block parses");
         assert_eq!(g.to_bits(), wl_core::theory::gamma(&params).to_bits());
-        assert_eq!(gamma_of_spec("no params here"), None);
+        assert_eq!(crate::cache::spec_gamma("no params here"), None);
+    }
+
+    /// The report as it read γ before `spec_gamma`: `store_report` and
+    /// `gamma_of_spec` verbatim, the oracle the tests below hold the
+    /// one-pass reader and the report built on it to.
+    mod oracle {
+        use crate::sketch::SkewSketch;
+
+        pub fn store_report(store: &crate::cache::SweepStore) -> String {
+            use std::collections::BTreeMap;
+            use std::fmt::Write as _;
+
+            #[derive(Default)]
+            struct Family {
+                points: usize,
+                sketched: usize,
+                derived: usize,
+                scalar_only: usize,
+                sketch: SkewSketch,
+                point_max: f64,
+                gamma: Option<f64>,
+            }
+
+            let mut families: BTreeMap<String, Family> = BTreeMap::new();
+            let mut total = 0usize;
+            for (_hash, algo, spec_canon, outcome) in store.iter_records() {
+                total += 1;
+                let fam = families.entry(algo.to_string()).or_default();
+                fam.points += 1;
+                if fam.points == 1 {
+                    fam.point_max = f64::NEG_INFINITY;
+                }
+                if outcome.max_skew.total_cmp(&fam.point_max).is_gt() {
+                    fam.point_max = outcome.max_skew;
+                }
+                if let Some(g) = gamma_of_spec(spec_canon) {
+                    fam.gamma = Some(fam.gamma.map_or(g, |cur| cur.min(g)));
+                }
+                if let Some(sketch) = &outcome.sketch {
+                    fam.sketch.merge(sketch);
+                    fam.sketched += 1;
+                } else if let Some(series) = &outcome.series {
+                    fam.sketch.merge(&SkewSketch::of_series(series));
+                    fam.derived += 1;
+                } else {
+                    fam.scalar_only += 1;
+                }
+            }
+
+            let mut out = String::new();
+            let _ = writeln!(
+                out,
+                "sweep_stats: {total} record(s), {} family(ies)",
+                families.len()
+            );
+            for (algo, fam) in &families {
+                let _ = writeln!(
+                    out,
+                    "family {algo}: {} point(s) ({} sketched, {} series-derived, {} scalar-only)",
+                    fam.points, fam.sketched, fam.derived, fam.scalar_only
+                );
+                if fam.sketch.count > 0 {
+                    let _ = writeln!(
+                        out,
+                        "  skew samples {}: mean {:e} s, p50 {:e} s, p95 {:e} s, p99 {:e} s, max {:e} s",
+                        fam.sketch.count,
+                        fam.sketch.mean(),
+                        fam.sketch.p50(),
+                        fam.sketch.p95(),
+                        fam.sketch.p99(),
+                        fam.sketch.max,
+                    );
+                }
+                let _ = writeln!(out, "  point max_skew {:e} s", fam.point_max);
+                match fam.gamma {
+                    Some(g) => {
+                        let _ = writeln!(
+                            out,
+                            "  gamma bound {:e} s, max/gamma {:.3}%",
+                            g,
+                            100.0 * fam.point_max / g
+                        );
+                    }
+                    None => {
+                        let _ =
+                            writeln!(out, "  gamma bound unavailable (no Params in spec canon)");
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn gamma_of_spec(spec_canon: &str) -> Option<f64> {
+            let params = spec_canon.split_once("Params{")?.1;
+            let field = |name: &str| -> Option<f64> {
+                let pat = format!("{name}:x");
+                let at = params.find(&pat)? + pat.len();
+                let hex = params.get(at..at + 16)?;
+                Some(f64::from_bits(u64::from_str_radix(hex, 16).ok()?))
+            };
+            let p = wl_core::Params {
+                n: 4,
+                f: 1,
+                rho: field("rho")?,
+                delta: field("delta")?,
+                eps: field("eps")?,
+                beta: field("beta")?,
+                p_round: 1.0,
+                t0: 1.0,
+                avg: wl_core::AveragingFn::Midpoint,
+                sigma: 0.0,
+                exchanges: 1,
+            };
+            Some(wl_core::theory::gamma(&p))
+        }
+    }
+
+    fn fixture(name: &str) -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name)
+    }
+
+    /// Every checked-in store fixture, opened.
+    fn fixture_stores() -> Vec<crate::cache::SweepStore> {
+        [
+            "sketch-store.wlsb",
+            "faulted-store.wlsb",
+            "adversary-store.wlsb",
+            "piecewise-store.wlsb",
+            "series-store.wlsb",
+        ]
+        .into_iter()
+        .map(|name| crate::cache::SweepStore::open(fixture(name)).expect("fixture opens"))
+        .collect()
+    }
+
+    /// A path-less store over three `Params` blocks (n, f and ε all
+    /// differ, so each block's γ differs) and three families, each
+    /// block holding a scalar-only, a sketch and a series record per
+    /// family, plus one adversarial point — 28 records.
+    fn mixed_store() -> crate::cache::SweepStore {
+        use crate::sweep::{derive_seed, SweepRequest};
+        use crate::{
+            AdversarySpec, AdversaryStrategy, Capture, LmCnv, Maintenance, ScenarioSpec,
+            SrikanthToueg, SweepCache, SyncAlgorithm,
+        };
+        use wl_time::RealTime;
+
+        fn run<A: SyncAlgorithm>(cache: &SweepCache, capture: Capture, specs: &[ScenarioSpec]) {
+            let _ = SweepRequest::new()
+                .threads(1)
+                .cached(cache)
+                .capture(capture)
+                .run::<A>(specs.to_vec());
+        }
+
+        let blocks = [
+            wl_core::Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap(),
+            wl_core::Params::auto(5, 1, 1e-6, 0.010, 0.002).unwrap(),
+            wl_core::Params::auto(7, 2, 1e-6, 0.010, 0.0005).unwrap(),
+        ];
+        let cache = SweepCache::new();
+        for (i, capture) in [Capture::Scalar, Capture::Sketch, Capture::Series]
+            .into_iter()
+            .enumerate()
+        {
+            let specs: Vec<ScenarioSpec> = blocks
+                .iter()
+                .enumerate()
+                .map(|(b, params)| {
+                    ScenarioSpec::new(params.clone())
+                        .seed(derive_seed(0xD1FF, (3 * i + b) as u64))
+                        .t_end(RealTime::from_secs(1.5))
+                })
+                .collect();
+            run::<Maintenance>(&cache, capture, &specs);
+            run::<SrikanthToueg>(&cache, capture, &specs);
+            run::<LmCnv>(&cache, capture, &specs);
+        }
+        let adversarial = ScenarioSpec::new(blocks[1].clone())
+            .seed(derive_seed(0xD1FF, 9))
+            .adversary(AdversarySpec::new(
+                vec![wl_sim::ProcessId(0)],
+                AdversaryStrategy::Mute,
+            ))
+            .t_end(RealTime::from_secs(1.5));
+        run::<Maintenance>(&cache, Capture::Sketch, &[adversarial]);
+        let mut store = crate::cache::SweepStore::new();
+        store.absorb(&cache);
+        store
+    }
+
+    #[test]
+    fn store_report_matches_the_oracle() {
+        let mixed = mixed_store();
+        assert_eq!(mixed.len(), 28);
+        assert_eq!(mixed.adversarial_len(), 1);
+        let report = store_report(&mixed);
+        for line in [
+            "sweep_stats: 28 record(s), 3 family(ies)",
+            "family LM-CNV: 9 point(s) (3 sketched, 3 series-derived, 3 scalar-only)",
+            "family Srikanth-Toueg: 9 point(s) (3 sketched, 3 series-derived, 3 scalar-only)",
+            "family Welch-Lynch: 10 point(s) (4 sketched, 3 series-derived, 3 scalar-only)",
+        ] {
+            assert!(report.contains(line), "{line}\n{report}");
+        }
+        // Each family's γ is the least of the three blocks' distinct γ
+        // (positive floats order as their bits).
+        let gammas: std::collections::BTreeSet<u64> = mixed
+            .iter_records()
+            .filter_map(|(_, _, spec, _)| crate::cache::spec_gamma(spec).map(f64::to_bits))
+            .collect();
+        assert_eq!(gammas.len(), 3);
+        let least = f64::from_bits(*gammas.first().unwrap());
+        let bound = format!("gamma bound {least:e} s,");
+        assert_eq!(report.matches(&bound).count(), 3, "{report}");
+        for store in std::iter::once(mixed).chain(fixture_stores()) {
+            assert_eq!(store_report(&store), oracle::store_report(&store));
+        }
+    }
+
+    /// Every spec canon a fixture holds: the stores' records and the
+    /// grammar golden's spec lines (saturated specs, edge floats).
+    fn fixture_spec_canons() -> Vec<String> {
+        let golden = std::fs::read_to_string(fixture("canon.golden")).expect("canon golden");
+        let stores = fixture_stores();
+        let stored = stores
+            .iter()
+            .flat_map(|store| store.iter_records().map(|(_, _, spec, _)| spec.to_owned()));
+        golden
+            .lines()
+            .filter(|line| line.starts_with("ScenarioSpec{"))
+            .map(str::to_owned)
+            .chain(stored)
+            .collect()
+    }
+
+    /// `spec_gamma` is `None` or the oracle's value, as bits.
+    fn agrees_or_refuses(canon: &str) -> bool {
+        crate::cache::spec_gamma(canon)
+            .is_none_or(|g| oracle::gamma_of_spec(canon).map(f64::to_bits) == Some(g.to_bits()))
+    }
+
+    #[test]
+    fn spec_gamma_reads_what_the_oracle_reads() {
+        let canons = fixture_spec_canons();
+        assert!(canons.len() > 60);
+        for canon in &canons {
+            let new = crate::cache::spec_gamma(canon).map(f64::to_bits);
+            assert!(new.is_some(), "{canon}");
+            assert_eq!(
+                new,
+                oracle::gamma_of_spec(canon).map(f64::to_bits),
+                "{canon}"
+            );
+        }
+        // Damage: the grammar golden's default spec, its `n = 7` spec
+        // and the last adversarial record the stores hold, each cut at
+        // every length and with every byte replaced by each of the 256
+        // values (a non-UTF-8 result is read lossily).
+        let n7 = canons
+            .iter()
+            .find(|c| c.starts_with("ScenarioSpec{params:Params{n:7,"));
+        let adversarial = canons
+            .iter()
+            .rev()
+            .find(|c| crate::cache::spec_is_adversarial(c));
+        for canon in [canons.first(), n7, adversarial].map(|c| c.expect("fixture canon")) {
+            for cut in 0..canon.len() {
+                assert!(agrees_or_refuses(&canon[..cut]), "cut at {cut}: {canon}");
+            }
+            let mut bytes = canon.clone().into_bytes();
+            for at in 0..bytes.len() {
+                let was = bytes[at];
+                for b in 0..=u8::MAX {
+                    bytes[at] = b;
+                    let damaged = String::from_utf8_lossy(&bytes);
+                    assert!(agrees_or_refuses(&damaged), "byte {at} = {b}: {damaged}");
+                }
+                bytes[at] = was;
+            }
+        }
     }
 }

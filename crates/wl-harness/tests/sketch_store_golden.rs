@@ -21,6 +21,8 @@
 //! sketch fixture never exercises, and `faulted-store.wlsb` pins the
 //! executions of fleets with faulty, rejoining and adversary members,
 //! which every other fixture's fault-free grid never builds.
+//! `sweep-stats-series.golden` pins the `store_report` text of the
+//! series fixtures.
 //!
 //! Regenerate deliberately (after an intentional format change, with
 //! the engine version bumped) via:
@@ -560,5 +562,38 @@ fn adversary_series_store_matches_golden_fixture() {
     assert_eq!(
         (loaded.len(), loaded.stale_records(), loaded.skipped_lines()),
         (20, 0, 0)
+    );
+}
+
+/// The `sweep_stats` transcript of the four series fixtures, pinned:
+/// series-derived sketches, six algorithm families, adversarial specs
+/// and piecewise drift — what the sketch fixture's 12 records under
+/// one `Params` block never reach. Each store's report follows a
+/// `== <file> ==` line, in the order below.
+#[test]
+fn series_fixture_reports_match_golden() {
+    let dir = fixture_dir();
+    let path = dir.join("sweep-stats-series.golden");
+    let mut report = String::new();
+    for name in [
+        "faulted-store.wlsb",
+        "adversary-store.wlsb",
+        "piecewise-store.wlsb",
+        "series-store.wlsb",
+    ] {
+        let store = SweepStore::open(dir.join(name)).expect("checked-in fixture");
+        report.push_str(&format!("== {name} ==\n"));
+        report.push_str(&store_report(&store));
+    }
+
+    if std::env::var("WL_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &report).unwrap();
+        eprintln!("golden report regenerated at {}", path.display());
+    }
+
+    let golden = std::fs::read_to_string(&path).expect("checked-in golden report");
+    assert_eq!(
+        report, golden,
+        "sweep_stats transcript of the series fixtures drifted from the golden report"
     );
 }
