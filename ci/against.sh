@@ -211,7 +211,8 @@ WL_SWEEP_CACHE_DIR=cache WL_SWEEP_EXPECT_MISSES=0 "${bin[change]}/paper_report" 
 same "$root/docs/paper-report.txt" change-report.txt
 
 # 4. Over the wire, each side's server under the other side's client:
-#    a cold pass the server simulates, then a fresh client served
+#    a cold pass the client simulates and puts back (a parent server may
+#    simulate it itself), then a fresh client served
 #    entirely over the wire. The server's store is the local one.
 WL_SWEEP_CACHE_DIR=local "${bin[change]}/paper_report" agreement > local.txt 2> /dev/null
 for pair in base:change change:base; do

@@ -1,5 +1,7 @@
 //! The sweep-results service CLI: run, query, and stop a
-//! `wl_harness::service` server (see `docs/service.md`).
+//! `wl_harness::service` server (see `docs/service.md`). The server
+//! stores and shares results; it never simulates. A point it lacks comes
+//! back unresolved, and the client runs it and puts it back.
 //!
 //! ```text
 //! # Serve a store on a unix socket (or --tcp 127.0.0.1:7171):
@@ -15,9 +17,9 @@
 //!
 //! `--crash-after-batches N` is the fault-injection knob the CI
 //! service-smoke uses: the server `abort()`s (a `kill -9` stand-in)
-//! right after its Nth miss-batch checkpoint, *before* responding —
-//! clients observe the death and fall back to local simulation, and a
-//! restarted server serves the checkpointed prefix.
+//! right after its Nth put-batch checkpoint, *before* responding —
+//! clients observe the death and carry on locally, and a restarted
+//! server serves the checkpointed prefix.
 
 use std::path::PathBuf;
 use wl_harness::{serve, ServeConfig, ServiceAddr, ServiceClient};
@@ -25,7 +27,7 @@ use wl_harness::{serve, ServeConfig, ServiceAddr, ServiceClient};
 fn usage() -> ! {
     eprintln!(
         "usage: sweep_serve --socket <path> | --tcp <addr> --store <file> \
-         [--threads <n>] [--crash-after-batches <n>]\n\
+         [--crash-after-batches <n>]\n\
        \x20      sweep_serve --stats <spec> | --shutdown <spec>   (spec: unix:<path> | tcp:<addr>)"
     );
     std::process::exit(2);
@@ -42,7 +44,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr: Option<ServiceAddr> = None;
     let mut store: Option<PathBuf> = None;
-    let mut threads = 0usize;
     let mut crash_after_batches = None;
     let mut stats_spec: Option<ServiceAddr> = None;
     let mut shutdown_spec: Option<ServiceAddr> = None;
@@ -54,7 +55,6 @@ fn main() {
             "--socket" => addr = Some(parse_spec(&format!("unix:{}", val()))),
             "--tcp" => addr = Some(ServiceAddr::Tcp(val())),
             "--store" => store = Some(PathBuf::from(val())),
-            "--threads" => threads = val().parse().unwrap_or_else(|_| usage()),
             "--crash-after-batches" => {
                 crash_after_batches = Some(val().parse().unwrap_or_else(|_| usage()))
             }
@@ -85,7 +85,6 @@ fn main() {
         usage();
     };
     let mut cfg = ServeConfig::new(addr, store);
-    cfg.threads = threads;
     cfg.crash_after_batches = crash_after_batches;
     let report = serve(&cfg, |resolved| {
         // The ready line doubles as the machine-readable handshake:

@@ -41,10 +41,10 @@
 //!   ([`Capture::Series`]). See `docs/sweeps.md` for
 //!   the format and the determinism contract.
 //! * [`service`] — the results-service layer: [`serve`] runs a
-//!   long-lived server that owns one hot [`SweepStore`], answers warm
-//!   lookups at memory speed, simulates misses on a resident pool, and
-//!   checkpoints every batch before answering (`kill -9`-safe, like
-//!   workers); [`ServiceSweepCache`] + the `WL_SWEEP_SERVICE` env knob
+//!   long-lived server that owns one hot [`SweepStore`], answers
+//!   lookups at memory speed, never simulates (a miss is an unresolved
+//!   slot the client simulates and puts back), and checkpoints every put
+//!   batch before answering (`kill -9`-safe, like workers); [`ServiceSweepCache`] + the `WL_SWEEP_SERVICE` env knob
 //!   make every cached sweep resolve *local store → service →
 //!   simulate* (`sweep_serve` is the CLI). See `docs/service.md`.
 //! * [`frontier`] + [`transport`] — the multi-process layer:

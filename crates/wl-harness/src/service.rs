@@ -9,21 +9,22 @@
 //! store, though. This module turns the stack outward into **one hot
 //! shared store serving many clients**:
 //!
-//! * [`serve`] — the server core. It owns a [`SweepStore`], answers warm
-//!   lookups at memory speed from the in-RAM record index, batches misses
-//!   onto a resident simulation pool (a [`SweepRunner`] — every point
-//!   goes through the same per-point body as local sweeps), and flushes every batch of new records with
-//!   [`SweepStore::checkpoint`] **before** answering. A `kill -9` at any
-//!   instant therefore leaves a loadable store — the same crash contract
-//!   the driver pins for workers — and a graceful [shutdown](Request::Shutdown)
-//!   rewrites the store canonically, so it compares byte-identical to a
-//!   1-process local-store run over the same grid.
+//! * [`serve`] — the server core. It stores; it never simulates. It owns
+//!   a [`SweepStore`], answers lookups at memory speed from the in-RAM
+//!   record index (a point the index lacks is an unresolved slot the
+//!   client simulates and puts back), and flushes every put batch of new
+//!   records with [`SweepStore::checkpoint`] **before** answering. A
+//!   `kill -9` at any instant therefore leaves a loadable store — the
+//!   same crash contract the driver pins for workers — and a graceful
+//!   [shutdown](Request::Shutdown) rewrites the store canonically, so it
+//!   compares byte-identical to a 1-process local-store run over the same
+//!   grid.
 //! * [`ServiceClient`] — the blocking wire client (TCP or unix socket).
 //! * [`ServiceSweepCache`] — the cache tier cached
 //!   [`SweepRequest`](crate::SweepRequest) runs and
 //!   [`run_worker_frontier`] consult when `WL_SWEEP_SERVICE` is set:
 //!   before a sweep it batch-resolves every point its local cache lacks,
-//!   and after the sweep it offers back (one put-batch) every point the
+//!   and after the sweep it puts back (one put-batch) every point the
 //!   service could not supply. The tier is strictly additive — losing
 //!   the server mid run degrades to local simulation, never to an error.
 //!
@@ -38,9 +39,9 @@
 //! tamper tests: flip any byte of a frame and it is rejected, never
 //! misread). Grid points inside a batch-get carry the full
 //! [`ScenarioSpec`] in a fixed binary encoding; the server recomputes the
-//! content hash from the decoded spec and refuses the point on mismatch,
-//! so a codec drift degrades to a local simulation, never a wrong
-//! result.
+//! content hash from the decoded spec and leaves the point unresolved on
+//! mismatch, so a codec drift degrades to a local simulation, never a
+//! wrong result.
 //!
 //! [`run_worker_frontier`]: crate::frontier::run_worker_frontier
 //! [`ScenarioSpec::content_hash`]: ScenarioSpec::content_hash
@@ -50,9 +51,8 @@ use crate::cache::segment::{close_frame, EncodedRecord, Take};
 use crate::cache::{
     canon_string, fnv64, fnv64_seeded, Admitted, Record, SweepStore, ENGINE_VERSION, FNV_OFFSET,
 };
-use crate::run::agreement_window;
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
-use crate::sweep::{run_point_as, Capture, SweepCache, SweepRunner};
+use crate::sweep::{Capture, SweepCache};
 use std::collections::HashSet;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -615,8 +615,10 @@ const RE_STATS: u8 = 0x85;
 const RE_ERR: u8 = 0x86;
 
 /// One grid point of a [`Request::BatchGet`]: the content hash the
-/// client derived, plus the full spec ([`encode_spec`] bytes) so the
-/// server can simulate the point on a miss.
+/// client derived, plus the full spec ([`encode_spec`] bytes). The
+/// server decodes the spec and recomputes its hash as an input check;
+/// the spec also stays on the wire because older servers simulate a
+/// miss from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchItem {
     /// The client's [`ScenarioSpec::content_hash`] for this point.
@@ -640,15 +642,15 @@ pub enum Request {
         /// The algorithm name ([`crate::SyncAlgorithm::NAME`]).
         algo: String,
     },
-    /// Resolve a batch of grid points: warm ones from the index, the
-    /// rest simulated on the server's pool, inserted, checkpointed,
-    /// and returned.
+    /// Resolve a batch of grid points from the index. A point the index
+    /// lacks is an unresolved slot, which the client simulates and
+    /// returns with a [`Request::PutBatch`].
     BatchGet {
         /// The client's [`ENGINE_VERSION`]; a mismatch refuses the batch.
         engine_version: u32,
         /// The payload richness every returned record must satisfy.
         need: Capture,
-        /// The algorithm name (must be one the server can assemble).
+        /// The algorithm name ([`crate::SyncAlgorithm::NAME`]).
         algo: String,
         /// The grid points, in client order.
         items: Vec<BatchItem>,
@@ -675,7 +677,8 @@ pub struct ServiceStats {
     pub records: u64,
     /// Grid points answered from the in-RAM index.
     pub warm_hits: u64,
-    /// Grid points simulated on the server's pool.
+    /// Always 0: the server never simulates. Kept so the stats reply's
+    /// wire layout, which older peers read, does not move.
     pub simulated: u64,
     /// Records accepted via [`Request::PutBatch`].
     pub puts: u64,
@@ -696,9 +699,9 @@ pub enum Response {
     /// Acknowledges a [`Request::PutBatch`] or [`Request::Shutdown`].
     Ok,
     /// Per-point results of a [`Request::BatchGet`], in request order.
-    /// `None` = the server could not resolve the point (undecodable
-    /// spec, hash mismatch, unknown algorithm); the client simulates it
-    /// locally.
+    /// `None` = the server could not resolve the point (not stored,
+    /// undecodable spec, hash mismatch); the client simulates it locally
+    /// and puts it back.
     Batch {
         /// One slot per requested item.
         items: Vec<Option<EncodedRecord>>,
@@ -1409,19 +1412,20 @@ pub struct ServeConfig {
     /// The served store (created if missing, hydrated if present — a
     /// restarted server resumes from whatever its checkpoints left).
     pub store: PathBuf,
-    /// Simulation pool width for miss batches; `0` = the
-    /// [`SweepRunner::new`] default (`WL_SWEEP_THREADS` / all cores).
+    /// Unused: the server runs no simulations, so it has no pool to
+    /// size. Kept only because the benchmark's service workload still
+    /// sets it.
     pub threads: usize,
     /// Fault injection: abort the process (as `kill -9` would) right
-    /// after this many miss-batch checkpoints, *before* the response is
+    /// after this many put-batch checkpoints, *before* the response is
     /// sent. `None` in production; tests and the CI kill-smoke use it to
     /// crash the server mid-load deterministically.
     pub crash_after_batches: Option<usize>,
 }
 
 impl ServeConfig {
-    /// A server on `addr` over the store at `store`, with defaults
-    /// (auto pool width, no fault injection).
+    /// A server on `addr` over the store at `store`, with no fault
+    /// injection.
     #[must_use]
     pub fn new(addr: ServiceAddr, store: impl Into<PathBuf>) -> Self {
         Self {
@@ -1446,18 +1450,35 @@ pub struct ServeReport {
 struct Core {
     store: SweepStore,
     warm_hits: u64,
-    simulated: u64,
     puts: u64,
     requests: u64,
+    /// Put batches checkpointed, for [`ServeConfig::crash_after_batches`].
     batches: usize,
 }
 
 impl Core {
+    fn new(store: SweepStore) -> Self {
+        Self {
+            store,
+            warm_hits: 0,
+            puts: 0,
+            requests: 0,
+            batches: 0,
+        }
+    }
+
+    /// The store's record for a key, if it is rich enough for `need` —
+    /// the one lookup of both get arms.
+    fn warm(&self, content_hash: u64, algo: &str, need: Capture) -> Option<&Arc<Record>> {
+        let held = self.store.record(content_hash, algo);
+        held.filter(|record| need.kind() <= record.kind())
+    }
+
     fn stats(&self) -> ServiceStats {
         ServiceStats {
             records: self.store.len() as u64,
             warm_hits: self.warm_hits,
-            simulated: self.simulated,
+            simulated: 0,
             puts: self.puts,
             requests: self.requests,
         }
@@ -1522,12 +1543,12 @@ fn wake(addr: &ServiceAddr) {
 /// `on_ready` fires once, after the listener is bound, with the resolved
 /// address — print it, or hand it to an in-process client.
 ///
-/// Per connection the server handles any number of requests; misses of a
-/// batch-get are simulated on the resident pool *outside* the store
-/// lock, so warm lookups from other clients keep flowing while a batch
-/// simulates. Every batch of fresh records is checkpointed **before**
-/// its response goes out: what a client has seen answered, a `kill -9`
-/// cannot lose.
+/// Per connection the server handles any number of requests. It stores;
+/// it never simulates: a batch-get answers from the in-RAM index, and a
+/// point the index lacks comes back unresolved for the client to
+/// simulate and put back. Every put batch of fresh records is
+/// checkpointed **before** its response goes out: what a client has
+/// seen acknowledged, a `kill -9` cannot lose.
 ///
 /// # Errors
 ///
@@ -1537,19 +1558,7 @@ pub fn serve(cfg: &ServeConfig, on_ready: impl FnOnce(&ServiceAddr)) -> io::Resu
     let store = SweepStore::open(&cfg.store)?;
     let (listener, resolved) = Listener::bind(&cfg.addr)?;
     on_ready(&resolved);
-    let core = Mutex::new(Core {
-        store,
-        warm_hits: 0,
-        simulated: 0,
-        puts: 0,
-        requests: 0,
-        batches: 0,
-    });
-    let runner = if cfg.threads == 0 {
-        SweepRunner::new()
-    } else {
-        SweepRunner::with_threads(cfg.threads)
-    };
+    let core = Mutex::new(Core::new(store));
     let shutdown = AtomicBool::new(false);
 
     std::thread::scope(|scope| -> io::Result<()> {
@@ -1568,11 +1577,10 @@ pub fn serve(cfg: &ServeConfig, on_ready: impl FnOnce(&ServiceAddr)) -> io::Resu
                 break;
             }
             let core = &core;
-            let runner = &runner;
             let shutdown = &shutdown;
             let resolved = &resolved;
             scope.spawn(move || {
-                if let Err(e) = handle(stream, core, runner, shutdown, resolved, cfg) {
+                if let Err(e) = handle(stream, core, shutdown, resolved, cfg) {
                     if !matches!(
                         e.kind(),
                         io::ErrorKind::UnexpectedEof | io::ErrorKind::BrokenPipe
@@ -1607,7 +1615,6 @@ const IDLE_POLL: Duration = Duration::from_millis(200);
 fn handle(
     stream: Stream,
     core: &Mutex<Core>,
-    runner: &SweepRunner,
     shutdown: &AtomicBool,
     addr: &ServiceAddr,
     cfg: &ServeConfig,
@@ -1633,7 +1640,7 @@ fn handle(
             continue;
         };
         let is_shutdown = matches!(request, Request::Shutdown);
-        dispatch(request, core, runner, cfg)?.write_to(conn.get_mut())?;
+        dispatch(request, core, cfg)?.write_to(conn.get_mut())?;
         if is_shutdown {
             shutdown.store(true, Ordering::SeqCst);
             wake(addr);
@@ -1688,12 +1695,7 @@ impl PartialEq<Vec<u8>> for Reply {
 /// [`Record::found_frame`], a batch is written from the records' kept
 /// bytes through the layout helper [`encode_response`] uses, and every
 /// other reply is a [`Response`] encoded by it.
-fn dispatch(
-    request: Request,
-    core: &Mutex<Core>,
-    runner: &SweepRunner,
-    cfg: &ServeConfig,
-) -> io::Result<Reply> {
+fn dispatch(request: Request, core: &Mutex<Core>, cfg: &ServeConfig) -> io::Result<Reply> {
     let mut c = lock_core(core);
     c.requests += 1;
     let response = match request {
@@ -1706,7 +1708,7 @@ fn dispatch(
             if engine_version != ENGINE_VERSION {
                 return Ok(Reply::Body(encode_response(&Response::Miss)));
             }
-            let held = warm(&c.store, content_hash, &algo, need);
+            let held = c.warm(content_hash, &algo, need).cloned();
             c.warm_hits += u64::from(held.is_some());
             // The lock covers the lookup and the pointer clone only; the
             // record's frame is built (once) and written after it is
@@ -1723,9 +1725,6 @@ fn dispatch(
             algo,
             items,
         } => {
-            // `batch_get` takes the lock per phase, never across a
-            // simulation.
-            drop(c);
             if engine_version != ENGINE_VERSION {
                 Response::Err {
                     message: format!(
@@ -1733,7 +1732,7 @@ fn dispatch(
                     ),
                 }
             } else {
-                return batch_get(&algo, need, &items, core, runner, cfg).map(Reply::Body);
+                return Ok(Reply::Body(batch_get(&mut c, &algo, need, &items)));
             }
         }
         Request::PutBatch { records } => {
@@ -1763,6 +1762,14 @@ fn dispatch(
                 if changed > 0 {
                     c.puts += changed;
                     c.store.checkpoint()?;
+                    c.batches += 1;
+                    if cfg.crash_after_batches == Some(c.batches) {
+                        // Simulated crash: no unwinding, no destructors,
+                        // no response — the closest safe stand-in for
+                        // `kill -9`. The checkpoint just appended is what
+                        // a restart serves.
+                        std::process::abort();
+                    }
                 }
                 match refused {
                     None => Response::Ok,
@@ -1778,144 +1785,33 @@ fn dispatch(
     Ok(Reply::Body(encode_response(&response)))
 }
 
-/// The store's record for a key, if it is rich enough for `need` — the
-/// warm path of both get arms, handing out the store's own pointer.
-fn warm(store: &SweepStore, content_hash: u64, algo: &str, need: Capture) -> Option<Arc<Record>> {
-    let held = store.record(content_hash, algo);
-    held.filter(|record| need.kind() <= record.kind()).cloned()
-}
-
-/// Resolves a batch-get and returns its reply body, every resolved slot
-/// written from its record's kept [`Record::encoded_bytes`].
-fn batch_get(
-    algo: &str,
-    need: Capture,
-    items: &[BatchItem],
-    core: &Mutex<Core>,
-    runner: &SweepRunner,
-    cfg: &ServeConfig,
-) -> io::Result<Vec<u8>> {
-    let mut out: Vec<Option<Arc<Record>>> = vec![None; items.len()];
-    let mut cold: Vec<(usize, ScenarioSpec)> = Vec::new();
-    {
-        let mut c = lock_core(core);
-        for (i, item) in items.iter().enumerate() {
+/// Answers a batch-get from the index and returns its reply body, every
+/// resolved slot written from its record's kept [`Record::encoded_bytes`].
+/// A miss is an unresolved slot: the client simulates the point and puts
+/// it back.
+fn batch_get(c: &mut Core, algo: &str, need: Capture, items: &[BatchItem]) -> Vec<u8> {
+    let slots: Vec<Option<&[u8]>> = items
+        .iter()
+        .map(|item| {
             // The hash recomputation is the codec's integrity check: a
             // drifting spec encoding degrades to "unresolved", and the
-            // client simulates locally — never a wrong record. So does a
-            // horizon the run body refuses: the refusal is the client's
-            // to report, not a panic on this server's pool.
-            let Some(spec) = decode_spec(&item.spec)
-                .filter(|s| s.content_hash() == item.content_hash)
-                .filter(|s| agreement_window(&s.params, s.t_end.as_secs()).is_ok())
-            else {
-                continue;
-            };
-            match warm(&c.store, item.content_hash, algo, need) {
-                Some(record) => {
-                    c.warm_hits += 1;
-                    out[i] = Some(record);
-                }
-                None => cold.push((i, spec)),
-            }
-        }
-    }
-    if !cold.is_empty() {
-        // Simulate outside the lock: warm lookups from other clients
-        // keep flowing while this batch runs on the pool.
-        if let Some(outcomes) = simulate(algo, runner, &cold, need) {
-            let mut c = lock_core(core);
-            for ((i, spec), outcome) in cold.iter().zip(outcomes) {
-                let Some(outcome) = outcome else {
-                    continue;
-                };
-                let canon = canon_string(&spec.canonical());
-                let record = Record::of_outcome(algo, spec.content_hash(), canon, &outcome);
-                match c.store.insert(Arc::clone(&record)) {
-                    Ok(true) => c.simulated += 1,
-                    // A concurrent client raced this point into the store
-                    // first; determinism guarantees the records agree,
-                    // and the stat stays "records resolved by
-                    // simulation", not "sim calls".
-                    Ok(false) => c.warm_hits += 1,
-                    Err(conflict) => {
-                        // Determinism makes this unreachable short of a
-                        // corrupted store; refuse the point, keep going.
-                        eprintln!("sweep service: refusing simulated record: {conflict}");
-                        continue;
-                    }
-                }
-                out[*i] = Some(record);
-            }
-            // Checkpoint before responding: answered means durable.
-            c.store.checkpoint()?;
-            c.batches += 1;
-            if cfg.crash_after_batches == Some(c.batches) {
-                // Simulated crash: no unwinding, no destructors, no
-                // response — the closest safe stand-in for `kill -9`.
-                // The checkpoint just appended is what a restart serves.
-                std::process::abort();
-            }
-        }
-    }
-    let slots: Vec<Option<&[u8]>> = out
-        .iter()
-        .map(|slot| slot.as_deref().map(Record::encoded_bytes))
-        .collect();
-    Ok(batch_body(&slots))
-}
-
-/// Runs a batch of grid points under the algorithm named `algo`, through
-/// the exact per-point body local sweeps use. `None` = the name is not
-/// one this server can assemble.
-///
-/// A decodable spec can still be one `assemble` refuses (a fault id
-/// ≥ n, timing that fails validation, a non-positive churn phase, an
-/// out-of-range victim); its point panics. Each point runs under
-/// `catch_unwind`, so a refused point is an unresolved slot — the
-/// client's to report — while the rest of the batch resolves and
-/// checkpoints, and the connection thread never re-raises into
-/// [`serve`]'s scope, whose shutdown save must run.
-fn simulate(
-    algo: &str,
-    runner: &SweepRunner,
-    points: &[(usize, ScenarioSpec)],
-    need: Capture,
-) -> Option<Vec<Option<crate::sweep::SweepOutcome>>> {
-    fn run<A: SyncAlgorithm>(
-        runner: &SweepRunner,
-        points: &[(usize, ScenarioSpec)],
-        need: Capture,
-    ) -> Vec<Option<crate::sweep::SweepOutcome>> {
-        runner.run(points.to_vec(), |_, (index, spec)| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_point_as::<A>(need, *index, spec, None)
-            }))
-            .ok()
+            // client simulates locally — never a wrong record.
+            decode_spec(&item.spec).filter(|s| s.content_hash() == item.content_hash)?;
+            c.warm(item.content_hash, algo, need)
+                .map(|record| record.encoded_bytes())
         })
-    }
-    if algo == crate::Maintenance::NAME {
-        Some(run::<crate::Maintenance>(runner, points, need))
-    } else if algo == crate::Startup::NAME {
-        Some(run::<crate::Startup>(runner, points, need))
-    } else if algo == crate::Rejoiner::NAME {
-        Some(run::<crate::Rejoiner>(runner, points, need))
-    } else if algo == crate::LmCnv::NAME {
-        Some(run::<crate::LmCnv>(runner, points, need))
-    } else if algo == crate::MahaneySchneider::NAME {
-        Some(run::<crate::MahaneySchneider>(runner, points, need))
-    } else if algo == crate::SrikanthToueg::NAME {
-        Some(run::<crate::SrikanthToueg>(runner, points, need))
-    } else {
-        None
-    }
+        .collect();
+    let hits = slots.iter().flatten().count();
+    let body = batch_body(&slots);
+    c.warm_hits += hits as u64;
+    body
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::segment::{TAG_ADV_SKETCH, TAG_SCALAR, TAG_SERIES, TAG_SKETCH};
-    use crate::sweep::{derive_seed, SweepOutcome, SweepSeries};
+    use crate::sweep::{derive_seed, run_point_as, SweepOutcome, SweepSeries};
     use crate::Maintenance;
     use rand::{Rng, SeedableRng};
 
@@ -2689,7 +2585,6 @@ mod tests {
             (&specs[2], &series),
             (&adversarial, &sketch),
         ];
-        let runner = SweepRunner::serial();
         let cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), tmp_store("replies"));
         let get = |spec: &ScenarioSpec| Request::Get {
             content_hash: spec.content_hash(),
@@ -2730,15 +2625,8 @@ mod tests {
             }
             let tags: Vec<u8> = held.iter().map(|r| r.tag).collect();
             assert_eq!(tags, [TAG_SCALAR, TAG_SKETCH, TAG_SERIES, TAG_ADV_SKETCH]);
-            let core = Mutex::new(Core {
-                store,
-                warm_hits: 0,
-                simulated: 0,
-                puts: 0,
-                requests: 0,
-                batches: 0,
-            });
-            let reply = |request: &Request| dispatch(request.clone(), &core, &runner, &cfg);
+            let core = Mutex::new(Core::new(store));
+            let reply = |request: &Request| dispatch(request.clone(), &core, &cfg);
             let mut slots: Vec<Option<EncodedRecord>> = held.iter().cloned().map(Some).collect();
             slots.insert(2, None);
             let want_batch = encode_response(&Response::Batch { items: slots });
@@ -2801,15 +2689,7 @@ mod tests {
         // repeat, which reuses it.
         let mut store = SweepStore::new();
         assert!(store.insert(record).unwrap());
-        let core = Mutex::new(Core {
-            store,
-            warm_hits: 0,
-            simulated: 0,
-            puts: 0,
-            requests: 0,
-            batches: 0,
-        });
-        let runner = SweepRunner::serial();
+        let core = Mutex::new(Core::new(store));
         let cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), tmp_store("wire"));
         let get = Request::Get {
             content_hash: spec.content_hash(),
@@ -2834,7 +2714,7 @@ mod tests {
         };
         for request in [&batch, &get, &get, &batch] {
             let mut sent = Vec::new();
-            let reply = dispatch(request.clone(), &core, &runner, &cfg).unwrap();
+            let reply = dispatch(request.clone(), &core, &cfg).unwrap();
             reply.write_to(&mut sent).unwrap();
             let want = if matches!(request, Request::Get { .. }) {
                 &found
@@ -2845,19 +2725,30 @@ mod tests {
         }
     }
 
-    /// End-to-end over TCP on an ephemeral port: cold batch-get
-    /// simulates on the server, warm get hits, put inserts, stats
-    /// count, shutdown saves canonically.
+    /// The records a local run of `specs` writes, in grid order — what a
+    /// client puts back for the points a server left unresolved.
+    fn simulated_records(specs: &[ScenarioSpec], need: Capture) -> Vec<EncodedRecord> {
+        specs
+            .iter()
+            .map(|spec| {
+                let canon = canon_string(&spec.canonical());
+                let outcome = run_point_as::<Maintenance>(need, 0, spec, None);
+                let record =
+                    Record::of_outcome(Maintenance::NAME, spec.content_hash(), canon, &outcome);
+                record.encoded().clone()
+            })
+            .collect()
+    }
+
+    /// End-to-end over TCP on an ephemeral port: a cold batch-get leaves
+    /// every slot unresolved and simulates nothing, a put-batch of the
+    /// client's own runs resolves them, warm get hits, stats count,
+    /// shutdown saves canonically.
     #[test]
     fn tcp_end_to_end() {
         let store_path = tmp_store("tcp-e2e");
         let _ = std::fs::remove_file(&store_path);
-        let cfg = ServeConfig {
-            addr: ServiceAddr::Tcp("127.0.0.1:0".into()),
-            store: store_path.clone(),
-            threads: 1,
-            crash_after_batches: None,
-        };
+        let cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), &store_path);
         let (tx, rx) = std::sync::mpsc::channel();
         let server =
             std::thread::spawn(move || serve(&cfg, move |addr| tx.send(addr.clone()).unwrap()));
@@ -2867,11 +2758,21 @@ mod tests {
         let specs = grid(3);
         let points: Vec<(u64, &ScenarioSpec)> =
             specs.iter().map(|s| (s.content_hash(), s)).collect();
-        // Cold: the server simulates every point.
+        // Cold: the server stores, it never simulates — every slot comes
+        // back unresolved and nothing is inserted.
+        let cold = client
+            .batch_get(Maintenance::NAME, Capture::Scalar, &points)
+            .unwrap();
+        assert_eq!(cold, vec![None; 3]);
+        assert_eq!(client.stats().unwrap().records, 0);
+        // The client runs the points and puts them back; the same
+        // batch-get now resolves every slot to the record put.
+        let records = simulated_records(&specs, Capture::Scalar);
+        client.put_batch(&records).unwrap();
         let got = client
             .batch_get(Maintenance::NAME, Capture::Scalar, &points)
             .unwrap();
-        assert!(got.iter().all(Option::is_some));
+        assert_eq!(got, records.iter().cloned().map(Some).collect::<Vec<_>>());
         for ((hash, spec), record) in points.iter().zip(&got) {
             let record = record.as_ref().unwrap();
             assert_eq!(record.content_hash, *hash);
@@ -2906,9 +2807,10 @@ mod tests {
             .batch_get("no-such-algo", Capture::Scalar, &points[..1])
             .unwrap();
         assert_eq!(unknown, vec![None]);
-        // A horizon too short for the agreement window: that slot is
-        // unresolved (the client's own run names the minimum), the point
-        // beside it resolves, and the server goes on answering below.
+        // A horizon too short for the agreement window is a point no run
+        // fills: its slot is unresolved (the client's own run names the
+        // minimum), the point beside it resolves, and the server goes on
+        // answering below.
         let short = specs[0].clone().t_end(RealTime::from_secs(0.5));
         let mixed = client
             .batch_get(
@@ -2951,9 +2853,9 @@ mod tests {
 
         let stats = client.stats().unwrap();
         assert_eq!(stats.records, 4);
-        assert_eq!(stats.simulated, 3);
+        assert_eq!(stats.simulated, 0, "the server never simulates");
         assert!(stats.warm_hits >= 2);
-        assert_eq!(stats.puts, 1);
+        assert_eq!(stats.puts, 4);
 
         client.shutdown().unwrap();
         let report = server.join().unwrap().unwrap();
@@ -2966,22 +2868,16 @@ mod tests {
         let _ = std::fs::remove_file(&store_path);
     }
 
-    /// Specs that decode, hash and pass the horizon check but that
-    /// `assemble` refuses — a fault id ≥ n, a non-positive churn phase,
-    /// an out-of-range victim — come back unresolved beside a point that
-    /// resolves, and the server still shuts down through its canonical
-    /// save: its store file is the one a local sweep of the good point
-    /// writes.
+    /// Specs that decode and hash but that `assemble` refuses — a fault
+    /// id ≥ n, a non-positive churn phase, an out-of-range victim — come
+    /// back unresolved beside a point a client put back, the server runs
+    /// none of them, and it still shuts down through its canonical save:
+    /// its store file is the one a local sweep of the good point writes.
     #[test]
     fn a_point_the_server_cannot_assemble_is_unresolved_and_shutdown_still_saves() {
         let store_path = tmp_store("refused-point");
         let _ = std::fs::remove_file(&store_path);
-        let cfg = ServeConfig {
-            addr: ServiceAddr::Tcp("127.0.0.1:0".into()),
-            store: store_path.clone(),
-            threads: 2,
-            crash_after_batches: None,
-        };
+        let cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), &store_path);
         let (tx, rx) = std::sync::mpsc::channel();
         let server =
             std::thread::spawn(move || serve(&cfg, move |addr| tx.send(addr.clone()).unwrap()));
@@ -3000,6 +2896,9 @@ mod tests {
         let mut points: Vec<(u64, &ScenarioSpec)> =
             refused.iter().map(|s| (s.content_hash(), s)).collect();
         points.push((good.content_hash(), &good));
+        // The good point, run here and put back as a client tier would.
+        let good_record = simulated_records(std::slice::from_ref(&good), Capture::Scalar);
+        client.put_batch(&good_record).unwrap();
         let got = client
             .batch_get(Maintenance::NAME, Capture::Scalar, &points)
             .unwrap();
@@ -3007,7 +2906,8 @@ mod tests {
             got.iter().map(Option::is_some).collect::<Vec<_>>(),
             [false, false, false, true]
         );
-        assert_eq!(client.stats().unwrap().simulated, 1);
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.simulated, stats.records), (0, 1));
 
         client.shutdown().unwrap();
         let report = server.join().expect("serve did not panic");
@@ -3035,12 +2935,7 @@ mod tests {
     fn tcp_put_batch() {
         let store_path = tmp_store("put-batch");
         let _ = std::fs::remove_file(&store_path);
-        let cfg = ServeConfig {
-            addr: ServiceAddr::Tcp("127.0.0.1:0".into()),
-            store: store_path.clone(),
-            threads: 1,
-            crash_after_batches: None,
-        };
+        let cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), &store_path);
         let (tx, rx) = std::sync::mpsc::channel();
         let server =
             std::thread::spawn(move || serve(&cfg, move |addr| tx.send(addr.clone()).unwrap()));
@@ -3049,20 +2944,7 @@ mod tests {
 
         // Simulate locally, then contribute the whole grid as one frame.
         let specs = grid(3);
-        let cache = SweepCache::new();
-        let runner = crate::sweep::SweepRunner::serial();
-        let _ = runner.run(specs.clone(), |i, s| {
-            run_point_as::<Maintenance>(Capture::Scalar, i, s, Some(&cache))
-        });
-        let records: Vec<EncodedRecord> = specs
-            .iter()
-            .map(|spec| {
-                let canon = canon_string(&spec.canonical());
-                let hash = spec.content_hash();
-                let record = cache.peek(hash, Maintenance::NAME, &canon, Capture::Scalar);
-                record.unwrap().encoded().clone()
-            })
-            .collect();
+        let records = simulated_records(&specs, Capture::Scalar);
         client.put_batch(&records).unwrap();
         let stats = client.stats().unwrap();
         assert_eq!(stats.puts, 3);
@@ -3084,14 +2966,7 @@ mod tests {
         assert!(client.put_batch(&[stale]).is_err());
         // A batch with a conflict mid-way keeps the good prefix: the
         // fresh record before the conflicting one lands durably.
-        let fresh = {
-            let spec = grid(5).pop().unwrap();
-            let canon = canon_string(&spec.canonical());
-            let outcome = run_point_as::<Maintenance>(Capture::Scalar, 0, &spec, None);
-            let record =
-                Record::of_outcome(Maintenance::NAME, spec.content_hash(), canon, &outcome);
-            record.encoded().clone()
-        };
+        let fresh = simulated_records(&grid(5)[4..], Capture::Scalar).remove(0);
         let mut conflicting = records[2].clone();
         conflicting.outcome_canon = conflicting.outcome_canon.replace(':', ";");
         assert!(client.put_batch(&[fresh.clone(), conflicting]).is_err());
@@ -3261,9 +3136,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The cache tier end-to-end over a unix socket: prefetch seeds the
-    /// local cache so the sweep loop sees pure hits, and a dead server
-    /// degrades to a no-op instead of failing the sweep.
+    /// The cache tier end-to-end over a unix socket: a cold prefetch
+    /// seeds nothing, the sweep runs locally and the tier puts every
+    /// point back; a later tier's prefetch then seeds the local cache so
+    /// the sweep loop sees pure hits; and a dead server degrades to a
+    /// no-op instead of failing the sweep.
     #[cfg(unix)]
     #[test]
     fn service_tier_prefetch_and_degrade() {
@@ -3271,18 +3148,33 @@ mod tests {
         let sock =
             std::env::temp_dir().join(format!("wl-service-{}-tier.sock", std::process::id()));
         let _ = std::fs::remove_file(&store_path);
-        let cfg = ServeConfig {
-            addr: ServiceAddr::Unix(sock.clone()),
-            store: store_path.clone(),
-            threads: 1,
-            crash_after_batches: None,
-        };
+        let cfg = ServeConfig::new(ServiceAddr::Unix(sock), &store_path);
         let (tx, rx) = std::sync::mpsc::channel();
         let server =
             std::thread::spawn(move || serve(&cfg, move |addr| tx.send(addr.clone()).unwrap()));
         let addr = rx.recv().expect("server ready");
 
         let specs = grid(4);
+        let runner = crate::sweep::SweepRunner::serial();
+        let sweep = |cache: &SweepCache| {
+            runner.run(specs.clone(), |i, s| {
+                run_point_as::<Maintenance>(Capture::Scalar, i, s, Some(cache))
+            })
+        };
+        // Cold: nothing to seed, so the sweep runs every point and the
+        // tier puts all of them back in one batch.
+        let cold_tier = ServiceSweepCache::new(addr.clone());
+        let cold = SweepCache::new();
+        assert_eq!(
+            cold_tier.prefetch::<Maintenance>(&specs, Capture::Scalar, &cold),
+            0
+        );
+        assert_eq!(sweep(&cold).len(), 4);
+        assert_eq!(cold.misses(), 4);
+        cold_tier.push_back::<Maintenance>(&cold);
+        assert_eq!(cold_tier.pushed(), 4);
+
+        // Warm: a fresh tier's prefetch seeds every point.
         let tier = ServiceSweepCache::new(addr.clone());
         let cache = SweepCache::new();
         assert_eq!(
@@ -3291,10 +3183,7 @@ mod tests {
         );
         assert_eq!(tier.served(), 4);
         // The sweep loop now sees pure hits — zero local simulations.
-        let runner = crate::sweep::SweepRunner::serial();
-        let out = runner.run(specs.clone(), |i, s| {
-            run_point_as::<Maintenance>(Capture::Scalar, i, s, Some(&cache))
-        });
+        let out = sweep(&cache);
         assert_eq!(out.len(), 4);
         assert_eq!(cache.misses(), 0);
         assert_eq!(cache.hits(), 4);
@@ -3306,29 +3195,29 @@ mod tests {
             tier.prefetch::<Maintenance>(&specs, Capture::Scalar, &cache),
             0
         );
-        ServiceClient::new(addr).shutdown().unwrap();
+        let mut client = ServiceClient::new(addr);
+        assert_eq!(client.stats().unwrap().simulated, 0);
+        client.shutdown().unwrap();
         server.join().unwrap().unwrap();
 
         // Dead server: the tier degrades quietly and the sweep works.
         let dead = ServiceSweepCache::new(ServiceAddr::Unix(
             std::env::temp_dir().join("wl-service-no-such.sock"),
         ));
-        let cold = SweepCache::new();
+        let local = SweepCache::new();
         assert_eq!(
-            dead.prefetch::<Maintenance>(&specs, Capture::Scalar, &cold),
+            dead.prefetch::<Maintenance>(&specs, Capture::Scalar, &local),
             0
         );
-        let out = runner.run(specs, |i, s| {
-            run_point_as::<Maintenance>(Capture::Scalar, i, s, Some(&cold))
-        });
-        assert_eq!(out.len(), 4);
-        assert_eq!(cold.misses(), 4, "degraded tier leaves the sweep local");
-        dead.push_back::<Maintenance>(&cold); // must be a no-op, not a hang
+        assert_eq!(sweep(&local).len(), 4);
+        assert_eq!(local.misses(), 4, "degraded tier leaves the sweep local");
+        dead.push_back::<Maintenance>(&local); // must be a no-op, not a hang
         let _ = std::fs::remove_file(&store_path);
     }
 
-    /// Series-requiring prefetch: the server simulates with capture and
-    /// the tier refuses to seed scalar records where series are needed.
+    /// Series-requiring prefetch: a tier puts back the series records
+    /// its sweep captured, a later tier seeds them where series are
+    /// needed, and the scalar-side view of those records hits too.
     #[cfg(unix)]
     #[test]
     fn service_tier_series_prefetch() {
@@ -3336,18 +3225,25 @@ mod tests {
         let sock =
             std::env::temp_dir().join(format!("wl-service-{}-series.sock", std::process::id()));
         let _ = std::fs::remove_file(&store_path);
-        let cfg = ServeConfig {
-            addr: ServiceAddr::Unix(sock.clone()),
-            store: store_path.clone(),
-            threads: 1,
-            crash_after_batches: None,
-        };
+        let cfg = ServeConfig::new(ServiceAddr::Unix(sock), &store_path);
         let (tx, rx) = std::sync::mpsc::channel();
         let server =
             std::thread::spawn(move || serve(&cfg, move |addr| tx.send(addr.clone()).unwrap()));
         let addr = rx.recv().expect("server ready");
 
         let specs = grid(2);
+        let cold_tier = ServiceSweepCache::new(addr.clone());
+        let captured = SweepCache::new();
+        assert_eq!(
+            cold_tier.prefetch::<Maintenance>(&specs, Capture::Series, &captured),
+            0
+        );
+        for (i, spec) in specs.iter().enumerate() {
+            let _ = run_point_as::<Maintenance>(Capture::Series, i, spec, Some(&captured));
+        }
+        cold_tier.push_back::<Maintenance>(&captured);
+        assert_eq!(cold_tier.pushed(), 2);
+
         let tier = ServiceSweepCache::new(addr.clone());
         let cache = SweepCache::new();
         assert_eq!(
@@ -3417,8 +3313,7 @@ mod tests {
     fn a_peer_quiet_mid_frame_does_not_hold_shutdown_open() {
         let store_path = tmp_store("half-frame");
         let _ = std::fs::remove_file(&store_path);
-        let mut cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), &store_path);
-        cfg.threads = 1;
+        let cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), &store_path);
         let (ready_tx, ready_rx) = std::sync::mpsc::channel();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let server = std::thread::spawn(move || {

@@ -4,15 +4,15 @@
 //!
 //! Pinned here (and mirrored by the CI `service-smoke` job):
 //!
-//! 1. a cached sweep pointed at a server via `WL_SWEEP_SERVICE` runs
-//!    with **zero local simulations** — cold (the server simulates) and
-//!    warm (the server's in-RAM index answers) — and the warm pass adds
-//!    zero server-side simulations too;
+//! 1. a cached sweep pointed at a cold server via `WL_SWEEP_SERVICE`
+//!    simulates every point locally and puts it back (the server stores;
+//!    it never simulates), and a second sweep runs with **zero local
+//!    simulations**, answered from the server's in-RAM index;
 //! 2. a server killed mid-load (hard abort right after its first
-//!    miss-batch checkpoint, before responding) leaves a store a
+//!    put-batch checkpoint, before responding) leaves a store a
 //!    restarted server loads and serves in full, the interrupted client
-//!    falls back to local simulation and still completes, and the final
-//!    server store is **byte-identical** to a 1-process local-store run;
+//!    still completes, and the final server store is
+//!    **byte-identical** to a 1-process local-store run;
 //! 3. two clients sweeping the same cold grid concurrently converge to
 //!    that same byte-identical store;
 //! 4. a client pointed at a dead address degrades to a plain local
@@ -20,20 +20,20 @@
 //! 5. a warm server under load — 8 concurrent clients, each through the
 //!    `WL_SWEEP_SERVICE` env knob with `WL_SWEEP_EXPECT_MISSES=0`
 //!    semantics held (zero local misses per client) — answers everything
-//!    from its in-RAM index: server stats report zero simulations;
+//!    from its in-RAM index and takes no puts;
 //! 6. a *sharded* cached sweep never consults the service, even with
 //!    `WL_SWEEP_SERVICE` naming a live server: the server sees no
 //!    request and the client simulates every point it owns — while the
-//!    whole-grid shard `0/1` is the unsharded sweep and resolves every
-//!    point on the server.
+//!    whole-grid shard `0/1` is the unsharded sweep and puts every point
+//!    back to the server.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 use wl_core::Params;
 use wl_harness::{
-    derive_seed, Capture, DelayKind, Maintenance, ScenarioSpec, ServiceAddr, ServiceClient,
-    ServiceStats, Shard, SweepCache, SweepOutcome, SweepRequest, SweepStore,
+    derive_seed, DelayKind, Maintenance, ScenarioSpec, ServiceAddr, ServiceClient, ServiceStats,
+    Shard, SweepCache, SweepOutcome, SweepRequest, SweepStore,
 };
 use wl_time::RealTime;
 
@@ -63,11 +63,11 @@ fn main() {
         return;
     }
 
-    test_served_sweep_runs_zero_local_simulations();
+    test_cold_sweep_puts_back_and_warm_sweep_runs_zero_local_simulations();
     test_killed_server_store_is_recoverable_and_byte_identical();
     test_concurrent_clients_converge_to_reference_bytes();
     test_dead_service_degrades_to_local_sweep();
-    test_warm_server_under_load_simulates_nothing();
+    test_warm_server_under_load_takes_no_puts();
     test_sharded_sweep_never_consults_the_service();
     println!("service_process: all 6 tests passed");
 }
@@ -92,16 +92,13 @@ fn serve_main(args: &[String]) {
             other => panic!("unknown serve flag {other}"),
         }
     }
-    let cfg = wl_harness::ServeConfig {
-        addr: ServiceAddr::parse(&format!("unix:{}", socket.expect("--socket"))).unwrap(),
-        store: PathBuf::from(store.expect("--store")),
-        threads: 1,
-        crash_after_batches,
-    };
+    let addr = ServiceAddr::parse(&format!("unix:{}", socket.expect("--socket"))).unwrap();
+    let mut cfg = wl_harness::ServeConfig::new(addr, PathBuf::from(store.expect("--store")));
+    cfg.crash_after_batches = crash_after_batches;
     let report = wl_harness::serve(&cfg, |addr| println!("ready on {addr}")).expect("serve");
     println!(
-        "served: {} records, {} warm hits, {} simulated",
-        report.stats.records, report.stats.warm_hits, report.stats.simulated
+        "served: {} records, {} warm hits, {} puts",
+        report.stats.records, report.stats.warm_hits, report.stats.puts
     );
 }
 
@@ -172,6 +169,17 @@ impl Server {
     }
 }
 
+/// A failed assertion must not leave the server running: it holds this
+/// test's stdout, and `cargo test` would wait on it forever.
+impl Drop for Server {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 /// Runs one cached sweep against `addr` (via the env knob — the exact
 /// path `paper_report` takes) and returns the outcomes plus the
 /// local cache's (hits, misses).
@@ -206,26 +214,26 @@ fn reference_bytes(dir: &Path) -> Vec<u8> {
 // The tests.
 // ---------------------------------------------------------------------------
 
-fn test_served_sweep_runs_zero_local_simulations() {
+fn test_cold_sweep_puts_back_and_warm_sweep_runs_zero_local_simulations() {
     let dir = tmp_dir("warm");
     let store = dir.join("server.wls");
     let server = Server::spawn(&dir, &store, None);
 
-    // Cold: the server simulates; the client's sweep loop sees pure
-    // hits — zero *local* simulations even on a cold store.
+    // Cold: the server stores, it never simulates — the client runs every
+    // point and puts all of them back.
     let (out, hits, misses) = served_sweep(&server.addr, grid());
     assert_eq!(out.len(), GRID);
-    assert_eq!((hits, misses), (GRID as u64, 0));
+    assert_eq!((hits, misses), (0, GRID as u64));
     let cold = server.stats();
-    assert_eq!(cold.simulated, GRID as u64);
+    assert_eq!((cold.simulated, cold.puts), (0, GRID as u64));
     assert_eq!(cold.records, GRID as u64);
 
     // Warm: same again, and the server answers from its in-RAM index —
-    // zero simulations anywhere.
+    // zero simulations anywhere, nothing put.
     let (warm_out, hits, misses) = served_sweep(&server.addr, grid());
     assert_eq!((hits, misses), (GRID as u64, 0));
     let warm = server.stats();
-    assert_eq!(warm.simulated, GRID as u64, "warm pass must not simulate");
+    assert_eq!((warm.simulated, warm.puts), (0, GRID as u64));
     assert_eq!(warm.warm_hits, cold.warm_hits + GRID as u64);
 
     // Served outcomes are exactly what local simulation produces.
@@ -243,7 +251,7 @@ fn test_served_sweep_runs_zero_local_simulations() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-    println!("ok: served sweeps execute zero local simulations, cold and warm");
+    println!("ok: a cold sweep puts back; a warm sweep executes zero local simulations");
 }
 
 fn test_killed_server_store_is_recoverable_and_byte_identical() {
@@ -252,8 +260,8 @@ fn test_killed_server_store_is_recoverable_and_byte_identical() {
     let reference = reference_bytes(&dir);
 
     // The server aborts (kill -9 stand-in) right after checkpointing
-    // its first miss batch, *before* answering — the worst moment: work
-    // done, client unanswered.
+    // the client's first put batch, *before* answering — the worst
+    // moment: records durable, client unanswered.
     let server = Server::spawn(&dir, &store, Some(1));
     let addr = server.addr.clone();
     let (out, hits, misses) = served_sweep(&addr, grid());
@@ -261,7 +269,7 @@ fn test_killed_server_store_is_recoverable_and_byte_identical() {
     assert_eq!(
         (hits, misses),
         (0, GRID as u64),
-        "interrupted prefetch must fall back to local simulation"
+        "a cold server leaves every point to the client"
     );
     server.wait_for_crash();
 
@@ -276,7 +284,7 @@ fn test_killed_server_store_is_recoverable_and_byte_identical() {
     let (_, hits, misses) = served_sweep(&server.addr, grid());
     assert_eq!((hits, misses), (GRID as u64, 0));
     let stats = server.stats();
-    assert_eq!(stats.simulated, 0, "restart serves, never re-simulates");
+    assert_eq!(stats.puts, 0, "restart serves, never needs a re-put");
     assert_eq!(stats.warm_hits, GRID as u64);
     server.shutdown();
 
@@ -297,27 +305,29 @@ fn test_concurrent_clients_converge_to_reference_bytes() {
     let reference = reference_bytes(&dir);
     let server = Server::spawn(&dir, &store, None);
 
-    // Two clients race the same cold grid. Env is process-global, so
-    // the tiers are built directly (subprocess clients — the shape the
-    // CI smoke runs — go through the env knob instead).
-    let specs = grid();
+    // Two clients race the same cold grid through the env knob, which
+    // both read while it is set.
+    std::env::set_var("WL_SWEEP_SERVICE", server.addr.to_string());
     std::thread::scope(|scope| {
         for _ in 0..2 {
-            let addr = server.addr.clone();
-            let specs = specs.clone();
-            scope.spawn(move || {
-                let tier = wl_harness::ServiceSweepCache::new(addr);
+            scope.spawn(|| {
                 let cache = SweepCache::new();
-                let served = tier.prefetch::<Maintenance>(&specs, Capture::Scalar, &cache);
-                assert_eq!(served, GRID, "every point served, none simulated here");
+                let out = SweepRequest::new()
+                    .threads(1)
+                    .cached(&cache)
+                    .run::<Maintenance>(grid());
+                assert_eq!(out.len(), GRID);
+                assert_eq!(cache.hits() + cache.misses(), GRID as u64);
             });
         }
     });
+    std::env::remove_var("WL_SWEEP_SERVICE");
     let stats = server.stats();
     assert_eq!(stats.records, GRID as u64);
     assert_eq!(
-        stats.simulated, GRID as u64,
-        "the two racing batches must not double-simulate the grid"
+        (stats.simulated, stats.puts),
+        (0, GRID as u64),
+        "the two racing put-backs must insert the grid once"
     );
     server.shutdown();
     assert_eq!(
@@ -329,17 +339,17 @@ fn test_concurrent_clients_converge_to_reference_bytes() {
     println!("ok: concurrent cold clients converge to the reference bytes");
 }
 
-fn test_warm_server_under_load_simulates_nothing() {
+fn test_warm_server_under_load_takes_no_puts() {
     let dir = tmp_dir("load");
     let store = dir.join("server.wls");
     let server = Server::spawn(&dir, &store, None);
 
-    // Warm the store once (the server simulates the cold grid), then
-    // snapshot the stats the load phase must not move.
+    // Warm the store once (the client runs the cold grid and puts it
+    // back), then snapshot the stats the load phase must not move.
     let (_, hits, misses) = served_sweep(&server.addr, grid());
-    assert_eq!((hits, misses), (GRID as u64, 0));
+    assert_eq!((hits, misses), (0, GRID as u64));
     let warm = server.stats();
-    assert_eq!(warm.simulated, GRID as u64);
+    assert_eq!((warm.simulated, warm.puts), (0, GRID as u64));
     assert_eq!(warm.records, GRID as u64);
 
     // 8 concurrent clients hammer the warm server through the same env
@@ -370,12 +380,13 @@ fn test_warm_server_under_load_simulates_nothing() {
     std::env::remove_var("WL_SWEEP_EXPECT_MISSES");
     std::env::remove_var("WL_SWEEP_SERVICE");
 
-    // The server answered all of it from its in-RAM index: not one
-    // simulation beyond the warm-up, one warm hit per point per client.
+    // The server answered all of it from its in-RAM index: not one put
+    // beyond the warm-up, one warm hit per point per client.
     let loaded = server.stats();
     assert_eq!(
-        loaded.simulated, warm.simulated,
-        "load against a warm store must add 0 simulated"
+        (loaded.simulated, loaded.puts),
+        (0, warm.puts),
+        "load against a warm store must add no puts"
     );
     assert_eq!(loaded.records, GRID as u64);
     assert_eq!(
@@ -416,22 +427,22 @@ fn test_sharded_sweep_never_consults_the_service() {
         before.requests + 1,
         "the server saw only the second Stats call"
     );
-    assert_eq!((after.simulated, after.records), (0, 0));
+    assert_eq!((after.puts, after.records), (0, 0));
 
+    // The shard 0/1 is served like an unsharded sweep: the cold pass
+    // puts the grid back, and a second pass is all hits.
     std::env::set_var("WL_SWEEP_SERVICE", server.addr.to_string());
-    let whole = SweepCache::new();
-    let _ = SweepRequest::new()
-        .threads(1)
-        .shard(Shard::full())
-        .cached(&whole)
-        .run::<Maintenance>(grid());
+    for (pass, want) in [("cold", (0, GRID as u64)), ("warm", (GRID as u64, 0))] {
+        let whole = SweepCache::new();
+        let _ = SweepRequest::new()
+            .threads(1)
+            .shard(Shard::full())
+            .cached(&whole)
+            .run::<Maintenance>(grid());
+        assert_eq!((whole.hits(), whole.misses()), want, "{pass} 0/1 pass");
+    }
     std::env::remove_var("WL_SWEEP_SERVICE");
-    assert_eq!(
-        (whole.hits(), whole.misses()),
-        (GRID as u64, 0),
-        "the shard 0/1 is served like an unsharded sweep"
-    );
-    assert_eq!(server.stats().simulated, GRID as u64);
+    assert_eq!(server.stats().puts, GRID as u64);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -243,6 +243,17 @@ impl Server {
     }
 }
 
+/// A failed assertion must not leave the server running: it holds this
+/// test's stdout, and `cargo test` would wait on it forever.
+impl Drop for Server {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 /// One frontier drive with fault `fault`. Workers see
 /// `WL_SWEEP_SERVICE` set to `service`, or `off` so an inherited one
 /// cannot turn misses into hits.

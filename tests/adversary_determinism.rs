@@ -175,9 +175,10 @@ proptest! {
 
 /// End-to-end transport determinism: the same adversarial gallery
 /// resolved (a) by local simulation and (b) through a live results
-/// service — server-side simulation, wire transfer, cache seeding —
-/// produces bit-identical outcomes and **byte-identical** saved stores,
-/// and those stores survive text → binary → text migration unchanged.
+/// service — a cold client's put-back, wire transfer, a fresh client's
+/// cache seeding — produces bit-identical outcomes and
+/// **byte-identical** saved stores, and those stores survive text →
+/// binary → text migration unchanged.
 #[test]
 fn gallery_byte_identical_through_service_transport_and_migration() {
     let params = family();
@@ -191,21 +192,37 @@ fn gallery_byte_identical_through_service_transport_and_migration() {
         .run::<Maintenance>(grid.clone());
     assert_eq!(local_cache.misses(), grid.len() as u64);
 
-    // (b) Service: every point simulated by the server's resident pool
-    // and delivered over the wire codec.
+    // (b) Service: a cold client simulates every point and puts the
+    // gallery back; the server stores it and never simulates.
     let dir = std::env::temp_dir().join(format!("wl-adv-transport-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let cfg = ServeConfig {
-        addr: ServiceAddr::Tcp("127.0.0.1:0".into()),
-        store: dir.join("service.wls"),
-        threads: 2,
-        crash_after_batches: None,
-    };
+    let cfg = ServeConfig::new(
+        ServiceAddr::Tcp("127.0.0.1:0".into()),
+        dir.join("service.wls"),
+    );
     let (tx, rx) = std::sync::mpsc::channel();
     let server = std::thread::spawn(move || {
         welch_lynch::harness::serve(&cfg, move |addr| tx.send(addr.clone()).unwrap())
     });
     let addr = rx.recv().expect("server ready");
+    let cold = ServiceSweepCache::new(addr.clone());
+    let cold_cache = SweepCache::new();
+    assert_eq!(
+        cold.prefetch::<Maintenance>(&grid, Capture::Scalar, &cold_cache),
+        0
+    );
+    let _ = SweepRequest::new()
+        .threads(1)
+        .cached(&cold_cache)
+        .run::<Maintenance>(grid.clone());
+    cold.push_back::<Maintenance>(&cold_cache);
+    assert_eq!(
+        cold.pushed(),
+        grid.len() as u64,
+        "the whole gallery put back"
+    );
+
+    // A fresh client prefetches all of it over the wire codec.
     let service = ServiceSweepCache::new(addr.clone());
     let service_cache = SweepCache::new();
     let served = service.prefetch::<Maintenance>(&grid, Capture::Scalar, &service_cache);
