@@ -3,9 +3,10 @@
 //! One invocation cuts the demonstration grid into `--chunk`-point
 //! chunks on a **work-stealing frontier**, spawns **this same binary**
 //! `--workers N` times in `--frontier-worker` mode, babysits the
-//! subprocesses (heartbeat via store/log activity, restart-on-crash with
-//! bounded retries, optional stall kill, orphan-claim requeue after
-//! `--steal-ms`), and merges the worker stores into one canonical output
+//! subprocesses (heartbeat via store/log growth, restart-on-crash with
+//! bounded retries, optional stall kill after `--stall-ms`, requeue of a
+//! claim not seen to grow for `--steal-ms`, both timed on the driver's
+//! own clock), and merges the worker stores into one canonical output
 //! store:
 //!
 //! ```text

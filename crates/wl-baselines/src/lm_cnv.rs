@@ -77,13 +77,6 @@ impl LmCnv {
         }
     }
 
-    /// Overrides the egocentric discard threshold.
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
     /// Completed rounds.
     #[must_use]
     pub fn rounds_completed(&self) -> u64 {

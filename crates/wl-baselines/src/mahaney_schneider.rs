@@ -69,13 +69,6 @@ impl MahaneySchneider {
         }
     }
 
-    /// Overrides the acceptance tolerance.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
     /// Completed rounds.
     #[must_use]
     pub fn rounds_completed(&self) -> u64 {

@@ -24,20 +24,24 @@
 //!   on `NotFound` — no directory read; chunks a requeue put back behind
 //!   the cursor are found by a scan once that forward pass is exhausted.
 //!   (Who runs which chunk, in what order, never reaches the output —
-//!   see below.) The winner touches the claim file at claim time, then
-//!   every quarter of the steal timeout while the chunk runs — the
-//!   file's mtime is the chunk's heartbeat.
+//!   see below.) While the chunk runs, the winner appends one byte to
+//!   the claim file every quarter of the steal timeout: the file's
+//!   *length* is the chunk's heartbeat.
 //! * **Complete** — the worker checkpoints its store (the chunk's
 //!   records are durable *first*), then renames the claim → `.done`.
 //!   `.done` files are only ever created, never removed, so "all chunks
 //!   done" is a stable, race-free completion test.
-//! * **Orphan requeue** — a claim whose mtime is older than the steal
-//!   timeout is renamed back to `.todo` by whoever notices (a worker out
-//!   of work, or the driver's monitor loop); a crashed worker's chunks
-//!   are simply re-claimed. A *falsely* orphaned claim (the owner was
-//!   slow, not dead) is harmless: the owner's completion rename fails
-//!   with `NotFound`, its results stay in its own store, and the
-//!   equality-confirmed merge tolerates the duplicate coverage.
+//! * **Orphan requeue** — a claim the watcher (a worker out of work, or
+//!   the driver's monitor loop) has not seen grow for the steal timeout,
+//!   on its own monotonic clock from its first sight of the claim, is
+//!   renamed back to `.todo` and re-claimed. No file time is read, so no
+//!   skew between machines' clocks can delay a steal or hasten one; the
+//!   cost is one full timeout per claim a watcher first sees (a re-drive
+//!   after the whole fleet died waits it once). A *falsely* orphaned
+//!   claim (the owner was slow, not dead) is harmless: the owner's
+//!   completion rename fails with `NotFound`, its results stay in its
+//!   own store, and the equality-confirmed merge tolerates the duplicate
+//!   coverage.
 //!
 //! Every transition is a single-source rename, so each chunk is in
 //! exactly one state; re-execution is idempotent because outcomes are
@@ -60,11 +64,12 @@ use crate::cache::{
 };
 use crate::spec::ScenarioSpec;
 use crate::sweep::{run_point_recorded, Capture, SweepRunner};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// Name of the identity file inside a frontier directory.
 const MANIFEST: &str = "frontier.manifest";
@@ -212,6 +217,32 @@ impl From<io::Error> for FrontierError {
     }
 }
 
+/// How long a watched value has gone unchanged, timed on the watcher's
+/// own monotonic clock: the one liveness rule of the distributed layer
+/// (claim lengths here, worker store and log lengths in the driver).
+#[derive(Debug)]
+pub(crate) struct Quiet<T> {
+    value: T,
+    since: Instant,
+}
+
+impl<T: PartialEq> Quiet<T> {
+    /// Starts watching `value`, first seen at `now`.
+    pub(crate) fn new(value: T, now: Instant) -> Self {
+        Self { value, since: now }
+    }
+
+    /// Records `value` as seen at `now` and returns how long it has not
+    /// changed: zero on a change.
+    pub(crate) fn observe(&mut self, value: T, now: Instant) -> Duration {
+        if value != self.value {
+            self.value = value;
+            self.since = now;
+        }
+        now.saturating_duration_since(self.since)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The frontier.
 // ---------------------------------------------------------------------------
@@ -239,6 +270,9 @@ pub struct Frontier {
     cursor: AtomicUsize,
     /// Directory reads made through this handle.
     dir_reads: AtomicUsize,
+    /// Every claim this handle saw at its last requeue pass, by file
+    /// name: its length, and for how long it has held.
+    claims: Mutex<HashMap<String, Quiet<u64>>>,
 }
 
 impl Frontier {
@@ -312,6 +346,7 @@ impl Frontier {
             spec,
             cursor: AtomicUsize::new(0),
             dir_reads: AtomicUsize::new(0),
+            claims: Mutex::default(),
         }
     }
 
@@ -437,11 +472,6 @@ impl Frontier {
         Ok(entries)
     }
 
-    #[cfg(test)]
-    fn dir_reads(&self) -> usize {
-        self.dir_reads.load(Ordering::Relaxed)
-    }
-
     /// One directory scan, bucketed by state.
     ///
     /// # Errors
@@ -508,46 +538,43 @@ impl Frontier {
     fn try_claim(&self, chunk: usize, worker: &str) -> io::Result<Option<Claim>> {
         let claim = self.claim_path(chunk, worker);
         match std::fs::rename(self.todo_path(chunk), &claim) {
-            Ok(()) => {
-                // rename(2) preserves mtime; the heartbeat starts at
-                // the moment of claiming, so stamp it.
-                let _ = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(&claim)
-                    .and_then(|mut f| f.write_all(b"+"));
-                Ok(Some(Claim {
-                    chunk,
-                    range: self.chunk_range(chunk),
-                    path: claim,
-                    done: self.done_path(chunk),
-                }))
-            }
+            Ok(()) => Ok(Some(Claim {
+                chunk,
+                range: self.chunk_range(chunk),
+                path: claim,
+                done: self.done_path(chunk),
+            })),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
     }
 
-    /// Requeues every claim whose heartbeat (file mtime) is older than
-    /// `timeout` — the crash-recovery half of work stealing. Returns how
-    /// many chunks went back to `.todo`.
+    /// Requeues every claim this handle has not seen grow for `timeout`,
+    /// timed from its first sight on this handle's own clock — the
+    /// crash-recovery half of work stealing. Returns how many chunks went
+    /// back to `.todo`.
     ///
     /// # Errors
     ///
     /// Directory read failures. A claim vanishing mid-requeue (its owner
     /// completed or another stealer got there first) is not an error.
     pub fn requeue_stale(&self, timeout: Duration) -> io::Result<usize> {
+        let now = Instant::now();
+        let mut claims = self.claims.lock().expect("claim watch poisoned");
+        let mut watched = HashMap::with_capacity(claims.len());
         let mut requeued = 0;
         for (chunk, state) in self.scan()? {
             if !state.starts_with("claim-") {
                 continue;
             }
-            let path = self.dir.join(format!("c{chunk:05}.{state}"));
-            let stale = std::fs::metadata(&path)
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
-                .is_some_and(|age| age >= timeout);
-            if !stale {
+            let name = format!("c{chunk:05}.{state}");
+            let path = self.dir.join(&name);
+            let Ok(len) = std::fs::metadata(&path).map(|m| m.len()) else {
+                continue;
+            };
+            let mut quiet = claims.remove(&name).unwrap_or(Quiet::new(len, now));
+            if quiet.observe(len, now) < timeout {
+                watched.insert(name, quiet);
                 continue;
             }
             match std::fs::rename(&path, self.todo_path(chunk)) {
@@ -556,6 +583,8 @@ impl Frontier {
                 Err(e) => return Err(e),
             }
         }
+        // Claims gone since the last pass are forgotten.
+        *claims = watched;
         Ok(requeued)
     }
 }
@@ -583,10 +612,10 @@ impl Claim {
         self.range.clone()
     }
 
-    /// Refreshes the claim's heartbeat (appends one byte, advancing the
-    /// file mtime). Returns `false` if the claim has been stolen — the
-    /// worker may finish the chunk anyway (harmless; see module docs) or
-    /// abandon it.
+    /// Refreshes the claim's heartbeat: appends one byte, so watchers
+    /// see the claim grow. Returns `false` if the claim has been stolen —
+    /// the worker may finish the chunk anyway (harmless; see module docs)
+    /// or abandon it.
     pub fn beat(&self) -> bool {
         std::fs::OpenOptions::new()
             .append(true)
@@ -633,8 +662,9 @@ pub struct FrontierWorkerConfig {
     /// On-disk store format: binary, whose checkpoints are O(chunk)
     /// appends, unless a caller asks for a text store.
     pub format: StoreFormat,
-    /// Claims older than this are considered orphaned and requeued when
-    /// this worker runs out of `.todo` chunks.
+    /// Claims that have not grown for this long, on this worker's clock,
+    /// are considered orphaned and requeued when it runs out of `.todo`
+    /// chunks.
     pub steal_timeout: Duration,
     /// How long to sleep between frontier scans while waiting for
     /// claimed-elsewhere chunks to resolve.
@@ -761,7 +791,7 @@ pub fn run_worker_frontier<A: SyncAlgorithm>(
         if let Some(service) = &service {
             service.prefetch::<A>(&grid[claim.range()], cfg.capture, &cache);
         }
-        // Stamped by the claim; `runner` may be many threads.
+        // Started at the claim; `runner` may be many threads.
         let last_beat = Mutex::new(Instant::now());
         let records = runner.run(claim.range().collect(), |_, &index| {
             let (_, record) = run_point_recorded::<A>(cfg.capture, index, &grid[index], &cache);
@@ -818,6 +848,12 @@ mod tests {
                     .t_end(RealTime::from_secs(1.5))
             })
             .collect()
+    }
+
+    impl Frontier {
+        fn dir_reads(&self) -> usize {
+            self.dir_reads.load(Ordering::Relaxed)
+        }
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -1045,6 +1081,22 @@ mod tests {
         assert!(beat_due(Duration::from_secs(3600), timeout));
         // A zero timeout (everything is stale at once) beats every point.
         assert!(beat_due(Duration::ZERO, Duration::ZERO));
+    }
+
+    #[test]
+    fn quiet_counts_silence_and_any_change_resets_it() {
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        let mut quiet = Quiet::new(7u64, t0);
+        assert_eq!(quiet.observe(7, t0), Duration::ZERO);
+        assert_eq!(quiet.observe(7, at(300)), Duration::from_millis(300));
+        assert_eq!(quiet.observe(7, at(1000)), Duration::from_millis(1000));
+        assert_eq!(quiet.observe(8, at(1200)), Duration::ZERO, "growth");
+        assert_eq!(quiet.observe(8, at(1500)), Duration::from_millis(300));
+        assert_eq!(quiet.observe(3, at(1600)), Duration::ZERO, "a shrink");
+        // An instant before the last change reads as no silence at all.
+        assert_eq!(quiet.observe(3, at(1000)), Duration::ZERO);
+        assert_eq!(quiet.observe(3, at(2600)), Duration::from_millis(1000));
     }
 
     #[test]

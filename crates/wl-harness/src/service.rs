@@ -1669,26 +1669,6 @@ impl Reply {
             Self::Body(body) => write_frame(w, body),
         }
     }
-
-    /// The frame body this reply sends.
-    #[cfg(test)]
-    fn body(&self) -> &[u8] {
-        match self {
-            Self::Found(record) => {
-                let frame = record.found_frame();
-                &frame[4..frame.len() - 8]
-            }
-            Self::Body(body) => body,
-        }
-    }
-}
-
-/// A reply equals a frame body when it sends that body.
-#[cfg(test)]
-impl PartialEq<Vec<u8>> for Reply {
-    fn eq(&self, body: &Vec<u8>) -> bool {
-        self.body() == &body[..]
-    }
 }
 
 /// Answers one request. A hit is the record's kept
@@ -1814,6 +1794,26 @@ mod tests {
     use crate::sweep::{derive_seed, run_point_as, SweepOutcome, SweepSeries};
     use crate::Maintenance;
     use rand::{Rng, SeedableRng};
+
+    impl Reply {
+        /// The frame body this reply sends.
+        fn body(&self) -> &[u8] {
+            match self {
+                Self::Found(record) => {
+                    let frame = record.found_frame();
+                    &frame[4..frame.len() - 8]
+                }
+                Self::Body(body) => body,
+            }
+        }
+    }
+
+    /// A reply equals a frame body when it sends that body.
+    impl PartialEq<Vec<u8>> for Reply {
+        fn eq(&self, body: &Vec<u8>) -> bool {
+            self.body() == &body[..]
+        }
+    }
 
     fn grid(count: usize) -> Vec<ScenarioSpec> {
         let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();

@@ -290,14 +290,6 @@ pub enum Capture {
 }
 
 impl Capture {
-    /// Whether `outcome` carries enough payload to satisfy this need
-    /// without re-simulating (a series payload satisfies a sketch need
-    /// — the sketch is a pure derivation of it).
-    #[must_use]
-    pub fn satisfied_by(self, outcome: &SweepOutcome) -> bool {
-        self.kind() <= outcome.kind()
-    }
-
     /// The payload rung a record must reach to serve this need.
     pub(crate) fn kind(self) -> PayloadKind {
         match self {

@@ -39,7 +39,7 @@
 
 use crate::algo::SyncAlgorithm;
 use crate::cache::{MergeConflict, StoreFormat, SweepStore};
-use crate::frontier::{Frontier, FrontierError, FrontierSpec};
+use crate::frontier::{Frontier, FrontierError, FrontierSpec, Quiet};
 use crate::spec::ScenarioSpec;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -71,12 +71,13 @@ pub struct FrontierDriverConfig {
     /// Monitor poll interval.
     pub poll: Duration,
     /// If set, a worker whose heartbeat (store length, log length) has
-    /// not changed for this long is `SIGKILL`ed and restarted, consuming
-    /// one restart. `None` trusts workers to either exit or make
-    /// progress.
+    /// not changed for this long, on the driver's clock, is `SIGKILL`ed
+    /// and restarted, consuming one restart. `None` trusts workers to
+    /// either exit or make progress.
     pub stall_timeout: Option<Duration>,
-    /// Frontier claims whose heartbeat is older than this are requeued
-    /// by the monitor loop, making a dead worker's chunks stealable.
+    /// Frontier claims that have not grown for this long, on the driver's
+    /// clock, are requeued by the monitor loop, making a dead worker's
+    /// chunks stealable.
     pub steal_timeout: Duration,
     /// Format of the merged output store: binary unless a caller asks
     /// for a text one (the merge auto-detects each worker store's).
@@ -315,8 +316,7 @@ struct Slot {
     child: Child,
     /// Launches so far (1 = initial).
     attempts: u32,
-    last_beat: Instant,
-    sig: BeatSig,
+    beat: Quiet<BeatSig>,
     /// Exited 0 (frontier was complete when it looked).
     done: bool,
     /// Restart budget exhausted; nobody mans this slot anymore.
@@ -383,8 +383,7 @@ pub fn drive_frontier<A: SyncAlgorithm>(
             log,
             child,
             attempts: 1,
-            last_beat: Instant::now(),
-            sig: (0, 0),
+            beat: Quiet::new((0, 0), Instant::now()),
             done: false,
             retired: false,
         });
@@ -459,16 +458,12 @@ fn monitor(
                 // Still running: refresh the heartbeat, stall-kill if
                 // asked.
                 let sig = beat_sig(&slot.store, &slot.log);
-                if sig != slot.sig {
-                    slot.sig = sig;
-                    slot.last_beat = Instant::now();
-                } else if let Some(stall) = cfg.stall_timeout {
-                    if slot.last_beat.elapsed() >= stall {
-                        let _ = slot.child.kill(); // SIGKILL on unix
-                        let _ = slot.child.wait();
-                        report.stall_kills += 1;
-                        restart(cfg, slot, transport, report)?;
-                    }
+                let quiet = slot.beat.observe(sig, Instant::now());
+                if cfg.stall_timeout.is_some_and(|stall| quiet >= stall) {
+                    let _ = slot.child.kill(); // SIGKILL on unix
+                    let _ = slot.child.wait();
+                    report.stall_kills += 1;
+                    restart(cfg, slot, transport, report)?;
                 }
             }
             any_live = any_live || slot.live();
@@ -525,8 +520,7 @@ fn restart(
     let launch = launch_for(cfg, slot.slot, attempt);
     slot.child = spawn_worker(transport.command(cfg, &launch), &slot.log)?;
     slot.attempts += 1;
-    slot.sig = beat_sig(&slot.store, &slot.log);
-    slot.last_beat = Instant::now();
+    slot.beat = Quiet::new(beat_sig(&slot.store, &slot.log), Instant::now());
     Ok(())
 }
 

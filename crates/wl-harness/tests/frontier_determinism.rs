@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 use wl_core::Params;
 use wl_harness::{
     derive_seed, DelayKind, Frontier, FrontierSpec, Maintenance, ScenarioSpec, SweepCache,
@@ -224,4 +224,43 @@ proptest! {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Claims `dir`'s only chunk for `worker` and stamps the claim file's
+/// mtime with `mtime`, as a machine whose clock reads that would.
+fn claim_stamped(dir: &std::path::Path, worker: &str, mtime: SystemTime) -> Frontier {
+    let spec = FrontierSpec::for_grid::<Maintenance>(&grid(), GRID);
+    let frontier = Frontier::init(dir, spec).unwrap();
+    let claim = frontier.claim(worker).unwrap().unwrap();
+    assert!(claim.beat());
+    let path = dir.join(format!("c00000.claim-{worker}"));
+    let file = std::fs::File::options().append(true).open(path).unwrap();
+    file.set_modified(mtime).unwrap();
+    frontier
+}
+
+/// A claim written by a machine whose clock runs an hour ahead is still
+/// stealable: silence is timed on the watcher's clock, not read off the
+/// file.
+#[test]
+fn a_claim_stamped_in_the_future_is_stolen_under_a_zero_timeout() {
+    let dir = tmp_dir("future-mtime");
+    let hour_ahead = SystemTime::now() + Duration::from_secs(3600);
+    let frontier = claim_stamped(&dir, "ahead", hour_ahead);
+    assert_eq!(frontier.requeue_stale(Duration::ZERO).unwrap(), 1);
+    assert_eq!(frontier.status().unwrap().todo, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A claim whose file time reads 1970 is not stale to a handle that has
+/// just seen it: the watcher has not waited out the timeout yet.
+#[test]
+fn an_ancient_mtime_does_not_make_a_fresh_handle_steal() {
+    let dir = tmp_dir("ancient-mtime");
+    claim_stamped(&dir, "behind", SystemTime::UNIX_EPOCH);
+    let spec = FrontierSpec::for_grid::<Maintenance>(&grid(), GRID);
+    let fresh = Frontier::open(&dir, spec).unwrap();
+    assert_eq!(fresh.requeue_stale(Duration::from_secs(3600)).unwrap(), 0);
+    assert_eq!(fresh.status().unwrap().claimed, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -199,11 +199,6 @@ impl<M> Actions<M> {
         self.items.push(Action::NoteCorrection(corr));
     }
 
-    /// Records a trace annotation.
-    pub fn annotate(&mut self, note: impl Into<String>) {
-        self.items.push(Action::Annotate(note.into()));
-    }
-
     /// Records the annotation `render` produces — rendered only if
     /// [`wants_notes`](Self::wants_notes), so an unread note costs nothing.
     pub fn annotate_with(&mut self, render: impl FnOnce() -> String) {
@@ -298,7 +293,7 @@ mod tests {
         a.send(ProcessId(2), 9);
         a.set_timer(ClockTime::from_secs(5.0));
         a.note_correction(-0.25);
-        a.annotate("note");
+        a.annotate_with(|| "note".into());
         assert_eq!(a.len(), 5);
         let v: Vec<Action<u8>> = a.drain().collect();
         assert_eq!(v[0], Action::Broadcast(1));

@@ -160,12 +160,6 @@ impl CorrectionSink {
     pub fn histories(&self) -> &[CorrectionHistory] {
         &self.hist
     }
-
-    /// Consumes the sink, returning the histories.
-    #[must_use]
-    pub fn into_histories(self) -> Vec<CorrectionHistory> {
-        self.hist
-    }
 }
 
 impl<M> Observer<M> for CorrectionSink {
