@@ -16,7 +16,10 @@
 #   6. `sweep_search --smoke` — the one run that carries an adversary
 #      block — prints the same transcript and writes the same store on
 #      both sides, and this checkout reruns it over <rev>'s store with
-#      zero simulations.
+#      zero simulations;
+#   7. this checkout's `sweep_shard`, built in the dev profile and in
+#      release with `-C target-cpu=native`, writes step 1's release
+#      stores at every capture.
 # Exits 1 naming the first file that differs.
 #
 # `ci/against.sh <rev> --pairs N [--workload W] [--seconds S] [--seed X] [--trace]`
@@ -259,5 +262,20 @@ same base-search/sweeps.wls change-search/sweeps.wls
 WL_SWEEP_CACHE_DIR=base-search WL_SWEEP_EXPECT_MISSES=0 "${bin[change]}/sweep_search" --smoke \
   > change-warm-search.txt 2> /dev/null
 same base-search.txt change-warm-search.txt
+
+# 7. Stored bytes are a function of the spec, not of the build: no
+#    overflow check, fused multiply-add or wider vector the two other
+#    builds may bring moves a byte. The native build gets its own target
+#    directory so it does not evict the release artifacts.
+(cd "$root" && cargo build --offline -q -p bench --bin sweep_shard)
+(cd "$root" && RUSTFLAGS="-C target-cpu=native" cargo build --release --offline -q \
+  --target-dir "$tmp/native-target" -p bench --bin sweep_shard)
+declare -A build=([dev]=$root/target/debug [native]=$tmp/native-target/release)
+for name in dev native; do
+  for capture in scalar sketch series; do
+    "${build[$name]}/sweep_shard" --shard 0/1 --capture "$capture" --store "$name-$capture.wls" > /dev/null
+    same "change-$capture.wls" "$name-$capture.wls"
+  done
+done
 
 echo "against $rev: $files files byte-identical"

@@ -135,12 +135,6 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Formats a ratio as a percentage with two decimals.
-#[must_use]
-pub fn fmt_pct(x: f64) -> String {
-    format!("{:.2}%", x * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +174,6 @@ mod tests {
         assert!(fmt_secs(5e-6).contains("us"));
         assert!(fmt_secs(0.005).contains("ms"));
         assert!(fmt_secs(2.5).contains('s'));
-        assert_eq!(fmt_pct(0.5), "50.00%");
     }
 
     #[test]

@@ -45,12 +45,6 @@ impl<C: Clock> LogicalClock<C> {
         &self.phys
     }
 
-    /// Consumes the wrapper, returning the underlying physical clock.
-    #[must_use]
-    pub fn into_physical(self) -> C {
-        self.phys
-    }
-
     /// Returns a new logical clock whose correction is shifted by `adj`
     /// (the paper's `CORR := CORR + ADJ`, i.e. switching from `C^i` to
     /// `C^{i+1}`).
@@ -130,7 +124,6 @@ mod tests {
         let phys = LinearClock::new(1.5, ClockTime::from_secs(2.0));
         let lc = LogicalClock::new(phys.clone(), ClockDur::ZERO);
         assert_eq!(lc.physical(), &phys);
-        assert_eq!(lc.clone().into_physical(), phys);
         assert_eq!(lc.rate_at(RealTime::ZERO), 1.5);
     }
 

@@ -99,18 +99,6 @@ impl PiecewiseLinearClock {
         &self.segments
     }
 
-    /// The extremal rates `(min, max)` over all segments.
-    #[must_use]
-    pub fn rate_range(&self) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for s in &self.segments {
-            lo = lo.min(s.rate);
-            hi = hi.max(s.rate);
-        }
-        (lo, hi)
-    }
-
     /// The segment in force at `t`: the last one starting at or before
     /// it, or the first when `t` precedes every start (its rate extends
     /// backwards). Zero-length segments share a start with the next one;
@@ -206,11 +194,6 @@ mod tests {
         let c = two_piece();
         assert_eq!(c.rate_at(RealTime::from_secs(3.0)), 2.0);
         assert_eq!(c.rate_at(RealTime::from_secs(12.0)), 0.5);
-    }
-
-    #[test]
-    fn rate_range_spans_all_segments() {
-        assert_eq!(two_piece().rate_range(), (0.5, 2.0));
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //!   process.
 //! * [`byzantine`] — protocol-aware Byzantine strategies used by the
 //!   experiments.
+//! * [`reference`](mod@reference) — §4's round in closed form, with no
+//!   queue and no automaton: the oracle the simulator is tested against.
 //!
 //! Scenario assembly (clocks + automata + delay models + fault plans into
 //! a ready-to-run [`wl_sim::Simulation`]) lives one layer up, in
@@ -52,6 +54,7 @@ pub mod byzantine;
 mod maintenance;
 mod msg;
 pub mod params;
+pub mod reference;
 mod reintegration;
 mod startup;
 pub mod theory;

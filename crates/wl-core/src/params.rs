@@ -11,7 +11,7 @@
 
 use std::fmt;
 use wl_multiset::AveragingFn;
-use wl_time::{ClockDur, ClockTime, RealDur};
+use wl_time::{ClockTime, RealDur};
 
 /// Why a parameter set is infeasible.
 #[derive(Debug, Clone, PartialEq)]
@@ -328,8 +328,7 @@ impl Params {
 
     /// The clock time consumed inside one round by the configured variant
     /// schedule (stagger tail + `k` sub-exchanges).
-    #[must_use]
-    pub fn schedule_span(&self) -> f64 {
+    fn schedule_span(&self) -> f64 {
         let stagger_tail = self.sigma * self.n.saturating_sub(1) as f64;
         self.exchanges as f64 * (self.exchange_period() + stagger_tail)
     }
@@ -384,12 +383,6 @@ impl Params {
     #[must_use]
     pub fn t0_clock(&self) -> ClockTime {
         ClockTime::from_secs(self.t0)
-    }
-
-    /// The round length as a typed clock duration.
-    #[must_use]
-    pub fn p_round_clock(&self) -> ClockDur {
-        ClockDur::from_secs(self.p_round)
     }
 }
 
@@ -653,7 +646,6 @@ mod tests {
     fn typed_accessors() {
         let p = Params::auto(4, 1, RHO, DELTA, EPS).unwrap();
         assert_eq!(p.t0_clock(), ClockTime::from_secs(p.t0));
-        assert_eq!(p.p_round_clock().as_secs(), p.p_round);
         let b = p.delay_bounds();
         assert!((b.min_delay().as_secs() - (DELTA - EPS)).abs() < 1e-15);
     }

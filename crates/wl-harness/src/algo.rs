@@ -17,7 +17,7 @@
 //! and [`SrikanthToueg`]. The sim-seed salts (`0x5EED`, `0xF00D`,
 //! `0xBA5E`) are inherited from the legacy per-crate builders so that
 //! executions are bit-for-bit identical to the pre-harness code paths —
-//! the `harness_parity` integration tests pin this.
+//! the `assembly_traces` digests, generated from those paths, pin this.
 
 use crate::spec::{FaultKind, ScenarioSpec};
 use wl_baselines::byzantine::{TimedTwoFaced, ValueTwoFaced};
@@ -167,7 +167,7 @@ fn early_below(n: usize, spec: &ScenarioSpec) -> usize {
 /// The legacy Welch–Lynch threshold: assumes the `f` designated-faulty
 /// processes occupy the low indices (`early_below = f + ⌈(n−f)/2⌉`).
 /// Kept verbatim for the maintenance pull-apart — pinned by the
-/// `harness_parity` byte-identity tests.
+/// `assembly_traces` digests.
 fn early_below_legacy_wl(n: usize, f: usize) -> usize {
     f + (n - f).div_ceil(2)
 }

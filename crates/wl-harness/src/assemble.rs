@@ -8,7 +8,8 @@
 //!
 //! The RNG draw order and sim-seed salting are those of the legacy
 //! per-crate builders, so executions are bit-for-bit identical to them
-//! (pinned by the `harness_parity` integration tests).
+//! (pinned by the `assembly_traces` digests, generated from their
+//! executions).
 
 use crate::algo::{AssemblyCtx, FleetRole, StartDiscipline, SyncAlgorithm};
 use crate::spec::{DelayKind, ScenarioSpec};

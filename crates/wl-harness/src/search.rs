@@ -191,8 +191,7 @@ pub fn gallery_pairs(base: &ScenarioSpec) -> Vec<(String, FaultKind, AdversarySt
 
 /// The static gallery scenarios for a family: each legacy kind applied
 /// to the first `f` processes of `base`.
-#[must_use]
-pub fn static_gallery(base: &ScenarioSpec) -> Vec<(String, ScenarioSpec)> {
+fn static_gallery(base: &ScenarioSpec) -> Vec<(String, ScenarioSpec)> {
     gallery_pairs(base)
         .into_iter()
         .map(|(label, kind, _)| {

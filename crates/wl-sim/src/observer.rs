@@ -273,7 +273,7 @@ impl<M: std::fmt::Debug> Observer<M> for TraceSink {
 /// This is what [`crate::SimBuilder::build`] installs and what
 /// [`crate::Simulation::run`] drains into a [`crate::SimOutcome`]; its
 /// observable behaviour is byte-identical to the pre-observer executor
-/// (pinned by `harness_parity`).
+/// (pinned by `wl-harness`'s `assembly_traces` digests).
 #[derive(Debug)]
 pub struct StdObservers {
     /// Execution counters.

@@ -164,12 +164,6 @@ macro_rules! duration {
                 Self(ms * 1e-3)
             }
 
-            /// Creates a duration from a number of microseconds.
-            #[must_use]
-            pub fn from_micros(us: f64) -> Self {
-                Self(us * 1e-6)
-            }
-
             /// Returns the value in seconds.
             #[must_use]
             pub fn as_secs(self) -> f64 {
@@ -399,7 +393,6 @@ mod tests {
     #[test]
     fn duration_unit_constructors() {
         assert_eq!(RealDur::from_millis(1500.0), RealDur::from_secs(1.5));
-        assert_eq!(RealDur::from_micros(250.0), RealDur::from_secs(0.00025));
         assert!((ClockDur::from_millis(3.0).as_millis() - 3.0).abs() < 1e-12);
     }
 
