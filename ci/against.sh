@@ -13,11 +13,7 @@
 #   4. a <rev> server answers this checkout's client, and the reverse;
 #   5. a drive directory <rev> half-drained, one slot's store holding
 #      chunks no later slot owns, is finished by this checkout;
-#   6. `sweep_search --smoke` — the one run that carries an adversary
-#      block — prints the same transcript and writes the same store on
-#      both sides, and this checkout reruns it over <rev>'s store with
-#      zero simulations;
-#   7. this checkout's `sweep_shard`, built in the dev profile and in
+#   6. this checkout's `sweep_shard`, built in the dev profile and in
 #      release with `-C target-cpu=native`, writes step 1's release
 #      stores at every capture.
 # Exits 1 naming the first file that differs.
@@ -158,7 +154,7 @@ fi
 
 build() { # <checkout> <target dir>
   (cd "$1" && cargo build --release --offline -q --target-dir "$2" -p bench \
-    --bin sweep_shard --bin sweep_drive --bin sweep_serve --bin paper_report --bin sweep_search)
+    --bin sweep_shard --bin sweep_drive --bin sweep_serve --bin paper_report)
 }
 build "$tmp/base" "$tmp/base-target"
 build "$root" "$root/target"
@@ -252,18 +248,7 @@ rc=0
 export_both change $d
 for format in binary text; do same "change-scalar-$format.wls" "change-$d-$format.wls"; done
 
-# 6. Adversarial executions: each side's smoke-sized worst-case search,
-#    then the change's rerun over the base's cache, warm.
-for side in base change; do
-  WL_SWEEP_CACHE_DIR=$side-search "${bin[$side]}/sweep_search" --smoke > "$side-search.txt" 2> /dev/null
-done
-same base-search.txt change-search.txt
-same base-search/sweeps.wls change-search/sweeps.wls
-WL_SWEEP_CACHE_DIR=base-search WL_SWEEP_EXPECT_MISSES=0 "${bin[change]}/sweep_search" --smoke \
-  > change-warm-search.txt 2> /dev/null
-same base-search.txt change-warm-search.txt
-
-# 7. Stored bytes are a function of the spec, not of the build: no
+# 6. Stored bytes are a function of the spec, not of the build: no
 #    overflow check, fused multiply-add or wider vector the two other
 #    builds may bring moves a byte. The native build gets its own target
 #    directory so it does not evict the release artifacts.

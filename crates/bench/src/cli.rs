@@ -172,13 +172,13 @@ mod tests {
         assert!(rest.is_empty());
     }
 
-    /// The seven call sites' flag sets: a shared flag is parsed where
+    /// The six call sites' flag sets: a shared flag is parsed where
     /// the mode honours it, handed back (to reach `usage()`) where it
     /// does not, and advertised exactly where it is parsed. `--format`
     /// is `--migrate`'s alone.
     #[test]
     fn each_mode_takes_and_advertises_only_what_it_honours() {
-        let modes: [(&str, &[&str]); 7] = [
+        let modes: [(&str, &[&str]); 6] = [
             (
                 "sweep_drive --workers",
                 &["--compact", "--chunk", "--capture"],
@@ -188,7 +188,6 @@ mod tests {
             ("sweep_shard --merge", &[]),
             ("sweep_shard --migrate", &["--format", "--compact"]),
             ("sweep_serve", &[]),
-            ("sweep_search", &[]),
         ];
         type Parsed = fn(&CommonArgs) -> bool;
         let given: [(&str, &str, Parsed); 4] = [

@@ -81,6 +81,29 @@ impl PullApart {
             }
         }
     }
+
+    /// Sends the early half. The late half follows in the same step when
+    /// its instant is not after the early one's (amplitude 0, or a start
+    /// past it): a timer for an instant already reached is suppressed
+    /// (§2.2), and the attacker would fall silent.
+    fn send_early(&mut self, phys_now: ClockTime, out: &mut Actions<WlMsg>) {
+        self.send_to_half(true, out);
+        let late_at = self.t_round + self.amplitude;
+        if late_at <= phys_now.as_secs().max(self.t_round - self.amplitude) {
+            self.send_late(out);
+        } else {
+            self.phase = PullPhase::Late;
+            out.set_timer(ClockTime::from_secs(late_at));
+        }
+    }
+
+    /// Sends the late half and schedules the next round's early send.
+    fn send_late(&mut self, out: &mut Actions<WlMsg>) {
+        self.send_to_half(false, out);
+        self.t_round += self.params.p_round;
+        self.phase = PullPhase::Early;
+        out.set_timer(ClockTime::from_secs(self.t_round - self.amplitude));
+    }
 }
 
 impl Automaton for PullApart {
@@ -91,29 +114,21 @@ impl Automaton for PullApart {
             Input::Start => {
                 // Begin the attack at its nominal first round; its physical
                 // clock starts near everyone else's (a faulty process still
-                // has a rho-bounded clock, A1).
-                self.phase = PullPhase::Early;
+                // has a rho-bounded clock, A1). A START at the early
+                // instant may read its clock back an ulp short of it, and
+                // a timer for it would be suppressed (§2.2): the slack is
+                // `Maintenance`'s.
                 let early_at = self.t_round - self.amplitude;
-                if phys_now.as_secs() >= early_at {
-                    self.send_to_half(true, out);
-                    self.phase = PullPhase::Late;
-                    out.set_timer(ClockTime::from_secs(self.t_round + self.amplitude));
+                if early_at <= phys_now.as_secs() + 1e-12 {
+                    self.send_early(phys_now, out);
                 } else {
+                    self.phase = PullPhase::Early;
                     out.set_timer(ClockTime::from_secs(early_at));
                 }
             }
             Input::Timer => match self.phase {
-                PullPhase::Early => {
-                    self.send_to_half(true, out);
-                    self.phase = PullPhase::Late;
-                    out.set_timer(ClockTime::from_secs(self.t_round + self.amplitude));
-                }
-                PullPhase::Late => {
-                    self.send_to_half(false, out);
-                    self.t_round += self.params.p_round;
-                    self.phase = PullPhase::Early;
-                    out.set_timer(ClockTime::from_secs(self.t_round - self.amplitude));
-                }
+                PullPhase::Early => self.send_early(phys_now, out),
+                PullPhase::Late => self.send_late(out),
             },
             Input::Message { .. } => {}
         }

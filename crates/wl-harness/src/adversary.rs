@@ -26,8 +26,7 @@
 //! *environment's* prerogative under A3, so those members stay
 //! designated-correct), and [`AdversarySpec`] rides
 //! [`crate::ScenarioSpec`] through the cache, segment store, service
-//! wire codec, and frontier driver unchanged. The search subsystem on
-//! top is [`crate::search`].
+//! wire codec, and frontier driver unchanged.
 
 use crate::algo::{AssemblyCtx, FleetRole, SyncAlgorithm};
 use crate::spec::{AdversarySpec, AdversaryStrategy, FaultKind, ScenarioSpec};
@@ -149,6 +148,8 @@ pub fn canonical_member<A: SyncAlgorithm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_point_as, Capture};
+    use crate::Maintenance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wl_core::Params;
@@ -205,5 +206,55 @@ mod tests {
             AdversaryStrategy::Mute,
         ));
         assert!(d.iter().flatten().all(|&x| x == b.delta), "{d:?}");
+    }
+
+    /// Each legacy-equivalent strategy runs the very execution of its
+    /// static [`FaultKind`]: [`canonical_member`] builds the gallery's own
+    /// automata for it.
+    #[test]
+    fn gallery_equivalents_reproduce_static_outcomes() {
+        let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
+        let (amp, mid) = (params.beta, 3.0);
+        let base = ScenarioSpec::new(params)
+            .seed(11)
+            .t_end(RealTime::from_secs(6.0));
+        let pairs = [
+            (
+                FaultKind::CrashAt(mid),
+                AdversaryStrategy::Crash { at: mid },
+            ),
+            (FaultKind::Silent, AdversaryStrategy::Mute),
+            (FaultKind::RoundSpam, AdversaryStrategy::Spam),
+            (
+                FaultKind::PullApart(amp),
+                AdversaryStrategy::PullApart {
+                    amplitude: amp,
+                    high: false,
+                },
+            ),
+            (
+                FaultKind::PullApartHigh(amp),
+                AdversaryStrategy::PullApart {
+                    amplitude: amp,
+                    high: true,
+                },
+            ),
+            (
+                FaultKind::TwoFaced(amp),
+                AdversaryStrategy::TwoFacedValue { amplitude: amp },
+            ),
+        ];
+        for (kind, strategy) in pairs {
+            let static_spec = base.clone().fault(ProcessId(0), kind);
+            let adv_spec = base
+                .clone()
+                .adversary(AdversarySpec::new(vec![ProcessId(0)], strategy));
+            let s = run_point_as::<Maintenance>(Capture::Scalar, 0, &static_spec, None);
+            let a = run_point_as::<Maintenance>(Capture::Scalar, 0, &adv_spec, None);
+            assert!(
+                s.bit_identical(&a),
+                "{kind:?}: the adversarial equivalent diverged from the static gallery"
+            );
+        }
     }
 }

@@ -242,7 +242,7 @@ impl SyncAlgorithm for Maintenance {
             // members sit — every member pulls the same honest halves in
             // the same directions, so the per-member pulls add. (The
             // legacy threshold assumes attackers occupy the low indices;
-            // search moves them around.)
+            // a spec may name any members.)
             let n = spec.params.n;
             let honest: Vec<usize> = (0..n).filter(|&q| !adv.controls(ProcessId(q))).collect();
             let below = honest.len() / 2;

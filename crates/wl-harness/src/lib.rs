@@ -99,7 +99,6 @@ pub mod assemble;
 pub mod cache;
 pub mod frontier;
 pub mod run;
-pub mod search;
 pub mod service;
 pub mod sketch;
 pub mod spec;
@@ -119,7 +118,6 @@ pub use frontier::{
 // The repo benchmark's spellings (see `run`).
 pub use algo::SyncAlgorithm as SweepAlgorithm;
 pub use run::{assemble_enum, assemble_mono, assemble_mono_null};
-pub use search::{search_worst_case, SearchConfig, SearchReport};
 pub use service::{
     serve, service_from_env, ServeConfig, ServeReport, ServiceAddr, ServiceClient, ServiceStats,
     ServiceSweepCache,

@@ -162,8 +162,8 @@ pub struct AdversarySpec {
     pub members: Vec<ProcessId>,
     /// The strategy all members execute.
     pub strategy: AdversaryStrategy,
-    /// The adversary's private seed (independent of the spec seed, so
-    /// search can vary the adversary without disturbing the environment).
+    /// The adversary's private seed (independent of the spec seed, so a
+    /// randomized strategy can vary without disturbing the environment).
     pub seed: u64,
 }
 

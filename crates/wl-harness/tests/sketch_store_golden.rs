@@ -42,7 +42,7 @@ use wl_harness::cache::segment::{
 use wl_harness::{
     derive_seed, store_report, AdversarySpec, AdversaryStrategy, Capture, DelayKind, FaultKind,
     LmCnv, MahaneySchneider, Maintenance, Rejoiner, ScenarioSpec, SrikanthToueg, Startup,
-    StoreFormat, SweepCache, SweepRequest, SweepStore, SyncAlgorithm, ENGINE_VERSION,
+    StoreFormat, SweepCache, SweepOutcome, SweepRequest, SweepStore, SyncAlgorithm, ENGINE_VERSION,
 };
 use wl_sim::ProcessId;
 use wl_time::RealTime;
@@ -373,12 +373,15 @@ fn piecewise_series_store_matches_golden_fixture() {
 }
 
 /// Series-captures `specs` under `A` into `cache`, serially.
-fn capture_into<A: SyncAlgorithm>(cache: &SweepCache, specs: Vec<ScenarioSpec>) {
-    let _ = SweepRequest::new()
+fn capture_into<A: SyncAlgorithm>(
+    cache: &SweepCache,
+    specs: Vec<ScenarioSpec>,
+) -> Vec<SweepOutcome> {
+    SweepRequest::new()
         .threads(1)
         .cached(cache)
         .capture(Capture::Series)
-        .run::<A>(specs);
+        .run::<A>(specs)
 }
 
 /// One series-capture point per kind of mixed fleet: Maintenance under
@@ -488,11 +491,12 @@ fn strategy_gallery(params: &Params) -> Vec<AdversaryStrategy> {
     ]
 }
 
-/// One series-capture point per adversary realization: Maintenance
-/// under the whole strategy gallery with member 0, then Srikanth–Toueg
-/// (member 0) and LM-CNV (member 1) each under Mute, TwoFacedValue,
-/// Churn, TargetedDelay and Partition — 20 records.
-fn adversary_store() -> SweepStore {
+/// One series-capture point per adversary realization, captured
+/// through `cache`: Maintenance under the whole strategy gallery with
+/// member 0, then Srikanth–Toueg (member 0) and LM-CNV (member 1) each
+/// under Mute, TwoFacedValue, Churn, TargetedDelay and Partition — 20
+/// outcomes, in those three grids.
+fn adversary_grids(cache: &SweepCache) -> [Vec<SweepOutcome>; 3] {
     let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
     let point = |i: u64, member: usize, strategy: AdversaryStrategy| {
         ScenarioSpec::new(params.clone())
@@ -519,22 +523,28 @@ fn adversary_store() -> SweepStore {
             .enumerate()
     };
 
-    let cache = SweepCache::new();
     let maintenance = gallery
         .iter()
         .enumerate()
         .map(|(i, &s)| point(i as u64, 0, s))
         .collect();
-    capture_into::<Maintenance>(&cache, maintenance);
     let st = baseline_strategies()
         .map(|(i, s)| point(10 + i as u64, 0, s))
         .collect();
-    capture_into::<SrikanthToueg>(&cache, st);
     let lm = baseline_strategies()
         .map(|(i, s)| point(15 + i as u64, 1, s))
         .collect();
-    capture_into::<LmCnv>(&cache, lm);
+    [
+        capture_into::<Maintenance>(cache, maintenance),
+        capture_into::<SrikanthToueg>(cache, st),
+        capture_into::<LmCnv>(cache, lm),
+    ]
+}
 
+/// The store of [`adversary_grids`], simulated cold.
+fn adversary_store() -> SweepStore {
+    let cache = SweepCache::new();
+    adversary_grids(&cache);
     let mut store = SweepStore::new();
     store.absorb(&cache);
     store
@@ -563,6 +573,39 @@ fn adversary_series_store_matches_golden_fixture() {
         (loaded.len(), loaded.stale_records(), loaded.skipped_lines()),
         (20, 0, 0)
     );
+}
+
+/// The frozen adversary fixture serves its own grids warm: hydrated, it
+/// answers all three with zero simulations and, bit for bit, the
+/// outcomes a cold run computes. Every Maintenance execution in it (all
+/// nine strategies) keeps Theorem 16's γ and the adjustment bound.
+#[test]
+fn adversary_fixture_serves_its_grids_warm_within_the_bounds() {
+    let frozen = SweepStore::open(fixture_dir().join("adversary-store.wlsb"))
+        .expect("checked-in adversary fixture");
+    let cache = frozen.hydrate();
+    let warm = adversary_grids(&cache);
+    assert_eq!(
+        cache.misses(),
+        0,
+        "the frozen store must serve its grids warm"
+    );
+    let cold = adversary_grids(&SweepCache::new());
+    for (w, c) in warm.iter().flatten().zip(cold.iter().flatten()) {
+        assert!(
+            w.bit_identical(c),
+            "point {}: warm {w:?} != cold {c:?}",
+            c.index
+        );
+    }
+    assert_eq!(warm.iter().flatten().count(), 20);
+    for o in &warm[0] {
+        assert!(
+            o.agreement_holds && o.adjustment_holds,
+            "Maintenance point {} broke a bound: {o:?}",
+            o.index
+        );
+    }
 }
 
 /// The `sweep_stats` transcript of the four series fixtures, pinned:

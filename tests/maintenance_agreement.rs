@@ -6,7 +6,11 @@ use wl_analysis::agreement::check_agreement;
 use wl_analysis::ExecutionView;
 use wl_core::WlMsg;
 use wl_core::{theory, Params};
-use wl_harness::{assemble, BuiltScenario, DelayKind, FaultKind, Maintenance, ScenarioSpec};
+use wl_harness::{
+    assemble, derive_seed, BuiltScenario, DelayKind, FaultKind, Maintenance, ScenarioSpec,
+    SweepRequest,
+};
+use wl_sim::trace::TraceEvent;
 use wl_sim::ProcessId;
 use wl_time::{RealDur, RealTime};
 
@@ -125,6 +129,36 @@ fn agreement_holds_with_pull_apart_attacker() {
     assert!(r.holds, "{r:?}");
 }
 
+/// A pull-apart of amplitude 0 sends both halves at `Tⁱ`, every round:
+/// its late instant is its early one, and a timer set for the current
+/// instant would be suppressed (§2.2).
+#[test]
+fn zero_amplitude_pull_apart_sends_every_round() {
+    let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
+    let rounds = 5;
+    let t_end = params.t0 + (rounds as f64 - 0.5) * params.p_round;
+    let built = assemble::<Maintenance>(
+        &ScenarioSpec::new(params.clone())
+            .seed(8)
+            .fault(ProcessId(0), FaultKind::PullApart(0.0))
+            .t_end(RealTime::from_secs(t_end))
+            .trace(100_000),
+    );
+    let mut sim = built.sim;
+    let outcome = sim.run();
+    assert_eq!(outcome.stats.timers_suppressed, 0);
+    let mut sends_per_round = vec![0; rounds];
+    for ev in outcome.trace.events() {
+        if let TraceEvent::Send { from, at, .. } = ev {
+            if *from == ProcessId(0) {
+                let round = ((at.as_secs() - params.t0) / params.p_round).round() as usize;
+                sends_per_round[round] += 1;
+            }
+        }
+    }
+    assert_eq!(sends_per_round, vec![params.n; rounds]);
+}
+
 #[test]
 fn agreement_holds_n7_f2_two_byzantine() {
     let params = Params::auto(7, 2, 1e-6, 0.010, 0.001).unwrap();
@@ -138,6 +172,46 @@ fn agreement_holds_n7_f2_two_byzantine() {
     );
     let r = run_and_check(built, 40.0);
     assert!(r.holds, "{r:?}");
+}
+
+/// Lemma 10's fixed point, reached: an adversarial split of the delay
+/// band plus `f` pull-apart attackers of amplitude β drive the steady
+/// skew to at least 4ε, against the recurrence β' ≤ β/2 + 2ε + 2ρP
+/// whose fixed point is `steady_state_beta` = 4ε + 4ρP — and Theorem 16
+/// still holds. Both executions settle at 4.000155 ms (ε = 1 ms; the
+/// fixed point is 4.000248 ms, γ = 5.5 ms). Two fixed specs, not a seed
+/// sweep: the claim is that the bound is reached by *some* execution,
+/// and over other seeds the same shape may settle at 2ε.
+#[test]
+fn split_band_and_pull_apart_reach_lemma_10s_fixed_point() {
+    for (n, f) in [(4, 1), (7, 2)] {
+        let params = Params::auto(n, f, 1e-6, 0.010, 0.001).unwrap();
+        let mut spec = ScenarioSpec::new(params.clone())
+            .seed(derive_seed(0xAD5E, (8 * n + f) as u64))
+            .delay(DelayKind::AdversarialSplit)
+            .t_end(RealTime::from_secs(6.0));
+        for p in 0..f {
+            spec = spec.fault(ProcessId(p), FaultKind::PullApart(params.beta));
+        }
+        let o = &SweepRequest::new()
+            .threads(1)
+            .run::<Maintenance>(vec![spec])[0];
+        let fixed_point = theory::steady_state_beta(&params);
+        assert!(
+            4.0 * params.eps <= o.steady_skew && o.steady_skew <= fixed_point,
+            "n={n} f={f}: steady skew {} outside [4ε, {fixed_point}]",
+            o.steady_skew
+        );
+        assert!(
+            o.max_skew <= theory::gamma(&params),
+            "n={n} f={f}: max skew {} above γ",
+            o.max_skew
+        );
+        assert!(
+            o.agreement_holds && o.adjustment_holds,
+            "n={n} f={f}: {o:?}"
+        );
+    }
 }
 
 #[test]
