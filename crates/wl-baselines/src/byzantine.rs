@@ -1,150 +1,58 @@
-//! A protocol-generic two-faced attacker for the baseline algorithms.
+//! The value liar for the baselines that exchange clock *values*.
 //!
-//! All the §10 algorithms estimate clock differences from message arrival
-//! times, so the same early/late timing attack that tests Welch–Lynch
-//! applies: send the round message `amplitude` early to half the fleet and
-//! `amplitude` late to the other half. Only the message body differs per
-//! protocol, which the `make_msg` closure supplies.
+//! The timing attack — the round message early to half the fleet and late
+//! to the other half — is one liar for every protocol whose estimates are
+//! arrival times: [`wl_core::byzantine::PullApart`], built with the
+//! protocol's round message. CNV and MS read the value a message carries
+//! instead, so their two-faced liar lies in the value.
 
 use wl_core::Params;
 use wl_sim::{Actions, Automaton, Input, ProcessId};
 use wl_time::ClockTime;
 
-/// The two-faced timing attacker, generic over the protocol message.
-pub struct TimedTwoFaced<M, F> {
-    params: Params,
-    t_round: f64,
-    round: u64,
-    amplitude: f64,
-    early_below: usize,
-    make_msg: F,
-    late_pending: bool,
-    _marker: std::marker::PhantomData<M>,
-}
-
-impl<M, F> std::fmt::Debug for TimedTwoFaced<M, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimedTwoFaced")
-            .field("t_round", &self.t_round)
-            .field("amplitude", &self.amplitude)
-            .finish()
-    }
-}
-
-impl<M, F: FnMut(u64, f64) -> M> TimedTwoFaced<M, F> {
-    /// Creates the attacker; `make_msg(round_index, round_base)` builds the
-    /// protocol message for a round.
-    #[must_use]
-    pub fn new(params: Params, amplitude: f64, early_below: usize, make_msg: F) -> Self {
-        let t_round = params.t0;
-        Self {
-            params,
-            t_round,
-            round: 0,
-            amplitude,
-            early_below,
-            make_msg,
-            late_pending: false,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    fn send_half(&mut self, early: bool, out: &mut Actions<M>)
-    where
-        M: Clone,
-    {
-        let msg = (self.make_msg)(self.round, self.t_round);
-        for q in 0..self.params.n {
-            if (q < self.early_below) == early {
-                out.send(ProcessId(q), msg.clone());
-            }
-        }
-    }
-}
-
-impl<M, F> Automaton for TimedTwoFaced<M, F>
-where
-    M: Clone + std::fmt::Debug + Send + 'static,
-    F: FnMut(u64, f64) -> M + Send,
-{
-    type Msg = M;
-
-    fn on_input(&mut self, input: Input<M>, phys_now: ClockTime, out: &mut Actions<M>) {
-        match input {
-            Input::Start => {
-                let early_at = self.t_round - self.amplitude;
-                if phys_now.as_secs() >= early_at {
-                    self.send_half(true, out);
-                    self.late_pending = true;
-                    out.set_timer(ClockTime::from_secs(self.t_round + self.amplitude));
-                } else {
-                    out.set_timer(ClockTime::from_secs(early_at));
-                }
-            }
-            Input::Timer => {
-                if self.late_pending {
-                    self.send_half(false, out);
-                    self.late_pending = false;
-                    self.round += 1;
-                    self.t_round += self.params.p_round;
-                    out.set_timer(ClockTime::from_secs(self.t_round - self.amplitude));
-                } else {
-                    self.send_half(true, out);
-                    self.late_pending = true;
-                    out.set_timer(ClockTime::from_secs(self.t_round + self.amplitude));
-                }
-            }
-            Input::Message { .. } => {}
-        }
-    }
-}
-
 /// A content liar for value-exchanging protocols (CNV, MS): broadcasts on
 /// the honest round schedule, but *claims* a clock value `amplitude` ahead
-/// to half the fleet and `amplitude` behind to the other half.
+/// to the processes `high_mask` names and `amplitude` behind to the rest.
 ///
 /// This is the attack behind CNV's `2nε`-style degradation: a lie that
 /// stays inside the egocentric threshold shifts every receiver's average
 /// by `±lie/n`, in opposite directions for the two halves.
-pub struct ValueTwoFaced<M, F> {
+#[derive(Debug)]
+pub struct ValueTwoFaced<M> {
     params: Params,
     t_round: f64,
     amplitude: f64,
-    early_below: usize,
-    make_msg: F,
-    _marker: std::marker::PhantomData<M>,
+    /// `high_mask[q]` — whether `q` is told the value ahead.
+    high_mask: Vec<bool>,
+    make_msg: fn(f64) -> M,
 }
 
-impl<M, F> std::fmt::Debug for ValueTwoFaced<M, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ValueTwoFaced")
-            .field("t_round", &self.t_round)
-            .field("amplitude", &self.amplitude)
-            .finish()
-    }
-}
-
-impl<M, F: FnMut(f64) -> M> ValueTwoFaced<M, F> {
+impl<M> ValueTwoFaced<M> {
     /// Creates the liar; `make_msg(claimed_value)` builds the message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask length differs from `n`.
     #[must_use]
-    pub fn new(params: Params, amplitude: f64, early_below: usize, make_msg: F) -> Self {
+    pub fn new(
+        params: Params,
+        amplitude: f64,
+        high_mask: Vec<bool>,
+        make_msg: fn(f64) -> M,
+    ) -> Self {
+        assert_eq!(high_mask.len(), params.n, "mask must cover all processes");
         let t_round = params.t0;
         Self {
             params,
             t_round,
             amplitude,
-            early_below,
+            high_mask,
             make_msg,
-            _marker: std::marker::PhantomData,
         }
     }
 }
 
-impl<M, F> Automaton for ValueTwoFaced<M, F>
-where
-    M: Clone + std::fmt::Debug + Send + 'static,
-    F: FnMut(f64) -> M + Send,
-{
+impl<M: Clone + std::fmt::Debug + Send> Automaton for ValueTwoFaced<M> {
     type Msg = M;
 
     fn on_input(&mut self, input: Input<M>, _phys_now: ClockTime, out: &mut Actions<M>) {
@@ -153,7 +61,7 @@ where
                 let high = (self.make_msg)(self.t_round + self.amplitude);
                 let low = (self.make_msg)(self.t_round - self.amplitude);
                 for q in 0..self.params.n {
-                    let msg = if q < self.early_below {
+                    let msg = if self.high_mask[q] {
                         high.clone()
                     } else {
                         low.clone()
@@ -164,56 +72,6 @@ where
                 out.set_timer(ClockTime::from_secs(self.t_round));
             }
             Input::Message { .. } => {}
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lm_cnv::CnvMsg;
-    use wl_sim::Action;
-
-    #[test]
-    fn alternates_early_late_and_advances_rounds() {
-        let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
-        let t0 = params.t0;
-        let p_round = params.p_round;
-        let mut byz = TimedTwoFaced::new(params, 0.002, 2, |_, base| {
-            CnvMsg(ClockTime::from_secs(base))
-        });
-        let mut out = Actions::new();
-        byz.on_input(Input::Start, ClockTime::from_secs(t0 - 1.0), &mut out);
-        assert!(matches!(out.as_slice(), [Action::SetTimer { .. }]));
-        // Early send to 0, 1.
-        let mut out = Actions::new();
-        byz.on_input(Input::Timer, ClockTime::from_secs(t0 - 0.002), &mut out);
-        let early: Vec<usize> = out
-            .as_slice()
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send { to, .. } => Some(to.index()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(early, vec![0, 1]);
-        // Late send to 2, 3, then next round armed.
-        let mut out = Actions::new();
-        byz.on_input(Input::Timer, ClockTime::from_secs(t0 + 0.002), &mut out);
-        let late: Vec<usize> = out
-            .as_slice()
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send { to, .. } => Some(to.index()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(late, vec![2, 3]);
-        match out.as_slice().last().unwrap() {
-            Action::SetTimer { physical } => {
-                assert!((physical.as_secs() - (t0 + p_round - 0.002)).abs() < 1e-12);
-            }
-            other => panic!("unexpected {other:?}"),
         }
     }
 }

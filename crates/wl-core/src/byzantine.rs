@@ -22,15 +22,22 @@ use wl_time::ClockTime;
 /// conclude it is behind — a consistent pull driving the two halves apart.
 /// With `n = 3f` this attack defeats the averaging function (the \[DHS\]
 /// impossibility); with `n ≥ 3f+1` `reduce` absorbs it (experiment E12).
+///
+/// Every protocol whose clock estimates are arrival times runs this one
+/// liar: only the round message differs, which `make_msg(round_index,
+/// round_base)` builds ([`WlMsg::Round`] for Welch–Lynch).
 #[derive(Debug)]
-pub struct PullApart {
+pub struct PullApart<M = WlMsg> {
     params: Params,
     /// Current round base `Tⁱ` on its (drift-free conceptual) schedule.
     t_round: f64,
+    /// Index `i` of the current round.
+    round: u64,
     /// How far to shift sends, each way.
     amplitude: f64,
     /// `early_mask[q]` — whether `q` receives the early send.
     early_mask: Vec<bool>,
+    make_msg: fn(u64, f64) -> M,
     phase: PullPhase,
 }
 
@@ -41,7 +48,8 @@ enum PullPhase {
 }
 
 impl PullApart {
-    /// Creates the attacker.
+    /// Creates the Welch–Lynch attacker, early to the processes below
+    /// `early_below`.
     ///
     /// `amplitude` should be at most about `β/2 + δ` to stay plausible
     /// enough that the honest wait-window still catches the late sends
@@ -52,32 +60,54 @@ impl PullApart {
         Self::with_early_mask(params, amplitude, mask)
     }
 
-    /// Creates the attacker with an explicit early-target mask (the
-    /// strongest version targets the *faster* honest clocks with the early
-    /// send and the slower ones with the late send, freezing everyone's
-    /// median at `n = 3f`).
+    /// Creates the Welch–Lynch attacker with an explicit early-target mask
+    /// (the strongest version targets the *faster* honest clocks with the
+    /// early send and the slower ones with the late send, freezing
+    /// everyone's median at `n = 3f`).
     ///
     /// # Panics
     ///
     /// Panics if the mask length differs from `n`.
     #[must_use]
     pub fn with_early_mask(params: Params, amplitude: f64, early_mask: Vec<bool>) -> Self {
+        Self::with_message(params, amplitude, early_mask, |_, base| {
+            WlMsg::Round(ClockTime::from_secs(base))
+        })
+    }
+}
+
+impl<M: Clone> PullApart<M> {
+    /// Creates the attacker for any protocol: `make_msg(round_index,
+    /// round_base)` builds the message it sends in each round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask length differs from `n`.
+    #[must_use]
+    pub fn with_message(
+        params: Params,
+        amplitude: f64,
+        early_mask: Vec<bool>,
+        make_msg: fn(u64, f64) -> M,
+    ) -> Self {
         assert_eq!(early_mask.len(), params.n, "mask must cover all processes");
         let t_round = params.t0;
         Self {
             params,
             t_round,
+            round: 0,
             amplitude,
             early_mask,
+            make_msg,
             phase: PullPhase::Early,
         }
     }
 
-    fn send_to_half(&self, early: bool, out: &mut Actions<WlMsg>) {
-        let msg = WlMsg::Round(ClockTime::from_secs(self.t_round));
+    fn send_to_half(&self, early: bool, out: &mut Actions<M>) {
+        let msg = (self.make_msg)(self.round, self.t_round);
         for q in 0..self.params.n {
             if self.early_mask[q] == early {
-                out.send(ProcessId(q), msg);
+                out.send(ProcessId(q), msg.clone());
             }
         }
     }
@@ -86,7 +116,7 @@ impl PullApart {
     /// its instant is not after the early one's (amplitude 0, or a start
     /// past it): a timer for an instant already reached is suppressed
     /// (§2.2), and the attacker would fall silent.
-    fn send_early(&mut self, phys_now: ClockTime, out: &mut Actions<WlMsg>) {
+    fn send_early(&mut self, phys_now: ClockTime, out: &mut Actions<M>) {
         self.send_to_half(true, out);
         let late_at = self.t_round + self.amplitude;
         if late_at <= phys_now.as_secs().max(self.t_round - self.amplitude) {
@@ -98,18 +128,19 @@ impl PullApart {
     }
 
     /// Sends the late half and schedules the next round's early send.
-    fn send_late(&mut self, out: &mut Actions<WlMsg>) {
+    fn send_late(&mut self, out: &mut Actions<M>) {
         self.send_to_half(false, out);
+        self.round += 1;
         self.t_round += self.params.p_round;
         self.phase = PullPhase::Early;
         out.set_timer(ClockTime::from_secs(self.t_round - self.amplitude));
     }
 }
 
-impl Automaton for PullApart {
-    type Msg = WlMsg;
+impl<M: Clone + std::fmt::Debug + Send> Automaton for PullApart<M> {
+    type Msg = M;
 
-    fn on_input(&mut self, input: Input<WlMsg>, phys_now: ClockTime, out: &mut Actions<WlMsg>) {
+    fn on_input(&mut self, input: Input<M>, phys_now: ClockTime, out: &mut Actions<M>) {
         match input {
             Input::Start => {
                 // Begin the attack at its nominal first round; its physical
@@ -224,6 +255,44 @@ mod tests {
                 assert!((physical.as_secs() - expect).abs() < 1e-12);
             }
             other => panic!("expected SetTimer, got {other:?}"),
+        }
+    }
+
+    /// The attacker under a non-WL message: `make_msg` sees the round
+    /// index and base, and the index advances with the late send.
+    #[test]
+    fn alternates_early_late_and_advances_rounds() {
+        let p = params();
+        let a = 0.002;
+        let mask = vec![true, true, false, false];
+        let mut byz = PullApart::with_message(p.clone(), a, mask, |round, base| (round, base));
+        let sends = |out: &Actions<(u64, f64)>| -> Vec<(usize, u64, f64)> {
+            out.as_slice()
+                .iter()
+                .filter_map(|act| match act {
+                    Action::Send { to, msg } => Some((to.index(), msg.0, msg.1)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut out = Actions::new();
+        byz.on_input(Input::Start, ClockTime::from_secs(p.t0 - 1.0), &mut out);
+        assert!(matches!(out.as_slice(), [Action::SetTimer { .. }]));
+        for round in 0..2 {
+            let base = p.t0 + round as f64 * p.p_round;
+            let mut out = Actions::new();
+            byz.on_input(Input::Timer, ClockTime::from_secs(base - a), &mut out);
+            assert_eq!(sends(&out), vec![(0, round, base), (1, round, base)]);
+            let mut out = Actions::new();
+            byz.on_input(Input::Timer, ClockTime::from_secs(base + a), &mut out);
+            assert_eq!(sends(&out), vec![(2, round, base), (3, round, base)]);
+            match out.as_slice().last().unwrap() {
+                Action::SetTimer { physical } => {
+                    let expect = base + p.p_round - a;
+                    assert!((physical.as_secs() - expect).abs() < 1e-12);
+                }
+                other => panic!("expected SetTimer, got {other:?}"),
+            }
         }
     }
 

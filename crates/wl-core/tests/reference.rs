@@ -48,12 +48,9 @@ fn simulate(exec: &Execution, attack: &[(f64, Vec<bool>)], t_end: f64) -> SimOut
         .iter()
         .map(|c| FleetClock::Linear(LinearClock::new(c.rate, ClockTime::from_secs(c.offset))))
         .collect();
-    let mut delay = PerPairDelay::new(n, Box::new(ConstantDelay::new(RealDur::from_secs(p.delta))));
-    for (s, row) in exec.delay.iter().enumerate() {
-        for (q, &d) in row.iter().enumerate() {
-            delay.set(ProcessId(s), ProcessId(q), RealDur::from_secs(d));
-        }
-    }
+    // Every link is fixed; the constant base answers none of them.
+    let base = Box::new(ConstantDelay::new(RealDur::from_secs(p.delta)));
+    let delay = PerPairDelay::new(n, base, |s, q| Some(RealDur::from_secs(exec.delay[s][q])));
     let mut procs: DynFleet<WlMsg> = (0..n)
         .map(|q| Box::new(Maintenance::new(ProcessId(q), p.clone(), exec.corr0[q])) as _)
         .collect();

@@ -74,23 +74,16 @@ pub(crate) fn wrap_delay_model(
     };
     let bounds = spec.params.delay_bounds();
     let (floor, ceiling) = (bounds.min_delay(), bounds.max_delay());
-    let mut links = PerPairDelay::new(n, base);
-    for from in 0..n {
-        for to in 0..n {
-            let (fm, tm) = (member[from], member[to]);
-            let fixed = match victim {
-                Some(v) if fm && to == v => Some(ceiling),
-                Some(v) if from == v && tm => Some(floor),
-                None if fm && tm => Some(ceiling),
-                None if fm != tm => Some(floor),
-                _ => None,
-            };
-            if let Some(d) = fixed {
-                links.set(ProcessId(from), ProcessId(to), d);
-            }
+    Box::new(PerPairDelay::new(n, base, |from, to| {
+        let (fm, tm) = (member[from], member[to]);
+        match victim {
+            Some(v) if fm && to == v => Some(ceiling),
+            Some(v) if from == v && tm => Some(floor),
+            None if fm && tm => Some(ceiling),
+            None if fm != tm => Some(floor),
+            _ => None,
         }
-    }
-    Box::new(links)
+    }))
 }
 
 /// Realizes an [`AdversarySpec`] for one member under algorithm `A`:

@@ -20,13 +20,13 @@
 //! the `assembly_traces` digests, generated from those paths, pin this.
 
 use crate::spec::{FaultKind, ScenarioSpec};
-use wl_baselines::byzantine::{TimedTwoFaced, ValueTwoFaced};
+use wl_baselines::byzantine::ValueTwoFaced;
 use wl_baselines::lm_cnv::{CnvMsg, LmCnv};
 use wl_baselines::mahaney_schneider::{MahaneySchneider, MsMsg};
 use wl_baselines::srikanth_toueg::{SrikanthToueg, StMsg};
 use wl_clock::drift::FleetClock;
 use wl_core::byzantine::{PullApart, RoundSpammer};
-use wl_core::{Maintenance, Rejoiner, Startup, WlMsg};
+use wl_core::{Maintenance, Params, Rejoiner, Startup, WlMsg};
 use wl_sim::faults::{crash_phys_time, CrashAt, SilentFor};
 use wl_sim::{Automaton, ProcessId};
 use wl_time::{ClockTime, RealTime};
@@ -333,18 +333,57 @@ impl SyncAlgorithm for Startup {
 
 // ---------------------------------------------------------------------------
 // §10 baselines. All three share the round-aligned discipline with the
-// legacy 0xBA5E salt, Silent faults, and a two-faced attacker; they differ
-// in message type and automata.
+// legacy 0xBA5E salt and one role table; they differ in message type and
+// in the two automata they hand it.
 // ---------------------------------------------------------------------------
+
+/// The baselines' start discipline.
+const BASELINE_DISCIPLINE: StartDiscipline = StartDiscipline::RoundAligned {
+    sim_seed_salt: 0xBA5E,
+};
+
+/// The baselines' role table: `correct(id, params, 0.0)` for a correct
+/// process, [`SilentFor`] for `Silent`, and for `TwoFaced(a)` the
+/// protocol's two-faced `liar(params, a, early_mask)`, its early half
+/// the lower half of the honest processes ([`early_below`]).
+///
+/// # Panics
+///
+/// Panics on any other fault kind.
+fn baseline_automaton<A, C, L>(
+    spec: &ScenarioSpec,
+    id: ProcessId,
+    role: FleetRole,
+    correct: fn(ProcessId, Params, f64) -> C,
+    liar: fn(Params, f64, Vec<bool>) -> L,
+) -> Option<Box<dyn Automaton<Msg = A::Msg>>>
+where
+    A: SyncAlgorithm,
+    C: Automaton<Msg = A::Msg> + 'static,
+    L: Automaton<Msg = A::Msg> + 'static,
+{
+    let p = &spec.params;
+    Some(match role {
+        FleetRole::Correct => Box::new(correct(id, p.clone(), 0.0)),
+        FleetRole::Faulty(FaultKind::Silent) => Box::new(SilentFor::<A::Msg>::default()),
+        FleetRole::Faulty(FaultKind::TwoFaced(a)) => {
+            let below = early_below(p.n, spec);
+            Box::new(liar(p.clone(), a, (0..p.n).map(|q| q < below).collect()))
+        }
+        FleetRole::Faulty(other) => panic!(
+            "{} scenarios realize Silent/TwoFaced faults, got {other:?}",
+            A::NAME
+        ),
+        FleetRole::Rejoiner => return None,
+    })
+}
 
 impl SyncAlgorithm for LmCnv {
     type Msg = CnvMsg;
     const NAME: &'static str = "LM-CNV";
 
     fn discipline(_spec: &ScenarioSpec) -> StartDiscipline {
-        StartDiscipline::RoundAligned {
-            sim_seed_salt: 0xBA5E,
-        }
+        BASELINE_DISCIPLINE
     }
 
     fn fleet_automaton(
@@ -353,20 +392,8 @@ impl SyncAlgorithm for LmCnv {
         role: FleetRole,
         _ctx: &AssemblyCtx<'_>,
     ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
-        let p = &spec.params;
-        Some(match role {
-            FleetRole::Correct => Box::new(LmCnv::new(id, p.clone(), 0.0)),
-            FleetRole::Faulty(FaultKind::Silent) => Box::new(SilentFor::<CnvMsg>::default()),
-            FleetRole::Faulty(FaultKind::TwoFaced(a)) => Box::new(ValueTwoFaced::new(
-                p.clone(),
-                a,
-                early_below(p.n, spec),
-                (|claim| CnvMsg(ClockTime::from_secs(claim))) as fn(f64) -> CnvMsg,
-            )),
-            FleetRole::Faulty(other) => {
-                panic!("LM-CNV scenarios realize Silent/TwoFaced faults, got {other:?}")
-            }
-            FleetRole::Rejoiner => return None,
+        baseline_automaton::<Self, _, _>(spec, id, role, LmCnv::new, |p, a, mask| {
+            ValueTwoFaced::new(p, a, mask, |claim| CnvMsg(ClockTime::from_secs(claim)))
         })
     }
 }
@@ -376,9 +403,7 @@ impl SyncAlgorithm for MahaneySchneider {
     const NAME: &'static str = "Mahaney-Schneider";
 
     fn discipline(_spec: &ScenarioSpec) -> StartDiscipline {
-        StartDiscipline::RoundAligned {
-            sim_seed_salt: 0xBA5E,
-        }
+        BASELINE_DISCIPLINE
     }
 
     fn fleet_automaton(
@@ -387,20 +412,8 @@ impl SyncAlgorithm for MahaneySchneider {
         role: FleetRole,
         _ctx: &AssemblyCtx<'_>,
     ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
-        let p = &spec.params;
-        Some(match role {
-            FleetRole::Correct => Box::new(MahaneySchneider::new(id, p.clone(), 0.0)),
-            FleetRole::Faulty(FaultKind::Silent) => Box::new(SilentFor::<MsMsg>::default()),
-            FleetRole::Faulty(FaultKind::TwoFaced(a)) => Box::new(ValueTwoFaced::new(
-                p.clone(),
-                a,
-                early_below(p.n, spec),
-                (|claim| MsMsg(ClockTime::from_secs(claim))) as fn(f64) -> MsMsg,
-            )),
-            FleetRole::Faulty(other) => {
-                panic!("Mahaney-Schneider scenarios realize Silent/TwoFaced faults, got {other:?}")
-            }
-            FleetRole::Rejoiner => return None,
+        baseline_automaton::<Self, _, _>(spec, id, role, MahaneySchneider::new, |p, a, mask| {
+            ValueTwoFaced::new(p, a, mask, |claim| MsMsg(ClockTime::from_secs(claim)))
         })
     }
 }
@@ -410,9 +423,7 @@ impl SyncAlgorithm for SrikanthToueg {
     const NAME: &'static str = "Srikanth-Toueg";
 
     fn discipline(_spec: &ScenarioSpec) -> StartDiscipline {
-        StartDiscipline::RoundAligned {
-            sim_seed_salt: 0xBA5E,
-        }
+        BASELINE_DISCIPLINE
     }
 
     fn fleet_automaton(
@@ -421,23 +432,13 @@ impl SyncAlgorithm for SrikanthToueg {
         role: FleetRole,
         _ctx: &AssemblyCtx<'_>,
     ) -> Option<Box<dyn Automaton<Msg = Self::Msg>>> {
-        let p = &spec.params;
-        Some(match role {
-            FleetRole::Correct => Box::new(SrikanthToueg::new(id, p.clone(), 0.0)),
-            FleetRole::Faulty(FaultKind::Silent) => Box::new(SilentFor::<StMsg>::default()),
-            FleetRole::Faulty(FaultKind::TwoFaced(a)) => Box::new(TimedTwoFaced::new(
-                p.clone(),
-                a,
-                early_below(p.n, spec),
-                (|round, _| StMsg {
-                    round: round as u32,
-                    echo: false,
-                }) as fn(u64, f64) -> StMsg,
-            )),
-            FleetRole::Faulty(other) => {
-                panic!("Srikanth-Toueg scenarios realize Silent/TwoFaced faults, got {other:?}")
-            }
-            FleetRole::Rejoiner => return None,
+        // Srikanth–Toueg's round message carries no clock value, so its
+        // two-faced liar lies in time: the pull-apart, sending round `i`.
+        baseline_automaton::<Self, _, _>(spec, id, role, SrikanthToueg::new, |p, a, mask| {
+            PullApart::with_message(p, a, mask, |round, _| StMsg {
+                round: round as u32,
+                echo: false,
+            })
         })
     }
 }

@@ -18,9 +18,7 @@ use rand::{Rng, SeedableRng};
 use wl_clock::drift::FleetClock;
 use wl_clock::Clock;
 use wl_core::Params;
-use wl_sim::delay::{
-    AdversarialSplitDelay, ConstantDelay, DelayModel, SharedMediumDelay, UniformDelay,
-};
+use wl_sim::delay::{ConstantDelay, DelayModel, PerPairDelay, SharedMediumDelay, UniformDelay};
 use wl_sim::faults::FaultPlan;
 use wl_sim::{EventQueue, HeapQueue, ProcessId, SimBuilder, SimConfig, Simulation, StdObservers};
 use wl_time::{ClockTime, RealTime};
@@ -262,13 +260,23 @@ fn sim_config(spec: &ScenarioSpec, sim_seed: u64) -> SimConfig {
 
 fn delay_model(spec: &ScenarioSpec) -> Box<dyn DelayModel> {
     let p = &spec.params;
+    let bounds = p.delay_bounds();
+    let constant = || Box::new(ConstantDelay::new(bounds.delta));
     let base: Box<dyn DelayModel> = match spec.delay {
-        DelayKind::Constant => Box::new(ConstantDelay::new(wl_time::RealDur::from_secs(p.delta))),
-        DelayKind::Uniform => Box::new(UniformDelay::new(p.delay_bounds())),
-        DelayKind::AdversarialSplit => {
-            Box::new(AdversarialSplitDelay::new(p.delay_bounds(), p.n / 2))
-        }
-        DelayKind::SharedMedium => Box::new(SharedMediumDelay::new(p.delay_bounds(), p.n)),
+        DelayKind::Constant => constant(),
+        DelayKind::Uniform => Box::new(UniformDelay::new(bounds)),
+        // The split the ε terms of the analysis are tight against: every
+        // link fixed, fast (δ−ε) to the lower half of the receivers and
+        // slow (δ+ε) to the rest, so each half misreads every clock in
+        // the opposite direction (≈ 2ε, Lemma 9). The base answers none.
+        DelayKind::AdversarialSplit => Box::new(PerPairDelay::new(p.n, constant(), |_, to| {
+            Some(if to < p.n / 2 {
+                bounds.min_delay()
+            } else {
+                bounds.max_delay()
+            })
+        })),
+        DelayKind::SharedMedium => Box::new(SharedMediumDelay::new(bounds, p.n)),
     };
     // A delay-only adversary pins its chosen links to the band edges and
     // defers the rest to the base model.
@@ -377,6 +385,28 @@ mod tests {
         let mut sim = assemble::<LmCnv>(&spec).sim;
         let outcome = sim.run();
         assert!(outcome.stats.messages_sent > 0);
+    }
+
+    /// The split fixes every link, fast to the receivers below `n/2` and
+    /// slow to the rest whoever sends, and draws nothing from the RNG.
+    #[test]
+    fn adversarial_split_directions() {
+        let spec = ScenarioSpec::new(params()).delay(DelayKind::AdversarialSplit);
+        let b = spec.params.delay_bounds();
+        let mut model = delay_model(&spec);
+        let mut rng = StdRng::seed_from_u64(7);
+        for from in 0..4 {
+            for to in 0..4 {
+                let want = if to < 2 { b.min_delay() } else { b.max_delay() };
+                let got = model.delay(ProcessId(from), ProcessId(to), RealTime::ZERO, &mut rng);
+                assert_eq!(got, want, "{from} -> {to}");
+            }
+        }
+        assert_eq!(
+            rng.gen::<u64>(),
+            StdRng::seed_from_u64(7).gen::<u64>(),
+            "the split drew"
+        );
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! within the band. Experiments therefore need both benign distributions
 //! (uniform noise) and adversarial ones that *correlate* delays with the
 //! sender/receiver to push the algorithm toward its worst case. Every
-//! delay fault is one of these models: the split, the shared medium, and
-//! [`PerPairDelay`]'s fixed links over any other model, which is where
-//! the harness's delay-only adversaries pin their links.
+//! delay fault is one of two models: the shared medium, and
+//! [`PerPairDelay`]'s fixed links over any other model — the harness's
+//! adversarial split (every link fixed) and its delay-only adversaries
+//! (chosen links pinned to a band edge) both run on it.
 
 use crate::ProcessId;
 use rand::rngs::StdRng;
@@ -115,45 +116,14 @@ impl DelayModel for UniformDelay {
     }
 }
 
-/// The adversarial pattern the ε-related terms of the analysis are tight
-/// against: messages *to* low-index processes arrive as fast as possible
-/// (`δ−ε`), messages to high-index processes as slow as possible (`δ+ε`).
-///
-/// This consistently skews every process' estimate of every other clock in
-/// opposite directions for the two halves of the fleet, maximizing the
-/// residual error of the averaging function (≈ 2ε per Lemma 9).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdversarialSplitDelay {
-    bounds: DelayBounds,
-    /// Processes with index < `split` receive fast messages.
-    split: usize,
-}
-
-impl AdversarialSplitDelay {
-    /// Fast deliveries to indices `< split`, slow to the rest.
-    #[must_use]
-    pub fn new(bounds: DelayBounds, split: usize) -> Self {
-        Self { bounds, split }
-    }
-}
-
-impl DelayModel for AdversarialSplitDelay {
-    fn delay(&mut self, _f: ProcessId, to: ProcessId, _at: RealTime, _rng: &mut StdRng) -> RealDur {
-        if to.index() < self.split {
-            self.bounds.min_delay()
-        } else {
-            self.bounds.max_delay()
-        }
-    }
-}
-
 /// Fixed delays on chosen directed links over a base model.
 ///
-/// A link [`set`](Self::set) to a delay always returns it and draws
-/// nothing from the RNG; every other link asks `base`, so the base
-/// model's draws are exactly those of the links left to it. Tests use it
-/// to wire up deterministic heterogeneous links; delay-only adversaries
-/// use it to pin chosen links to an edge of the A3 band.
+/// A fixed link always returns its delay and draws nothing from the RNG;
+/// every other link asks `base`, so the base model's draws are exactly
+/// those of the links left to it. It is the one fixed-link mechanism:
+/// the harness's adversarial split fixes every link, its delay-only
+/// adversaries pin chosen links to an edge of the A3 band, and tests
+/// wire up deterministic heterogeneous links.
 #[derive(Debug)]
 pub struct PerPairDelay {
     n: usize,
@@ -162,24 +132,19 @@ pub struct PerPairDelay {
 }
 
 impl PerPairDelay {
-    /// Every link of `n` processes deferred to `base`.
+    /// The links of `n` processes: `fixed(from, to)` is the delay of the
+    /// link `from → to` if it is fixed, `None` to defer it to `base`.
     #[must_use]
-    pub fn new(n: usize, base: Box<dyn DelayModel>) -> Self {
+    pub fn new(
+        n: usize,
+        base: Box<dyn DelayModel>,
+        mut fixed: impl FnMut(usize, usize) -> Option<RealDur>,
+    ) -> Self {
         Self {
             n,
-            fixed: vec![None; n * n],
+            fixed: (0..n * n).map(|k| fixed(k / n, k % n)).collect(),
             base,
         }
-    }
-
-    /// Fixes the delay of one directed link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn set(&mut self, from: ProcessId, to: ProcessId, d: RealDur) {
-        assert!(from.index() < self.n && to.index() < self.n);
-        self.fixed[from.index() * self.n + to.index()] = Some(d);
     }
 }
 
@@ -342,32 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn adversarial_split_directions() {
-        let b = DelayBounds::new(ms(10.0), ms(1.0));
-        let mut m = AdversarialSplitDelay::new(b, 2);
-        let mut r = rng();
-        assert_eq!(
-            m.delay(ProcessId(3), ProcessId(0), RealTime::ZERO, &mut r),
-            ms(9.0)
-        );
-        assert_eq!(
-            m.delay(ProcessId(3), ProcessId(1), RealTime::ZERO, &mut r),
-            ms(9.0)
-        );
-        assert_eq!(
-            m.delay(ProcessId(0), ProcessId(2), RealTime::ZERO, &mut r),
-            ms(11.0)
-        );
-        assert_eq!(
-            m.delay(ProcessId(0), ProcessId(3), RealTime::ZERO, &mut r),
-            ms(11.0)
-        );
-    }
-
-    #[test]
     fn per_pair_matrix_lookup_and_override() {
-        let mut m = PerPairDelay::new(3, Box::new(ConstantDelay::new(ms(5.0))));
-        m.set(ProcessId(1), ProcessId(2), ms(6.0));
+        let base = Box::new(ConstantDelay::new(ms(5.0)));
+        let mut m = PerPairDelay::new(3, base, |from, to| (from, to).eq(&(1, 2)).then(|| ms(6.0)));
         let mut r = rng();
         assert_eq!(
             m.delay(ProcessId(1), ProcessId(2), RealTime::ZERO, &mut r),
@@ -472,9 +414,13 @@ mod tests {
     #[test]
     fn per_pair_fixed_links_stay_in_band_and_skip_the_base_rng() {
         let b = DelayBounds::new(ms(10.0), ms(1.0));
-        let mut m = PerPairDelay::new(3, Box::new(UniformDelay::new(b)));
-        m.set(ProcessId(0), ProcessId(1), b.max_delay());
-        m.set(ProcessId(1), ProcessId(0), b.min_delay());
+        let mut m = PerPairDelay::new(3, Box::new(UniformDelay::new(b)), |from, to| {
+            match (from, to) {
+                (0, 1) => Some(b.max_delay()),
+                (1, 0) => Some(b.min_delay()),
+                _ => None,
+            }
+        });
         let mut r = rng();
         assert_eq!(
             m.delay(ProcessId(0), ProcessId(1), RealTime::ZERO, &mut r),

@@ -887,8 +887,10 @@ mod tests {
         let procs: Vec<Box<dyn Automaton<Msg = u32>>> = (0..2)
             .map(|me| Box::new(PingPong { budget: 0, me }) as Box<dyn Automaton<Msg = u32>>)
             .collect();
-        let mut m = PerPairDelay::new(2, Box::new(ConstantDelay::new(RealDur::from_millis(9.0))));
-        m.set(ProcessId(0), ProcessId(1), RealDur::from_millis(11.0));
+        let base = Box::new(ConstantDelay::new(RealDur::from_millis(9.0)));
+        let m = PerPairDelay::new(2, base, |from, to| {
+            (from, to).eq(&(0, 1)).then(|| RealDur::from_millis(11.0))
+        });
         let mut sim = SimBuilder::new()
             .clocks(clocks)
             .procs(procs)

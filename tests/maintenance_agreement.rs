@@ -8,7 +8,7 @@ use wl_core::WlMsg;
 use wl_core::{theory, Params};
 use wl_harness::{
     assemble, derive_seed, BuiltScenario, DelayKind, FaultKind, Maintenance, ScenarioSpec,
-    SweepRequest,
+    SrikanthToueg, SweepRequest, SyncAlgorithm,
 };
 use wl_sim::trace::TraceEvent;
 use wl_sim::ProcessId;
@@ -129,34 +129,56 @@ fn agreement_holds_with_pull_apart_attacker() {
     assert!(r.holds, "{r:?}");
 }
 
-/// A pull-apart of amplitude 0 sends both halves at `Tⁱ`, every round:
-/// its late instant is its early one, and a timer set for the current
-/// instant would be suppressed (§2.2).
+/// A timing liar of amplitude 0 sends both halves at `Tⁱ`, every round,
+/// under every protocol that runs one: its late instant is its early
+/// one, and a timer set for the current instant would be suppressed
+/// (§2.2).
 #[test]
 fn zero_amplitude_pull_apart_sends_every_round() {
+    /// Timers suppressed, and the sends of process 0 in each round.
+    fn attacker_sends<A: SyncAlgorithm>(spec: &ScenarioSpec, rounds: usize) -> (u64, Vec<usize>) {
+        let p = &spec.params;
+        let mut sim = assemble::<A>(spec).sim;
+        let outcome = sim.run();
+        let mut sends_per_round = vec![0; rounds];
+        for ev in outcome.trace.events() {
+            if let TraceEvent::Send { from, at, .. } = ev {
+                if *from == ProcessId(0) {
+                    let round = ((at.as_secs() - p.t0) / p.p_round).round() as usize;
+                    sends_per_round[round] += 1;
+                }
+            }
+        }
+        (outcome.stats.timers_suppressed, sends_per_round)
+    }
+
     let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
     let rounds = 5;
     let t_end = params.t0 + (rounds as f64 - 0.5) * params.p_round;
-    let built = assemble::<Maintenance>(
-        &ScenarioSpec::new(params.clone())
+    let spec = |kind| {
+        ScenarioSpec::new(params.clone())
             .seed(8)
-            .fault(ProcessId(0), FaultKind::PullApart(0.0))
+            .fault(ProcessId(0), kind)
             .t_end(RealTime::from_secs(t_end))
-            .trace(100_000),
-    );
-    let mut sim = built.sim;
-    let outcome = sim.run();
-    assert_eq!(outcome.stats.timers_suppressed, 0);
-    let mut sends_per_round = vec![0; rounds];
-    for ev in outcome.trace.events() {
-        if let TraceEvent::Send { from, at, .. } = ev {
-            if *from == ProcessId(0) {
-                let round = ((at.as_secs() - params.t0) / params.p_round).round() as usize;
-                sends_per_round[round] += 1;
-            }
-        }
-    }
-    assert_eq!(sends_per_round, vec![params.n; rounds]);
+            .trace(100_000)
+    };
+    let cases = [
+        (
+            "Maintenance, PullApart(0)",
+            attacker_sends::<Maintenance>(&spec(FaultKind::PullApart(0.0)), rounds),
+        ),
+        (
+            "Maintenance, TwoFaced(0)",
+            attacker_sends::<Maintenance>(&spec(FaultKind::TwoFaced(0.0)), rounds),
+        ),
+        (
+            "SrikanthToueg, TwoFaced(0)",
+            attacker_sends::<SrikanthToueg>(&spec(FaultKind::TwoFaced(0.0)), rounds),
+        ),
+    ];
+    let want = (0, vec![params.n; rounds]);
+    let wrong: Vec<_> = cases.iter().filter(|(_, got)| *got != want).collect();
+    assert!(wrong.is_empty(), "want {want:?}, got {wrong:?}");
 }
 
 #[test]
