@@ -242,17 +242,22 @@ impl Cursor<'_> {
     }
 
     /// A decimal integer as the writer spells it: no leading zero, no
-    /// sign, no more than a `u64` holds.
+    /// sign, no more than a `u64` holds. One loop reads the digits and
+    /// accumulates them; a digit past the `u64` range refuses at once.
     fn u64_dec(&mut self) -> Option<u64> {
-        let len = self.s.iter().take_while(|b| b.is_ascii_digit()).count();
-        let (digits, rest) = self.s.split_at(len);
-        if digits.is_empty() || (len > 1 && digits[0] == b'0') {
+        let (mut n, mut len) = (0u64, 0);
+        for &b in self.s {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            n = n.checked_mul(10)?.checked_add(u64::from(digit))?;
+            len += 1;
+        }
+        if len == 0 || (len > 1 && self.s[0] == b'0') {
             return None;
         }
-        let n = digits.iter().try_fold(0u64, |n, &d| {
-            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
-        })?;
-        self.s = rest;
+        self.s = &self.s[len..];
         Some(n)
     }
 
@@ -302,22 +307,46 @@ impl Cursor<'_> {
         some(self).map(Some)
     }
 
-    /// A `[a,b,c]` sequence, elements parsed by `elem`.
-    fn seq<T>(&mut self, mut elem: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+    /// A `[a,b,c]` sequence, elements parsed by `elem`, returned with
+    /// no spare capacity.
+    ///
+    /// Elements are parsed into a stack chunk of [`SEQ_CHUNK`], which is
+    /// appended to the vector whenever it fills and once more after the
+    /// `]`. The allocation bound: every allocation is sized from
+    /// elements already parsed, never from unparsed input. A sequence of
+    /// up to `SEQ_CHUNK` elements is allocated once, at its length, and
+    /// allocates nothing if it is malformed; a longer one grows as a
+    /// pushed vector would, and is shrunk to its length at the end.
+    fn seq<T: Copy + Default>(
+        &mut self,
+        mut elem: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
         self.eat("[")?;
-        let mut out = Vec::new();
-        if self.eat("]").is_some() {
-            return Some(out);
-        }
-        loop {
-            out.push(elem(self)?);
-            if self.eat("]").is_some() {
-                return Some(out);
+        let (mut out, mut chunk, mut len) = (Vec::new(), [T::default(); SEQ_CHUNK], 0);
+        if self.eat("]").is_none() {
+            loop {
+                if len == SEQ_CHUNK {
+                    out.extend_from_slice(&chunk);
+                    len = 0;
+                }
+                chunk[len] = elem(self)?;
+                len += 1;
+                if self.eat("]").is_some() {
+                    break;
+                }
+                self.eat(",")?;
             }
-            self.eat(",")?;
         }
+        out.reserve_exact(len);
+        out.extend_from_slice(&chunk[..len]);
+        out.shrink_to_fit();
+        Some(out)
     }
 }
+
+/// The elements [`Cursor::seq`] gathers on the stack between appends to
+/// its vector.
+const SEQ_CHUNK: usize = 32;
 
 // ---------------------------------------------------------------------------
 // The spec grammar. A spec canon is compared and hashed, and read back
@@ -720,6 +749,8 @@ pub(super) fn scalar_half(outcome_canon: &str) -> &str {
 
 #[cfg(test)]
 mod tests {
+    use super::super::segment::{EncodedRecord, SegmentReader};
+    use super::super::{parse_line, ENGINE_VERSION};
     use super::*;
     use crate::sweep::derive_seed;
 
@@ -1135,6 +1166,456 @@ mod tests {
                 same!(f64_bits);
                 same!(boolean);
             }
+        }
+    }
+
+    /// The outcome reader as it stood when each sequence grew by `push`
+    /// and each decimal was counted before it was read, verbatim: the
+    /// oracle `parse_outcome` is compared against.
+    mod oracle {
+        use super::super::HEX_DIGIT;
+        use crate::sketch::SkewSketch;
+        use crate::sweep::{SweepOutcome, SweepSeries};
+        use wl_sim::SimStats;
+
+        /// Strict cursor over a canonical string: every `eat` states exactly what
+        /// the writer must have put next, and every token has one accepted
+        /// spelling — the writer's — so any drift between writer and parser
+        /// surfaces as `None` (→ a skipped record), never as a misread value,
+        /// and two records that parse alike are alike byte for byte.
+        ///
+        /// It reads bytes, not `char`s: every token of the grammar is ASCII, so
+        /// a byte that is not the one expected fails the parse wherever it falls,
+        /// inside a multi-byte character or not.
+        struct Cursor<'a> {
+            s: &'a [u8],
+        }
+
+        impl Cursor<'_> {
+            fn eat(&mut self, prefix: &str) -> Option<()> {
+                self.s = self.s.strip_prefix(prefix.as_bytes())?;
+                Some(())
+            }
+
+            /// Whether the next byte satisfies `pred` (`false` at the end).
+            fn next_is(&self, pred: impl Fn(u8) -> bool) -> bool {
+                self.s.first().is_some_and(|&b| pred(b))
+            }
+
+            /// A decimal integer as the writer spells it: no leading zero, no
+            /// sign, no more than a `u64` holds.
+            fn u64_dec(&mut self) -> Option<u64> {
+                let len = self.s.iter().take_while(|b| b.is_ascii_digit()).count();
+                let (digits, rest) = self.s.split_at(len);
+                if digits.is_empty() || (len > 1 && digits[0] == b'0') {
+                    return None;
+                }
+                let n = digits.iter().try_fold(0u64, |n, &d| {
+                    n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+                })?;
+                self.s = rest;
+                Some(n)
+            }
+
+            fn u32_dec(&mut self) -> Option<u32> {
+                u32::try_from(self.u64_dec()?).ok()
+            }
+
+            /// `x` and exactly sixteen hex digits as the writer spells them:
+            /// lower case, and no seventeenth.
+            fn f64_bits(&mut self) -> Option<f64> {
+                self.eat("x")?;
+                let (hex, rest) = self.s.split_at_checked(16)?;
+                // One test for a non-digit, after the loop: a digit is below 16,
+                // the table's "not a digit" is 16.
+                let (mut bits, mut seen) = (0u64, 0u8);
+                for &b in hex {
+                    let digit = HEX_DIGIT[usize::from(b)];
+                    seen |= digit;
+                    bits = bits << 4 | u64::from(digit);
+                }
+                if seen >= 16 {
+                    return None;
+                }
+                self.s = rest;
+                let seventeenth = self.next_is(|b| HEX_DIGIT[usize::from(b)] < 16);
+                (!seventeenth).then(|| f64::from_bits(bits))
+            }
+
+            /// `T` or `F`, alone: `TT` or `TF` is no spelling of either.
+            fn boolean(&mut self) -> Option<bool> {
+                let (&first, rest) = self.s.split_first()?;
+                let value = match first {
+                    b'T' => true,
+                    b'F' => false,
+                    _ => return None,
+                };
+                self.s = rest;
+                (!self.next_is(|b| b == b'T' || b == b'F')).then_some(value)
+            }
+
+            /// `~`, or `+` and what `some` parses.
+            fn option<T>(
+                &mut self,
+                some: impl FnOnce(&mut Self) -> Option<T>,
+            ) -> Option<Option<T>> {
+                if self.eat("~").is_some() {
+                    return Some(None);
+                }
+                self.eat("+")?;
+                some(self).map(Some)
+            }
+
+            /// A `[a,b,c]` sequence, elements parsed by `elem`.
+            fn seq<T>(&mut self, mut elem: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+                self.eat("[")?;
+                let mut out = Vec::new();
+                if self.eat("]").is_some() {
+                    return Some(out);
+                }
+                loop {
+                    out.push(elem(self)?);
+                    if self.eat("]").is_some() {
+                        return Some(out);
+                    }
+                    self.eat(",")?;
+                }
+            }
+        }
+
+        fn parse_stats(c: &mut Cursor<'_>) -> Option<SimStats> {
+            c.eat("SimStats{events_delivered:")?;
+            let events_delivered = c.u64_dec()?;
+            c.eat(",messages_sent:")?;
+            let messages_sent = c.u64_dec()?;
+            c.eat(",timers_set:")?;
+            let timers_set = c.u64_dec()?;
+            c.eat(",timers_suppressed:")?;
+            let timers_suppressed = c.u64_dec()?;
+            c.eat("}")?;
+            Some(SimStats {
+                events_delivered,
+                messages_sent,
+                timers_set,
+                timers_suppressed,
+            })
+        }
+
+        /// The payload of `K`/`L`-tagged records. Rejects structurally invalid
+        /// histograms ([`SkewSketch::well_formed`]) so a tampered record cannot
+        /// reach the merge arithmetic.
+        fn parse_sketch(c: &mut Cursor<'_>) -> Option<SkewSketch> {
+            c.eat("SkewSketch{count:")?;
+            let count = c.u64_dec()?;
+            c.eat(",low:")?;
+            let low = c.u64_dec()?;
+            c.eat(",sum_hi:")?;
+            let sum_hi = c.u64_dec()?;
+            c.eat(",sum_lo:")?;
+            let sum_lo = c.u64_dec()?;
+            c.eat(",max:")?;
+            let max = c.f64_bits()?;
+            c.eat(",bin_idx:")?;
+            // Undo the deltas so `well_formed` checks the real histogram.
+            // Overflow means a tampered record: reject.
+            let mut bin_idx = c.seq(Cursor::u32_dec)?;
+            for i in 1..bin_idx.len() {
+                bin_idx[i] = bin_idx[i - 1].checked_add(bin_idx[i])?;
+            }
+            c.eat(",bin_count:")?;
+            let bin_count = c.seq(Cursor::u64_dec)?;
+            c.eat("}")?;
+            let sketch = SkewSketch {
+                count,
+                low,
+                sum_hi,
+                sum_lo,
+                max,
+                bin_idx,
+                bin_count,
+            };
+            sketch.well_formed().then_some(sketch)
+        }
+
+        /// The payload of `S`/`B`-tagged records.
+        fn parse_series(c: &mut Cursor<'_>) -> Option<SweepSeries> {
+            c.eat("SweepSeries{round_times:")?;
+            let round_times = c.seq(Cursor::f64_bits)?;
+            c.eat(",round_skews:")?;
+            let round_skews = c.seq(Cursor::f64_bits)?;
+            c.eat(",skew_times:")?;
+            let skew_times = c.seq(Cursor::f64_bits)?;
+            c.eat(",skew_values:")?;
+            let skew_values = c.seq(Cursor::f64_bits)?;
+            c.eat(",corr_procs:")?;
+            let corr_procs = c.seq(Cursor::u32_dec)?;
+            c.eat(",corr_times:")?;
+            let corr_times = c.seq(Cursor::f64_bits)?;
+            c.eat(",corr_values:")?;
+            let corr_values = c.seq(Cursor::f64_bits)?;
+            c.eat("}")?;
+            Some(SweepSeries {
+                round_times,
+                round_skews,
+                skew_times,
+                skew_values,
+                corr_procs,
+                corr_times,
+                corr_values,
+            })
+        }
+
+        /// Parses an outcome canon: `Some` exactly for the strings the writer
+        /// above emits (so `canon_string(&parsed)` is the input, byte for byte).
+        /// Its one caller outside the tests is `Record::admit`.
+        pub(super) fn parse_outcome(s: &str) -> Option<SweepOutcome> {
+            let mut c = Cursor { s: s.as_bytes() };
+            c.eat("SweepOutcome{index:")?;
+            let index = c.u64_dec()?;
+            c.eat(",seed:")?;
+            let seed = c.u64_dec()?;
+            c.eat(",steady_skew:")?;
+            let steady_skew = c.f64_bits()?;
+            c.eat(",max_skew:")?;
+            let max_skew = c.f64_bits()?;
+            c.eat(",agreement_holds:")?;
+            let agreement_holds = c.boolean()?;
+            c.eat(",max_abs_adjustment:")?;
+            let max_abs_adjustment = c.f64_bits()?;
+            c.eat(",mean_abs_adjustment:")?;
+            let mean_abs_adjustment = c.f64_bits()?;
+            c.eat(",adjustment_holds:")?;
+            let adjustment_holds = c.boolean()?;
+            c.eat(",stats:")?;
+            let stats = parse_stats(&mut c)?;
+            c.eat(",sketch:")?;
+            let sketch = c.option(parse_sketch)?;
+            c.eat(",series:")?;
+            let series = c.option(parse_series)?;
+            c.eat("}")?;
+            if !c.s.is_empty() {
+                return None;
+            }
+            Some(SweepOutcome {
+                index: usize::try_from(index).ok()?,
+                seed,
+                steady_skew,
+                max_skew,
+                agreement_holds,
+                max_abs_adjustment,
+                mean_abs_adjustment,
+                adjustment_holds,
+                stats,
+                sketch,
+                series,
+            })
+        }
+    }
+
+    /// The six store fixtures: five binary stores and the text export of
+    /// the sketch store.
+    const FIXTURES: [&str; 6] = [
+        "adversary-store.wlsb",
+        "faulted-store.wlsb",
+        "piecewise-store.wlsb",
+        "series-store.wlsb",
+        "sketch-store.wlsb",
+        "sketch-store.wls",
+    ];
+
+    /// Every record of the six store fixtures.
+    fn fixture_records() -> Vec<EncodedRecord> {
+        let mut records = Vec::new();
+        for name in FIXTURES {
+            let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+            let bytes = std::fs::read(&path).expect("checked-in fixture");
+            if let Some(reader) = SegmentReader::new(&bytes) {
+                records.extend(reader);
+            } else {
+                let text = std::str::from_utf8(&bytes).expect("a text store");
+                let lines = text.lines().skip(1);
+                records.extend(lines.map(|line| parse_line(line).expect("an intact line")));
+            }
+        }
+        records
+    }
+
+    /// The lines of `tests/fixtures/canon.golden` that begin with `prefix`.
+    fn golden_lines(prefix: &str) -> Vec<String> {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/canon.golden");
+        let golden = std::fs::read_to_string(path).expect("checked-in corpus");
+        let lines = golden.lines().filter(|line| line.starts_with(prefix));
+        lines.map(String::from).collect()
+    }
+
+    /// `text` with byte `at` replaced by `byte`, read as a store's text
+    /// loader reads a file: a byte that breaks UTF-8 becomes U+FFFD.
+    fn substituted(text: &str, at: usize, byte: u8) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        bytes[at] = byte;
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Both readers give one verdict on `canon`, and bit-identical
+    /// outcomes when they accept it.
+    fn same_as_oracle(canon: &str) {
+        match (oracle::parse_outcome(canon), parse_outcome(canon)) {
+            (None, None) => {}
+            (Some(want), Some(got)) => assert!(want.bit_identical(&got), "{canon:?}"),
+            (want, got) => panic!(
+                "verdicts differ on {canon:?}: oracle {}, parser {}",
+                want.is_some(),
+                got.is_some()
+            ),
+        }
+    }
+
+    /// A scalar canon carrying the sketch `SkewSketch{count:…,low:…,…}`
+    /// spelled from these fields as they stand, well formed or not.
+    fn sketch_text(count: u64, low: u64, bin_idx: &str, bin_count: &str) -> String {
+        let sketch = format!(
+            "sketch:+SkewSketch{{count:{count},low:{low},sum_hi:0,sum_lo:0,\
+             max:x0000000000000000,bin_idx:[{bin_idx}],bin_count:[{bin_count}]}}"
+        );
+        let canon = canon_string(&scalar(|_| 0.0, 0));
+        canon.replacen("sketch:~", &sketch, 1)
+    }
+
+    /// The parser agrees with the oracle on every outcome canon of the
+    /// store fixtures, of `canon.golden` and of the corpus, on sketches at
+    /// each edge of `well_formed`, and on every truncation and every
+    /// one-byte substitution (all 256 values) of a scalar, a sketch and a
+    /// series canon, and every truncation of a series longer than two
+    /// `SEQ_CHUNK`s.
+    #[test]
+    fn parser_agrees_with_the_oracle() {
+        let golden = golden_lines("SweepOutcome{");
+        assert_eq!(golden.len(), outcome_corpus().len());
+        let mut canons = golden;
+        canons.extend(outcome_canons());
+        let (limit, max) = (crate::sketch::BIN_LIMIT, u64::MAX);
+        let edges = [
+            (0, 0, String::new(), String::new(), true),
+            (1, 0, format!("{}", limit - 1), "1".into(), true),
+            (1, 0, format!("{limit}"), "1".into(), false),
+            (2, 0, format!("{},1", limit - 2), "1,1".into(), true),
+            (2, 0, format!("{},1", limit - 1), "1,1".into(), false),
+            (2, 0, "5,0".into(), "1,1".into(), false),
+            (2, 0, format!("{},1", u32::MAX), "1,1".into(), false),
+            (1, 0, "3".into(), String::new(), false),
+            (1, 1, "3".into(), "0".into(), false),
+            (2, 0, "3".into(), "1".into(), false),
+            (max, 1, "3".into(), format!("{}", max - 1), true),
+            (0, 1, "3".into(), format!("{max}"), false),
+        ];
+        for (count, low, bin_idx, bin_count, accepted) in edges {
+            let canon = sketch_text(count, low, &bin_idx, &bin_count);
+            assert_eq!(parse_outcome(&canon).is_some(), accepted, "{canon:?}");
+            canons.push(canon);
+        }
+        for record in fixture_records() {
+            // The fixtures' stale-engine records carry noise, not canons.
+            let current = record.engine_version == ENGINE_VERSION;
+            assert_eq!(parse_outcome(&record.outcome_canon).is_some(), current);
+            canons.push(record.outcome_canon);
+        }
+        for canon in &canons {
+            same_as_oracle(canon);
+        }
+
+        let plain = |i| 1.25e-3 / (i + 1) as f64;
+        let wide = sketch_of([1e-6, 2e-6, 1e-4, 1.1e-4, 3e-3, 0.5, 0.0, f64::NAN, 4e9]);
+        let mutated = [
+            scalar(plain, 1234),
+            SweepOutcome {
+                sketch: Some(wide),
+                ..scalar(plain, 0)
+            },
+            SweepOutcome {
+                series: Some(series(plain, 3)),
+                ..scalar(plain, 0)
+            },
+        ];
+        for canon in mutated.iter().map(canon_string) {
+            for cut in 0..canon.len() {
+                same_as_oracle(&canon[..cut]);
+            }
+            for at in 0..canon.len() {
+                for byte in 0..=u8::MAX {
+                    same_as_oracle(&substituted(&canon, at, byte));
+                }
+            }
+        }
+        // Every cut of a series longer than two chunks: cuts before,
+        // at and after each append of a full chunk.
+        let long = canon_string(&SweepOutcome {
+            series: Some(series(plain, 2 * SEQ_CHUNK as u64 + 1)),
+            ..scalar(plain, 0)
+        });
+        for cut in 0..long.len() {
+            same_as_oracle(&long[..cut]);
+        }
+    }
+
+    /// `spec_is_adversarial` reads one field: no fixture spec holds
+    /// `adversary:` twice (a current-engine one holds it once, a stale
+    /// record's noise never).
+    #[test]
+    fn fixture_specs_hold_the_adversary_field_once() {
+        for record in fixture_records() {
+            let fields = record.spec_canon.matches("adversary:").count();
+            let once = usize::from(record.engine_version == ENGINE_VERSION);
+            assert_eq!(fields, once, "{:?}", record.spec_canon);
+        }
+    }
+
+    /// A parsed sketch or series holds every sequence at exactly its
+    /// length, short or long; and a 1 MiB `bin_idx`, malformed at its
+    /// first or its last element, is refused.
+    #[test]
+    fn sequences_are_allocated_at_their_length() {
+        let plain = |i| 1.25e-3 / (i + 1) as f64;
+        let long = series(plain, 3 * SEQ_CHUNK as u64 + 1);
+        let wide = sketch_of((0..400).map(|i| seeded_float(0xB1D5, i).abs()));
+        assert!(wide.bin_idx.len() > SEQ_CHUNK);
+        let mut outcomes = outcome_corpus();
+        outcomes.push(SweepOutcome {
+            sketch: Some(wide),
+            series: Some(long),
+            ..scalar(plain, 0)
+        });
+        let exact = |len: usize, capacity: usize| assert_eq!(capacity, len, "spare capacity");
+        for outcome in &outcomes {
+            let parsed = parse_outcome(&canon_string(outcome)).expect("parses");
+            if let Some(s) = &parsed.sketch {
+                exact(s.bin_idx.len(), s.bin_idx.capacity());
+                exact(s.bin_count.len(), s.bin_count.capacity());
+            }
+            if let Some(s) = &parsed.series {
+                for column in [
+                    &s.round_times,
+                    &s.round_skews,
+                    &s.skew_times,
+                    &s.skew_values,
+                    &s.corr_times,
+                    &s.corr_values,
+                ] {
+                    exact(column.len(), column.capacity());
+                }
+                exact(s.corr_procs.len(), s.corr_procs.capacity());
+            }
+        }
+
+        let sketched = canon_string(&SweepOutcome {
+            sketch: Some(sketch_of([2.5e-4])),
+            ..scalar(plain, 0)
+        });
+        let (head, rest) = sketched.split_once("bin_idx:[").expect("a sketch canon");
+        let (bins, tail) = rest.split_at(rest.find(']').expect("a closed sequence"));
+        assert!(parse_outcome(&format!("{head}bin_idx:[{bins}{tail}")).is_some());
+        let run = ",1".repeat(1 << 19);
+        for hostile in [format!("01{run}"), format!("1{run},x")] {
+            assert!(parse_outcome(&format!("{head}bin_idx:[{hostile}{tail}")).is_none());
         }
     }
 
