@@ -289,12 +289,7 @@ fn payload(c: &mut Take<'_>) -> Option<String> {
         ENC_HEX_LZ => {
             let mid_len = c.u32()? as usize;
             let enc_len = c.u32()? as usize;
-            let packed = wlz::decompress(c.bytes(enc_len)?, mid_len)?;
-            let raw = wlz::hex_unpack(&packed)?;
-            if raw.len() != raw_len {
-                return None;
-            }
-            raw
+            wlz::decompress_hex(c.bytes(enc_len)?, mid_len, raw_len)?
         }
         _ => return None,
     };
@@ -871,9 +866,7 @@ impl<'a> SegmentReader<'a> {
                 // block into whole records. Any failure past this point
                 // means the header's lengths or count lied — all-or-
                 // nothing, like the torn case.
-                let records = wlz::decompress(stored, mid_len)
-                    .and_then(|mid| wlz::hex_unpack(&mid))
-                    .filter(|raw| raw.len() == raw_len)
+                let records = wlz::decompress_hex(stored, mid_len, raw_len)
                     .and_then(|raw| decode_packed_block(&raw, count as usize));
                 match records {
                     Some(records) => {
@@ -1437,6 +1430,87 @@ mod tests {
             }
         }
         assert_eq!(kinds, (true, true), "both framings were written");
+    }
+
+    // -----------------------------------------------------------------
+    // The same bytes, or the same refusal, as the three-step decode.
+    // -----------------------------------------------------------------
+
+    /// The hex-LZ decode as it stood before `wlz::decompress_hex`,
+    /// verbatim: decompress, hex-unpack, then check the length.
+    fn three_step_unhex_lz(stored: &[u8], mid_len: usize, raw_len: usize) -> Option<Vec<u8>> {
+        wlz::decompress(stored, mid_len)
+            .and_then(|mid| wlz::hex_unpack(&mid))
+            .filter(|raw| raw.len() == raw_len)
+    }
+
+    /// `wlz::decompress_hex` decodes `stored` as the three steps do —
+    /// the same bytes or the same refusal — and so it does at each
+    /// declared length one off, at every cut of `stored` and with each
+    /// of its bytes flipped. The decode is the only step of either
+    /// reader that `decompress_hex` replaced, so the records, segments
+    /// and `damaged()` a reader yields follow.
+    fn decodes_as_the_three_steps_decode(stored: &[u8], mid_len: usize, raw_len: usize) {
+        let same = |stored: &[u8], mid_len: usize, raw_len: usize| {
+            assert_eq!(
+                wlz::decompress_hex(stored, mid_len, raw_len),
+                three_step_unhex_lz(stored, mid_len, raw_len),
+                "{stored:?} to {mid_len} then {raw_len} bytes"
+            );
+        };
+        assert!(wlz::decompress_hex(stored, mid_len, raw_len).is_some());
+        for (mid, raw) in [
+            (mid_len - 1, raw_len),
+            (mid_len + 1, raw_len),
+            (mid_len, raw_len - 1),
+            (mid_len, raw_len + 1),
+        ] {
+            same(stored, mid, raw);
+        }
+        for cut in 0..stored.len() {
+            same(&stored[..cut], mid_len, raw_len);
+        }
+        let mut flipped = stored.to_vec();
+        for at in 0..stored.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                flipped[at] ^= mask;
+                same(&flipped, mid_len, raw_len);
+                flipped[at] ^= mask;
+            }
+        }
+    }
+
+    #[test]
+    fn tampered_hex_lz_decodes_as_the_three_steps_decode() {
+        let fixture = include_bytes!("../../tests/fixtures/sketch-store.wlsb");
+        let (records, segments, damaged) = read_all(fixture);
+        assert_eq!((segments, damaged), (1, 0));
+        let u32_at = |bytes: &[u8], at: usize| {
+            u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize
+        };
+
+        // The fixture's records as one packed segment, read back whole,
+        // and its block.
+        let file = write_file(&records, DEFAULT_SEGMENT_CAPACITY);
+        assert_eq!(read_all(&file), (records.clone(), 1, 0));
+        let packed = &file[FILE_HEADER_LEN..];
+        assert_eq!(packed[..4], SEGMENT_MAGIC_PACKED);
+        let (mid_len, raw_len) = (u32_at(packed, 16), u32_at(packed, 20));
+        decodes_as_the_three_steps_decode(&packed[PACKED_SEGMENT_HEADER_LEN..], mid_len, raw_len);
+
+        // One record's spec payload: encoding, raw, intermediate and
+        // stored lengths, then the stored bytes.
+        let frame = records[0].encode();
+        let body = &frame[4..frame.len() - 8];
+        let spec = 1 + 8 + 4 + 2 + records[0].algo.len();
+        assert_eq!(body[spec], ENC_HEX_LZ, "the spec payload is hex-packed");
+        let (raw_len, mid_len, enc_len) = (
+            u32_at(body, spec + 1),
+            u32_at(body, spec + 5),
+            u32_at(body, spec + 9),
+        );
+        let stored = &body[spec + 13..spec + 13 + enc_len];
+        decodes_as_the_three_steps_decode(stored, mid_len, raw_len);
     }
 
     #[test]
