@@ -26,9 +26,19 @@
 # with --trace, layer by layer. Prints, per workload x metric: both
 # medians, the change in the median
 # of the pairs and in the ratio of the medians, how many pairs the change
-# is ahead in (by the metric's `better` in BENCHMARK.json), each pair's
+# is ahead in (by the metric's `better` in BENCHMARK.json), the exact
+# sign-flip p of the pair median and its 95 % null bound, each pair's
 # change, and each side's quartile spread (nearest-rank Q3 - Q1 over the
 # median); then each run's "machine ... x slower than reference" factors.
+# The sign-flip test takes the null that the change does nothing, under
+# which each pair's delta is as likely negated: over all 2^N flips of the
+# deltas' signs, p is the share whose |pair median| reaches the observed
+# one, and the bound is the 95th percentile of |pair median| over the
+# flips (nearest rank): what deltas of these sizes read with random
+# signs. A row with p > 0.05 says "unresolved". Both read "-" above 16
+# pairs.
+# `ci/against.sh HEAD --pairs N` runs the same source on both sides: an
+# A/A run, whose rows show what noise alone reads.
 # Exits 1 if a run fails its checks.
 #
 # Exit 2 on a usage error.
@@ -115,13 +125,40 @@ if [ "$pairs" -gt 0 ]; then
   # The direction of every metric, then the readings.
   grep -oE '"name": "[^"]+", "unit": "[^"]*", "better": "(higher|lower)"' "$root/BENCHMARK.json" |
     awk -F'"' '{ print "better", $4, $12 }' | cat - "$readings" | awk -v n="$pairs" '
-    function sort(a, k,   i, j, t) {
-      for (i = 2; i <= k; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+    function sift(a, i, k,   c, t) { # heap order below a[i], in a[1..k]
+      for (; (c = 2 * i) <= k; i = c) {
+        if (c < k && a[c + 1] > a[c]) c++
+        if (a[i] >= a[c]) return
+        t = a[i]; a[i] = a[c]; a[c] = t
+      }
+    }
+    function sort(a, k,   i, t) { # heapsort: the sign-flip bound sorts 2^15 values
+      for (i = int(k / 2); i >= 1; i--) sift(a, i, k)
+      for (i = k; i > 1; i--) { t = a[1]; a[1] = a[i]; a[i] = t; sift(a, 1, i - 1) }
     }
     function median(a, k) { sort(a, k); return k % 2 ? a[(k + 1) / 2] : (a[k / 2] + a[k / 2 + 1]) / 2 }
     function rank(a, k, q,   r) { r = int(q * k); if (r < q * k) r++; if (r < 1) r = 1; return a[r] }
-    function spread(a, k,   m) { sort(a, k); m = median(a, k); m = m < 0 ? -m : m; return m ? (rank(a, k, 0.75) - rank(a, k, 0.25)) / m * 100 : 0 }
+    function abs(x) { return x < 0 ? -x : x + 0 } # + 0: no "-0.0"
+    function spread(a, k,   m) { m = abs(median(a, k)); return m ? (rank(a, k, 0.75) - rank(a, k, 0.25)) / m * 100 : 0 }
     function pct(x) { return sprintf("%+.1f %%", x) }
+    # Sets P and BOUND, as text, for the deltas d[1..k] (see the usage
+    # comment), and UNRESOLVED when P > 0.05.
+    # Flipping every sign negates the median, so half the flips suffice.
+    function signflip(d, k,   t, null, obs, half, f, bits, i, m, hits) {
+      P = "-"; BOUND = "-"; UNRESOLVED = 0
+      if (k < 1 || k > 16) return
+      for (i = 1; i <= k; i++) t[i] = d[i]
+      obs = abs(median(t, k)); half = 2 ^ (k - 1); hits = 0
+      for (f = 0; f < half; f++) {
+        bits = f
+        for (i = 1; i <= k; i++) { t[i] = bits % 2 ? -d[i] : d[i]; bits = int(bits / 2) }
+        m = abs(median(t, k)); null[f + 1] = m
+        if (m >= obs * (1 - 1e-9)) hits++
+      }
+      sort(null, half)
+      P = sprintf("%.3f", hits / half); BOUND = sprintf("%.1f %%", rank(null, half, 0.95))
+      UNRESOLVED = hits / half > 0.05
+    }
     $1 == "better" { better[$2] = $3; next }
     {
       key = $3 " " $4
@@ -130,7 +167,7 @@ if [ "$pairs" -gt 0 ]; then
       if ($5 != 0) read[key] = 1
     }
     END {
-      printf "%-12s %-34s %14s %14s %12s %12s %6s  %-9s %-11s per-pair delta\n", "workload", "metric", "base median", "change median", "pair median", "median ratio", "ahead", "base iqr", "change iqr"
+      printf "%-12s %-34s %14s %14s %12s %12s %6s %7s %9s %-10s  %-9s %-11s per-pair delta\n", "workload", "metric", "base median", "change median", "pair median", "median ratio", "ahead", "flip p", "95% null", "verdict", "base iqr", "change iqr"
       for (i = 1; i <= nkeys; i++) {
         key = keys[i]; split(key, km, " ")
         if (!(key in read)) continue # a metric of another workload: zero in every run
@@ -142,7 +179,8 @@ if [ "$pairs" -gt 0 ]; then
           list = list sprintf(" %+.1f", d); deltas[++k] = d
         }
         bm = median(b, n); cm = median(c, n)
-        printf "%-12s %-34s %14.4f %14.4f %12s %12s %3d/%-2d  %-9s %-11s%s\n", km[1], km[2], bm, cm, pct(median(deltas, k)), pct(bm ? (cm / bm - 1) * 100 : 0), ahead, n, sprintf("%.1f %%", spread(b, n)), sprintf("%.1f %%", spread(c, n)), list
+        signflip(deltas, k)
+        printf "%-12s %-34s %14.4f %14.4f %12s %12s %3d/%-2d %7s %9s %-10s  %-9s %-11s%s\n", km[1], km[2], bm, cm, pct(median(deltas, k)), pct(bm ? (cm / bm - 1) * 100 : 0), ahead, n, P, BOUND, UNRESOLVED ? "unresolved" : "-", sprintf("%.1f %%", spread(b, n)), sprintf("%.1f %%", spread(c, n)), list
       }
     }'
   if [ -s "$speeds" ]; then

@@ -191,6 +191,13 @@ pub const ENC_LZ: u8 = 1;
 /// encodings that nibble-packing halves before LZ sees them.
 pub const ENC_HEX_LZ: u8 = 2;
 
+/// What the compression framing adds to a payload's encoded bytes: the
+/// encoding byte, the raw length and the encoded length.
+const PAYLOAD_FRAMING: usize = 1 + 4 + 4;
+
+/// What [`ENC_HEX_LZ`] adds on top: the intermediate hex-packed length.
+const HEX_FRAMING: usize = 4;
+
 /// Appends `payload` to `out` in the compression framing: one encoding
 /// byte, raw length, encoded length, encoded bytes — and, for
 /// [`ENC_HEX_LZ`] only, the intermediate hex-packed length between the
@@ -200,19 +207,19 @@ pub const ENC_HEX_LZ: u8 = 2;
 /// break toward the lowest id), so the choice is deterministic and the
 /// reader never guesses — it just dispatches on the byte.
 fn push_payload(out: &mut Vec<u8>, payload: &[u8]) {
-    let len32 = |n: usize| u32::try_from(n).expect("payload < 4 GiB").to_le_bytes();
     let lz = wlz::compress(payload);
     let hex_packed = wlz::hex_pack(payload);
     let hex_lz = wlz::compress(&hex_packed);
-    // ENC_HEX_LZ carries 4 extra framing bytes; account for them.
-    let (enc, encoded): (u8, &[u8]) =
-        if payload.len() <= lz.len() && payload.len() <= hex_lz.len() + 4 {
-            (ENC_RAW, payload)
-        } else if lz.len() <= hex_lz.len() + 4 {
-            (ENC_LZ, &lz)
-        } else {
-            (ENC_HEX_LZ, &hex_lz)
-        };
+    if payload.len() <= lz.len() && payload.len() <= hex_lz.len() + HEX_FRAMING {
+        push_raw_payload(out, payload);
+        return;
+    }
+    let len32 = |n: usize| u32::try_from(n).expect("payload < 4 GiB").to_le_bytes();
+    let (enc, encoded) = if lz.len() <= hex_lz.len() + HEX_FRAMING {
+        (ENC_LZ, &lz)
+    } else {
+        (ENC_HEX_LZ, &hex_lz)
+    };
     out.push(enc);
     out.extend_from_slice(&len32(payload.len()));
     if enc == ENC_HEX_LZ {
@@ -220,6 +227,28 @@ fn push_payload(out: &mut Vec<u8>, payload: &[u8]) {
     }
     out.extend_from_slice(&len32(encoded.len()));
     out.extend_from_slice(encoded);
+}
+
+/// Appends `payload` to `out` framed [`ENC_RAW`]: the framing the writer
+/// keeps for a payload no codec shrinks, and the one a put sends.
+fn push_raw_payload(out: &mut Vec<u8>, payload: &[u8]) {
+    let len = u32::try_from(payload.len())
+        .expect("payload < 4 GiB")
+        .to_le_bytes();
+    out.push(ENC_RAW);
+    out.extend_from_slice(&len);
+    out.extend_from_slice(&len);
+    out.extend_from_slice(payload);
+}
+
+/// The fewest bytes [`push_payload`] can write for `payload`: its
+/// framing around the smallest of the raw bytes and the floors
+/// ([`wlz::compressed_len_floor`]) of both codec streams. A lower bound,
+/// since each encoded length is at least its floor.
+fn payload_floor(payload: &[u8]) -> usize {
+    let lz = wlz::compressed_len_floor(payload);
+    let hex_lz = wlz::compressed_len_floor(&wlz::hex_pack(payload)) + HEX_FRAMING;
+    PAYLOAD_FRAMING + payload.len().min(lz).min(hex_lz)
 }
 
 /// The crate's one little-endian byte cursor: every binary decoder (the
@@ -318,15 +347,51 @@ impl EncodedRecord {
     /// Appends [`encode`](Self::encode)'s bytes to `out` — for a caller
     /// that frames the record inside a larger buffer.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        self.frame_into(out, push_payload);
+    }
+
+    /// Appends the bytes of [`encode`](Self::encode) with both payloads
+    /// framed [`ENC_RAW`] instead of in their smallest encodings: a
+    /// valid record that costs no compression to write — how a put
+    /// travels, since the server re-encodes what it stores.
+    pub(crate) fn encode_raw_into(&self, out: &mut Vec<u8>) {
+        self.frame_into(out, push_raw_payload);
+    }
+
+    /// Appends this record's frame: its length, its body with each
+    /// payload written by `payload`, and its checksum.
+    fn frame_into(&self, out: &mut Vec<u8>, payload: fn(&mut Vec<u8>, &[u8])) {
         let start = out.len();
         out.extend_from_slice(&[0; 4]);
-        self.push_body(out);
+        self.push_body(out, payload);
         close_frame(out, start);
     }
 
+    /// Bytes of the fixed fields a body starts with.
+    fn head_len(&self) -> usize {
+        1 + 8 + 4 + 2 + self.algo.len()
+    }
+
+    /// The most bytes the stored body can take: both payloads framed
+    /// raw. The encoding [`push_payload`] keeps is never longer, since raw
+    /// is one of its candidates and the others are kept only when
+    /// smaller.
+    fn body_ceiling(&self) -> usize {
+        self.head_len() + 2 * PAYLOAD_FRAMING + self.spec_canon.len() + self.outcome_canon.len()
+    }
+
+    /// The fewest bytes the stored body can take (see
+    /// [`payload_floor`]).
+    fn body_floor(&self) -> usize {
+        self.head_len()
+            + payload_floor(self.spec_canon.as_bytes())
+            + payload_floor(self.outcome_canon.as_bytes())
+    }
+
     /// Appends this record's body short of its checksum: the fixed
-    /// fields, then both payloads in their chosen encodings.
-    fn push_body(&self, out: &mut Vec<u8>) {
+    /// fields, then both payloads, each written by `payload` —
+    /// [`push_payload`] for the bytes a store keeps.
+    fn push_body(&self, out: &mut Vec<u8>, payload: fn(&mut Vec<u8>, &[u8])) {
         out.push(self.tag);
         out.extend_from_slice(&self.content_hash.to_le_bytes());
         out.extend_from_slice(&self.engine_version.to_le_bytes());
@@ -337,8 +402,8 @@ impl EncodedRecord {
                 .to_le_bytes(),
         );
         out.extend_from_slice(algo);
-        push_payload(out, self.spec_canon.as_bytes());
-        push_payload(out, self.outcome_canon.as_bytes());
+        payload(out, self.spec_canon.as_bytes());
+        payload(out, self.outcome_canon.as_bytes());
     }
 
     /// Parses one record from the front of `data`, returning it and the
@@ -554,12 +619,20 @@ pub struct SegmentWriter<'a> {
     capacity: u32,
     next_ordinal: u32,
     out: Vec<u8>,
-    /// The open segment's record bodies, back to back and unframed.
-    bodies: Vec<u8>,
-    /// Where each open record's body ends in `bodies`.
-    ends: Vec<usize>,
     /// The open segment's records, borrowed until it seals.
     pending: Vec<&'a EncodedRecord>,
+    /// The bodies of the first `ends.len()` pending records, back to back
+    /// and unframed. A body is built only when a decision needs its exact
+    /// length, and then with every body before it.
+    bodies: Vec<u8>,
+    /// Where each built body ends in `bodies`.
+    ends: Vec<usize>,
+    /// An upper bound on the open segment's plain block: the built
+    /// frames exactly, each other record at its ceiling.
+    plain_ceiling: usize,
+    /// How many bodies this writer has built.
+    #[cfg(test)]
+    built: usize,
 }
 
 impl<'a> SegmentWriter<'a> {
@@ -571,9 +644,12 @@ impl<'a> SegmentWriter<'a> {
             capacity,
             next_ordinal: first_ordinal,
             out: Vec::new(),
+            pending: Vec::new(),
             bodies: Vec::new(),
             ends: Vec::new(),
-            pending: Vec::new(),
+            plain_ceiling: 0,
+            #[cfg(test)]
+            built: 0,
         }
     }
 
@@ -583,24 +659,66 @@ impl<'a> SegmentWriter<'a> {
     /// sealed segment ends up packed — so boundary placement never
     /// depends on compression ratios.
     ///
-    /// The record's body — fields and both payloads, each in its smallest
-    /// encoding — is built here, once; its frame (length and checksum)
-    /// only if the segment seals plain. The capacity rule needs just the
-    /// plain length: body + 12 bytes.
+    /// The plain length of a record is its body + 12 bytes, and its body
+    /// is at most its ceiling: the fixed fields and both payloads framed
+    /// raw. While the ceilings fit the capacity the record joins the
+    /// segment unencoded. Only when they overflow are the segment's
+    /// bodies and this record's built, and the exact lengths decide.
     pub fn push(&mut self, record: &'a EncodedRecord) {
+        let ceiling = record.body_ceiling() + FRAME_LEN;
+        if self.pending.is_empty() || self.plain_ceiling + ceiling <= self.capacity as usize {
+            self.pending.push(record);
+            self.plain_ceiling += ceiling;
+            return;
+        }
+        self.build_bodies();
         let start = self.bodies.len();
-        record.push_body(&mut self.bodies);
+        self.build_body(record);
         let plain = self.bodies.len() + FRAME_LEN * (self.pending.len() + 1);
-        if !self.pending.is_empty() && plain > self.capacity as usize {
-            self.seal(start);
+        if plain > self.capacity as usize {
+            let next = self.bodies.split_off(start);
+            self.seal();
+            self.bodies.extend_from_slice(&next);
         }
         self.ends.push(self.bodies.len());
         self.pending.push(record);
+        self.plain_ceiling = self.bodies.len() + FRAME_LEN * self.pending.len();
     }
 
-    /// Seals the open segment: the pending records, whose bodies are
-    /// `self.bodies[..sealed]`.
-    fn seal(&mut self, sealed: usize) {
+    /// Appends `record`'s body to `bodies`.
+    fn build_body(&mut self, record: &EncodedRecord) {
+        record.push_body(&mut self.bodies, push_payload);
+        #[cfg(test)]
+        {
+            self.built += 1;
+        }
+    }
+
+    /// Builds the body of every pending record that has none yet.
+    fn build_bodies(&mut self) {
+        for k in self.ends.len()..self.pending.len() {
+            self.build_body(self.pending[k]);
+            self.ends.push(self.bodies.len());
+        }
+    }
+
+    /// Whether the open segment's plain block is provably longer than
+    /// `len` bytes: its built frames counted exactly, every other record
+    /// at its body floor plus its frame, summed only as far as it takes.
+    fn plain_exceeds(&self, len: usize) -> bool {
+        let mut floor = self.bodies.len() + FRAME_LEN * self.pending.len();
+        for record in &self.pending[self.ends.len()..] {
+            if floor > len {
+                break;
+            }
+            floor += record.body_floor();
+        }
+        floor > len
+    }
+
+    /// Seals the open segment: the pending records, whose built bodies
+    /// are all of `self.bodies`.
+    fn seal(&mut self) {
         if self.pending.is_empty() {
             return;
         }
@@ -609,13 +727,19 @@ impl<'a> SegmentWriter<'a> {
         // block hex-packed + LZ'd, 32-byte header). Keep the smaller;
         // ties go to plain. Both sides are pure functions of the record
         // sequence, so the choice — and the file — stays deterministic.
+        // A plain block provably longer than the packed one needs no
+        // bodies; any other needs them all, to decide or to be written.
         let raw_block = packed_block(&self.pending);
         let mid = wlz::hex_pack(&raw_block);
         let stored = wlz::compress(&mid);
+        let packed_plain = PACKED_SEGMENT_HEADER_LEN + stored.len() - SEGMENT_HEADER_LEN;
+        let packed = self.plain_exceeds(packed_plain) || {
+            self.build_bodies();
+            self.bodies.len() + FRAME_LEN * self.pending.len() > packed_plain
+        };
         let len32 = |n: usize| u32::try_from(n).expect("segment < 4 GiB").to_le_bytes();
         let count = len32(self.pending.len());
-        let plain_len = sealed + FRAME_LEN * self.pending.len();
-        if PACKED_SEGMENT_HEADER_LEN + stored.len() < SEGMENT_HEADER_LEN + plain_len {
+        if packed {
             self.out.extend_from_slice(&SEGMENT_MAGIC_PACKED);
             self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
             self.out.extend_from_slice(&count);
@@ -625,6 +749,7 @@ impl<'a> SegmentWriter<'a> {
             self.out.extend_from_slice(&fnv64(&stored).to_le_bytes());
             self.out.extend_from_slice(&stored);
         } else {
+            let plain_len = self.bodies.len() + FRAME_LEN * self.pending.len();
             self.out.extend_from_slice(&SEGMENT_MAGIC);
             self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
             self.out.extend_from_slice(&count);
@@ -642,9 +767,10 @@ impl<'a> SegmentWriter<'a> {
             let crc = fnv64(&self.out[crc_at + 8..]);
             self.out[crc_at..crc_at + 8].copy_from_slice(&crc.to_le_bytes());
         }
-        self.bodies.drain(..sealed);
+        self.bodies.clear();
         self.ends.clear();
         self.pending.clear();
+        self.plain_ceiling = 0;
         self.next_ordinal += 1;
     }
 
@@ -661,7 +787,7 @@ impl<'a> SegmentWriter<'a> {
     /// checkpointer needs to keep extending the same file.
     #[must_use]
     pub fn into_parts(mut self) -> (Vec<u8>, u32) {
-        self.seal(self.bodies.len());
+        self.seal();
         (self.out, self.next_ordinal)
     }
 }
@@ -1380,6 +1506,135 @@ mod tests {
         }
     }
 
+    /// The segment writer as it stood when `push` built every record's
+    /// body, verbatim but for its name: the oracle the lazy writer is
+    /// held to.
+    struct EagerWriter<'a> {
+        capacity: u32,
+        next_ordinal: u32,
+        out: Vec<u8>,
+        bodies: Vec<u8>,
+        ends: Vec<usize>,
+        pending: Vec<&'a EncodedRecord>,
+    }
+
+    impl<'a> EagerWriter<'a> {
+        fn new(capacity: u32, first_ordinal: u32) -> Self {
+            Self {
+                capacity,
+                next_ordinal: first_ordinal,
+                out: Vec::new(),
+                bodies: Vec::new(),
+                ends: Vec::new(),
+                pending: Vec::new(),
+            }
+        }
+
+        fn push(&mut self, record: &'a EncodedRecord) {
+            let start = self.bodies.len();
+            record.push_body(&mut self.bodies, push_payload);
+            let plain = self.bodies.len() + FRAME_LEN * (self.pending.len() + 1);
+            if !self.pending.is_empty() && plain > self.capacity as usize {
+                self.seal(start);
+            }
+            self.ends.push(self.bodies.len());
+            self.pending.push(record);
+        }
+
+        fn seal(&mut self, sealed: usize) {
+            if self.pending.is_empty() {
+                return;
+            }
+            let raw_block = packed_block(&self.pending);
+            let mid = wlz::hex_pack(&raw_block);
+            let stored = wlz::compress(&mid);
+            let len32 = |n: usize| u32::try_from(n).expect("segment < 4 GiB").to_le_bytes();
+            let count = len32(self.pending.len());
+            let plain_len = sealed + FRAME_LEN * self.pending.len();
+            if PACKED_SEGMENT_HEADER_LEN + stored.len() < SEGMENT_HEADER_LEN + plain_len {
+                self.out.extend_from_slice(&SEGMENT_MAGIC_PACKED);
+                self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
+                self.out.extend_from_slice(&count);
+                self.out.extend_from_slice(&len32(stored.len()));
+                self.out.extend_from_slice(&len32(mid.len()));
+                self.out.extend_from_slice(&len32(raw_block.len()));
+                self.out.extend_from_slice(&fnv64(&stored).to_le_bytes());
+                self.out.extend_from_slice(&stored);
+            } else {
+                self.out.extend_from_slice(&SEGMENT_MAGIC);
+                self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
+                self.out.extend_from_slice(&count);
+                self.out.extend_from_slice(&len32(plain_len));
+                let crc_at = self.out.len();
+                self.out.extend_from_slice(&[0; 8]);
+                let mut from = 0;
+                for &end in &self.ends {
+                    let frame = self.out.len();
+                    self.out.extend_from_slice(&[0; 4]);
+                    self.out.extend_from_slice(&self.bodies[from..end]);
+                    close_frame(&mut self.out, frame);
+                    from = end;
+                }
+                let crc = fnv64(&self.out[crc_at + 8..]);
+                self.out[crc_at..crc_at + 8].copy_from_slice(&crc.to_le_bytes());
+            }
+            self.bodies.drain(..sealed);
+            self.ends.clear();
+            self.pending.clear();
+            self.next_ordinal += 1;
+        }
+
+        fn into_parts(mut self) -> (Vec<u8>, u32) {
+            self.seal(self.bodies.len());
+            (self.out, self.next_ordinal)
+        }
+    }
+
+    /// Writes `records` from ordinal `first` at `capacity` with the
+    /// lazy writer, and asserts the eager writer writes the same bytes
+    /// and the same next ordinal. Returns the bytes, the next ordinal and
+    /// how many bodies the lazy writer built.
+    fn same_bytes_as_the_eager_writer(
+        records: &[EncodedRecord],
+        capacity: u32,
+        first: u32,
+    ) -> (Vec<u8>, u32, usize) {
+        let mut lazy = SegmentWriter::new(capacity, first);
+        let mut eager = EagerWriter::new(capacity, first);
+        for r in records {
+            lazy.push(r);
+            eager.push(r);
+        }
+        lazy.seal();
+        let built = lazy.built;
+        let ours = lazy.into_parts();
+        assert_eq!(
+            ours,
+            eager.into_parts(),
+            "{} records at capacity {capacity}",
+            records.len()
+        );
+        let (bytes, next) = ours;
+        (bytes, next, built)
+    }
+
+    /// [`same_bytes_as_the_eager_writer`], and the encode-then-copy
+    /// writer's bytes too.
+    fn same_bytes_as_both_oracles(
+        records: &[EncodedRecord],
+        capacity: u32,
+        first: u32,
+    ) -> (Vec<u8>, u32) {
+        let (ours, next, _) = same_bytes_as_the_eager_writer(records, capacity, first);
+        let mut copied = ReferenceWriter::new(capacity, first);
+        for r in records {
+            copied.push(r);
+        }
+        let (theirs, their_next) = copied.into_parts();
+        assert_eq!((&ours, next), (&theirs, their_next), "capacity {capacity}");
+        (ours, next)
+    }
+
     #[test]
     fn same_bytes_as_the_encode_then_copy_writer() {
         // Scalar and series, compressible and not, in runs and
@@ -1404,32 +1659,251 @@ mod tests {
                 // it, for every split point.
                 for split in [0, 1, 13, records.len()] {
                     let (head, tail) = records.split_at(split);
-                    let mut ours = SegmentWriter::new(capacity, first_ordinal);
-                    let mut theirs = ReferenceWriter::new(capacity, first_ordinal);
-                    for r in head {
-                        ours.push(r);
-                        theirs.push(r);
-                    }
-                    let (ours, next) = ours.into_parts();
-                    let (theirs, their_next) = theirs.into_parts();
-                    assert_eq!(ours, theirs, "capacity {capacity}, first {split} records");
-                    assert_eq!(next, their_next);
-                    let mut ours = SegmentWriter::new(capacity, next);
-                    let mut theirs = ReferenceWriter::new(capacity, next);
-                    for r in tail {
-                        ours.push(r);
-                        theirs.push(r);
-                    }
-                    let (ours, next) = ours.into_parts();
-                    let (theirs, their_next) = theirs.into_parts();
-                    assert_eq!(ours, theirs, "capacity {capacity}, appended after {split}");
-                    assert_eq!(next, their_next);
+                    let (_, next) = same_bytes_as_both_oracles(head, capacity, first_ordinal);
+                    let (ours, _) = same_bytes_as_both_oracles(tail, capacity, next);
                     kinds.0 |= ours.windows(4).any(|w| w == SEGMENT_MAGIC);
                     kinds.1 |= ours.windows(4).any(|w| w == SEGMENT_MAGIC_PACKED);
                 }
             }
         }
         assert_eq!(kinds, (true, true), "both framings were written");
+    }
+
+    /// The records of every checked-in binary store fixture, per file.
+    fn fixture_records() -> Vec<Vec<EncodedRecord>> {
+        [
+            &include_bytes!("../../tests/fixtures/sketch-store.wlsb")[..],
+            include_bytes!("../../tests/fixtures/faulted-store.wlsb"),
+            include_bytes!("../../tests/fixtures/adversary-store.wlsb"),
+            include_bytes!("../../tests/fixtures/piecewise-store.wlsb"),
+            include_bytes!("../../tests/fixtures/series-store.wlsb"),
+        ]
+        .into_iter()
+        .map(|file| {
+            let (records, _, damaged) = read_all(file);
+            assert_eq!(damaged, 0);
+            records
+        })
+        .collect()
+    }
+
+    /// What each record's frame adds to a plain block.
+    fn plain_lens(records: &[EncodedRecord]) -> Vec<usize> {
+        records.iter().map(|r| r.encode().len()).collect()
+    }
+
+    #[test]
+    fn the_lazy_writer_writes_every_fixture_as_the_eager_writer() {
+        // Every fixture store, in one segment and in 32 KiB segments;
+        // and the sketch store at capacities that put a cut right after
+        // each record's frame and one byte either side of it.
+        for records in fixture_records() {
+            for capacity in [DEFAULT_SEGMENT_CAPACITY, 32 * 1024] {
+                same_bytes_as_the_eager_writer(&records, capacity, 3);
+            }
+            if records
+                .iter()
+                .any(|r| tag_payload_kind(r.tag) == PayloadKind::Series)
+            {
+                continue;
+            }
+            let mut block = 0;
+            for len in plain_lens(&records) {
+                block += len;
+                for capacity in [block - 1, block, block + 1] {
+                    same_bytes_as_the_eager_writer(&records, capacity as u32, 3);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_lazy_writer_cuts_where_the_eager_writer_cuts() {
+        // Seeded sequences of compressible, incompressible and mixed
+        // records, cut after every record: each capacity is a prefix's
+        // plain block, so the exact lengths decide where the ceilings
+        // alone would have cut elsewhere.
+        let mut x = 0x5E6_0000_0000_0001_u64;
+        for round in 0..3 {
+            let records: Vec<EncodedRecord> = (0..12)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let i = 16 * round + i;
+                    match x % 4 {
+                        0 => rec(i, x.is_multiple_of(3)),
+                        1 => noisy_rec(i, x.is_multiple_of(5)),
+                        2 => {
+                            let mut r = rec(i, false);
+                            r.outcome_canon = noise(i, (x % 700) as usize);
+                            r
+                        }
+                        _ => rec(x % 7, true),
+                    }
+                })
+                .collect();
+            let mut block = 0;
+            for len in plain_lens(&records) {
+                block += len;
+                for capacity in [block - 1, block, block + 1] {
+                    same_bytes_as_the_eager_writer(&records, capacity as u32, 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incompressible_and_oversize_records_seal_as_the_eager_writer_seals() {
+        // Noise stays plain: the floor cannot prove packed smaller, so
+        // the exact bodies decide, and plain wins.
+        let noisy: Vec<EncodedRecord> = (0..10).map(|i| noisy_rec(i, i % 2 == 0)).collect();
+        for capacity in [1, 700, DEFAULT_SEGMENT_CAPACITY] {
+            let (file, _, built) = same_bytes_as_the_eager_writer(&noisy, capacity, 0);
+            assert!(!file.windows(4).any(|w| w == SEGMENT_MAGIC_PACKED));
+            assert_eq!(built, noisy.len(), "capacity {capacity}");
+        }
+        // One record larger than the capacity, alone and between others.
+        let mut big = rec(9, true);
+        big.outcome_canon = big.outcome_canon.repeat(40) + &noise(9, 2_000);
+        assert!(big.encode().len() > 1_024);
+        for records in [
+            vec![big.clone()],
+            vec![rec(1, false), big.clone(), rec(2, false)],
+            vec![
+                noisy_rec(1, false),
+                big.clone(),
+                big.clone(),
+                noisy_rec(2, true),
+            ],
+        ] {
+            for capacity in [1, 512, 1_024] {
+                same_bytes_as_the_eager_writer(&records, capacity, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn one_record_segments_fall_back_to_exact_bodies() {
+        // A lone record's floor leaves room for its packed block, so the
+        // seal builds its body and decides as the eager writer did —
+        // alone in a writer, and cut from its neighbours at capacity 1.
+        for records in fixture_records() {
+            for record in &records {
+                let (_, _, built) = same_bytes_as_the_eager_writer(
+                    std::slice::from_ref(record),
+                    DEFAULT_SEGMENT_CAPACITY,
+                    0,
+                );
+                assert_eq!(built, 1);
+            }
+            let (_, next, _) = same_bytes_as_the_eager_writer(&records, 1, 0);
+            assert_eq!(next as usize, records.len());
+        }
+    }
+
+    /// 64 sketch records the shape of a put batch: the sketch fixture's
+    /// records, cycled under fresh keys and seeds.
+    fn sketch_batch() -> Vec<EncodedRecord> {
+        let fixture = &fixture_records()[0];
+        (0..64u64)
+            .map(|i| {
+                let mut r = fixture[i as usize % fixture.len()].clone();
+                let seed = format!("seed:{}", 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1));
+                let old = r
+                    .spec_canon
+                    .split("seed:")
+                    .nth(1)
+                    .and_then(|s| s.split(',').next());
+                let old = format!("seed:{}", old.expect("a seed"));
+                r.spec_canon = r.spec_canon.replace(&old, &seed);
+                r.outcome_canon = r.outcome_canon.replace(&old, &seed);
+                r.content_hash = r.content_hash.rotate_left(i as u32) ^ i;
+                r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sketch_checkpoint_builds_no_plain_body() {
+        let batch = sketch_batch();
+        let (file, next, built) =
+            same_bytes_as_the_eager_writer(&batch, DEFAULT_SEGMENT_CAPACITY, 5);
+        assert_eq!(next, 6, "one segment");
+        assert_eq!(file[..4], SEGMENT_MAGIC_PACKED);
+        assert_eq!(built, 0, "the floor proves the packed block smaller");
+        // So does every block of it the service or a frontier chunk writes.
+        for size in [2, 4, 16] {
+            for chunk in batch.chunks_exact(size) {
+                let (_, _, built) =
+                    same_bytes_as_the_eager_writer(chunk, DEFAULT_SEGMENT_CAPACITY, 0);
+                assert_eq!(built, 0, "a block of {size}");
+            }
+        }
+    }
+
+    #[test]
+    fn columnar_block_refuses_every_truncation_and_lying_length() {
+        // Two tables of the same block: the fixture's sketch records and
+        // a mix of empty and non-empty strings.
+        let mut empty = rec(3, false);
+        (empty.algo, empty.spec_canon, empty.outcome_canon) =
+            (String::new(), String::new(), String::new());
+        for records in [
+            fixture_records().remove(0),
+            vec![rec(1, true), empty, rec(2, false)],
+        ] {
+            let block = encode_packed_block(&records);
+            let count = records.len();
+            assert_eq!(decode_packed_block(&block, count), Some(records.clone()));
+            for cut in 0..block.len() {
+                assert_eq!(
+                    decode_packed_block(&block[..cut], count),
+                    None,
+                    "cut at {cut}"
+                );
+            }
+            // Each length column: where it starts, its entry width, and
+            // the values a lie sets an entry to.
+            let algo_at = 13 * count;
+            let algo_bytes: usize = records.iter().map(|r| r.algo.len()).sum();
+            let spec_at = algo_at + 2 * count + algo_bytes;
+            let spec_bytes: usize = records.iter().map(|r| r.spec_canon.len()).sum();
+            let outcome_at = spec_at + 4 * count + spec_bytes;
+            for (column, width) in [(algo_at, 2), (spec_at, 4), (outcome_at, 4)] {
+                for k in 0..count {
+                    let at = column + width * k;
+                    let entry = &block[at..at + width];
+                    let (truth, max) = if width == 2 {
+                        (
+                            u64::from(u16::from_le_bytes(entry.try_into().unwrap())),
+                            u64::from(u16::MAX),
+                        )
+                    } else {
+                        (
+                            u64::from(u32::from_le_bytes(entry.try_into().unwrap())),
+                            u64::from(u32::MAX),
+                        )
+                    };
+                    for lie in [
+                        truth.wrapping_add(1) & max,
+                        truth.wrapping_sub(1) & max,
+                        max,
+                    ] {
+                        if lie == truth {
+                            continue;
+                        }
+                        let mut liar = block.clone();
+                        liar[at..at + width].copy_from_slice(&lie.to_le_bytes()[..width]);
+                        assert_eq!(
+                            decode_packed_block(&liar, count),
+                            None,
+                            "entry {k} of the column at {column} set to {lie}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     // -----------------------------------------------------------------

@@ -783,12 +783,15 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// The frame body of a [`Request::PutBatch`], over records the caller
 /// keeps — the client tier sends the cache's own records, uncopied.
+/// Each record's payloads travel framed raw: the server decodes every
+/// encoding, and re-encodes what it stores when it writes it, so
+/// compressing here would be work the server throws away.
 fn put_batch_body<'a>(records: impl ExactSizeIterator<Item = &'a EncodedRecord>) -> Vec<u8> {
     let mut out = vec![OP_PUT_BATCH];
     let count = u32::try_from(records.len()).expect("batch < 4G records");
     out.extend_from_slice(&count.to_le_bytes());
     for record in records {
-        record.encode_into(&mut out);
+        record.encode_raw_into(&mut out);
     }
     out
 }
@@ -2258,32 +2261,41 @@ mod tests {
     fn frame_tamper_rejection() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let original = Request::PutBatch {
-            records: vec![arb_record(&mut rng)],
+            records: vec![arb_record(&mut rng), fixed_record().1.encoded().clone()],
         };
-        let body = encode_request(&original);
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &body).unwrap();
-        for i in 0..wire.len() {
-            let mut bad = wire.clone();
-            bad[i] ^= 0x40;
-            let mut reader: &[u8] = &bad;
-            match read_frame(&mut reader, None).map(Inbound::frame) {
-                Err(_) => {}
-                Ok(None) => {}
-                Ok(Some(read_body)) => {
-                    // A length-prefix flip can reframe the stream; the
-                    // checksum must still keep the *content* honest.
-                    assert_ne!(
-                        decode_request(&read_body).as_ref(),
-                        Some(&original),
-                        "flip at byte {i} went unnoticed"
-                    );
+        let Request::PutBatch { records } = &original else {
+            unreachable!()
+        };
+        // The put as clients send it, its payloads raw, and as older
+        // clients sent it, each payload in its smallest encoding.
+        let raw = encode_request(&original);
+        let canonical = canonical_put_body(records);
+        assert_ne!(raw, canonical);
+        for body in [raw, canonical] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &body).unwrap();
+            for i in 0..wire.len() {
+                let mut bad = wire.clone();
+                bad[i] ^= 0x40;
+                let mut reader: &[u8] = &bad;
+                match read_frame(&mut reader, None).map(Inbound::frame) {
+                    Err(_) => {}
+                    Ok(None) => {}
+                    Ok(Some(read_body)) => {
+                        // A length-prefix flip can reframe the stream; the
+                        // checksum must still keep the *content* honest.
+                        assert_ne!(
+                            decode_request(&read_body).as_ref(),
+                            Some(&original),
+                            "flip at byte {i} went unnoticed"
+                        );
+                    }
                 }
             }
+            // Truncation inside a frame is an error, not a short read.
+            let mut truncated: &[u8] = &wire[..wire.len() - 1];
+            assert!(read_frame(&mut truncated, None).is_err());
         }
-        // Truncation inside a frame is an error, not a short read.
-        let mut truncated: &[u8] = &wire[..wire.len() - 1];
-        assert!(read_frame(&mut truncated, None).is_err());
         // A `Found` and a `Batch` reply through the client's read path,
         // whose one pass checks the frame's and each record's checksum:
         // every single-byte flip is refused.
@@ -2310,9 +2322,6 @@ mod tests {
         }
         // Opcode 0x02 (the retired single-record put) is not a request:
         // the server answers such a frame "malformed request".
-        let Request::PutBatch { records } = &original else {
-            unreachable!()
-        };
         let mut retired = vec![0x02];
         retired.extend_from_slice(&records[0].encode());
         assert_eq!(decode_request(&retired), None);
@@ -2977,6 +2986,85 @@ mod tests {
         let report = server.join().unwrap().unwrap();
         assert_eq!(report.stats.records, 4);
         let _ = std::fs::remove_file(&store_path);
+    }
+
+    /// A `PutBatch` body with every payload in its smallest encoding —
+    /// the bytes a client sent before puts travelled raw.
+    fn canonical_put_body(records: &[EncodedRecord]) -> Vec<u8> {
+        let mut body = vec![OP_PUT_BATCH];
+        body.extend_from_slice(&u32::try_from(records.len()).unwrap().to_le_bytes());
+        for record in records {
+            record.encode_into(&mut body);
+        }
+        body
+    }
+
+    /// A put framed as older clients framed it and one framed raw, each
+    /// to its own server: the same records decode from both, both
+    /// servers write the same store bytes, at the checkpoint and at
+    /// shutdown, and serve the same canonical `Found` frames.
+    #[test]
+    fn canonical_and_raw_puts_store_and_serve_the_same_bytes() {
+        let specs = grid(3);
+        let records = simulated_records(&specs, Capture::Sketch);
+        let raw = encode_request(&Request::PutBatch {
+            records: records.clone(),
+        });
+        let canonical = canonical_put_body(&records);
+        assert!(raw.len() > canonical.len(), "a raw put is not compressed");
+        for body in [&raw, &canonical] {
+            assert_eq!(
+                decode_request(body),
+                Some(Request::PutBatch {
+                    records: records.clone()
+                })
+            );
+        }
+        let served = |name: &str, body: &[u8]| {
+            let store_path = tmp_store(name);
+            let _ = std::fs::remove_file(&store_path);
+            let cfg = ServeConfig::new(ServiceAddr::Tcp("127.0.0.1:0".into()), &store_path);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let server =
+                std::thread::spawn(move || serve(&cfg, move |addr| tx.send(addr.clone()).unwrap()));
+            let addr = rx.recv().expect("server ready");
+            let mut client = ServiceClient::new(addr.clone());
+            assert_eq!(client.send(body).unwrap(), Response::Ok);
+            let checkpointed = std::fs::read(&store_path).unwrap();
+            let found: Vec<Vec<u8>> = specs
+                .iter()
+                .map(|spec| {
+                    let get = Request::Get {
+                        content_hash: spec.content_hash(),
+                        engine_version: ENGINE_VERSION,
+                        need: Capture::Sketch,
+                        algo: Maintenance::NAME.into(),
+                    };
+                    let mut stream = Stream::connect(&addr).unwrap();
+                    write_frame(&mut stream, &encode_request(&get)).unwrap();
+                    read_unchecked(&mut stream, None)
+                        .unwrap()
+                        .frame()
+                        .expect("a reply")
+                })
+                .collect();
+            client.shutdown().unwrap();
+            server.join().unwrap().unwrap();
+            let saved = std::fs::read(&store_path).unwrap();
+            let _ = std::fs::remove_file(&store_path);
+            (checkpointed, saved, found)
+        };
+        let (checkpointed, saved, found) = served("put-canonical", &canonical);
+        assert_eq!(
+            (checkpointed, saved, found.clone()),
+            served("put-raw", &raw)
+        );
+        for (frame, record) in found.iter().zip(&records) {
+            let reply = framed(&Response::Found {
+                record: record.clone(),
+            });
+            assert_eq!(frame[..], reply[4..], "a canonical Found frame");
+        }
     }
 
     /// One admission table: every way an arriving record can be wrong,
