@@ -27,16 +27,21 @@
 # medians, the change in the median
 # of the pairs and in the ratio of the medians, how many pairs the change
 # is ahead in (by the metric's `better` in BENCHMARK.json), the exact
-# sign-flip p of the pair median and its 95 % null bound, each pair's
-# change, and each side's quartile spread (nearest-rank Q3 - Q1 over the
-# median); then each run's "machine ... x slower than reference" factors.
-# The sign-flip test takes the null that the change does nothing, under
-# which each pair's delta is as likely negated: over all 2^N flips of the
-# deltas' signs, p is the share whose |pair median| reaches the observed
-# one, and the bound is the 95th percentile of |pair median| over the
-# flips (nearest rank): what deltas of these sizes read with random
-# signs. A row with p > 0.05 says "unresolved". Both read "-" above 16
-# pairs.
+# sign-flip p of the pair median and its 95 % null bound, the exact
+# signed-rank p, each pair's change, and each side's quartile spread
+# (nearest-rank Q3 - Q1 over the median); then each run's "machine ... x
+# slower than reference" factors.
+# Both tests take the null that the change does nothing, under which each
+# pair's delta is as likely negated, and both count over the same 2^N
+# flips of the deltas' signs. The flip p is the share of flips whose
+# |pair median| reaches the observed one, and the bound is the 95th
+# percentile of |pair median| over the flips (nearest rank): what deltas
+# of these sizes read with random signs. The rank p is the share whose
+# |signed-rank sum| reaches the observed one: each delta ranked by its
+# size (ties share their mean rank; a zero delta keeps its rank and
+# carries no sign), summed with its sign. The median test ignores how
+# many pairs agree, the rank test how far they move, so a row with
+# either p > 0.05 says "unresolved". All three read "-" above 16 pairs.
 # `ci/against.sh HEAD --pairs N` runs the same source on both sides: an
 # A/A run, whose rows show what noise alone reads.
 # Exits 1 if a run fails its checks.
@@ -141,23 +146,34 @@ if [ "$pairs" -gt 0 ]; then
     function abs(x) { return x < 0 ? -x : x + 0 } # + 0: no "-0.0"
     function spread(a, k,   m) { m = abs(median(a, k)); return m ? (rank(a, k, 0.75) - rank(a, k, 0.25)) / m * 100 : 0 }
     function pct(x) { return sprintf("%+.1f %%", x) }
-    # Sets P and BOUND, as text, for the deltas d[1..k] (see the usage
-    # comment), and UNRESOLVED when P > 0.05.
-    # Flipping every sign negates the median, so half the flips suffice.
-    function signflip(d, k,   t, null, obs, half, f, bits, i, m, hits) {
-      P = "-"; BOUND = "-"; UNRESOLVED = 0
+    # Sets P, BOUND and RANKP, as text, for the deltas d[1..k] (see the
+    # usage comment), and UNRESOLVED when P or RANKP > 0.05.
+    # Flipping every sign negates the median and the rank sum, so half the
+    # flips suffice.
+    function signflip(d, k,   t, r, null, obs, wobs, half, f, bits, i, j, lo, eq, m, w, hits, whits) {
+      P = "-"; BOUND = "-"; RANKP = "-"; UNRESOLVED = 0
       if (k < 1 || k > 16) return
-      for (i = 1; i <= k; i++) t[i] = d[i]
-      obs = abs(median(t, k)); half = 2 ^ (k - 1); hits = 0
+      for (i = 1; i <= k; i++) {
+        t[i] = d[i]; lo = 0; eq = 0
+        for (j = 1; j <= k; j++) { lo += abs(d[j]) < abs(d[i]); eq += abs(d[j]) == abs(d[i]) }
+        r[i] = (d[i] > 0 ? 1 : d[i] < 0 ? -1 : 0) * (lo + (eq + 1) / 2)
+      }
+      obs = abs(median(t, k)); half = 2 ^ (k - 1); hits = 0; whits = 0
+      wobs = 0; for (i = 1; i <= k; i++) wobs += r[i]; wobs = abs(wobs)
       for (f = 0; f < half; f++) {
-        bits = f
-        for (i = 1; i <= k; i++) { t[i] = bits % 2 ? -d[i] : d[i]; bits = int(bits / 2) }
+        bits = f; w = 0
+        for (i = 1; i <= k; i++) {
+          if (bits % 2) { t[i] = -d[i]; w -= r[i] } else { t[i] = d[i]; w += r[i] }
+          bits = int(bits / 2)
+        }
         m = abs(median(t, k)); null[f + 1] = m
         if (m >= obs * (1 - 1e-9)) hits++
+        if (abs(w) >= wobs - 1e-9) whits++
       }
       sort(null, half)
       P = sprintf("%.3f", hits / half); BOUND = sprintf("%.1f %%", rank(null, half, 0.95))
-      UNRESOLVED = hits / half > 0.05
+      RANKP = sprintf("%.3f", whits / half)
+      UNRESOLVED = hits / half > 0.05 || whits / half > 0.05
     }
     $1 == "better" { better[$2] = $3; next }
     {
@@ -167,7 +183,7 @@ if [ "$pairs" -gt 0 ]; then
       if ($5 != 0) read[key] = 1
     }
     END {
-      printf "%-12s %-34s %14s %14s %12s %12s %6s %7s %9s %-10s  %-9s %-11s per-pair delta\n", "workload", "metric", "base median", "change median", "pair median", "median ratio", "ahead", "flip p", "95% null", "verdict", "base iqr", "change iqr"
+      printf "%-12s %-34s %14s %14s %12s %12s %6s %7s %9s %7s %-10s  %-9s %-11s per-pair delta\n", "workload", "metric", "base median", "change median", "pair median", "median ratio", "ahead", "flip p", "95% null", "rank p", "verdict", "base iqr", "change iqr"
       for (i = 1; i <= nkeys; i++) {
         key = keys[i]; split(key, km, " ")
         if (!(key in read)) continue # a metric of another workload: zero in every run
@@ -180,7 +196,7 @@ if [ "$pairs" -gt 0 ]; then
         }
         bm = median(b, n); cm = median(c, n)
         signflip(deltas, k)
-        printf "%-12s %-34s %14.4f %14.4f %12s %12s %3d/%-2d %7s %9s %-10s  %-9s %-11s%s\n", km[1], km[2], bm, cm, pct(median(deltas, k)), pct(bm ? (cm / bm - 1) * 100 : 0), ahead, n, P, BOUND, UNRESOLVED ? "unresolved" : "-", sprintf("%.1f %%", spread(b, n)), sprintf("%.1f %%", spread(c, n)), list
+        printf "%-12s %-34s %14.4f %14.4f %12s %12s %3d/%-2d %7s %9s %7s %-10s  %-9s %-11s%s\n", km[1], km[2], bm, cm, pct(median(deltas, k)), pct(bm ? (cm / bm - 1) * 100 : 0), ahead, n, P, BOUND, RANKP, UNRESOLVED ? "unresolved" : "-", sprintf("%.1f %%", spread(b, n)), sprintf("%.1f %%", spread(c, n)), list
       }
     }'
   if [ -s "$speeds" ]; then

@@ -241,14 +241,33 @@ fn push_raw_payload(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// Exactly how many bytes [`push_payload`] writes for `payload`, found
+/// without writing them: its framing around the smallest of the raw
+/// bytes and the lengths ([`wlz::compressed_len`]) of both codec streams,
+/// the same three candidates it chooses among. `scratch` holds the
+/// hex-packed payload, and is left holding it.
+fn payload_len(payload: &[u8], scratch: &mut Vec<u8>) -> usize {
+    let lz = wlz::compressed_len(payload);
+    let hex_lz = wlz::compressed_len(hex_packed(payload, scratch)) + HEX_FRAMING;
+    PAYLOAD_FRAMING + payload.len().min(lz).min(hex_lz)
+}
+
 /// The fewest bytes [`push_payload`] can write for `payload`: its
 /// framing around the smallest of the raw bytes and the floors
 /// ([`wlz::compressed_len_floor`]) of both codec streams. A lower bound,
-/// since each encoded length is at least its floor.
-fn payload_floor(payload: &[u8]) -> usize {
+/// since each encoded length is at least its floor. `scratch` as in
+/// [`payload_len`].
+fn payload_floor(payload: &[u8], scratch: &mut Vec<u8>) -> usize {
     let lz = wlz::compressed_len_floor(payload);
-    let hex_lz = wlz::compressed_len_floor(&wlz::hex_pack(payload)) + HEX_FRAMING;
+    let hex_lz = wlz::compressed_len_floor(hex_packed(payload, scratch)) + HEX_FRAMING;
     PAYLOAD_FRAMING + payload.len().min(lz).min(hex_lz)
+}
+
+/// `payload` hex-packed into `scratch`, in place of what it held.
+fn hex_packed<'s>(payload: &[u8], scratch: &'s mut Vec<u8>) -> &'s [u8] {
+    scratch.clear();
+    wlz::hex_pack_into(payload, scratch);
+    scratch
 }
 
 /// The crate's one little-endian byte cursor: every binary decoder (the
@@ -382,10 +401,20 @@ impl EncodedRecord {
 
     /// The fewest bytes the stored body can take (see
     /// [`payload_floor`]).
-    fn body_floor(&self) -> usize {
+    fn body_floor(&self, scratch: &mut Vec<u8>) -> usize {
         self.head_len()
-            + payload_floor(self.spec_canon.as_bytes())
-            + payload_floor(self.outcome_canon.as_bytes())
+            + payload_floor(self.spec_canon.as_bytes(), scratch)
+            + payload_floor(self.outcome_canon.as_bytes(), scratch)
+    }
+
+    /// Exactly how many bytes [`encode`](Self::encode) writes, found
+    /// without encoding (see [`payload_len`]): the record's length in a
+    /// plain block.
+    fn plain_len(&self, scratch: &mut Vec<u8>) -> usize {
+        FRAME_LEN
+            + self.head_len()
+            + payload_len(self.spec_canon.as_bytes(), scratch)
+            + payload_len(self.outcome_canon.as_bytes(), scratch)
     }
 
     /// Appends this record's body short of its checksum: the fixed
@@ -621,18 +650,26 @@ pub struct SegmentWriter<'a> {
     out: Vec<u8>,
     /// The open segment's records, borrowed until it seals.
     pending: Vec<&'a EncodedRecord>,
-    /// The bodies of the first `ends.len()` pending records, back to back
-    /// and unframed. A body is built only when a decision needs its exact
-    /// length, and then with every body before it.
-    bodies: Vec<u8>,
-    /// Where each built body ends in `bodies`.
-    ends: Vec<usize>,
-    /// An upper bound on the open segment's plain block: the built
+    /// How many pending records, from the first, have been sized: their
+    /// exact plain frame lengths are known. A record is sized only when a
+    /// decision needs its exact length, and then with every record before
+    /// it.
+    sized: usize,
+    /// The sized records' plain frames, summed.
+    sized_len: usize,
+    /// An upper bound on the open segment's plain block: the sized
     /// frames exactly, each other record at its ceiling.
     plain_ceiling: usize,
-    /// How many bodies this writer has built.
+    /// The one buffer each payload is hex-packed into to be sized or
+    /// floored: one payload long.
+    scratch: Vec<u8>,
+    /// How many records this writer has sized.
     #[cfg(test)]
     built: usize,
+    /// How many plain bodies it has written: only those of segments
+    /// sealed plain.
+    #[cfg(test)]
+    bodies: usize,
 }
 
 impl<'a> SegmentWriter<'a> {
@@ -645,11 +682,14 @@ impl<'a> SegmentWriter<'a> {
             next_ordinal: first_ordinal,
             out: Vec::new(),
             pending: Vec::new(),
-            bodies: Vec::new(),
-            ends: Vec::new(),
+            sized: 0,
+            sized_len: 0,
             plain_ceiling: 0,
+            scratch: Vec::new(),
             #[cfg(test)]
             built: 0,
+            #[cfg(test)]
+            bodies: 0,
         }
     }
 
@@ -663,7 +703,9 @@ impl<'a> SegmentWriter<'a> {
     /// is at most its ceiling: the fixed fields and both payloads framed
     /// raw. While the ceilings fit the capacity the record joins the
     /// segment unencoded. Only when they overflow are the segment's
-    /// bodies and this record's built, and the exact lengths decide.
+    /// records and this one sized, and the exact lengths decide. A size
+    /// is a length, not a body: no plain byte is written to place a
+    /// boundary.
     pub fn push(&mut self, record: &'a EncodedRecord) {
         let ceiling = record.body_ceiling() + FRAME_LEN;
         if self.pending.is_empty() || self.plain_ceiling + ceiling <= self.capacity as usize {
@@ -671,53 +713,49 @@ impl<'a> SegmentWriter<'a> {
             self.plain_ceiling += ceiling;
             return;
         }
-        self.build_bodies();
-        let start = self.bodies.len();
-        self.build_body(record);
-        let plain = self.bodies.len() + FRAME_LEN * (self.pending.len() + 1);
-        if plain > self.capacity as usize {
-            let next = self.bodies.split_off(start);
+        self.size_pending();
+        let len = self.size(record);
+        if self.sized_len + len > self.capacity as usize {
             self.seal();
-            self.bodies.extend_from_slice(&next);
         }
-        self.ends.push(self.bodies.len());
         self.pending.push(record);
-        self.plain_ceiling = self.bodies.len() + FRAME_LEN * self.pending.len();
+        self.sized += 1;
+        self.sized_len += len;
+        self.plain_ceiling = self.sized_len;
     }
 
-    /// Appends `record`'s body to `bodies`.
-    fn build_body(&mut self, record: &EncodedRecord) {
-        record.push_body(&mut self.bodies, push_payload);
+    /// `record`'s exact plain frame length.
+    fn size(&mut self, record: &EncodedRecord) -> usize {
         #[cfg(test)]
         {
             self.built += 1;
         }
+        record.plain_len(&mut self.scratch)
     }
 
-    /// Builds the body of every pending record that has none yet.
-    fn build_bodies(&mut self) {
-        for k in self.ends.len()..self.pending.len() {
-            self.build_body(self.pending[k]);
-            self.ends.push(self.bodies.len());
+    /// Sizes every pending record not yet sized.
+    fn size_pending(&mut self) {
+        for k in self.sized..self.pending.len() {
+            self.sized_len += self.size(self.pending[k]);
         }
+        self.sized = self.pending.len();
     }
 
     /// Whether the open segment's plain block is provably longer than
-    /// `len` bytes: its built frames counted exactly, every other record
+    /// `len` bytes: its sized frames counted exactly, every other record
     /// at its body floor plus its frame, summed only as far as it takes.
-    fn plain_exceeds(&self, len: usize) -> bool {
-        let mut floor = self.bodies.len() + FRAME_LEN * self.pending.len();
-        for record in &self.pending[self.ends.len()..] {
+    fn plain_exceeds(&mut self, len: usize) -> bool {
+        let mut floor = self.sized_len + FRAME_LEN * (self.pending.len() - self.sized);
+        for record in &self.pending[self.sized..] {
             if floor > len {
                 break;
             }
-            floor += record.body_floor();
+            floor += record.body_floor(&mut self.scratch);
         }
         floor > len
     }
 
-    /// Seals the open segment: the pending records, whose built bodies
-    /// are all of `self.bodies`.
+    /// Seals the open segment: the pending records.
     fn seal(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -728,14 +766,15 @@ impl<'a> SegmentWriter<'a> {
         // ties go to plain. Both sides are pure functions of the record
         // sequence, so the choice — and the file — stays deterministic.
         // A plain block provably longer than the packed one needs no
-        // bodies; any other needs them all, to decide or to be written.
+        // sizes; any other needs them all, and its bodies only if it
+        // wins.
         let raw_block = packed_block(&self.pending);
         let mid = wlz::hex_pack(&raw_block);
         let stored = wlz::compress(&mid);
         let packed_plain = PACKED_SEGMENT_HEADER_LEN + stored.len() - SEGMENT_HEADER_LEN;
         let packed = self.plain_exceeds(packed_plain) || {
-            self.build_bodies();
-            self.bodies.len() + FRAME_LEN * self.pending.len() > packed_plain
+            self.size_pending();
+            self.sized_len > packed_plain
         };
         let len32 = |n: usize| u32::try_from(n).expect("segment < 4 GiB").to_le_bytes();
         let count = len32(self.pending.len());
@@ -749,27 +788,26 @@ impl<'a> SegmentWriter<'a> {
             self.out.extend_from_slice(&fnv64(&stored).to_le_bytes());
             self.out.extend_from_slice(&stored);
         } else {
-            let plain_len = self.bodies.len() + FRAME_LEN * self.pending.len();
             self.out.extend_from_slice(&SEGMENT_MAGIC);
             self.out.extend_from_slice(&self.next_ordinal.to_le_bytes());
             self.out.extend_from_slice(&count);
-            self.out.extend_from_slice(&len32(plain_len));
+            self.out.extend_from_slice(&len32(self.sized_len));
             let crc_at = self.out.len();
             self.out.extend_from_slice(&[0; 8]);
-            let mut from = 0;
-            for &end in &self.ends {
-                let frame = self.out.len();
-                self.out.extend_from_slice(&[0; 4]);
-                self.out.extend_from_slice(&self.bodies[from..end]);
-                close_frame(&mut self.out, frame);
-                from = end;
+            for record in &self.pending {
+                record.encode_into(&mut self.out);
             }
+            #[cfg(test)]
+            {
+                self.bodies += self.pending.len();
+            }
+            debug_assert_eq!(self.out.len() - crc_at - 8, self.sized_len);
             let crc = fnv64(&self.out[crc_at + 8..]);
             self.out[crc_at..crc_at + 8].copy_from_slice(&crc.to_le_bytes());
         }
-        self.bodies.clear();
-        self.ends.clear();
         self.pending.clear();
+        self.sized = 0;
+        self.sized_len = 0;
         self.plain_ceiling = 0;
         self.next_ordinal += 1;
     }
@@ -1802,11 +1840,16 @@ mod tests {
         }
     }
 
-    /// 64 sketch records the shape of a put batch: the sketch fixture's
-    /// records, cycled under fresh keys and seeds.
+    /// 64 sketch records the shape of a put batch.
     fn sketch_batch() -> Vec<EncodedRecord> {
+        sketch_sequence(64)
+    }
+
+    /// `n` sketch records: the sketch fixture's records, cycled under
+    /// fresh keys and seeds.
+    fn sketch_sequence(n: u64) -> Vec<EncodedRecord> {
         let fixture = &fixture_records()[0];
-        (0..64u64)
+        (0..n)
             .map(|i| {
                 let mut r = fixture[i as usize % fixture.len()].clone();
                 let seed = format!("seed:{}", 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1));
@@ -1839,6 +1882,87 @@ mod tests {
                     same_bytes_as_the_eager_writer(chunk, DEFAULT_SEGMENT_CAPACITY, 0);
                 assert_eq!(built, 0, "a block of {size}");
             }
+        }
+    }
+
+    /// A full save of `records` at `capacity`: the file [`write_file`]
+    /// writes, asserted to be the eager writer's, with how many records
+    /// the lazy writer sized and how many plain bodies it wrote.
+    fn full_save(records: &[EncodedRecord], capacity: u32) -> (Vec<u8>, usize, usize) {
+        let mut lazy = SegmentWriter::new(capacity, 0);
+        let mut eager = EagerWriter::new(capacity, 0);
+        for r in records {
+            lazy.push(r);
+            eager.push(r);
+        }
+        lazy.seal();
+        let (sized, bodies) = (lazy.built, lazy.bodies);
+        let ours = lazy.into_parts();
+        assert_eq!(ours, eager.into_parts(), "{} records", records.len());
+        let file = write_file(records, capacity);
+        assert_eq!(file[FILE_HEADER_LEN..], ours.0);
+        (file, sized, bodies)
+    }
+
+    /// The segments of a whole file, walked header to header: how many
+    /// are plain, how many packed, and how many records the plain ones
+    /// hold.
+    fn segment_kinds(file: &[u8]) -> (usize, usize, usize) {
+        let u32_at =
+            |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().expect("4 bytes")) as usize;
+        let (mut plain, mut packed, mut plain_records) = (0, 0, 0);
+        let mut at = FILE_HEADER_LEN;
+        while at < file.len() {
+            let (count, block) = (u32_at(at + 8), u32_at(at + 12));
+            if file[at..at + 4] == SEGMENT_MAGIC {
+                (plain, plain_records) = (plain + 1, plain_records + count);
+                at += SEGMENT_HEADER_LEN + block;
+            } else {
+                assert_eq!(file[at..at + 4], SEGMENT_MAGIC_PACKED);
+                packed += 1;
+                at += PACKED_SEGMENT_HEADER_LEN + block;
+            }
+        }
+        assert_eq!(at, file.len());
+        (plain, packed, plain_records)
+    }
+
+    #[test]
+    fn a_multi_segment_sketch_save_builds_no_plain_body() {
+        // A benchmark-shaped store: every segment boundary is placed by
+        // exact plain lengths, and every segment seals packed, so not one
+        // plain body is written.
+        let records = sketch_sequence(4_096);
+        let (file, sized, bodies) = full_save(&records, DEFAULT_SEGMENT_CAPACITY);
+        let (plain, packed, _) = segment_kinds(&file);
+        assert_eq!(plain, 0);
+        assert!(packed > 4, "{packed} segments");
+        assert!(sized > records.len() / 2, "{sized} records sized");
+        assert_eq!(bodies, 0);
+        assert_eq!(read_all(&file), (records, packed, 0));
+    }
+
+    #[test]
+    fn a_noise_store_builds_bodies_only_for_its_plain_segments() {
+        // Runs of incompressible records between runs of sketch records,
+        // over several segments: the noise seals plain, the sketches
+        // packed, and only the plain segments' bodies are written.
+        let sketches = sketch_sequence(96);
+        let records: Vec<EncodedRecord> = (0..96u64)
+            .map(|i| {
+                if (i / 16) % 2 == 0 {
+                    noisy_rec(i, i % 3 == 0)
+                } else {
+                    sketches[i as usize].clone()
+                }
+            })
+            .collect();
+        for capacity in [2 * 1024, 4 * 1024] {
+            let (file, _, bodies) = full_save(&records, capacity);
+            let (plain, packed, plain_records) = segment_kinds(&file);
+            assert!(plain > 1 && packed > 1, "{plain} plain, {packed} packed");
+            assert_eq!(bodies, plain_records, "capacity {capacity}");
+            assert!(bodies < records.len());
         }
     }
 

@@ -2339,6 +2339,123 @@ mod tests {
         assert_eq!(decode_spec(&medium), None);
     }
 
+    /// The spec wire codec under tampering, over two specs — a grid
+    /// point, and one with a fault plan, a rejoiner and an adversary:
+    /// every truncation, every byte flipped three ways, and each count
+    /// field set one either side of the truth and to its type's maximum.
+    /// Each reads as `None` or as a spec whose content hash is not the
+    /// original's, so a batch get naming the original hash leaves its
+    /// slot unresolved beside the stored record. Nothing panics, and a
+    /// count is never believed before its entries arrive: a fault count
+    /// of `u32::MAX` reserved up front would ask for ~100 GiB and abort
+    /// the process.
+    #[test]
+    fn spec_codec_refuses_or_rehashes_every_tamper() {
+        let [_, sketch, _] = payload_outcomes();
+        let plain = grid(1).remove(0);
+        let full = grid(2)
+            .remove(1)
+            .drift(DriftModel::RandomPiecewise {
+                rho: 1e-6,
+                segment_secs: 0.5,
+                horizon_secs: 2.0,
+            })
+            .fault(ProcessId(1), FaultKind::CrashAt(1.0))
+            .fault(ProcessId(2), FaultKind::TwoFaced(0.25))
+            .rejoiner(ProcessId(1), RealTime::from_secs(1.5))
+            .adversary(AdversarySpec::new(
+                vec![ProcessId(0), ProcessId(3)],
+                AdversaryStrategy::PullApart {
+                    amplitude: 0.5,
+                    high: true,
+                },
+            ));
+        let mut store = SweepStore::new();
+        for spec in [&plain, &full] {
+            let canon = canon_string(&spec.canonical());
+            let record = Record::of_outcome(Maintenance::NAME, spec.content_hash(), canon, &sketch);
+            assert!(store.insert(record).unwrap());
+        }
+        let mut core = Core::new(store);
+        let unresolved = batch_body(&[None::<&[u8]>]);
+        let mut refused = |spec: &ScenarioSpec, bytes: &[u8], case: &str| {
+            let hash = spec.content_hash();
+            if let Some(read) = decode_spec(bytes) {
+                assert_ne!(read.content_hash(), hash, "{case} reads as the original");
+            }
+            let item = BatchItem {
+                content_hash: hash,
+                spec: bytes.to_vec(),
+            };
+            let reply = batch_get(&mut core, Maintenance::NAME, Capture::Sketch, &[item]);
+            assert_eq!(reply, unresolved, "{case} resolved");
+        };
+        for spec in [&plain, &full] {
+            let bytes = encode_spec(spec);
+            assert_eq!(decode_spec(&bytes).as_ref(), Some(spec));
+            for cut in 0..bytes.len() {
+                refused(spec, &bytes[..cut], &format!("a cut at {cut}"));
+            }
+            let mut flipped = bytes.clone();
+            for at in 0..bytes.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    flipped[at] ^= mask;
+                    refused(spec, &flipped, &format!("byte {at} ^ {mask:#04x}"));
+                    flipped[at] ^= mask;
+                }
+            }
+        }
+        // Each count field of the full spec: found where its encoding
+        // first differs from a spec with one entry more, with its width
+        // and its truth.
+        let bytes = encode_spec(&full);
+        let at = |more: ScenarioSpec| {
+            let other = encode_spec(&more);
+            (0..bytes.len())
+                .find(|&i| bytes[i] != other[i])
+                .expect("a count byte")
+        };
+        let mut three_members = full.clone();
+        if let Some(adv) = &mut three_members.adversary {
+            adv.members.push(ProcessId(2));
+        }
+        let mut params = full.clone();
+        params.params.n += 1;
+        let counts = [
+            ("n", at(params), 8),
+            (
+                "faults",
+                at(full.clone().fault(ProcessId(3), FaultKind::Silent)),
+                4,
+            ),
+            ("members", at(three_members), 4),
+        ];
+        assert_eq!(counts[0].1, 0, "n leads the encoding");
+        for (field, offset, width) in counts {
+            let mut truth = [0u8; 8];
+            truth[..width].copy_from_slice(&bytes[offset..offset + width]);
+            let (truth, max) = (u64::from_le_bytes(truth), u64::MAX >> (64 - 8 * width));
+            for lie in [
+                truth.wrapping_add(1) & max,
+                truth.wrapping_sub(1) & max,
+                max,
+            ] {
+                let mut liar = bytes.clone();
+                liar[offset..offset + width].copy_from_slice(&lie.to_le_bytes()[..width]);
+                refused(&full, &liar, &format!("{field} = {lie}"));
+            }
+        }
+        // The untouched encodings still resolve.
+        for spec in [&plain, &full] {
+            let item = BatchItem {
+                content_hash: spec.content_hash(),
+                spec: encode_spec(spec),
+            };
+            let reply = batch_get(&mut core, Maintenance::NAME, Capture::Sketch, &[item]);
+            assert_ne!(reply, unresolved);
+        }
+    }
+
     #[test]
     fn oversized_and_undersized_frames_are_rejected() {
         let mut wire = Vec::new();
