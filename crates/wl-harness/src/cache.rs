@@ -547,21 +547,31 @@ impl SweepStore {
     /// never errors.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
+        let bytes = read_file(&path)?;
+        Ok(Self::load(path, bytes.as_deref()))
+    }
+
+    /// [`open`](SweepStore::open) without the read: the store at `path`
+    /// whose file holds `bytes` (`None`: there is no file).
+    fn load(path: PathBuf, bytes: Option<&[u8]>) -> Self {
         let mut store = Self {
-            path: Some(path.clone()),
+            path: Some(path),
             ..Self::default()
         };
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => return Err(e),
-        };
-        if let Some(reader) = SegmentReader::new(&bytes) {
-            store.load_binary(reader);
-        } else {
-            store.load_text(&String::from_utf8_lossy(&bytes));
+        if let Some(bytes) = bytes {
+            if let Some(reader) = SegmentReader::new(bytes) {
+                store.load_binary(reader);
+            } else {
+                store.load_text(&String::from_utf8_lossy(bytes));
+            }
         }
-        Ok(store)
+        store
+    }
+
+    /// Whether the file this store loaded is exactly its records: a
+    /// binary store with no damage and no record it refused.
+    fn loaded_clean(&self) -> bool {
+        self.append_base && self.skipped == 0
     }
 
     /// The v3 load path: drain a [`SegmentReader`]. Later records for a
@@ -734,11 +744,19 @@ impl SweepStore {
     /// frontier worker's per-chunk fold, which knows the chunk's records
     /// and need not walk its whole cache for them.
     pub(crate) fn absorb_records(&mut self, records: Vec<Arc<Record>>) -> usize {
+        // One lookup key, refilled in place: most records a persist
+        // absorbs are the store's own, hydrated and untouched, and only a
+        // record the store takes needs a key of its own. (The range walk
+        // of `SweepStore::record` builds no key either, but its lookup
+        // costs about twice this `get`.)
+        let mut probe: StoreKey = (0, String::new());
         let mut taken = 0;
         for record in records {
-            let key = record.key();
-            if self.takes(&key, &record) == Ok(true) {
-                self.put(key, record);
+            probe.0 = record.encoded.content_hash;
+            probe.1.clear();
+            probe.1.push_str(&record.encoded.algo);
+            if self.takes(&probe, &record) == Ok(true) {
+                self.put(record.key(), record);
                 taken += 1;
             }
         }
@@ -895,6 +913,11 @@ impl SweepStore {
     /// I/O failures, or [`io::ErrorKind::InvalidInput`] if the store was
     /// created path-less.
     pub fn save(&mut self) -> io::Result<()> {
+        self.save_rendered().map(drop)
+    }
+
+    /// [`save`](SweepStore::save), handing back the bytes it wrote.
+    fn save_rendered(&mut self) -> io::Result<Vec<u8>> {
         let path = self.path.clone().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "sweep store has no path")
         })?;
@@ -903,7 +926,7 @@ impl SweepStore {
         self.unsaved.clear();
         self.next_ordinal = next_ordinal;
         self.append_base = self.format == StoreFormat::Binary;
-        Ok(())
+        Ok(bytes)
     }
 
     /// Writes the canonical store file to an arbitrary path, in the
@@ -1104,6 +1127,15 @@ impl SweepStore {
     }
 }
 
+/// The bytes of the file at `path`; `None` where there is no file.
+fn read_file(path: &Path) -> io::Result<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 /// Atomic-by-rename file write shared by every save path.
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(parent) = path.parent() {
@@ -1222,6 +1254,11 @@ pub struct DiskSweepCache {
     store: SweepStore,
     cache: SweepCache,
     enabled: bool,
+    /// The store file as this handle last read or wrote it, kept while
+    /// it holds exactly the store's records: a clean binary store on
+    /// open, the canonical file after a write. A persist with nothing
+    /// unsaved that finds these bytes on disk has nothing to write.
+    file: Option<Vec<u8>>,
 }
 
 impl DiskSweepCache {
@@ -1231,27 +1268,38 @@ impl DiskSweepCache {
     ///
     /// Genuine I/O failures from [`SweepStore::open`] only.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        let store = SweepStore::open(path)?;
+        let path = path.into();
+        let bytes = read_file(&path)?;
+        let store = SweepStore::load(path, bytes.as_deref());
         let cache = store.hydrate();
         Ok(Self {
+            file: bytes.filter(|_| store.loaded_clean()),
             store,
             cache,
             enabled: true,
         })
     }
 
+    /// A cache that persists nothing.
+    fn disabled() -> Self {
+        Self {
+            store: SweepStore::new(),
+            cache: SweepCache::new(),
+            enabled: false,
+            file: None,
+        }
+    }
+
     /// Opens the shared store under `WL_SWEEP_CACHE_DIR` (see the type
     /// docs). Infallible by design. A text store found there loads like
-    /// a binary one and is rewritten as binary by the next persist.
+    /// a binary one and is rewritten as binary by the next persist; a
+    /// clean binary one is kept as read, so a persist that adds nothing
+    /// leaves it untouched ([`DiskSweepCache::persist`]).
     #[must_use]
     pub fn open_shared() -> Self {
         let dir = std::env::var("WL_SWEEP_CACHE_DIR").unwrap_or_default();
         match dir.as_str() {
-            "0" | "off" => Self {
-                store: SweepStore::new(),
-                cache: SweepCache::new(),
-                enabled: false,
-            },
+            "0" | "off" => Self::disabled(),
             "" => Self::open_or_warn(Path::new("target/sweep-cache").join("sweeps.wls")),
             dir => Self::open_or_warn(Path::new(dir).join("sweeps.wls")),
         }
@@ -1265,11 +1313,7 @@ impl DiskSweepCache {
                     "warning: sweep cache at {} unavailable ({e}); running without persistence",
                     path.display()
                 );
-                Self {
-                    store: SweepStore::new(),
-                    cache: SweepCache::new(),
-                    enabled: false,
-                }
+                Self::disabled()
             }
         }
     }
@@ -1288,9 +1332,9 @@ impl DiskSweepCache {
         &self.store
     }
 
-    /// Absorbs the cache into the store and saves it (no-op when
-    /// persistence is disabled). Returns how many records were newly
-    /// written.
+    /// Absorbs the cache into the store and saves it, if anything
+    /// changed (no-op when persistence is disabled). Returns how many
+    /// records were newly written.
     ///
     /// Before saving, the shared file is re-read and what other
     /// processes wrote since we opened it is adopted
@@ -1304,6 +1348,17 @@ impl DiskSweepCache {
     /// (a later persist could not absorb the poorer copies back anyway:
     /// the join never downgrades).
     ///
+    /// A persist writes nothing when the cache taught the store nothing
+    /// and the file holds, byte for byte, what this handle last read
+    /// from it as a clean binary store or last wrote to it: a warm run
+    /// leaves the file as it found it, inode included. Only content is
+    /// compared, never timestamps. A text store, a damaged file, a
+    /// missing file or one another process changed is rewritten as
+    /// above, in canonical form. A clean file in appended (checkpointed)
+    /// form stays appended through a persist that writes nothing;
+    /// [`SweepStore::save`] and [`SweepStore::compact`] make a file
+    /// canonical.
+    ///
     /// # Errors
     ///
     /// Propagates save I/O failures.
@@ -1312,12 +1367,18 @@ impl DiskSweepCache {
             return Ok(0);
         }
         let added = self.store.absorb(&self.cache);
-        let path = self.store.path();
-        let on_disk = path.and_then(|path| SweepStore::open(path).ok());
+        let on_disk = self
+            .store
+            .path()
+            .and_then(|path| read_file(path).ok().flatten());
+        if self.file.is_some() && on_disk == self.file && self.store.unsaved.is_empty() {
+            return Ok(0);
+        }
+        let on_disk = on_disk.map(|bytes| SweepStore::load(PathBuf::new(), Some(&bytes)));
         if on_disk.is_some_and(|on_disk| self.store.adopt_missing_from(&on_disk) > 0) {
             self.store.hydrate_into(&self.cache);
         }
-        self.store.save()?;
+        self.file = Some(self.store.save_rendered()?);
         Ok(added)
     }
 
@@ -2057,6 +2118,203 @@ mod tests {
             ours.records[&(7, "A".to_string())].kind(),
             PayloadKind::Scalar
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The file's bytes and its inode: a rename-over write changes the
+    /// inode even where it writes the same bytes.
+    #[cfg(unix)]
+    fn file_state(path: &Path) -> (Vec<u8>, u64) {
+        use std::os::unix::fs::MetadataExt as _;
+        let ino = std::fs::metadata(path).unwrap().ino();
+        (std::fs::read(path).unwrap(), ino)
+    }
+
+    /// A fresh store at `path` holding `grid(count)`, written by a persist.
+    fn persisted(path: &Path, count: usize) -> Vec<u8> {
+        let _ = std::fs::remove_file(path);
+        let mut disk = DiskSweepCache::open(path).unwrap();
+        let _ = serial(disk.cache()).run::<Maintenance>(grid(count));
+        assert_eq!(disk.persist().unwrap(), count);
+        std::fs::read(path).unwrap()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_warm_persist_that_changed_nothing_writes_nothing() {
+        let path = tmp_path("warm-noop");
+        let cold = persisted(&path, 3);
+        let before = file_state(&path);
+        let mut warm = DiskSweepCache::open(&path).unwrap();
+        let _ = serial(warm.cache())
+            .expect_misses(0)
+            .run::<Maintenance>(grid(3));
+        assert_eq!(warm.persist().unwrap(), 0);
+        assert_eq!(file_state(&path), before, "same bytes, same inode");
+        assert_eq!(before.0, cold);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_persist_after_a_writing_persist_writes_nothing() {
+        let path = tmp_path("persist-twice");
+        let _ = std::fs::remove_file(&path);
+        let mut disk = DiskSweepCache::open(&path).unwrap();
+        let g = grid(3);
+        let _ = serial(disk.cache()).run::<Maintenance>(g[..2].to_vec());
+        assert_eq!(disk.persist().unwrap(), 2);
+        let written = file_state(&path);
+        assert_eq!(disk.persist().unwrap(), 0);
+        assert_eq!(file_state(&path), written);
+
+        // New records are written, and the persist after that is again
+        // a no-op.
+        let _ = serial(disk.cache()).run::<Maintenance>(g);
+        assert_eq!(disk.persist().unwrap(), 1);
+        let grown = file_state(&path);
+        assert!(grown.0.len() > written.0.len());
+        assert_eq!(disk.persist().unwrap(), 0);
+        assert_eq!(file_state(&path), grown);
+        assert_eq!(SweepStore::open(&path).unwrap().len(), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_file_changed_in_place_since_open_is_rewritten() {
+        use std::os::unix::fs::FileExt as _;
+        let path = tmp_path("flipped-in-place");
+        let cold = persisted(&path, 3);
+        let mut disk = DiskSweepCache::open(&path).unwrap();
+        // One byte of the last segment's body, flipped without changing
+        // the file's length or its inode: only its content tells.
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let at = cold.len() as u64 - 2;
+        file.write_at(&[cold[at as usize] ^ 0x01], at).unwrap();
+        drop(file);
+        let (flipped, _) = file_state(&path);
+        assert_eq!(flipped.len(), cold.len());
+        assert!(SweepStore::open(&path).unwrap().skipped_lines() > 0);
+        assert_eq!(disk.persist().unwrap(), 0);
+        // What a persist that always re-reads and rewrites leaves: the
+        // handle's records (the damaged file adds none), saved canonically.
+        assert_eq!(std::fs::read(&path).unwrap(), cold);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_store_another_handle_extended_since_open_is_unioned() {
+        let path = tmp_path("extended-since-open");
+        persisted(&path, 2);
+        let mut a = DiskSweepCache::open(&path).unwrap();
+        let mut b = DiskSweepCache::open(&path).unwrap();
+        let grid_b: Vec<ScenarioSpec> = grid(2)
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| s.seed(derive_seed(0xB0B, i as u64)))
+            .collect();
+        let _ = serial(b.cache()).run::<Maintenance>(grid_b.clone());
+        assert_eq!(b.persist().unwrap(), 2);
+        let extended = file_state(&path);
+
+        // A swept nothing new, but the file is not the one it read: the
+        // persist adopts B's records and writes the union.
+        let _ = serial(a.cache())
+            .expect_misses(0)
+            .run::<Maintenance>(grid(2));
+        assert_eq!(a.persist().unwrap(), 0);
+        let union = file_state(&path);
+        assert_eq!(union.0, extended.0, "the union is what B wrote");
+        assert_ne!(union.1, extended.1, "and A rewrote it");
+        assert_eq!(SweepStore::open(&path).unwrap().len(), 4);
+        let _ = serial(a.cache())
+            .expect_misses(0)
+            .run::<Maintenance>(grid_b);
+        // The union A wrote is what A now remembers.
+        assert_eq!(a.persist().unwrap(), 0);
+        assert_eq!(file_state(&path), union);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn text_damaged_and_missing_files_are_written_by_a_no_op_persist() {
+        let path = tmp_path("noop-rewrites");
+        let cold = persisted(&path, 2);
+        let warm_persist = |path: &Path| {
+            let mut disk = DiskSweepCache::open(path).unwrap();
+            let _ = serial(disk.cache()).run::<Maintenance>(grid(2));
+            assert_eq!(disk.cache().misses(), 0);
+            assert_eq!(disk.persist().unwrap(), 0);
+            std::fs::read(path).unwrap()
+        };
+
+        // A text store is imported: rewritten as the binary store.
+        let cache = SweepStore::open(&path).unwrap().hydrate();
+        save_text(&path, &cache);
+        assert_eq!(warm_persist(&path), cold);
+
+        // A binary store with a torn tail is repaired.
+        let mut torn = cold.clone();
+        torn.extend_from_slice(&segment::SEGMENT_MAGIC_PACKED);
+        std::fs::write(&path, &torn).unwrap();
+        assert!(SweepStore::open(&path).unwrap().skipped_lines() > 0);
+        assert_eq!(warm_persist(&path), cold);
+
+        // So is a sound binary store holding a record the store refuses.
+        let live = SweepStore::open(&path).unwrap();
+        let refused = EncodedRecord {
+            outcome_canon: "not an outcome".into(),
+            ..live.records.values().next().unwrap().encoded.clone()
+        };
+        let records = live.records.values().map(|r| &r.encoded);
+        std::fs::write(
+            &path,
+            segment::write_file(records.chain([&refused]), live.segment_capacity),
+        )
+        .unwrap();
+        let reopened = SweepStore::open(&path).unwrap();
+        assert_eq!((reopened.skipped_lines(), reopened.append_base), (1, true));
+        assert_eq!(warm_persist(&path), cold);
+
+        // A missing file is created, empty.
+        std::fs::remove_file(&path).unwrap();
+        let mut fresh = DiskSweepCache::open(&path).unwrap();
+        assert_eq!(fresh.persist().unwrap(), 0);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            SweepStore::new().render().0,
+            "an empty binary store"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_no_op_persist_leaves_an_appended_file_appended() {
+        // Canonical form is `save`'s and `compact`'s job: a persist that
+        // has nothing to write leaves a checkpointed file as it is, and
+        // one that writes writes it canonical.
+        let path = tmp_path("noop-appended");
+        persisted(&path, 2);
+        let mut store = SweepStore::open(&path).unwrap();
+        let cache = SweepCache::new();
+        let _ = serial(&cache)
+            .capture(Capture::Series)
+            .run::<Maintenance>(grid(2));
+        store.absorb(&cache);
+        assert_eq!(store.checkpoint().unwrap(), 2);
+        let appended = std::fs::read(&path).unwrap();
+
+        let mut disk = DiskSweepCache::open(&path).unwrap();
+        assert_eq!(disk.store().superseded_records(), 2);
+        assert_eq!(disk.persist().unwrap(), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), appended);
+
+        let _ = serial(disk.cache()).run::<Maintenance>(grid(3));
+        assert_eq!(disk.persist().unwrap(), 1);
+        let canonical = SweepStore::open(&path).unwrap();
+        assert_eq!((canonical.len(), canonical.superseded_records()), (3, 0));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -670,6 +670,9 @@ pub struct SegmentWriter<'a> {
     /// sealed plain.
     #[cfg(test)]
     bodies: usize,
+    /// How many body floors it has taken.
+    #[cfg(test)]
+    floors: usize,
 }
 
 impl<'a> SegmentWriter<'a> {
@@ -690,6 +693,8 @@ impl<'a> SegmentWriter<'a> {
             built: 0,
             #[cfg(test)]
             bodies: 0,
+            #[cfg(test)]
+            floors: 0,
         }
     }
 
@@ -744,11 +749,24 @@ impl<'a> SegmentWriter<'a> {
     /// Whether the open segment's plain block is provably longer than
     /// `len` bytes: its sized frames counted exactly, every other record
     /// at its body floor plus its frame, summed only as far as it takes.
+    /// With at most one record unsized its floor saves nothing (the size
+    /// would still be needed wherever the floor fell short), so that
+    /// record is sized instead. A floor never exceeds the exact length,
+    /// so either way the answer is `true` only where the exact block is
+    /// longer than `len`.
     fn plain_exceeds(&mut self, len: usize) -> bool {
+        if self.pending.len() - self.sized <= 1 {
+            self.size_pending();
+            return self.sized_len > len;
+        }
         let mut floor = self.sized_len + FRAME_LEN * (self.pending.len() - self.sized);
         for record in &self.pending[self.sized..] {
             if floor > len {
                 break;
+            }
+            #[cfg(test)]
+            {
+                self.floors += 1;
             }
             floor += record.body_floor(&mut self.scratch);
         }
@@ -1838,6 +1856,28 @@ mod tests {
             let (_, next, _) = same_bytes_as_the_eager_writer(&records, 1, 0);
             assert_eq!(next as usize, records.len());
         }
+    }
+
+    #[test]
+    fn a_lone_unsized_record_is_sized_without_a_floor() {
+        // Where its floor falls short the seal needs the exact length
+        // anyway, so a lone record is sized once and never floored.
+        for records in fixture_records() {
+            for record in &records {
+                let mut lazy = SegmentWriter::new(DEFAULT_SEGMENT_CAPACITY, 0);
+                lazy.push(record);
+                lazy.seal();
+                assert_eq!((lazy.floors, lazy.built), (0, 1));
+            }
+        }
+        // Two unsized records still go to their floors, which settle it.
+        let batch = sketch_batch();
+        let mut lazy = SegmentWriter::new(DEFAULT_SEGMENT_CAPACITY, 0);
+        lazy.push(&batch[0]);
+        lazy.push(&batch[1]);
+        lazy.seal();
+        assert!(lazy.floors > 0);
+        assert_eq!(lazy.built, 0);
     }
 
     /// 64 sketch records the shape of a put batch.
