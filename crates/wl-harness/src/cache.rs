@@ -204,7 +204,17 @@ pub(crate) fn fnv64_pair(a: u64, b: u64, bytes: &[u8]) -> (u64, u64) {
     (a, b)
 }
 
-type StoreKey = (u64, String);
+/// A store key: content hash, then algorithm name.
+pub(crate) type StoreKey = (u64, String);
+
+/// Points `key` at `(content_hash, algo)` in place. Its string keeps its
+/// buffer, so one key refilled for every lookup allocates only while it
+/// grows to the longest algorithm name it has held.
+pub(crate) fn refill_key(key: &mut StoreKey, content_hash: u64, algo: &str) {
+    key.0 = content_hash;
+    key.1.clear();
+    key.1.push_str(algo);
+}
 
 /// The one in-memory record (see the module docs' record model): the
 /// format-level [`EncodedRecord`] and the [`SweepOutcome`] it parses to.
@@ -214,9 +224,9 @@ pub(crate) struct Record {
     encoded: EncodedRecord,
     outcome: SweepOutcome,
     /// The results server's whole `Found` reply frame for this record,
-    /// filled the first time the server replies with it (see
-    /// [`Record::found_frame`]). A `Box`, not a `Vec`: it holds no spare
-    /// capacity.
+    /// its payloads framed raw, filled the first time the server replies
+    /// with it (see [`Record::found_frame`]). A `Box`, not a `Vec`: it
+    /// holds no spare capacity.
     found_frame: OnceLock<Box<[u8]>>,
 }
 
@@ -293,9 +303,11 @@ impl Record {
     }
 
     /// The frame the results server writes for a `Get` hit on this
-    /// record — length prefix, opcode, [`EncodedRecord::encode`] bytes,
-    /// frame checksum — built on the first call and kept: a record never
-    /// changes once it is shared, so the bytes cannot go stale. Only the
+    /// record — length prefix, opcode, the record with both payloads
+    /// framed raw ([`EncodedRecord::encode_raw_into`]), frame checksum —
+    /// built on the first call and kept: a record never changes once it
+    /// is shared, so the bytes cannot go stale. Raw costs the server no
+    /// compression to build and the client none to read. Only the
     /// server's reply path asks, so a record that is never served holds
     /// an empty cell and nothing else; saves, checkpoints and puts keep
     /// their own encoders.
@@ -304,7 +316,8 @@ impl Record {
             .get_or_init(|| crate::service::found_frame(&self.encoded))
     }
 
-    /// [`EncodedRecord::encode`] of [`Record::encoded`], sliced out of
+    /// The raw encoding of [`Record::encoded`]
+    /// ([`EncodedRecord::encode_raw_into`]), sliced out of
     /// [`Record::found_frame`] — what a `BatchGet` slot carries, so a
     /// served record keeps one buffer, not two.
     pub(crate) fn encoded_bytes(&self) -> &[u8] {
@@ -746,15 +759,15 @@ impl SweepStore {
     pub(crate) fn absorb_records(&mut self, records: Vec<Arc<Record>>) -> usize {
         // One lookup key, refilled in place: most records a persist
         // absorbs are the store's own, hydrated and untouched, and only a
-        // record the store takes needs a key of its own. (The range walk
-        // of `SweepStore::record` builds no key either, but its lookup
-        // costs about twice this `get`.)
-        let mut probe: StoreKey = (0, String::new());
+        // record the store takes needs a key of its own.
+        let mut probe = StoreKey::default();
         let mut taken = 0;
         for record in records {
-            probe.0 = record.encoded.content_hash;
-            probe.1.clear();
-            probe.1.push_str(&record.encoded.algo);
+            refill_key(
+                &mut probe,
+                record.encoded.content_hash,
+                &record.encoded.algo,
+            );
             if self.takes(&probe, &record) == Ok(true) {
                 self.put(record.key(), record);
                 taken += 1;
@@ -784,17 +797,19 @@ impl SweepStore {
         self.records.insert(key, record);
     }
 
-    /// The live record under one key, if present — what
-    /// [`crate::service`] puts on the wire, so served records are
-    /// *exactly* what a store save would write.
+    /// The live record under `key`, if present — what [`crate::service`]
+    /// puts on the wire, so served records are *exactly* what a store
+    /// save would write. The server looks up through one key it refills
+    /// in place ([`refill_key`]), so a lookup builds no key.
+    pub(crate) fn record_at(&self, key: &StoreKey) -> Option<&Arc<Record>> {
+        self.records.get(key)
+    }
+
+    /// [`record_at`](SweepStore::record_at) under a key built for the
+    /// call.
+    #[cfg(test)]
     pub(crate) fn record(&self, content_hash: u64, algo: &str) -> Option<&Arc<Record>> {
-        // Keys order by hash first and `String::new()` does not allocate:
-        // the range opens at the hash's first algorithm, so the lookup
-        // walks the few records under one hash and builds no key.
-        self.records
-            .range((content_hash, String::new())..)
-            .take_while(|((hash, _), _)| *hash == content_hash)
-            .find_map(|((_, held), record)| (held == algo).then_some(record))
+        self.record_at(&(content_hash, algo.to_string()))
     }
 
     /// Inserts one record through the one join (`lattice_join`): a
@@ -2353,8 +2368,9 @@ mod tests {
 
     /// Both constructors leave a record's served frame empty, a save and
     /// a checkpoint do not fill it, and the first ask fills it with a
-    /// frame around `encode()`'s bytes that every later ask hands back —
-    /// the record bytes a slice of that one buffer, not a second one.
+    /// frame around the record's raw encoding (`encode_raw_into`) that
+    /// every later ask hands back — the record bytes a slice of that one
+    /// buffer, not a second one.
     #[test]
     fn encoded_bytes_are_filled_once_on_first_ask() {
         let path = tmp_path("encoded-bytes");
@@ -2370,7 +2386,9 @@ mod tests {
         for record in [&made, &admitted] {
             assert!(record.found_frame.get().is_none());
             let first = record.encoded_bytes();
-            assert_eq!(first, record.encoded().encode());
+            let mut raw = Vec::new();
+            record.encoded().encode_raw_into(&mut raw);
+            assert_eq!(first, raw);
             assert!(std::ptr::eq(first, record.encoded_bytes()));
             let frame = record.found_frame().as_ptr_range();
             assert!(frame.contains(&first.as_ptr()), "one kept buffer");

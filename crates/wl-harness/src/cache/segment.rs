@@ -377,6 +377,29 @@ impl EncodedRecord {
         self.frame_into(out, push_raw_payload);
     }
 
+    /// How many bytes [`encode_raw_into`](Self::encode_raw_into) writes.
+    pub(crate) fn raw_len(&self) -> usize {
+        FRAME_LEN + self.body_ceiling()
+    }
+
+    /// [`encode_raw_into`](Self::encode_raw_into) that continues `outer`
+    /// — the FNV-1a chain of an enclosing frame — over every byte the
+    /// record spans, hashing each body byte once for both checksums: the
+    /// encode-side mirror of [`decode_within`](Self::decode_within).
+    pub(crate) fn encode_raw_within(&self, out: &mut Vec<u8>, outer: &mut u64) {
+        let start = out.len();
+        out.reserve(self.raw_len());
+        out.extend_from_slice(&[0; 4]);
+        self.push_body(out, push_raw_payload);
+        let len = u32::try_from(out.len() - start - 4 + 8).expect("record < 4 GiB");
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        let (head, body) = out[start..].split_at(4);
+        let (frame, own) = fnv64_pair(fnv64_seeded(*outer, head), FNV_OFFSET, body);
+        let own = own.to_le_bytes();
+        out.extend_from_slice(&own);
+        *outer = fnv64_seeded(frame, &own);
+    }
+
     /// Appends this record's frame: its length, its body with each
     /// payload written by `payload`, and its checksum.
     fn frame_into(&self, out: &mut Vec<u8>, payload: fn(&mut Vec<u8>, &[u8])) {

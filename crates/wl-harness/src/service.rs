@@ -33,11 +33,12 @@
 //! Requests and responses travel in one framing (see `docs/service.md`
 //! for the byte-level layout): a `u32` little-endian body length, then
 //! the body — one opcode byte, the operation payload, and a trailing
-//! FNV-1a 64-bit checksum over everything before it. Record payloads are
-//! the *canonical* [`EncodedRecord`] bytes from `docs/store-format.md`,
-//! so the wire format inherits the store's byte-level spec (and its
-//! tamper tests: flip any byte of a frame and it is rejected, never
-//! misread). Grid points inside a batch-get carry the full
+//! FNV-1a 64-bit checksum over everything before it. Records travel in
+//! the [`EncodedRecord`] layout of `docs/store-format.md`, so the wire
+//! format inherits the store's byte-level spec (and its tamper tests:
+//! flip any byte of a frame and it is rejected, never misread). This end
+//! writes every record's payloads raw, in puts and replies alike, and
+//! reads every encoding the store format defines. Grid points inside a batch-get carry the full
 //! [`ScenarioSpec`] in a fixed binary encoding; the server recomputes the
 //! content hash from the decoded spec and leaves the point unresolved on
 //! mismatch, so a codec drift degrades to a local simulation, never a
@@ -47,9 +48,10 @@
 //! [`ScenarioSpec::content_hash`]: ScenarioSpec::content_hash
 
 use crate::algo::SyncAlgorithm;
-use crate::cache::segment::{close_frame, EncodedRecord, Take};
+use crate::cache::segment::{EncodedRecord, Take};
 use crate::cache::{
-    canon_string, fnv64, fnv64_seeded, Admitted, Record, SweepStore, ENGINE_VERSION, FNV_OFFSET,
+    canon_string, fnv64, fnv64_seeded, refill_key, Admitted, Record, StoreKey, SweepStore,
+    ENGINE_VERSION, FNV_OFFSET,
 };
 use crate::spec::{AdversarySpec, AdversaryStrategy, DelayKind, FaultKind, ScenarioSpec};
 use crate::sweep::{Capture, SweepCache};
@@ -140,22 +142,12 @@ fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Writes one frame: `u32` LE length, the body, its FNV-1a checksum —
-/// built in one buffer and handed to the stream in one write, so a
-/// frame is one syscall and never a small write for Nagle's algorithm
-/// to hold back behind a delayed ACK.
-fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(4 + body.len() + 8);
-    frame.extend_from_slice(&[0; 4]);
-    frame.extend_from_slice(body);
-    close_frame(&mut frame, 0);
-    send_frame(w, &frame)
-}
-
-/// Hands a whole frame, length prefix and checksum included, to the
-/// stream in one write — [`write_frame`]'s last step, and all a `Get`
-/// hit does with its record's kept [`Record::found_frame`]. A frame
-/// over [`MAX_FRAME`] is refused, not sent for the peer to refuse.
+/// Hands a whole frame — `u32` LE length, body, FNV-1a checksum, built
+/// in one buffer ([`build_frame`]) — to the stream in one write, so a
+/// frame is one syscall and never a small write for Nagle's algorithm to
+/// hold back behind a delayed ACK. All a `Get` hit does with its
+/// record's kept [`Record::found_frame`]. A frame over [`MAX_FRAME`] is
+/// refused, not sent for the peer to refuse.
 fn send_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     if frame.len() > 4 + MAX_FRAME as usize {
         return Err(bad_data("frame too large"));
@@ -164,18 +156,100 @@ fn send_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Validates a fully-read frame body (checksum trailer) and strips the
-/// checksum in place. `None` = corrupt.
-fn check_frame(mut buf: Vec<u8>) -> Option<Vec<u8>> {
-    if buf.len() < MIN_FRAME as usize {
-        return None;
+/// The FNV-1a chain of a frame, carried across the records inside it on
+/// either end. The bytes between records are hashed for the frame's
+/// chain alone; a record's bytes feed its own checksum and the frame's
+/// in one pass, the two chains interleaved, so checking or writing both
+/// costs about what one does.
+struct FrameChain {
+    chain: u64,
+    /// How far into the frame's bytes the chain has run.
+    hashed: usize,
+}
+
+impl FrameChain {
+    /// A chain over `bytes[start..]` of the buffer it is used on: the
+    /// body of a frame being read, or a frame being built after its
+    /// length prefix.
+    fn starting_at(start: usize) -> Self {
+        Self {
+            chain: FNV_OFFSET,
+            hashed: start,
+        }
     }
-    let body_len = buf.len() - 8;
-    if fnv64(&buf[..body_len]).to_le_bytes() != buf[body_len..] {
-        return None;
+
+    /// Appends `record` to `frame` with both payloads framed raw, hashing
+    /// what came since the last record for the frame alone and the
+    /// record for both checksums ([`EncodedRecord::encode_raw_within`]).
+    fn write(&mut self, frame: &mut Vec<u8>, record: &EncodedRecord) {
+        self.chain = fnv64_seeded(self.chain, &frame[self.hashed..]);
+        record.encode_raw_within(frame, &mut self.chain);
+        self.hashed = frame.len();
     }
-    buf.truncate(body_len);
-    Some(buf)
+
+    /// Reads the record at the cursor `t` over `body`, checking its own
+    /// checksum and continuing the frame's in one pass
+    /// ([`EncodedRecord::decode_within`]). Nothing is hashed again to
+    /// decode it.
+    fn read(&mut self, body: &[u8], t: &mut Take<'_>) -> Option<EncodedRecord> {
+        let at = body.len() - t.0.len();
+        self.chain = fnv64_seeded(self.chain, &body[self.hashed..at]);
+        let (record, used) = EncodedRecord::decode_within(t.0, &mut self.chain)?;
+        self.hashed = at + t.bytes(used)?.len();
+        Some(record)
+    }
+
+    /// The chain run to the end of `bytes`.
+    fn finish(self, bytes: &[u8]) -> u64 {
+        fnv64_seeded(self.chain, &bytes[self.hashed..])
+    }
+}
+
+/// A whole frame built in one buffer: the length prefix, the body that
+/// `push` writes — each record it hands to its writer framed raw and
+/// hashed once for its own checksum and the frame's — and the frame's
+/// checksum. `body` sizes the buffer; it is a hint, not a limit.
+fn build_frame(
+    body: usize,
+    push: impl FnOnce(&mut Vec<u8>, &mut dyn FnMut(&mut Vec<u8>, &EncodedRecord)),
+) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + body + 8);
+    frame.extend_from_slice(&[0; 4]);
+    let mut chain = FrameChain::starting_at(4);
+    push(&mut frame, &mut |out, record| chain.write(out, record));
+    let crc = chain.finish(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    let len = u32::try_from(frame.len() - 4).expect("frame < 4 GiB");
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame
+}
+
+/// Checks and decodes one frame (`frame` = body, then checksum) through
+/// `grammar` — the read path of both ends. It reads each byte once: the
+/// records `grammar` asks for through [`FrameChain::read`], the bytes
+/// between them for the frame's chain alone. `Err` = the frame fails its
+/// own checksum; `Ok(None)` = a sound frame that does not decode,
+/// including one holding a record that fails its own checksum. A body
+/// that does not decode is hashed again whole: its chain stopped where
+/// decoding did, and only the frame's checksum tells the two apart.
+fn decode_frame<T>(
+    frame: &[u8],
+    grammar: impl FnOnce(&[u8], &mut dyn FnMut(&mut Take<'_>) -> Option<EncodedRecord>) -> Option<T>,
+) -> io::Result<Option<T>> {
+    let corrupt = || bad_data("frame checksum mismatch");
+    let body_len = frame.len().checked_sub(8).ok_or_else(corrupt)?;
+    let (body, crc) = frame.split_at(body_len);
+    let mut chain = FrameChain::starting_at(0);
+    let decoded = grammar(body, &mut |t| chain.read(body, t));
+    let sound = match decoded {
+        Some(_) => chain.finish(body),
+        None => fnv64(body),
+    };
+    if sound.to_le_bytes()[..] == *crc {
+        Ok(decoded)
+    } else {
+        Err(corrupt())
+    }
 }
 
 /// Body-buffer reservation made before any body byte has arrived. The
@@ -184,10 +258,9 @@ fn check_frame(mut buf: Vec<u8>) -> Option<Vec<u8>> {
 /// much memory, never [`MAX_FRAME`].
 const FRAME_RESERVE: usize = 64 * 1024;
 
-/// What [`read_frame`] found on the stream.
+/// What [`read_unchecked`] found on the stream.
 enum Inbound {
-    /// The body from [`read_frame`]; body and checksum from
-    /// [`read_unchecked`].
+    /// A frame's body and checksum, the checksum not yet checked.
     Frame(Vec<u8>),
     /// Clean EOF *between* frames.
     Eof,
@@ -218,19 +291,9 @@ fn buffered<R: Read>(stream: R) -> BufReader<R> {
     BufReader::with_capacity(READ_BUF, stream)
 }
 
-/// Reads one frame and checks its checksum — the server's reader. EOF
-/// or a checksum failure inside a frame is an error.
-fn read_frame(r: &mut impl Read, shutdown: Option<&AtomicBool>) -> io::Result<Inbound> {
-    match read_unchecked(r, shutdown)? {
-        Inbound::Frame(frame) => check_frame(frame)
-            .map(Inbound::Frame)
-            .ok_or_else(|| bad_data("frame checksum mismatch")),
-        between => Ok(between),
-    }
-}
-
 /// Reads one frame, checksum trailer included and not yet checked — the
-/// one reader under both the client and the server. EOF inside a frame
+/// one reader under both the client and the server, each of which checks
+/// the frame as it decodes it ([`decode_frame`]). EOF inside a frame
 /// is an error. When the stream has a read timeout set (the server's
 /// connections do), a timeout **between** frames reports
 /// [`Inbound::Idle`] so the handler can re-check the shutdown flag; a
@@ -740,10 +803,31 @@ fn capture_from_byte(byte: u8) -> Option<Capture> {
 }
 
 /// Encodes a request into a frame body (opcode + payload, no checksum —
-/// the framing layer adds it).
+/// the framing layer adds it). A put's records are written with both
+/// payloads framed raw, as the client sends them.
 #[must_use]
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::new();
+    push_request(&mut out, req, |out, record| record.encode_raw_into(out));
+    out
+}
+
+/// The whole frame of `req`, [`encode_request`]'s body built in place by
+/// [`build_frame`] — what the client sends.
+fn request_frame(req: &Request) -> Vec<u8> {
+    match req {
+        Request::PutBatch { records } => put_batch_frame(records.iter()),
+        _ => build_frame(64, |out, record| push_request(out, req, record)),
+    }
+}
+
+/// Appends `req`'s body to `out`, each record of a put written by
+/// `record`.
+fn push_request(
+    out: &mut Vec<u8>,
+    req: &Request,
+    record: impl FnMut(&mut Vec<u8>, &EncodedRecord),
+) {
     match req {
         Request::Get {
             content_hash,
@@ -755,7 +839,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             out.extend_from_slice(&content_hash.to_le_bytes());
             out.extend_from_slice(&engine_version.to_le_bytes());
             out.push(capture_byte(*need));
-            push_str16(&mut out, algo);
+            push_str16(out, algo);
         }
         Request::BatchGet {
             engine_version,
@@ -766,39 +850,58 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             out.push(OP_BATCH_GET);
             out.extend_from_slice(&engine_version.to_le_bytes());
             out.push(capture_byte(*need));
-            push_str16(&mut out, algo);
+            push_str16(out, algo);
             let count = u32::try_from(items.len()).expect("batch < 4G items");
             out.extend_from_slice(&count.to_le_bytes());
             for item in items {
                 out.extend_from_slice(&item.content_hash.to_le_bytes());
-                push_blob32(&mut out, &item.spec);
+                push_blob32(out, &item.spec);
             }
         }
-        Request::PutBatch { records } => out = put_batch_body(records.iter()),
+        Request::PutBatch { records } => push_put_batch(out, records.iter(), record),
         Request::Stats => out.push(OP_STATS),
         Request::Shutdown => out.push(OP_SHUTDOWN),
     }
-    out
 }
 
-/// The frame body of a [`Request::PutBatch`], over records the caller
-/// keeps — the client tier sends the cache's own records, uncopied.
+/// Appends the body of a [`Request::PutBatch`] over records the caller
+/// keeps — the client tier sends the cache's own records, uncopied —
+/// each written by `record`.
+fn push_put_batch<'a>(
+    out: &mut Vec<u8>,
+    records: impl ExactSizeIterator<Item = &'a EncodedRecord>,
+    mut record: impl FnMut(&mut Vec<u8>, &EncodedRecord),
+) {
+    out.push(OP_PUT_BATCH);
+    let count = u32::try_from(records.len()).expect("batch < 4G records");
+    out.extend_from_slice(&count.to_le_bytes());
+    for r in records {
+        record(out, r);
+    }
+}
+
+/// The whole frame of a [`Request::PutBatch`], in a buffer sized to fit.
 /// Each record's payloads travel framed raw: the server decodes every
 /// encoding, and re-encodes what it stores when it writes it, so
 /// compressing here would be work the server throws away.
-fn put_batch_body<'a>(records: impl ExactSizeIterator<Item = &'a EncodedRecord>) -> Vec<u8> {
-    let mut out = vec![OP_PUT_BATCH];
-    let count = u32::try_from(records.len()).expect("batch < 4G records");
-    out.extend_from_slice(&count.to_le_bytes());
-    for record in records {
-        record.encode_raw_into(&mut out);
-    }
-    out
+fn put_batch_frame<'a>(
+    records: impl ExactSizeIterator<Item = &'a EncodedRecord> + Clone,
+) -> Vec<u8> {
+    let body = 1 + 4 + records.clone().map(EncodedRecord::raw_len).sum::<usize>();
+    build_frame(body, |out, record| push_put_batch(out, records, record))
 }
 
 /// Decodes a frame body into a request. `None` = malformed.
 #[must_use]
 pub fn decode_request(body: &[u8]) -> Option<Request> {
+    decode_request_with(body, record)
+}
+
+/// [`decode_request`]'s grammar, each record read through `record`.
+fn decode_request_with(
+    body: &[u8],
+    mut record: impl FnMut(&mut Take<'_>) -> Option<EncodedRecord>,
+) -> Option<Request> {
     let mut t = Take(body);
     let req = match t.u8()? {
         OP_GET => Request::Get {
@@ -841,67 +944,85 @@ pub fn decode_request(body: &[u8]) -> Option<Request> {
     t.done().then_some(req)
 }
 
+/// Checks and decodes a request frame (`frame` = body, then checksum) —
+/// the server's read path, which hashes a put's records once each
+/// ([`decode_frame`]). `Err` = a frame that fails its checksum, which
+/// drops the connection; `Ok(None)` = a malformed request in a sound
+/// frame, which the server answers.
+fn decode_request_frame(frame: &[u8]) -> io::Result<Option<Request>> {
+    decode_frame(frame, |body, record| decode_request_with(body, record))
+}
+
 /// The whole frame of a [`Response::Found`] for `record`, built in one
-/// buffer: the bytes [`write_frame`] sends for [`encode_response`]'s
-/// body. The server keeps it beside the record
-/// ([`Record::found_frame`]), so a hit is one write of kept bytes.
+/// buffer sized to fit and one hashing pass ([`build_frame`]): the bytes
+/// [`response_frame`] sends for the same reply. The server keeps it
+/// beside the record ([`Record::found_frame`]), so a hit is one write of
+/// kept bytes.
 pub(crate) fn found_frame(record: &EncodedRecord) -> Box<[u8]> {
-    let mut frame = vec![0; 4];
-    frame.push(RE_FOUND);
-    record.encode_into(&mut frame);
-    close_frame(&mut frame, 0);
+    let frame = build_frame(1 + record.raw_len(), |out, write| {
+        out.push(RE_FOUND);
+        write(out, record);
+    });
     frame.into_boxed_slice()
 }
 
-/// The record's [`EncodedRecord::encode`] bytes inside a
-/// [`found_frame`]: after the length prefix and the opcode, before the
-/// checksum.
+/// The record's raw encoding inside a [`found_frame`]: after the length
+/// prefix and the opcode, before the checksum.
 pub(crate) fn found_record(frame: &[u8]) -> &[u8] {
     &frame[4 + 1..frame.len() - 8]
 }
 
-/// The body of a [`Response::Batch`] over each slot's
-/// [`EncodedRecord::encode`] bytes (`1` + bytes, or `0` for an
-/// unresolved slot) — the one layout both [`encode_response`] and the
-/// server's batch path write.
-fn batch_body<B: AsRef<[u8]>>(slots: &[Option<B>]) -> Vec<u8> {
-    let bytes: usize = slots.iter().flatten().map(|b| b.as_ref().len()).sum();
-    let mut out = Vec::with_capacity(5 + slots.len() + bytes);
+/// Appends the body of a [`Response::Batch`] over `slots`: `1` and the
+/// slot's record written by `record`, or `0` for an unresolved slot —
+/// the one layout of [`push_response`] and of the server's batch path,
+/// which writes each record's kept bytes.
+fn push_batch<T>(out: &mut Vec<u8>, slots: &[Option<T>], mut record: impl FnMut(&mut Vec<u8>, &T)) {
     out.push(RE_BATCH);
     let count = u32::try_from(slots.len()).expect("batch < 4G items");
     out.extend_from_slice(&count.to_le_bytes());
     for slot in slots {
         match slot {
-            Some(record) => {
+            Some(r) => {
                 out.push(1);
-                out.extend_from_slice(record.as_ref());
+                record(out, r);
             }
             None => out.push(0),
         }
     }
+}
+
+/// Encodes a response into a frame body, each record with both payloads
+/// framed raw, as the server sends them.
+#[must_use]
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut out = Vec::new();
+    push_response(&mut out, resp, |out, record| record.encode_raw_into(out));
     out
 }
 
-/// Encodes a response into a frame body.
-#[must_use]
-pub fn encode_response(resp: &Response) -> Vec<u8> {
+/// The whole frame of `resp`, [`encode_response`]'s body built in place
+/// by [`build_frame`] — how the server sends every reply it does not
+/// keep or build from kept bytes.
+fn response_frame(resp: &Response) -> Vec<u8> {
+    build_frame(64, |out, record| push_response(out, resp, record))
+}
+
+/// Appends `resp`'s body to `out`, each record written by `record`.
+fn push_response(
+    out: &mut Vec<u8>,
+    resp: &Response,
+    mut record: impl FnMut(&mut Vec<u8>, &EncodedRecord),
+) {
     match resp {
-        Response::Found { record } => {
-            let mut out = vec![RE_FOUND];
-            record.encode_into(&mut out);
-            out
+        Response::Found { record: found } => {
+            out.push(RE_FOUND);
+            record(out, found);
         }
-        Response::Miss => vec![RE_MISS],
-        Response::Ok => vec![RE_OK],
-        Response::Batch { items } => {
-            let slots: Vec<Option<Vec<u8>>> = items
-                .iter()
-                .map(|item| item.as_ref().map(EncodedRecord::encode))
-                .collect();
-            batch_body(&slots)
-        }
+        Response::Miss => out.push(RE_MISS),
+        Response::Ok => out.push(RE_OK),
+        Response::Batch { items } => push_batch(out, items, record),
         Response::Stats { stats } => {
-            let mut out = vec![RE_STATS];
+            out.push(RE_STATS);
             for v in [
                 stats.records,
                 stats.warm_hits,
@@ -911,12 +1032,10 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             ] {
                 out.extend_from_slice(&v.to_le_bytes());
             }
-            out
         }
         Response::Err { message } => {
-            let mut out = vec![RE_ERR];
-            push_str16(&mut out, message);
-            out
+            out.push(RE_ERR);
+            push_str16(out, message);
         }
     }
 }
@@ -969,24 +1088,14 @@ fn decode_response_with(
 }
 
 /// Checks and decodes a reply frame (`frame` = body, then checksum) —
-/// the client's read path. It accepts and returns exactly what
-/// [`check_frame`] then [`decode_response`] do, but reads each byte
-/// once: a record is hashed for its own checksum and the frame's in one
-/// pass ([`EncodedRecord::decode_within`]), the bytes between records
-/// for the frame's alone, and nothing is hashed again to decode.
+/// the client's read path. It accepts and returns exactly what checking
+/// the frame's checksum and then [`decode_response`] do, but reads each
+/// byte once ([`decode_frame`]). A record that fails its own checksum
+/// inside a sound frame is refused like a frame that fails its own.
 fn decode_reply(frame: &[u8]) -> Option<Response> {
-    let body_len = frame.len().checked_sub(8)?;
-    let (body, crc) = frame.split_at(body_len);
-    let (mut chain, mut hashed) = (FNV_OFFSET, 0);
-    let response = decode_response_with(body, |t| {
-        let at = body_len - t.0.len();
-        chain = fnv64_seeded(chain, &body[hashed..at]);
-        let (record, used) = EncodedRecord::decode_within(t.0, &mut chain)?;
-        hashed = at + t.bytes(used)?.len();
-        Some(record)
-    })?;
-    let chain = fnv64_seeded(chain, &body[hashed..]);
-    (chain.to_le_bytes()[..] == *crc).then_some(response)
+    decode_frame(frame, |body, record| decode_response_with(body, record))
+        .ok()
+        .flatten()
 }
 
 /// Reads one reply frame and decodes it through [`decode_reply`].
@@ -1100,16 +1209,16 @@ impl ServiceClient {
     /// Connect/write/read failures, and [`io::ErrorKind::InvalidData`]
     /// for frames that fail their checksum or decode.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
-        self.send(&encode_request(req))
+        self.send(&request_frame(req))
     }
 
-    /// [`request`](ServiceClient::request) for an already-encoded body.
-    fn send(&mut self, body: &[u8]) -> io::Result<Response> {
+    /// [`request`](ServiceClient::request) for an already-built frame.
+    fn send(&mut self, frame: &[u8]) -> io::Result<Response> {
         let reused = self.conn.is_some();
-        match self.roundtrip(body) {
+        match self.roundtrip(frame) {
             // The pooled connection may have died with the previous
             // server process; one fresh connection decides it.
-            Err(_) if reused => self.roundtrip(body),
+            Err(_) if reused => self.roundtrip(frame),
             result => result,
         }
     }
@@ -1117,12 +1226,12 @@ impl ServiceClient {
     /// One request and its reply on the pooled connection. Any failure
     /// drops the connection and its read buffer, so bytes left over from
     /// a bad reply are never read as the next one.
-    fn roundtrip(&mut self, body: &[u8]) -> io::Result<Response> {
+    fn roundtrip(&mut self, frame: &[u8]) -> io::Result<Response> {
         if self.conn.is_none() {
             self.conn = Some(buffered(Stream::connect(&self.addr)?));
         }
         let conn = self.conn.as_mut().expect("just connected");
-        let result = write_frame(conn.get_mut(), body).and_then(|()| read_reply(conn));
+        let result = send_frame(conn.get_mut(), frame).and_then(|()| read_reply(conn));
         if result.is_err() {
             self.conn = None;
         }
@@ -1169,12 +1278,12 @@ impl ServiceClient {
 
     fn put_records<'a>(
         &mut self,
-        records: impl ExactSizeIterator<Item = &'a EncodedRecord>,
+        records: impl ExactSizeIterator<Item = &'a EncodedRecord> + Clone,
     ) -> io::Result<()> {
         if records.len() == 0 {
             return Ok(());
         }
-        match self.send(&put_batch_body(records))? {
+        match self.send(&put_batch_frame(records))? {
             Response::Ok => Ok(()),
             Response::Err { message } => Err(bad_data(&message)),
             _ => Err(bad_data("unexpected response to put-batch")),
@@ -1452,6 +1561,9 @@ pub struct ServeReport {
 #[derive(Debug)]
 struct Core {
     store: SweepStore,
+    /// The one lookup key of both get arms, refilled in place under the
+    /// lock ([`Core::warm`]), so a lookup builds no key.
+    probe: StoreKey,
     warm_hits: u64,
     puts: u64,
     requests: u64,
@@ -1463,6 +1575,7 @@ impl Core {
     fn new(store: SweepStore) -> Self {
         Self {
             store,
+            probe: StoreKey::default(),
             warm_hits: 0,
             puts: 0,
             requests: 0,
@@ -1471,9 +1584,18 @@ impl Core {
     }
 
     /// The store's record for a key, if it is rich enough for `need` —
-    /// the one lookup of both get arms.
-    fn warm(&self, content_hash: u64, algo: &str, need: Capture) -> Option<&Arc<Record>> {
-        let held = self.store.record(content_hash, algo);
+    /// the one lookup of both get arms, through the core's `probe`. Takes
+    /// the two fields, not the core, so a batch can hold the records it
+    /// found while it looks up the next.
+    fn warm<'s>(
+        store: &'s SweepStore,
+        probe: &mut StoreKey,
+        content_hash: u64,
+        algo: &str,
+        need: Capture,
+    ) -> Option<&'s Arc<Record>> {
+        refill_key(probe, content_hash, algo);
+        let held = store.record_at(probe);
         held.filter(|record| need.kind() <= record.kind())
     }
 
@@ -1625,8 +1747,8 @@ fn handle(
     stream.set_read_timeout(Some(IDLE_POLL))?;
     let mut conn = buffered(stream);
     loop {
-        let body = match read_frame(&mut conn, Some(shutdown))? {
-            Inbound::Frame(body) => body,
+        let frame = match read_unchecked(&mut conn, Some(shutdown))? {
+            Inbound::Frame(frame) => frame,
             Inbound::Eof => return Ok(()),
             Inbound::Idle => {
                 if shutdown.load(Ordering::SeqCst) {
@@ -1635,11 +1757,11 @@ fn handle(
                 continue;
             }
         };
-        let Some(request) = decode_request(&body) else {
+        let Some(request) = decode_request_frame(&frame)? else {
             let resp = Response::Err {
                 message: "malformed request".to_string(),
             };
-            write_frame(conn.get_mut(), &encode_response(&resp))?;
+            send_frame(conn.get_mut(), &response_frame(&resp))?;
             continue;
         };
         let is_shutdown = matches!(request, Request::Shutdown);
@@ -1661,25 +1783,27 @@ fn lock_core(core: &Mutex<Core>) -> std::sync::MutexGuard<'_, Core> {
 enum Reply {
     /// A `Get` hit: the record's kept [`Record::found_frame`], sent as is.
     Found(Arc<Record>),
-    /// Any other reply: a body, framed on the way out.
-    Body(Vec<u8>),
+    /// Any other reply: a whole frame.
+    Frame(Vec<u8>),
 }
 
 impl Reply {
     fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         match self {
             Self::Found(record) => send_frame(w, record.found_frame()),
-            Self::Body(body) => write_frame(w, body),
+            Self::Frame(frame) => send_frame(w, frame),
         }
     }
 }
 
 /// Answers one request. A hit is the record's kept
-/// [`Record::found_frame`], a batch is written from the records' kept
-/// bytes through the layout helper [`encode_response`] uses, and every
-/// other reply is a [`Response`] encoded by it.
+/// [`Record::found_frame`], a batch is built in its frame from the
+/// records' kept bytes through the layout helper [`encode_response`]
+/// uses, and every other reply is a [`Response`] framed by
+/// [`response_frame`].
 fn dispatch(request: Request, core: &Mutex<Core>, cfg: &ServeConfig) -> io::Result<Reply> {
-    let mut c = lock_core(core);
+    let mut guard = lock_core(core);
+    let c = &mut *guard;
     c.requests += 1;
     let response = match request {
         Request::Get {
@@ -1689,14 +1813,14 @@ fn dispatch(request: Request, core: &Mutex<Core>, cfg: &ServeConfig) -> io::Resu
             algo,
         } => {
             if engine_version != ENGINE_VERSION {
-                return Ok(Reply::Body(encode_response(&Response::Miss)));
+                return Ok(Reply::Frame(response_frame(&Response::Miss)));
             }
-            let held = c.warm(content_hash, &algo, need).cloned();
+            let held = Core::warm(&c.store, &mut c.probe, content_hash, &algo, need).cloned();
             c.warm_hits += u64::from(held.is_some());
             // The lock covers the lookup and the pointer clone only; the
             // record's frame is built (once) and written after it is
             // released.
-            drop(c);
+            drop(guard);
             match held {
                 Some(record) => return Ok(Reply::Found(record)),
                 None => Response::Miss,
@@ -1715,7 +1839,7 @@ fn dispatch(request: Request, core: &Mutex<Core>, cfg: &ServeConfig) -> io::Resu
                     ),
                 }
             } else {
-                return Ok(Reply::Body(batch_get(&mut c, &algo, need, &items)));
+                return Ok(Reply::Frame(batch_get(c, &algo, need, &items)));
             }
         }
         Request::PutBatch { records } => {
@@ -1765,14 +1889,20 @@ fn dispatch(request: Request, core: &Mutex<Core>, cfg: &ServeConfig) -> io::Resu
         Request::Stats => Response::Stats { stats: c.stats() },
         Request::Shutdown => Response::Ok,
     };
-    Ok(Reply::Body(encode_response(&response)))
+    Ok(Reply::Frame(response_frame(&response)))
 }
 
-/// Answers a batch-get from the index and returns its reply body, every
-/// resolved slot written from its record's kept [`Record::encoded_bytes`].
-/// A miss is an unresolved slot: the client simulates the point and puts
-/// it back.
+/// Answers a batch-get from the index and returns its whole reply frame,
+/// built in one buffer sized to fit, every resolved slot copied from its
+/// record's kept [`Record::encoded_bytes`]. A miss is an unresolved
+/// slot: the client simulates the point and puts it back.
 fn batch_get(c: &mut Core, algo: &str, need: Capture, items: &[BatchItem]) -> Vec<u8> {
+    let Core {
+        store,
+        probe,
+        warm_hits,
+        ..
+    } = c;
     let slots: Vec<Option<&[u8]>> = items
         .iter()
         .map(|item| {
@@ -1780,41 +1910,81 @@ fn batch_get(c: &mut Core, algo: &str, need: Capture, items: &[BatchItem]) -> Ve
             // drifting spec encoding degrades to "unresolved", and the
             // client simulates locally — never a wrong record.
             decode_spec(&item.spec).filter(|s| s.content_hash() == item.content_hash)?;
-            c.warm(item.content_hash, algo, need)
+            Core::warm(store, probe, item.content_hash, algo, need)
                 .map(|record| record.encoded_bytes())
         })
         .collect();
     let hits = slots.iter().flatten().count();
-    let body = batch_body(&slots);
-    c.warm_hits += hits as u64;
-    body
+    *warm_hits += hits as u64;
+    let body = 1 + 4 + slots.len() + slots.iter().flatten().map(|b| b.len()).sum::<usize>();
+    build_frame(body, |out, _| {
+        push_batch(out, &slots, |out, bytes| out.extend_from_slice(bytes));
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::segment::{TAG_ADV_SKETCH, TAG_SCALAR, TAG_SERIES, TAG_SKETCH};
+    use crate::cache::segment::{close_frame, TAG_ADV_SKETCH, TAG_SCALAR, TAG_SERIES, TAG_SKETCH};
     use crate::sweep::{derive_seed, run_point_as, SweepOutcome, SweepSeries};
     use crate::Maintenance;
     use rand::{Rng, SeedableRng};
 
     impl Reply {
-        /// The frame body this reply sends.
-        fn body(&self) -> &[u8] {
+        /// The whole frame this reply sends.
+        fn frame(&self) -> &[u8] {
             match self {
-                Self::Found(record) => {
-                    let frame = record.found_frame();
-                    &frame[4..frame.len() - 8]
-                }
-                Self::Body(body) => body,
+                Self::Found(record) => record.found_frame(),
+                Self::Frame(frame) => frame,
             }
         }
     }
 
-    /// A reply equals a frame body when it sends that body.
+    /// A reply equals a frame body when it sends that body, framed.
     impl PartialEq<Vec<u8>> for Reply {
         fn eq(&self, body: &Vec<u8>) -> bool {
-            self.body() == &body[..]
+            self.frame() == &frame_of(body)[..]
+        }
+    }
+
+    /// `body` framed the two-pass way — built first, then copied into a
+    /// frame and hashed whole by `close_frame`: the construction the
+    /// one-pass builders are held to.
+    fn frame_of(body: &[u8]) -> Vec<u8> {
+        let mut frame = vec![0; 4];
+        frame.extend_from_slice(body);
+        close_frame(&mut frame, 0);
+        frame
+    }
+
+    /// Writes `body` framed by [`frame_of`].
+    fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+        send_frame(w, &frame_of(body))
+    }
+
+    /// The two-pass check a frame's one-pass reader is held to: the
+    /// checksum trailer checked over the whole body and stripped.
+    /// `None` = corrupt.
+    fn check_frame(mut buf: Vec<u8>) -> Option<Vec<u8>> {
+        if buf.len() < MIN_FRAME as usize {
+            return None;
+        }
+        let body_len = buf.len() - 8;
+        if fnv64(&buf[..body_len]).to_le_bytes() != buf[body_len..] {
+            return None;
+        }
+        buf.truncate(body_len);
+        Some(buf)
+    }
+
+    /// Reads one frame and checks it through [`check_frame`]: EOF or a
+    /// checksum failure inside a frame is an error.
+    fn read_frame(r: &mut impl Read, shutdown: Option<&AtomicBool>) -> io::Result<Inbound> {
+        match read_unchecked(r, shutdown)? {
+            Inbound::Frame(frame) => check_frame(frame)
+                .map(Inbound::Frame)
+                .ok_or_else(|| bad_data("frame checksum mismatch")),
+            between => Ok(between),
         }
     }
 
@@ -2104,7 +2274,9 @@ mod tests {
         }
 
         /// Frame + request/response codecs round-trip arbitrary records
-        /// and batches through an in-memory pipe.
+        /// and batches through an in-memory pipe: the frames each end
+        /// builds, read by each end's one-pass reader and, stripped of
+        /// their framing, by the public decoders.
         #[test]
         fn prop_frame_roundtrip(seed in 0u64..u64::MAX) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -2152,21 +2324,23 @@ mod tests {
             ];
             let mut wire = Vec::new();
             for req in &requests {
-                write_frame(&mut wire, &encode_request(req)).unwrap();
+                send_frame(&mut wire, &request_frame(req)).unwrap();
             }
             for resp in &responses {
-                write_frame(&mut wire, &encode_response(resp)).unwrap();
+                send_frame(&mut wire, &response_frame(resp)).unwrap();
             }
             let mut reader: &[u8] = &wire;
             for req in &requests {
-                let body = read_frame(&mut reader, None).unwrap().frame().expect("frame");
-                proptest::prop_assert_eq!(decode_request(&body).as_ref(), Some(req));
+                let frame = read_unchecked(&mut reader, None).unwrap().frame().expect("frame");
+                proptest::prop_assert_eq!(decode_request_frame(&frame).unwrap().as_ref(), Some(req));
+                proptest::prop_assert_eq!(decode_request(&frame[..frame.len() - 8]).as_ref(), Some(req));
             }
             for resp in &responses {
-                let body = read_frame(&mut reader, None).unwrap().frame().expect("frame");
-                proptest::prop_assert_eq!(decode_response(&body).as_ref(), Some(resp));
+                let frame = read_unchecked(&mut reader, None).unwrap().frame().expect("frame");
+                proptest::prop_assert_eq!(decode_reply(&frame).as_ref(), Some(resp));
+                proptest::prop_assert_eq!(decode_response(&frame[..frame.len() - 8]).as_ref(), Some(resp));
             }
-            proptest::prop_assert!(matches!(read_frame(&mut reader, None), Ok(Inbound::Eof)), "clean EOF");
+            proptest::prop_assert!(matches!(read_unchecked(&mut reader, None), Ok(Inbound::Eof)), "clean EOF");
         }
 
         /// The client's one-pass reply check accepts and returns exactly
@@ -2216,10 +2390,11 @@ mod tests {
             }
         }
 
-        /// A live record's kept bytes are `encoded().encode()`, and its
-        /// kept `Found` frame is `encode_response`'s body framed, for a record
-        /// admitted at a non-zero grid index (which `admit`
-        /// re-canonicalizes) and for the same record made by `of_outcome`.
+        /// A live record's kept bytes are its raw encoding
+        /// (`encode_raw_into`), and its kept `Found` frame is
+        /// `encode_response`'s body framed, for a record admitted at a
+        /// non-zero grid index (which `admit` re-canonicalizes) and for
+        /// the same record made by `of_outcome`.
         #[test]
         fn prop_kept_bytes_are_the_encoding(seed in 0u64..u64::MAX) {
             use crate::cache::segment::record_tag;
@@ -2244,19 +2419,101 @@ mod tests {
             );
             proptest::prop_assert_eq!(made.encoded(), admitted.encoded());
             for record in [&admitted, &made] {
-                let want = record.encoded().encode();
+                let mut want = Vec::new();
+                record.encoded().encode_raw_into(&mut want);
                 proptest::prop_assert_eq!(record.encoded_bytes(), &want[..]);
-                let mut framed = Vec::new();
                 let body = encode_response(&Response::Found { record: record.encoded().clone() });
-                write_frame(&mut framed, &body).unwrap();
-                proptest::prop_assert_eq!(record.found_frame(), &framed[..]);
+                proptest::prop_assert_eq!(record.found_frame(), &frame_of(&body)[..]);
+            }
+        }
+
+        /// Every frame built in one buffer and one hashing pass equals the
+        /// two-pass construction — each record written by
+        /// `encode_raw_into`, then the body framed and hashed whole — byte
+        /// for byte: a kept `Found` frame, a `Batch` the server builds
+        /// from kept bytes, a put as the client sends it, and the generic
+        /// request and reply frames around the same records.
+        #[test]
+        fn prop_one_pass_frames_equal_two_pass(seed in 0u64..u64::MAX) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let records: Vec<EncodedRecord> =
+                (0..1 + rng.gen::<u64>() % 4).map(|_| arb_record(&mut rng)).collect();
+            let found = Response::Found { record: records[0].clone() };
+            let two_pass = frame_of(&encode_response(&found));
+            proptest::prop_assert_eq!(&found_frame(&records[0])[..], &two_pass[..]);
+            proptest::prop_assert_eq!(response_frame(&found), two_pass);
+            let items = records
+                .iter()
+                .map(|r| (rng.gen::<u64>() % 3 != 0).then(|| r.clone()))
+                .collect();
+            let batch = Response::Batch { items };
+            proptest::prop_assert_eq!(response_frame(&batch), frame_of(&encode_response(&batch)));
+            let put = Request::PutBatch { records: records.clone() };
+            let two_pass = frame_of(&encode_request(&put));
+            proptest::prop_assert_eq!(put_batch_frame(records.iter()), two_pass.clone());
+            proptest::prop_assert_eq!(request_frame(&put), two_pass);
+
+            // The server's frames over a live record: its kept `Found`
+            // frame, and a batch resolving it beside an unresolved slot.
+            let spec = arb_spec(&mut rng);
+            let canon = canon_string(&spec.canonical());
+            let outcome = arb_outcome(&mut rng, 0);
+            let record = Record::of_outcome(Maintenance::NAME, spec.content_hash(), canon, &outcome);
+            let found = Response::Found { record: record.encoded().clone() };
+            proptest::prop_assert_eq!(record.found_frame(), &frame_of(&encode_response(&found))[..]);
+            let mut store = SweepStore::new();
+            proptest::prop_assert!(store.insert(Arc::clone(&record)).unwrap());
+            let mut core = Core::new(store);
+            let items = [
+                BatchItem { content_hash: spec.content_hash(), spec: encode_spec(&spec) },
+                BatchItem { content_hash: spec.content_hash() ^ 1, spec: vec![] },
+            ];
+            let batch = Response::Batch { items: vec![Some(record.encoded().clone()), None] };
+            let served = batch_get(&mut core, Maintenance::NAME, Capture::Scalar, &items);
+            proptest::prop_assert_eq!(served, frame_of(&encode_response(&batch)));
+        }
+
+        /// The server's one-pass request check accepts exactly what the
+        /// two-pass oracle — `check_frame`, then `decode_request` — does,
+        /// over every single-byte tamper of a framed `PutBatch`, sent
+        /// raw as this client sends it and in the smallest encodings
+        /// older clients sent. Each flip is also tried under a resealed
+        /// frame checksum, which only a record's own checksum can catch.
+        /// Where the oracle refuses the frame, the reader's error is a
+        /// connection error; where it reads a malformed request, the
+        /// reader reads one too, which the server answers `Err`.
+        #[test]
+        fn prop_fused_request_check_equals_two_pass(seed in 0u64..u64::MAX) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let records = vec![arb_record(&mut rng), arb_record(&mut rng)];
+            let put = Request::PutBatch { records: records.clone() };
+            let mask = 1u8 << (rng.gen::<u64>() % 8);
+            for body in [encode_request(&put), canonical_put_body(&records)] {
+                let wire = frame_of(&body);
+                proptest::prop_assert_eq!(decode_request_frame(&wire[4..]).unwrap(), Some(put.clone()));
+                for i in 4..wire.len() {
+                    for resealed in [false, true] {
+                        let mut frame = wire.clone();
+                        frame[i] ^= mask;
+                        if resealed {
+                            frame.truncate(frame.len() - 8);
+                            close_frame(&mut frame, 0);
+                        }
+                        let oracle = check_frame(frame[4..].to_vec()).map(|body| decode_request(&body));
+                        let fused = decode_request_frame(&frame[4..]);
+                        if let Err(e) = &fused {
+                            proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                        }
+                        proptest::prop_assert_eq!(fused.ok(), oracle, "flip at byte {}, resealed {}", i, resealed);
+                    }
+                }
             }
         }
     }
 
     /// Mirror of the segment suite's tamper test at the frame layer:
-    /// flip any single byte of a framed request and the reader must
-    /// reject or differ — never silently yield the original.
+    /// flip any single byte of a framed request and the server's reader
+    /// must reject or differ — never silently yield the original.
     #[test]
     fn frame_tamper_rejection() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -2278,23 +2535,19 @@ mod tests {
                 let mut bad = wire.clone();
                 bad[i] ^= 0x40;
                 let mut reader: &[u8] = &bad;
-                match read_frame(&mut reader, None).map(Inbound::frame) {
-                    Err(_) => {}
-                    Ok(None) => {}
-                    Ok(Some(read_body)) => {
-                        // A length-prefix flip can reframe the stream; the
-                        // checksum must still keep the *content* honest.
-                        assert_ne!(
-                            decode_request(&read_body).as_ref(),
-                            Some(&original),
-                            "flip at byte {i} went unnoticed"
-                        );
-                    }
+                if let Ok(Some(frame)) = read_unchecked(&mut reader, None).map(Inbound::frame) {
+                    // A length-prefix flip can reframe the stream; the
+                    // checksum must still keep the *content* honest.
+                    assert_ne!(
+                        decode_request_frame(&frame).ok().flatten().as_ref(),
+                        Some(&original),
+                        "flip at byte {i} went unnoticed"
+                    );
                 }
             }
             // Truncation inside a frame is an error, not a short read.
             let mut truncated: &[u8] = &wire[..wire.len() - 1];
-            assert!(read_frame(&mut truncated, None).is_err());
+            assert!(read_unchecked(&mut truncated, None).is_err());
         }
         // A `Found` and a `Batch` reply through the client's read path,
         // whose one pass checks the frame's and each record's checksum:
@@ -2377,7 +2630,7 @@ mod tests {
             assert!(store.insert(record).unwrap());
         }
         let mut core = Core::new(store);
-        let unresolved = batch_body(&[None::<&[u8]>]);
+        let unresolved = response_frame(&Response::Batch { items: vec![None] });
         let mut refused = |spec: &ScenarioSpec, bytes: &[u8], case: &str| {
             let hash = spec.content_hash();
             if let Some(read) = decode_spec(bytes) {
@@ -2502,7 +2755,9 @@ mod tests {
     }
 
     /// A frame is one `write` call — length, body and checksum together —
-    /// so no small write is left for Nagle's algorithm to hold back.
+    /// so no small write is left for Nagle's algorithm to hold back: a
+    /// request, a put larger than the read buffer, and a reply, each the
+    /// public codec's body framed.
     #[test]
     fn a_frame_is_one_write_call() {
         #[derive(Default)]
@@ -2520,10 +2775,26 @@ mod tests {
                 Ok(())
             }
         }
-        for len in [0, 1, FRAME_RESERVE + 1] {
-            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let record = fixed_record().1.encoded().clone();
+        let put = Request::PutBatch {
+            records: vec![record; FRAME_RESERVE / 500],
+        };
+        let frames = [
+            (
+                encode_request(&Request::Stats),
+                request_frame(&Request::Stats),
+            ),
+            (encode_request(&put), request_frame(&put)),
+            (
+                encode_response(&Response::Ok),
+                response_frame(&Response::Ok),
+            ),
+        ];
+        assert!(frames[1].0.len() > FRAME_RESERVE);
+        for (body, sent) in frames {
+            let len = body.len();
             let mut w = CountingWriter::default();
-            write_frame(&mut w, &body).unwrap();
+            send_frame(&mut w, &sent).unwrap();
             assert_eq!(w.writes, 1, "a {len}-byte body");
             let mut frame = u32::try_from(len + 8).unwrap().to_le_bytes().to_vec();
             frame.extend_from_slice(&body);
@@ -2784,7 +3055,9 @@ mod tests {
     /// two-slot `Batch` frame (the record, then an unresolved slot) for
     /// one fixed sketch record are checked in under `tests/fixtures/`.
     /// Regenerate only after an intended protocol change, with
-    /// `WL_UPDATE_GOLDEN=1 cargo test -p wl-harness --lib wire_frames`.
+    /// `WL_UPDATE_GOLDEN=1 cargo test -p wl-harness --lib wire_frames`,
+    /// after keeping the frames it replaces as compatibility fixtures
+    /// (see [`frames_of_servers_that_compressed_replies_still_decode`]).
     #[test]
     fn wire_frames_match_golden_fixtures() {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -2847,7 +3120,48 @@ mod tests {
             } else {
                 &batch_frame
             };
-            assert_eq!(&sent, want, "served {:?}", reply.body()[0]);
+            assert_eq!(&sent, want, "served {:?}", reply.frame()[4]);
+        }
+    }
+
+    /// Servers that sent each reply record in its smallest encoding wrote
+    /// `wire-found-lz.frame` and `wire-batch-lz.frame` — the frames
+    /// `encode_into` writes for the pinned record. Each decodes through
+    /// the client's read path to the same reply as its raw counterpart,
+    /// so this client still reads those servers.
+    #[test]
+    fn frames_of_servers_that_compressed_replies_still_decode() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let record = fixed_record().1.encoded().clone();
+        let mut found = vec![RE_FOUND];
+        record.encode_into(&mut found);
+        let batch = {
+            let mut body = Vec::new();
+            push_batch(&mut body, &[Some(&record), None], |out, r| {
+                r.encode_into(out)
+            });
+            body
+        };
+        for (old, new, body) in [
+            ("wire-found-lz.frame", "wire-found.frame", found),
+            ("wire-batch-lz.frame", "wire-batch.frame", batch),
+        ] {
+            let old = std::fs::read(dir.join(old)).expect("checked-in wire fixture");
+            let new = std::fs::read(dir.join(new)).expect("checked-in wire fixture");
+            assert_eq!(
+                old,
+                frame_of(&body),
+                "the compressed frame of the pinned record"
+            );
+            assert!(old.len() < new.len(), "a raw reply is the larger");
+            let reply = read_reply(&mut buffered(&old[..])).unwrap();
+            assert_eq!(reply, read_reply(&mut buffered(&new[..])).unwrap());
+            let record = match &reply {
+                Response::Found { record } => record,
+                Response::Batch { items } => items[0].as_ref().expect("a resolved slot"),
+                other => panic!("not a record reply: {other:?}"),
+            };
+            assert_eq!(record, fixed_record().1.encoded());
         }
     }
 
@@ -3119,7 +3433,7 @@ mod tests {
     /// A put framed as older clients framed it and one framed raw, each
     /// to its own server: the same records decode from both, both
     /// servers write the same store bytes, at the checkpoint and at
-    /// shutdown, and serve the same canonical `Found` frames.
+    /// shutdown, and serve the same raw `Found` frames.
     #[test]
     fn canonical_and_raw_puts_store_and_serve_the_same_bytes() {
         let specs = grid(3);
@@ -3146,7 +3460,7 @@ mod tests {
                 std::thread::spawn(move || serve(&cfg, move |addr| tx.send(addr.clone()).unwrap()));
             let addr = rx.recv().expect("server ready");
             let mut client = ServiceClient::new(addr.clone());
-            assert_eq!(client.send(body).unwrap(), Response::Ok);
+            assert_eq!(client.send(&frame_of(body)).unwrap(), Response::Ok);
             let checkpointed = std::fs::read(&store_path).unwrap();
             let found: Vec<Vec<u8>> = specs
                 .iter()
@@ -3180,7 +3494,7 @@ mod tests {
             let reply = framed(&Response::Found {
                 record: record.clone(),
             });
-            assert_eq!(frame[..], reply[4..], "a canonical Found frame");
+            assert_eq!(frame[..], reply[4..], "a raw Found frame");
         }
     }
 
