@@ -1,13 +1,14 @@
 //! Multi-process sweep driver CLI — `wl_harness::transport` behind flags.
 //!
-//! One invocation cuts the demonstration grid into `--chunk`-point
-//! chunks on a **work-stealing frontier**, spawns **this same binary**
-//! `--workers N` times in `--frontier-worker` mode, babysits the
-//! subprocesses (heartbeat via store/log growth, restart-on-crash with
-//! bounded retries, optional stall kill after `--stall-ms`, requeue of a
-//! claim not seen to grow for `--steal-ms`, both timed on the driver's
-//! own clock), and merges the worker stores into one canonical output
-//! store:
+//! One invocation cuts the demonstration grid into chunks on a
+//! **work-stealing frontier** — about 16 a worker, 4 to 256 points each
+//! (`wl_harness::default_chunk`), or `--chunk C` points — spawns **this
+//! same binary** `--workers N` times in `--frontier-worker` mode,
+//! babysits the subprocesses (heartbeat via store/log growth,
+//! restart-on-crash with bounded retries, optional stall kill after
+//! `--stall-ms`, requeue of a claim not seen to grow for `--steal-ms`,
+//! both timed on the driver's own clock), and merges the worker stores
+//! into one canonical output store:
 //!
 //! ```text
 //! sweep_drive --workers 3 --dir target/drive --out target/drive/merged.wls
@@ -30,9 +31,12 @@
 //! `<dir>/frontier` and checkpointing into `<dir>/worker-<id>.wls`.
 //! Workers inherit the driver's environment: with `WL_SWEEP_SERVICE`
 //! exported, the fleet resolves its chunks against that results server.
-//! A frontier directory left over from a *different* grid, chunk size,
-//! or engine version is refused with a clear error naming the mismatched
-//! field — never silently merged, never a hang.
+//! A drive over a directory that already holds this grid's frontier
+//! resumes it at the granule its manifest records, unless `--chunk`
+//! names another. A frontier left over from a *different* grid or
+//! engine version, or cut otherwise than an explicit `--chunk`, is
+//! refused with a clear error naming the mismatched field — never
+//! silently merged, never a hang.
 
 use bench::{cli, DEMO_GRID};
 use std::io;
@@ -59,7 +63,8 @@ fn usage() -> ! {
          sweep_drive --frontier-worker --frontier DIR --worker-id ID --store FILE \
          [--grid SIZE] [--t-end SECS] [--steal-ms T] \
          [--crash-after-chunks M] {worker}\n\
-         --chunk is the checkpoint granule; workers inherit WL_SWEEP_SERVICE",
+         --chunk is the checkpoint granule: by default about 16 chunks a worker, 4 to 256 \
+         points each, or what a resumed --dir records; workers inherit WL_SWEEP_SERVICE",
         driver = cli::common_usage(DRIVER_FLAGS),
         worker = cli::common_usage(WORKER_FLAGS),
     );
@@ -185,7 +190,7 @@ fn driver_main(args: &[String]) {
     let exe = std::env::current_exe().expect("own executable path");
 
     let mut cfg = FrontierDriverConfig::new(workers, dir, out);
-    cfg.chunk = common.chunk_or(cfg.chunk);
+    cfg.chunk = common.chunk;
     cfg.max_restarts = retries;
     cfg.stall_timeout = stall_ms.map(Duration::from_millis);
     cfg.steal_timeout = Duration::from_millis(steal_ms);
@@ -215,8 +220,9 @@ fn driver_main(args: &[String]) {
         cmd
     });
 
-    // A foreign frontier (different grid, chunking, or engine) is a
-    // clear refusal, not a hang or a silent merge.
+    // A foreign frontier (different grid or engine, or a chunking
+    // `--chunk` contradicts) is a clear refusal, not a hang or a silent
+    // merge.
     let fail = |e: &dyn std::fmt::Display| -> ! {
         eprintln!("sweep_drive failed: {e}");
         std::process::exit(1);
@@ -229,7 +235,7 @@ fn driver_main(args: &[String]) {
         "driver: {workers} worker(s) stealing {}-point chunks over {grid_size} grid \
          points; {} restart(s) ({} stall kill(s), {} slot(s) retired), {} claim(s) requeued; \
          merged {} store(s) = {} record(s) -> {}",
-        cfg.chunk,
+        report.chunk,
         report.restarts,
         report.stall_kills,
         report.retired,

@@ -43,7 +43,8 @@ pub struct CommonArgs {
     pub format: Option<StoreFormat>,
     /// `--compact`: rewrite stores canonically after the run.
     pub compact: bool,
-    /// `--chunk C`: frontier chunk size in grid points.
+    /// `--chunk C`: frontier chunk size in grid points; `None` lets the
+    /// driver size it to the fleet.
     pub chunk: Option<usize>,
     /// `--capture scalar|sketch|series`: what each grid point records.
     pub capture: Option<Capture>,
@@ -76,12 +77,6 @@ impl CommonArgs {
             _ => return false,
         }
         true
-    }
-
-    /// The chosen chunk size, or the binary's default.
-    #[must_use]
-    pub fn chunk_or(&self, default: usize) -> usize {
-        self.chunk.unwrap_or(default)
     }
 
     /// The chosen capture mode, or [`Capture::Scalar`].
@@ -166,7 +161,7 @@ mod tests {
     fn defaults_apply_when_flags_absent() {
         let (common, rest) = scan(ALL, &[]);
         assert_eq!(common.format, None);
-        assert_eq!(common.chunk_or(4), 4);
+        assert_eq!(common.chunk, None);
         assert_eq!(common.capture(), Capture::Scalar);
         assert!(!common.compact);
         assert!(rest.is_empty());

@@ -4,6 +4,7 @@
 //! best seen as a curve; this renderer keeps the experiment binaries
 //! self-contained with no plotting dependency.
 
+use crate::stats::round_half_away;
 use std::fmt::Write as _;
 
 /// Renders `(x, y)` samples as a fixed-size ASCII chart with y-axis labels.
@@ -37,7 +38,7 @@ pub fn ascii_chart(samples: &[(f64, f64)], width: usize, height: usize, y_label:
     // Column -> max y in the bucket.
     let mut cols: Vec<Option<f64>> = vec![None; width];
     for &(x, y) in samples {
-        let c = (((x - x_min) / x_span) * (width - 1) as f64).round() as usize;
+        let c = round_half_away(((x - x_min) / x_span) * (width - 1) as f64) as usize;
         let cell = &mut cols[c.min(width - 1)];
         *cell = Some(cell.map_or(y, |prev: f64| prev.max(y)));
     }

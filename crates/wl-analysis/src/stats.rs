@@ -70,6 +70,33 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
+/// `x` rounded to the nearest integer, half-way cases away from zero:
+/// [`f64::round`], bit for bit, without its libm call, so a stored byte
+/// that rounds does not depend on the platform's libm.
+///
+/// Below 2⁵² in magnitude `x` truncates exactly through `i64`, and the
+/// fraction `x - trunc(x)` is exact, so comparing it with ±½ decides the
+/// rounding. At or above 2⁵², and for ±∞ and NaN, `x` is already
+/// integral (or not a number) and comes back as it is.
+#[must_use]
+pub fn round_half_away(x: f64) -> f64 {
+    const INTEGRAL_FROM: f64 = 4_503_599_627_370_496.0; // 2^52
+    if x.abs() >= INTEGRAL_FROM || x.is_nan() {
+        return x;
+    }
+    let whole = x as i64 as f64;
+    let frac = x - whole;
+    let rounded = if frac >= 0.5 {
+        whole + 1.0
+    } else if frac <= -0.5 {
+        whole - 1.0
+    } else {
+        whole
+    };
+    // A negative fraction that rounds to zero rounds to -0.
+    rounded.copysign(x)
+}
+
 /// Welford-style online accumulator for streams too large to keep.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Online {

@@ -56,7 +56,9 @@
 //! *different* grid (other specs, other chunk size, other
 //! [`ENGINE_VERSION`]): the manifest pins the identity, and a mismatch
 //! is a [`FrontierError::Mismatch`] naming the offending field — never a
-//! silent merge of two unrelated sweeps.
+//! silent merge of two unrelated sweeps. Only the chunk size can be
+//! adopted instead: by workers, and by a driver that names none
+//! ([`Frontier::resume_or_init`]).
 
 use crate::algo::SyncAlgorithm;
 use crate::cache::{
@@ -319,6 +321,26 @@ impl Frontier {
         Ok(frontier)
     }
 
+    /// [`init`](Self::init) for a driver that names no granule: a
+    /// directory already holding a manifest is resumed at the chunk size
+    /// that manifest records, every other identity field checked as
+    /// [`open`](Self::open) checks it; a fresh one is initialized with
+    /// `spec`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`init`](Self::init), less the `chunk` mismatch.
+    pub fn resume_or_init(
+        dir: impl Into<PathBuf>,
+        spec: FrontierSpec,
+    ) -> Result<Self, FrontierError> {
+        let dir = dir.into();
+        if dir.join(MANIFEST).try_exists()? {
+            return Self::open(dir, spec);
+        }
+        Self::init(dir, spec)
+    }
+
     /// Opens an existing frontier — the **worker** side. The manifest
     /// must exist and must match `spec` in every field except `chunk`
     /// (workers adopt whatever chunking the initializer picked, so the
@@ -419,6 +441,12 @@ impl Frontier {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The identity this handle operates under, its chunk size included.
+    #[must_use]
+    pub fn spec(&self) -> &FrontierSpec {
+        &self.spec
     }
 
     /// Total chunk count.
@@ -1152,6 +1180,26 @@ mod tests {
             Frontier::open(&dir, spec).unwrap_err(),
             FrontierError::Missing { .. }
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A driver that names no granule resumes a frontier at the chunk
+    /// size its manifest records, and initializes a fresh one at its
+    /// own; every other identity field is still refused on mismatch.
+    #[test]
+    fn resume_adopts_the_recorded_granule_and_nothing_else() {
+        let dir = tmp("resume");
+        let fresh =
+            Frontier::resume_or_init(&dir, FrontierSpec::for_grid::<Maintenance>(&grid(6), 2));
+        assert_eq!(fresh.unwrap().spec().chunk, 2);
+        let resumed =
+            Frontier::resume_or_init(&dir, FrontierSpec::for_grid::<Maintenance>(&grid(6), 5))
+                .unwrap();
+        assert_eq!((resumed.spec().chunk, resumed.chunks()), (2, 3));
+        match Frontier::resume_or_init(&dir, FrontierSpec::for_grid::<Maintenance>(&grid(4), 2)) {
+            Err(FrontierError::Mismatch { field, .. }) => assert_eq!(field, "grid_len"),
+            other => panic!("expected grid_len mismatch, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -129,7 +129,7 @@ pub use sweep::{
     SweepSummary,
 };
 pub use transport::{
-    drive_frontier, FrontierDriveError, FrontierDriveReport, FrontierDriverConfig,
+    default_chunk, drive_frontier, FrontierDriveError, FrontierDriveReport, FrontierDriverConfig,
     SubprocessTransport, WorkerLaunch, WorkerTransport,
 };
 

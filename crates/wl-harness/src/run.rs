@@ -145,6 +145,32 @@ const AGREEMENT: Consumers = 1;
 const ROUNDS: Consumers = 2;
 const CAPTURE: Consumers = 4;
 
+/// The head of one of the pass's instant streams: the instant, its
+/// [`RealTime::order_key`], and the consumers it feeds. A spent stream's
+/// key is `u64::MAX`, the key of no finite or infinite instant.
+#[derive(Clone, Copy)]
+struct Head {
+    key: u64,
+    t: RealTime,
+    consumers: Consumers,
+}
+
+impl Head {
+    const SPENT: Self = Self {
+        key: u64::MAX,
+        t: RealTime::ZERO,
+        consumers: 0,
+    };
+
+    fn of(t: Option<RealTime>, consumers: Consumers) -> Self {
+        t.map_or(Self::SPENT, |t| Self {
+            key: t.order_key(),
+            t,
+            consumers,
+        })
+    }
+}
+
 /// The one drive-and-summarize body: run the simulation to completion,
 /// then [`summarize`] the clocks and the observer bundle's counters and
 /// correction histories.
@@ -177,13 +203,17 @@ where
 /// merge of five streams that are each in time order already: the
 /// agreement grid, the capture grid, the instants 1 ns before each
 /// nonfaulty correction change, the changes themselves (sorted once,
-/// and shared with the wave finder), and the waves. Each distinct
-/// instant is evaluated once and handed to every stream element equal
-/// to it, for the consumers that element is tagged for. The two
-/// instants around a change belong to every window the change falls
-/// in. A sample is a pure function of its instant, so the order among
-/// equal instants cannot change a stored `(t, skew)` pair, and every
-/// consumer's fold (`max`, the sketch's integer fields) is
+/// and shared with the wave finder), and the waves. Each stream is a
+/// concrete cursor whose head keeps its order key, so an instant costs
+/// the minimum of five integers. Each distinct instant is evaluated once
+/// and handed to every stream element equal to it, for the consumers
+/// that element is tagged for: the round series and the capture take
+/// one sample per element, the agreement fold one per instant (it keeps
+/// maxima). The two instants around a change belong to every window the
+/// change falls in. A sample is a pure function of its instant, so the
+/// order among equal instants cannot change a stored `(t, skew)` pair,
+/// and every consumer's fold (`max`, the sketch's integer fields, which
+/// a sketch capture folds each sample into as it comes) is
 /// order-independent.
 fn summarize(
     view: &ExecutionView<'_, FleetClock>,
@@ -203,66 +233,92 @@ fn summarize(
     let capture_to = RealTime::from_secs(t_end * 0.99);
     let capture_step = RealDur::from_secs((params.p_round / 10.0).max(t_end / 4000.0));
 
-    let tag = |consumers: Consumers| move |t: RealTime| (t, consumers);
-    let mut agreement_grid =
-        grid(from, to, RealDur::from_secs(params.p_round / 7.0)).map(tag(AGREEMENT));
+    let mut agreement_grid = grid(from, to, RealDur::from_secs(params.p_round / 7.0));
     let mut capture_grid = capturing
         .then(|| grid(RealTime::ZERO, capture_to, capture_step))
         .into_iter()
-        .flatten()
-        .map(tag(CAPTURE));
-    let tagged_changes = changes.iter().filter_map(|&t| {
-        let mut consumers = 0;
-        if t >= from && t <= to {
-            consumers |= AGREEMENT;
-        }
-        if capturing && t >= RealTime::ZERO && t <= capture_to {
-            consumers |= CAPTURE;
-        }
-        (consumers != 0).then_some((t, consumers))
-    });
-    let mut before_changes = tagged_changes
-        .clone()
-        .map(|(t, consumers)| (around_change(t)[0], consumers));
-    let mut at_changes = tagged_changes;
-    let mut wave_instants = waves.iter().copied().map(tag(ROUNDS));
-    let mut sources: [&mut dyn Iterator<Item = (RealTime, Consumers)>; 5] = [
-        &mut agreement_grid,
-        &mut capture_grid,
-        &mut before_changes,
-        &mut at_changes,
-        &mut wave_instants,
+        .flatten();
+    let tagged: Vec<(RealTime, Consumers)> = changes
+        .iter()
+        .filter_map(|&t| {
+            let mut consumers = 0;
+            if t >= from && t <= to {
+                consumers |= AGREEMENT;
+            }
+            if capturing && t >= RealTime::ZERO && t <= capture_to {
+                consumers |= CAPTURE;
+            }
+            (consumers != 0).then_some((t, consumers))
+        })
+        .collect();
+    // The tagged changes are walked by two indices: side 0 of
+    // `around_change` is the instant 1 ns before a change, side 1 the
+    // change itself.
+    let change = |i: usize, side: usize| match tagged.get(i) {
+        Some(&(t, consumers)) => Head::of(Some(around_change(t)[side]), consumers),
+        None => Head::SPENT,
+    };
+    let wave = |i: usize| Head::of(waves.get(i).copied(), ROUNDS);
+    let (mut before, mut at, mut waved) = (0, 0, 0);
+    let mut heads = [
+        Head::of(agreement_grid.next(), AGREEMENT),
+        Head::of(capture_grid.next(), CAPTURE),
+        change(before, 0),
+        change(at, 1),
+        wave(waved),
     ];
-    let keyed = |(t, consumers): (RealTime, Consumers)| (t.order_key(), t, consumers);
-    let mut heads = sources.each_mut().map(|source| source.next().map(keyed));
 
     let mut eval = SkewEvaluator::new(view);
     let mut agreement = AgreementFold::new(from, to);
     let mut round_skews = Vec::with_capacity(waves.len());
+    let mut sketch = (capture == Capture::Sketch).then(SkewSketch::new);
+    let mut last_bin = 0;
     let (mut skew_times, mut skew_values) = (Vec::new(), Vec::new());
-    while let Some((key, t)) = heads
-        .iter()
-        .flatten()
-        .map(|&(key, t, _)| (key, t))
-        .min_by_key(|&(key, _)| key)
-    {
+    loop {
+        let Head { key, t, .. } = *heads
+            .iter()
+            .min_by_key(|head| head.key)
+            .expect("five streams");
+        if key == Head::SPENT.key {
+            break;
+        }
         let skew = eval.skew_at(t);
-        for (head, source) in heads.iter_mut().zip(&mut sources) {
-            while let Some((_, _, consumers)) = head.filter(|&(at, _, _)| at == key) {
-                if consumers & AGREEMENT != 0 {
-                    agreement.observe(t, skew);
-                }
-                if consumers & ROUNDS != 0 {
+        let mut at_instant = 0;
+        for (stream, head) in heads.iter_mut().enumerate() {
+            while head.key == key {
+                at_instant |= head.consumers;
+                if head.consumers & ROUNDS != 0 {
                     round_skews.push(skew);
                 }
-                if consumers & CAPTURE != 0 {
-                    if capture == Capture::Series {
+                if head.consumers & CAPTURE != 0 {
+                    if let Some(sketch) = &mut sketch {
+                        sketch.fold(skew, &mut last_bin);
+                    } else {
                         skew_times.push(t.as_secs());
+                        skew_values.push(skew);
                     }
-                    skew_values.push(skew);
                 }
-                *head = source.next().map(keyed);
+                *head = match stream {
+                    0 => Head::of(agreement_grid.next(), AGREEMENT),
+                    1 => Head::of(capture_grid.next(), CAPTURE),
+                    2 => {
+                        before += 1;
+                        change(before, 0)
+                    }
+                    3 => {
+                        at += 1;
+                        change(at, 1)
+                    }
+                    _ => {
+                        waved += 1;
+                        wave(waved)
+                    }
+                };
             }
+        }
+        // The fold keeps maxima: one observation per instant is all of it.
+        if at_instant & AGREEMENT != 0 {
+            agreement.observe(t, skew);
         }
     }
 
@@ -270,7 +326,6 @@ fn summarize(
         skews: round_skews,
         times: waves,
     };
-    let sketch = (capture == Capture::Sketch).then(|| SkewSketch::of_samples(&skew_values));
     let series = (capture == Capture::Series)
         .then(|| series_payload(view, &rounds, skew_times, skew_values));
     let summary = RunSummary {

@@ -40,6 +40,7 @@
 //! sketch records to series records without losing information.
 
 use crate::sweep::SweepSeries;
+use wl_analysis::stats::round_half_away;
 
 /// Quantization grid of the exact mean accumulator: 2⁴⁰ ticks per
 /// second (one tick ≈ 0.91 ps). Chosen as a power of two so the
@@ -132,10 +133,11 @@ impl Default for SkewSketch {
 }
 
 /// A sample's contribution to the exact mean: ticks of 2⁻⁴⁰ s,
-/// round-half-away-from-zero, saturating at the `i64` range (±inf
-/// saturate; NaN contributes 0 — all deterministic `as` casts).
+/// round-half-away-from-zero with no libm call, saturating at the `i64`
+/// range (±inf saturate; NaN contributes 0 — all deterministic `as`
+/// casts).
 fn quantize_ticks(v: f64) -> i64 {
-    (v * TICKS_PER_SEC).round() as i64
+    round_half_away(v * TICKS_PER_SEC) as i64
 }
 
 impl SkewSketch {
@@ -158,23 +160,14 @@ impl SkewSketch {
     /// This is *the* definition of a grid point's sketch: a sketch
     /// record and a series record of the same spec are consistent iff
     /// `of_series(series)` is bit-identical to the sketch, which is
-    /// what the store's upgrade lattice checks.
+    /// what the store's upgrade lattice checks. Each sample's bin is
+    /// looked for first where the one before it landed (a skew stream
+    /// moves slowly, so it usually stays in its bin).
     #[must_use]
     pub fn of_series(series: &SweepSeries) -> Self {
-        Self::of_samples(&series.skew_values)
-    }
-
-    /// Folds `samples`, in order, into a fresh sketch — [`observe`]
-    /// each, with each sample's bin looked for first where the one
-    /// before it landed (a skew stream moves slowly, so it usually stays
-    /// in its bin).
-    ///
-    /// [`observe`]: SkewSketch::observe
-    #[must_use]
-    pub(crate) fn of_samples(samples: &[f64]) -> Self {
         let mut sketch = Self::new();
         let mut last = 0;
-        for &v in samples {
+        for &v in &series.skew_values {
             sketch.fold(v, &mut last);
         }
         sketch
@@ -215,7 +208,7 @@ impl SkewSketch {
     /// The one body of [`observe`](SkewSketch::observe): adds `v`,
     /// trying the bin at position `*last` before searching, and leaves
     /// `*last` at the bin `v` landed in.
-    fn fold(&mut self, v: f64, last: &mut usize) {
+    pub(crate) fn fold(&mut self, v: f64, last: &mut usize) {
         self.count += 1;
         self.set_sum_ticks(self.sum_ticks() + i128::from(quantize_ticks(v)));
         if v.total_cmp(&self.max).is_gt() && !v.is_nan() {

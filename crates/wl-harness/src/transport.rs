@@ -61,8 +61,11 @@ pub struct FrontierDriverConfig {
     /// Path of the merged output store.
     pub out: PathBuf,
     /// Grid points per frontier chunk (the work-stealing granule; see
-    /// [`FrontierSpec::chunk`]).
-    pub chunk: usize,
+    /// [`FrontierSpec::chunk`]). `None` sizes it to the fleet with
+    /// [`default_chunk`], or, over a drive directory that already holds a
+    /// frontier, resumes at the granule its manifest records. `Some` is
+    /// the override: a resumed frontier cut otherwise is refused.
+    pub chunk: Option<usize>,
     /// Restart budget **per worker slot**: a slot's worker may crash (or
     /// stall) at most this many times before the slot retires. Retiring
     /// a slot is not fatal while other slots survive — work stealing
@@ -85,16 +88,16 @@ pub struct FrontierDriverConfig {
 }
 
 impl FrontierDriverConfig {
-    /// A config with the defaults the `sweep_drive` bin uses: 2 restarts
-    /// per slot, 50 ms poll, no stall timeout, 2 s steal timeout, binary
-    /// output.
+    /// A config with the defaults the `sweep_drive` bin uses: a granule
+    /// sized to the fleet, 2 restarts per slot, 50 ms poll, no stall
+    /// timeout, 2 s steal timeout, binary output.
     #[must_use]
     pub fn new(workers: u32, dir: impl Into<PathBuf>, out: impl Into<PathBuf>) -> Self {
         Self {
             workers,
             dir: dir.into(),
             out: out.into(),
-            chunk: 4,
+            chunk: None,
             max_restarts: 2,
             poll: Duration::from_millis(50),
             stall_timeout: None,
@@ -123,6 +126,26 @@ impl FrontierDriverConfig {
     pub fn worker_log(&self, slot: u32) -> PathBuf {
         self.dir.join(format!("worker-{slot}.log"))
     }
+}
+
+/// Chunks per worker a drive that names no granule aims for.
+const CHUNKS_PER_WORKER: usize = 16;
+
+/// The granule a drive that names none cuts its grid into:
+/// `clamp(⌈grid_len / (16 · workers)⌉, 4, 256)` points, so each worker
+/// drains about 16 chunks.
+///
+/// Every chunk pays fixed bookkeeping: a `.todo` file at init, two
+/// renames, one appended checkpoint and its entries in every monitor
+/// scan. Fewer, larger chunks pay it less often, but leave a longer tail
+/// when the last chunks land unevenly and more to redo after a crash.
+/// About 16 chunks a worker keeps both small. The floor of 4 keeps a
+/// small grid (the 24-point demonstration grid) spread over every worker;
+/// the ceiling of 256 bounds what one crash loses on a huge grid.
+#[must_use]
+pub fn default_chunk(grid_len: usize, workers: u32) -> usize {
+    let fleet = CHUNKS_PER_WORKER * workers.max(1) as usize;
+    grid_len.div_ceil(fleet).clamp(4, 256)
 }
 
 /// Everything a transport needs to build one worker invocation.
@@ -209,6 +232,10 @@ impl<F: FnMut(&WorkerLaunch) -> Command> WorkerTransport for SubprocessTransport
 /// What a completed [`drive_frontier`] did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FrontierDriveReport {
+    /// Grid points per chunk of the frontier drained: the caller's
+    /// [`FrontierDriverConfig::chunk`], [`default_chunk`]'s, or the one a
+    /// resumed frontier records.
+    pub chunk: usize,
     /// Records in the merged output store.
     pub merged_records: usize,
     /// Worker restarts across all slots (crashes + stall kills).
@@ -329,7 +356,8 @@ impl Slot {
     }
 }
 
-/// Initializes the frontier for `grid` (refusing a foreign one), runs
+/// Initializes the frontier for `grid` (refusing a foreign one, and
+/// resuming one at its own granule when `cfg.chunk` names none), runs
 /// `cfg.workers` worker processes over `transport`, keeps them alive
 /// (restart on crash under a per-slot budget, optional stall kill,
 /// orphan-claim requeue so survivors steal dead workers' chunks), and —
@@ -350,7 +378,7 @@ impl Slot {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.workers == 0` or `cfg.chunk == 0`.
+/// Panics if `cfg.workers == 0` or `cfg.chunk == Some(0)`.
 pub fn drive_frontier<A: SyncAlgorithm>(
     cfg: &FrontierDriverConfig,
     grid: &[ScenarioSpec],
@@ -361,11 +389,17 @@ pub fn drive_frontier<A: SyncAlgorithm>(
         "frontier driver needs at least one worker"
     );
     std::fs::create_dir_all(&cfg.dir)?;
-    let frontier = Frontier::init(
-        cfg.frontier_dir(),
-        FrontierSpec::for_grid::<A>(grid, cfg.chunk),
-    )?;
-    let mut report = FrontierDriveReport::default();
+    let frontier = match cfg.chunk {
+        Some(chunk) => Frontier::init(cfg.frontier_dir(), FrontierSpec::for_grid::<A>(grid, chunk)),
+        None => {
+            let chunk = default_chunk(grid.len(), cfg.workers);
+            Frontier::resume_or_init(cfg.frontier_dir(), FrontierSpec::for_grid::<A>(grid, chunk))
+        }
+    }?;
+    let mut report = FrontierDriveReport {
+        chunk: frontier.spec().chunk,
+        ..FrontierDriveReport::default()
+    };
 
     let mut slots: Vec<Slot> = Vec::with_capacity(cfg.workers as usize);
     for slot in 0..cfg.workers {
@@ -532,6 +566,25 @@ mod tests {
         FrontierDriverConfig::new(2, dir, dir.join("merged.wls"))
     }
 
+    /// ~16 chunks a worker, never under 4 points nor over 256: the
+    /// 24-point demonstration grid keeps its 4 on any small fleet, and the
+    /// benchmark's 2 000-point two-worker drive runs 32 chunks, not 500.
+    #[test]
+    fn the_default_granule_is_sized_to_the_fleet() {
+        for workers in 1..=3 {
+            assert_eq!(
+                default_chunk(24, workers),
+                4,
+                "24 points, {workers} worker(s)"
+            );
+        }
+        assert_eq!(default_chunk(200, 2), 7);
+        assert_eq!(default_chunk(2_000, 2), 63);
+        assert_eq!(2_000usize.div_ceil(default_chunk(2_000, 2)), 32);
+        assert_eq!(default_chunk(1_000_000, 8), 256);
+        assert_eq!(default_chunk(0, 0), 4);
+    }
+
     /// The one layout: frontier, per-slot store and per-slot log side by
     /// side in the drive directory, and a launch that names them.
     #[test]
@@ -604,7 +657,7 @@ mod tests {
         // An earlier sweep left its frontier behind...
         Frontier::init(
             cfg.frontier_dir(),
-            FrontierSpec::for_grid::<Maintenance>(&grid_of(6), cfg.chunk),
+            FrontierSpec::for_grid::<Maintenance>(&grid_of(6), 4),
         )
         .unwrap();
 

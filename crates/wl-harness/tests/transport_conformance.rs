@@ -27,7 +27,11 @@
 //!    returns the moment its last worker exits;
 //! 8. **service fleet** — workers launched with `WL_SWEEP_SERVICE` set
 //!    merge the reference bytes, and the server, asked before shutdown,
-//!    holds every record: the fleet really went through it.
+//!    holds every record: the fleet really went through it;
+//! 9. **recorded granule** — a half-drained chunk-4 frontier of a
+//!    200-point grid is finished by a two-worker drive that names no
+//!    granule: it adopts 4 and simulates only the undone points, and an
+//!    explicit chunk of 8 over the same directory is refused.
 //!
 //! Chunk-interleaving determinism beyond these fixed schedules is pinned
 //! by `tests/frontier_determinism.rs` (proptest, no subprocesses).
@@ -39,10 +43,10 @@ use std::time::{Duration, Instant};
 use wl_core::Params;
 use wl_harness::cache::segment::{write_file, EncodedRecord, SegmentReader};
 use wl_harness::{
-    derive_seed, drive_frontier, run_worker_frontier, DelayKind, FrontierDriveError,
-    FrontierDriveReport, FrontierDriverConfig, FrontierWorkerConfig, Maintenance, ScenarioSpec,
-    ServiceAddr, ServiceClient, SubprocessTransport, SweepCache, SweepRequest, SweepRunner,
-    SweepStore, WorkerLaunch,
+    derive_seed, drive_frontier, run_worker_frontier, DelayKind, Frontier, FrontierDriveError,
+    FrontierDriveReport, FrontierDriverConfig, FrontierError, FrontierSpec, FrontierWorkerConfig,
+    Maintenance, ScenarioSpec, ServiceAddr, ServiceClient, SubprocessTransport, SweepCache,
+    SweepRequest, SweepRunner, SweepStore, WorkerLaunch,
 };
 use wl_time::RealTime;
 
@@ -51,13 +55,18 @@ const GRID: usize = 8;
 /// The test grid — small horizons so the full matrix stays fast, three
 /// delay models so records are not all alike.
 fn grid() -> Vec<ScenarioSpec> {
+    grid_of(GRID)
+}
+
+/// The first `len` points of the test grid's sequence.
+fn grid_of(len: usize) -> Vec<ScenarioSpec> {
     let params = Params::auto(4, 1, 1e-6, 0.010, 0.001).unwrap();
     let delays = [
         DelayKind::Constant,
         DelayKind::Uniform,
         DelayKind::AdversarialSplit,
     ];
-    (0..GRID)
+    (0..len)
         .map(|i| {
             ScenarioSpec::new(params.clone())
                 .seed(derive_seed(0x7C09_F04A, i as u64))
@@ -90,6 +99,7 @@ fn main() {
     scenario_damaged_store_costs_only_the_tail();
     scenario_completion_is_noticed_when_it_happens();
     scenario_service_fleet();
+    scenario_resume_adopts_the_recorded_granule();
     println!("transport_conformance: all scenarios passed");
 }
 
@@ -98,13 +108,14 @@ fn main() {
 // ---------------------------------------------------------------------------
 
 /// `--frontier-worker --frontier DIR --worker-id ID --store FILE
-/// [--steal-ms T] [--crash-after-chunks M]
+/// [--grid LEN] [--steal-ms T] [--crash-after-chunks M]
 /// [--hang-after-chunks M] [--hold-until FILE]`
 fn worker_main(args: &[String]) {
     let mut it = args.iter();
     let mut frontier = None;
     let mut worker = None;
     let mut store = None;
+    let mut len = GRID;
     let mut steal_ms = 2000u64;
     let mut crash_after_chunks = None;
     let mut hang_after_chunks: Option<usize> = None;
@@ -114,6 +125,7 @@ fn worker_main(args: &[String]) {
             "--frontier" => frontier = it.next().cloned(),
             "--worker-id" => worker = it.next().cloned(),
             "--store" => store = it.next().cloned(),
+            "--grid" => len = it.next().unwrap().parse().unwrap(),
             "--steal-ms" => steal_ms = it.next().unwrap().parse().unwrap(),
             "--crash-after-chunks" => {
                 crash_after_chunks = Some(it.next().unwrap().parse().unwrap())
@@ -141,20 +153,21 @@ fn worker_main(args: &[String]) {
     cfg.steal_timeout = Duration::from_millis(steal_ms);
     cfg.poll = Duration::from_millis(20);
     cfg.crash_after_chunks = crash_after_chunks;
-    let progress = run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid(), &cfg, |p| {
-        println!(
-            "progress worker={worker} chunks={} points={} hits={} misses={}",
-            p.chunks, p.points, p.hits, p.misses
-        );
-        if hang_after_chunks.is_some_and(|n| p.chunks >= n) {
-            // A wedged worker: alive but never progressing again. The
-            // driver's stall timeout is what gets us out of here.
-            loop {
-                std::thread::sleep(Duration::from_secs(3600));
+    let progress =
+        run_worker_frontier::<Maintenance>(&SweepRunner::serial(), grid_of(len), &cfg, |p| {
+            println!(
+                "progress worker={worker} chunks={} points={} hits={} misses={}",
+                p.chunks, p.points, p.hits, p.misses
+            );
+            if hang_after_chunks.is_some_and(|n| p.chunks >= n) {
+                // A wedged worker: alive but never progressing again. The
+                // driver's stall timeout is what gets us out of here.
+                loop {
+                    std::thread::sleep(Duration::from_secs(3600));
+                }
             }
-        }
-    })
-    .unwrap_or_else(|e| panic!("frontier worker {worker}: {e}"));
+        })
+        .unwrap_or_else(|e| panic!("frontier worker {worker}: {e}"));
     println!(
         "worker {worker} complete: {} chunk(s), {} point(s) ({} hits, {} misses)",
         progress.chunks, progress.points, progress.hits, progress.misses
@@ -254,10 +267,20 @@ impl Drop for Server {
     }
 }
 
-/// One frontier drive with fault `fault`. Workers see
+/// One frontier drive of the test grid with fault `fault`. Workers see
 /// `WL_SWEEP_SERVICE` set to `service`, or `off` so an inherited one
 /// cannot turn misses into hits.
 fn run_drive(
+    cfg: &FrontierDriverConfig,
+    fault: Fault,
+    service: Option<&ServiceAddr>,
+) -> Result<FrontierDriveReport, FrontierDriveError> {
+    run_drive_of(GRID, cfg, fault, service)
+}
+
+/// [`run_drive`] over the first `len` points of the test grid's sequence.
+fn run_drive_of(
+    len: usize,
     cfg: &FrontierDriverConfig,
     fault: Fault,
     service: Option<&ServiceAddr>,
@@ -282,6 +305,8 @@ fn run_drive(
             .arg(&launch.worker)
             .arg("--store")
             .arg(&launch.store)
+            .arg("--grid")
+            .arg(len.to_string())
             .arg("--steal-ms")
             .arg("400")
             .env("WL_SWEEP_SERVICE", &service);
@@ -300,7 +325,11 @@ fn run_drive(
         }
         cmd
     };
-    drive_frontier::<Maintenance>(cfg, &grid(), &mut SubprocessTransport::new(command_for))
+    drive_frontier::<Maintenance>(
+        cfg,
+        &grid_of(len),
+        &mut SubprocessTransport::new(command_for),
+    )
 }
 
 fn config(name: &str, workers: u32, chunk: usize) -> FrontierDriverConfig {
@@ -309,7 +338,7 @@ fn config(name: &str, workers: u32, chunk: usize) -> FrontierDriverConfig {
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join("merged.wls");
     let mut cfg = FrontierDriverConfig::new(workers, dir, out);
-    cfg.chunk = chunk;
+    cfg.chunk = Some(chunk);
     cfg.poll = Duration::from_millis(10);
     cfg.steal_timeout = Duration::from_millis(400);
     cfg
@@ -325,14 +354,19 @@ fn reference_bytes() -> &'static [u8] {
             .threads(1)
             .cached(&cache)
             .run::<Maintenance>(grid());
-        let path = std::env::temp_dir().join(format!("wl-conform-{}-ref.wls", std::process::id()));
-        let mut store = SweepStore::open(&path).unwrap();
-        store.absorb(&cache);
-        store.save().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        bytes
+        saved_bytes(&cache, "ref")
     })
+}
+
+/// The bytes of a fresh store that absorbed `cache`.
+fn saved_bytes(cache: &SweepCache, name: &str) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("wl-conform-{}-{name}.wls", std::process::id()));
+    let mut store = SweepStore::open(&path).unwrap();
+    store.absorb(cache);
+    store.save().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    bytes
 }
 
 /// Reads `(hits, misses)` off the last completion line in a worker log —
@@ -455,7 +489,7 @@ fn scenario_crash_resumes_not_redoes() {
     assert_eq!(report.restarts, 1, "exactly the injected crash restarted");
     assert_eq!(
         final_hits_misses(&cfg.worker_log(0)),
-        (cfg.chunk as u64, (GRID - cfg.chunk) as u64),
+        (report.chunk as u64, (GRID - report.chunk) as u64),
         "restart must resume, not redo"
     );
     assert_eq!(std::fs::read(&cfg.out).unwrap(), reference_bytes());
@@ -607,4 +641,66 @@ fn scenario_service_fleet() {
     );
     let _ = std::fs::remove_dir_all(&cfg.dir);
     println!("ok: service-backed fleet byte-identical; the server holds all {GRID} records");
+}
+
+/// A drive that names no granule over a directory whose frontier an
+/// earlier drive cut into 4-point chunks and left half drained: it
+/// adopts 4 (its own rule would pick 7 for 200 points on two workers)
+/// and simulates only the undone half, counted off the two slots'
+/// fresh stores, where every record is a miss. The same directory with
+/// an explicit chunk of 8 is refused naming `chunk`, before any spawn.
+fn scenario_resume_adopts_the_recorded_granule() {
+    const LEN: usize = 200;
+    let mut cfg = config("granule", 2, 8);
+    let grid = grid_of(LEN);
+    let frontier = Frontier::init(
+        cfg.frontier_dir(),
+        FrontierSpec::for_grid::<Maintenance>(&grid, 4),
+    )
+    .unwrap();
+    // The earlier drive's first half: every chunk done, its records in a
+    // store neither slot of this drive owns.
+    let cache = SweepCache::new();
+    let _ = SweepRequest::new()
+        .threads(1)
+        .cached(&cache)
+        .run::<Maintenance>(grid[..LEN / 2].to_vec());
+    std::fs::write(
+        cfg.dir.join("worker-early.wls"),
+        saved_bytes(&cache, "early"),
+    )
+    .unwrap();
+    for _ in 0..LEN / 2 / 4 {
+        let claim = frontier.claim("early").unwrap().expect("a todo chunk");
+        assert!(claim.complete().unwrap());
+    }
+    let _ = SweepRequest::new()
+        .threads(1)
+        .cached(&cache)
+        .run::<Maintenance>(grid.clone());
+    let reference = saved_bytes(&cache, "granule-ref");
+
+    let mut refuse = SubprocessTransport::new(|_: &WorkerLaunch| -> Command {
+        panic!("no worker may be spawned against a frontier cut otherwise")
+    });
+    match drive_frontier::<Maintenance>(&cfg, &grid, &mut refuse) {
+        Err(FrontierDriveError::Frontier(FrontierError::Mismatch { field, .. })) => {
+            assert_eq!(field, "chunk");
+        }
+        other => panic!("expected a chunk mismatch, got {other:?}"),
+    }
+
+    cfg.chunk = None;
+    let report = run_drive_of(LEN, &cfg, Fault::default(), None).expect("resumed drive");
+    assert_eq!(report.chunk, 4, "the drive adopts the recorded granule");
+    assert_eq!(report.merged_records, LEN);
+    let simulated: usize = (0..cfg.workers)
+        .map(|slot| cfg.worker_store(slot))
+        .filter(|store| store.exists())
+        .map(|store| SweepStore::open(&store).unwrap().len())
+        .sum();
+    assert_eq!(simulated, LEN / 2, "only the undone points are simulated");
+    assert_eq!(std::fs::read(&cfg.out).unwrap(), reference);
+    let _ = std::fs::remove_dir_all(&cfg.dir);
+    println!("ok: a drive naming no granule resumes a chunk-4 frontier at 4");
 }
